@@ -240,7 +240,7 @@ def test_tcp_wire_fast_path_speedup(benchmark):
 #: What the batched JSONL wire recorded when it landed (BENCH_perf.json,
 #: 2026-08-06T05:21): the binary frame codec must at least hold that line
 #: while spending visibly less CPU per record (the measured margin on
-#: this host is ~1.3x; the 2-shard benchmark is where binary + shm
+#: this host is ~1.3x; the 2-shard benchmark is where the binary wire
 #: clears its 2x bar, see bench_sharded_throughput.py).
 PR4_BATCHED_INSTALLS = 56_636.0
 

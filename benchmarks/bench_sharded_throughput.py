@@ -215,12 +215,12 @@ def test_cluster_roundtrip_throughput(benchmark):
 
 
 #: What the JSONL batched round trip recorded when it landed
-#: (BENCH_perf.json, 2026-08-06T05:22).  The binary wire with
-#: shared-memory rings must at least double it.
+#: (BENCH_perf.json, 2026-08-06T05:22).  The binary wire must at least
+#: double it.
 PR4_ROUNDTRIP_BASELINE = 36_122.0
 BINARY_ROUNDTRIP_BAR = 2.0 * 30_000.0
 
-#: Offered load for the binary/shm variants.  The binary router forwards
+#: Offered load for the binary variants.  The binary router forwards
 #: far faster than the workers install, so offering much more than this
 #: fills the (deliberately deep) worker update queues mid-window and the
 #: measurement collapses into overflow churn; 90k sits above capacity
@@ -239,12 +239,11 @@ def _drawn_update_frames(config, count=20_000):
     return frames
 
 
-async def _drive_cluster_binary(shm, frames):
+async def _drive_cluster_binary(frames):
     """The round-trip harness on the binary wire: binary client session,
-    binary router->worker hop, optionally shared-memory update rings."""
+    binary router->worker hop over loopback TCP."""
     cluster = ShardCluster(
-        _roundtrip_config(), "TF", shards=2,
-        batch_max=256, flush_us=500.0, wire="binary", shm=shm,
+        _roundtrip_config(), "TF", shards=2, batch_max=256, flush_us=500.0,
     )
     host, port = await cluster.start()
     _, writer = await asyncio.open_connection(host, port)
@@ -283,7 +282,6 @@ async def _drive_cluster_binary(shm, frames):
         end = (before + time.perf_counter()) / 2
         installed = second.updates_applied - first.updates_applied
         rate = installed / (end - start)
-        ring_records = sum(second.extras.get("ring_records", []))
     finally:
         sender.cancel()
         try:
@@ -293,44 +291,28 @@ async def _drive_cluster_binary(shm, frames):
         writer.close()
         await cluster.shutdown(drain_timeout=10.0)
     assert installed > 0
-    return rate, ring_records
+    return rate
 
 
-def test_binary_shm_roundtrip_throughput(benchmark):
-    """The binary-wire bar: 2-shard round trip >= 2x the PR 4 baseline.
-
-    Measures the binary hop twice — TCP-only, then with the update
-    stream on shared-memory rings — best-of-N interleaved.  The shm run
-    must prove the rings actually carried traffic (``ring_records``).
-    """
+def test_binary_roundtrip_throughput(benchmark):
+    """The binary-wire bar: 2-shard round trip >= 2x the PR 4 baseline
+    (binary client, binary hop over loopback TCP; best-of-N)."""
     frames = _drawn_update_frames(_roundtrip_config())
-    rates = {"binary_tcp": 0.0, "binary_shm": 0.0}
-    rings = {"binary_shm": 0}
     rounds = 1 if QUICK else 2
+    best = 0.0
 
     def run():
+        nonlocal best
         for _ in range(rounds):
             gc.collect()
-            rate, _ = asyncio.run(_drive_cluster_binary(False, frames))
-            rates["binary_tcp"] = max(rates["binary_tcp"], rate)
-            gc.collect()
-            rate, ring_records = asyncio.run(
-                _drive_cluster_binary(True, frames)
-            )
-            if rate > rates["binary_shm"]:
-                rates["binary_shm"] = rate
-                rings["binary_shm"] = ring_records
+            best = max(best, asyncio.run(_drive_cluster_binary(frames)))
     benchmark.pedantic(run, rounds=1, iterations=1)
-    best = max(rates.values())
     vs_pr4 = best / PR4_ROUNDTRIP_BASELINE
-    benchmark.extra_info["installs_per_second_binary_tcp"] = rates["binary_tcp"]
-    benchmark.extra_info["installs_per_second_binary_shm"] = rates["binary_shm"]
-    benchmark.extra_info["ring_records_best_shm_round"] = rings["binary_shm"]
+    benchmark.extra_info["installs_per_second_binary_tcp"] = best
     benchmark.extra_info["vs_pr4_roundtrip_baseline"] = vs_pr4
     benchmark.extra_info["best_of_rounds"] = rounds
-    print(f"\n2-shard binary round-trip tcp: {rates['binary_tcp']:,.0f}/s, "
-          f"shm: {rates['binary_shm']:,.0f}/s ({vs_pr4:.2f}x PR 4 baseline)")
-    assert rings["binary_shm"] > 0, "shm run never used its rings"
+    print(f"\n2-shard binary round-trip: {best:,.0f}/s "
+          f"({vs_pr4:.2f}x PR 4 baseline)")
     if not QUICK:
         assert best >= BINARY_ROUNDTRIP_BAR, (
             f"binary round-trip peaked at {best:,.0f} installs/s, below the "
@@ -424,7 +406,7 @@ async def _drive_direct(shards):
     """
     cluster = ShardCluster(
         _roundtrip_config(), "TF", shards=shards,
-        batch_max=256, flush_us=500.0, wire="binary",
+        batch_max=256, flush_us=500.0,
     )
     await cluster.start()
     record = cluster.topology_record()
@@ -471,7 +453,7 @@ async def _drive_routed(routers, frames):
     psutil when available, os.times otherwise)."""
     cluster = ShardCluster(
         _roundtrip_config(), "TF", shards=2,
-        batch_max=256, flush_us=500.0, wire="binary", routers=routers,
+        batch_max=256, flush_us=500.0, routers=routers,
     )
     host, port = await cluster.start()
     _, writer = await asyncio.open_connection(host, port)

@@ -262,6 +262,59 @@ def topology_record(
     }
 
 
+class Topology:
+    """The cluster's shard map at one epoch: ``(epoch, workers)``.
+
+    The supervisor owns the authoritative instance and refreshes it
+    whenever a worker endpoint or status changes; shard workers and
+    routing-plane processes keep their own copy, fed by the supervisor's
+    ``("topology", epoch, workers)`` pipe broadcast through
+    :meth:`apply`.  Routing decisions read :meth:`port_of` /
+    :meth:`status_of` at use time, so a refresh takes effect on the very
+    next record; :meth:`record` is what smart clients are served.
+    """
+
+    def __init__(
+        self,
+        n_low: int,
+        n_high: int,
+        shards: int,
+        *,
+        epoch: int = 0,
+        workers: "list[dict] | None" = None,
+    ) -> None:
+        self.n_low = n_low
+        self.n_high = n_high
+        self.shards = shards
+        self.epoch = epoch
+        self.workers = workers or [
+            {"shard": i, "host": "127.0.0.1", "port": 0, "status": "starting"}
+            for i in range(shards)
+        ]
+
+    def apply(self, epoch: int, workers: "list[dict]") -> None:
+        self.epoch = epoch
+        self.workers = workers
+
+    def port_of(self, shard: int) -> int:
+        return self.workers[shard]["port"]
+
+    def host_of(self, shard: int) -> str:
+        return self.workers[shard]["host"]
+
+    def status_of(self, shard: int) -> str:
+        return self.workers[shard]["status"]
+
+    def record(self) -> dict:
+        return topology_record(
+            shards=self.shards,
+            n_low=self.n_low,
+            n_high=self.n_high,
+            epoch=self.epoch,
+            workers=self.workers,
+        )
+
+
 def router_from_topology(record: dict) -> ShardRouter:
     """Rebuild the cluster's exact :class:`ShardRouter` from a topology
     record, refusing records produced by an incompatible hash version."""

@@ -614,13 +614,19 @@ class ViewRegistry:
         self._ensure_hooked()
         aggregate = _AGGREGATES[spec.kind](spec)
         # Materialize from the members already installed, so mid-run
-        # registration starts consistent with the database.
-        for obj in self._database.partition(spec.klass):
-            if obj.installs > 0:
-                aggregate.apply(
-                    self._gid(spec.klass, obj.object_id),
-                    0.0, obj.value, True, obj.install_time,
-                )
+        # registration starts consistent with the database — in install
+        # order, which is what the aggregates see from live deltas (the
+        # windowed average expires from the front of that order).
+        installed = [
+            obj for obj in self._database.partition(spec.klass)
+            if obj.installs > 0
+        ]
+        installed.sort(key=lambda obj: obj.install_time)
+        for obj in installed:
+            aggregate.apply(
+                self._gid(spec.klass, obj.object_id),
+                0.0, obj.value, True, obj.install_time,
+            )
         self.specs[spec.name] = spec
         self._aggregates[spec.name] = aggregate
         self._by_klass.setdefault(spec.klass, []).append(spec.name)

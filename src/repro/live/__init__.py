@@ -24,8 +24,7 @@ Layout:
   JSONL or the binary frame protocol from its first bytes.
 * :class:`ShardCluster` — N shard worker processes (one pipeline each)
   behind one ingest router; merged fleet snapshots and final results.
-  The internal hop defaults to binary frames and can carry the update
-  stream over shared-memory rings (:class:`~repro.live.shm.SpscRing`).
+  The router→worker hop is loopback TCP carrying binary frames.
 * :class:`DurabilityManager` — per-shard binary write-ahead log
   (:class:`UpdateLog`) plus compacted snapshots (:class:`SnapshotStore`),
   so supervisor restarts come back *warm*: snapshot restore + idempotent
@@ -61,7 +60,6 @@ from repro.live.loadgen import (
 from repro.live.observe import MetricsStreamer
 from repro.live.runtime import LiveRuntime, TransactionHandle
 from repro.live.server import IngestServer
-from repro.live.shm import SpscRing
 from repro.live.wire import (
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
@@ -94,7 +92,6 @@ __all__ = [
     "ShardDownError",
     "ShardedBenchResult",
     "SnapshotStore",
-    "SpscRing",
     "TransactionHandle",
     "UpdateLog",
     "WallClock",

@@ -27,9 +27,8 @@ from dataclasses import asdict
 
 from repro.config import SimulationConfig, StalenessPolicy, baseline_config
 from repro.core.algorithms.registry import ALGORITHMS
-from repro.live.clock import WallClock
 from repro.live.cluster import ShardCluster, run_sharded_bench
-from repro.live.durability import FSYNC_POLICIES, DurabilityManager
+from repro.live.durability import FSYNC_POLICIES
 from repro.live.loadgen import (
     CrossShardSpreader,
     DirectClient,
@@ -38,7 +37,7 @@ from repro.live.loadgen import (
 )
 from repro.live.observe import MetricsStreamer
 from repro.live.runtime import LiveRuntime
-from repro.live.server import IngestServer
+from repro.live.server import ShardHost
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
     DEFAULT_CONNECT_ATTEMPTS,
@@ -158,15 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between compacted snapshots; each "
                        "snapshot truncates the log to records newer than "
                        "it (default 5)")
-    serve.add_argument("--wire", choices=["jsonl", "binary"],
-                       default="binary",
-                       help="router→worker hop protocol (sharded mode; "
-                       "default binary — the public socket negotiates "
-                       "per client session regardless)")
-    serve.add_argument("--shm", action="store_true",
-                       help="carry the update stream to shard workers over "
-                       "shared-memory rings instead of loopback TCP "
-                       "(sharded mode; implies --wire binary for the hop)")
     serve.add_argument("--view", action="append", default=[], metavar="SPEC",
                        help="register a derived view at startup "
                        "(repeatable); SPEC is NAME=KIND:PARTITION with "
@@ -177,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="router plane processes sharing the public port "
                        "via SO_REUSEPORT (sharded mode; default 1 — the "
                        "router runs in the supervisor process; needs >= 2 "
-                       "to spread ingest parsing over cores; incompatible "
-                       "with --shm)")
+                       "to spread ingest parsing over cores)")
 
     loadgen = sub.add_parser("loadgen",
                              help="stream traffic at a running server")
@@ -258,41 +247,27 @@ async def _serve(args) -> int:
         return await _serve_sharded(args)
     stop = asyncio.Event()
     _install_stop_handlers(stop)  # before the banner: see it, can signal it
-    config = _build_config(args)
-    manager = None
-    clock = None
-    if args.log_dir is not None:
-        manager = DurabilityManager(
-            args.log_dir, 0, fsync=args.fsync,
-            snapshot_interval=args.snapshot_interval,
-        )
-        # Resume the predecessor's time domain so restored generation
-        # timestamps stay comparable with post-restart measurements.
-        clock = WallClock(start_at=manager.resume_at)
-    runtime = LiveRuntime(config, args.algorithm, clock=clock)
-    # Views registered before recovery see every replayed install as a
-    # delta, so a warm restart comes back with the views already current.
-    for spec in args.view:
-        runtime.register_view(spec)
-    runtime.start()
-    if manager is not None:
-        stats = await manager.recover(runtime)
-        manager.attach(runtime)
-        manager.start(runtime)
-        if stats.resumed:
-            print(f"repro-live: warm restart — replayed "
-                  f"{stats.replayed_records} logged records in "
-                  f"{stats.replay_lag_s:.3f}s", file=sys.stderr, flush=True)
-    server = IngestServer(runtime, args.host, args.port,
-                          batch_max=args.batch_max, flush_us=args.flush_us)
-    host, port = await server.start()
-    print(f"repro-live: {args.algorithm} serving on {host}:{port} "
-          f"(SIGINT drains and exits)", file=sys.stderr, flush=True)
+    shard = ShardHost(
+        _build_config(args), args.algorithm, host=args.host, port=args.port,
+        batch_max=args.batch_max, flush_us=args.flush_us,
+        log_dir=args.log_dir, fsync=args.fsync,
+        snapshot_interval=args.snapshot_interval, views=args.view,
+    )
+    stats = await shard.start()
+    if stats is not None and stats.resumed:
+        print(f"repro-live: warm restart — replayed "
+              f"{stats.replayed_records} logged records in "
+              f"{stats.replay_lag_s:.3f}s", file=sys.stderr, flush=True)
+    print(f"repro-live: {args.algorithm} serving on {shard.server.host}:"
+          f"{shard.server.port} (SIGINT drains and exits)",
+          file=sys.stderr, flush=True)
 
     streamer = None
     if args.metrics != "none":
         out = sys.stdout if args.metrics == "-" else args.metrics
-        streamer = MetricsStreamer(runtime, out, interval=args.metrics_interval)
+        streamer = MetricsStreamer(
+            shard.runtime, out, interval=args.metrics_interval
+        )
         streamer.start()
 
     if args.seconds is not None:
@@ -300,15 +275,9 @@ async def _serve(args) -> int:
     await stop.wait()
 
     print("repro-live: draining ...", file=sys.stderr, flush=True)
-    await server.stop()
-    drained = await runtime.drain(args.drain_timeout)
-    if manager is not None:
-        # Final snapshot *after* the drain, *before* finalize: capture the
-        # settled state while the ledgers are still live.
-        await manager.stop(runtime)
     if streamer is not None:
         await streamer.stop(final_emit=False)
-    result = await runtime.shutdown(drain_timeout=0.0)
+    result, drained = await shard.stop(args.drain_timeout)
     print(json.dumps(asdict(result)), flush=True)
     if not drained:
         print("repro-live: drain timed out with work still queued",
@@ -331,8 +300,6 @@ async def _serve_sharded(args) -> int:
         host=args.host, port=args.port,
         batch_max=args.batch_max, flush_us=args.flush_us,
         restart_limit=args.restart_limit,
-        wire="binary" if args.shm else args.wire,
-        shm=args.shm,
         log_dir=args.log_dir,
         fsync=args.fsync,
         snapshot_interval=args.snapshot_interval,

@@ -1,74 +1,41 @@
 """Multi-core live mode: one shard per worker process.
 
 ``repro-live serve --shards N`` runs N worker processes, each hosting a
-full single-shard pipeline (:class:`~repro.live.runtime.LiveRuntime` +
-:class:`~repro.live.server.IngestServer` on a loopback port), behind one
-public TCP router in the parent process.  The router speaks the same
-JSONL wire protocol as a single server — clients cannot tell the
-difference — and:
+full single-shard pipeline (a :class:`~repro.live.server.ShardHost` — the
+same start/stop sequence a standalone server runs — on a loopback port),
+behind one public TCP socket served by one or more
+:class:`~repro.live.plane.RouterPlane` s.  The public socket speaks the
+same wire protocols as a single server — clients cannot tell the
+difference.  This module is the *supervisor* side of that:
 
-* rewrites each ``update`` / ``transaction`` record onto its owning
-  shard (stable hash of the global object id, shard-local ids on the
-  wire to the worker) and forwards it there over a per-shard
-  :class:`~repro.live.wire.RpcChannel` — unmatched worker replies
-  (single-shard outcomes) push straight back to the client;
-* **scatter-gathers cross-shard transactions**: a spec whose read-set
-  spans shards is split per owner (:meth:`ShardRouter.split_reads`),
-  each sub-read submitted under a fresh correlation id, and the
-  per-shard verdicts merged with the paper's MA/UU semantics — stale
-  *anywhere* is stale, and the firm deadline is one shared window over
-  the *slowest* shard (:func:`~repro.core.sharding.merge_verdicts`).
-  This is deliberately not 2PC: sub-reads are read-only against each
-  shard's local view, so there is nothing to prepare or roll back;
-* answers ``{"kind": "snapshot"}`` with the *merged* fleet snapshot —
-  per-shard snapshots fanned in over the workers' own wire protocol and
-  aggregated by :meth:`SimulationResult.merge`, with the router's
-  per-shard accounting in ``extras``.
+* **process supervision**: workers and routing-plane processes are plain
+  ``multiprocessing`` ("spawn") children; control flows over a pipe
+  (ready / topology / stop / result), data flows over loopback TCP as
+  binary frames.  Each worker rebuilds the (deterministic)
+  :class:`~repro.db.sharding.ShardRouter` from the global config, so
+  nothing stateful crosses the process boundary.  A supervisor task
+  polls every process sentinel; a dead worker is either restarted
+  (fresh :class:`LiveRuntime` — warm from its log with ``log_dir`` —
+  on a re-registered port, counted in ``extras["worker_restarts"]``) or,
+  once ``restart_limit`` is exhausted, marked **down**, and its records
+  are shed with typed ``shard_down`` replies while the client session
+  stays up — the cluster is fault tolerant the same way the scheduler is
+  overload tolerant: by shedding, accounting, and recovering.  See
+  ``docs/RESILIENCE.md`` for the failure model;
+* **topology epochs**: the supervisor owns the one authoritative
+  :class:`~repro.db.sharding.Topology`, refreshes it on every worker
+  status or endpoint change (:meth:`ShardCluster._bump_epoch`), shares
+  that instance with the in-parent plane, and broadcasts it to workers
+  and plane processes;
+* **snapshot fan-in and merge**: ``{"kind": "snapshot"}`` is answered
+  with the *merged* fleet snapshot — per-shard snapshots fetched over the
+  workers' own wire protocol and aggregated by
+  :meth:`SimulationResult.merge`, with every plane's routing accounting
+  merged into ``extras`` (:func:`merge_extras_sources`).  ``snapshot()``
+  and ``shutdown()`` skip dead workers under bounded timeouts (join ->
+  terminate -> kill escalation) and note them in ``extras``.
 
-Workers are plain ``multiprocessing`` ("spawn") children; control flows
-over a pipe (ready/stop/result), data flows over TCP and (optionally)
-shared memory.  Each worker rebuilds the (deterministic)
-:class:`~repro.db.sharding.ShardRouter` from the global config, so
-nothing stateful crosses the process boundary.
-
-Two data-plane optimizations stack on the founding JSONL/TCP design:
-
-* **Binary internal hop** (``wire="binary"``, the default): the
-  router→worker connections speak the length-prefixed
-  :class:`~repro.workload.codec.BinaryCodec` frames instead of JSONL —
-  the workers' own :class:`~repro.live.server.IngestServer` negotiates
-  per connection, so either protocol works on the inside regardless of
-  what the *client* speaks on the outside (the public socket negotiates
-  separately; a JSONL client can front a binary fleet and vice versa).
-* **Shared-memory rings** (``shm=True``): one
-  :class:`~repro.live.shm.SpscRing` per shard carries the
-  fire-and-forget *update* stream as binary batch blobs, bypassing the
-  loopback-TCP copy entirely.  Transactions (which need a reply path
-  with per-session correlation) and snapshots stay on TCP.  A full ring
-  falls back to TCP for that batch; a restarted worker permanently
-  disables its shard's ring (fresh process, stale cursors) and the
-  shard keeps serving over TCP — counted in ``extras``
-  (``ring_records`` / ``ring_fallbacks``).  One relaxation is inherent:
-  updates (ring) and transactions (TCP) travel different channels, so
-  the strict wire order *between* an update and a following transaction
-  is no longer guaranteed — within each channel order is preserved, and
-  the paper's workload semantics (fire-and-forget stream vs. queried
-  reads) tolerate exactly this.
-
-The cluster is **fault tolerant** the same way the scheduler is overload
-tolerant: by shedding, accounting, and recovering.  A supervisor task
-polls every worker's process sentinel; when a worker dies it is either
-restarted (fresh :class:`LiveRuntime`, re-registered port, counted in
-``extras["worker_restarts"]``) or — once ``restart_limit`` is exhausted —
-marked **down**.  Records routed to a down shard are shed with a
-``{"kind": "error", "reason": "shard_down"}`` reply and counted per shard
-in ``extras["shed_shard_down"]``, mirroring the paper's drop accounting;
-the client session stays up.  ``snapshot()`` and ``shutdown()`` skip dead
-workers under bounded timeouts (join -> terminate -> kill escalation) and
-merge the survivors, noting the dead shards in ``extras``.  See
-``docs/RESILIENCE.md`` for the failure model.
-
-:func:`run_sharded_bench` reuses the same worker machinery to measure
+:func:`run_sharded_bench` reuses the same process machinery to measure
 aggregate install throughput at a given shard count, driving each shard
 with an in-process :class:`~repro.live.loadgen.LoadGenerator` (no
 sockets — it measures scheduler capacity, not socket throughput).
@@ -86,28 +53,22 @@ import socket
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.config import SimulationConfig
-from repro.core.sharding import shard_config, shard_view_key_map
+from repro.core.sharding import shard_config
 from repro.db.views import merge_view_reports
-from repro.db.sharding import ROUTER_VERSION, ShardRouter, topology_record
-from repro.live.clock import WallClock
-from repro.live.durability import DurabilityManager
+from repro.db.sharding import ROUTER_VERSION, ShardRouter, Topology
 from repro.live.loadgen import LoadGenerator
 from repro.live.plane import (
     RouterPlane,
     ShardDownError,
-    _encode_hop_frames,
+    _ignore_signals,
     _router_plane_main,
 )
 from repro.live.runtime import LiveRuntime
-from repro.db.objects import Update
-from repro.live.server import ClusterView, IngestServer
-from repro.live.shm import DEFAULT_RING_BYTES, SpscRing
+from repro.live.server import ShardHost
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
     DEFAULT_FLUSH_US,
     PROTOCOL_BINARY,
-    PROTOCOL_JSONL,
-    WIRE_PROTOCOLS,
     RpcChannel,
     RpcClosedError,
     RpcError,
@@ -115,7 +76,6 @@ from repro.live.wire import (
 )
 from repro.metrics.results import SimulationResult
 from repro.metrics.storage import result_from_dict
-from repro.workload.codec import BinaryCodec
 
 logger = logging.getLogger(__name__)
 
@@ -207,162 +167,56 @@ def merge_extras_sources(*sources: dict) -> dict:
 # ----------------------------------------------------------------------
 # Worker processes
 # ----------------------------------------------------------------------
-def _ignore_signals() -> None:
-    """Shield a worker from group-delivered SIGINT/SIGTERM (Ctrl-C hits
-    the whole foreground group); shutdown arrives over the pipe, and the
-    daemon flag reaps workers if the parent dies."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-
-
 def _serve_worker_main(
     conn, config, algorithm, algorithm_kwargs, index, shards,
     batch_max=DEFAULT_BATCH_MAX, flush_us=DEFAULT_FLUSH_US,
-    ring_name=None, log_dir=None, fsync="never", snapshot_interval=5.0,
-    views=None,
+    log_dir=None, fsync="never", snapshot_interval=5.0, views=None,
 ):
     """Entry point of one serving shard (runs in a spawned process)."""
     _ignore_signals()
     asyncio.run(
         _serve_worker_async(
             conn, config, algorithm, algorithm_kwargs, index, shards,
-            batch_max, flush_us, ring_name, log_dir, fsync,
-            snapshot_interval, views,
+            batch_max, flush_us, log_dir, fsync, snapshot_interval, views,
         )
     )
-
-
-#: Ring consumer sleep when the ring is empty.  Long enough to stay off
-#: the CPU the scheduler needs, short enough to stay far under the
-#: paper's millisecond-scale deadlines.
-_RING_POLL = 0.0005
-
-
-async def _consume_ring(ring: SpscRing, runtime: LiveRuntime) -> None:
-    """Drain one shard's update ring into the runtime, forever.
-
-    Each ring entry is one :func:`~repro.workload.codec.encode_frames`
-    blob of updates.  Arrivals are stamped at delivery time exactly like
-    the TCP path (:meth:`IngestServer._dispatch_batch` does the same):
-    the blob's arrival times are in the router's clock domain.
-    """
-    while True:
-        blobs = ring.pop_all()
-        if not blobs:
-            await asyncio.sleep(_RING_POLL)
-            continue
-        now = runtime.clock.now
-        updates: list[Update] = []
-        for blob in blobs:
-            try:
-                records = BinaryCodec.decode(blob)
-            except ValueError as exc:  # pragma: no cover - producer bug
-                logger.error("dropping corrupt ring blob: %s", exc)
-                continue
-            for item in records:
-                if not isinstance(item, Update):
-                    logger.warning(
-                        "non-update record on the ring: %r", type(item)
-                    )
-                    continue
-                delta = now - item.arrival_time
-                if delta > 0:
-                    item.arrival_time = now
-                    item.generation_time += delta
-                updates.append(item)
-        if updates:
-            runtime.ingest_batch(updates)
-        # Yield between drains even under sustained pressure.
-        await asyncio.sleep(0)
 
 
 async def _serve_worker_async(
     conn, config, algorithm, kwargs, index, shards,
     batch_max=DEFAULT_BATCH_MAX, flush_us=DEFAULT_FLUSH_US,
-    ring_name=None, log_dir=None, fsync="never", snapshot_interval=5.0,
-    views=None,
+    log_dir=None, fsync="never", snapshot_interval=5.0, views=None,
 ):
-    router = ShardRouter(config.updates.n_low, config.updates.n_high, shards)
-    view = ClusterView(router, index)
-    local_config = shard_config(config, router, index)
-    manager = None
-    if log_dir is not None:
-        # Recovery plan first: the clock must *start* in the dead
-        # incarnation's time domain, and the clock is fixed at
-        # construction.
-        manager = DurabilityManager(
-            log_dir, index, fsync=fsync, snapshot_interval=snapshot_interval
-        )
-        runtime = LiveRuntime(
-            local_config, algorithm,
-            clock=WallClock(start_at=manager.resume_at), **kwargs
-        )
-    else:
-        runtime = LiveRuntime(local_config, algorithm, **kwargs)
-    runtime.start()
-    stats = None
-    if manager is not None:
-        # Restore + replay *before* the log attaches (replayed records
-        # are already on disk) and before the port is announced (the
-        # router only routes to a warm shard).
-        stats = await manager.recover(runtime)
-        manager.attach(runtime)
-        manager.start(runtime)
-    if views:
-        # Group keys must be global object ids so the supervisor can
-        # merge per-shard view states without collisions.
-        runtime.views.set_key_map(shard_view_key_map(router, index))
-        for record in views:
-            runtime.register_view(record)
-    server = IngestServer(
-        runtime, "127.0.0.1", 0, batch_max=batch_max, flush_us=flush_us,
-        cluster_view=view,
+    shard = ShardHost(
+        config, algorithm, batch_max=batch_max, flush_us=flush_us,
+        router=ShardRouter(config.updates.n_low, config.updates.n_high, shards),
+        index=index, log_dir=log_dir, fsync=fsync,
+        snapshot_interval=snapshot_interval, views=views or (),
+        algorithm_kwargs=kwargs,
     )
-    _, port = await server.start()
-    ring = None
-    ring_task = None
-    if ring_name is not None:
-        ring = SpscRing.attach(ring_name)
-        ring_task = asyncio.ensure_future(_consume_ring(ring, runtime))
+    stats = await shard.start()
     if stats is not None:
-        conn.send(("ready", port, {
+        conn.send(("ready", shard.server.port, {
             "replayed_records": stats.replayed_records,
             "replay_lag_s": stats.replay_lag_s,
         }))
     else:
-        conn.send(("ready", port))
-    # Control loop: topology broadcasts keep the view fresh (for smart
-    # clients' topology/moved records) until the stop message arrives.
+        conn.send(("ready", shard.server.port))
+    # Control loop: topology broadcasts keep the worker's copy fresh (for
+    # smart clients' topology/moved records) until the stop message.
     message = None
     while message is None:
         while not conn.poll():
             await asyncio.sleep(0.05)
         received = conn.recv()
         if received[0] == "topology":  # ("topology", epoch, workers)
-            view.apply(received[1], received[2])
+            shard.server.topology.apply(received[1], received[2])
         else:
             message = received  # ("stop", drain_timeout)
     drain_timeout = message[1] if len(message) > 1 else 5.0
-    await server.stop()
-    if ring_task is not None:
-        # Final drain so updates already published to the ring make the
-        # result, then stop consuming.
-        ring_task.cancel()
-        try:
-            await ring_task
-        except asyncio.CancelledError:
-            pass
-        await _consume_ring_once(ring, runtime)
-        ring.close()
-    # Drain first so the final snapshot captures settled state; the
-    # snapshot must precede finalize() inside shutdown(), which
-    # destructively closes the ledgers' open stale intervals.
-    await runtime.drain(drain_timeout)
-    if manager is not None:
-        await manager.stop(runtime)
-    result = await runtime.shutdown(drain_timeout=0.0)
+    result, _ = await shard.stop(drain_timeout)
     payload = asdict(result)
-    direct = server.direct_accounting()
+    direct = shard.server.direct_accounting()
     if direct is not None:
         # Smart clients bypassed the router on this shard: ship the
         # worker-side direct/redirect counters so the merge can fold
@@ -371,27 +225,6 @@ async def _serve_worker_async(
         extras["direct"] = direct
         payload["extras"] = extras
     conn.send(("result", payload))
-
-
-async def _consume_ring_once(ring: SpscRing, runtime: LiveRuntime) -> None:
-    """One last non-blocking drain during worker shutdown."""
-    blobs = ring.pop_all()
-    now = runtime.clock.now
-    updates: list[Update] = []
-    for blob in blobs:
-        try:
-            records = BinaryCodec.decode(blob)
-        except ValueError:  # pragma: no cover - producer bug
-            continue
-        for item in records:
-            if isinstance(item, Update):
-                delta = now - item.arrival_time
-                if delta > 0:
-                    item.arrival_time = now
-                    item.generation_time += delta
-                updates.append(item)
-    if updates:
-        runtime.ingest_batch(updates)
 
 
 def _bench_worker_main(
@@ -492,15 +325,6 @@ class WorkerState:
             Anything other than ``up`` sheds routed records.
         restarts: Completed supervisor restarts of this shard.
         shed_shard_down: Records shed because this shard was not up.
-        ring: This shard's update ring (``None`` when ``shm`` is off).
-        ring_enabled: Whether the ring is in service — permanently
-            ``False`` after a worker restart (the fresh process never
-            attaches; see the module docstring).
-        ring_retired: The ring was retired (unlinked) after a worker
-            death; blocks ``_spawn`` from creating a replacement.
-        ring_records: Updates delivered through the ring.
-        ring_fallbacks: Update batches diverted to TCP because the ring
-            was full or disabled.
         replayed_records: Log records the current incarnation replayed
             on its warm start (0 for cold starts).
         replay_lag_s: Wall seconds the warm start spent restoring +
@@ -517,11 +341,6 @@ class WorkerState:
     status: str = "starting"
     restarts: int = 0
     shed_shard_down: int = 0
-    ring: "SpscRing | None" = None
-    ring_enabled: bool = False
-    ring_retired: bool = False
-    ring_records: int = 0
-    ring_fallbacks: int = 0
     replayed_records: int = 0
     replay_lag_s: float = 0.0
     snapshot_errors: int = 0
@@ -535,9 +354,6 @@ class WorkerState:
             "restarts": self.restarts,
             "shed_shard_down": self.shed_shard_down,
             "port": self.port,
-            "ring": self.ring_enabled,
-            "ring_records": self.ring_records,
-            "ring_fallbacks": self.ring_fallbacks,
             "replayed_records": self.replayed_records,
             "replay_lag_s": self.replay_lag_s,
             "snapshot_errors": self.snapshot_errors,
@@ -566,39 +382,11 @@ class PlaneState:
     stats: "dict | None" = None
 
 
-class _ClusterTopology:
-    """The in-parent plane's view of the live ``WorkerState`` table.
-
-    Reads the cluster's own state at use time (no copies), so the plane
-    observes supervisor transitions — restarts, mark-downs, fresh ports
-    — the instant they land, exactly as the pre-extraction router did.
-    """
-
-    def __init__(self, cluster: "ShardCluster") -> None:
-        self._cluster = cluster
-
-    @property
-    def epoch(self) -> int:
-        return self._cluster.epoch
-
-    def port_of(self, shard: int) -> int:
-        return self._cluster._workers[shard].port
-
-    def host_of(self, shard: int) -> str:
-        return "127.0.0.1"
-
-    def status_of(self, shard: int) -> str:
-        return self._cluster._workers[shard].status
-
-    def record(self) -> dict:
-        return self._cluster.topology_record()
-
-
 # ----------------------------------------------------------------------
 # The cluster (parent side)
 # ----------------------------------------------------------------------
 class ShardCluster:
-    """N shard worker processes behind one public JSONL/TCP router.
+    """N shard worker processes behind one public TCP router.
 
     Args:
         config: Global configuration; object counts and queue budgets are
@@ -634,17 +422,7 @@ class ShardCluster:
             client connections across them, each holds its own upstream
             channels to every worker, and the supervisor restarts a
             crashed plane like a worker.  Requires a platform with
-            ``SO_REUSEPORT`` (Linux/BSD/macOS) and is incompatible with
-            ``shm`` (a ring is single-producer).
-        wire: Protocol of the internal router→worker hop: ``"binary"``
-            (default — struct frames, no JSON on the hot path) or
-            ``"jsonl"``.  Independent of what clients speak on the
-            public socket (negotiated per session).
-        shm: Carry the update stream over per-shard shared-memory rings
-            (:class:`~repro.live.shm.SpscRing`) instead of loopback TCP;
-            transactions and snapshots stay on TCP.  Requires
-            ``wire="binary"`` (the ring carries binary batch blobs).
-        ring_bytes: Data capacity of each shard's ring.
+            ``SO_REUSEPORT`` (Linux/BSD/macOS).
         log_dir: Directory for per-shard write-ahead logs + snapshots
             (see :mod:`repro.live.durability`).  ``None`` (default)
             disables durability: restarts come back cold, exactly the
@@ -672,9 +450,6 @@ class ShardCluster:
         shutdown_grace: float = 10.0,
         rpc_grace: float = 0.25,
         routers: int = 1,
-        wire: str = PROTOCOL_BINARY,
-        shm: bool = False,
-        ring_bytes: int = DEFAULT_RING_BYTES,
         log_dir: "str | None" = None,
         fsync: str = "never",
         snapshot_interval: float = 5.0,
@@ -686,20 +461,8 @@ class ShardCluster:
             raise ValueError("sharded serving needs an algorithm name")
         if restart_limit < 0:
             raise ValueError("restart_limit must be >= 0")
-        if wire not in WIRE_PROTOCOLS:
-            raise ValueError(
-                f"unknown wire protocol {wire!r}; expected one of "
-                f"{WIRE_PROTOCOLS}"
-            )
-        if shm and wire != PROTOCOL_BINARY:
-            raise ValueError("shm rings require the binary wire protocol")
         if routers < 1:
             raise ValueError(f"need at least one router plane, got {routers}")
-        if routers > 1 and shm:
-            raise ValueError(
-                "shm rings are single-producer; they cannot be shared by "
-                "multiple router planes (use routers=1 or shm=False)"
-            )
         if routers > 1 and not hasattr(socket, "SO_REUSEPORT"):
             raise ValueError(
                 "routers > 1 needs SO_REUSEPORT, which this platform "
@@ -721,9 +484,6 @@ class ShardCluster:
         self.shutdown_grace = shutdown_grace
         self.rpc_grace = rpc_grace
         self.routers = routers
-        self.wire = wire
-        self.shm = shm
-        self.ring_bytes = ring_bytes
         self.log_dir = log_dir
         self.fsync = fsync
         self.snapshot_interval = snapshot_interval
@@ -743,10 +503,13 @@ class ShardCluster:
         self.router = ShardRouter(
             config.updates.n_low, config.updates.n_high, shards
         )
-        #: Topology epoch: bumped (and broadcast to workers and remote
-        #: planes) whenever a worker endpoint or status changes, so smart
-        #: clients can detect a stale shard map (see ``docs/SCALING.md``).
-        self.epoch = 0
+        #: The authoritative shard map.  Its epoch is bumped (and the map
+        #: broadcast to workers and remote planes) whenever a worker
+        #: endpoint or status changes, so smart clients can detect a stale
+        #: map (see ``docs/SCALING.md``).
+        self.topology = Topology(
+            config.updates.n_low, config.updates.n_high, shards
+        )
         self._rid = itertools.count(1)
         self._control: "dict[int, RpcChannel]" = {}
         self._workers: list[WorkerState] = []
@@ -761,15 +524,14 @@ class ShardCluster:
         self._restart_tasks: set[asyncio.Task] = set()
         self._result: SimulationResult | None = None
         # The in-parent data plane (routers == 1): shares this cluster's
-        # router and worker table, so accounting and fault semantics are
-        # exactly the pre-extraction ones.
+        # router and topology, so it observes supervisor transitions the
+        # instant they land.
         self._plane: "RouterPlane | None" = None
         if routers == 1:
             self._plane = RouterPlane(
                 config,
                 shards=shards,
-                topology=_ClusterTopology(self),
-                wire=wire,
+                topology=self.topology,
                 batch_max=batch_max,
                 flush_us=flush_us,
                 rpc_grace=rpc_grace,
@@ -777,7 +539,6 @@ class ShardCluster:
                 index=0,
                 router=self.router,
                 snapshot_cb=self._snapshot_payload,
-                ring_push=self._ring_push if shm else None,
             )
 
     @property
@@ -839,6 +600,10 @@ class ShardCluster:
             if message[0] != "ready":  # pragma: no cover - defensive
                 raise RuntimeError(f"unexpected worker message: {message[0]}")
             self._note_ready(worker, message)
+        # Epoch 1: the initial all-ready topology, broadcast to workers
+        # (for smart clients' topology/moved replies) — before any plane
+        # listens, so no session ever routes against the placeholder map.
+        self._bump_epoch()
         if self.routers == 1:
             self._server = await asyncio.start_server(
                 self._plane.handle, self.host, self.port
@@ -865,9 +630,6 @@ class ShardCluster:
                 self._plane_services.add(
                     asyncio.ensure_future(self._plane_service(plane))
                 )
-        # Epoch 1: the initial all-ready topology, broadcast to workers
-        # (for smart clients' topology/moved replies) and planes.
-        self._bump_epoch()
         self._supervisor = asyncio.ensure_future(self._supervise())
         return self.host, self.port
 
@@ -889,14 +651,13 @@ class ShardCluster:
                 self.host,
                 self.port,
                 self.shards,
-                self.wire,
                 self.batch_max,
                 self.flush_us,
                 self.rpc_grace,
                 self.connect_attempts,
                 plane.index,
-                self.epoch,
-                self._topology_entries(),
+                self.topology.epoch,
+                self.topology.workers,
             ),
             daemon=True,
         )
@@ -978,13 +739,6 @@ class ShardCluster:
 
     def _spawn(self, worker: WorkerState) -> None:
         """(Re)create one shard worker process and its control pipe."""
-        if self.shm and worker.ring is None and not worker.ring_retired:
-            # Short segment names: macOS caps them at 31 chars.
-            worker.ring = SpscRing.create(
-                self.ring_bytes, name=f"rpr{os.getpid()}s{worker.index}"
-            )
-            worker.ring_enabled = True
-        ring_name = worker.ring.name if worker.ring_enabled else None
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_serve_worker_main,
@@ -997,7 +751,6 @@ class ShardCluster:
                 self.shards,
                 self.batch_max,
                 self.flush_us,
-                ring_name,
                 self.log_dir,
                 self.fsync,
                 self.snapshot_interval,
@@ -1063,7 +816,6 @@ class ShardCluster:
             task.add_done_callback(self._restart_tasks.discard)
         else:
             worker.status = "down"
-            worker.ring_enabled = False
             logger.warning(
                 "shard %d worker died (exitcode %s); restart budget exhausted "
                 "— marking down, routed records will be shed",
@@ -1128,18 +880,12 @@ class ShardCluster:
                 plane.index, exc,
             )
 
-    async def _retire_worker_resources(
-        self, worker: WorkerState, *, release_ring: bool
-    ) -> None:
+    async def _retire_worker_resources(self, worker: WorkerState) -> None:
         """Retire everything a dead (or drained) incarnation left behind.
 
         The single place crash loops and shutdown release worker-attached
         resources, so neither path can leak: the child process is reaped
-        (join → terminate → kill), the control pipe fd is closed, and —
-        when ``release_ring`` — the shard's shm segment is closed *and
-        unlinked* (a fresh process must not resume from stale ring
-        cursors, and an unlinked segment cannot accumulate across a crash
-        loop; ``ring_retired`` stops ``_spawn`` from minting another).
+        (join → terminate → kill) and the control pipe fd is closed.
 
         Durability files need no parent-side retirement: the dead
         incarnation's log fd died with the process, and the successor
@@ -1150,12 +896,6 @@ class ShardCluster:
         if worker.conn is not None:
             worker.conn.close()
             worker.conn = None
-        if release_ring and worker.ring is not None:
-            worker.ring_enabled = False
-            worker.ring_retired = True
-            worker.ring.close()
-            worker.ring.unlink()
-            worker.ring = None
 
     async def _restart_worker(self, worker: WorkerState) -> None:
         """Replace a dead worker with a fresh runtime on a fresh port.
@@ -1167,12 +907,7 @@ class ShardCluster:
         shard's snapshot + log before it announces its port.
         """
         try:
-            if worker.ring is not None:
-                logger.warning(
-                    "shard %d ring retired after worker death; "
-                    "falling back to TCP", worker.index,
-                )
-            await self._retire_worker_resources(worker, release_ring=True)
+            await self._retire_worker_resources(worker)
             self._spawn(worker)
             message = await _pipe_recv(worker.conn, worker.process)
             if message[0] != "ready":  # pragma: no cover - defensive
@@ -1251,13 +986,7 @@ class ShardCluster:
 
     def topology_record(self) -> dict:
         """The cluster's current ``{"kind": "topology"}`` control record."""
-        return topology_record(
-            shards=self.shards,
-            n_low=self.config.updates.n_low,
-            n_high=self.config.updates.n_high,
-            epoch=self.epoch,
-            workers=self._topology_entries(),
-        )
+        return self.topology.record()
 
     def _bump_epoch(self) -> None:
         """Advance the topology epoch and broadcast the worker table.
@@ -1267,8 +996,9 @@ class ShardCluster:
         route.  A broken pipe here means the target is already dead — the
         supervisor handles that separately.
         """
-        self.epoch += 1
-        message = ("topology", self.epoch, self._topology_entries())
+        topology = self.topology
+        topology.apply(topology.epoch + 1, self._topology_entries())
+        message = ("topology", topology.epoch, topology.workers)
         for worker in self._workers:
             if worker.conn is None:
                 continue
@@ -1355,7 +1085,7 @@ class ShardCluster:
                         "shard %d reported no final result (%r); merging "
                         "without it", worker.index, exc,
                     )
-            await self._retire_worker_resources(worker, release_ring=True)
+            await self._retire_worker_resources(worker)
         if not per_shard:
             raise ShardDownError(
                 "every shard worker died without reporting a result"
@@ -1465,13 +1195,9 @@ class ShardCluster:
                 w["shard"] for w in workers if w["status"] == "down"
             ],
             "merged_shards": list(indices),
-            "wire": self.wire,
-            "shm": self.shm,
             "routers": self.routers,
-            "epoch": self.epoch,
+            "epoch": self.topology.epoch,
             "planes": self._plane_rows(),
-            "ring_records": [w["ring_records"] for w in workers],
-            "ring_fallbacks": [w["ring_fallbacks"] for w in workers],
             "durability": self.log_dir is not None,
             "replayed_records": [w["replayed_records"] for w in workers],
             "replay_lag_s": [w["replay_lag_s"] for w in workers],
@@ -1578,7 +1304,8 @@ class ShardCluster:
         )
         # Control traffic is rare: flush every request immediately.
         channel = RpcChannel(
-            reader, writer, protocol=self.wire, batch_max=1, flush_us=0.0
+            reader, writer, protocol=PROTOCOL_BINARY, batch_max=1,
+            flush_us=0.0,
         )
         self._control[shard] = channel
         return channel
@@ -1604,61 +1331,10 @@ class ShardCluster:
         record.pop("rid", None)
         return result_from_dict(record)
 
-    # ------------------------------------------------------------------
-    # Data plane (delegated to the in-parent RouterPlane)
-    # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        """One client session on the parent's public socket (routers=1)."""
-        await self._plane.handle(reader, writer)
-
-    async def _close_session(self, upstreams, downstream, merges=()) -> None:
-        await self._plane._close_session(upstreams, downstream, merges)
-
-    async def _dispatch_batch(
-        self,
-        records,
-        downstream,
-        upstreams,
-        protocol=PROTOCOL_JSONL,
-        merges=None,
-    ) -> None:
-        await self._plane._dispatch_batch(
-            records, downstream, upstreams, protocol, merges
-        )
-
     async def _snapshot_payload(self) -> dict:
         """The in-parent plane's snapshot callback (late-bound through
         :meth:`snapshot` so tests can monkeypatch the fan-in)."""
         return asdict(await self.snapshot())
-
-    def _ring_push(self, shard: int, routed: list) -> list:
-        """Offer a routed batch's updates to the shard's shm ring.
-
-        The in-parent plane's ``ring_push`` hook (a ring is
-        single-producer, so only the routers=1 topology can have one).
-        Returns the records that still need the TCP path: transactions
-        always, and the updates too when the ring had no room (the
-        fallback; counted per shard).  Updates arrive either as raw
-        frames (binary client, fast path) or :class:`Update` instances
-        (JSONL client); both ride the ring as one frame blob.
-        """
-        worker = self._workers[shard]
-        if not worker.ring_enabled:
-            return routed
-        updates = [
-            item for item in routed if isinstance(item, (Update, bytes))
-        ]
-        if not updates:
-            return routed
-        rest = [
-            item for item in routed if not isinstance(item, (Update, bytes))
-        ]
-        if worker.ring.push(_encode_hop_frames(updates)):
-            worker.ring_records += len(updates)
-            return rest
-        worker.ring_fallbacks += 1
-        return routed
-
 
 # ----------------------------------------------------------------------
 # Sharded throughput benchmark

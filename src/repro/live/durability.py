@@ -638,21 +638,15 @@ class Replayer:
 class DurabilityManager:
     """One shard's durability: recovery in, logging + snapshots out.
 
-    Lifecycle (the worker's order of operations)::
-
-        manager = DurabilityManager(log_dir, shard, fsync=..., ...)
-        runtime = LiveRuntime(..., clock=WallClock(start_at=manager.resume_at))
-        runtime.start()
-        stats = await manager.recover(runtime)   # restore + replay
-        manager.attach(runtime)                  # open log, hook ingest
-        manager.start(runtime)                   # periodic snapshots
-        ...
-        await runtime.drain(...)
-        await manager.stop(runtime)              # final snapshot, close log
-        result = await runtime.shutdown(drain_timeout=0.0)
-
-    ``recover`` runs *before* ``attach`` so replayed records are not
-    re-appended — they are already in the log, below ``next_lsn``.
+    :class:`~repro.live.server.ShardHost` spells out the lifecycle (the
+    one place that drives a manager): construct first, because the
+    runtime's clock starts at :attr:`resume_at`; then :meth:`recover`
+    (restore + replay), :meth:`attach` (open the log, hook ingest),
+    :meth:`start` (periodic snapshots); and on the way out
+    :meth:`stop` (final snapshot, close the log) between the runtime's
+    drain and its shutdown.  ``recover`` runs *before* ``attach`` so
+    replayed records are not re-appended — they are already in the log,
+    below ``next_lsn``.
     """
 
     def __init__(

@@ -1,20 +1,40 @@
 """Routing planes: the cluster's data plane, one instance per process.
 
 A :class:`RouterPlane` is everything the cluster's public socket does to
-one client session — protocol negotiation, per-shard batch routing over
-:class:`~repro.live.wire.RpcChannel` upstreams, cross-shard
-scatter-gather, shedding against down shards, snapshot and topology
-control records — extracted into a self-contained object so it can run
+one client session: it rewrites each ``update`` / ``transaction`` record
+onto its owning shard (stable hash of the global object id, shard-local
+ids on the wire to the worker) and forwards it as binary frames over a
+per-shard loopback-TCP :class:`~repro.live.wire.RpcChannel` — whatever
+the *client* speaks on the outside (negotiated per session by
+:func:`~repro.live.wire.serve_session`), and with a binary client's
+frames routed by field peek and never materialized.  Beyond plain
+forwarding it
 
-* **in the parent** (``routers=1``, the founding topology): one plane
-  sharing the :class:`~repro.live.cluster.ShardCluster`'s router and
-  worker table, exactly the pre-extraction behavior; or
-* **in its own process** (``routers=N``): N planes each bound to the
-  *same* public ``(host, port)`` via ``SO_REUSEPORT``, the kernel
-  load-balancing client connections across them.  The PR 6 raw-frame
-  fast path is stateless per record, so planes need no coordination
-  beyond the worker topology the supervisor broadcasts over each
-  plane's control pipe.
+* **scatter-gathers cross-shard transactions**: a spec whose read-set
+  spans shards is split per owner (:meth:`ShardRouter.split_reads`),
+  each sub-read submitted under a fresh correlation id, and the
+  per-shard verdicts merged with the paper's MA/UU semantics — stale
+  *anywhere* is stale, and the firm deadline is one shared window over
+  the *slowest* shard (:func:`~repro.core.sharding.merge_verdicts`).
+  This is deliberately not 2PC: sub-reads are read-only against each
+  shard's local view, so there is nothing to prepare or roll back;
+* **sheds against down shards**: records owned by a shard that is not
+  up get a typed ``{"kind": "error", "reason": "shard_down"}`` reply and
+  are counted per shard, mirroring the paper's drop accounting; the
+  client session stays up;
+* answers the ``snapshot``, ``register_view`` and ``topology`` control
+  records — the last is the shard map
+  (:meth:`repro.db.sharding.Topology.record`) a smart client needs to
+  skip the router hop and dial workers directly (see
+  :class:`~repro.live.loadgen.DirectClient` and ``docs/SCALING.md``).
+
+A plane runs **in the parent** (``routers=1``), sharing the
+:class:`~repro.live.cluster.ShardCluster`'s router and topology, or **in
+its own process** (``routers=N``): N planes each bound to the *same*
+public ``(host, port)`` via ``SO_REUSEPORT``, the kernel load-balancing
+client connections across them.  Routing is stateless per record, so
+planes need no coordination beyond the topology the supervisor
+broadcasts over each plane's control pipe.
 
 Every plane keeps its own routing/shed/fan-out counters and reports them
 through :meth:`RouterPlane.stats`; the cluster merges the per-plane
@@ -22,11 +42,6 @@ stats into ``extras`` next to the per-shard results (see
 ``merge_extras_sources`` in :mod:`repro.live.cluster`), plus one
 ``extras["planes"]`` row per plane with its CPU seconds — the direct
 measurement of how much of the machine the routing tier burns.
-
-The plane also serves the ``{"kind": "topology"}`` control record
-(:func:`repro.db.sharding.topology_record`): the shard map a smart
-client needs to skip the router hop entirely and dial workers directly
-(see :class:`~repro.live.loadgen.DirectClient` and ``docs/SCALING.md``).
 """
 
 from __future__ import annotations
@@ -34,14 +49,14 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-import os
+import signal
 import time
 from dataclasses import replace
 
 from repro.config import SimulationConfig
 from repro.core.sharding import merge_verdicts, route_batch
 from repro.db.objects import Update
-from repro.db.sharding import ShardRouter, topology_record
+from repro.db.sharding import ShardRouter, Topology
 from repro.live.runtime import LatencyTracker
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
@@ -53,18 +68,13 @@ from repro.live.wire import (
     RpcChannel,
     RpcDeadlineError,
     RpcError,
-    WireProtocolError,
     connect_with_retry,
     encode_reply,
-    iter_frame_batches,
-    iter_line_batches,
-    negotiate_protocol,
+    serve_session,
 )
 from repro.workload.codec import (
     TAG_SPEC,
-    decode_lines,
     encode_frame,
-    encode_lines,
     item_from_record,
     peek_spec_budget,
     peek_spec_route,
@@ -99,25 +109,6 @@ class ShardDownError(ConnectionError):
     """
 
 
-def process_cpu_seconds() -> float:
-    """CPU seconds (user + system) consumed by the calling process.
-
-    Prefers :mod:`psutil` when the host has it; otherwise the
-    :func:`os.times` delta — no extra dependency either way.
-    """
-    try:
-        import psutil  # noqa: PLC0415 - optional, never installed by us
-    except ImportError:
-        t = os.times()
-        return t[0] + t[1]
-    try:
-        t = psutil.Process().cpu_times()
-        return t.user + t.system
-    except Exception:  # pragma: no cover - psutil edge failure
-        t = os.times()
-        return t[0] + t[1]
-
-
 def _encode_hop_frames(routed: list) -> bytes:
     """One binary-hop payload from a routed batch.
 
@@ -131,64 +122,6 @@ def _encode_hop_frames(routed: list) -> bytes:
     )
 
 
-async def _jsonl_record_batches(reader, leftover: bytes):
-    """JSONL sessions as decoded-record batches (the frame-batch dual)."""
-    async for lines in iter_line_batches(reader, initial=leftover):
-        yield decode_lines(lines)
-
-
-class PlaneTopology:
-    """A plane-process's mutable copy of the worker topology.
-
-    Remote planes cannot read the parent's ``WorkerState`` table, so the
-    supervisor broadcasts ``("topology", epoch, workers)`` over each
-    plane's pipe whenever an endpoint changes (worker death, restart on
-    a fresh port, final mark-down); :meth:`apply` installs it.  Routing
-    decisions read :meth:`port_of` / :meth:`status_of` at use time, so a
-    broadcast takes effect on the very next record.
-    """
-
-    def __init__(
-        self,
-        n_low: int,
-        n_high: int,
-        shards: int,
-        *,
-        epoch: int = 0,
-        workers: "list[dict] | None" = None,
-    ) -> None:
-        self.n_low = n_low
-        self.n_high = n_high
-        self.shards = shards
-        self.epoch = epoch
-        self.workers = [dict(entry) for entry in workers or []] or [
-            {"shard": i, "host": "127.0.0.1", "port": 0, "status": "starting"}
-            for i in range(shards)
-        ]
-
-    def apply(self, epoch: int, workers: "list[dict]") -> None:
-        self.epoch = epoch
-        self.workers = [dict(entry) for entry in workers]
-
-    def port_of(self, shard: int) -> int:
-        return self.workers[shard]["port"]
-
-    def host_of(self, shard: int) -> str:
-        return self.workers[shard].get("host", "127.0.0.1")
-
-    def status_of(self, shard: int) -> str:
-        return self.workers[shard]["status"]
-
-    def record(self) -> dict:
-        return topology_record(
-            shards=self.shards,
-            n_low=self.n_low,
-            n_high=self.n_high,
-            epoch=self.epoch,
-            workers=self.workers,
-        )
-
-
 class RouterPlane:
     """One routing plane: client sessions in, per-shard batches out.
 
@@ -196,10 +129,9 @@ class RouterPlane:
         config: The global configuration (object counts for the router,
             the cost model for cross-shard deadline windows).
         shards: Worker count.
-        topology: Live worker endpoints — a :class:`PlaneTopology`
-            (remote plane) or the cluster's adapter over its own
-            ``WorkerState`` table (in-parent plane).
-        wire: Protocol of the plane→worker hop (``"binary"``/``"jsonl"``).
+        topology: Live worker endpoints — the cluster's own
+            :class:`~repro.db.sharding.Topology` (in-parent plane) or a
+            pipe-fed copy of it (plane process).
         batch_max / flush_us: Coalescing bounds, client and upstream side.
         rpc_grace: Extra seconds on a cross-shard gather's firm deadline.
         connect_attempts: Per-connection retry budget upstream.
@@ -213,10 +145,6 @@ class RouterPlane:
             remote planes reach it over their control pipe.
         shed_cb: Optional ``(shard, count)`` hook so the parent's
             liveness table can mirror in-parent shedding immediately.
-        ring_push: Optional ``(shard, routed) -> list`` hook offering a
-            routed batch to the shard's shm ring; returns what still
-            needs TCP.  Only the in-parent plane can have one (a ring is
-            single-producer).
     """
 
     def __init__(
@@ -224,8 +152,7 @@ class RouterPlane:
         config: SimulationConfig,
         *,
         shards: int,
-        topology,
-        wire: str = PROTOCOL_BINARY,
+        topology: Topology,
         batch_max: int = DEFAULT_BATCH_MAX,
         flush_us: float = DEFAULT_FLUSH_US,
         rpc_grace: float = 0.25,
@@ -234,12 +161,10 @@ class RouterPlane:
         router: "ShardRouter | None" = None,
         snapshot_cb=None,
         shed_cb=None,
-        ring_push=None,
     ) -> None:
         self.config = config
         self.shards = shards
         self.topology = topology
-        self.wire = wire
         self.batch_max = batch_max
         self.flush_us = flush_us
         self.rpc_grace = rpc_grace
@@ -250,7 +175,6 @@ class RouterPlane:
         )
         self.snapshot_cb = snapshot_cb
         self.shed_cb = shed_cb
-        self.ring_push = ring_push
         self.records_received = 0
         self.errors = 0
         self.sessions = 0
@@ -268,7 +192,7 @@ class RouterPlane:
         # keys never collide (rids scope to the upstream connection, and
         # upstreams are never shared between planes).
         self._rid = itertools.count(1)
-        self._cpu0 = process_cpu_seconds()
+        self._cpu0 = time.process_time()
         self._wall0 = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -298,7 +222,7 @@ class RouterPlane:
                 "plane": self.index,
                 "sessions": self.sessions,
                 "records_received": self.records_received,
-                "cpu_seconds": process_cpu_seconds() - self._cpu0,
+                "cpu_seconds": time.process_time() - self._cpu0,
                 "wall_seconds": time.monotonic() - self._wall0,
             },
         }
@@ -311,9 +235,11 @@ class RouterPlane:
 
         The session's protocol is negotiated from its first bytes, same
         as a plain :class:`~repro.live.server.IngestServer` session; it
-        is independent of the internal hop's protocol (``self.wire``) —
-        each upstream :class:`RpcChannel` re-frames pushed replies into
-        the client's protocol.
+        is independent of the (always binary) internal hop — each
+        upstream :class:`RpcChannel` re-frames pushed replies into the
+        client's protocol, and a binary client's update and spec frames
+        stay raw end to end: routed by field peek, forwarded
+        byte-identical (ids patched), never materialized in the router.
 
         A shard worker dying mid-session never tears the session down:
         its records are shed with typed error replies (see
@@ -322,41 +248,24 @@ class RouterPlane:
         self.sessions += 1
         upstreams: "dict[int, RpcChannel]" = {}
         merges: "set[asyncio.Task]" = set()
-        downstream = CoalescingWriter(
-            writer, batch_max=self.batch_max, flush_us=self.flush_us
-        )
-        protocol = PROTOCOL_JSONL
-        try:
-            protocol, leftover = await negotiate_protocol(reader)
-            if protocol == PROTOCOL_BINARY:
-                # With a binary hop, update and spec frames stay raw end
-                # to end: routed by field peek, forwarded byte-identical
-                # (ids patched), never materialized in the router.
-                raw = self.wire == PROTOCOL_BINARY
-                batches = iter_frame_batches(
-                    reader, raw_updates=raw, raw_specs=raw
-                )
-            else:
-                batches = _jsonl_record_batches(reader, leftover)
-            async for records in batches:
-                await self._dispatch_batch(
-                    records, downstream, upstreams, protocol, merges
-                )
-                await downstream.backpressure()
-        except WireProtocolError as exc:
-            self.errors += 1
-            logger.warning("wire negotiation failed: %s", exc)
-        except ValueError as exc:
-            # Corrupt binary frame header: no resynchronization point.
-            self.errors += 1
-            logger.warning("binary session corrupt: %s", exc)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await self._close_session(upstreams, downstream, merges)
 
-    async def _close_session(self, upstreams, downstream, merges=()) -> None:
-        """Tear down one session's merge tasks, channels, and writers.
+        def dispatch(records, downstream, protocol):
+            return self._dispatch_batch(
+                records, downstream, upstreams, protocol, merges
+            )
+
+        # Not ``self.errors += await ...``: that reads the counter before
+        # the session runs and would lose every error counted during it.
+        fatal = await serve_session(
+            reader, writer, dispatch,
+            batch_max=self.batch_max, flush_us=self.flush_us,
+            raw_frames=True,
+            on_close=lambda: self._close_session(upstreams, merges),
+        )
+        self.errors += fatal
+
+    async def _close_session(self, upstreams, merges=()) -> None:
+        """Tear down one session's merge tasks and upstream channels.
 
         In-flight cross-shard gathers die with their client (nobody is
         left to read the merged outcome); an upstream channel whose
@@ -374,7 +283,6 @@ class RouterPlane:
                 logger.warning(
                     "upstream reply channel failed: %r", channel.failure
                 )
-        await downstream.aclose()
 
     async def _dispatch_batch(
         self,
@@ -488,8 +396,8 @@ class RouterPlane:
         """Route one transaction: pass-through or cross-shard scatter.
 
         ``item`` is a :class:`TransactionSpec` or a raw binary
-        ``TAG_SPEC`` frame (binary client over a binary hop — split by
-        field peek, re-id'd by in-place patch, never materialized).
+        ``TAG_SPEC`` frame (binary client — split by field peek, re-id'd
+        by in-place patch, never materialized).
 
         A read-set owned by one shard forwards as-is under the client's
         own seq; the worker's outcome pushes straight back.  A read-set
@@ -534,12 +442,10 @@ class RouterPlane:
             router.note_routing_error()
             self._error_reply(downstream, exc, protocol)
             return
-        if self.wire == PROTOCOL_BINARY:
-            def encode_one(sub):
-                return sub if isinstance(sub, bytes) else encode_frame(sub)
-        else:
-            def encode_one(sub):
-                return encode_lines([sub])
+
+        def encode_one(sub):
+            return sub if isinstance(sub, bytes) else encode_frame(sub)
+
         if len(split) == 1:
             shard, local = next(iter(split.items()))
             router.note_transaction_routed(shard)
@@ -719,9 +625,7 @@ class RouterPlane:
 
         Transactions never reach this path any more (they go through
         :meth:`_submit_spec`); what remains is the fire-and-forget
-        update stream.  With shm rings enabled (in-parent plane only),
-        each shard's updates ride its ring as one binary blob (falling
-        back to TCP when the ring is full or disabled).  Records owned
+        update stream.  Records owned
         by a shard that is not up — or whose worker dies between the
         liveness check and the write — are shed, not queued: the client
         gets one ``shard_down`` error reply per record and the session
@@ -733,23 +637,16 @@ class RouterPlane:
             self.errors += 1
             self._error_reply(downstream, exc, protocol)
         by_shard = route_batch(self.router, items, on_error=on_error)
-        encode_batch = (
-            _encode_hop_frames if self.wire == PROTOCOL_BINARY else encode_lines
-        )
         for shard, routed in by_shard.items():
             self.records_received += len(routed)
             if self.topology.status_of(shard) != "up":
                 self._shed(shard, len(routed), downstream, protocol)
                 continue
-            if self.ring_push is not None:
-                routed = self.ring_push(shard, routed)
-                if not routed:
-                    continue
             try:
                 channel = await self._upstream(
                     shard, downstream, upstreams, protocol
                 )
-                channel.post(encode_batch(routed), len(routed))
+                channel.post(_encode_hop_frames(routed), len(routed))
                 await channel.backpressure()
             except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError):
                 self._shed(shard, len(routed), downstream, protocol)
@@ -785,8 +682,8 @@ class RouterPlane:
     ) -> RpcChannel:
         """This client's RPC channel to one shard, opened on first use.
 
-        The channel speaks ``self.wire`` (a binary hop opens with the
-        preamble); worker replies that match a pending cross-shard
+        The channel speaks binary frames (it opens with the preamble);
+        worker replies that match a pending cross-shard
         sub-read resolve its future, and everything else — pass-through
         outcomes, worker error frames — pushes straight back to the
         client, re-encoded into the session's protocol.  A cached
@@ -819,7 +716,7 @@ class RouterPlane:
         channel = RpcChannel(
             up_reader,
             up_writer,
-            protocol=self.wire,
+            protocol=PROTOCOL_BINARY,
             batch_max=self.batch_max,
             flush_us=self.flush_us,
             on_push=push_reply,
@@ -832,28 +729,29 @@ class RouterPlane:
 # Plane processes (routers >= 2)
 # ----------------------------------------------------------------------
 def _ignore_signals() -> None:
-    import signal
-
+    """Shield a child process from group-delivered SIGINT/SIGTERM (Ctrl-C
+    hits the whole foreground group); shutdown arrives over the pipe, and
+    the daemon flag reaps children if the parent dies."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
 
 def _router_plane_main(
-    conn, config, host, port, shards, wire, batch_max, flush_us,
+    conn, config, host, port, shards, batch_max, flush_us,
     rpc_grace, connect_attempts, index, epoch, workers,
 ):
     """Entry point of one routing-plane process (spawn context)."""
     _ignore_signals()
     asyncio.run(
         _router_plane_async(
-            conn, config, host, port, shards, wire, batch_max, flush_us,
+            conn, config, host, port, shards, batch_max, flush_us,
             rpc_grace, connect_attempts, index, epoch, workers,
         )
     )
 
 
 async def _router_plane_async(
-    conn, config, host, port, shards, wire, batch_max, flush_us,
+    conn, config, host, port, shards, batch_max, flush_us,
     rpc_grace, connect_attempts, index, epoch, workers,
 ):
     """One plane process: serve the shared public port, obey the pipe.
@@ -869,7 +767,7 @@ async def _router_plane_async(
       plane for a fleet snapshot; only the parent can fan it in).
     * ``("stop", token)`` → ``("result", token, stats)``, then exit.
     """
-    topology = PlaneTopology(
+    topology = Topology(
         config.updates.n_low, config.updates.n_high, shards,
         epoch=epoch, workers=workers,
     )
@@ -893,7 +791,6 @@ async def _router_plane_async(
         config,
         shards=shards,
         topology=topology,
-        wire=wire,
         batch_max=batch_max,
         flush_us=flush_us,
         rpc_grace=rpc_grace,

@@ -58,73 +58,35 @@ behind one listening socket.
   extra round trip.  An epoch change is also announced once per session
   as an advisory ``moved`` (``reason="stale_epoch"``) ahead of the next
   batch's records.
+
+:class:`ShardHost` wraps a runtime and its server in the one start/stop
+sequence (recover, views, serve ... drain, snapshot, finalize) shared by
+the standalone ``serve`` command and every cluster worker.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 from dataclasses import asdict, replace
 
-from repro.db.sharding import topology_record
+from repro.config import SimulationConfig
+from repro.core.sharding import shard_config, shard_view_key_map
+from repro.db.objects import Update
+from repro.db.sharding import ShardRouter, Topology, topology_record
+from repro.live.clock import WallClock
+from repro.live.durability import DurabilityManager, ReplayStats
 from repro.live.runtime import LiveRuntime
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
     DEFAULT_FLUSH_US,
-    PROTOCOL_BINARY,
     PROTOCOL_JSONL,
     CoalescingWriter,
-    WireProtocolError,
     encode_reply,
-    iter_frame_batches,
-    iter_line_batches,
-    negotiate_protocol,
+    serve_session,
 )
-from repro.workload.codec import decode_lines, item_from_record
-from repro.db.objects import Update
+from repro.metrics.results import SimulationResult
+from repro.workload.codec import item_from_record
 from repro.workload.transactions import TransactionSpec
-
-logger = logging.getLogger(__name__)
-
-
-class ClusterView:
-    """One worker's live view of the cluster topology.
-
-    The supervisor broadcasts ``("topology", epoch, workers)`` over each
-    worker's control pipe whenever an endpoint changes; :meth:`apply`
-    installs it.  The worker uses the view to answer smart clients'
-    ``topology`` requests, to ownership-check direct records against the
-    shared (deterministic) router, and to stamp ``moved`` redirects with
-    the current epoch.
-    """
-
-    def __init__(
-        self,
-        router,
-        index: int,
-        *,
-        host: str = "127.0.0.1",
-        epoch: int = 0,
-        workers: "list[dict] | None" = None,
-    ) -> None:
-        self.router = router
-        self.index = index
-        self.host = host
-        self.epoch = epoch
-        self.workers = [dict(entry) for entry in workers or []]
-
-    def apply(self, epoch: int, workers: "list[dict]") -> None:
-        self.epoch = epoch
-        self.workers = [dict(entry) for entry in workers]
-
-    def record(self) -> dict:
-        return topology_record(
-            shards=self.router.shards,
-            n_low=self.router.n_low,
-            n_high=self.router.n_high,
-            epoch=self.epoch,
-            workers=self.workers,
-        )
 
 
 class _SessionState:
@@ -149,12 +111,17 @@ class IngestServer:
             replies, the pre-batching wire behavior).
         flush_us: Reply flush deadline in microseconds for partially
             filled batches.
-        cluster_view: This worker's :class:`ClusterView` when it serves
-            one shard of a cluster (enables direct sessions with
-            ownership checks and ``moved`` redirects); ``None`` for a
-            standalone server, which answers a degenerate one-shard
-            topology and accepts direct sessions trivially (global and
-            local ids coincide at ``shards=1``).
+        topology: This worker's copy of the cluster
+            :class:`~repro.db.sharding.Topology` when it serves one shard
+            of a cluster (enables direct sessions with ownership checks
+            and ``moved`` redirects, and answers smart clients'
+            ``topology`` requests); ``None`` for a standalone server,
+            which answers a degenerate one-shard topology and accepts
+            direct sessions trivially (global and local ids coincide at
+            ``shards=1``).
+        router / index: With ``topology``: the cluster's (deterministic)
+            router and this worker's shard index, for the ownership check
+            and the global → local id translation of direct records.
     """
 
     def __init__(
@@ -165,14 +132,18 @@ class IngestServer:
         *,
         batch_max: int = DEFAULT_BATCH_MAX,
         flush_us: float = DEFAULT_FLUSH_US,
-        cluster_view: "ClusterView | None" = None,
+        topology: "Topology | None" = None,
+        router: "ShardRouter | None" = None,
+        index: int = 0,
     ) -> None:
         self.runtime = runtime
         self.host = host
         self.port = port
         self.batch_max = batch_max
         self.flush_us = flush_us
-        self.cluster_view = cluster_view
+        self.topology = topology
+        self.router = router
+        self.index = index
         self.connections = 0
         self.records_received = 0
         self.errors = 0
@@ -225,40 +196,17 @@ class IngestServer:
     ) -> None:
         self.connections += 1
         session = _SessionState()
-        replies = CoalescingWriter(
-            writer, batch_max=self.batch_max, flush_us=self.flush_us
-        )
-        try:
-            protocol, leftover = await negotiate_protocol(reader)
-            if protocol == PROTOCOL_BINARY:
-                batches = iter_frame_batches(reader)
-            else:
-                batches = self._jsonl_record_batches(reader, leftover)
-            async for records in batches:
-                self._dispatch_batch(records, replies, protocol, session)
-                # One backpressure point per read batch: ingestion never
-                # outruns a reply reader that has stopped consuming.
-                await replies.backpressure()
-        except WireProtocolError as exc:
-            self.errors += 1
-            logger.warning("wire negotiation failed: %s", exc)
-        except ValueError as exc:
-            # A corrupt binary frame header: past it there is no
-            # resynchronization point, so the one session is closed.
-            self.errors += 1
-            logger.warning("binary session corrupt: %s", exc)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await replies.aclose()
 
-    @staticmethod
-    async def _jsonl_record_batches(
-        reader: asyncio.StreamReader, leftover: bytes
-    ):
-        """JSONL sessions as decoded-record batches (the frame-batch dual)."""
-        async for lines in iter_line_batches(reader, initial=leftover):
-            yield decode_lines(lines)
+        def dispatch(records, replies, protocol) -> None:
+            self._dispatch_batch(records, replies, protocol, session)
+
+        # Not ``self.errors += await ...``: that reads the counter before
+        # the session runs and would lose every error counted during it.
+        fatal = await serve_session(
+            reader, writer, dispatch,
+            batch_max=self.batch_max, flush_us=self.flush_us,
+        )
+        self.errors += fatal
 
     def _dispatch_batch(
         self,
@@ -284,13 +232,13 @@ class IngestServer:
         shard's dense local ids before delivery.
         """
         runtime = self.runtime
-        view = self.cluster_view
+        topology = self.topology
         # A direct client's shard map went stale (worker restart bumped
         # the epoch): announce it once, ahead of this batch's records,
         # so the client refreshes before burning sends on redirects.
         if (
-            session is not None and session.direct and view is not None
-            and session.epoch != view.epoch
+            session is not None and session.direct and topology is not None
+            and session.epoch != topology.epoch
         ):
             self._stale_advisory(session, replies, protocol)
         # The whole batch arrived in one socket read: it shares one
@@ -371,16 +319,16 @@ class IngestServer:
                             session.epoch = int(record.get("epoch", -1))
                         reply = {
                             "kind": "hello",
-                            "shard": view.index if view is not None else 0,
-                            "epoch": view.epoch if view is not None else 0,
+                            "shard": self.index,
+                            "epoch": topology.epoch if topology is not None else 0,
                         }
                         if rid is not None:
                             reply["rid"] = rid
                         self._reply(replies, reply, protocol)
                         if (
                             session is not None and session.direct
-                            and view is not None
-                            and session.epoch != view.epoch
+                            and topology is not None
+                            and session.epoch != topology.epoch
                         ):
                             # The hello itself announced a stale map —
                             # advise now, not at the *next* batch, so a
@@ -396,7 +344,7 @@ class IngestServer:
                     error["rid"] = rid
                 self._reply(replies, error, protocol)
                 continue
-            if session is not None and session.direct and view is not None:
+            if session is not None and session.direct and topology is not None:
                 item = self._localize_direct(item, replies, protocol)
                 if item is None:
                     continue
@@ -424,16 +372,16 @@ class IngestServer:
     def _stale_advisory(self, session, replies, protocol) -> None:
         """Tell a direct session its shard map is stale — once per epoch
         change, with the fresh topology embedded for a free refresh."""
-        view = self.cluster_view
+        topology = self.topology
         self.stale_epoch_redirects += 1
         self._reply(replies, {
             "kind": "moved",
             "reason": "stale_epoch",
-            "shard": view.index,
-            "epoch": view.epoch,
-            "topology": view.record(),
+            "shard": self.index,
+            "epoch": topology.epoch,
+            "topology": topology.record(),
         }, protocol)
-        session.epoch = view.epoch
+        session.epoch = topology.epoch
 
     def _topology_record(self) -> dict:
         """The topology record this server serves to smart clients.
@@ -443,9 +391,8 @@ class IngestServer:
         itself (at ``shards=1`` the dense local ids coincide with the
         global ids, so direct routing degenerates to plain sends).
         """
-        view = self.cluster_view
-        if view is not None:
-            return view.record()
+        if self.topology is not None:
+            return self.topology.record()
         config = self.runtime.config
         return topology_record(
             shards=1,
@@ -468,11 +415,11 @@ class IngestServer:
         own it (stale client map), or the spec's read-set spans shards
         (direct clients must send those via a router plane).
         """
-        view = self.cluster_view
-        router = view.router
+        router = self.router
+        index = self.index
         if isinstance(item, Update):
             owner = router.shard_of(item.klass, item.object_id)
-            if owner != view.index:
+            if owner != index:
                 self._moved(replies, protocol, owner=owner)
                 return None
             item.object_id = router.local_id(item.klass, item.object_id)
@@ -481,8 +428,8 @@ class IngestServer:
             owners = {
                 router.shard_of(item.view_class, gid) for gid in item.reads
             }
-            if owners != {view.index}:
-                foreign = next(iter(owners - {view.index}))
+            if owners != {index}:
+                foreign = next(iter(owners - {index}))
                 self._moved(
                     replies, protocol, owner=foreign, seq=item.seq,
                     reason="cross_shard" if len(owners) > 1 else "misrouted",
@@ -493,7 +440,7 @@ class IngestServer:
             )
             return replace(item, reads=local)
         owner = router.hash_shard(item.seq)
-        if owner != view.index:
+        if owner != index:
             self._moved(replies, protocol, owner=owner, seq=item.seq)
             return None
         return item
@@ -507,14 +454,14 @@ class IngestServer:
         embeds a fresh topology record so the client can refresh its map
         (and resend) without an extra round trip.
         """
-        view = self.cluster_view
+        topology = self.topology
         self.moved_replies += 1
         reply = {
             "kind": "moved",
             "reason": reason,
             "shard": owner,
-            "epoch": view.epoch,
-            "topology": view.record(),
+            "epoch": topology.epoch,
+            "topology": topology.record(),
         }
         if seq is not None:
             reply["seq"] = seq
@@ -527,3 +474,113 @@ class IngestServer:
         protocol: str = PROTOCOL_JSONL,
     ) -> None:
         replies.write(encode_reply(record, protocol))
+
+
+class ShardHost:
+    """One shard's pipeline, from recovery to its final result.
+
+    The start/stop sequence of everything that serves a shard —
+    ``repro-live serve`` (``shards=1``: no router, the config and the
+    view key map are the identity) and every worker process of a
+    :class:`~repro.live.cluster.ShardCluster` alike.  The order is
+    load-bearing:
+
+    * the recovery plan comes first, because the clock must *start* in
+      the dead incarnation's time domain and is fixed at construction;
+    * restore + replay run *before* the log attaches (replayed records
+      are already on disk) and before the port opens (a router only
+      routes to a warm shard);
+    * views register *after* recovery, so they materialize from the
+      restored database and then take every later install as a delta —
+      a restore writes object values directly, which no view would see;
+    * on the way out the drain precedes the final durability snapshot
+      (it must capture settled state), and both precede
+      ``runtime.shutdown``, whose finalize destructively closes the
+      ledgers' open stale intervals.
+
+    Args:
+        config: The *global* configuration; with ``router`` it is cut
+            down to shard ``index``'s slice.
+        router / index: The cluster's router and this shard's index, or
+            ``None`` / 0 for a standalone server.
+        log_dir: Durability directory (``None`` = off, cold restarts);
+            ``fsync`` / ``snapshot_interval`` as for
+            :class:`~repro.live.durability.DurabilityManager`.
+        views: Derived views to register (any form
+            :meth:`LiveRuntime.register_view` takes).
+    """
+
+    def __init__(
+        self,
+        config: SimulationConfig,
+        algorithm="TF",
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        batch_max: int = DEFAULT_BATCH_MAX,
+        flush_us: float = DEFAULT_FLUSH_US,
+        router: "ShardRouter | None" = None,
+        index: int = 0,
+        log_dir: "str | None" = None,
+        fsync: str = "never",
+        snapshot_interval: float = 5.0,
+        views=(),
+        algorithm_kwargs: "dict | None" = None,
+    ) -> None:
+        self.views = views
+        self.manager = None
+        topology = None
+        clock = None
+        if log_dir is not None:
+            self.manager = DurabilityManager(
+                log_dir, index, fsync=fsync, snapshot_interval=snapshot_interval
+            )
+            clock = WallClock(start_at=self.manager.resume_at)
+        if router is not None:
+            config = shard_config(config, router, index)
+            topology = Topology(router.n_low, router.n_high, router.shards)
+        self.runtime = LiveRuntime(
+            config, algorithm, clock=clock, **(algorithm_kwargs or {})
+        )
+        self.server = IngestServer(
+            self.runtime, host, port, batch_max=batch_max, flush_us=flush_us,
+            topology=topology, router=router, index=index,
+        )
+
+    async def start(self) -> "ReplayStats | None":
+        """Recover, register the views, open the port (``server.port``).
+
+        Returns the warm-start replay stats, or ``None`` without
+        durability.
+        """
+        runtime, manager, server = self.runtime, self.manager, self.server
+        runtime.start()
+        stats = None
+        if manager is not None:
+            stats = await manager.recover(runtime)
+            manager.attach(runtime)
+            manager.start(runtime)
+        if server.router is not None:
+            # Group keys must be global object ids so the supervisor can
+            # merge per-shard view states without collisions.
+            runtime.views.set_key_map(
+                shard_view_key_map(server.router, server.index)
+            )
+        for spec in self.views:
+            runtime.register_view(spec)
+        await server.start()
+        return stats
+
+    async def stop(
+        self, drain_timeout: float = 5.0
+    ) -> "tuple[SimulationResult, bool]":
+        """Close the port, drain, snapshot, finalize.
+
+        Returns the final result and whether the drain completed inside
+        ``drain_timeout``.
+        """
+        await self.server.stop()
+        drained = await self.runtime.drain(drain_timeout)
+        if self.manager is not None:
+            await self.manager.stop(self.runtime)
+        return await self.runtime.shutdown(drain_timeout=0.0), drained

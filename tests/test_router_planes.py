@@ -36,12 +36,12 @@ from repro.db.objects import ObjectClass, Update
 from repro.db.sharding import (
     ROUTER_VERSION,
     ShardRouter,
+    Topology,
     router_from_topology,
     topology_record,
 )
 from repro.live import DirectClient, IngestServer, LiveRuntime, ShardCluster
 from repro.live.cluster import merge_extras_sources
-from repro.live.server import ClusterView
 from repro.metrics.results import SimulationResult
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
@@ -169,10 +169,12 @@ def test_direct_session_localizes_and_redirects():
         router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
         workers = [{"shard": i, "host": "127.0.0.1", "port": 9000 + i,
                     "status": "up"} for i in range(2)]
-        view = ClusterView(router, 0, epoch=3, workers=workers)
+        topology = Topology(router.n_low, router.n_high, 2,
+                            epoch=3, workers=workers)
         runtime = LiveRuntime(shard_config(config, router, 0), "TF")
         runtime.start()
-        server = IngestServer(runtime, cluster_view=view)
+        server = IngestServer(runtime, topology=topology, router=router,
+                              index=0)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
 
@@ -239,13 +241,14 @@ def test_stale_epoch_gets_one_advisory_per_change():
     async def scenario():
         config = _small_config()
         router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
-        view = ClusterView(router, 0, epoch=5, workers=[
+        topology = Topology(router.n_low, router.n_high, 2, epoch=5, workers=[
             {"shard": i, "host": "127.0.0.1", "port": 9000 + i,
              "status": "up"} for i in range(2)
         ])
         runtime = LiveRuntime(shard_config(config, router, 0), "TF")
         runtime.start()
-        server = IngestServer(runtime, cluster_view=view)
+        server = IngestServer(runtime, topology=topology, router=router,
+                              index=0)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
 
@@ -489,6 +492,7 @@ def test_router_fleet_merges_per_plane_counters():
         planes = extras["planes"]
         assert [p["plane"] for p in planes] == [0, 1]
         assert all(p["status"] == "up" for p in planes)
+        assert all(p["cpu_seconds"] > 0.0 for p in planes)
         # The fleet total is the *sum* over planes (the session landed on
         # exactly one of them; which one is the kernel's pick).
         assert extras["records_received"] == 8

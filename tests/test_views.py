@@ -119,6 +119,30 @@ def test_delta_views_match_recompute(algorithm, shards):
     assert check_invariants(result) == []
 
 
+def test_view_registered_on_populated_database_matches_recompute():
+    """Registration materializes from what is already installed; object
+    ids say nothing about install order, and the windowed average expires
+    from the front of *install* order — an old member with a high id must
+    still age out behind a fresh member with a low one."""
+    config = baseline_config(duration=20.0, seed=7)
+    config.warmup = 0.0
+    engine = Engine()
+    runtime = LiveRuntime(config, "TF", clock=engine)
+    for at, object_id, value in ((1.0, 5, 100.0), (9.0, 2, 1.0)):
+        engine.run_until(at)
+        runtime.ingest(Update(seq=object_id, klass=ObjectClass.VIEW_LOW,
+                              object_id=object_id, value=value,
+                              generation_time=at, arrival_time=at))
+    engine.run_until(9.5)
+    for text in ALL_SPECS:
+        runtime.register_view(text)
+    registry = runtime.views
+    registry.assert_parity(engine.now)
+    engine.run_until(10.0)  # object 5 (installed at ~1) is out of the window
+    registry.assert_parity(engine.now)
+    assert registry.report(engine.now)["recent"]["values"] == 1.0
+
+
 def test_sharded_merge_equals_global_recompute():
     """Per-shard partial aggregates merge to exactly the values a global
     recomputation over the union of shard databases produces."""

@@ -28,12 +28,16 @@ from repro.live.wire import (
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
     WireProtocolError,
+    encode_reply,
     negotiate_protocol,
+    serve_session,
 )
 from repro.metrics.results import SimulationResult
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
 from repro.workload.codec import (
+    FRAME_HEADER,
+    MAX_FRAME_BODY,
     WIRE_PREAMBLE,
     FrameDecoder,
     decode_lines,
@@ -135,6 +139,103 @@ def test_negotiate_rejects_unknown_version():
 
     with pytest.raises(WireProtocolError, match="version"):
         asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# The session loop (shared by IngestServer and RouterPlane)
+# ----------------------------------------------------------------------
+class _MemoryTransport:
+    def is_closing(self):
+        return False
+
+    def get_write_buffer_size(self):
+        return 0
+
+    def get_write_buffer_limits(self):
+        return (0, 65536)
+
+
+class _MemoryWriter:
+    """The StreamWriter surface a CoalescingWriter touches, in memory."""
+
+    def __init__(self):
+        self.transport = _MemoryTransport()
+        self.payloads = []
+        self.closed = False
+
+    def write(self, payload):
+        self.payloads.append(payload)
+
+    def close(self):
+        self.closed = True
+
+    async def wait_closed(self):
+        pass
+
+
+def _reset_reader(data: bytes) -> asyncio.StreamReader:
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    reader.set_exception(ConnectionResetError("peer reset"))
+    return reader
+
+
+_UPDATE = Update(seq=1, klass=ObjectClass.VIEW_LOW, object_id=3, value=1.0,
+                 generation_time=0.0, arrival_time=0.0)
+_CORRUPT_HEADER = FRAME_HEADER.pack(0x7E, MAX_FRAME_BODY + 1)
+
+
+@pytest.mark.parametrize("make_reader, expected_errors, expected_batches", [
+    # bad preamble: right magic byte, unsupported schema version
+    (lambda: _reader_with(WIRE_PREAMBLE[:-1] + b"\x7f"), 1, 0),
+    # corrupt frame header: no resync point
+    (lambda: _reader_with(WIRE_PREAMBLE + _CORRUPT_HEADER), 1, 0),
+    # peer reset mid-session
+    (lambda: _reset_reader(WIRE_PREAMBLE), 0, 0),
+    # clean EOF, binary and JSONL
+    (lambda: _reader_with(WIRE_PREAMBLE + encode_frames([_UPDATE])), 0, 1),
+    (lambda: _reader_with(encode_lines([_UPDATE])), 0, 1),
+], ids=["bad-preamble", "corrupt-header", "peer-reset", "eof-binary",
+        "eof-jsonl"])
+@pytest.mark.parametrize("async_dispatch", [False, True])
+def test_serve_session_exits(make_reader, expected_errors, expected_batches,
+                             async_dispatch):
+    """Every way a session ends closes the writer, runs the close hook
+    once, and counts exactly the session-fatal protocol errors — whether
+    dispatch is a plain function (server) or a coroutine (plane)."""
+    batches, hook_calls = [], []
+
+    def dispatch(records, replies, protocol):
+        batches.append((protocol, records))
+        replies.write(encode_reply({"kind": "ack"}, protocol))
+
+    async def dispatch_async(records, replies, protocol):
+        await asyncio.sleep(0)
+        dispatch(records, replies, protocol)
+
+    async def on_close():
+        hook_calls.append(1)
+
+    async def run():
+        writer = _MemoryWriter()
+        errors = await serve_session(
+            make_reader(), writer,
+            dispatch_async if async_dispatch else dispatch,
+            on_close=on_close,
+        )
+        return errors, writer
+
+    errors, writer = asyncio.run(run())
+    assert errors == expected_errors
+    assert len(batches) == expected_batches
+    assert writer.closed
+    assert hook_calls == [1]
+    # Replies written before the session ended were flushed, not lost.
+    assert len(writer.payloads) == expected_batches
+    for protocol, records in batches:
+        assert [type(record) for record in records] == (
+            [Update] if protocol == PROTOCOL_BINARY else [dict]
+        )
 
 
 # ----------------------------------------------------------------------
