@@ -76,10 +76,13 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_batch_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-max", type=int, default=DEFAULT_BATCH_MAX,
-                        help="records per coalesced wire write / ingest "
-                        f"batch (default {DEFAULT_BATCH_MAX}, from the "
-                        "benchmark sweep in docs/PERFORMANCE.md; "
-                        "1 = per-record, the pre-batching wire behavior)")
+                        help="records per event-loop turn, in both "
+                        "directions: the ingest quantum (a scheduling "
+                        "point follows each; unread input waits in the "
+                        "socket) and the coalesced reply write (default "
+                        f"{DEFAULT_BATCH_MAX}, from the benchmark sweep in "
+                        "docs/PERFORMANCE.md; 1 = per-record, the "
+                        "pre-batching wire behavior)")
     parser.add_argument("--flush-us", type=float, default=DEFAULT_FLUSH_US,
                         help="flush deadline in microseconds for partially "
                         f"filled wire batches (default {DEFAULT_FLUSH_US:.0f}; "

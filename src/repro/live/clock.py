@@ -6,7 +6,12 @@ event's timestamp; a :class:`WallClock` has to *wait* for
 timer heap: it dispatches every due event in a tight synchronous loop
 (yielding to the event loop every few hundred dispatches so ingest
 coroutines stay responsive), then sleeps until the next timer or until a
-newly scheduled event preempts the head of the heap.
+newly scheduled event preempts the head of the heap.  The ingest side
+keeps the other half of that bargain: a session delivers at most
+``batch_max`` records per loop turn and then yields
+(:func:`repro.live.wire.serve_session`), so however fast a sender writes,
+this task gets the loop back after every quantum to fire due burst
+completions — the controller's scheduling points.
 
 Differences from the engine, both deliberate:
 

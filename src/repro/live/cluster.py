@@ -774,9 +774,11 @@ class ShardCluster:
         worker.status = "up"
 
     async def stop_ingest(self) -> None:
-        """Close the public socket(s); workers keep draining what they have."""
+        """Close the public socket(s) and the client sessions on them;
+        workers keep draining what they have."""
         if self._server is not None:
             self._server.close()
+            await self._plane.close_sessions()
             await self._server.wait_closed()
             self._server = None
         if self._planes:

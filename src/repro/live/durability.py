@@ -148,11 +148,10 @@ def read_log(path: str) -> LogReplay:
     truncated = False
     reason = None
     updates = replay.updates
-    # Feed one record-sized chunk at a time: the decoder's corrupt-length
-    # raise discards whatever else was decoded in the same feed() call, so
-    # a whole-blob feed would lose the clean prefix ahead of the bad
-    # header.  Records are fixed-size, so a clean log parses one complete
-    # frame per chunk.
+    # Feed one record-sized chunk at a time: records are fixed-size, so a
+    # clean log parses one complete frame per chunk and a bad header is
+    # the first thing its feed() call sees — it raises right there, with
+    # the clean prefix already collected.
     body = blob[LOG_HEADER_BYTES:]
     for start in range(0, len(body), LOG_RECORD_BYTES):
         try:

@@ -68,9 +68,9 @@ from repro.live.wire import (
     RpcChannel,
     RpcDeadlineError,
     RpcError,
+    SessionSet,
     connect_with_retry,
     encode_reply,
-    serve_session,
 )
 from repro.workload.codec import (
     TAG_SPEC,
@@ -132,7 +132,9 @@ class RouterPlane:
         topology: Live worker endpoints — the cluster's own
             :class:`~repro.db.sharding.Topology` (in-parent plane) or a
             pipe-fed copy of it (plane process).
-        batch_max / flush_us: Coalescing bounds, client and upstream side.
+        batch_max / flush_us: Coalescing bounds, client and upstream
+            side; ``batch_max`` is also the records routed per loop turn
+            (:func:`~repro.live.wire.serve_session`'s ingest quantum).
         rpc_grace: Extra seconds on a cross-shard gather's firm deadline.
         connect_attempts: Per-connection retry budget upstream.
         index: This plane's index (0 for the in-parent plane).
@@ -143,8 +145,6 @@ class RouterPlane:
             as an ``asdict`` payload (raises :class:`ShardDownError`
             when no shard answers).  The parent owns the snapshot fan-in;
             remote planes reach it over their control pipe.
-        shed_cb: Optional ``(shard, count)`` hook so the parent's
-            liveness table can mirror in-parent shedding immediately.
     """
 
     def __init__(
@@ -160,7 +160,6 @@ class RouterPlane:
         index: int = 0,
         router: "ShardRouter | None" = None,
         snapshot_cb=None,
-        shed_cb=None,
     ) -> None:
         self.config = config
         self.shards = shards
@@ -174,7 +173,6 @@ class RouterPlane:
             config.updates.n_low, config.updates.n_high, shards
         )
         self.snapshot_cb = snapshot_cb
-        self.shed_cb = shed_cb
         self.records_received = 0
         self.errors = 0
         self.sessions = 0
@@ -192,6 +190,7 @@ class RouterPlane:
         # keys never collide (rids scope to the upstream connection, and
         # upstreams are never shared between planes).
         self._rid = itertools.count(1)
+        self._sessions = SessionSet()
         self._cpu0 = time.process_time()
         self._wall0 = time.monotonic()
 
@@ -256,13 +255,18 @@ class RouterPlane:
 
         # Not ``self.errors += await ...``: that reads the counter before
         # the session runs and would lose every error counted during it.
-        fatal = await serve_session(
+        fatal = await self._sessions.serve(
             reader, writer, dispatch,
             batch_max=self.batch_max, flush_us=self.flush_us,
             raw_frames=True,
             on_close=lambda: self._close_session(upstreams, merges),
         )
         self.errors += fatal
+
+    async def close_sessions(self) -> None:
+        """End every open client session (the owner of the listening
+        socket calls this once it has stopped accepting)."""
+        await self._sessions.close()
 
     async def _close_session(self, upstreams, merges=()) -> None:
         """Tear down one session's merge tasks and upstream channels.
@@ -660,8 +664,6 @@ class RouterPlane:
         told with a typed outcome instead of a killed session.
         """
         self.shed_shard_down[shard] += count
-        if self.shed_cb is not None:
-            self.shed_cb(shard, count)
         reply = encode_reply(
             {"kind": "error", "reason": "shard_down", "shard": shard},
             protocol,
@@ -760,8 +762,8 @@ async def _router_plane_async(
 
     * ``("topology", epoch, workers)`` — install a new shard map.
     * ``("stats", token)`` → ``("stats", token, stats)``.
-    * ``("stop_ingest", token)`` → close the listening socket →
-      ``("ingest_closed", token)``.
+    * ``("stop_ingest", token)`` → close the listening socket and the
+      open client sessions → ``("ingest_closed", token)``.
     * ``("snapshot_res", token, ok, payload)`` — the parent's answer to
       this plane's ``("snapshot_req", token)`` (a client asked this
       plane for a fleet snapshot; only the parent can fan it in).
@@ -815,6 +817,7 @@ async def _router_plane_async(
         elif kind == "stop_ingest":
             if server is not None:
                 server.close()
+                await plane.close_sessions()
                 try:
                     await asyncio.wait_for(server.wait_closed(), 2.0)
                 except asyncio.TimeoutError:  # pragma: no cover - slow close
@@ -829,4 +832,5 @@ async def _router_plane_async(
             stop_token = message[1]
     if server is not None:
         server.close()
+        await plane.close_sessions()
     conn.send(("result", stop_token, plane.stats()))

@@ -23,14 +23,17 @@ stays up; a client that disconnects mid-flight simply stops receiving
 outcomes (the transactions it submitted still run to completion).
 
 The server reads and writes in *batches* (see :mod:`repro.live.wire`):
-every complete line buffered on the socket is decoded with one batched
-``json.loads`` per wakeup, consecutive updates are delivered through
-:meth:`LiveRuntime.ingest_batch`, and replies coalesce through a
-:class:`~repro.live.wire.CoalescingWriter`.  A batch is just N
-newline-delimited records in one write, so per-record clients interoperate
-unchanged in both directions.  All records in one coalesced batch share a
-single delivery instant (``clock.now`` sampled once per batch) — the
-batch *is* the arrival burst.
+arrivals are delivered in quanta of at most ``batch_max`` records — one
+batched ``json.loads`` (or one pass of frame decoding) per quantum,
+consecutive updates through :meth:`LiveRuntime.ingest_batch`, then one
+yield to the event loop so the clock task and the controller get a
+scheduling point before the next quantum — and replies coalesce through
+a :class:`~repro.live.wire.CoalescingWriter`.  What has not been read
+yet waits in the socket.  A batch is just N newline-delimited records in
+one write, so per-record clients interoperate unchanged in both
+directions.  All records in one quantum share a single delivery instant
+(``clock.now`` sampled once per quantum) — the quantum *is* the arrival
+burst.
 
 Each session additionally **negotiates its protocol** from its first
 bytes (:func:`~repro.live.wire.negotiate_protocol`): a session that opens
@@ -81,8 +84,8 @@ from repro.live.wire import (
     DEFAULT_FLUSH_US,
     PROTOCOL_JSONL,
     CoalescingWriter,
+    SessionSet,
     encode_reply,
-    serve_session,
 )
 from repro.metrics.results import SimulationResult
 from repro.workload.codec import item_from_record
@@ -107,8 +110,9 @@ class IngestServer:
         host: Bind address.
         port: Bind port; 0 picks a free one (read it from ``self.port``
             after :meth:`start`).
-        batch_max: Records per coalesced reply write (``1`` = per-record
-            replies, the pre-batching wire behavior).
+        batch_max: Records per loop turn, in both directions: the ingest
+            quantum and the coalesced reply write (``1`` = per-record
+            delivery and replies, the pre-batching wire behavior).
         flush_us: Reply flush deadline in microseconds for partially
             filled batches.
         topology: This worker's copy of the cluster
@@ -154,6 +158,7 @@ class IngestServer:
         self.moved_replies = 0
         self.stale_epoch_redirects = 0
         self._server: asyncio.AbstractServer | None = None
+        self._sessions = SessionSet()
 
     def direct_accounting(self) -> "dict | None":
         """Smart-client counters, or ``None`` when no client used them."""
@@ -178,15 +183,15 @@ class IngestServer:
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop accepting connections.
+        """Stop accepting connections and end the open sessions.
 
         In-flight transactions run to completion; their outcome
-        callbacks write into (possibly already closed) session writers,
-        which drop the reply exactly as the old task-per-outcome path
-        did.
+        callbacks write into the closed session writers, which drop the
+        reply exactly as the old task-per-outcome path did.
         """
         if self._server is not None:
             self._server.close()
+            await self._sessions.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -202,7 +207,7 @@ class IngestServer:
 
         # Not ``self.errors += await ...``: that reads the counter before
         # the session runs and would lose every error counted during it.
-        fatal = await serve_session(
+        fatal = await self._sessions.serve(
             reader, writer, dispatch,
             batch_max=self.batch_max, flush_us=self.flush_us,
         )
@@ -215,7 +220,7 @@ class IngestServer:
         protocol: str = PROTOCOL_JSONL,
         session: "_SessionState | None" = None,
     ) -> None:
-        """Deliver one decoded wire batch in order.
+        """Deliver one decoded wire batch (an ingest quantum) in order.
 
         ``records`` mixes dicts (JSONL lines, JSON frames), already-built
         :class:`Update` / :class:`TransactionSpec` instances (binary
@@ -241,7 +246,7 @@ class IngestServer:
             and session.epoch != topology.epoch
         ):
             self._stale_advisory(session, replies, protocol)
-        # The whole batch arrived in one socket read: it shares one
+        # The whole batch is delivered in one loop turn: it shares one
         # delivery instant, exactly like a burst in the paper's stream.
         now = runtime.clock.now
         updates: list[Update] = []

@@ -13,8 +13,15 @@ cost — not the scheduler.  This module concentrates the fix:
   awaited only when the transport reports a write buffer over its
   high-water mark — the only case where it would actually wait.
 * :func:`iter_line_batches` is the read-side dual: instead of one
-  ``readline`` round trip per record, each socket wakeup yields *every*
-  complete line already buffered, ready for one batched decode.
+  ``readline`` round trip per record, each socket wakeup yields the
+  complete lines already buffered, ready for one batched decode.
+
+``batch_max`` bounds both directions: replies coalesce up to that many
+records per write, and :func:`serve_session` delivers arrivals in quanta
+of at most that many records — decoded just in time, with one yield to
+the event loop after each — so the scheduler gets its turn between
+quanta and whatever the server has not read yet waits in the socket (TCP
+backpressure, not read-ahead).
 
 The wire format itself is unchanged: a batch is exactly N
 newline-delimited JSON records in one write, so an old per-record peer
@@ -66,10 +73,11 @@ from repro.workload.codec import (
 
 logger = logging.getLogger(__name__)
 
-#: Records buffered before a size-triggered flush.  Chosen by the sweep in
-#: docs/PERFORMANCE.md ("The wire fast path"): throughput is flat past
-#: ~128 and latency grows linearly, so 256 keeps headroom without hurting
-#: tail latency.
+#: Records per loop turn, in both directions: buffered replies before a
+#: size-triggered flush, and arrivals per ingest quantum of
+#: :func:`serve_session`.  Chosen by the sweep in docs/PERFORMANCE.md
+#: ("The wire fast path"): throughput is flat past ~128 and latency grows
+#: linearly, so 256 keeps headroom without hurting tail latency.
 DEFAULT_BATCH_MAX = 256
 
 #: Flush deadline in microseconds: the longest a buffered record waits
@@ -81,7 +89,7 @@ DEFAULT_FLUSH_US = 500.0
 #: the transport's default 64 KiB high-water mark.
 MAX_BATCH_BYTES = 48 * 1024
 
-#: Read-side chunk size: large enough to swallow a full burst per wakeup.
+#: Read-side chunk size: one socket read's worth of undecoded bytes.
 READ_CHUNK = 256 * 1024
 
 #: Default connection-retry schedule (see :func:`connect_with_retry`).
@@ -360,8 +368,9 @@ async def iter_line_batches(
     *,
     chunk_size: int = READ_CHUNK,
     initial: bytes = b"",
+    limit: "int | None" = None,
 ):
-    """Yield every complete line available per socket wakeup.
+    """Yield the complete lines available per socket wakeup.
 
     Each yielded batch is a list of stripped, non-empty line payloads (no
     trailing newline), in wire order.  Where ``readline`` wakes the
@@ -374,27 +383,26 @@ async def iter_line_batches(
         initial: Bytes already read off the socket (the byte the
             protocol negotiation peeked), treated as the head of the
             first chunk.
+        limit: Yield a wakeup's lines in consecutive batches of at most
+            this many (default: one batch per wakeup).
     """
-    pending = initial
-    if b"\n" in pending:
-        *lines, pending = pending.split(b"\n")
-        batch = [stripped for line in lines if (stripped := line.strip())]
-        if batch:
-            yield batch
+    pending = b""
+    chunk = initial
     while True:
+        pending += chunk
+        if b"\n" in chunk:
+            *lines, pending = pending.split(b"\n")
+            batch = [stripped for line in lines if (stripped := line.strip())]
+            if batch:
+                step = limit or len(batch)
+                for start in range(0, len(batch), step):
+                    yield batch[start:start + step]
         chunk = await reader.read(chunk_size)
         if not chunk:
             tail = pending.strip()
             if tail:
                 yield [tail]
             return
-        pending += chunk
-        if b"\n" not in chunk:
-            continue
-        *lines, pending = pending.split(b"\n")
-        batch = [stripped for line in lines if (stripped := line.strip())]
-        if batch:
-            yield batch
 
 
 async def iter_frame_batches(
@@ -404,6 +412,7 @@ async def iter_frame_batches(
     parse_json: bool = True,
     raw_updates: bool = False,
     raw_specs: bool = False,
+    limit: "int | None" = None,
 ):
     """Binary dual of :func:`iter_line_batches`: decoded frames per wakeup.
 
@@ -417,6 +426,11 @@ async def iter_frame_batches(
     "split" step), which is exactly the per-record tax the binary
     protocol removes.  A partial frame at EOF is surfaced as one
     ``ValueError`` batch, mirroring the unterminated-line behavior.
+
+    With ``limit``, a wakeup's records come in consecutive batches of at
+    most that many, each decoded only when the consumer asks for it (the
+    rest of the chunk waits as bytes); without, one batch holds everything
+    the chunk completed.
 
     A corrupt frame *header* propagates as ``ValueError`` — the session
     cannot be resynchronized and the caller should close it.
@@ -433,14 +447,17 @@ async def iter_frame_batches(
                     "trailing bytes)"
                 )]
             return
-        records = decoder.feed(chunk)
-        if records:
+        records = decoder.feed(chunk, limit)
+        while records:
             yield records
+            records = decoder.take(limit)
 
 
-async def _jsonl_record_batches(reader: asyncio.StreamReader, leftover: bytes):
+async def _jsonl_record_batches(
+    reader: asyncio.StreamReader, leftover: bytes, limit: int
+):
     """JSONL sessions as decoded-record batches (the frame-batch dual)."""
-    async for lines in iter_line_batches(reader, initial=leftover):
+    async for lines in iter_line_batches(reader, initial=leftover, limit=limit):
         yield decode_lines(lines)
 
 
@@ -459,15 +476,22 @@ async def serve_session(
     The session loop every listening socket of the live stack runs — a
     shard's :class:`~repro.live.server.IngestServer` and a
     :class:`~repro.live.plane.RouterPlane` alike: negotiate the protocol,
-    read record batches (decoded frames or decoded JSONL lines), hand
-    each to ``dispatch(records, replies, protocol)``, and apply reply
-    backpressure once per read batch so ingestion never outruns a reply
-    reader that has stopped consuming.
+    then deliver arrivals in bounded quanta — at most ``batch_max``
+    records (decoded frames or decoded JSONL lines), decoded just in time,
+    handed to ``dispatch(records, replies, protocol)`` in wire order —
+    with reply backpressure and **one yield to the event loop after every
+    quantum**.  That yield is the paper's scheduling point (§3.1) under
+    load: between two quanta the :class:`~repro.live.clock.WallClock`
+    task fires due burst completions and the controller dispatches, so a
+    sender outrunning the server fills the socket, not a read-ahead
+    buffer the scheduler never gets to look at.
 
     Args:
-        dispatch: Called once per batch.  May return an awaitable (the
-            plane forwards over sockets); it is awaited once per batch,
+        dispatch: Called once per quantum.  May return an awaitable (the
+            plane forwards over sockets); it is awaited once per quantum,
             never per record.
+        batch_max: Records per loop turn, in both directions: the ingest
+            quantum and the reply coalescing bound.
         raw_frames: Leave binary update/spec frames undecoded (the
             router's route-by-field-peek path).
         on_close: Optional ``async ()`` hook run before the reply writer
@@ -483,17 +507,20 @@ async def serve_session(
     errors = 0
     try:
         protocol, leftover = await negotiate_protocol(reader)
+        quantum = max(1, batch_max)
         if protocol == PROTOCOL_BINARY:
             batches = iter_frame_batches(
-                reader, raw_updates=raw_frames, raw_specs=raw_frames
+                reader, raw_updates=raw_frames, raw_specs=raw_frames,
+                limit=quantum,
             )
         else:
-            batches = _jsonl_record_batches(reader, leftover)
+            batches = _jsonl_record_batches(reader, leftover, quantum)
         async for records in batches:
             pending = dispatch(records, replies, protocol)
             if pending is not None:
                 await pending
             await replies.backpressure()
+            await asyncio.sleep(0)
     except WireProtocolError as exc:
         errors = 1
         logger.warning("wire negotiation failed: %s", exc)
@@ -509,6 +536,44 @@ async def serve_session(
         finally:
             await replies.aclose()
     return errors
+
+
+class SessionSet:
+    """The open sessions of one listening endpoint, so a stop can end them.
+
+    Closing a listening socket leaves its accepted sessions running; left
+    to loop teardown they are *cancelled*, and asyncio logs a
+    ``CancelledError`` traceback per session on every clean shutdown.
+    :meth:`close` ends them the way a departing client would instead.
+    """
+
+    __slots__ = ("_writers",)
+
+    def __init__(self) -> None:
+        self._writers: "dict[asyncio.Task, asyncio.StreamWriter]" = {}
+
+    async def serve(self, reader, writer, dispatch, **options) -> int:
+        """:func:`serve_session`, registered here for as long as it runs."""
+        task = asyncio.current_task()
+        self._writers[task] = writer
+        try:
+            return await serve_session(reader, writer, dispatch, **options)
+        finally:
+            del self._writers[task]
+
+    async def close(self) -> None:
+        """Close every session's stream and wait for its handler.
+
+        Each handler reads EOF and returns through :func:`serve_session`'s
+        ``finally`` (``on_close`` runs, what the transport already holds
+        is flushed); replies still coalescing are dropped, as for any
+        closing peer.
+        """
+        handlers = list(self._writers)
+        for writer in self._writers.values():
+            writer.close()
+        if handlers:
+            await asyncio.gather(*handlers, return_exceptions=True)
 
 
 # ----------------------------------------------------------------------

@@ -432,12 +432,17 @@ class FrameDecoder:
 
     Feed it arbitrary byte chunks as they arrive; it returns every record
     completed by the chunk and buffers the partial tail frame for the
-    next feed — the binary analogue of line reassembly.  A malformed
-    frame *body* comes back as a ``ValueError`` entry in the batch (its
-    length prefix still delimits it, so neighbors keep decoding, same
-    error isolation as :func:`decode_lines`); a malformed *header* —
-    unknown tag with an absurd length — raises, because past a broken
-    header there is no resynchronization point.
+    next feed — the binary analogue of line reassembly.  A caller that
+    must bound its turn passes ``limit`` and collects the rest with
+    :meth:`take`: frames past the limit stay buffered as bytes and are
+    decoded only when asked for, so the record sequence is the same for
+    every chunking and every limit.  A malformed frame *body* comes back
+    as a ``ValueError`` entry in the batch (its length prefix still
+    delimits it, so neighbors keep decoding, same error isolation as
+    :func:`decode_lines`); a malformed *header* — unknown tag with an
+    absurd length — raises once the records ahead of it have been
+    returned, because past a broken header there is no resynchronization
+    point.
 
     Args:
         parse_json: Parse TAG_JSON bodies into dicts (the ingest
@@ -463,7 +468,8 @@ class FrameDecoder:
     """
 
     __slots__ = (
-        "_buffer", "_parse_json", "_raw_updates", "_raw_specs", "_max_body"
+        "_buffer", "_offset", "_parse_json", "_raw_updates", "_raw_specs",
+        "_max_body",
     )
 
     def __init__(
@@ -475,6 +481,10 @@ class FrameDecoder:
         max_body: int = MAX_FRAME_BODY,
     ) -> None:
         self._buffer = bytearray()
+        # Read offset into ``_buffer``: :meth:`take` advances it, and the
+        # consumed prefix is dropped once per :meth:`feed`, not once per
+        # quantum.
+        self._offset = 0
         self._parse_json = parse_json
         self._raw_updates = raw_updates
         self._raw_specs = raw_specs
@@ -482,26 +492,50 @@ class FrameDecoder:
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes of an incomplete tail frame awaiting the next feed."""
-        return len(self._buffer)
+        """Buffered bytes not yet returned as records."""
+        return len(self._buffer) - self._offset
 
-    def feed(self, data: bytes) -> list:
-        """Consume one chunk; return the records it completed, in order."""
+    def feed(self, data: bytes, limit: "int | None" = None) -> list:
+        """Consume one chunk; return the records it completed, in order.
+
+        With ``limit``, at most that many records come back and the rest
+        stay buffered *undecoded* for :meth:`take` — the session loop's
+        bounded ingest quantum.
+        """
         buffer = self._buffer
+        if self._offset:
+            del buffer[:self._offset]
+            self._offset = 0
         buffer += data
+        return self.take(limit)
+
+    def take(self, limit: "int | None" = None) -> list:
+        """Decode up to ``limit`` (default: all) complete buffered frames.
+
+        Returns ``[]`` when only a partial tail frame (or nothing) is
+        buffered.  Records ahead of a corrupt header are returned first;
+        the call that *starts* at the corrupt header raises.
+        """
+        buffer = self._buffer
+        offset = self._offset
+        total = len(buffer)
         header_size = FRAME_HEADER.size
-        if len(buffer) < header_size:
+        if total - offset < header_size:
             return []
         out: list = []
+        # Counts down to zero; without a limit it starts below zero and
+        # never arrives.
+        remaining = limit or -1
         view = memoryview(buffer)
-        offset = 0
-        total = len(buffer)
         unpack_header = FRAME_HEADER.unpack_from
         while total - offset >= header_size:
             tag, length = unpack_header(view, offset)
             if length > self._max_body:
+                if out:
+                    break  # deliver the clean prefix; the next call raises
                 view.release()
                 del buffer[:]
+                self._offset = 0
                 raise ValueError(
                     f"binary frame header declares {length} body bytes "
                     f"(tag {tag:#x}); stream is corrupt"
@@ -552,8 +586,11 @@ class FrameDecoder:
                 # memoryview over the buffer we are about to compact.
                 out.append(ValueError(str(exc)))
             offset = end
+            remaining -= 1
+            if not remaining:
+                break
         view.release()
-        del buffer[:offset]
+        self._offset = offset
         return out
 
 
@@ -580,7 +617,7 @@ class BinaryCodec:
 
     @staticmethod
     def decode(payload: bytes) -> list:
-        """Decode one complete payload (tests, ring blobs, traces).
+        """Decode one complete payload (tests, traces).
 
         Raises:
             ValueError: when the payload ends mid-frame — a complete

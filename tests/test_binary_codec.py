@@ -16,6 +16,8 @@ import dataclasses
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import baseline_config
 from repro.db.objects import ObjectClass, Update
@@ -187,6 +189,84 @@ def test_decoder_reassembles_across_arbitrary_chunks():
         assert [item_to_dict(i) for i in rebuilt] == [
             item_to_dict(i) for i in items
         ]
+
+
+def _feed_all(chunks, limit=None):
+    """Every record a decoder yields for ``chunks``, then how it ended.
+
+    With a limit, each chunk is fed once and drained by ``take`` — the
+    session loop's pattern.  The last entry is ``"raise"`` when a corrupt
+    header ended the stream, else the count of undecodable tail bytes.
+    """
+    decoder = FrameDecoder()
+    out = []
+    try:
+        for chunk in chunks:
+            records = decoder.feed(chunk, limit)
+            while records:
+                assert limit is None or len(records) <= limit
+                out.extend(records)
+                records = decoder.take(limit)
+    except ValueError as exc:
+        assert "corrupt" in str(exc)
+        return out + ["raise"]
+    return out + [decoder.pending_bytes]
+
+
+def _comparable(entry):
+    if isinstance(entry, ValueError):
+        return ("error", str(entry))
+    if isinstance(entry, (Update, TransactionSpec)):
+        return item_to_dict(entry)
+    return entry
+
+
+_STREAM_ITEMS = _drawn_items(duration=0.3)
+_BAD_BODY = FRAME_HEADER.pack(TAG_UPDATE, 8) + b"\x00" * 8
+_CORRUPT_HEADER = FRAME_HEADER.pack(0x7E, MAX_FRAME_BODY + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_limited_feeding_matches_one_unlimited_feed(data):
+    """For any chunking and any limit >= 1 the decoder yields the same
+    record sequence as one unlimited ``feed`` of the whole payload —
+    bad-body ``ValueError`` entries in place, and the raise on a corrupt
+    header after exactly the records ahead of it."""
+    frames = [encode_frame(item) for item in _STREAM_ITEMS]
+    frames.insert(
+        data.draw(st.integers(0, len(frames)), label="bad body at"), _BAD_BODY
+    )
+    if data.draw(st.booleans(), label="corrupt header"):
+        frames.insert(
+            data.draw(st.integers(0, len(frames)), label="corrupt at"),
+            _CORRUPT_HEADER,
+        )
+    payload = b"".join(frames)
+    cuts = sorted(data.draw(
+        st.lists(st.integers(0, len(payload)), max_size=12), label="cuts"
+    ))
+    chunks = [
+        payload[a:b] for a, b in zip([0] + cuts, cuts + [len(payload)])
+    ]
+    limit = data.draw(st.integers(1, len(frames) + 1), label="limit")
+    expected = [_comparable(entry) for entry in _feed_all([payload])]
+    assert [
+        _comparable(entry) for entry in _feed_all(chunks, limit)
+    ] == expected
+
+
+def test_decoder_does_not_decode_past_the_limit():
+    """Frames beyond the limit stay buffered as bytes: decode is part of
+    the quantum, not done up front for the whole chunk."""
+    frames = [encode_frame(item) for item in _STREAM_ITEMS[:10]]
+    decoder = FrameDecoder()
+    first = decoder.feed(b"".join(frames), 4)
+    assert len(first) == 4
+    assert decoder.pending_bytes == sum(len(f) for f in frames[4:])
+    assert len(decoder.take(4)) == 4
+    assert len(decoder.take(4)) == 2
+    assert decoder.take(4) == [] and decoder.pending_bytes == 0
 
 
 def test_decoder_buffers_partial_tail_frame():

@@ -22,8 +22,9 @@ import pytest
 from repro.config import baseline_config
 from repro.core.sharding import route_batch, shard_config
 from repro.db.objects import ObjectClass, Update
-from repro.db.sharding import ShardRouter
+from repro.db.sharding import ShardRouter, Topology
 from repro.live import IngestServer, LiveRuntime, WireClient
+from repro.live.plane import RouterPlane
 from repro.live.wire import (
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
@@ -238,6 +239,54 @@ def test_serve_session_exits(make_reader, expected_errors, expected_batches,
         )
 
 
+@pytest.mark.parametrize("batch_max", [1, 256])
+@pytest.mark.parametrize("protocol", [PROTOCOL_BINARY, PROTOCOL_JSONL])
+def test_serve_session_delivers_bounded_quanta(protocol, batch_max):
+    """The quantum contract: whatever one socket read returned, dispatch
+    sees at most ``batch_max`` records at a time, in wire order, and
+    every other task on the loop gets a turn between two quanta."""
+    updates = [
+        Update(seq=seq, klass=ObjectClass.VIEW_LOW, object_id=3, value=1.0,
+               generation_time=0.0, arrival_time=0.0)
+        for seq in range(10 * batch_max)
+    ]
+    payload = (
+        WIRE_PREAMBLE + encode_frames(updates)
+        if protocol == PROTOCOL_BINARY else encode_lines(updates)
+    )
+    turns = 0
+    calls = []  # (loop turns seen so far, seqs delivered)
+
+    async def count_turns():
+        nonlocal turns
+        while True:
+            turns += 1
+            await asyncio.sleep(0)
+
+    def dispatch(records, replies, session_protocol):
+        assert session_protocol == protocol
+        calls.append((turns, [
+            record.seq if isinstance(record, Update) else record["seq"]
+            for record in records
+        ]))
+
+    async def run():
+        counter = asyncio.ensure_future(count_turns())
+        try:
+            return await serve_session(
+                _reader_with(payload), _MemoryWriter(), dispatch,
+                batch_max=batch_max,
+            )
+        finally:
+            counter.cancel()
+
+    assert asyncio.run(run()) == 0
+    assert max(len(seqs) for _, seqs in calls) <= batch_max
+    assert [seq for _, seqs in calls for seq in seqs] == list(range(len(updates)))
+    seen = [turn for turn, _ in calls]
+    assert all(later > earlier for earlier, later in zip(seen, seen[1:]))
+
+
 # ----------------------------------------------------------------------
 # Mixed-protocol sessions against one server
 # ----------------------------------------------------------------------
@@ -356,6 +405,69 @@ def test_wire_clients_of_both_protocols_interoperate():
     via_jsonl, via_binary = asyncio.run(scenario())
     assert len(via_jsonl) == len(via_binary) == 5
     assert sorted(via_jsonl) == sorted(via_binary)
+
+
+@pytest.mark.parametrize("endpoint", ["server", "plane"])
+def test_stop_ends_open_sessions_without_tracebacks(endpoint):
+    """A clean stop closes the sessions it accepted: both clients read
+    EOF and every handler returned through ``serve_session``, not
+    through a teardown cancellation asyncio would log."""
+    update, _ = _session_items()
+    complaints = []
+
+    async def open_sessions(host, port):
+        jsonl = await asyncio.open_connection(host, port)
+        jsonl[1].write(encode_lines([update]))
+        binary = await asyncio.open_connection(host, port)
+        binary[1].write(WIRE_PREAMBLE + encode_frames([update]))
+        for _, writer in (jsonl, binary):
+            await writer.drain()
+        return jsonl, binary
+
+    async def read_eof(sessions):
+        for reader, writer in sessions:
+            # read() returns at EOF only, with any replies sent before it.
+            await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+
+    async def server_scenario():
+        runtime = LiveRuntime(_smoke_config(), "TF")
+        runtime.start()
+        server = IngestServer(runtime)
+        sessions = await open_sessions(*await server.start())
+        while server.records_received < 2:
+            await asyncio.sleep(0.005)
+        await server.stop()
+        await read_eof(sessions)
+        await runtime.shutdown()
+        return server.connections
+
+    async def plane_scenario():
+        # Shard 0 is not up: the plane sheds the records, which is all
+        # this test needs — a session that is open and has done work.
+        config = _smoke_config()
+        plane = RouterPlane(config, shards=1, topology=Topology(
+            config.updates.n_low, config.updates.n_high, 1
+        ))
+        listener = await asyncio.start_server(plane.handle, "127.0.0.1", 0)
+        sessions = await open_sessions(*listener.sockets[0].getsockname()[:2])
+        while sum(plane.shed_shard_down) < 2:
+            await asyncio.sleep(0.005)
+        listener.close()
+        await plane.close_sessions()
+        await listener.wait_closed()
+        await read_eof(sessions)
+        return plane.sessions
+
+    async def scenario():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: complaints.append(context)
+        )
+        run = server_scenario if endpoint == "server" else plane_scenario
+        return await run()
+
+    assert asyncio.run(scenario()) == 2
+    assert complaints == []
 
 
 # ----------------------------------------------------------------------
