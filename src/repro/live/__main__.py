@@ -167,10 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "'hot=top_k:high,k=4' — sharded mode registers it "
                        "on every worker and merges the per-shard reports")
     serve.add_argument("--routers", type=int, default=1,
-                       help="router plane processes sharing the public port "
-                       "via SO_REUSEPORT (sharded mode; default 1 — the "
-                       "router runs in the supervisor process; needs >= 2 "
-                       "to spread ingest parsing over cores)")
+                       help="router planes sharing the public port "
+                       "(sharded mode): plane 0 runs in the supervisor "
+                       "process, N > 1 adds N-1 plane processes on the same "
+                       "port via SO_REUSEPORT to spread ingest parsing over "
+                       "cores (default 1: no extra process)")
 
     loadgen = sub.add_parser("loadgen",
                              help="stream traffic at a running server")

@@ -3,30 +3,33 @@
 ``repro-live serve --shards N`` runs N worker processes, each hosting a
 full single-shard pipeline (a :class:`~repro.live.server.ShardHost` — the
 same start/stop sequence a standalone server runs — on a loopback port),
-behind one public TCP socket served by one or more
-:class:`~repro.live.plane.RouterPlane` s.  The public socket speaks the
-same wire protocols as a single server — clients cannot tell the
+behind one public TCP socket served by ``routers``
+:class:`~repro.live.plane.RouterPlane` s: plane 0 in this process, sharing
+its router and topology, plus ``routers - 1`` plane children on the same
+``SO_REUSEPORT`` port (none at ``routers=1``).  The public socket speaks
+the same wire protocols as a single server — clients cannot tell the
 difference.  This module is the *supervisor* side of that:
 
-* **process supervision**: workers and routing-plane processes are plain
-  ``multiprocessing`` ("spawn") children; control flows over a pipe
-  (ready / topology / stop / result), data flows over loopback TCP as
-  binary frames.  Each worker rebuilds the (deterministic)
-  :class:`~repro.db.sharding.ShardRouter` from the global config, so
-  nothing stateful crosses the process boundary.  A supervisor task
-  polls every process sentinel; a dead worker is either restarted
-  (fresh :class:`LiveRuntime` — warm from its log with ``log_dir`` —
-  on a re-registered port, counted in ``extras["worker_restarts"]``) or,
-  once ``restart_limit`` is exhausted, marked **down**, and its records
-  are shed with typed ``shard_down`` replies while the client session
-  stays up — the cluster is fault tolerant the same way the scheduler is
-  overload tolerant: by shedding, accounting, and recovering.  See
-  ``docs/RESILIENCE.md`` for the failure model;
+* **process supervision**: a shard worker and a plane child are the same
+  thing to the supervisor — a :class:`Child`: a ``multiprocessing``
+  ("spawn") process behind one entry point, controlled over a
+  :class:`ControlPipe` (ready / topology / stats / stop) while data flows
+  over loopback TCP as binary frames.  Each child rebuilds the
+  (deterministic) :class:`~repro.db.sharding.ShardRouter` from the global
+  config, so nothing stateful crosses the process boundary.  Death is an
+  event — the process sentinel turning readable, not a poll — handled on
+  one path for both kinds: the child is restarted (a worker: fresh
+  :class:`LiveRuntime`, warm from its log with ``log_dir``, on a
+  re-registered port, counted in ``extras["worker_restarts"]``) or, once
+  ``restart_limit`` is exhausted, marked **down**; a down worker's
+  records are shed with typed ``shard_down`` replies while the client
+  session stays up — the cluster is fault tolerant the same way the
+  scheduler is overload tolerant: by shedding, accounting, and
+  recovering.  See ``docs/RESILIENCE.md`` for the failure model;
 * **topology epochs**: the supervisor owns the one authoritative
   :class:`~repro.db.sharding.Topology`, refreshes it on every worker
-  status or endpoint change (:meth:`ShardCluster._bump_epoch`), shares
-  that instance with the in-parent plane, and broadcasts it to workers
-  and plane processes;
+  status or endpoint change (:meth:`ShardCluster._bump_epoch`) and
+  broadcasts it to every child;
 * **snapshot fan-in and merge**: ``{"kind": "snapshot"}`` is answered
   with the *merged* fleet snapshot — per-shard snapshots fetched over the
   workers' own wire protocol and aggregated by
@@ -35,10 +38,10 @@ difference.  This module is the *supervisor* side of that:
   and ``shutdown()`` skip dead workers under bounded timeouts (join ->
   terminate -> kill escalation) and note them in ``extras``.
 
-:func:`run_sharded_bench` reuses the same process machinery to measure
-aggregate install throughput at a given shard count, driving each shard
-with an in-process :class:`~repro.live.loadgen.LoadGenerator` (no
-sockets — it measures scheduler capacity, not socket throughput).
+:func:`run_sharded_bench` spawns its own unsupervised processes to
+measure aggregate install throughput at a given shard count, driving
+each shard with an in-process :class:`~repro.live.loadgen.LoadGenerator`
+(no sockets — it measures scheduler capacity, not socket throughput).
 """
 
 from __future__ import annotations
@@ -57,12 +60,7 @@ from repro.core.sharding import shard_config
 from repro.db.views import merge_view_reports
 from repro.db.sharding import ROUTER_VERSION, ShardRouter, Topology
 from repro.live.loadgen import LoadGenerator
-from repro.live.plane import (
-    RouterPlane,
-    ShardDownError,
-    _ignore_signals,
-    _router_plane_main,
-)
+from repro.live.plane import RouterPlane, ShardDownError
 from repro.live.runtime import LiveRuntime
 from repro.live.server import ShardHost
 from repro.live.wire import (
@@ -79,10 +77,16 @@ from repro.metrics.storage import result_from_dict
 
 logger = logging.getLogger(__name__)
 
-#: How long the parent waits for a worker to report its port or result.
+#: How long the parent waits for a child to report ready.
 _WORKER_TIMEOUT = 60.0
 
-#: Pipe poll period inside async waits.
+#: Bound on one shard's snapshot round trip (a slower shard is skipped).
+_SNAPSHOT_TIMEOUT = 10.0
+
+#: Bound on a plane child's snapshot round trip through the supervisor.
+_SNAPSHOT_PIPE_WAIT = 30.0
+
+#: Liveness poll period inside the join -> terminate -> kill escalation.
 _POLL_INTERVAL = 0.02
 
 #: Per-stage wait inside the join -> terminate -> kill escalation.
@@ -164,29 +168,155 @@ def merge_extras_sources(*sources: dict) -> dict:
     return merged
 
 
+
 # ----------------------------------------------------------------------
-# Worker processes
+# The control pipe (both ends)
 # ----------------------------------------------------------------------
-def _serve_worker_main(
-    conn, config, algorithm, algorithm_kwargs, index, shards,
-    batch_max=DEFAULT_BATCH_MAX, flush_us=DEFAULT_FLUSH_US,
-    log_dir=None, fsync="never", snapshot_interval=5.0, views=None,
-):
-    """Entry point of one serving shard (runs in a spawned process)."""
+class ControlPipe:
+    """One end of a child's control pipe, read by the event loop.
+
+    Supervisor and child wrap their ends of one duplex pipe in this class
+    and speak one message shape.  A request is ``(kind, token, *args)``:
+    the receiver runs ``handlers[kind](*args)`` and, for a non-zero
+    token, sends the (awaited) return value back as ``(token, value)``,
+    resolving the sender's :meth:`call`.  Token 0 is a :meth:`post` —
+    nobody waits, nothing comes back (``topology`` broadcasts, a child's
+    ``ready``).  Either end may call the other.  The fd is watched with
+    ``loop.add_reader``: a message, and the peer closing its end, are
+    events rather than something polled for.
+
+    ``stop`` is the one kind the pipe itself knows: once its handler has
+    been answered the pipe closes and ``stopped`` resolves, and EOF on an
+    end with a ``stop`` handler is delivered as a ``stop`` nobody waits
+    for — a child that loses its supervisor stops as if told to.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.handlers: dict = {}
+        self._loop = asyncio.get_running_loop()
+        self.stopped: asyncio.Future = self._loop.create_future()
+        self._stopping = False
+        self._calls: "dict[int, asyncio.Future]" = {}
+        self._tokens = itertools.count(1)
+        self._tasks: "set[asyncio.Task]" = set()
+
+    def watch(self, handlers: dict) -> None:
+        """Start reading.  Until then requests wait in the pipe, so a
+        child that is still coming up applies them late, not never."""
+        self.handlers = handlers
+        self._loop.add_reader(self.conn.fileno(), self._on_readable)
+
+    def _send(self, message: tuple) -> bool:
+        """``False``: closed or broken (the peer's death is not news here)."""
+        try:
+            self.conn.send(message)
+            return True
+        except (BrokenPipeError, OSError):
+            return False
+
+    def post(self, kind: str, *args) -> None:
+        """Send a request nobody waits for."""
+        self._send((kind, 0, *args))
+
+    async def call(self, kind: str, *args, timeout: float):
+        """One round trip: the peer handler's return value, or ``None``
+        when the pipe is closed, the peer goes away mid-call or ``timeout``
+        passes — peer trouble degrades the answer, it never raises."""
+        token = next(self._tokens)
+        future = self._calls[token] = self._loop.create_future()
+        try:
+            if not self._send((kind, token, *args)):
+                return None
+            return await asyncio.wait_for(future, timeout)
+        except asyncio.TimeoutError:
+            return None
+        finally:
+            del self._calls[token]
+
+    def _on_readable(self) -> None:
+        """The pipe watcher: take every whole message, then notice EOF."""
+        try:
+            while self.conn.poll():
+                message = self.conn.recv()
+                if isinstance(message[0], int):  # (token, value): a reply
+                    future = self._calls.get(message[0])
+                    if future is not None and not future.done():
+                        future.set_result(message[1])
+                else:
+                    self._dispatch(*message)
+        except (EOFError, OSError):
+            self.close()
+            if "stop" in self.handlers:
+                self._dispatch("stop")
+
+    def _dispatch(self, kind: str, token: int = 0, *args) -> None:
+        if kind == "stop":
+            if self._stopping:
+                return
+            self._stopping = True
+        # One task per request: synchronous handlers still run in arrival
+        # order (tasks start FIFO), slow ones do not hold up the pipe.
+        task = asyncio.ensure_future(self._run(kind, token, *args))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _run(self, kind: str, token: int, *args) -> None:
+        try:
+            value = self.handlers[kind](*args)
+            if asyncio.iscoroutine(value):
+                value = await value
+            if token:
+                self._send((token, value))
+        finally:
+            if kind == "stop":  # even a stop that failed ends the child
+                self.close()
+                self.stopped.set_result(None)
+
+    def close(self) -> None:
+        """Stop watching (an fd at EOF stays readable for ever), close
+        this end, answer calls in flight with ``None``.  Idempotent."""
+        if not self.conn.closed:
+            self._loop.remove_reader(self.conn.fileno())
+            self.conn.close()
+            for future in self._calls.values():
+                if not future.done():
+                    future.set_result(None)
+
+
+# ----------------------------------------------------------------------
+# Child processes
+# ----------------------------------------------------------------------
+def _ignore_signals() -> None:
+    """Shield a child process from group-delivered SIGINT/SIGTERM (Ctrl-C
+    hits the whole foreground group); shutdown arrives over the pipe, and
+    the daemon flag reaps children if the parent dies."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
+
+def _child_main(conn, start, *args) -> None:
+    """Entry point of every supervised child (runs in a spawned process);
+    ``start`` is its role, :func:`_start_worker` or :func:`_start_plane`."""
     _ignore_signals()
-    asyncio.run(
-        _serve_worker_async(
-            conn, config, algorithm, algorithm_kwargs, index, shards,
-            batch_max, flush_us, log_dir, fsync, snapshot_interval, views,
-        )
-    )
+    asyncio.run(_child_async(conn, start, *args))
 
 
-async def _serve_worker_async(
-    conn, config, algorithm, kwargs, index, shards,
-    batch_max=DEFAULT_BATCH_MAX, flush_us=DEFAULT_FLUSH_US,
-    log_dir=None, fsync="never", snapshot_interval=5.0, views=None,
+async def _child_async(conn, start, *args) -> None:
+    """Bring the role up, report ready, obey the pipe until ``stop``."""
+    pipe = ControlPipe(conn)
+    info, handlers = await start(pipe, *args)
+    pipe.watch(handlers)
+    pipe.post("ready", info)
+    await pipe.stopped
+
+
+async def _start_worker(
+    pipe, config, index, shards, batch_max, flush_us,
+    algorithm, kwargs, log_dir, fsync, snapshot_interval, views,
 ):
+    """One serving shard.  ``topology`` keeps its shard map fresh (for
+    smart clients' topology/moved records); ``stop`` returns its result."""
     shard = ShardHost(
         config, algorithm, batch_max=batch_max, flush_us=flush_us,
         router=ShardRouter(config.updates.n_low, config.updates.n_high, shards),
@@ -195,36 +325,66 @@ async def _serve_worker_async(
         algorithm_kwargs=kwargs,
     )
     stats = await shard.start()
-    if stats is not None:
-        conn.send(("ready", shard.server.port, {
-            "replayed_records": stats.replayed_records,
-            "replay_lag_s": stats.replay_lag_s,
-        }))
-    else:
-        conn.send(("ready", shard.server.port))
-    # Control loop: topology broadcasts keep the worker's copy fresh (for
-    # smart clients' topology/moved records) until the stop message.
-    message = None
-    while message is None:
-        while not conn.poll():
-            await asyncio.sleep(0.05)
-        received = conn.recv()
-        if received[0] == "topology":  # ("topology", epoch, workers)
-            shard.server.topology.apply(received[1], received[2])
-        else:
-            message = received  # ("stop", drain_timeout)
-    drain_timeout = message[1] if len(message) > 1 else 5.0
-    result, _ = await shard.stop(drain_timeout)
-    payload = asdict(result)
-    direct = shard.server.direct_accounting()
-    if direct is not None:
-        # Smart clients bypassed the router on this shard: ship the
-        # worker-side direct/redirect counters so the merge can fold
-        # them in next to the planes' routing counters.
-        extras = dict(payload.get("extras") or {})
-        extras["direct"] = direct
-        payload["extras"] = extras
-    conn.send(("result", payload))
+
+    async def stop(drain_timeout: float = 5.0) -> dict:
+        result, _ = await shard.stop(drain_timeout)
+        payload = asdict(result)
+        direct = shard.server.direct_accounting()
+        if direct is not None:
+            # Smart clients bypassed the router on this shard: ship the
+            # worker-side direct/redirect counters so the merge can fold
+            # them in next to the planes' routing counters.
+            extras = dict(payload.get("extras") or {})
+            extras["direct"] = direct
+            payload["extras"] = extras
+        return payload
+
+    info = {
+        "port": shard.server.port,
+        "replayed_records": stats.replayed_records if stats else 0,
+        "replay_lag_s": stats.replay_lag_s if stats else 0.0,
+    }
+    return info, {"topology": shard.server.topology.apply, "stop": stop}
+
+
+async def _start_plane(
+    pipe, config, index, shards, batch_max, flush_us,
+    host, port, epoch, workers,
+):
+    """One routing plane beside the supervisor's, on the shared port.
+    ``stop_ingest`` closes the listening socket and the open sessions,
+    ``stop`` does that and returns the final counters.  A client's fleet
+    snapshot is a ``snapshot`` call *to* the supervisor — only it can
+    fan one in."""
+    topology = Topology(
+        config.updates.n_low, config.updates.n_high, shards,
+        epoch=epoch, workers=workers,
+    )
+    plane = RouterPlane(
+        config, shards=shards, topology=topology, batch_max=batch_max,
+        flush_us=flush_us, index=index,
+        snapshot_cb=lambda: pipe.call("snapshot", timeout=_SNAPSHOT_PIPE_WAIT),
+    )
+    server = await asyncio.start_server(
+        plane.handle, host, port, reuse_port=True
+    )
+
+    async def stop_ingest() -> None:
+        server.close()
+        await plane.close_sessions()
+        try:
+            await asyncio.wait_for(server.wait_closed(), 2.0)
+        except asyncio.TimeoutError:  # pragma: no cover - slow close
+            pass
+
+    async def stop() -> dict:
+        await stop_ingest()
+        return plane.stats()
+
+    return {}, {
+        "topology": topology.apply, "stats": plane.stats,
+        "stop_ingest": stop_ingest, "stop": stop,
+    }
 
 
 def _bench_worker_main(
@@ -274,32 +434,14 @@ async def _bench_worker_async(
     conn.send(("result", asdict(result)))
 
 
-async def _pipe_recv(conn, process, timeout=_WORKER_TIMEOUT):
-    """Await one pipe message from a worker without blocking the loop."""
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    while not conn.poll():
-        if not process.is_alive():
-            raise RuntimeError(
-                f"shard worker pid={process.pid} died "
-                f"(exitcode {process.exitcode})"
-            )
-        if loop.time() > deadline:
-            raise TimeoutError("timed out waiting for a shard worker")
-        await asyncio.sleep(_POLL_INTERVAL)
-    return conn.recv()
-
-
 async def _reap(process, *, grace: float = _REAP_GRACE) -> None:
-    """Retire one worker process with bounded escalation.
+    """Retire one child process with bounded escalation.
 
     Wait up to ``grace`` for a voluntary exit, then ``terminate()``, wait
-    again, then ``kill()`` — so a hung or signal-shielded worker can delay
+    again, then ``kill()`` — so a hung or signal-shielded child can delay
     shutdown by at most ``2 * grace`` instead of forever.  Always joins at
     the end so the child is reaped (no zombies).
     """
-    if process is None:
-        return
     loop = asyncio.get_running_loop()
     for escalate in (process.terminate, process.kill):
         deadline = loop.time() + grace
@@ -312,18 +454,43 @@ async def _reap(process, *, grace: float = _REAP_GRACE) -> None:
 
 
 @dataclass
-class WorkerState:
-    """Parent-side liveness record of one shard worker.
+class Child:
+    """Supervisor-side record of one child process, worker or plane.
 
     Attributes:
-        index: Shard index (stable across restarts).
-        process / conn: The current child process and its control pipe;
-            replaced wholesale on restart.
+        index: Shard or plane index (stable across restarts).
+        process / pipe: The current incarnation and the supervisor's end
+            of its control pipe; replaced wholesale on restart.
+        status: ``starting`` | ``up`` | ``restarting`` | ``down``.
+        restarts: Completed supervisor restarts of this child.
+        ready: Resolves to the current incarnation's ready report (this
+            record's fields as it has them), or ``None`` if it dies first.
+    """
+
+    index: int
+    process: "multiprocessing.process.BaseProcess | None" = None
+    pipe: "ControlPipe | None" = None
+    status: str = "starting"
+    restarts: int = 0
+    ready: "asyncio.Future | None" = None
+
+    #: How log lines and errors name this kind of child.
+    role = "child"
+
+    def kill(self) -> None:
+        """Fault injection: SIGKILL the current incarnation.  The
+        supervisor observes the death exactly as it would a real crash."""
+        if self.process is not None and self.process.is_alive():
+            self.process.kill()
+
+
+@dataclass
+class WorkerState(Child):
+    """A shard worker; any status other than ``up`` sheds routed records.
+
+    Attributes:
         port: The worker's current loopback ingest port (re-registered
             on restart — restarted workers bind a fresh port).
-        status: ``starting`` | ``up`` | ``restarting`` | ``down``.
-            Anything other than ``up`` sheds routed records.
-        restarts: Completed supervisor restarts of this shard.
         shed_shard_down: Records shed because this shard was not up.
         replayed_records: Log records the current incarnation replayed
             on its warm start (0 for cold starts).
@@ -334,17 +501,14 @@ class WorkerState:
         last_snapshot_error: Most recent capture failure, as ``repr``.
     """
 
-    index: int
-    process: "multiprocessing.process.BaseProcess | None" = None
-    conn: object | None = None
     port: int = 0
-    status: str = "starting"
-    restarts: int = 0
     shed_shard_down: int = 0
     replayed_records: int = 0
     replay_lag_s: float = 0.0
     snapshot_errors: int = 0
     last_snapshot_error: "str | None" = None
+
+    role = "shard worker"
 
     def liveness(self) -> dict:
         """This worker's row in ``extras["workers"]``."""
@@ -362,24 +526,30 @@ class WorkerState:
 
 
 @dataclass
-class PlaneState:
-    """Parent-side liveness record of one routing-plane process.
+class PlaneState(Child):
+    """A routing-plane child (planes 1..N-1; plane 0 is the supervisor).
 
     Attributes:
-        index: Plane index (stable across restarts).
-        process / conn: The current child process and its control pipe.
-        status: ``starting`` | ``up`` | ``restarting`` | ``down``.
-        restarts: Completed supervisor restarts of this plane.
-        stats: Last stats dict the plane reported (kept across death so
-            a crashed plane's routed-record accounting still merges).
+        stats: Counters the current incarnation last reported (kept
+            across its death, so a crashed plane's accounting merges).
+        row: That report's ``"plane"`` entry — its ``extras["planes"]`` row.
+        carried: The last reports of all earlier incarnations, merged.
     """
 
-    index: int
-    process: "multiprocessing.process.BaseProcess | None" = None
-    conn: object | None = None
-    status: str = "starting"
-    restarts: int = 0
     stats: "dict | None" = None
+    row: "dict | None" = None
+    carried: "dict | None" = None
+
+    role = "router plane"
+
+    def carry_over(self) -> None:
+        """Fold the last report into ``carried``, so merged counters do
+        not run backwards once the successor reports.  What the plane
+        routed *after* that report is gone with the process: the workers
+        count those records as arrivals, the routed-side counters do not."""
+        if self.stats is not None:
+            self.carried = merge_extras_sources(self.carried or {}, self.stats)
+        self.stats = self.row = None
 
 
 # ----------------------------------------------------------------------
@@ -396,32 +566,20 @@ class ShardCluster:
         shards: Worker count (>= 2; use a plain server for one shard).
         host / port: Public bind address of the router socket.
         algorithm_kwargs: Constructor args for the algorithm.
-        restart_limit: Times the supervisor restarts one crashed shard
-            worker before marking the shard down for good (0 = never
-            restart, shed immediately).
-        supervise_interval: Supervisor sentinel-poll period in seconds.
-        snapshot_timeout: Bound on one shard's snapshot round trip; a
-            shard that cannot answer inside it is skipped (and its
-            records shed once the supervisor confirms the death).
-        connect_attempts: Per-connection retry budget for upstream and
-            snapshot connections (see
-            :func:`~repro.live.wire.connect_with_retry`).
+        restart_limit: Times the supervisor restarts one crashed child —
+            shard worker or routing plane — before marking it down for
+            good (0 = never restart; a down worker's records are shed).
         shutdown_grace: Extra seconds past ``drain_timeout`` that
             :meth:`shutdown` waits for each worker's final result before
             declaring the shard dead and escalating.
-        rpc_grace: Extra seconds on top of a cross-shard transaction's
-            own firm deadline (execution estimate + slack) before the
-            router gives up on a shard's sub-read and scores it a
-            deadline miss — covers the scatter/gather wire hops, which
-            the spec's deadline does not know about.
-        routers: Routing-plane count.  ``1`` (default) serves the public
-            socket from one :class:`~repro.live.plane.RouterPlane` in
-            the parent process — the founding topology.  ``N >= 2``
-            spawns N plane *processes* all bound to the same public
-            ``(host, port)`` via ``SO_REUSEPORT``; the kernel balances
-            client connections across them, each holds its own upstream
-            channels to every worker, and the supervisor restarts a
-            crashed plane like a worker.  Requires a platform with
+        routers: Routing-plane count.  Plane 0 is the
+            :class:`~repro.live.plane.RouterPlane` in this process;
+            ``routers=N`` adds N−1 plane *children* listening on the same
+            public ``(host, port)`` via ``SO_REUSEPORT`` — the kernel
+            balances client connections across the N listeners, each
+            plane holds its own upstream channels to every worker, and a
+            crashed plane child is restarted like a worker.  ``1``
+            (default) spawns none; ``N >= 2`` needs a platform with
             ``SO_REUSEPORT`` (Linux/BSD/macOS).
         log_dir: Directory for per-shard write-ahead logs + snapshots
             (see :mod:`repro.live.durability`).  ``None`` (default)
@@ -444,11 +602,7 @@ class ShardCluster:
         batch_max: int = DEFAULT_BATCH_MAX,
         flush_us: float = DEFAULT_FLUSH_US,
         restart_limit: int = 1,
-        supervise_interval: float = 0.05,
-        snapshot_timeout: float = 10.0,
-        connect_attempts: int = 6,
         shutdown_grace: float = 10.0,
-        rpc_grace: float = 0.25,
         routers: int = 1,
         log_dir: "str | None" = None,
         fsync: str = "never",
@@ -478,11 +632,7 @@ class ShardCluster:
         self.batch_max = batch_max
         self.flush_us = flush_us
         self.restart_limit = restart_limit
-        self.supervise_interval = supervise_interval
-        self.snapshot_timeout = snapshot_timeout
-        self.connect_attempts = connect_attempts
         self.shutdown_grace = shutdown_grace
-        self.rpc_grace = rpc_grace
         self.routers = routers
         self.log_dir = log_dir
         self.fsync = fsync
@@ -504,42 +654,31 @@ class ShardCluster:
             config.updates.n_low, config.updates.n_high, shards
         )
         #: The authoritative shard map.  Its epoch is bumped (and the map
-        #: broadcast to workers and remote planes) whenever a worker
-        #: endpoint or status changes, so smart clients can detect a stale
-        #: map (see ``docs/SCALING.md``).
+        #: broadcast to every child) whenever a worker endpoint or status
+        #: changes, so smart clients can detect a stale map (see
+        #: ``docs/SCALING.md``).
         self.topology = Topology(
             config.updates.n_low, config.updates.n_high, shards
         )
         self._rid = itertools.count(1)
         self._control: "dict[int, RpcChannel]" = {}
         self._workers: list[WorkerState] = []
+        #: Plane children, i.e. planes 1..routers-1.
         self._planes: list[PlaneState] = []
-        self._plane_services: set[asyncio.Task] = set()
-        self._plane_waiters: "dict[tuple[int, int], asyncio.Future]" = {}
-        self._plane_tokens = itertools.count(1)
         self._context = None
         self._server: asyncio.AbstractServer | None = None
-        self._probe: "socket.socket | None" = None
-        self._supervisor: asyncio.Task | None = None
+        #: Set by :meth:`shutdown` (and a failed :meth:`start`): children
+        #: exiting from here on were told to, and are not restarted.
+        self._stopping = False
         self._restart_tasks: set[asyncio.Task] = set()
         self._result: SimulationResult | None = None
-        # The in-parent data plane (routers == 1): shares this cluster's
-        # router and topology, so it observes supervisor transitions the
-        # instant they land.
-        self._plane: "RouterPlane | None" = None
-        if routers == 1:
-            self._plane = RouterPlane(
-                config,
-                shards=shards,
-                topology=self.topology,
-                batch_max=batch_max,
-                flush_us=flush_us,
-                rpc_grace=rpc_grace,
-                connect_attempts=connect_attempts,
-                index=0,
-                router=self.router,
-                snapshot_cb=self._snapshot_payload,
-            )
+        # Plane 0: shares this cluster's router and topology, so it
+        # observes supervisor transitions the instant they land.
+        self._plane = RouterPlane(
+            config, shards=shards, topology=self.topology, router=self.router,
+            batch_max=batch_max, flush_us=flush_us, index=0,
+            snapshot_cb=self._snapshot_payload,
+        )
 
     @property
     def ports(self) -> list[int]:
@@ -550,25 +689,26 @@ class ShardCluster:
     # Aggregated data-plane counters (across all planes)
     # ------------------------------------------------------------------
     def _plane_sources(self) -> list[dict]:
-        """Per-plane stats dicts: live for the in-parent plane, last
-        reported for plane processes (refreshed by
-        :meth:`_gather_plane_stats`)."""
-        sources = []
-        if self._plane is not None:
-            sources.append(self._plane.stats())
-        sources.extend(
-            plane.stats for plane in self._planes if plane.stats is not None
-        )
+        """Per-plane counter dicts: live for plane 0; for plane children
+        last reported (:meth:`_refresh_plane_stats`) and carried over."""
+        own = self._plane.stats()
+        del own["plane"]
+        sources = [own]
+        for plane in self._planes:
+            sources.extend(
+                stats for stats in (plane.carried, plane.stats)
+                if stats is not None
+            )
         return sources
 
     @property
     def records_received(self) -> int:
-        """Records routed across every plane (remote: last reported)."""
+        """Records routed across every plane (children: last reported)."""
         return sum(s.get("records_received", 0) for s in self._plane_sources())
 
     @property
     def errors(self) -> int:
-        """Protocol errors across every plane (remote: last reported)."""
+        """Protocol errors across every plane (children: last reported)."""
         return sum(s.get("protocol_errors", 0) for s in self._plane_sources())
 
     @property
@@ -588,374 +728,218 @@ class ShardCluster:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Spawn the workers, wait for their ports, bind the router plane(s)."""
+        """Spawn the workers, wait for their ports, open the public port
+        (plane 0 here, then the plane children).  If a child dies before
+        it is ready (``RuntimeError``) or never reports
+        (``TimeoutError``), every child spawned so far is retired first."""
         if self._workers:
             raise RuntimeError("cluster is already running")
         self._context = multiprocessing.get_context("spawn")
         self._workers = [WorkerState(index) for index in range(self.shards)]
-        for worker in self._workers:
-            self._spawn(worker)
-        for worker in self._workers:
-            message = await _pipe_recv(worker.conn, worker.process)
-            if message[0] != "ready":  # pragma: no cover - defensive
-                raise RuntimeError(f"unexpected worker message: {message[0]}")
-            self._note_ready(worker, message)
-        # Epoch 1: the initial all-ready topology, broadcast to workers
-        # (for smart clients' topology/moved replies) — before any plane
-        # listens, so no session ever routes against the placeholder map.
-        self._bump_epoch()
-        if self.routers == 1:
+        try:
+            await self._bring_up(self._workers)
+            # Epoch 1: the initial all-ready topology, broadcast to workers
+            # (for smart clients' topology/moved replies) — before any plane
+            # listens, so no session ever routes against the placeholder map.
+            self._bump_epoch()
             self._server = await asyncio.start_server(
-                self._plane.handle, self.host, self.port
+                self._plane.handle, self.host, self.port,
+                reuse_port=self.routers > 1,
             )
-            sockname = self._server.sockets[0].getsockname()
-            self.host, self.port = sockname[0], sockname[1]
-        else:
-            # Fix the concrete public port with a bound-but-never-listening
-            # probe socket (SO_REUSEPORT: only *listening* sockets receive
-            # connections, so the probe never steals one), then hand the
-            # same (host, port) to every plane process.
-            self._bind_probe()
-            self._planes = [PlaneState(index) for index in range(self.routers)]
-            for plane in self._planes:
-                self._spawn_plane(plane)
-            for plane in self._planes:
-                message = await _pipe_recv(plane.conn, plane.process)
-                if message[0] != "ready":  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"unexpected plane message: {message[0]}"
-                    )
-                plane.status = "up"
-            for plane in self._planes:
-                self._plane_services.add(
-                    asyncio.ensure_future(self._plane_service(plane))
-                )
-        self._supervisor = asyncio.ensure_future(self._supervise())
+            # The concrete port is fixed here; the plane children bind the
+            # same one (SO_REUSEPORT: every listener gets a share).
+            self.host, self.port = self._server.sockets[0].getsockname()[:2]
+            self._planes = [PlaneState(i) for i in range(1, self.routers)]
+            await self._bring_up(self._planes)
+        except BaseException:
+            self._stopping = True
+            await asyncio.gather(*map(self._retire, self._children()))
+            await self.stop_ingest()
+            raise
         return self.host, self.port
 
-    def _bind_probe(self) -> None:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        probe.bind((self.host, self.port))
-        self.host, self.port = probe.getsockname()[:2]
-        self._probe = probe
+    def _children(self) -> "list[Child]":
+        return [*self._workers, *self._planes]
 
-    def _spawn_plane(self, plane: PlaneState) -> None:
-        """(Re)create one routing-plane process and its control pipe."""
+    async def _bring_up(self, children) -> None:
+        """Spawn ``children`` side by side, then wait for each to be ready."""
+        for child in children:
+            self._spawn(child)
+        for child in children:
+            await self._await_ready(child)
+
+    def _spawn(self, child: Child) -> None:
+        """(Re)create one child: process, control pipe, death watch."""
+        if isinstance(child, WorkerState):
+            start, args = _start_worker, (
+                self.algorithm, self.algorithm_kwargs, self.log_dir,
+                self.fsync, self.snapshot_interval, self.views,
+            )
+        else:
+            start, args = _start_plane, (
+                self.host, self.port,
+                self.topology.epoch, self.topology.workers,
+            )
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_router_plane_main,
+            target=_child_main,
             args=(
-                child_conn,
-                self.config,
-                self.host,
-                self.port,
-                self.shards,
-                self.batch_max,
-                self.flush_us,
-                self.rpc_grace,
-                self.connect_attempts,
-                plane.index,
-                self.topology.epoch,
-                self.topology.workers,
+                child_conn, start, self.config, child.index, self.shards,
+                self.batch_max, self.flush_us, *args,
             ),
             daemon=True,
         )
         process.start()
         child_conn.close()
-        plane.process = process
-        plane.conn = parent_conn
+        loop = asyncio.get_running_loop()
+        ready = loop.create_future()
+        child.process, child.ready = process, ready
+        child.pipe = ControlPipe(parent_conn)
+        child.pipe.watch({
+            # not done(): a report racing the incarnation's death loses.
+            "ready": lambda info: ready.done() or ready.set_result(info),
+            "snapshot": self._snapshot_payload,
+        })
+        loop.add_reader(process.sentinel, self._on_death, child, process)
 
-    async def _plane_service(self, plane: PlaneState) -> None:
-        """Pump one plane process's control pipe.
-
-        Outbound plane requests (a client asked that plane for a fleet
-        snapshot) are answered with the parent's own :meth:`snapshot`;
-        inbound replies (stats / ingest_closed / result) resolve the
-        token-keyed futures :meth:`_plane_call` is awaiting.  The task
-        exits on the plane's final ``result`` message or on pipe EOF
-        (plane death — the supervisor handles the restart).
-        """
-        conn = plane.conn
+    async def _await_ready(self, child: Child) -> None:
+        """Wait for the current incarnation's ready report; register it."""
         try:
-            while True:
-                while not conn.poll():
-                    await asyncio.sleep(_POLL_INTERVAL)
-                message = conn.recv()
-                kind = message[0]
-                if kind == "snapshot_req":
-                    asyncio.ensure_future(
-                        self._answer_plane_snapshot(plane, message[1])
-                    )
-                    continue
-                payload = message[2] if len(message) > 2 else None
-                if kind in ("stats", "result") and payload is not None:
-                    plane.stats = payload
-                future = self._plane_waiters.pop(
-                    (plane.index, message[1]), None
-                )
-                if future is not None and not future.done():
-                    future.set_result(payload)
-                if kind == "result":
-                    return
-        except (EOFError, OSError):
-            return
-
-    async def _answer_plane_snapshot(
-        self, plane: PlaneState, token: int
-    ) -> None:
-        """Serve one plane's snapshot request (only the parent can fan in)."""
-        try:
-            payload, ok = asdict(await self.snapshot()), True
-        except ShardDownError as exc:
-            payload, ok = str(exc), False
-        try:
-            plane.conn.send(("snapshot_res", token, ok, payload))
-        except (BrokenPipeError, OSError):  # plane died while we gathered
-            pass
-
-    async def _plane_call(self, plane: PlaneState, kind: str, timeout: float):
-        """One tokened request/reply round trip to a plane process.
-
-        Returns the reply payload, or ``None`` when the plane is down,
-        the pipe broke, or the reply did not arrive inside ``timeout`` —
-        plane trouble degrades accounting freshness, never the caller.
-        """
-        if plane.conn is None or plane.status == "down":
-            return None
-        token = next(self._plane_tokens)
-        future = asyncio.get_running_loop().create_future()
-        self._plane_waiters[(plane.index, token)] = future
-        try:
-            plane.conn.send((kind, token))
-        except (BrokenPipeError, OSError):
-            self._plane_waiters.pop((plane.index, token), None)
-            return None
-        try:
-            return await asyncio.wait_for(future, timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            self._plane_waiters.pop((plane.index, token), None)
-            return None
-
-    def _spawn(self, worker: WorkerState) -> None:
-        """(Re)create one shard worker process and its control pipe."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_serve_worker_main,
-            args=(
-                child_conn,
-                self.config,
-                self.algorithm,
-                self.algorithm_kwargs,
-                worker.index,
-                self.shards,
-                self.batch_max,
-                self.flush_us,
-                self.log_dir,
-                self.fsync,
-                self.snapshot_interval,
-                self.views,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        worker.process = process
-        worker.conn = parent_conn
-
-    @staticmethod
-    def _note_ready(worker: WorkerState, message) -> None:
-        """Register one worker's ready message (with optional replay stats)."""
-        worker.port = message[1]
-        stats = message[2] if len(message) > 2 else None
-        if stats is not None:
-            worker.replayed_records = stats.get("replayed_records", 0)
-            worker.replay_lag_s = stats.get("replay_lag_s", 0.0)
-        worker.status = "up"
+            info = await asyncio.wait_for(child.ready, _WORKER_TIMEOUT)
+        except asyncio.TimeoutError:
+            raise TimeoutError(
+                f"timed out waiting for {child.role} {child.index}"
+            ) from None
+        # exitcode: it may also have died in the very turn its report landed.
+        if info is None or child.process.exitcode is not None:
+            raise RuntimeError(
+                f"{child.role} {child.index} (pid={child.process.pid}) died "
+                f"before it was ready (exitcode {child.process.exitcode})"
+            )
+        for name, value in info.items():
+            setattr(child, name, value)
+        child.status = "up"
 
     async def stop_ingest(self) -> None:
         """Close the public socket(s) and the client sessions on them;
         workers keep draining what they have."""
+        children = asyncio.gather(*(
+            plane.pipe.call("stop_ingest", timeout=5.0)
+            for plane in self._planes if plane.status == "up"
+        ))
         if self._server is not None:
             self._server.close()
             await self._plane.close_sessions()
             await self._server.wait_closed()
             self._server = None
-        if self._planes:
-            await asyncio.gather(*(
-                self._plane_call(plane, "stop_ingest", 5.0)
-                for plane in self._planes
-            ))
-        if self._probe is not None:
-            self._probe.close()
-            self._probe = None
+        await children
 
     # ------------------------------------------------------------------
     # Supervision
     # ------------------------------------------------------------------
-    async def _supervise(self) -> None:
-        """Watch every process sentinel (workers *and* routing planes);
-        restart or mark down."""
-        while True:
-            await asyncio.sleep(self.supervise_interval)
-            for worker in self._workers:
-                if worker.status == "up" and not worker.process.is_alive():
-                    self._on_worker_death(worker)
-            for plane in self._planes:
-                if plane.status == "up" and not plane.process.is_alive():
-                    self._on_plane_death(plane)
-
-    def _on_worker_death(self, worker: WorkerState) -> None:
-        exitcode = worker.process.exitcode
-        if worker.restarts < self.restart_limit:
-            worker.status = "restarting"
-            logger.warning(
-                "shard %d worker died (exitcode %s); restarting (%d/%d)",
-                worker.index, exitcode, worker.restarts + 1, self.restart_limit,
-            )
-            task = asyncio.ensure_future(self._restart_worker(worker))
+    def _on_death(self, child: Child, process) -> None:
+        """``process``, an incarnation of ``child``, has exited (its
+        sentinel turned readable): restart the child or mark it down.
+        A retired incarnation's callback must be inert, hence the
+        identity test; so must one fired during shutdown, where children
+        exit because they were told to."""
+        asyncio.get_running_loop().remove_reader(process.sentinel)
+        if process is not child.process or self._stopping:
+            return
+        # The sentinel closes a moment before the exit status can be
+        # collected; join() blocks for that moment only.
+        process.join(_REAP_GRACE)
+        if child.status != "up":
+            # Died coming up: whoever awaits its ready report hears of it.
+            if not child.ready.done():
+                child.ready.set_result(None)
+            return
+        restart = child.restarts < self.restart_limit
+        child.status = "restarting" if restart else "down"
+        logger.warning(
+            "%s %d died (exitcode %s); %s",
+            child.role, child.index, process.exitcode,
+            f"restarting ({child.restarts + 1}/{self.restart_limit})"
+            if restart else "restart budget exhausted — marking down",
+        )
+        if restart:
+            task = asyncio.ensure_future(self._restart(child))
             self._restart_tasks.add(task)
             task.add_done_callback(self._restart_tasks.discard)
-        else:
-            worker.status = "down"
-            logger.warning(
-                "shard %d worker died (exitcode %s); restart budget exhausted "
-                "— marking down, routed records will be shed",
-                worker.index, exitcode,
-            )
-        # Either way the shard map changed: direct clients must learn the
+        # If that changed the shard map, direct clients must learn the
         # endpoint is gone before they burn retries against it.
         self._bump_epoch()
 
-    def _on_plane_death(self, plane: PlaneState) -> None:
-        """A routing plane died: restart it like a worker, or mark it
-        down — the surviving planes keep serving the shared port."""
-        exitcode = plane.process.exitcode
-        if plane.restarts < self.restart_limit:
-            plane.status = "restarting"
-            logger.warning(
-                "router plane %d died (exitcode %s); restarting (%d/%d)",
-                plane.index, exitcode, plane.restarts + 1, self.restart_limit,
-            )
-            task = asyncio.ensure_future(self._restart_plane(plane))
-            self._restart_tasks.add(task)
-            task.add_done_callback(self._restart_tasks.discard)
-        else:
-            plane.status = "down"
-            logger.warning(
-                "router plane %d died (exitcode %s); restart budget "
-                "exhausted — marking down",
-                plane.index, exitcode,
-            )
+    async def _retire(self, child: Child) -> None:
+        """Retire everything an incarnation — dead, drained, or never
+        ready — leaves behind.
 
-    async def _restart_plane(self, plane: PlaneState) -> None:
-        """Replace a dead plane process bound to the same public port."""
-        try:
-            for key in [k for k in self._plane_waiters if k[0] == plane.index]:
-                future = self._plane_waiters.pop(key)
-                if not future.done():
-                    future.set_result(None)
-            await _reap(plane.process)
-            if plane.conn is not None:
-                plane.conn.close()
-                plane.conn = None
-            self._spawn_plane(plane)
-            message = await _pipe_recv(plane.conn, plane.process)
-            if message[0] != "ready":  # pragma: no cover - defensive
-                raise RuntimeError(f"unexpected plane message: {message[0]}")
-            plane.status = "up"
-            plane.restarts += 1
-            self._plane_services.add(
-                asyncio.ensure_future(self._plane_service(plane))
-            )
-            logger.info(
-                "router plane %d restarted (restart %d)",
-                plane.index, plane.restarts,
-            )
-        except asyncio.CancelledError:
-            plane.status = "down"
-            raise
-        except (RuntimeError, TimeoutError, EOFError, OSError) as exc:
-            plane.status = "down"
-            logger.error(
-                "router plane %d restart failed (%r); marking down",
-                plane.index, exc,
-            )
-
-    async def _retire_worker_resources(self, worker: WorkerState) -> None:
-        """Retire everything a dead (or drained) incarnation left behind.
-
-        The single place crash loops and shutdown release worker-attached
-        resources, so neither path can leak: the child process is reaped
-        (join → terminate → kill) and the control pipe fd is closed.
+        The single place crash loops, a failed :meth:`start` and shutdown
+        release child-attached resources, so no path can leak: the death
+        watch goes, the control pipe is closed (a child still alive reads
+        that as ``stop``), the process is reaped (join → terminate → kill).
 
         Durability files need no parent-side retirement: the dead
         incarnation's log fd died with the process, and the successor
         re-adopts the log *by path*, truncating any torn tail when it
         reopens (see :meth:`~repro.live.durability.UpdateLog.open`).
         """
-        await _reap(worker.process)
-        if worker.conn is not None:
-            worker.conn.close()
-            worker.conn = None
+        if child.process is None:
+            return
+        asyncio.get_running_loop().remove_reader(child.process.sentinel)
+        child.pipe.close()
+        await _reap(child.process)
 
-    async def _restart_worker(self, worker: WorkerState) -> None:
-        """Replace a dead worker with a fresh runtime on a fresh port.
-
-        While this runs the shard stays non-``up``, so its records are
-        shed rather than queued against a process that may never come
-        back; on failure the shard is marked down for good.  With
-        durability on (``log_dir``) the fresh worker warm-starts from the
-        shard's snapshot + log before it announces its port.
-        """
+    async def _restart(self, child: Child) -> None:
+        """Replace a dead child with a fresh incarnation: a worker as a
+        fresh runtime on a fresh port (with ``log_dir`` it warm-starts
+        from the shard's snapshot + log before it announces the port), a
+        plane on the same public port.  Meanwhile the child stays
+        non-``up``, so a shard's records are shed rather than queued
+        against a process that may never come back; on failure the child
+        is marked down for good."""
         try:
-            await self._retire_worker_resources(worker)
-            self._spawn(worker)
-            message = await _pipe_recv(worker.conn, worker.process)
-            if message[0] != "ready":  # pragma: no cover - defensive
-                raise RuntimeError(f"unexpected worker message: {message[0]}")
-            self._note_ready(worker, message)
-            worker.restarts += 1
-            self._bump_epoch()  # fresh port: redirect direct clients
+            await self._retire(child)
+            if isinstance(child, PlaneState):
+                child.carry_over()
+            self._spawn(child)
+            await self._await_ready(child)
+            child.restarts += 1
             logger.info(
-                "shard %d worker restarted on port %d (restart %d, "
-                "replayed %d records)",
-                worker.index, worker.port, worker.restarts,
-                worker.replayed_records,
+                "%s %d restarted (restart %d, %s)",
+                child.role, child.index, child.restarts, child.ready.result(),
             )
         except asyncio.CancelledError:
-            worker.status = "down"
+            child.status = "down"
             raise
-        except (RuntimeError, TimeoutError, EOFError, OSError) as exc:
-            worker.status = "down"
-            self._bump_epoch()
+        except (RuntimeError, TimeoutError, OSError) as exc:
+            child.status = "down"
             logger.error(
-                "shard %d restart failed (%r); marking down", worker.index, exc
+                "%s %d restart failed (%r); marking down",
+                child.role, child.index, exc,
             )
+        self._bump_epoch()  # a worker: fresh port (or down for good)
 
     def kill_worker(self, index: int) -> None:
-        """Fault injection (tests, ``--fail-shard``): SIGKILL one worker.
-
-        The supervisor then observes the death exactly as it would a real
-        crash and restarts or sheds per ``restart_limit``.
-        """
-        worker = self._workers[index]
-        if worker.process is not None and worker.process.is_alive():
-            os.kill(worker.process.pid, signal.SIGKILL)
+        """Fault injection (tests, ``--fail-shard``): SIGKILL one worker;
+        the supervisor then restarts or sheds per ``restart_limit``."""
+        self._workers[index].kill()
 
     def kill_plane(self, index: int) -> None:
-        """Fault injection: SIGKILL one routing-plane process."""
-        plane = self._planes[index]
-        if plane.process is not None and plane.process.is_alive():
-            os.kill(plane.process.pid, signal.SIGKILL)
+        """Fault injection: SIGKILL one routing-plane child
+        (``ValueError`` for plane 0 — it is this process)."""
+        if index == 0:
+            raise ValueError("plane 0 runs in the supervisor process")
+        self._planes[index - 1].kill()
 
     def worker_status(self, index: int) -> str:
         """Current supervision status of one shard worker."""
         return self._workers[index].status
 
     def plane_status(self, index: int) -> str:
-        """Current supervision status of one routing plane."""
-        return self._planes[index].status
+        """Current supervision status of one routing plane (plane 0 is
+        up for as long as there is anyone to ask)."""
+        return "up" if index == 0 else self._planes[index - 1].status
 
     def liveness(self) -> list[dict]:
         """Per-worker liveness rows (as reported in ``extras``).
@@ -975,8 +959,19 @@ class ShardCluster:
     # ------------------------------------------------------------------
     # Topology epochs (smart clients)
     # ------------------------------------------------------------------
-    def _topology_entries(self) -> list[dict]:
-        return [
+    def topology_record(self) -> dict:
+        """The cluster's current ``{"kind": "topology"}`` control record."""
+        return self.topology.record()
+
+    def _bump_epoch(self) -> None:
+        """If the worker table changed (a plane's status is not in it),
+        advance the topology epoch and broadcast the table: every worker
+        needs it to answer direct clients' topology requests and stamp
+        ``moved`` redirects, every plane child needs it to route.  A
+        child that is already dead misses it — its death is handled
+        separately."""
+        topology = self.topology
+        entries = [
             {
                 "shard": worker.index,
                 "host": "127.0.0.1",
@@ -985,36 +980,11 @@ class ShardCluster:
             }
             for worker in self._workers
         ]
-
-    def topology_record(self) -> dict:
-        """The cluster's current ``{"kind": "topology"}`` control record."""
-        return self.topology.record()
-
-    def _bump_epoch(self) -> None:
-        """Advance the topology epoch and broadcast the worker table.
-
-        Every worker needs it to answer direct clients' topology requests
-        and stamp ``moved`` redirects; every remote plane needs it to
-        route.  A broken pipe here means the target is already dead — the
-        supervisor handles that separately.
-        """
-        topology = self.topology
-        topology.apply(topology.epoch + 1, self._topology_entries())
-        message = ("topology", topology.epoch, topology.workers)
-        for worker in self._workers:
-            if worker.conn is None:
-                continue
-            try:
-                worker.conn.send(message)
-            except (BrokenPipeError, OSError):
-                pass
-        for plane in self._planes:
-            if plane.conn is None:
-                continue
-            try:
-                plane.conn.send(message)
-            except (BrokenPipeError, OSError):
-                pass
+        if entries == topology.workers:
+            return
+        topology.apply(topology.epoch + 1, entries)
+        for child in self._children():
+            child.pipe.post("topology", topology.epoch, entries)
 
     # ------------------------------------------------------------------
     # Drain and merge
@@ -1024,7 +994,7 @@ class ShardCluster:
 
         Dead or unresponsive workers cannot hang the drain: each result
         wait is bounded by ``drain_timeout + shutdown_grace``, every
-        worker process is retired through the join -> terminate -> kill
+        child process is retired through the join -> terminate -> kill
         escalation, and the merged result notes the dead shards in
         ``extras["down_shards"]``.
 
@@ -1033,61 +1003,36 @@ class ShardCluster:
         """
         if self._result is not None:
             return self._result
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-            try:
-                await self._supervisor
-            except asyncio.CancelledError:
-                pass
-            self._supervisor = None
+        self._stopping = True
         for task in list(self._restart_tasks):
             task.cancel()
         if self._restart_tasks:
             await asyncio.gather(*self._restart_tasks, return_exceptions=True)
         await self.stop_ingest()
-        # Collect every plane's final stats (cached on PlaneState so a
-        # crashed plane's last report still merges), then retire them.
-        for plane in self._planes:
-            stats = await self._plane_call(plane, "stop", 10.0)
-            if stats is not None:
-                plane.stats = stats
-            await _reap(plane.process)
-            if plane.conn is not None:
-                plane.conn.close()
-                plane.conn = None
-        for task in list(self._plane_services):
-            task.cancel()
-        if self._plane_services:
-            await asyncio.gather(
-                *self._plane_services, return_exceptions=True
-            )
-            self._plane_services.clear()
+        await self._refresh_plane_stats("stop", 10.0)
         for channel in self._control.values():
             await channel.aclose()
         self._control.clear()
-        for worker in self._workers:
-            if worker.status == "down" or worker.conn is None:
-                continue
-            try:
-                worker.conn.send(("stop", drain_timeout))
-            except (BrokenPipeError, OSError):
-                worker.status = "down"
+        # All drains run side by side; a worker that is gone answers None.
+        live = [w for w in self._workers if w.status == "up"]
+        timeout = drain_timeout + self.shutdown_grace
+        payloads = await asyncio.gather(*(
+            worker.pipe.call("stop", drain_timeout, timeout=timeout)
+            for worker in live
+        ))
         per_shard: list[SimulationResult] = []
         indices: list[int] = []
-        timeout = drain_timeout + self.shutdown_grace
-        for worker in self._workers:
-            if worker.status != "down":
-                try:
-                    payload = await self._recv_result(worker, timeout)
-                    per_shard.append(result_from_dict(payload))
-                    indices.append(worker.index)
-                except (RuntimeError, TimeoutError, EOFError, OSError) as exc:
-                    worker.status = "down"
-                    logger.warning(
-                        "shard %d reported no final result (%r); merging "
-                        "without it", worker.index, exc,
-                    )
-            await self._retire_worker_resources(worker)
+        for worker, payload in zip(live, payloads):
+            if payload is None:
+                worker.status = "down"
+                logger.warning(
+                    "shard %d reported no final result; merging without it",
+                    worker.index,
+                )
+            else:
+                per_shard.append(result_from_dict(payload))
+                indices.append(worker.index)
+        await asyncio.gather(*map(self._retire, self._children()))
         if not per_shard:
             raise ShardDownError(
                 "every shard worker died without reporting a result"
@@ -1095,24 +1040,13 @@ class ShardCluster:
         self._result = self._merge(per_shard, indices)
         return self._result
 
-    async def _recv_result(self, worker: WorkerState, timeout: float) -> dict:
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while True:
-            remaining = max(_POLL_INTERVAL, deadline - loop.time())
-            message = await _pipe_recv(worker.conn, worker.process, remaining)
-            if message[0] == "result":
-                return message[1]
-            # e.g. a worker restarted moments before shutdown replays its
-            # "ready" registration first; skip to the result.
-
     def _zero_stats(self) -> dict:
         """The guaranteed-present merge source: every counter key at zero.
 
-        Explicit zero literals, *not* ``self.router.accounting()`` — the
-        in-parent plane shares that router, so reading it here would
-        count its routing twice.  With this source first, the merged
-        extras carry every expected key even when no plane reported.
+        Explicit zero literals, *not* ``self.router.accounting()`` —
+        plane 0 shares that router, so reading it here would count its
+        routing twice.  With this source first, the merged extras carry
+        every expected key whatever the planes reported.
         """
         zeros = [0] * self.shards
         return {
@@ -1135,19 +1069,18 @@ class ShardCluster:
         }
 
     def _plane_rows(self) -> list[dict]:
-        """One ``extras["planes"]`` row per plane (CPU seconds included)."""
-        rows = []
-        if self._plane is not None:
-            row = dict(self._plane.stats().get("plane") or {})
-            row["status"] = "up"
-            row["restarts"] = 0
-            rows.append(row)
+        """One ``extras["planes"]`` row per plane (CPU seconds included).
+        Row 0 is the supervisor's own plane — always ``up``, its
+        ``cpu_seconds`` this process's; a plane child's row is its
+        current incarnation's last report."""
+        rows = [{**self._plane.stats()["plane"], "status": "up", "restarts": 0}]
         for plane in self._planes:
-            row = dict((plane.stats or {}).get("plane") or {})
-            row.setdefault("plane", plane.index)
-            row["status"] = plane.status
-            row["restarts"] = plane.restarts
-            rows.append(row)
+            rows.append({
+                "plane": plane.index,
+                **(plane.row or {}),
+                "status": plane.status,
+                "restarts": plane.restarts,
+            })
         return rows
 
     def _merge(
@@ -1180,11 +1113,7 @@ class ShardCluster:
                     "last_snapshot_error"
                 )
         workers = self.liveness()
-        sources = [self._zero_stats()]
-        for stats in self._plane_sources():
-            stats = dict(stats)
-            stats.pop("plane", None)
-            sources.append(stats)
+        sources = [self._zero_stats(), *self._plane_sources()]
         for result in per_shard:
             direct = (result.extras or {}).get("direct")
             if direct:
@@ -1250,16 +1179,17 @@ class ShardCluster:
             raise ShardDownError("no live shard worker answered a snapshot")
         return self._merge(per_shard, indices)
 
-    async def _refresh_plane_stats(self) -> None:
-        """Freshen every remote plane's cached stats (bounded, best
-        effort — a slow plane serves stale counters, not a stuck merge)."""
-        if not self._planes:
-            return
-        await asyncio.gather(*(
-            self._plane_call(plane, "stats", 5.0)
-            for plane in self._planes
-            if plane.status == "up"
+    async def _refresh_plane_stats(self, kind="stats", timeout=5.0) -> None:
+        """Freshen every plane child's cached stats (``kind="stop"``: take
+        its final ones).  Bounded, best effort — a slow plane serves
+        stale counters, not a stuck merge."""
+        planes = [plane for plane in self._planes if plane.status == "up"]
+        replies = await asyncio.gather(*(
+            plane.pipe.call(kind, timeout=timeout) for plane in planes
         ))
+        for plane, stats in zip(planes, replies):
+            if stats is not None:
+                plane.row, plane.stats = stats.pop("plane"), stats
 
     async def _try_shard_snapshot(
         self, worker: WorkerState
@@ -1267,7 +1197,7 @@ class ShardCluster:
         """One shard's snapshot, bounded and failure-typed (None = skip)."""
         try:
             return await asyncio.wait_for(
-                self._shard_snapshot(worker.index), self.snapshot_timeout
+                self._shard_snapshot(worker.index), _SNAPSHOT_TIMEOUT
             )
         except (
             ConnectionError,
@@ -1300,9 +1230,7 @@ class ShardCluster:
             del self._control[shard]
             await channel.aclose()
         reader, writer = await connect_with_retry(
-            "127.0.0.1",
-            lambda: self._workers[shard].port,
-            attempts=self.connect_attempts,
+            "127.0.0.1", lambda: self._workers[shard].port
         )
         # Control traffic is rare: flush every request immediately.
         channel = RpcChannel(
@@ -1333,10 +1261,15 @@ class ShardCluster:
         record.pop("rid", None)
         return result_from_dict(record)
 
-    async def _snapshot_payload(self) -> dict:
-        """The in-parent plane's snapshot callback (late-bound through
-        :meth:`snapshot` so tests can monkeypatch the fan-in)."""
-        return asdict(await self.snapshot())
+    async def _snapshot_payload(self) -> "dict | None":
+        """Every plane's snapshot callback — plane 0's directly, a plane
+        child's as a ``snapshot`` call: only the supervisor can fan one
+        in (late-bound through :meth:`snapshot` so tests can monkeypatch
+        the fan-in).  ``None``: no live shard answered."""
+        try:
+            return asdict(await self.snapshot())
+        except ShardDownError:
+            return None
 
 # ----------------------------------------------------------------------
 # Sharded throughput benchmark

@@ -28,13 +28,13 @@ forwarding it
   skip the router hop and dial workers directly (see
   :class:`~repro.live.loadgen.DirectClient` and ``docs/SCALING.md``).
 
-A plane runs **in the parent** (``routers=1``), sharing the
-:class:`~repro.live.cluster.ShardCluster`'s router and topology, or **in
-its own process** (``routers=N``): N planes each bound to the *same*
-public ``(host, port)`` via ``SO_REUSEPORT``, the kernel load-balancing
-client connections across them.  Routing is stateless per record, so
-planes need no coordination beyond the topology the supervisor
-broadcasts over each plane's control pipe.
+**Plane 0** always runs in the supervisor process, sharing the
+:class:`~repro.live.cluster.ShardCluster`'s router and topology;
+``routers=N`` adds **planes 1..N−1**, each a child process listening on
+the *same* public ``(host, port)`` via ``SO_REUSEPORT``, the kernel
+load-balancing client connections across all N.  Routing is stateless
+per record, so planes need no coordination beyond the topology the
+supervisor broadcasts — over pipes that are the cluster's business.
 
 Every plane keeps its own routing/shed/fan-out counters and reports them
 through :meth:`RouterPlane.stats`; the cluster merges the per-plane
@@ -49,7 +49,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-import signal
 import time
 from dataclasses import replace
 
@@ -60,7 +59,6 @@ from repro.db.sharding import ShardRouter, Topology
 from repro.live.runtime import LatencyTracker
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
-    DEFAULT_CONNECT_ATTEMPTS,
     DEFAULT_FLUSH_US,
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
@@ -92,11 +90,13 @@ logger = logging.getLogger(__name__)
 #: upstreams, so independent per-plane counters cannot collide.
 _RID_BASE = 1 << 62
 
-#: Control-pipe poll period inside a plane process.
-_PIPE_POLL = 0.02
+#: Extra seconds past a cross-shard transaction's own firm deadline
+#: (estimate + slack) before a sub-read is scored a deadline miss: the
+#: scatter/gather wire hops, which the spec's deadline does not know of.
+_RPC_GRACE = 0.25
 
-#: Bound on a remote plane's snapshot round trip through the parent.
-_SNAPSHOT_PIPE_WAIT = 30.0
+#: Bound on one shard's acknowledgement of a view registration.
+_VIEW_ACK_TIMEOUT = 30.0
 
 
 class ShardDownError(ConnectionError):
@@ -104,7 +104,8 @@ class ShardDownError(ConnectionError):
 
     Raised by ``ShardCluster._shard_snapshot`` when a worker connection
     yields EOF, and by ``ShardCluster.snapshot`` / ``shutdown`` when
-    *no* shard survives.  A single down shard never raises: its records
+    *no* shard survives (a client asking for that snapshot gets a typed
+    ``shard_down`` reply).  A single down shard never raises: its records
     are shed and accounted while the survivors keep serving.
     """
 
@@ -130,21 +131,19 @@ class RouterPlane:
             the cost model for cross-shard deadline windows).
         shards: Worker count.
         topology: Live worker endpoints — the cluster's own
-            :class:`~repro.db.sharding.Topology` (in-parent plane) or a
-            pipe-fed copy of it (plane process).
+            :class:`~repro.db.sharding.Topology` (plane 0) or a pipe-fed
+            copy of it (a plane child).
         batch_max / flush_us: Coalescing bounds, client and upstream
             side; ``batch_max`` is also the records routed per loop turn
             (:func:`~repro.live.wire.serve_session`'s ingest quantum).
-        rpc_grace: Extra seconds on a cross-shard gather's firm deadline.
-        connect_attempts: Per-connection retry budget upstream.
-        index: This plane's index (0 for the in-parent plane).
-        router: Share an existing router instead of building one — the
-            in-parent plane shares the cluster's so accounting lands
-            where it always did.
+        index: This plane's index (0 for the supervisor's own plane).
+        router: Share an existing router instead of building one —
+            plane 0 shares the cluster's so accounting lands where it
+            always did.
         snapshot_cb: Async callback returning one merged fleet snapshot
-            as an ``asdict`` payload (raises :class:`ShardDownError`
-            when no shard answers).  The parent owns the snapshot fan-in;
-            remote planes reach it over their control pipe.
+            as an ``asdict`` payload (``None`` when no shard answers).
+            The supervisor owns the snapshot fan-in; plane children
+            reach it over their control pipe.
     """
 
     def __init__(
@@ -155,8 +154,6 @@ class RouterPlane:
         topology: Topology,
         batch_max: int = DEFAULT_BATCH_MAX,
         flush_us: float = DEFAULT_FLUSH_US,
-        rpc_grace: float = 0.25,
-        connect_attempts: int = DEFAULT_CONNECT_ATTEMPTS,
         index: int = 0,
         router: "ShardRouter | None" = None,
         snapshot_cb=None,
@@ -166,8 +163,6 @@ class RouterPlane:
         self.topology = topology
         self.batch_max = batch_max
         self.flush_us = flush_us
-        self.rpc_grace = rpc_grace
-        self.connect_attempts = connect_attempts
         self.index = index
         self.router = router if router is not None else ShardRouter(
             config.updates.n_low, config.updates.n_high, shards
@@ -202,7 +197,7 @@ class RouterPlane:
 
         The ``"plane"`` entry is this plane's row in
         ``extras["planes"]``; ``cpu_seconds`` is the plane *process*'s
-        CPU time since construction (for the in-parent plane: the parent
+        CPU time since construction (for plane 0: the supervisor
         process, which is almost entirely routing work).
         """
         return {
@@ -353,22 +348,17 @@ class RouterPlane:
                 if isinstance(record, dict) and record.get("kind") == "snapshot":
                     await self._forward(items, downstream, upstreams, protocol)
                     items = []
-                    try:
-                        merged = {"kind": "snapshot"}
-                        merged.update(await self.snapshot_cb())
-                        downstream.write(encode_reply(merged, protocol))
-                    except ShardDownError as exc:
+                    merged = await self.snapshot_cb()
+                    if merged is not None:
+                        merged = {"kind": "snapshot", **merged}
+                    else:
                         self.errors += 1
-                        downstream.write(
-                            encode_reply(
-                                {
-                                    "kind": "error",
-                                    "reason": "shard_down",
-                                    "message": str(exc),
-                                },
-                                protocol,
-                            )
-                        )
+                        merged = {
+                            "kind": "error",
+                            "reason": "shard_down",
+                            "message": "no live shard worker answered a snapshot",
+                        }
+                    downstream.write(encode_reply(merged, protocol))
                     # Snapshot replies are full fleet results — orders of
                     # magnitude bigger than outcome lines — so they need
                     # the same backpressure point as every other write
@@ -491,13 +481,13 @@ class RouterPlane:
             subs.append((shard, rid, channel))
         # One shared window over the whole fan-out: the parent's own
         # firm deadline (estimate + slack against the *global* read
-        # count) plus the configured wire grace.
+        # count) plus the wire grace.
         system = self.config.system
         timeout = (
             compute_time
             + len(reads) * (system.x_lookup / system.ips)
             + slack
-            + self.rpc_grace
+            + _RPC_GRACE
         )
         task = asyncio.ensure_future(
             self._gather_verdict(seq, subs, timeout, downstream, protocol)
@@ -608,7 +598,7 @@ class RouterPlane:
         }
         for shard, rid, channel in subs:
             try:
-                await channel.result(rid, timeout=_SNAPSHOT_PIPE_WAIT)
+                await channel.result(rid, timeout=_VIEW_ACK_TIMEOUT)
             except RpcError as exc:
                 self.errors += 1
                 reply = {
@@ -709,7 +699,6 @@ class RouterPlane:
         up_reader, up_writer = await connect_with_retry(
             self.topology.host_of(shard),
             lambda: self.topology.port_of(shard),
-            attempts=self.connect_attempts,
         )
 
         def push_reply(record, _down=downstream, _proto=protocol):
@@ -725,112 +714,3 @@ class RouterPlane:
         )
         upstreams[shard] = channel
         return channel
-
-
-# ----------------------------------------------------------------------
-# Plane processes (routers >= 2)
-# ----------------------------------------------------------------------
-def _ignore_signals() -> None:
-    """Shield a child process from group-delivered SIGINT/SIGTERM (Ctrl-C
-    hits the whole foreground group); shutdown arrives over the pipe, and
-    the daemon flag reaps children if the parent dies."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-
-
-def _router_plane_main(
-    conn, config, host, port, shards, batch_max, flush_us,
-    rpc_grace, connect_attempts, index, epoch, workers,
-):
-    """Entry point of one routing-plane process (spawn context)."""
-    _ignore_signals()
-    asyncio.run(
-        _router_plane_async(
-            conn, config, host, port, shards, batch_max, flush_us,
-            rpc_grace, connect_attempts, index, epoch, workers,
-        )
-    )
-
-
-async def _router_plane_async(
-    conn, config, host, port, shards, batch_max, flush_us,
-    rpc_grace, connect_attempts, index, epoch, workers,
-):
-    """One plane process: serve the shared public port, obey the pipe.
-
-    The pipe protocol (parent → plane) is tokened request/reply:
-
-    * ``("topology", epoch, workers)`` — install a new shard map.
-    * ``("stats", token)`` → ``("stats", token, stats)``.
-    * ``("stop_ingest", token)`` → close the listening socket and the
-      open client sessions → ``("ingest_closed", token)``.
-    * ``("snapshot_res", token, ok, payload)`` — the parent's answer to
-      this plane's ``("snapshot_req", token)`` (a client asked this
-      plane for a fleet snapshot; only the parent can fan it in).
-    * ``("stop", token)`` → ``("result", token, stats)``, then exit.
-    """
-    topology = Topology(
-        config.updates.n_low, config.updates.n_high, shards,
-        epoch=epoch, workers=workers,
-    )
-    snapshot_waiters: "dict[int, asyncio.Future]" = {}
-    tokens = itertools.count(1)
-
-    async def snapshot_cb() -> dict:
-        token = next(tokens)
-        waiter = asyncio.get_running_loop().create_future()
-        snapshot_waiters[token] = waiter
-        conn.send(("snapshot_req", token))
-        try:
-            ok, payload = await asyncio.wait_for(waiter, _SNAPSHOT_PIPE_WAIT)
-        finally:
-            snapshot_waiters.pop(token, None)
-        if not ok:
-            raise ShardDownError(str(payload))
-        return payload
-
-    plane = RouterPlane(
-        config,
-        shards=shards,
-        topology=topology,
-        batch_max=batch_max,
-        flush_us=flush_us,
-        rpc_grace=rpc_grace,
-        connect_attempts=connect_attempts,
-        index=index,
-        snapshot_cb=snapshot_cb,
-    )
-    server = await asyncio.start_server(
-        plane.handle, host, port, reuse_port=True
-    )
-    conn.send(("ready", index))
-    stop_token = None
-    while stop_token is None:
-        while not conn.poll():
-            await asyncio.sleep(_PIPE_POLL)
-        message = conn.recv()
-        kind = message[0]
-        if kind == "topology":
-            topology.apply(message[1], message[2])
-        elif kind == "stats":
-            conn.send(("stats", message[1], plane.stats()))
-        elif kind == "stop_ingest":
-            if server is not None:
-                server.close()
-                await plane.close_sessions()
-                try:
-                    await asyncio.wait_for(server.wait_closed(), 2.0)
-                except asyncio.TimeoutError:  # pragma: no cover - slow close
-                    pass
-                server = None
-            conn.send(("ingest_closed", message[1]))
-        elif kind == "snapshot_res":
-            waiter = snapshot_waiters.pop(message[1], None)
-            if waiter is not None and not waiter.done():
-                waiter.set_result((message[2], message[3]))
-        elif kind == "stop":
-            stop_token = message[1]
-    if server is not None:
-        server.close()
-        await plane.close_sessions()
-    conn.send(("result", stop_token, plane.stats()))

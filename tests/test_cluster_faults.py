@@ -22,6 +22,7 @@ file stays in smoke-test territory.
 import asyncio
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -273,6 +274,34 @@ def test_restart_resumes_installs_and_books_balance():
     # Both surviving runtimes (one restarted) keep the conservation law.
     assert result.update_conservation_gap() == 0
     assert result.transaction_conservation_gap() == 0
+
+
+# ----------------------------------------------------------------------
+# End-to-end: a worker that dies before it is ready
+# ----------------------------------------------------------------------
+def test_failed_start_names_the_dead_child_and_leaks_none(tmp_path):
+    """Regression: worker 1 cannot open its log (the path is a directory)
+    and dies before `ready`.  `start()` used to raise a bare `EOFError`
+    and leave worker 0 running; it raises the typed error naming role and
+    index, after retiring every child it had spawned."""
+    (tmp_path / "shard-01.log").mkdir()
+
+    async def scenario():
+        cluster = ShardCluster(
+            _cluster_config(), "TF", shards=2, log_dir=str(tmp_path),
+        )
+        with pytest.raises(RuntimeError) as excinfo:
+            await asyncio.wait_for(cluster.start(), timeout=OP_TIMEOUT)
+        return cluster, excinfo.value
+
+    cluster, error = asyncio.run(scenario())
+    assert type(error) is RuntimeError
+    pid = cluster._workers[1].process.pid
+    assert str(error) == (
+        f"shard worker 1 (pid={pid}) died before it was ready (exitcode 1)"
+    )
+    assert [w.process.is_alive() for w in cluster._workers] == [False, False]
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

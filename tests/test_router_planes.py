@@ -18,9 +18,10 @@ the two ways out and their shared bookkeeping:
   ``route_batch`` would have produced, for all six algorithms the merged
   engine-clock results are asdict-identical.
 * Process tests — a ``routers=2`` fleet merges per-plane counters into
-  one snapshot, and a worker killed under direct load comes back with
-  the client refreshing its map off the ``moved``/error path while the
-  merged books still balance.
+  one snapshot, a killed plane child comes back (or stays down) without
+  the merged counters running backwards, and a worker killed under
+  direct load comes back with the client refreshing its map off the
+  ``moved``/error path while the merged books still balance.
 """
 
 import asyncio
@@ -499,6 +500,133 @@ def test_router_fleet_merges_per_plane_counters():
         assert sum(extras["updates_routed"]) == 8
         assert extras["epoch"] >= 1
     assert result.updates_arrived == 8
+    assert result.update_conservation_gap() == 0
+    assert result.transaction_conservation_gap() == 0
+
+
+async def _four_update_session(cluster, host, port, seq):
+    """One routed session: 4 updates (2 per shard) and a snapshot request;
+    returns the merged snapshot it was answered with."""
+    gids = _gids_for(cluster.router, 0, count=2) + _gids_for(
+        cluster.router, 1, count=2
+    )
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(b"".join(
+        _update_line(seq + offset, gid) for offset, gid in enumerate(gids)
+    ))
+    writer.write(b'{"kind": "snapshot"}\n')
+    await writer.drain()
+    line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
+    writer.close()
+    snap = json.loads(line)
+    assert snap["kind"] == "snapshot", snap
+    return snap
+
+
+async def _sessions_until_plane_1_routes(cluster, host, port):
+    """Open 4-update sessions until the kernel has handed one to plane 1
+    (the child); returns how many sessions that took."""
+    for sessions in range(1, 65):
+        snap = await _four_update_session(cluster, host, port, 4 * sessions)
+        if snap["extras"]["planes"][1].get("records_received", 0) > 0:
+            return sessions
+    raise AssertionError("64 sessions and none landed on plane 1")
+
+
+def _plane_table(extras):
+    return [(p["plane"], p["status"], p["restarts"]) for p in extras["planes"]]
+
+
+def test_restarted_plane_keeps_its_predecessors_counters():
+    """Regression: a plane child's last reported counters used to be
+    overwritten by its successor's first report, so a plane restart made
+    the merged ``records_received`` / ``updates_routed`` run backwards
+    (4 -> 0) and broke ``sum(updates_routed) == updates_arrived``."""
+
+    async def scenario():
+        cluster = ShardCluster(
+            _cluster_config(), "TF", shards=2, routers=2, restart_limit=1,
+            flush_us=0.0,
+        )
+        host, port = await cluster.start()
+        assert cluster.plane_status(0) == cluster.plane_status(1) == "up"
+        with pytest.raises(ValueError, match="plane 0"):
+            cluster.kill_plane(0)  # it is this process
+        sessions = await _sessions_until_plane_1_routes(cluster, host, port)
+        before = (await cluster.snapshot()).extras
+        assert before["records_received"] == 4 * sessions
+
+        cluster.kill_plane(1)
+
+        async def restarted():
+            extras = (await cluster.snapshot()).extras
+            return _plane_table(extras) == [(0, "up", 0), (1, "up", 1)]
+
+        deadline = asyncio.get_running_loop().time() + OP_TIMEOUT
+        while not await restarted():
+            assert asyncio.get_running_loop().time() < deadline, \
+                "plane 1 never came back"
+            await asyncio.sleep(0.05)
+        assert cluster.plane_status(1) == "up"
+        after = (await cluster.snapshot()).extras
+        # The merged counters did not run backwards.
+        assert after["records_received"] >= before["records_received"]
+        assert sum(after["updates_routed"]) >= sum(before["updates_routed"])
+
+        # New sessions are served, whichever plane the kernel picks.
+        for extra in range(6):
+            await _four_update_session(
+                cluster, host, port, 4 * (sessions + 1 + extra)
+            )
+        result = await asyncio.wait_for(
+            cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
+        )
+        return sessions + 6, result
+
+    sessions, result = asyncio.run(scenario())
+    extras = result.extras
+    assert _plane_table(extras) == [(0, "up", 0), (1, "up", 1)]
+    # Nothing was in flight on plane 1 when it was killed, so the routed
+    # side still accounts for every arrival (the sharded CI smoke's law).
+    assert extras["records_received"] == 4 * sessions
+    assert sum(extras["updates_routed"]) == result.updates_arrived
+    assert result.updates_arrived == 4 * sessions
+    assert result.update_conservation_gap() == 0
+    assert result.transaction_conservation_gap() == 0
+
+
+def test_plane_down_for_good_leaves_plane_0_serving():
+    """restart_limit=0: a killed plane child stays down, its counters
+    stay in the books, and plane 0 (the supervisor) keeps answering on
+    the public port."""
+
+    async def scenario():
+        cluster = ShardCluster(
+            _cluster_config(), "TF", shards=2, routers=2, restart_limit=0,
+            flush_us=0.0,
+        )
+        host, port = await cluster.start()
+        sessions = await _sessions_until_plane_1_routes(cluster, host, port)
+        before = (await cluster.snapshot()).extras
+        cluster.kill_plane(1)
+        await _wait_for(lambda: cluster.plane_status(1) == "down")
+        # Only plane 0 is listening now: every new session lands there.
+        snap = await _four_update_session(
+            cluster, host, port, 4 * (sessions + 1)
+        )
+        result = await asyncio.wait_for(
+            cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
+        )
+        return sessions + 1, before, snap, result
+
+    sessions, before, snap, result = asyncio.run(scenario())
+    for extras in (snap["extras"], result.extras):
+        assert extras["routers"] == 2
+        assert _plane_table(extras) == [(0, "up", 0), (1, "down", 0)]
+        assert extras["records_received"] == before["records_received"] + 4
+        assert extras["down_shards"] == []
+    assert result.updates_arrived == 4 * sessions
+    assert sum(result.extras["updates_routed"]) == result.updates_arrived
     assert result.update_conservation_gap() == 0
     assert result.transaction_conservation_gap() == 0
 
