@@ -9,87 +9,9 @@ Scale: by default each simulated point runs for 60 seconds with a 12-second
 warmup; set ``REPRO_FULL=1`` for the paper's 1000-second points.
 """
 
-import json
-import os
-import platform
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.sweeps import ExperimentScale
-
-#: Machine-readable performance trajectory, appended to on every benchmark
-#: session (pytest benchmarks/).  Committed so regressions are visible in
-#: review; see docs/PERFORMANCE.md.
-PERF_JSON = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-
-#: The engine-throughput benchmark dispatches exactly this many events, so
-#: events/second falls straight out of its mean runtime.
-ENGINE_BENCH_EVENTS = 50_000
-
-
-#: Every appended entry must carry these, with ``rounds >= 1`` — a
-#: malformed entry (see the 2026-08-06T02:00 repair) poisons downstream
-#: tooling like compare_bench.py, so the writer refuses it loudly.
-REQUIRED_ENTRY_FIELDS = ("mean_s", "min_s", "stddev_s", "rounds")
-
-
-def _entry_is_valid(name, entry):
-    missing = [
-        field for field in REQUIRED_ENTRY_FIELDS
-        if entry.get(field) is None
-    ]
-    if missing:
-        print(f"BENCH_perf: dropping {name}: missing {', '.join(missing)}")
-        return False
-    if entry["rounds"] < 1:
-        print(f"BENCH_perf: dropping {name}: rounds={entry['rounds']} < 1")
-        return False
-    return True
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append this session's benchmark stats to ``BENCH_perf.json``."""
-    benchmark_session = getattr(session.config, "_benchmarksession", None)
-    if benchmark_session is None or not benchmark_session.benchmarks:
-        return
-    stats = {}
-    for bench in benchmark_session.benchmarks:
-        entry = {
-            "mean_s": bench.stats.mean,
-            "min_s": bench.stats.min,
-            "stddev_s": bench.stats.stddev,
-            "rounds": bench.stats.rounds,
-        }
-        if bench.name == "test_engine_event_throughput":
-            entry["events_per_second"] = ENGINE_BENCH_EVENTS / bench.stats.mean
-        if bench.extra_info:
-            entry["extra_info"] = dict(bench.extra_info)
-        if not _entry_is_valid(bench.fullname, entry):
-            continue
-        stats[bench.fullname] = entry
-    if not stats:
-        return
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "exit_status": exitstatus,
-        # Quick-mode sessions (CI perf smoke) use shorter windows, so their
-        # numbers are only comparable to other quick-mode sessions; see
-        # benchmarks/compare_bench.py.
-        "quick": os.environ.get("REPRO_BENCH_QUICK") == "1",
-        "benchmarks": stats,
-    }
-    try:
-        history = json.loads(PERF_JSON.read_text())
-        if not isinstance(history, list):
-            history = [history]
-    except (OSError, ValueError):
-        history = []
-    history.append(record)
-    PERF_JSON.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -30,17 +30,12 @@ Layout:
   so supervisor restarts come back *warm*: snapshot restore + idempotent
   log replay, with the replay lag surfaced as a staleness gauge.
 
-Run it: ``python -m repro.live serve|loadgen|bench`` (also installed as the
+Run it: ``python -m repro.live serve|loadgen`` (also installed as the
 ``repro-live`` console script).
 """
 
 from repro.live.clock import WallClock
-from repro.live.cluster import (
-    ShardCluster,
-    ShardDownError,
-    ShardedBenchResult,
-    run_sharded_bench,
-)
+from repro.live.cluster import ShardCluster, ShardDownError
 from repro.live.durability import (
     DurabilityManager,
     Replayer,
@@ -90,7 +85,6 @@ __all__ = [
     "RpcError",
     "ShardCluster",
     "ShardDownError",
-    "ShardedBenchResult",
     "SnapshotStore",
     "TransactionHandle",
     "UpdateLog",
@@ -102,5 +96,4 @@ __all__ = [
     "negotiate_protocol",
     "read_log",
     "restore_state",
-    "run_sharded_bench",
 ]

@@ -1,17 +1,16 @@
 """Live runtime command line: ``python -m repro.live`` (or ``repro-live``).
 
-Three subcommands::
+Two subcommands::
 
     repro-live serve    # host the scheduler behind a TCP ingest socket
     repro-live loadgen  # stream synthesized or recorded traffic at a server
-    repro-live bench    # in-process throughput/latency benchmark
 
 ``serve`` runs until SIGINT/SIGTERM (or ``--seconds``), then drains
 gracefully — ingest stops, the controller finishes its queue, and the final
 metrics snapshot is printed as one JSON line.  ``loadgen`` draws the same
 workload a simulator run with the same seed would draw, or replays a
-recorded trace file.  ``bench`` reports sustained installs/s and install
-latency percentiles for one config on one core.
+recorded trace file.  Rates and latencies are measured by
+``benchmarks/spine/run.py`` (see ``docs/PERFORMANCE.md``), not here.
 """
 
 from __future__ import annotations
@@ -27,22 +26,12 @@ from dataclasses import asdict
 
 from repro.config import SimulationConfig, StalenessPolicy, baseline_config
 from repro.core.algorithms.registry import ALGORITHMS
-from repro.live.cluster import ShardCluster, run_sharded_bench
+from repro.live.cluster import ShardCluster
 from repro.live.durability import FSYNC_POLICIES
-from repro.live.loadgen import (
-    CrossShardSpreader,
-    DirectClient,
-    LoadGenerator,
-    WireClient,
-)
+from repro.live.loadgen import CrossShardSpreader, DirectClient, WireClient
 from repro.live.observe import MetricsStreamer
-from repro.live.runtime import LiveRuntime
 from repro.live.server import ShardHost
-from repro.live.wire import (
-    DEFAULT_BATCH_MAX,
-    DEFAULT_CONNECT_ATTEMPTS,
-    DEFAULT_FLUSH_US,
-)
+from repro.live.wire import DEFAULT_CONNECT_ATTEMPTS
 from repro.sim.streams import StreamFamily
 from repro.workload.trace import load_trace
 from repro.workload.transactions import TransactionGenerator, TransactionSpec
@@ -55,10 +44,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="scheduling algorithm: "
                         + ", ".join(sorted(ALGORITHMS)) + " (default TF)")
     parser.add_argument("--seed", type=int, default=1995)
-    parser.add_argument("--lambda-u", type=float, default=None,
-                        help="update arrival rate (default 400/s)")
-    parser.add_argument("--lambda-t", type=float, default=None,
-                        help="transaction arrival rate (default 10/s)")
     parser.add_argument("--max-age", type=float, default=None,
                         help="MA staleness threshold alpha (default 7s)")
     parser.add_argument("--mean-age", type=float, default=None,
@@ -74,30 +59,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="hash-index the update queue (newest per object)")
 
 
-def _add_batch_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--batch-max", type=int, default=DEFAULT_BATCH_MAX,
-                        help="records per event-loop turn, in both "
-                        "directions: the ingest quantum (a scheduling "
-                        "point follows each; unread input waits in the "
-                        "socket) and the coalesced reply write (default "
-                        f"{DEFAULT_BATCH_MAX}, from the benchmark sweep in "
-                        "docs/PERFORMANCE.md; 1 = per-record, the "
-                        "pre-batching wire behavior)")
-    parser.add_argument("--flush-us", type=float, default=DEFAULT_FLUSH_US,
-                        help="flush deadline in microseconds for partially "
-                        f"filled wire batches (default {DEFAULT_FLUSH_US:.0f}; "
-                        "bounds how long a lone record can sit buffered)")
-
-
 def _build_config(args) -> SimulationConfig:
     config = baseline_config(
         duration=1.0, seed=args.seed, staleness=StalenessPolicy(args.staleness)
     )
     config.warmup = 0.0
-    if args.lambda_u is not None:
-        config = config.with_updates(arrival_rate=args.lambda_u)
-    if args.lambda_t is not None:
-        config = config.with_transactions(arrival_rate=args.lambda_t)
     if args.max_age is not None:
         config = config.with_transactions(max_age=args.max_age)
     if args.mean_age is not None:
@@ -119,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="host the scheduler on a TCP socket")
     _add_config_args(serve)
-    _add_batch_args(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7995)
     serve.add_argument("--shards", type=int, default=1,
@@ -176,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = sub.add_parser("loadgen",
                              help="stream traffic at a running server")
     _add_config_args(loadgen)
-    _add_batch_args(loadgen)
+    loadgen.add_argument("--lambda-u", type=float, default=None,
+                         help="update arrival rate (default 400/s)")
+    loadgen.add_argument("--lambda-t", type=float, default=None,
+                         help="transaction arrival rate (default 10/s)")
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, default=7995)
     loadgen.add_argument("--seconds", type=float, default=10.0)
@@ -213,24 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "and stream records straight to the owning "
                          "workers; cross-shard transactions still travel "
                          "via the router (needs a sharded server)")
-
-    bench = sub.add_parser("bench",
-                           help="in-process throughput/latency benchmark")
-    _add_config_args(bench)
-    _add_batch_args(bench)
-    bench.add_argument("--seconds", type=float, default=2.0)
-    bench.add_argument("--ramp", type=float, default=0.25,
-                       help="warmup seconds excluded from the measurement")
-    bench.add_argument("--shards", type=int, default=1,
-                       help="measure aggregate throughput at this shard "
-                       "count (worker processes; default 1)")
-    # Throughput defaults: a fast CPU (24 µs/install against the paper's
-    # cost model) pushed well past 10k updates/s, a light foreground
-    # transaction load, and in-order generations (mean age 0) so every
-    # serviced update is a real install rather than a stale skip.  All
-    # overridable from the command line.
-    bench.set_defaults(ips=1e9, lambda_u=20000.0, lambda_t=1.0,
-                       mean_age=0.0)
     return parser
 
 
@@ -247,31 +197,53 @@ def _install_stop_handlers(stop: asyncio.Event) -> None:
 # serve
 # ----------------------------------------------------------------------
 async def _serve(args) -> int:
-    if args.shards > 1:
-        return await _serve_sharded(args)
+    """One public socket, JSONL metric snapshots, SIGINT drains and prints
+    the final result as one JSON line — from one :class:`ShardHost` in this
+    process, or (``--shards N``) from N of them in worker processes behind
+    a :class:`ShardCluster`, whose snapshots and result are the merged
+    fleet's.  That choice is the only branch."""
     stop = asyncio.Event()
     _install_stop_handlers(stop)  # before the banner: see it, can signal it
-    shard = ShardHost(
-        _build_config(args), args.algorithm, host=args.host, port=args.port,
-        batch_max=args.batch_max, flush_us=args.flush_us,
-        log_dir=args.log_dir, fsync=args.fsync,
-        snapshot_interval=args.snapshot_interval, views=args.view,
+    shared = dict(
+        host=args.host, port=args.port, log_dir=args.log_dir,
+        fsync=args.fsync, snapshot_interval=args.snapshot_interval,
+        views=args.view,
     )
-    stats = await shard.start()
-    if stats is not None and stats.resumed:
-        print(f"repro-live: warm restart — replayed "
-              f"{stats.replayed_records} logged records in "
-              f"{stats.replay_lag_s:.3f}s", file=sys.stderr, flush=True)
-    print(f"repro-live: {args.algorithm} serving on {shard.server.host}:"
-          f"{shard.server.port} (SIGINT drains and exits)",
-          file=sys.stderr, flush=True)
+    config = _build_config(args)
+    single = args.shards <= 1
+    if single:
+        node = ShardHost(config, args.algorithm, **shared)
+        stats = await node.start()
+        if stats is not None and stats.resumed:
+            print(f"repro-live: warm restart — replayed "
+                  f"{stats.replayed_records} logged records in "
+                  f"{stats.replay_lag_s:.3f}s", file=sys.stderr, flush=True)
+        print(f"repro-live: {args.algorithm} serving on {node.server.host}:"
+              f"{node.server.port} (SIGINT drains and exits)",
+              file=sys.stderr, flush=True)
+        source = node.runtime
+    else:
+        node = source = ShardCluster(
+            config, args.algorithm, shards=args.shards,
+            restart_limit=args.restart_limit, routers=args.routers, **shared,
+        )
+        host, port = await node.start()
+        planes = (f", {args.routers} router planes" if args.routers > 1 else "")
+        print(f"repro-live: {args.algorithm} serving on {host}:{port} across "
+              f"{args.shards} shard workers (ports {node.ports}{planes}; "
+              f"SIGINT drains and exits)", file=sys.stderr, flush=True)
+        if args.fail_shard is not None:
+            print(f"repro-live: fault injection armed — SIGKILL shard "
+                  f"{args.fail_shard} after {args.fail_after:.1f}s",
+                  file=sys.stderr, flush=True)
+            asyncio.get_running_loop().call_later(
+                args.fail_after, node.kill_worker, args.fail_shard
+            )
 
     streamer = None
     if args.metrics != "none":
         out = sys.stdout if args.metrics == "-" else args.metrics
-        streamer = MetricsStreamer(
-            shard.runtime, out, interval=args.metrics_interval
-        )
+        streamer = MetricsStreamer(source, out, interval=args.metrics_interval)
         streamer.start()
 
     if args.seconds is not None:
@@ -281,70 +253,14 @@ async def _serve(args) -> int:
     print("repro-live: draining ...", file=sys.stderr, flush=True)
     if streamer is not None:
         await streamer.stop(final_emit=False)
-    result, drained = await shard.stop(args.drain_timeout)
+    if single:
+        result, drained = await node.stop(args.drain_timeout)
+    else:
+        result, drained = await node.shutdown(args.drain_timeout), True
     print(json.dumps(asdict(result)), flush=True)
     if not drained:
         print("repro-live: drain timed out with work still queued",
               file=sys.stderr)
-    return 0
-
-
-async def _serve_sharded(args) -> int:
-    """``serve --shards N``: worker processes behind one ingest router.
-
-    Same contract as the single-process path — one public socket, JSONL
-    metric snapshots (here the *merged* fleet view), SIGINT drains and
-    prints the final merged result as one JSON line.
-    """
-    stop = asyncio.Event()
-    _install_stop_handlers(stop)
-    config = _build_config(args)
-    cluster = ShardCluster(
-        config, args.algorithm, shards=args.shards,
-        host=args.host, port=args.port,
-        batch_max=args.batch_max, flush_us=args.flush_us,
-        restart_limit=args.restart_limit,
-        log_dir=args.log_dir,
-        fsync=args.fsync,
-        snapshot_interval=args.snapshot_interval,
-        routers=args.routers,
-        views=args.view,
-    )
-    host, port = await cluster.start()
-    planes = (f", {args.routers} router planes" if args.routers > 1 else "")
-    print(f"repro-live: {args.algorithm} serving on {host}:{port} across "
-          f"{args.shards} shard workers (ports {cluster.ports}{planes}; "
-          f"SIGINT drains and exits)", file=sys.stderr, flush=True)
-
-    if args.fail_shard is not None:
-        if not 0 <= args.fail_shard < args.shards:
-            raise SystemExit(
-                f"--fail-shard {args.fail_shard} out of range for "
-                f"{args.shards} shards"
-            )
-        print(f"repro-live: fault injection armed — SIGKILL shard "
-              f"{args.fail_shard} after {args.fail_after:.1f}s",
-              file=sys.stderr, flush=True)
-        asyncio.get_running_loop().call_later(
-            args.fail_after, cluster.kill_worker, args.fail_shard
-        )
-
-    streamer = None
-    if args.metrics != "none":
-        out = sys.stdout if args.metrics == "-" else args.metrics
-        streamer = MetricsStreamer(cluster, out, interval=args.metrics_interval)
-        streamer.start()
-
-    if args.seconds is not None:
-        asyncio.get_running_loop().call_later(args.seconds, stop.set)
-    await stop.wait()
-
-    print("repro-live: draining ...", file=sys.stderr, flush=True)
-    await cluster.stop_ingest()
-    if streamer is not None:
-        await streamer.stop(final_emit=False)
-    result = await cluster.shutdown(args.drain_timeout)
-    print(json.dumps(asdict(result)), flush=True)
     return 0
 
 
@@ -379,8 +295,7 @@ async def _loadgen(args) -> int:
 
     client_cls = DirectClient if args.direct else WireClient
     client = client_cls(
-        args.host, args.port, batch_max=args.batch_max,
-        flush_us=args.flush_us, attempts=args.connect_attempts,
+        args.host, args.port, attempts=args.connect_attempts,
         on_line=on_line, wire=args.wire,
     )
     await client.connect()
@@ -389,6 +304,12 @@ async def _loadgen(args) -> int:
               f"{client.router.shards} workers (topology epoch "
               f"{client.epoch})", file=sys.stderr, flush=True)
     config = _build_config(args)
+    # Only a generator draws arrivals, so the rates are loadgen's alone.
+    if args.lambda_u is not None:
+        config = config.with_updates(arrival_rate=args.lambda_u)
+    if args.lambda_t is not None:
+        config = config.with_transactions(arrival_rate=args.lambda_t)
+    config.validate()
     if args.view:
         # Registrations travel in-order ahead of the stream, so every
         # subsequent install is already a delta against the new views.
@@ -479,72 +400,23 @@ async def _loadgen(args) -> int:
     return 0
 
 
-# ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-async def _bench(args) -> int:
-    if args.shards > 1:
-        return _bench_sharded(args)
-    config = _build_config(args)
-    runtime = LiveRuntime(config, args.algorithm)
-    runtime.start()
-    generator = LoadGenerator(runtime, batch_max=args.batch_max)
-    generator.start()
-    if args.ramp > 0:
-        await asyncio.sleep(args.ramp)
-        runtime.begin_measurement()
-    await asyncio.sleep(args.seconds)
-    generator.stop()
-    result = await runtime.shutdown()
-
-    installs_per_second = (
-        result.updates_applied / result.duration if result.duration > 0 else 0.0
-    )
-    extras = result.extras
-    print(f"algorithm:        {args.algorithm}")
-    print(f"offered rate:     {config.updates.arrival_rate:.0f} updates/s")
-    print(f"measured window:  {result.duration:.2f}s")
-    print(f"installs/s:       {installs_per_second:.0f}")
-    print(f"os drops:         {result.updates_os_dropped}")
-    print(f"expired (MA):     {result.updates_expired}")
-    p50 = extras.get("install_latency_p50")
-    p99 = extras.get("install_latency_p99")
-    print(f"install latency:  p50={_ms(p50)} p99={_ms(p99)} "
-          f"worst={_ms(extras.get('install_latency_worst'))}")
-    print(f"dispatch lag:     worst={_ms(extras.get('dispatch_lag_worst'))}")
-    return 0
-
-
-def _bench_sharded(args) -> int:
-    """``bench --shards N``: aggregate throughput over worker processes."""
-    config = _build_config(args)
-    outcome = run_sharded_bench(
-        config, args.algorithm, args.shards,
-        seconds=args.seconds, ramp=args.ramp, batch_max=args.batch_max,
-    )
-    merged = outcome.merged
-    print(f"algorithm:        {args.algorithm}")
-    print(f"shards:           {outcome.shards} ({outcome.mode})")
-    print(f"offered rate:     {config.updates.arrival_rate:.0f} updates/s "
-          f"(split by keyspace share)")
-    per_shard = ", ".join(
-        f"{r.updates_applied / r.duration:.0f}"
-        for r in outcome.per_shard if r.duration > 0
-    )
-    print(f"installs/s:       {outcome.installs_per_second:.0f} "
-          f"aggregate ({per_shard} per shard)")
-    print(f"os drops:         {merged.updates_os_dropped}")
-    print(f"expired (MA):     {merged.updates_expired}")
-    return 0
-
-
-def _ms(seconds: float | None) -> str:
-    return "n/a" if seconds is None else f"{seconds * 1e3:.3f}ms"
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve":
+        # Sharded-only flags: refuse them, rather than silently serve a
+        # plain node that arms no fault and spawns no plane.
+        if args.shards < 2 and (args.fail_shard is not None or args.routers > 1):
+            parser.error("--fail-shard and --routers > 1 need --shards > 1")
+        if args.fail_shard is not None and not 0 <= args.fail_shard < args.shards:
+            parser.error(f"--fail-shard {args.fail_shard} out of range for "
+                         f"{args.shards} shards")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    runner = {"serve": _serve, "loadgen": _loadgen, "bench": _bench}[args.command]
+    args = _parse_args(argv)
+    runner = {"serve": _serve, "loadgen": _loadgen}[args.command]
     try:
         return asyncio.run(runner(args))
     except KeyboardInterrupt:

@@ -37,11 +37,6 @@ difference.  This module is the *supervisor* side of that:
   merged into ``extras`` (:func:`merge_extras_sources`).  ``snapshot()``
   and ``shutdown()`` skip dead workers under bounded timeouts (join ->
   terminate -> kill escalation) and note them in ``extras``.
-
-:func:`run_sharded_bench` spawns its own unsupervised processes to
-measure aggregate install throughput at a given shard count, driving
-each shard with an in-process :class:`~repro.live.loadgen.LoadGenerator`
-(no sockets — it measures scheduler capacity, not socket throughput).
 """
 
 from __future__ import annotations
@@ -50,18 +45,14 @@ import asyncio
 import itertools
 import logging
 import multiprocessing
-import os
 import signal
 import socket
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 from repro.config import SimulationConfig
-from repro.core.sharding import shard_config
 from repro.db.views import merge_view_reports
 from repro.db.sharding import ROUTER_VERSION, ShardRouter, Topology
-from repro.live.loadgen import LoadGenerator
 from repro.live.plane import RouterPlane, ShardDownError
-from repro.live.runtime import LiveRuntime
 from repro.live.server import ShardHost
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
@@ -328,16 +319,7 @@ async def _start_worker(
 
     async def stop(drain_timeout: float = 5.0) -> dict:
         result, _ = await shard.stop(drain_timeout)
-        payload = asdict(result)
-        direct = shard.server.direct_accounting()
-        if direct is not None:
-            # Smart clients bypassed the router on this shard: ship the
-            # worker-side direct/redirect counters so the merge can fold
-            # them in next to the planes' routing counters.
-            extras = dict(payload.get("extras") or {})
-            extras["direct"] = direct
-            payload["extras"] = extras
-        return payload
+        return shard.server.attach_direct(asdict(result))
 
     info = {
         "port": shard.server.port,
@@ -385,53 +367,6 @@ async def _start_plane(
         "topology": topology.apply, "stats": plane.stats,
         "stop_ingest": stop_ingest, "stop": stop,
     }
-
-
-def _bench_worker_main(
-    conn, config, algorithm, algorithm_kwargs, index, shards, seconds, ramp,
-    batch_max=DEFAULT_BATCH_MAX,
-):
-    """Entry point of one benchmark shard (runs in a spawned process)."""
-    _ignore_signals()
-    asyncio.run(
-        _bench_worker_async(
-            conn, config, algorithm, algorithm_kwargs, index, shards,
-            seconds, ramp, batch_max
-        )
-    )
-
-
-async def _bench_worker_async(
-    conn, config, algorithm, kwargs, index, shards, seconds, ramp,
-    batch_max=DEFAULT_BATCH_MAX,
-):
-    if shards == 1:
-        local_config = config
-    else:
-        router = ShardRouter(config.updates.n_low, config.updates.n_high, shards)
-        k_low, k_high = router.counts(index)
-        share = (k_low + k_high) / (config.updates.n_low + config.updates.n_high)
-        local_config = shard_config(config, router, index)
-        # Each shard receives its keyspace share of the offered load, and
-        # a decorrelated seed so shards don't draw phase-locked arrivals.
-        local_config = local_config.with_updates(
-            arrival_rate=config.updates.arrival_rate * share
-        )
-        local_config = local_config.with_transactions(
-            arrival_rate=config.transactions.arrival_rate * share
-        )
-        local_config = local_config.replace(seed=config.seed + 7919 * index)
-    runtime = LiveRuntime(local_config, algorithm, **kwargs)
-    runtime.start()
-    generator = LoadGenerator(runtime, batch_max=batch_max)
-    generator.start()
-    if ramp > 0:
-        await asyncio.sleep(ramp)
-        runtime.begin_measurement()
-    await asyncio.sleep(seconds)
-    generator.stop()
-    result = await runtime.shutdown()
-    conn.send(("result", asdict(result)))
 
 
 async def _reap(process, *, grace: float = _REAP_GRACE) -> None:
@@ -1270,125 +1205,3 @@ class ShardCluster:
             return asdict(await self.snapshot())
         except ShardDownError:
             return None
-
-# ----------------------------------------------------------------------
-# Sharded throughput benchmark
-# ----------------------------------------------------------------------
-@dataclass
-class ShardedBenchResult:
-    """Outcome of :func:`run_sharded_bench`.
-
-    Attributes:
-        shards: Shard count measured.
-        mode: ``"parallel"`` (all workers concurrently; needs >= shards
-            cores) or ``"sequential"`` (one worker at a time, each with
-            the whole machine — the one-core-per-shard deployment model,
-            used automatically when this host has fewer cores than
-            shards).
-        installs_per_second: Aggregate installed updates per wall second,
-            summed over shards (each normalized by its own window).
-        merged: The merged :class:`SimulationResult` of the fleet.
-        per_shard: Each shard's own result.
-    """
-
-    shards: int
-    mode: str
-    installs_per_second: float
-    merged: SimulationResult
-    per_shard: list[SimulationResult] = field(default_factory=list)
-
-
-def _recv_blocking(conn, process, timeout=_WORKER_TIMEOUT):
-    if not conn.poll(timeout):
-        raise TimeoutError("timed out waiting for a bench worker")
-    return conn.recv()
-
-
-def run_sharded_bench(
-    config: SimulationConfig,
-    algorithm: str = "TF",
-    shards: int = 1,
-    *,
-    seconds: float = 2.0,
-    ramp: float = 0.3,
-    parallel: bool | None = None,
-    algorithm_kwargs: dict | None = None,
-    batch_max: int = DEFAULT_BATCH_MAX,
-) -> ShardedBenchResult:
-    """Measure aggregate live install throughput at one shard count.
-
-    Every shard — including the ``shards=1`` baseline — runs in its own
-    spawned process under identical conditions: a
-    :class:`~repro.live.runtime.LiveRuntime` driven by an in-process
-    Poisson :class:`~repro.live.loadgen.LoadGenerator` at the shard's
-    keyspace share of the offered rate, with a ramp excluded from the
-    measured window.
-
-    When the host has at least ``shards`` cores the workers run
-    concurrently; otherwise they run back-to-back, each getting the whole
-    machine (the one-core-per-shard model — see ``docs/SCALING.md``).
-    Pass ``parallel`` to force either mode.
-    """
-    if shards < 1:
-        raise ValueError(f"need at least one shard, got {shards}")
-    config.validate()
-    if parallel is None:
-        parallel = (os.cpu_count() or 1) >= shards
-    context = multiprocessing.get_context("spawn")
-    kwargs = dict(algorithm_kwargs or {})
-
-    def spawn(index: int):
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(
-            target=_bench_worker_main,
-            args=(child_conn, config, algorithm, kwargs, index, shards,
-                  seconds, ramp, batch_max),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return process, parent_conn
-
-    payloads: list[dict] = []
-    if parallel:
-        workers = [spawn(index) for index in range(shards)]
-        for process, conn in workers:
-            kind, payload = _recv_blocking(conn, process)
-            assert kind == "result", kind
-            payloads.append(payload)
-            process.join(timeout=_WORKER_TIMEOUT)
-    else:
-        for index in range(shards):
-            process, conn = spawn(index)
-            kind, payload = _recv_blocking(conn, process)
-            assert kind == "result", kind
-            payloads.append(payload)
-            process.join(timeout=_WORKER_TIMEOUT)
-
-    per_shard = [result_from_dict(payload) for payload in payloads]
-    # Bench shards draw decorrelated arrival streams on purpose; restore
-    # the root seed so the merge's same-run guard sees one fleet.
-    per_shard = [replace(result, seed=config.seed) for result in per_shard]
-    if shards == 1:
-        weights = [(config.updates.n_low, config.updates.n_high)]
-    else:
-        router = ShardRouter(config.updates.n_low, config.updates.n_high, shards)
-        weights = [router.counts(index) for index in range(shards)]
-    merged = SimulationResult.merge(
-        per_shard,
-        weights_low=[low for low, _ in weights],
-        weights_high=[high for _, high in weights],
-        extras={"shards": shards, "bench_mode": "parallel" if parallel else "sequential"},
-    )
-    installs_per_second = sum(
-        result.updates_applied / result.duration
-        for result in per_shard
-        if result.duration > 0
-    )
-    return ShardedBenchResult(
-        shards=shards,
-        mode="parallel" if parallel else "sequential",
-        installs_per_second=installs_per_second,
-        merged=merged,
-        per_shard=per_shard,
-    )

@@ -145,35 +145,28 @@ def read_log(path: str) -> LogReplay:
     # the decoder *raise* on it instead of buffering up to 16 MiB of
     # bytes that will never arrive — tolerate-and-stop, not hang.
     decoder = FrameDecoder(max_body=_UPDATE_BODY.size)
-    truncated = False
     reason = None
     updates = replay.updates
-    # Feed one record-sized chunk at a time: records are fixed-size, so a
-    # clean log parses one complete frame per chunk and a bad header is
-    # the first thing its feed() call sees — it raises right there, with
-    # the clean prefix already collected.
-    body = blob[LOG_HEADER_BYTES:]
-    for start in range(0, len(body), LOG_RECORD_BYTES):
-        try:
-            records = decoder.feed(body[start:start + LOG_RECORD_BYTES])
-        except ValueError as exc:
-            truncated = True
-            reason = f"corrupt record header: {exc}"
-            break
-        for record in records:
-            if isinstance(record, Update):
-                updates.append(record)
-                continue
-            truncated = True
+    records: list = []
+    try:
+        # The decoder's contract: the clean prefix comes back first, the
+        # call that *starts* at a corrupt header raises — so one feed of
+        # the whole body, then one take() for the verdict.
+        records = decoder.feed(memoryview(blob)[LOG_HEADER_BYTES:])
+        decoder.take()
+    except ValueError as exc:
+        reason = f"corrupt record header: {exc}"
+    for record in records:
+        if not isinstance(record, Update):
+            # A bad body is delimited, so the decoder went on past it;
+            # the log does not: nothing after the first bad frame replays.
             reason = f"corrupt record body: {record!r}"
             break
-        if truncated:
-            break
-    if not truncated and decoder.pending_bytes:
-        truncated = True
+        updates.append(record)
+    if reason is None and decoder.pending_bytes:
         reason = f"torn tail frame ({decoder.pending_bytes} bytes)"
     replay.valid_bytes = LOG_HEADER_BYTES + len(updates) * LOG_RECORD_BYTES
-    replay.truncated = truncated or replay.valid_bytes < len(blob)
+    replay.truncated = reason is not None or replay.valid_bytes < len(blob)
     replay.reason = reason
     return replay
 

@@ -25,12 +25,9 @@ import asyncio
 import inspect
 import json
 import logging
-import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import IO
-
-from repro.live.runtime import LiveRuntime
 
 logger = logging.getLogger(__name__)
 
@@ -219,7 +216,3 @@ class MetricsStreamer:
             )
         return line
 
-
-def stream_to_stdout(runtime: LiveRuntime, *, interval: float = 1.0) -> MetricsStreamer:
-    """Convenience: a streamer wired to stdout."""
-    return MetricsStreamer(runtime, sys.stdout, interval=interval)

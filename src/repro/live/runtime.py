@@ -334,12 +334,6 @@ class LiveRuntime:
         self.controller.on_transaction_arrival(spec)
         return handle
 
-    async def submit_and_wait(self, spec: TransactionSpec) -> TransactionHandle:
-        """Submit and await the outcome (convenience for async callers)."""
-        handle = self.submit(spec)
-        await handle.wait()
-        return handle
-
     def _on_outcome(self, txn: LiveTransaction) -> None:
         handle = self._handles.pop(txn.spec.seq, None)
         if handle is not None:

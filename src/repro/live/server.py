@@ -173,6 +173,16 @@ class IngestServer:
             return None
         return counters
 
+    def attach_direct(self, payload: dict) -> dict:
+        """Ship the smart-client counters with a result ``payload`` (a
+        snapshot reply, a worker's final result) as ``extras["direct"]``,
+        so the cluster merge can fold them in next to the planes' routing
+        counters.  Untouched when no client bypassed the router here."""
+        direct = self.direct_accounting()
+        if direct is not None:
+            payload["extras"] = {**(payload.get("extras") or {}), "direct": direct}
+        return payload
+
     async def start(self) -> tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
         if self._server is not None:
@@ -284,15 +294,9 @@ class IngestServer:
                         if rid is not None:
                             reply["rid"] = rid
                         reply.update(asdict(runtime.snapshot()))
-                        direct = self.direct_accounting()
-                        if direct is not None:
-                            # Ship the smart-client counters with every
-                            # snapshot so the cluster merge can fold them
-                            # in next to the planes' routing counters.
-                            extras = dict(reply.get("extras") or {})
-                            extras["direct"] = direct
-                            reply["extras"] = extras
-                        self._reply(replies, reply, protocol)
+                        self._reply(
+                            replies, self.attach_direct(reply), protocol
+                        )
                         continue
                     if kind == "topology":
                         self.topology_requests += 1

@@ -75,9 +75,9 @@ logger = logging.getLogger(__name__)
 
 #: Records per loop turn, in both directions: buffered replies before a
 #: size-triggered flush, and arrivals per ingest quantum of
-#: :func:`serve_session`.  Chosen by the sweep in docs/PERFORMANCE.md
-#: ("The wire fast path"): throughput is flat past ~128 and latency grows
-#: linearly, so 256 keeps headroom without hurting tail latency.
+#: :func:`serve_session`.  Why not smaller: docs/PERFORMANCE.md,
+#: "Offered-load cliff" — an ~80-record quantum absorbed no more on the
+#: spine's ``node_overload`` and cost +45% ``txn_p50_ms`` on ``node_saturate``.
 DEFAULT_BATCH_MAX = 256
 
 #: Flush deadline in microseconds: the longest a buffered record waits
@@ -245,8 +245,8 @@ class CoalescingWriter:
     Args:
         writer: The stream to feed.
         batch_max: Records per coalesced payload (``<= 1`` flushes every
-            write — the per-record wire path, kept for benchmarks and
-            old-client emulation).
+            write — the per-record wire path: control channels, and
+            the reference the parity tests compare batching against).
         flush_us: Flush deadline in microseconds for partially filled
             buffers; ``0`` also degrades to flush-per-write.
 

@@ -29,7 +29,7 @@ import pytest
 from repro.config import baseline_config
 from repro.db.objects import ObjectClass, Update
 from repro.live import MetricsStreamer, ShardCluster, ShardDownError, WireClient
-from repro.live.__main__ import build_parser
+from repro.live.__main__ import build_parser, main as live_main
 from repro.live.cluster import WorkerState
 from repro.live.wire import RpcChannel, connect_with_retry
 from repro.workload.codec import FRAME_HEADER, MAX_FRAME_BODY, WIRE_PREAMBLE
@@ -312,12 +312,35 @@ def test_failed_start_names_the_dead_child_and_leaks_none(tmp_path):
 RING_OPTION = "sh" + "m"
 
 
-@pytest.mark.parametrize("flags", [[f"--{RING_OPTION}"], ["--wire", "jsonl"]])
+@pytest.mark.parametrize("flags", [
+    [f"--{RING_OPTION}"], ["--wire", "jsonl"],
+    # Options with one value in use: a server draws no arrivals, and
+    # nothing deployed ever set the wire-batching knobs.
+    ["--lambda-u", "500"], ["--lambda-t", "5"],
+    ["--batch-max", "64"], ["--flush-us", "100"],
+])
 def test_serve_rejects_removed_transport_flags(flags, capsys):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["serve", "--shards", "2", *flags])
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, complaint", [
+    (["--fail-shard", "0"], "need --shards > 1"),
+    (["--routers", "2"], "need --shards > 1"),
+    (["--shards", "2", "--fail-shard", "2"], "out of range for 2 shards"),
+])
+def test_serve_rejects_sharded_only_flags_on_a_single_node(
+    flags, complaint, capsys
+):
+    """Regression: these used to start a plain node that armed no fault
+    and spawned no plane, and exit 0."""
+    with pytest.raises(SystemExit) as excinfo:
+        live_main(["serve", "--port", "0", "--seconds", "0.2", "--metrics",
+                   "none", *flags])
+    assert excinfo.value.code == 2
+    assert complaint in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", [

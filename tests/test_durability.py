@@ -188,6 +188,30 @@ def test_log_corrupt_length_stops_at_last_clean_record(tmp_path):
     log2.close()
     assert not read_log(path).truncated
 
+    # A bad frame *mid*-log, clean records behind it: a corrupt header has
+    # no resynchronization point; a corrupt body is delimited and the
+    # decoder reads on past it, but the log does not.  Either way nothing
+    # after the first bad frame replays and valid_bytes points at it.
+    body_bytes = LOG_RECORD_BYTES - FRAME_HEADER.size
+    for name, bad_header, reason in (
+        ("header", FRAME_HEADER.pack(TAG_UPDATE, 1 << 20), "corrupt record header"),
+        ("body", FRAME_HEADER.pack(0x7E, body_bytes), "corrupt record body"),
+    ):
+        path = str(tmp_path / f"mid-{name}.log")
+        log = UpdateLog(path)
+        log.open()
+        log.append_batch(_simple_updates(5))
+        log.close()
+        with open(path, "r+b") as handle:
+            handle.seek(LOG_HEADER_BYTES + 2 * LOG_RECORD_BYTES)
+            handle.write(bad_header)
+
+        replay = read_log(path)
+        assert [u.seq for u in replay.updates] == [0, 1]
+        assert replay.truncated
+        assert replay.reason.startswith(reason), replay.reason
+        assert replay.valid_bytes == LOG_HEADER_BYTES + 2 * LOG_RECORD_BYTES
+
 
 def test_log_foreign_file_starts_cold(tmp_path):
     path = str(tmp_path / "shard.log")

@@ -3,8 +3,8 @@
 These run the full stack — WallClock, asyncio dispatcher, load generator,
 metrics streamer, TCP ingest, graceful shutdown — for a couple of real
 seconds.  Thresholds are deliberately loose (CI machines are slow and
-noisy); the throughput acceptance numbers live in
-benchmarks/bench_live_throughput.py.
+noisy); throughput and latency are measured by benchmarks/spine/run.py
+(workloads node_steady / node_saturate), not asserted here.
 """
 
 import asyncio
@@ -15,8 +15,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-import pytest
 
 from repro.config import baseline_config
 from repro.live import (
@@ -153,16 +151,3 @@ def test_serve_cli_drains_cleanly_on_sigint(tmp_path):
     assert snapshot["algorithm"] == "TF"
     assert snapshot["duration"] > 0
 
-
-@pytest.mark.slow
-def test_bench_cli_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.live", "bench",
-         "--seconds", "1", "--ramp", "0.2"],
-        capture_output=True, env=env, timeout=60, check=True,
-    ).stdout.decode()
-    assert "installs/s:" in out
-    installs = float(out.split("installs/s:")[1].split()[0])
-    assert installs > 0

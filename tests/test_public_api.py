@@ -1,6 +1,13 @@
 """Tests for the package's public API surface."""
 
+import glob
+import re
+from pathlib import Path
+
+import pytest
+
 import repro
+from repro.live.__main__ import build_parser, main as live_main
 
 
 def test_version():
@@ -50,3 +57,53 @@ def test_enums_exported():
 def test_format_helpers_exported():
     table = repro.format_table(("a",), [(1,)])
     assert "a" in table
+
+
+# ----------------------------------------------------------------------
+# Docs cannot cite what does not exist
+# ----------------------------------------------------------------------
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DOCS = [
+    *(REPO_ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")),
+    *sorted((REPO_ROOT / "docs").glob("*.md")),
+    REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+#: A path under benchmarks/, or a bare bench file name (not the tail of a
+#: longer identifier).
+_BENCH_REF = re.compile(r"benchmarks/[\w*<>./-]*|(?<![\w/])bench_[\w*<>.-]*")
+_FENCED = re.compile(r"```.*?```", re.DOTALL)
+_LIVE_CLI = re.compile(r"(?:repro-live|python -m repro\.live)\s+([a-z|]+)")
+
+
+def _as_glob(reference: str) -> str:
+    """``bench_figN_*.py`` and ``out/<workload>.log`` are patterns."""
+    reference = re.sub(r"<[^>]*>", "*", reference.rstrip(".,-"))
+    return reference.replace("figN", "fig*")
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda path: path.name)
+def test_docs_cite_only_benchmarks_and_subcommands_that_exist(doc):
+    text = doc.read_text(encoding="utf-8")
+    for reference in set(_BENCH_REF.findall(text)):
+        pattern = _as_glob(reference)
+        if pattern.startswith("benchmarks/spine/out/"):
+            continue  # what a spine run leaves behind; .gitignore lists it
+        if not pattern.startswith("benchmarks/"):
+            pattern = f"benchmarks/**/{pattern}*"
+        assert glob.glob(str(REPO_ROOT / pattern), recursive=True), (
+            f"{doc.name} cites {reference!r}, which matches no file"
+        )
+    fenced = _FENCED.findall(text)
+    spans = fenced + re.findall(r"`([^`]+)`", _FENCED.sub("", text))
+    for span in spans:
+        for words in _LIVE_CLI.findall(span):
+            for word in words.split("|"):
+                # No subcommand needs an argument, so a known word parses.
+                build_parser().parse_args([word])
+
+
+def test_removed_subcommand_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        live_main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
