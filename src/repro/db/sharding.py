@@ -266,10 +266,10 @@ class Topology:
     """The cluster's shard map at one epoch: ``(epoch, workers)``.
 
     The supervisor owns the authoritative instance and refreshes it
-    whenever a worker endpoint or status changes (routing plane 0 reads
-    it directly); shard workers and routing-plane children keep their own
-    copy, fed by the supervisor's ``topology(epoch, workers)`` pipe
-    broadcast through :meth:`apply`.  Routing decisions read :meth:`port_of` /
+    whenever a worker endpoint or status changes (the routing plane reads
+    it directly); shard workers keep their own copy, fed by the
+    supervisor's ``topology(epoch, workers)`` pipe broadcast through
+    :meth:`apply`.  Routing decisions read :meth:`port_of` /
     :meth:`status_of` at use time, so a refresh takes effect on the very
     next record; :meth:`record` is what smart clients are served.
     """

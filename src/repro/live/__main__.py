@@ -131,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "options, e.g. 'by8=sum:low,groups=8' or "
                        "'hot=top_k:high,k=4' — sharded mode registers it "
                        "on every worker and merges the per-shard reports")
-    serve.add_argument("--routers", type=int, default=1,
-                       help="router planes sharing the public port "
-                       "(sharded mode): plane 0 runs in the supervisor "
-                       "process, N > 1 adds N-1 plane processes on the same "
-                       "port via SO_REUSEPORT to spread ingest parsing over "
-                       "cores (default 1: no extra process)")
 
     loadgen = sub.add_parser("loadgen",
                              help="stream traffic at a running server")
@@ -225,12 +219,11 @@ async def _serve(args) -> int:
     else:
         node = source = ShardCluster(
             config, args.algorithm, shards=args.shards,
-            restart_limit=args.restart_limit, routers=args.routers, **shared,
+            restart_limit=args.restart_limit, **shared,
         )
         host, port = await node.start()
-        planes = (f", {args.routers} router planes" if args.routers > 1 else "")
         print(f"repro-live: {args.algorithm} serving on {host}:{port} across "
-              f"{args.shards} shard workers (ports {node.ports}{planes}; "
+              f"{args.shards} shard workers (ports {node.ports}; "
               f"SIGINT drains and exits)", file=sys.stderr, flush=True)
         if args.fail_shard is not None:
             print(f"repro-live: fault injection armed — SIGKILL shard "
@@ -404,10 +397,15 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "serve":
-        # Sharded-only flags: refuse them, rather than silently serve a
-        # plain node that arms no fault and spawns no plane.
-        if args.shards < 2 and (args.fail_shard is not None or args.routers > 1):
-            parser.error("--fail-shard and --routers > 1 need --shards > 1")
+        if args.shards < 1:
+            parser.error(f"--shards must be >= 1, got {args.shards}")
+        if args.restart_limit < 0:
+            parser.error("--restart-limit must be >= 0, got "
+                         f"{args.restart_limit}")
+        # A sharded-only flag: refuse it, rather than silently serve a
+        # plain node that arms no fault.
+        if args.shards < 2 and args.fail_shard is not None:
+            parser.error("--fail-shard: need --shards > 1")
         if args.fail_shard is not None and not 0 <= args.fail_shard < args.shards:
             parser.error(f"--fail-shard {args.fail_shard} out of range for "
                          f"{args.shards} shards")

@@ -3,40 +3,39 @@
 ``repro-live serve --shards N`` runs N worker processes, each hosting a
 full single-shard pipeline (a :class:`~repro.live.server.ShardHost` — the
 same start/stop sequence a standalone server runs — on a loopback port),
-behind one public TCP socket served by ``routers``
-:class:`~repro.live.plane.RouterPlane` s: plane 0 in this process, sharing
-its router and topology, plus ``routers - 1`` plane children on the same
-``SO_REUSEPORT`` port (none at ``routers=1``).  The public socket speaks
-the same wire protocols as a single server — clients cannot tell the
-difference.  This module is the *supervisor* side of that:
+behind one public TCP socket served by one
+:class:`~repro.live.plane.RouterPlane` in this process, sharing its router
+and topology.  The public socket speaks the same wire protocols as a
+single server — clients cannot tell the difference.  This module is the
+*supervisor* side of that:
 
-* **process supervision**: a shard worker and a plane child are the same
-  thing to the supervisor — a :class:`Child`: a ``multiprocessing``
-  ("spawn") process behind one entry point, controlled over a
-  :class:`ControlPipe` (ready / topology / stats / stop) while data flows
-  over loopback TCP as binary frames.  Each child rebuilds the
+* **process supervision**: a shard worker is a ``multiprocessing``
+  ("spawn") process behind one entry point (a :class:`WorkerState` here),
+  controlled over a :class:`ControlPipe` (ready / topology / stop) while
+  data flows over loopback TCP as binary frames.  Each worker rebuilds the
   (deterministic) :class:`~repro.db.sharding.ShardRouter` from the global
   config, so nothing stateful crosses the process boundary.  Death is an
-  event — the process sentinel turning readable, not a poll — handled on
-  one path for both kinds: the child is restarted (a worker: fresh
-  :class:`LiveRuntime`, warm from its log with ``log_dir``, on a
-  re-registered port, counted in ``extras["worker_restarts"]``) or, once
-  ``restart_limit`` is exhausted, marked **down**; a down worker's
-  records are shed with typed ``shard_down`` replies while the client
-  session stays up — the cluster is fault tolerant the same way the
-  scheduler is overload tolerant: by shedding, accounting, and
-  recovering.  See ``docs/RESILIENCE.md`` for the failure model;
+  event — the process sentinel turning readable, not a poll: the worker
+  is restarted (fresh :class:`LiveRuntime`, warm from its log with
+  ``log_dir``, on a re-registered port, counted in
+  ``extras["worker_restarts"]``) or, once ``restart_limit`` is exhausted,
+  marked **down**; a down worker's records are shed with typed
+  ``shard_down`` replies while the client session stays up — the cluster
+  is fault tolerant the same way the scheduler is overload tolerant: by
+  shedding, accounting, and recovering.  See ``docs/RESILIENCE.md`` for
+  the failure model;
 * **topology epochs**: the supervisor owns the one authoritative
   :class:`~repro.db.sharding.Topology`, refreshes it on every worker
   status or endpoint change (:meth:`ShardCluster._bump_epoch`) and
-  broadcasts it to every child;
+  broadcasts it to every worker;
 * **snapshot fan-in and merge**: ``{"kind": "snapshot"}`` is answered
   with the *merged* fleet snapshot — per-shard snapshots fetched over the
   workers' own wire protocol and aggregated by
-  :meth:`SimulationResult.merge`, with every plane's routing accounting
-  merged into ``extras`` (:func:`merge_extras_sources`).  ``snapshot()``
-  and ``shutdown()`` skip dead workers under bounded timeouts (join ->
-  terminate -> kill escalation) and note them in ``extras``.
+  :meth:`SimulationResult.merge`; ``extras`` is the plane's routing
+  accounting plus the sum of the workers' smart-client counters, so every
+  counter has one owner.  ``snapshot()`` and ``shutdown()`` skip dead
+  workers under bounded timeouts (join -> terminate -> kill escalation)
+  and note them in ``extras``.
 """
 
 from __future__ import annotations
@@ -46,12 +45,11 @@ import itertools
 import logging
 import multiprocessing
 import signal
-import socket
 from dataclasses import asdict, dataclass
 
 from repro.config import SimulationConfig
 from repro.db.views import merge_view_reports
-from repro.db.sharding import ROUTER_VERSION, ShardRouter, Topology
+from repro.db.sharding import ShardRouter, Topology
 from repro.live.plane import RouterPlane, ShardDownError
 from repro.live.server import ShardHost
 from repro.live.wire import (
@@ -74,90 +72,11 @@ _WORKER_TIMEOUT = 60.0
 #: Bound on one shard's snapshot round trip (a slower shard is skipped).
 _SNAPSHOT_TIMEOUT = 10.0
 
-#: Bound on a plane child's snapshot round trip through the supervisor.
-_SNAPSHOT_PIPE_WAIT = 30.0
-
 #: Liveness poll period inside the join -> terminate -> kill escalation.
 _POLL_INTERVAL = 0.02
 
 #: Per-stage wait inside the join -> terminate -> kill escalation.
 _REAP_GRACE = 2.0
-
-
-# ----------------------------------------------------------------------
-# Extras merging (planes x shards)
-# ----------------------------------------------------------------------
-#: Scalar counters summed across sources.
-_EXTRAS_SUM = frozenset({
-    "records_received", "protocol_errors", "cross_shard_submits",
-    "remapped_reads", "routing_errors", "topology_requests",
-    "direct_records", "moved_replies", "stale_epoch_redirects",
-    "hello_records",
-})
-#: Per-shard counter lists summed elementwise across sources.
-_EXTRAS_SUM_LIST = frozenset({
-    "updates_routed", "transactions_routed", "fanout_sub_reads",
-    "sub_read_misses", "sub_read_aborts", "sub_read_deadline_misses",
-    "shed_shard_down",
-})
-#: Gauges merged by max (None = no samples on that source).
-_EXTRAS_MAX = frozenset({"sub_read_latency_p99"})
-#: Topology facts every source must agree on.
-_EXTRAS_EQUAL = frozenset({"shards", "router_version"})
-
-
-def merge_extras_sources(*sources: dict) -> dict:
-    """Merge ``extras`` counter dicts from multiple sources into one.
-
-    The cluster's counters now arrive from several places at once —
-    every routing plane reports its own routing/shed/fan-out stats, and
-    every shard worker reports its own direct-ingest stats — and most of
-    them share key names.  Pre-plane code built ``extras`` from exactly
-    one source per key, so a duplicate silently meant last-write-wins;
-    here every key carries an explicit merge rule (sum, elementwise sum,
-    max, or must-be-equal), and a duplicate key *without* a rule raises
-    instead of clobbering.
-
-    Raises:
-        AssertionError: a duplicate key has no merge rule, two sources
-            disagree on a must-be-equal fact, or two per-shard lists
-            have different lengths.
-    """
-    merged: dict = {}
-    for source in sources:
-        for key, value in source.items():
-            if key not in merged:
-                merged[key] = list(value) if key in _EXTRAS_SUM_LIST else value
-                continue
-            if key in _EXTRAS_SUM:
-                merged[key] += value
-            elif key in _EXTRAS_SUM_LIST:
-                current = merged[key]
-                if len(current) != len(value):
-                    raise AssertionError(
-                        f"extras key {key!r}: per-shard lists of different "
-                        f"lengths ({len(current)} vs {len(value)})"
-                    )
-                merged[key] = [a + b for a, b in zip(current, value)]
-            elif key in _EXTRAS_MAX:
-                if value is not None:
-                    current = merged[key]
-                    merged[key] = (
-                        value if current is None else max(current, value)
-                    )
-            elif key in _EXTRAS_EQUAL:
-                if merged[key] != value:
-                    raise AssertionError(
-                        f"extras key {key!r} disagrees across sources: "
-                        f"{merged[key]!r} != {value!r}"
-                    )
-            else:
-                raise AssertionError(
-                    f"duplicate extras key {key!r} with no merge rule; "
-                    "add it to an _EXTRAS_* registry in repro.live.cluster"
-                )
-    return merged
-
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +207,7 @@ def _ignore_signals() -> None:
 
 def _child_main(conn, start, *args) -> None:
     """Entry point of every supervised child (runs in a spawned process);
-    ``start`` is its role, :func:`_start_worker` or :func:`_start_plane`."""
+    ``start`` is its role: :func:`_start_worker`."""
     _ignore_signals()
     asyncio.run(_child_async(conn, start, *args))
 
@@ -329,46 +248,6 @@ async def _start_worker(
     return info, {"topology": shard.server.topology.apply, "stop": stop}
 
 
-async def _start_plane(
-    pipe, config, index, shards, batch_max, flush_us,
-    host, port, epoch, workers,
-):
-    """One routing plane beside the supervisor's, on the shared port.
-    ``stop_ingest`` closes the listening socket and the open sessions,
-    ``stop`` does that and returns the final counters.  A client's fleet
-    snapshot is a ``snapshot`` call *to* the supervisor — only it can
-    fan one in."""
-    topology = Topology(
-        config.updates.n_low, config.updates.n_high, shards,
-        epoch=epoch, workers=workers,
-    )
-    plane = RouterPlane(
-        config, shards=shards, topology=topology, batch_max=batch_max,
-        flush_us=flush_us, index=index,
-        snapshot_cb=lambda: pipe.call("snapshot", timeout=_SNAPSHOT_PIPE_WAIT),
-    )
-    server = await asyncio.start_server(
-        plane.handle, host, port, reuse_port=True
-    )
-
-    async def stop_ingest() -> None:
-        server.close()
-        await plane.close_sessions()
-        try:
-            await asyncio.wait_for(server.wait_closed(), 2.0)
-        except asyncio.TimeoutError:  # pragma: no cover - slow close
-            pass
-
-    async def stop() -> dict:
-        await stop_ingest()
-        return plane.stats()
-
-    return {}, {
-        "topology": topology.apply, "stats": plane.stats,
-        "stop_ingest": stop_ingest, "stop": stop,
-    }
-
-
 async def _reap(process, *, grace: float = _REAP_GRACE) -> None:
     """Retire one child process with bounded escalation.
 
@@ -389,44 +268,20 @@ async def _reap(process, *, grace: float = _REAP_GRACE) -> None:
 
 
 @dataclass
-class Child:
-    """Supervisor-side record of one child process, worker or plane.
+class WorkerState:
+    """Supervisor-side record of one shard worker process; any status
+    other than ``up`` sheds routed records.
 
     Attributes:
-        index: Shard or plane index (stable across restarts).
+        index: Shard index (stable across restarts).
         process / pipe: The current incarnation and the supervisor's end
             of its control pipe; replaced wholesale on restart.
         status: ``starting`` | ``up`` | ``restarting`` | ``down``.
-        restarts: Completed supervisor restarts of this child.
+        restarts: Completed supervisor restarts of this worker.
         ready: Resolves to the current incarnation's ready report (this
             record's fields as it has them), or ``None`` if it dies first.
-    """
-
-    index: int
-    process: "multiprocessing.process.BaseProcess | None" = None
-    pipe: "ControlPipe | None" = None
-    status: str = "starting"
-    restarts: int = 0
-    ready: "asyncio.Future | None" = None
-
-    #: How log lines and errors name this kind of child.
-    role = "child"
-
-    def kill(self) -> None:
-        """Fault injection: SIGKILL the current incarnation.  The
-        supervisor observes the death exactly as it would a real crash."""
-        if self.process is not None and self.process.is_alive():
-            self.process.kill()
-
-
-@dataclass
-class WorkerState(Child):
-    """A shard worker; any status other than ``up`` sheds routed records.
-
-    Attributes:
         port: The worker's current loopback ingest port (re-registered
             on restart — restarted workers bind a fresh port).
-        shed_shard_down: Records shed because this shard was not up.
         replayed_records: Log records the current incarnation replayed
             on its warm start (0 for cold starts).
         replay_lag_s: Wall seconds the warm start spent restoring +
@@ -436,14 +291,26 @@ class WorkerState(Child):
         last_snapshot_error: Most recent capture failure, as ``repr``.
     """
 
+    index: int
+    process: "multiprocessing.process.BaseProcess | None" = None
+    pipe: "ControlPipe | None" = None
+    status: str = "starting"
+    restarts: int = 0
+    ready: "asyncio.Future | None" = None
     port: int = 0
-    shed_shard_down: int = 0
     replayed_records: int = 0
     replay_lag_s: float = 0.0
     snapshot_errors: int = 0
     last_snapshot_error: "str | None" = None
 
+    #: How log lines and errors name this child.
     role = "shard worker"
+
+    def kill(self) -> None:
+        """Fault injection: SIGKILL the current incarnation.  The
+        supervisor observes the death exactly as it would a real crash."""
+        if self.process is not None and self.process.is_alive():
+            self.process.kill()
 
     def liveness(self) -> dict:
         """This worker's row in ``extras["workers"]``."""
@@ -451,40 +318,15 @@ class WorkerState(Child):
             "shard": self.index,
             "status": self.status,
             "restarts": self.restarts,
-            "shed_shard_down": self.shed_shard_down,
+            # Counted where records are shed: ShardCluster.liveness()
+            # fills it from the plane.
+            "shed_shard_down": 0,
             "port": self.port,
             "replayed_records": self.replayed_records,
             "replay_lag_s": self.replay_lag_s,
             "snapshot_errors": self.snapshot_errors,
             "last_snapshot_error": self.last_snapshot_error,
         }
-
-
-@dataclass
-class PlaneState(Child):
-    """A routing-plane child (planes 1..N-1; plane 0 is the supervisor).
-
-    Attributes:
-        stats: Counters the current incarnation last reported (kept
-            across its death, so a crashed plane's accounting merges).
-        row: That report's ``"plane"`` entry — its ``extras["planes"]`` row.
-        carried: The last reports of all earlier incarnations, merged.
-    """
-
-    stats: "dict | None" = None
-    row: "dict | None" = None
-    carried: "dict | None" = None
-
-    role = "router plane"
-
-    def carry_over(self) -> None:
-        """Fold the last report into ``carried``, so merged counters do
-        not run backwards once the successor reports.  What the plane
-        routed *after* that report is gone with the process: the workers
-        count those records as arrivals, the routed-side counters do not."""
-        if self.stats is not None:
-            self.carried = merge_extras_sources(self.carried or {}, self.stats)
-        self.stats = self.row = None
 
 
 # ----------------------------------------------------------------------
@@ -501,21 +343,12 @@ class ShardCluster:
         shards: Worker count (>= 2; use a plain server for one shard).
         host / port: Public bind address of the router socket.
         algorithm_kwargs: Constructor args for the algorithm.
-        restart_limit: Times the supervisor restarts one crashed child —
-            shard worker or routing plane — before marking it down for
-            good (0 = never restart; a down worker's records are shed).
+        restart_limit: Times the supervisor restarts one crashed shard
+            worker before marking it down for good (0 = never restart; a
+            down worker's records are shed).
         shutdown_grace: Extra seconds past ``drain_timeout`` that
             :meth:`shutdown` waits for each worker's final result before
             declaring the shard dead and escalating.
-        routers: Routing-plane count.  Plane 0 is the
-            :class:`~repro.live.plane.RouterPlane` in this process;
-            ``routers=N`` adds N−1 plane *children* listening on the same
-            public ``(host, port)`` via ``SO_REUSEPORT`` — the kernel
-            balances client connections across the N listeners, each
-            plane holds its own upstream channels to every worker, and a
-            crashed plane child is restarted like a worker.  ``1``
-            (default) spawns none; ``N >= 2`` needs a platform with
-            ``SO_REUSEPORT`` (Linux/BSD/macOS).
         log_dir: Directory for per-shard write-ahead logs + snapshots
             (see :mod:`repro.live.durability`).  ``None`` (default)
             disables durability: restarts come back cold, exactly the
@@ -538,7 +371,6 @@ class ShardCluster:
         flush_us: float = DEFAULT_FLUSH_US,
         restart_limit: int = 1,
         shutdown_grace: float = 10.0,
-        routers: int = 1,
         log_dir: "str | None" = None,
         fsync: str = "never",
         snapshot_interval: float = 5.0,
@@ -550,13 +382,6 @@ class ShardCluster:
             raise ValueError("sharded serving needs an algorithm name")
         if restart_limit < 0:
             raise ValueError("restart_limit must be >= 0")
-        if routers < 1:
-            raise ValueError(f"need at least one router plane, got {routers}")
-        if routers > 1 and not hasattr(socket, "SO_REUSEPORT"):
-            raise ValueError(
-                "routers > 1 needs SO_REUSEPORT, which this platform "
-                "does not provide"
-            )
         config.validate()
         self.config = config
         self.algorithm = algorithm
@@ -568,7 +393,6 @@ class ShardCluster:
         self.flush_us = flush_us
         self.restart_limit = restart_limit
         self.shutdown_grace = shutdown_grace
-        self.routers = routers
         self.log_dir = log_dir
         self.fsync = fsync
         self.snapshot_interval = snapshot_interval
@@ -589,7 +413,7 @@ class ShardCluster:
             config.updates.n_low, config.updates.n_high, shards
         )
         #: The authoritative shard map.  Its epoch is bumped (and the map
-        #: broadcast to every child) whenever a worker endpoint or status
+        #: broadcast to every worker) whenever a worker endpoint or status
         #: changes, so smart clients can detect a stale map (see
         #: ``docs/SCALING.md``).
         self.topology = Topology(
@@ -598,8 +422,6 @@ class ShardCluster:
         self._rid = itertools.count(1)
         self._control: "dict[int, RpcChannel]" = {}
         self._workers: list[WorkerState] = []
-        #: Plane children, i.e. planes 1..routers-1.
-        self._planes: list[PlaneState] = []
         self._context = None
         self._server: asyncio.AbstractServer | None = None
         #: Set by :meth:`shutdown` (and a failed :meth:`start`): children
@@ -607,11 +429,11 @@ class ShardCluster:
         self._stopping = False
         self._restart_tasks: set[asyncio.Task] = set()
         self._result: SimulationResult | None = None
-        # Plane 0: shares this cluster's router and topology, so it
-        # observes supervisor transitions the instant they land.
+        # The routing plane shares this cluster's router and topology, so
+        # it observes supervisor transitions the instant they land.
         self._plane = RouterPlane(
             config, shards=shards, topology=self.topology, router=self.router,
-            batch_max=batch_max, flush_us=flush_us, index=0,
+            batch_max=batch_max, flush_us=flush_us,
             snapshot_cb=self._snapshot_payload,
         )
 
@@ -621,106 +443,48 @@ class ShardCluster:
         return [worker.port for worker in self._workers]
 
     # ------------------------------------------------------------------
-    # Aggregated data-plane counters (across all planes)
-    # ------------------------------------------------------------------
-    def _plane_sources(self) -> list[dict]:
-        """Per-plane counter dicts: live for plane 0; for plane children
-        last reported (:meth:`_refresh_plane_stats`) and carried over."""
-        own = self._plane.stats()
-        del own["plane"]
-        sources = [own]
-        for plane in self._planes:
-            sources.extend(
-                stats for stats in (plane.carried, plane.stats)
-                if stats is not None
-            )
-        return sources
-
-    @property
-    def records_received(self) -> int:
-        """Records routed across every plane (children: last reported)."""
-        return sum(s.get("records_received", 0) for s in self._plane_sources())
-
-    @property
-    def errors(self) -> int:
-        """Protocol errors across every plane (children: last reported)."""
-        return sum(s.get("protocol_errors", 0) for s in self._plane_sources())
-
-    @property
-    def cross_shard_submits(self) -> int:
-        return sum(
-            s.get("cross_shard_submits", 0) for s in self._plane_sources()
-        )
-
-    def _shed_totals(self) -> list[int]:
-        totals = [0] * self.shards
-        for source in self._plane_sources():
-            for shard, count in enumerate(source.get("shed_shard_down", ())):
-                totals[shard] += count
-        return totals
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Spawn the workers, wait for their ports, open the public port
-        (plane 0 here, then the plane children).  If a child dies before
-        it is ready (``RuntimeError``) or never reports
-        (``TimeoutError``), every child spawned so far is retired first."""
+        """Spawn the workers, wait for their ports, open the public port.
+        If a worker dies before it is ready (``RuntimeError``) or never
+        reports (``TimeoutError``), every worker spawned so far is retired
+        first."""
         if self._workers:
             raise RuntimeError("cluster is already running")
         self._context = multiprocessing.get_context("spawn")
         self._workers = [WorkerState(index) for index in range(self.shards)]
         try:
-            await self._bring_up(self._workers)
+            # Side by side: spawn them all, then wait for each to be ready.
+            for worker in self._workers:
+                self._spawn(worker)
+            for worker in self._workers:
+                await self._await_ready(worker)
             # Epoch 1: the initial all-ready topology, broadcast to workers
-            # (for smart clients' topology/moved replies) — before any plane
+            # (for smart clients' topology/moved replies) — before the plane
             # listens, so no session ever routes against the placeholder map.
             self._bump_epoch()
             self._server = await asyncio.start_server(
-                self._plane.handle, self.host, self.port,
-                reuse_port=self.routers > 1,
+                self._plane.handle, self.host, self.port
             )
-            # The concrete port is fixed here; the plane children bind the
-            # same one (SO_REUSEPORT: every listener gets a share).
             self.host, self.port = self._server.sockets[0].getsockname()[:2]
-            self._planes = [PlaneState(i) for i in range(1, self.routers)]
-            await self._bring_up(self._planes)
         except BaseException:
             self._stopping = True
-            await asyncio.gather(*map(self._retire, self._children()))
+            await asyncio.gather(*map(self._retire, self._workers))
             await self.stop_ingest()
             raise
         return self.host, self.port
 
-    def _children(self) -> "list[Child]":
-        return [*self._workers, *self._planes]
-
-    async def _bring_up(self, children) -> None:
-        """Spawn ``children`` side by side, then wait for each to be ready."""
-        for child in children:
-            self._spawn(child)
-        for child in children:
-            await self._await_ready(child)
-
-    def _spawn(self, child: Child) -> None:
+    def _spawn(self, child: WorkerState) -> None:
         """(Re)create one child: process, control pipe, death watch."""
-        if isinstance(child, WorkerState):
-            start, args = _start_worker, (
-                self.algorithm, self.algorithm_kwargs, self.log_dir,
-                self.fsync, self.snapshot_interval, self.views,
-            )
-        else:
-            start, args = _start_plane, (
-                self.host, self.port,
-                self.topology.epoch, self.topology.workers,
-            )
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_child_main,
             args=(
-                child_conn, start, self.config, child.index, self.shards,
-                self.batch_max, self.flush_us, *args,
+                child_conn, _start_worker, self.config, child.index,
+                self.shards, self.batch_max, self.flush_us,
+                self.algorithm, self.algorithm_kwargs, self.log_dir,
+                self.fsync, self.snapshot_interval, self.views,
             ),
             daemon=True,
         )
@@ -733,11 +497,10 @@ class ShardCluster:
         child.pipe.watch({
             # not done(): a report racing the incarnation's death loses.
             "ready": lambda info: ready.done() or ready.set_result(info),
-            "snapshot": self._snapshot_payload,
         })
         loop.add_reader(process.sentinel, self._on_death, child, process)
 
-    async def _await_ready(self, child: Child) -> None:
+    async def _await_ready(self, child: WorkerState) -> None:
         """Wait for the current incarnation's ready report; register it."""
         try:
             info = await asyncio.wait_for(child.ready, _WORKER_TIMEOUT)
@@ -756,23 +519,18 @@ class ShardCluster:
         child.status = "up"
 
     async def stop_ingest(self) -> None:
-        """Close the public socket(s) and the client sessions on them;
-        workers keep draining what they have."""
-        children = asyncio.gather(*(
-            plane.pipe.call("stop_ingest", timeout=5.0)
-            for plane in self._planes if plane.status == "up"
-        ))
+        """Close the public socket and the client sessions on it; workers
+        keep draining what they have."""
         if self._server is not None:
             self._server.close()
             await self._plane.close_sessions()
             await self._server.wait_closed()
             self._server = None
-        await children
 
     # ------------------------------------------------------------------
     # Supervision
     # ------------------------------------------------------------------
-    def _on_death(self, child: Child, process) -> None:
+    def _on_death(self, child: WorkerState, process) -> None:
         """``process``, an incarnation of ``child``, has exited (its
         sentinel turned readable): restart the child or mark it down.
         A retired incarnation's callback must be inert, hence the
@@ -805,7 +563,7 @@ class ShardCluster:
         # endpoint is gone before they burn retries against it.
         self._bump_epoch()
 
-    async def _retire(self, child: Child) -> None:
+    async def _retire(self, child: WorkerState) -> None:
         """Retire everything an incarnation — dead, drained, or never
         ready — leaves behind.
 
@@ -825,18 +583,15 @@ class ShardCluster:
         child.pipe.close()
         await _reap(child.process)
 
-    async def _restart(self, child: Child) -> None:
-        """Replace a dead child with a fresh incarnation: a worker as a
-        fresh runtime on a fresh port (with ``log_dir`` it warm-starts
-        from the shard's snapshot + log before it announces the port), a
-        plane on the same public port.  Meanwhile the child stays
-        non-``up``, so a shard's records are shed rather than queued
+    async def _restart(self, child: WorkerState) -> None:
+        """Replace a dead child with a fresh incarnation: a fresh runtime
+        on a fresh port (with ``log_dir`` it warm-starts from the shard's
+        snapshot + log before it announces the port).  Meanwhile the child
+        stays non-``up``, so a shard's records are shed rather than queued
         against a process that may never come back; on failure the child
         is marked down for good."""
         try:
             await self._retire(child)
-            if isinstance(child, PlaneState):
-                child.carry_over()
             self._spawn(child)
             await self._await_ready(child)
             child.restarts += 1
@@ -853,57 +608,35 @@ class ShardCluster:
                 "%s %d restart failed (%r); marking down",
                 child.role, child.index, exc,
             )
-        self._bump_epoch()  # a worker: fresh port (or down for good)
+        self._bump_epoch()  # fresh port (or down for good)
 
     def kill_worker(self, index: int) -> None:
         """Fault injection (tests, ``--fail-shard``): SIGKILL one worker;
         the supervisor then restarts or sheds per ``restart_limit``."""
         self._workers[index].kill()
 
-    def kill_plane(self, index: int) -> None:
-        """Fault injection: SIGKILL one routing-plane child
-        (``ValueError`` for plane 0 — it is this process)."""
-        if index == 0:
-            raise ValueError("plane 0 runs in the supervisor process")
-        self._planes[index - 1].kill()
-
     def worker_status(self, index: int) -> str:
         """Current supervision status of one shard worker."""
         return self._workers[index].status
 
-    def plane_status(self, index: int) -> str:
-        """Current supervision status of one routing plane (plane 0 is
-        up for as long as there is anyone to ask)."""
-        return "up" if index == 0 else self._planes[index - 1].status
-
     def liveness(self) -> list[dict]:
-        """Per-worker liveness rows (as reported in ``extras``).
-
-        ``shed_shard_down`` is summed across every plane's counters —
-        shedding happens where routing happens, which is no longer only
-        the parent process.
-        """
-        totals = self._shed_totals()
-        rows = []
-        for worker in self._workers:
-            row = worker.liveness()
-            row["shed_shard_down"] = totals[worker.index]
-            rows.append(row)
-        return rows
+        """Per-worker liveness rows (as reported in ``extras``);
+        ``shed_shard_down`` is the plane's count — shedding happens where
+        routing happens."""
+        shed = self._plane.shed_shard_down
+        return [
+            {**worker.liveness(), "shed_shard_down": shed[worker.index]}
+            for worker in self._workers
+        ]
 
     # ------------------------------------------------------------------
     # Topology epochs (smart clients)
     # ------------------------------------------------------------------
-    def topology_record(self) -> dict:
-        """The cluster's current ``{"kind": "topology"}`` control record."""
-        return self.topology.record()
-
     def _bump_epoch(self) -> None:
-        """If the worker table changed (a plane's status is not in it),
-        advance the topology epoch and broadcast the table: every worker
-        needs it to answer direct clients' topology requests and stamp
-        ``moved`` redirects, every plane child needs it to route.  A
-        child that is already dead misses it — its death is handled
+        """If the worker table changed, advance the topology epoch and
+        broadcast the table: every worker needs it to answer direct
+        clients' topology requests and stamp ``moved`` redirects.  A
+        worker that is already dead misses it — its death is handled
         separately."""
         topology = self.topology
         entries = [
@@ -918,8 +651,8 @@ class ShardCluster:
         if entries == topology.workers:
             return
         topology.apply(topology.epoch + 1, entries)
-        for child in self._children():
-            child.pipe.post("topology", topology.epoch, entries)
+        for worker in self._workers:
+            worker.pipe.post("topology", topology.epoch, entries)
 
     # ------------------------------------------------------------------
     # Drain and merge
@@ -944,7 +677,6 @@ class ShardCluster:
         if self._restart_tasks:
             await asyncio.gather(*self._restart_tasks, return_exceptions=True)
         await self.stop_ingest()
-        await self._refresh_plane_stats("stop", 10.0)
         for channel in self._control.values():
             await channel.aclose()
         self._control.clear()
@@ -967,56 +699,13 @@ class ShardCluster:
             else:
                 per_shard.append(result_from_dict(payload))
                 indices.append(worker.index)
-        await asyncio.gather(*map(self._retire, self._children()))
+        await asyncio.gather(*map(self._retire, self._workers))
         if not per_shard:
             raise ShardDownError(
                 "every shard worker died without reporting a result"
             )
         self._result = self._merge(per_shard, indices)
         return self._result
-
-    def _zero_stats(self) -> dict:
-        """The guaranteed-present merge source: every counter key at zero.
-
-        Explicit zero literals, *not* ``self.router.accounting()`` —
-        plane 0 shares that router, so reading it here would count its
-        routing twice.  With this source first, the merged extras carry
-        every expected key whatever the planes reported.
-        """
-        zeros = [0] * self.shards
-        return {
-            "shards": self.shards,
-            "router_version": ROUTER_VERSION,
-            "updates_routed": list(zeros),
-            "transactions_routed": list(zeros),
-            "remapped_reads": 0,
-            "routing_errors": 0,
-            "records_received": 0,
-            "protocol_errors": 0,
-            "cross_shard_submits": 0,
-            "fanout_sub_reads": list(zeros),
-            "sub_read_misses": list(zeros),
-            "sub_read_aborts": list(zeros),
-            "sub_read_deadline_misses": list(zeros),
-            "sub_read_latency_p99": None,
-            "shed_shard_down": list(zeros),
-            "topology_requests": 0,
-        }
-
-    def _plane_rows(self) -> list[dict]:
-        """One ``extras["planes"]`` row per plane (CPU seconds included).
-        Row 0 is the supervisor's own plane — always ``up``, its
-        ``cpu_seconds`` this process's; a plane child's row is its
-        current incarnation's last report."""
-        rows = [{**self._plane.stats()["plane"], "status": "up", "restarts": 0}]
-        for plane in self._planes:
-            rows.append({
-                "plane": plane.index,
-                **(plane.row or {}),
-                "status": plane.status,
-                "restarts": plane.restarts,
-            })
-        return rows
 
     def _merge(
         self,
@@ -1025,11 +714,11 @@ class ShardCluster:
     ) -> SimulationResult:
         """Merge per-shard results (``indices`` names the shards present).
 
-        The counter half of ``extras`` is merged key-by-key from every
-        source that reports one — all routing planes plus each worker's
-        direct-ingest accounting — through :func:`merge_extras_sources`,
-        so a counter arriving from several places sums (or maxes, or must
-        agree) instead of last-write-wins.
+        The counter half of ``extras`` is the plane's live routing
+        accounting plus, summed across workers, the smart-client counters
+        each reports as ``extras["direct"]`` (absent until a client
+        bypasses the router; ``topology_requests`` is counted on both
+        sides).
         """
         if indices is None:
             indices = list(range(self.shards))
@@ -1040,20 +729,17 @@ class ShardCluster:
         for result, index in zip(per_shard, indices):
             shard_extras = result.extras or {}
             if "snapshot_errors" in shard_extras:
-                state = next(
-                    w for w in self._workers if w.index == index
-                )
+                state = self._workers[index]
                 state.snapshot_errors = shard_extras["snapshot_errors"]
                 state.last_snapshot_error = shard_extras.get(
                     "last_snapshot_error"
                 )
         workers = self.liveness()
-        sources = [self._zero_stats(), *self._plane_sources()]
+        extras = self._plane.stats()
         for result in per_shard:
-            direct = (result.extras or {}).get("direct")
-            if direct:
-                sources.append(direct)
-        extras = merge_extras_sources(*sources)
+            direct = (result.extras or {}).get("direct") or {}
+            for key, count in direct.items():
+                extras[key] = extras.get(key, 0) + count
         extras.update({
             "workers": workers,
             "worker_restarts": [w["restarts"] for w in workers],
@@ -1061,9 +747,7 @@ class ShardCluster:
                 w["shard"] for w in workers if w["status"] == "down"
             ],
             "merged_shards": list(indices),
-            "routers": self.routers,
             "epoch": self.topology.epoch,
-            "planes": self._plane_rows(),
             "durability": self.log_dir is not None,
             "replayed_records": [w["replayed_records"] for w in workers],
             "replay_lag_s": [w["replay_lag_s"] for w in workers],
@@ -1099,7 +783,6 @@ class ShardCluster:
         Raises:
             ShardDownError: when no live shard answered.
         """
-        await self._refresh_plane_stats()
         live = [worker for worker in self._workers if worker.status == "up"]
         results = await asyncio.gather(
             *(self._try_shard_snapshot(worker) for worker in live)
@@ -1113,18 +796,6 @@ class ShardCluster:
         if not per_shard:
             raise ShardDownError("no live shard worker answered a snapshot")
         return self._merge(per_shard, indices)
-
-    async def _refresh_plane_stats(self, kind="stats", timeout=5.0) -> None:
-        """Freshen every plane child's cached stats (``kind="stop"``: take
-        its final ones).  Bounded, best effort — a slow plane serves
-        stale counters, not a stuck merge."""
-        planes = [plane for plane in self._planes if plane.status == "up"]
-        replies = await asyncio.gather(*(
-            plane.pipe.call(kind, timeout=timeout) for plane in planes
-        ))
-        for plane, stats in zip(planes, replies):
-            if stats is not None:
-                plane.row, plane.stats = stats.pop("plane"), stats
 
     async def _try_shard_snapshot(
         self, worker: WorkerState
@@ -1197,10 +868,9 @@ class ShardCluster:
         return result_from_dict(record)
 
     async def _snapshot_payload(self) -> "dict | None":
-        """Every plane's snapshot callback — plane 0's directly, a plane
-        child's as a ``snapshot`` call: only the supervisor can fan one
-        in (late-bound through :meth:`snapshot` so tests can monkeypatch
-        the fan-in).  ``None``: no live shard answered."""
+        """The plane's snapshot callback (late-bound through
+        :meth:`snapshot` so tests can monkeypatch the fan-in).  ``None``:
+        no live shard answered."""
         try:
             return asdict(await self.snapshot())
         except ShardDownError:

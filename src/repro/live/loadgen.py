@@ -563,7 +563,7 @@ class DirectClient:
     client already holds) are ignored.
 
     Args:
-        host / port: The *router* address (any plane of the fleet).
+        host / port: The *router* address (the cluster's public socket).
         batch_max / flush_us / attempts / wire: As for :class:`WireClient`;
             shared by the router and worker connections.
         on_line: Callback for reply records that are not control traffic

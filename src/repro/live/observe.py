@@ -70,21 +70,9 @@ class MetricsStreamer:
             self._stream = out
 
     # ------------------------------------------------------------------
-    def emit(self) -> dict:
-        """Take one snapshot now; write it and return the record.
-
-        Only valid for sources with a synchronous ``snapshot()`` (a
-        runtime); a cluster-backed streamer must use :meth:`emit_async`.
-        """
-        snapshot = self.runtime.snapshot()
-        if inspect.isawaitable(snapshot):
-            raise TypeError(
-                "this source's snapshot() is async; use emit_async()"
-            )
-        return self._record(snapshot)
-
     async def emit_async(self) -> dict:
-        """Like :meth:`emit`, awaiting the snapshot if it is async."""
+        """Take one snapshot now (awaiting it if the source's
+        ``snapshot()`` is async); write it and return the record."""
         snapshot = self.runtime.snapshot()
         if inspect.isawaitable(snapshot):
             snapshot = await snapshot

@@ -1,4 +1,4 @@
-"""Routing planes: the cluster's data plane, one instance per process.
+"""The routing plane: the cluster's data plane.
 
 A :class:`RouterPlane` is everything the cluster's public socket does to
 one client session: it rewrites each ``update`` / ``transaction`` record
@@ -28,20 +28,11 @@ forwarding it
   skip the router hop and dial workers directly (see
   :class:`~repro.live.loadgen.DirectClient` and ``docs/SCALING.md``).
 
-**Plane 0** always runs in the supervisor process, sharing the
-:class:`~repro.live.cluster.ShardCluster`'s router and topology;
-``routers=N`` adds **planes 1..N−1**, each a child process listening on
-the *same* public ``(host, port)`` via ``SO_REUSEPORT``, the kernel
-load-balancing client connections across all N.  Routing is stateless
-per record, so planes need no coordination beyond the topology the
-supervisor broadcasts — over pipes that are the cluster's business.
-
-Every plane keeps its own routing/shed/fan-out counters and reports them
-through :meth:`RouterPlane.stats`; the cluster merges the per-plane
-stats into ``extras`` next to the per-shard results (see
-``merge_extras_sources`` in :mod:`repro.live.cluster`), plus one
-``extras["planes"]`` row per plane with its CPU seconds — the direct
-measurement of how much of the machine the routing tier burns.
+The one plane runs in the supervisor process, sharing the
+:class:`~repro.live.cluster.ShardCluster`'s router and topology (why
+there is one: ``docs/SCALING.md``).  It owns every routing/shed/fan-out
+counter and reports them through :meth:`RouterPlane.stats`, which the
+cluster puts into ``extras`` next to the per-shard results.
 """
 
 from __future__ import annotations
@@ -49,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-import time
 from dataclasses import replace
 
 from repro.config import SimulationConfig
@@ -86,8 +76,7 @@ logger = logging.getLogger(__name__)
 #: worker's outcome-correlation keyspace with pass-through client seqs,
 #: so their rids start far above any plausible client sequence number —
 #: still comfortably inside the wire format's int64.  Rids only need to
-#: be unique *per upstream connection*, and every plane opens its own
-#: upstreams, so independent per-plane counters cannot collide.
+#: be unique *per upstream connection*.
 _RID_BASE = 1 << 62
 
 #: Extra seconds past a cross-shard transaction's own firm deadline
@@ -124,26 +113,22 @@ def _encode_hop_frames(routed: list) -> bytes:
 
 
 class RouterPlane:
-    """One routing plane: client sessions in, per-shard batches out.
+    """The routing plane: client sessions in, per-shard batches out.
 
     Args:
         config: The global configuration (object counts for the router,
             the cost model for cross-shard deadline windows).
         shards: Worker count.
         topology: Live worker endpoints — the cluster's own
-            :class:`~repro.db.sharding.Topology` (plane 0) or a pipe-fed
-            copy of it (a plane child).
+            :class:`~repro.db.sharding.Topology`.
         batch_max / flush_us: Coalescing bounds, client and upstream
             side; ``batch_max`` is also the records routed per loop turn
             (:func:`~repro.live.wire.serve_session`'s ingest quantum).
-        index: This plane's index (0 for the supervisor's own plane).
         router: Share an existing router instead of building one —
-            plane 0 shares the cluster's so accounting lands where it
-            always did.
+            the cluster shares its own, so accounting lands in one place.
         snapshot_cb: Async callback returning one merged fleet snapshot
-            as an ``asdict`` payload (``None`` when no shard answers).
-            The supervisor owns the snapshot fan-in; plane children
-            reach it over their control pipe.
+            as an ``asdict`` payload (``None`` when no shard answers);
+            the supervisor owns the snapshot fan-in.
     """
 
     def __init__(
@@ -154,7 +139,6 @@ class RouterPlane:
         topology: Topology,
         batch_max: int = DEFAULT_BATCH_MAX,
         flush_us: float = DEFAULT_FLUSH_US,
-        index: int = 0,
         router: "ShardRouter | None" = None,
         snapshot_cb=None,
     ) -> None:
@@ -163,7 +147,6 @@ class RouterPlane:
         self.topology = topology
         self.batch_max = batch_max
         self.flush_us = flush_us
-        self.index = index
         self.router = router if router is not None else ShardRouter(
             config.updates.n_low, config.updates.n_high, shards
         )
@@ -182,24 +165,16 @@ class RouterPlane:
         self.sub_read_latency = LatencyTracker()
         # One plane-wide correlation-id counter: a sub-read's rid is
         # unique across this plane's sessions, so per-worker outcome
-        # keys never collide (rids scope to the upstream connection, and
-        # upstreams are never shared between planes).
+        # keys never collide (rids scope to the upstream connection).
         self._rid = itertools.count(1)
         self._sessions = SessionSet()
-        self._cpu0 = time.process_time()
-        self._wall0 = time.monotonic()
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """This plane's counters, shaped for ``merge_extras_sources``.
-
-        The ``"plane"`` entry is this plane's row in
-        ``extras["planes"]``; ``cpu_seconds`` is the plane *process*'s
-        CPU time since construction (for plane 0: the supervisor
-        process, which is almost entirely routing work).
-        """
+        """This plane's counters: the routing half of the cluster's
+        ``extras`` (per-shard lists are copies)."""
         return {
             **self.router.accounting(),
             "records_received": self.records_received,
@@ -212,13 +187,6 @@ class RouterPlane:
             "sub_read_latency_p99": self.sub_read_latency.percentile(0.99),
             "shed_shard_down": list(self.shed_shard_down),
             "topology_requests": self.topology_requests,
-            "plane": {
-                "plane": self.index,
-                "sessions": self.sessions,
-                "records_received": self.records_received,
-                "cpu_seconds": time.process_time() - self._cpu0,
-                "wall_seconds": time.monotonic() - self._wall0,
-            },
         }
 
     # ------------------------------------------------------------------
@@ -617,13 +585,12 @@ class RouterPlane:
     ) -> None:
         """Group a decoded update batch by shard; one write per shard.
 
-        Transactions never reach this path any more (they go through
-        :meth:`_submit_spec`); what remains is the fire-and-forget
-        update stream.  Records owned
-        by a shard that is not up — or whose worker dies between the
-        liveness check and the write — are shed, not queued: the client
-        gets one ``shard_down`` error reply per record and the session
-        keeps flowing.
+        ``items`` is the fire-and-forget update stream only (transactions
+        go through :meth:`_submit_spec`).  Records owned by a shard that
+        is not up — or whose worker dies between the liveness check and
+        the write — are shed, not queued: the client gets one
+        ``shard_down`` error reply per record and the session keeps
+        flowing.
         """
         if not items:
             return
@@ -649,8 +616,8 @@ class RouterPlane:
         """Account and reply for records dropped on a down shard.
 
         The cluster analogue of the paper's OSmax drop: the records are
-        lost by design, the loss is *counted* (per shard per plane,
-        summed into ``extras["shed_shard_down"]``), and the sender is
+        lost by design, the loss is *counted* (per shard, in
+        ``extras["shed_shard_down"]``), and the sender is
         told with a typed outcome instead of a killed session.
         """
         self.shed_shard_down[shard] += count

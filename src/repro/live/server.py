@@ -176,7 +176,7 @@ class IngestServer:
     def attach_direct(self, payload: dict) -> dict:
         """Ship the smart-client counters with a result ``payload`` (a
         snapshot reply, a worker's final result) as ``extras["direct"]``,
-        so the cluster merge can fold them in next to the planes' routing
+        so the cluster merge can fold them in next to the plane's routing
         counters.  Untouched when no client bypassed the router here."""
         direct = self.direct_accounting()
         if direct is not None:

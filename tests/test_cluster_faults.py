@@ -318,6 +318,8 @@ RING_OPTION = "sh" + "m"
     # nothing deployed ever set the wire-batching knobs.
     ["--lambda-u", "500"], ["--lambda-t", "5"],
     ["--batch-max", "64"], ["--flush-us", "100"],
+    # Measured to earn nothing on this host class (docs/SCALING.md).
+    ["--routers", "2"],
 ])
 def test_serve_rejects_removed_transport_flags(flags, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -328,14 +330,18 @@ def test_serve_rejects_removed_transport_flags(flags, capsys):
 
 @pytest.mark.parametrize("flags, complaint", [
     (["--fail-shard", "0"], "need --shards > 1"),
-    (["--routers", "2"], "need --shards > 1"),
+    (["--shards", "0"], "--shards must be >= 1"),
     (["--shards", "2", "--fail-shard", "2"], "out of range for 2 shards"),
+    (["--shards", "-3"], "--shards must be >= 1"),
+    (["--shards", "2", "--restart-limit", "-1"],
+     "--restart-limit must be >= 0"),
 ])
 def test_serve_rejects_sharded_only_flags_on_a_single_node(
     flags, complaint, capsys
 ):
     """Regression: these used to start a plain node that armed no fault
-    and spawned no plane, and exit 0."""
+    (or, for a negative restart budget, die with a traceback) instead of
+    a usage error."""
     with pytest.raises(SystemExit) as excinfo:
         live_main(["serve", "--port", "0", "--seconds", "0.2", "--metrics",
                    "none", *flags])
@@ -345,10 +351,93 @@ def test_serve_rejects_sharded_only_flags_on_a_single_node(
 
 @pytest.mark.parametrize("option", [
     {RING_OPTION: True}, {"ring_bytes": 1 << 20}, {"wire": "binary"},
+    {"routers": 2},
 ])
 def test_cluster_rejects_removed_transport_options(option):
     with pytest.raises(TypeError):
         ShardCluster(_cluster_config(), "TF", shards=2, **option)
+
+
+# ----------------------------------------------------------------------
+# The cluster merge: one owner per counter (no process)
+# ----------------------------------------------------------------------
+#: Every ``extras`` key of a 2-shard cluster once a smart client has been
+#: seen — a wire contract the spine and the CI smokes read.
+EXTRAS_KEYS = {
+    "shards", "router_version", "updates_routed", "transactions_routed",
+    "remapped_reads", "routing_errors", "records_received",
+    "protocol_errors", "cross_shard_submits", "fanout_sub_reads",
+    "sub_read_misses", "sub_read_aborts", "sub_read_deadline_misses",
+    "sub_read_latency_p99", "shed_shard_down", "topology_requests",
+    "hello_records", "direct_records", "moved_replies",
+    "stale_epoch_redirects", "workers", "worker_restarts", "down_shards",
+    "merged_shards", "epoch", "durability", "replayed_records",
+    "replay_lag_s", "snapshot_errors", "last_snapshot_error",
+}
+DIRECT_KEYS = {
+    "hello_records", "direct_records", "moved_replies",
+    "stale_epoch_redirects",
+}
+
+
+def test_merge_is_plane_counters_plus_worker_direct_counters():
+    """``_merge`` on a cluster that was never started: the routing half
+    of ``extras`` is the plane's live ``stats()``, the smart-client half
+    the sum over workers, and nothing else contributes."""
+    cluster = ShardCluster(_cluster_config(), "TF", shards=2)
+    cluster._workers = [
+        WorkerState(index, port=4242 + index, status="up")
+        for index in range(2)
+    ]
+    plane = cluster._plane
+    per_shard = [_zero_result(), _zero_result()]
+
+    # Before any session: every routing key is there, at zero; no worker
+    # has seen a smart client, so none of their counters is.
+    idle = cluster._merge(per_shard).extras
+    assert set(idle) == EXTRAS_KEYS - DIRECT_KEYS
+    assert idle["shards"] == 2
+    for key in ("updates_routed", "transactions_routed", "fanout_sub_reads",
+                "sub_read_misses", "sub_read_aborts",
+                "sub_read_deadline_misses", "shed_shard_down"):
+        assert idle[key] == [0, 0], key
+    for key in ("remapped_reads", "routing_errors", "records_received",
+                "protocol_errors", "cross_shard_submits",
+                "topology_requests"):
+        assert idle[key] == 0, key
+    assert idle["sub_read_latency_p99"] is None
+
+    # One plane, two workers, one of them dialled directly.
+    plane.topology_requests = 2
+    plane.records_received = 5
+    plane.shed_shard_down[1] = 3
+    direct = {
+        "topology_requests": 1, "hello_records": 2, "direct_records": 40,
+        "moved_replies": 3, "stale_epoch_redirects": 1,
+    }
+    per_shard[0] = _zero_result({"direct": dict(direct)})
+    one = cluster._merge(per_shard).extras
+    assert set(one) == EXTRAS_KEYS
+    assert one["topology_requests"] == 3  # the plane's plus the worker's
+    assert {key: one[key] for key in DIRECT_KEYS} == {
+        key: direct[key] for key in DIRECT_KEYS
+    }
+    assert one["records_received"] == 5
+    assert one["shed_shard_down"] == [0, 3]
+    assert [w["shed_shard_down"] for w in one["workers"]] == [0, 3]
+
+    per_shard[1] = _zero_result({"direct": dict(direct)})
+    both = cluster._merge(per_shard).extras
+    assert both["topology_requests"] == 4
+    assert {key: both[key] for key in DIRECT_KEYS} == {
+        key: 2 * direct[key] for key in DIRECT_KEYS
+    }
+
+    # The per-shard lists handed out are copies of the plane's counters.
+    both["shed_shard_down"][1] = 99
+    both["updates_routed"][0] = 99
+    assert plane.shed_shard_down == [0, 3]
+    assert cluster.router.updates_routed == [0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +501,7 @@ def test_close_session_counts_channel_failures():
         return cluster
 
     cluster = asyncio.run(scenario())
-    assert cluster.errors == 1
+    assert cluster._plane.errors == 1
 
 
 def test_snapshot_reply_applies_backpressure(monkeypatch):
@@ -459,7 +548,7 @@ def test_snapshot_reply_degrades_when_all_shards_down(monkeypatch):
     reply = json.loads(downstream.writes[0])
     assert reply["kind"] == "error"
     assert reply["reason"] == "shard_down"
-    assert cluster.errors == 1
+    assert cluster._plane.errors == 1
     assert downstream.backpressure_calls >= 1
 
 

@@ -280,7 +280,7 @@ def test_death_past_the_restart_budget_marks_down_and_bumps_the_epoch():
         assert cluster.topology.epoch == epoch + 1
         assert cluster.topology.status_of(0) == "down"
         assert peer.pipe.posted[-1][:2] == ("topology", epoch + 1)
-        # A change that is not in the shard map (a plane's) moves nothing.
+        # A bump with the shard map unchanged moves nothing.
         cluster._bump_epoch()
         assert cluster.topology.epoch == epoch + 1
         process.close()

@@ -31,7 +31,7 @@ from repro.db.sharding import ShardRouter
 from repro.live import CrossShardSpreader, LiveRuntime, LoadGenerator, ShardCluster
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
-from repro.workload.trace import spec_to_dict
+from repro.workload.trace import spec_to_dict, update_to_dict
 from repro.workload.transactions import TransactionSpec
 
 OP_TIMEOUT = 30.0
@@ -327,7 +327,8 @@ def _shard_gid(router, shard):
 
 def test_cluster_cross_shard_round_trip():
     """A spec spanning both shards gets one merged outcome with fanout=2
-    and the per-shard scatter-gather accounting lands in extras."""
+    and the per-shard scatter-gather accounting lands in extras; the
+    routed side of the books accounts for every record the session sent."""
 
     async def scenario():
         cluster = ShardCluster(_cluster_config(), "TF", shards=2, flush_us=0.0)
@@ -335,6 +336,12 @@ def test_cluster_cross_shard_round_trip():
         reader, writer = await asyncio.open_connection(host, port)
         g0 = _shard_gid(cluster.router, 0)
         g1 = _shard_gid(cluster.router, 1)
+        for seq in range(8):  # four updates to each shard, then the spec
+            update = Update(
+                seq=seq, klass=ObjectClass.VIEW_LOW, object_id=(g0, g1)[seq % 2],
+                value=1.0, generation_time=0.0, arrival_time=0.0,
+            )
+            writer.write(json.dumps(update_to_dict(update)).encode() + b"\n")
         spec = _spec(7, (g0, g1), slack=2.0, arrival=0.0)
         writer.write(json.dumps(spec_to_dict(spec)).encode() + b"\n")
         await writer.drain()
@@ -358,6 +365,9 @@ def test_cluster_cross_shard_round_trip():
     assert result.extras["sub_read_deadline_misses"] == [0, 0]
     assert result.extras["sub_read_latency_p99"] >= 0.0
     assert result.transactions_committed >= 2  # both sub-reads committed
+    assert result.extras["records_received"] == 9
+    assert result.extras["updates_routed"] == [4, 4]
+    assert result.updates_arrived == 8
     assert result.update_conservation_gap() == 0
     assert result.transaction_conservation_gap() == 0
 

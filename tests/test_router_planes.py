@@ -1,12 +1,9 @@
-"""Router-plane fleet and smart-client direct routing.
+"""Smart-client direct routing.
 
-The single-router cluster tops out on router CPU: every client byte is
-parsed, routed, and re-framed by one asyncio process.  This suite covers
-the two ways out and their shared bookkeeping:
+One routing plane serves the cluster's public socket (why one:
+``docs/SCALING.md``); the way past its CPU ceiling is a smart client that
+skips the hop.  This suite covers that path:
 
-* ``merge_extras_sources`` — every counter that now arrives from several
-  sources at once (N planes x N workers) carries an explicit merge rule;
-  a duplicate key *without* one raises instead of last-write-wins.
 * The ``topology`` control record — a smart client can rebuild the exact
   ``ShardRouter`` from it, and version skew is refused loudly.
 * Server-side direct mode — a ``hello`` switches the session, global ids
@@ -17,11 +14,9 @@ the two ways out and their shared bookkeeping:
   direct, the (shard, localized record) matches what the router plane's
   ``route_batch`` would have produced, for all six algorithms the merged
   engine-clock results are asdict-identical.
-* Process tests — a ``routers=2`` fleet merges per-plane counters into
-  one snapshot, a killed plane child comes back (or stays down) without
-  the merged counters running backwards, and a worker killed under
-  direct load comes back with the client refreshing its map off the
-  ``moved``/error path while the merged books still balance.
+* Process test — a worker killed under direct load comes back with the
+  client refreshing its map off the ``moved``/error path while the
+  merged books still balance.
 """
 
 import asyncio
@@ -42,7 +37,6 @@ from repro.db.sharding import (
     topology_record,
 )
 from repro.live import DirectClient, IngestServer, LiveRuntime, ShardCluster
-from repro.live.cluster import merge_extras_sources
 from repro.metrics.results import SimulationResult
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
@@ -53,57 +47,6 @@ from repro.workload.updates import UpdateStreamGenerator
 ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
 
 OP_TIMEOUT = 30.0
-
-
-# ----------------------------------------------------------------------
-# merge_extras_sources: every duplicate key has an explicit rule
-# ----------------------------------------------------------------------
-def test_merge_sums_scalars_and_lists():
-    merged = merge_extras_sources(
-        {"records_received": 3, "updates_routed": [1, 2]},
-        {"records_received": 4, "updates_routed": [10, 20]},
-    )
-    assert merged["records_received"] == 7
-    assert merged["updates_routed"] == [11, 22]
-
-
-def test_merge_does_not_alias_list_sources():
-    source = {"updates_routed": [1, 2]}
-    merged = merge_extras_sources(source, {"records_received": 1})
-    merged["updates_routed"][0] = 99
-    assert source["updates_routed"] == [1, 2]
-
-
-def test_merge_max_skips_none_gauges():
-    merged = merge_extras_sources(
-        {"sub_read_latency_p99": None},
-        {"sub_read_latency_p99": 0.25},
-        {"sub_read_latency_p99": 0.125},
-    )
-    assert merged["sub_read_latency_p99"] == 0.25
-    all_none = merge_extras_sources(
-        {"sub_read_latency_p99": None}, {"sub_read_latency_p99": None}
-    )
-    assert all_none["sub_read_latency_p99"] is None
-
-
-def test_merge_equal_keys_must_agree():
-    merged = merge_extras_sources({"shards": 2}, {"shards": 2})
-    assert merged["shards"] == 2
-    with pytest.raises(AssertionError, match="disagrees"):
-        merge_extras_sources({"shards": 2}, {"shards": 3})
-
-
-def test_merge_rejects_unknown_duplicate_key():
-    """Regression: pre-plane extras were built from one source per key,
-    so a duplicate silently meant last-write-wins."""
-    with pytest.raises(AssertionError, match="no merge rule"):
-        merge_extras_sources({"mystery": 1}, {"mystery": 2})
-
-
-def test_merge_rejects_mismatched_list_lengths():
-    with pytest.raises(AssertionError, match="different"):
-        merge_extras_sources({"updates_routed": [1]}, {"updates_routed": [1, 2]})
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +383,7 @@ def test_direct_split_parity_all_algorithms(algorithm):
 
 
 # ----------------------------------------------------------------------
-# Process tests: plane fleet + kill/restart under direct load
+# Process test: kill/restart under direct load
 # ----------------------------------------------------------------------
 def _cluster_config():
     config = baseline_config(duration=1.0, seed=11)
@@ -456,179 +399,6 @@ async def _wait_for(predicate, *, timeout=OP_TIMEOUT, interval=0.05):
         if asyncio.get_running_loop().time() > deadline:
             raise AssertionError("condition not reached within the timeout")
         await asyncio.sleep(interval)
-
-
-def test_router_fleet_merges_per_plane_counters():
-    """routers=2: both planes come up behind one SO_REUSEPORT socket, a
-    session's records are counted on whichever plane it landed on, and
-    the merged snapshot sums plane counters and lists both planes."""
-
-    async def scenario():
-        cluster = ShardCluster(
-            _cluster_config(), "TF", shards=2, routers=2, flush_us=0.0,
-        )
-        host, port = await cluster.start()
-        reader, writer = await asyncio.open_connection(host, port)
-        gids0 = _gids_for(cluster.router, 0, count=4)
-        gids1 = _gids_for(cluster.router, 1, count=4)
-        payload = b"".join(
-            _update_line(seq, gid)
-            for seq, gid in enumerate(gids0 + gids1)
-        )
-        writer.write(payload)
-        writer.write(b'{"kind": "snapshot"}\n')
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-        snap = json.loads(line)
-        writer.close()
-        result = await asyncio.wait_for(
-            cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
-        )
-        return snap, result
-
-    snap, result = asyncio.run(scenario())
-    assert snap["kind"] == "snapshot"
-    for extras in (snap["extras"], result.extras):
-        assert extras["routers"] == 2
-        planes = extras["planes"]
-        assert [p["plane"] for p in planes] == [0, 1]
-        assert all(p["status"] == "up" for p in planes)
-        assert all(p["cpu_seconds"] > 0.0 for p in planes)
-        # The fleet total is the *sum* over planes (the session landed on
-        # exactly one of them; which one is the kernel's pick).
-        assert extras["records_received"] == 8
-        assert sum(extras["updates_routed"]) == 8
-        assert extras["epoch"] >= 1
-    assert result.updates_arrived == 8
-    assert result.update_conservation_gap() == 0
-    assert result.transaction_conservation_gap() == 0
-
-
-async def _four_update_session(cluster, host, port, seq):
-    """One routed session: 4 updates (2 per shard) and a snapshot request;
-    returns the merged snapshot it was answered with."""
-    gids = _gids_for(cluster.router, 0, count=2) + _gids_for(
-        cluster.router, 1, count=2
-    )
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(b"".join(
-        _update_line(seq + offset, gid) for offset, gid in enumerate(gids)
-    ))
-    writer.write(b'{"kind": "snapshot"}\n')
-    await writer.drain()
-    line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-    writer.close()
-    snap = json.loads(line)
-    assert snap["kind"] == "snapshot", snap
-    return snap
-
-
-async def _sessions_until_plane_1_routes(cluster, host, port):
-    """Open 4-update sessions until the kernel has handed one to plane 1
-    (the child); returns how many sessions that took."""
-    for sessions in range(1, 65):
-        snap = await _four_update_session(cluster, host, port, 4 * sessions)
-        if snap["extras"]["planes"][1].get("records_received", 0) > 0:
-            return sessions
-    raise AssertionError("64 sessions and none landed on plane 1")
-
-
-def _plane_table(extras):
-    return [(p["plane"], p["status"], p["restarts"]) for p in extras["planes"]]
-
-
-def test_restarted_plane_keeps_its_predecessors_counters():
-    """Regression: a plane child's last reported counters used to be
-    overwritten by its successor's first report, so a plane restart made
-    the merged ``records_received`` / ``updates_routed`` run backwards
-    (4 -> 0) and broke ``sum(updates_routed) == updates_arrived``."""
-
-    async def scenario():
-        cluster = ShardCluster(
-            _cluster_config(), "TF", shards=2, routers=2, restart_limit=1,
-            flush_us=0.0,
-        )
-        host, port = await cluster.start()
-        assert cluster.plane_status(0) == cluster.plane_status(1) == "up"
-        with pytest.raises(ValueError, match="plane 0"):
-            cluster.kill_plane(0)  # it is this process
-        sessions = await _sessions_until_plane_1_routes(cluster, host, port)
-        before = (await cluster.snapshot()).extras
-        assert before["records_received"] == 4 * sessions
-
-        cluster.kill_plane(1)
-
-        async def restarted():
-            extras = (await cluster.snapshot()).extras
-            return _plane_table(extras) == [(0, "up", 0), (1, "up", 1)]
-
-        deadline = asyncio.get_running_loop().time() + OP_TIMEOUT
-        while not await restarted():
-            assert asyncio.get_running_loop().time() < deadline, \
-                "plane 1 never came back"
-            await asyncio.sleep(0.05)
-        assert cluster.plane_status(1) == "up"
-        after = (await cluster.snapshot()).extras
-        # The merged counters did not run backwards.
-        assert after["records_received"] >= before["records_received"]
-        assert sum(after["updates_routed"]) >= sum(before["updates_routed"])
-
-        # New sessions are served, whichever plane the kernel picks.
-        for extra in range(6):
-            await _four_update_session(
-                cluster, host, port, 4 * (sessions + 1 + extra)
-            )
-        result = await asyncio.wait_for(
-            cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
-        )
-        return sessions + 6, result
-
-    sessions, result = asyncio.run(scenario())
-    extras = result.extras
-    assert _plane_table(extras) == [(0, "up", 0), (1, "up", 1)]
-    # Nothing was in flight on plane 1 when it was killed, so the routed
-    # side still accounts for every arrival (the sharded CI smoke's law).
-    assert extras["records_received"] == 4 * sessions
-    assert sum(extras["updates_routed"]) == result.updates_arrived
-    assert result.updates_arrived == 4 * sessions
-    assert result.update_conservation_gap() == 0
-    assert result.transaction_conservation_gap() == 0
-
-
-def test_plane_down_for_good_leaves_plane_0_serving():
-    """restart_limit=0: a killed plane child stays down, its counters
-    stay in the books, and plane 0 (the supervisor) keeps answering on
-    the public port."""
-
-    async def scenario():
-        cluster = ShardCluster(
-            _cluster_config(), "TF", shards=2, routers=2, restart_limit=0,
-            flush_us=0.0,
-        )
-        host, port = await cluster.start()
-        sessions = await _sessions_until_plane_1_routes(cluster, host, port)
-        before = (await cluster.snapshot()).extras
-        cluster.kill_plane(1)
-        await _wait_for(lambda: cluster.plane_status(1) == "down")
-        # Only plane 0 is listening now: every new session lands there.
-        snap = await _four_update_session(
-            cluster, host, port, 4 * (sessions + 1)
-        )
-        result = await asyncio.wait_for(
-            cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
-        )
-        return sessions + 1, before, snap, result
-
-    sessions, before, snap, result = asyncio.run(scenario())
-    for extras in (snap["extras"], result.extras):
-        assert extras["routers"] == 2
-        assert _plane_table(extras) == [(0, "up", 0), (1, "down", 0)]
-        assert extras["records_received"] == before["records_received"] + 4
-        assert extras["down_shards"] == []
-    assert result.updates_arrived == 4 * sessions
-    assert sum(result.extras["updates_routed"]) == result.updates_arrived
-    assert result.update_conservation_gap() == 0
-    assert result.transaction_conservation_gap() == 0
 
 
 def test_direct_client_survives_worker_restart():
