@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.config import QueueDiscipline, SimulationConfig, StaleReadAction, StalenessPolicy
+from repro.core.algorithms.base import SchedulingAlgorithm
 from repro.core.transaction import LiveTransaction, TransactionState, STEP_READ
 from repro.db.database import Database
 from repro.db.objects import DataObject, Update
@@ -136,6 +137,13 @@ class Controller:
         # bound from the front.
         self._expiry_enabled = config.staleness is StalenessPolicy.MAX_AGE
         self._seconds = config.system.seconds
+        # The base arrival hook only dispatches an idle CPU, so while a
+        # burst runs it decides nothing and a batch can be admitted in bulk;
+        # an algorithm that overrides the hook (UF, SU) sees every arrival.
+        self._bulk_admission = (
+            type(algorithm).on_update_arrival
+            is SchedulingAlgorithm.on_update_arrival
+        )
         algorithm.attach(self)
 
     # ------------------------------------------------------------------
@@ -143,10 +151,48 @@ class Controller:
     # ------------------------------------------------------------------
     def on_update_arrival(self, update: Update) -> None:
         """Network delivery of one stream update (engine callback)."""
-        self.update_accounting.note_arrival()
-        if not self.os_queue.offer(update):
-            return  # kernel dropped it; the OS queue counts the drop
-        self.algorithm.on_update_arrival(self, update)
+        self.on_update_arrivals((update,))
+
+    def on_update_arrivals(
+        self, updates: Sequence[Update], admitted: list[Update] | None = None
+    ) -> int:
+        """Network delivery of a batch of stream updates, in order.
+
+        Identical to delivering them one at a time: each is counted as
+        arrived, offered to the OS queue (``OSmax`` drops the overflow)
+        and, when admitted, shown to the algorithm's arrival hook.  The one
+        shortcut: while a burst owns the CPU and the algorithm keeps the
+        base hook — which does nothing then — the rest of the batch is one
+        :meth:`~repro.db.os_queue.OSQueue.offer_many`.  That is sound
+        because the batch is delivered within one clock callback: the burst
+        cannot complete, so no decision can change, before the last record.
+
+        Args:
+            admitted: When given, collects the updates the OS queue took
+                (the write-ahead log records admitted updates only).
+
+        Returns:
+            The number of updates admitted.
+        """
+        accounting, os_queue = self.update_accounting, self.os_queue
+        hook = self.algorithm.on_update_arrival
+        bulk = self._bulk_admission
+        count = 0
+        for index, update in enumerate(updates):
+            if bulk and self._busy is not None:
+                accounting.note_arrival(len(updates) - index)
+                taken = os_queue.offer_many(updates, index)
+                if admitted is not None:
+                    admitted.extend(updates[index:index + taken])
+                return count + taken
+            accounting.note_arrival()
+            if os_queue.offer(update):
+                count += 1
+                if admitted is not None:
+                    admitted.append(update)
+                hook(self, update)
+            # else the kernel dropped it; the OS queue counts the drop
+        return count
 
     def on_transaction_arrival(self, spec: TransactionSpec) -> None:
         """Arrival of one transaction (engine callback)."""
@@ -288,11 +334,9 @@ class Controller:
         return self._seconds(instructions)
 
     def _finish_enqueue(self, updates: list[Update], then_dispatch: bool = True) -> None:
-        now = self.engine.now
         self._receiving = None
-        for update in updates:
-            self.update_queue.push(update, now)
-            self.update_accounting.note_enqueued()
+        self.update_queue.push_many(updates, self.engine.now)
+        self.update_accounting.note_enqueued(len(updates))
         self.update_accounting.sample_queue_length(len(self.update_queue))
         if then_dispatch:
             self.dispatch()
@@ -397,36 +441,41 @@ class Controller:
                 self._finish_install, (first,), None, False, switch_seconds,
             )
             return BUSY
-        database = self.database
-        accounting = self.update_accounting
         queue = self.update_queue
+        direct = self.direct_installs
+        install = self.database.install
+        note_installed = self.update_accounting.note_installed
+        install_seconds = self._install_seconds
+        expire, peek, pop = queue.expire_older_than, queue.peek_next, queue.pop_next
+        expiry, max_age, lifo = self._expiry_enabled, self._max_age, self._lifo
+        x_queue = self.system.x_queue
         charges = [total]
-        accounting.note_installed(database.install(first, end))
+        note_installed(install(first, end))
         while True:
-            if self._expiry_enabled and queue:
-                queue.expire_older_than(end - self._max_age, end)
+            if expiry and queue:
+                expire(end - max_age, end)
             if from_queue:
-                update = queue.peek_next(self._lifo)
+                update = peek(lifo)
                 if update is None:
                     break
-                seconds = self._install_seconds(update)
-                if self.system.x_queue:
+                seconds = install_seconds(update)
+                if x_queue:
                     n = max(len(queue), 2)
-                    seconds += self._seconds(self.system.x_queue * math.log(n))
+                    seconds += self._seconds(x_queue * math.log(n))
             else:
-                if not self.direct_installs:
+                if not direct:
                     break
-                update = self.direct_installs[0]
-                seconds = self._install_seconds(update)
+                update = direct[0]
+                seconds = install_seconds(update)
             nxt_end = end + seconds
             if nxt_end >= horizon:
                 break
             if from_queue:
-                queue.pop_next(self._lifo, end)
+                pop(lifo, end)
             else:
-                self.direct_installs.popleft()
+                direct.popleft()
             end = nxt_end
-            accounting.note_installed(database.install(update, end))
+            note_installed(install(update, end))
             charges.append(seconds)
         event = engine.schedule_at(end, self._burst_done)
         self._busy = _Burst(

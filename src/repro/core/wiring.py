@@ -86,7 +86,10 @@ def build_parts(
     ledger = make_ledger(config, clock, checker)
     database = Database.from_config(config, install_listener=ledger)
     ledger.bind(database, update_queue)
-    update_queue.observer = ledger.on_queue_event
+    if type(ledger).on_queue_event is not FreshnessLedger.on_queue_event:
+        # MA's ledger keeps the base no-op: leave the queue unobserved
+        # rather than call it twice per update.
+        update_queue.observer = ledger.on_queue_event
     os_queue = OSQueue(config.system.os_queue_max)
 
     transaction_log = TransactionLog()
@@ -196,8 +199,9 @@ def collect_result(
     else:
         if now is None:
             raise ValueError("mid-run snapshots need the current clock time")
-        fold_low = ledger.snapshot_stale_fraction(ObjectClass.VIEW_LOW, now, duration)
-        fold_high = ledger.snapshot_stale_fraction(ObjectClass.VIEW_HIGH, now, duration)
+        folds = ledger.snapshot_stale_fractions(now, duration)
+        fold_low = folds[ObjectClass.VIEW_LOW]
+        fold_high = folds[ObjectClass.VIEW_HIGH]
 
     views = parts.views
     if final:

@@ -19,6 +19,9 @@ from repro.config import SimulationConfig
 from repro.db.objects import DataObject, ObjectClass, Update
 from repro.db.transforms import Transformer
 
+# Enum member access is a descriptor call; the install path tests it per update.
+_VIEW_LOW = ObjectClass.VIEW_LOW
+
 
 class InstallListener(Protocol):
     """Callback protocol for observers of update installation."""
@@ -180,7 +183,8 @@ class Database:
         The controller uses this to size the install burst: a skipped update
         pays only the lookup cost, not ``x_update``.
         """
-        obj = self.view_object(update.klass, update.object_id)
+        # An update's class is always a view partition (Update.__init__).
+        obj = (self.low if update.klass is _VIEW_LOW else self.high)[update.object_id]
         if update.partial and obj.attribute_generations is not None:
             slot = update.attribute % len(obj.attribute_generations)
             return update.generation_time > obj.attribute_generations[slot]
@@ -194,7 +198,7 @@ class Database:
             check skipped it because the database already holds an equal or
             newer value (paper section 3.3, step 4).
         """
-        obj = self.view_object(update.klass, update.object_id)
+        obj = (self.low if update.klass is _VIEW_LOW else self.high)[update.object_id]
         if update.partial and obj.attribute_generations is not None:
             # A partial update is worthless only relative to the attribute
             # it refreshes, not the whole object.
@@ -209,7 +213,8 @@ class Database:
         old_arrival_time = obj.arrival_time
         old_install_time = obj.install_time
         old_value = obj.value
-        transformer = self._transformers.get(update.klass)
+        transformers = self._transformers
+        transformer = transformers.get(update.klass) if transformers else None
         stored_value = (
             update.value
             if transformer is None

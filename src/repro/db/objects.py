@@ -26,6 +26,15 @@ class ObjectClass(enum.Enum):
     def is_view(self) -> bool:
         return self is not ObjectClass.GENERAL
 
+    # Enum's default __hash__ is a Python-level function, paid on every
+    # (klass, object_id) dict operation of the update queue.  Members are
+    # singletons compared by identity, so the identity hash is equivalent.
+    __hash__ = object.__hash__
+
+
+# Enum member access is a descriptor call; Update.__init__ tests it per record.
+_GENERAL = ObjectClass.GENERAL
+
 
 class DataObject:
     """One database object.
@@ -171,7 +180,7 @@ class Update:
         partial: bool = False,
         attribute: int = 0,
     ) -> None:
-        if not klass.is_view:
+        if klass is _GENERAL:
             raise ValueError("updates target view objects only")
         if arrival_time < generation_time:
             raise ValueError(

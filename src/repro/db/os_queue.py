@@ -14,7 +14,7 @@ head message but cannot search or reorder.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.db.objects import Update
 
@@ -55,6 +55,20 @@ class OSQueue:
         self._queue.append(update)
         self.total_enqueued += 1
         return True
+
+    def offer_many(self, updates: Sequence[Update], start: int = 0) -> int:
+        """Deliver ``updates[start:]`` at once: :meth:`offer` on each, in order.
+
+        Returns:
+            How many were buffered — always a prefix, because nothing
+            leaves the queue during the call; the rest are dropped.
+        """
+        offered = len(updates) - start
+        taken = max(0, min(self.capacity - len(self._queue), offered))
+        self._queue.extend(updates[start:start + taken])
+        self.total_enqueued += taken
+        self.dropped += offered - taken
+        return taken
 
     def receive(self) -> Update | None:
         """Receive (and remove) the head message, or None when empty."""

@@ -31,7 +31,7 @@ removals are ``O(1)`` flag writes.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.db.objects import ObjectClass, Update
 
@@ -41,6 +41,11 @@ QueueObserver = Callable[[ObjectKey, float], None]
 
 class UpdateQueue:
     """Bounded, generation-ordered queue of unapplied updates.
+
+    :meth:`push_many` is the enqueue path — the controller hands it a whole
+    receive batch — and :meth:`push` its one-element call; a batch is
+    identical to its updates pushed one at a time (state, counters,
+    returned discards, observer calls).
 
     Attributes:
         capacity: Maximum number of live queued updates (``UQmax``).
@@ -91,54 +96,77 @@ class UpdateQueue:
     # Core mutations
     # ------------------------------------------------------------------
     def push(self, update: Update, now: float) -> list[Update]:
-        """Enqueue an update, evicting as needed.
+        """Enqueue one update: :meth:`push_many` of a single record."""
+        return self.push_many((update,), now)
+
+    def push_many(self, updates: Iterable[Update], now: float) -> list[Update]:
+        """Enqueue updates in order, evicting as needed.
+
+        Each update goes through exactly the per-record steps — index
+        supersession, overflow eviction, sorted insert, observer call —
+        one after the other, so state, counters, returned discards and the
+        observer's call log equal those of pushing them one at a time; the
+        batch only hoists the lookups around those steps.
 
         Returns:
-            Updates discarded to admit this one (overflow victims and, in
-            indexed mode, superseded duplicates).  The incoming update itself
-            appears in the list when the index proves it already worthless.
+            Updates discarded to admit these (overflow victims and, in
+            indexed mode, superseded duplicates), in discard order.  An
+            incoming update itself appears in the list when the index
+            proves it already worthless.
         """
         discarded: list[Update] = []
-        key = update.key
-        if self.indexed:
-            newest = self.newest_for(key)
-            if newest is not None and newest.generation_time >= update.generation_time:
-                # A strictly fresher (or equal) update is already queued; the
-                # newcomer is worthless for a snapshot view.
-                self.superseded_discards += 1
-                discarded.append(update)
-                return discarded
-            if newest is not None:
-                # Replace every older queued update for this object.
-                for old in list(self._by_object.get(key, ())):
-                    self._remove_update(old)
-                    self.superseded_discards += 1
-                    discarded.append(old)
-
-        while self._live >= self.capacity:
-            victim = self._pop_front()
-            if victim is None:  # pragma: no cover - capacity >= 1 guards this
-                break
-            self.overflow_discards += 1
-            discarded.append(victim)
-            self._notify(victim.key, now)
-
-        sort_key = (update.generation_time, update.seq)
-        index = bisect.bisect_right(self._keys, sort_key, self._head)
-        self._keys.insert(index, sort_key)
-        self._items.insert(index, update)
-        update.queued = True
-        self._live += 1
-        self.total_pushed += 1
-        self._by_object.setdefault(key, []).append(update)
-        self._notify(key, now)
+        keys, items, by_object = self._keys, self._items, self._by_object
+        observer, capacity, indexed = self.observer, self.capacity, self.indexed
+        for update in updates:
+            key = (update.klass, update.object_id)
+            if indexed:
+                newest = self.newest_for(key)
+                if newest is not None:
+                    if newest.generation_time >= update.generation_time:
+                        # A strictly fresher (or equal) update is already
+                        # queued; the newcomer is worthless for a snapshot
+                        # view.
+                        self.superseded_discards += 1
+                        discarded.append(update)
+                        continue
+                    # Replace every older queued update for this object.
+                    for old in list(by_object[key]):
+                        self._remove_update(old)
+                        self.superseded_discards += 1
+                        discarded.append(old)
+            while self._live >= capacity:
+                victim = self._pop_front()
+                if victim is None:  # pragma: no cover - capacity >= 1 guards this
+                    break
+                self.overflow_discards += 1
+                discarded.append(victim)
+                if observer is not None:
+                    observer(victim.key, now)
+            sort_key = (update.generation_time, update.seq)
+            if keys and sort_key < keys[-1]:
+                index = bisect.bisect_right(keys, sort_key, self._head)
+                keys.insert(index, sort_key)
+                items.insert(index, update)
+            else:
+                keys.append(sort_key)
+                items.append(update)
+            update.queued = True
+            self._live += 1
+            self.total_pushed += 1
+            bucket = by_object.get(key)
+            if bucket is None:
+                by_object[key] = [update]
+            else:
+                bucket.append(update)
+            if observer is not None:
+                observer(key, now)
         return discarded
 
     def pop_next(self, lifo: bool, now: float) -> Update | None:
         """Dequeue per the service discipline (paper section 4.2)."""
         update = self._pop_back() if lifo else self._pop_front()
-        if update is not None:
-            self._notify(update.key, now)
+        if update is not None and self.observer is not None:
+            self.observer(update.key, now)
         return update
 
     def remove(self, update: Update, now: float) -> None:
@@ -146,7 +174,8 @@ class UpdateQueue:
         if not update.queued:
             raise KeyError(f"update {update.seq} is not queued")
         self._remove_update(update)
-        self._notify(update.key, now)
+        if self.observer is not None:
+            self.observer(update.key, now)
 
     def expire_older_than(self, cutoff_generation: float, now: float) -> list[Update]:
         """Discard every update generated before ``cutoff_generation``.
@@ -156,20 +185,20 @@ class UpdateQueue:
         """
         expired: list[Update] = []
         items = self._items
+        observer = self.observer
         while self._head < len(items):
-            head = items[self._head]
-            if not head.queued:
-                self._head += 1
-                continue
-            if head.generation_time >= cutoff_generation:
+            first = items[self._head]
+            if first.queued and first.generation_time >= cutoff_generation:
+                if not expired:
+                    return expired  # the usual case: the live head is young enough
                 break
             self._head += 1
-            head.queued = False
-            self._live -= 1
-            self._drop_from_object(head)
-            self.expired_discards += 1
-            expired.append(head)
-            self._notify(head.key, now)
+            if first.queued:
+                self._unlink(first)
+                self.expired_discards += 1
+                expired.append(first)
+                if observer is not None:
+                    observer(first.key, now)
         self._maybe_trim()
         return expired
 
@@ -213,7 +242,12 @@ class UpdateQueue:
 
     def peek_next(self, lifo: bool) -> Update | None:
         """The update :meth:`pop_next` would return, without removing it."""
-        return self.newest() if lifo else self.oldest()
+        if lifo:
+            return self.newest()
+        items, head = self._items, self._head
+        if head < len(items) and items[head].queued:
+            return items[head]
+        return self.oldest()
 
     def __len__(self) -> int:
         return self._live
@@ -228,9 +262,15 @@ class UpdateQueue:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _notify(self, key: ObjectKey, now: float) -> None:
-        if self.observer is not None:
-            self.observer(key, now)
+    def _unlink(self, update: Update) -> None:
+        """Mark a physically present update dead and leave its bucket."""
+        update.queued = False
+        self._live -= 1
+        key = (update.klass, update.object_id)
+        bucket = self._by_object.pop(key)
+        if len(bucket) > 1:
+            bucket.remove(update)
+            self._by_object[key] = bucket
 
     def _pop_front(self) -> Update | None:
         items = self._items
@@ -238,9 +278,7 @@ class UpdateQueue:
             update = items[self._head]
             self._head += 1
             if update.queued:
-                update.queued = False
-                self._live -= 1
-                self._drop_from_object(update)
+                self._unlink(update)
                 self._maybe_trim()
                 return update
         self._maybe_trim()
@@ -253,9 +291,7 @@ class UpdateQueue:
             keys.pop()
             items.pop()
             if update.queued:
-                update.queued = False
-                self._live -= 1
-                self._drop_from_object(update)
+                self._unlink(update)
                 return update
         return None
 
@@ -269,25 +305,16 @@ class UpdateQueue:
 
     def _remove_update(self, update: Update) -> None:
         """Tombstone an update anywhere in the queue (O(1))."""
-        update.queued = False
-        self._live -= 1
-        self._drop_from_object(update)
+        self._unlink(update)
         dead = len(self._items) - self._live
         if dead > self._live and dead > self._COMPACT_THRESHOLD:
             self._compact()
 
-    def _drop_from_object(self, update: Update) -> None:
-        bucket = self._by_object.get(update.key)
-        if bucket is None:  # pragma: no cover - internal invariant
-            return
-        bucket.remove(update)
-        if not bucket:
-            del self._by_object[update.key]
-
     def _compact(self) -> None:
+        # In place: push_many holds both lists across a supersession.
         live_items = [update for update in self._items if update.queued]
-        self._items = live_items
-        self._keys = [(update.generation_time, update.seq) for update in live_items]
+        self._items[:] = live_items
+        self._keys[:] = [(update.generation_time, update.seq) for update in live_items]
         self._head = 0
 
 
@@ -332,7 +359,14 @@ class PartitionedUpdateQueue:
         self.low.reset_counters()
 
     def push(self, update: Update, now: float) -> list[Update]:
-        return self._part(update.klass).push(update, now)
+        return self._part(update.klass).push_many((update,), now)
+
+    def push_many(self, updates: Iterable[Update], now: float) -> list[Update]:
+        """:meth:`UpdateQueue.push_many`, each update into its own half."""
+        discarded: list[Update] = []
+        for update in updates:
+            discarded += self._part(update.klass).push_many((update,), now)
+        return discarded
 
     def pop_next(self, lifo: bool, now: float) -> Update | None:
         update = self.high.pop_next(lifo, now)

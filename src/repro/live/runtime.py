@@ -65,11 +65,18 @@ class LatencyTracker:
 
     def percentile(self, fraction: float) -> float | None:
         """The ``fraction`` quantile of the window, or None when empty."""
+        return self.percentiles(fraction)[0]
+
+    def percentiles(self, *fractions: float) -> list[float | None]:
+        """One quantile per fraction, from a single sort of the window."""
         if not self._samples:
-            return None
+            return [None] * len(fractions)
         ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+        last = len(ordered) - 1
+        return [
+            ordered[min(last, int(fraction * len(ordered)))]
+            for fraction in fractions
+        ]
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -93,7 +100,13 @@ class _InstallTap:
         self.ledger.note_install(
             obj, old_generation, old_arrival_time, old_install_time, now
         )
-        self.tracker.record(now - obj.arrival_time)
+        # LatencyTracker.record, inline: this runs once per applied install.
+        tracker = self.tracker
+        latency = now - obj.arrival_time
+        tracker._samples.append(latency)
+        tracker.count += 1
+        if latency > tracker.worst:
+            tracker.worst = latency
 
 
 class TransactionHandle:
@@ -252,28 +265,19 @@ class LiveRuntime:
             dropped (queue full — the ``OSmax`` kernel drop) or refused
             because the runtime is draining.
         """
-        if not self.accepting:
-            self.ingest_rejected += 1
-            return False
-        os_queue = self.os_queue
-        dropped_before = os_queue.dropped
-        self.controller.on_update_arrival(update)
-        admitted = os_queue.dropped == dropped_before
-        if admitted and self.update_log is not None:
-            self.update_log.append_batch((update,))
-        return admitted
+        return self.ingest_batch([update]) == 1
 
     def ingest_batch(self, updates: "list[Update]") -> int:
         """Network delivery of a coalesced batch of stream updates.
 
-        Equivalent to calling :meth:`ingest` once per update — each record
-        still goes through :meth:`Controller.on_update_arrival`
-        individually, so OSmax drops, UQmax overflow, MA expiry, and the
-        dispatch-if-idle scheduling point all happen per record and the
-        result is bit-identical to the per-record path.  What the batch
-        amortizes is everything *around* the model: one accepting check,
-        one drop-count delta, and hoisted attribute/method lookups instead
-        of per-record ones.
+        One :meth:`Controller.on_update_arrivals` call, whose contract is
+        the per-record sequence: OSmax drops, UQmax overflow, MA expiry and
+        the dispatch-if-idle scheduling point fall exactly where delivering
+        the updates one at a time would put them (while a burst owns the
+        CPU nothing can be decided, and the controller admits the rest of
+        the batch in bulk).  The write-ahead log takes the admitted records
+        only — the paper's OSmax drop is *meant* to be lossy — as one
+        append, one ``write(2)``, per batch.
 
         Returns:
             The number of updates that entered the OS queue (batch size
@@ -282,31 +286,12 @@ class LiveRuntime:
         if not self.accepting:
             self.ingest_rejected += len(updates)
             return 0
-        os_queue = self.os_queue
-        dropped_before = os_queue.dropped
-        on_arrival = self.controller.on_update_arrival
         log = self.update_log
-        if log is None:
-            for update in updates:
-                on_arrival(update)
-            return len(updates) - (os_queue.dropped - dropped_before)
-        # Logging path: the log must record admitted records only (the
-        # paper's OSmax drop is *meant* to be lossy), so the drop delta is
-        # checked per record; the whole admitted batch is still one append
-        # — one write(2) — so the amortization survives.
-        admitted = []
-        append = admitted.append
-        dropped = dropped_before
-        for update in updates:
-            on_arrival(update)
-            now_dropped = os_queue.dropped
-            if now_dropped == dropped:
-                append(update)
-            else:
-                dropped = now_dropped
+        admitted: "list[Update] | None" = None if log is None else []
+        count = self.controller.on_update_arrivals(updates, admitted)
         if admitted:
             log.append_batch(admitted)
-        return len(admitted)
+        return count
 
     def register_view(self, spec) -> None:
         """Register a derived view (:class:`~repro.db.views.ViewSpec`, its
@@ -445,12 +430,13 @@ class LiveRuntime:
         )
 
     def _gauges(self, now: float) -> dict:
+        p50, p99 = self.latency.percentiles(0.50, 0.99)
         gauges = {
             "wall_time": now,
             "os_queue_depth": len(self.os_queue),
             "update_queue_depth": len(self.update_queue),
-            "install_latency_p50": self.latency.percentile(0.50),
-            "install_latency_p99": self.latency.percentile(0.99),
+            "install_latency_p50": p50,
+            "install_latency_p99": p99,
             "install_latency_worst": self.latency.worst,
             "watchdog_alerts": self.watchdog_alerts,
             "transactions_shed": self.transactions_shed,

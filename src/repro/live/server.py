@@ -19,7 +19,10 @@ request's ``rid`` field when the client sent one, so a caller multiplexing
 requests over one session can match replies without ordering assumptions.
 
 Malformed lines get an ``{"kind": "error", ...}`` reply and the connection
-stays up; a client that disconnects mid-flight simply stops receiving
+stays up — so does a well-formed record that names an object outside its
+partition (``"reason": "bad_object_id"``, with the ``seq`` of a refused
+transaction): it is counted in ``errors`` only and never reaches the
+runtime.  A client that disconnects mid-flight simply stops receiving
 outcomes (the transactions it submitted still run to completion).
 
 The server reads and writes in *batches* (see :mod:`repro.live.wire`):
@@ -74,7 +77,7 @@ from dataclasses import asdict, replace
 
 from repro.config import SimulationConfig
 from repro.core.sharding import shard_config, shard_view_key_map
-from repro.db.objects import Update
+from repro.db.objects import ObjectClass, Update
 from repro.db.sharding import ShardRouter, Topology, topology_record
 from repro.live.clock import WallClock
 from repro.live.durability import DurabilityManager, ReplayStats
@@ -159,6 +162,18 @@ class IngestServer:
         self.stale_epoch_redirects = 0
         self._server: asyncio.AbstractServer | None = None
         self._sessions = SessionSet()
+        # What the front door checks object ids against: this shard's
+        # partition sizes, and the cluster's for a direct session's global
+        # ids (the same thing on a standalone server).
+        database = runtime.database
+        self._sizes = {
+            ObjectClass.VIEW_LOW: len(database.low),
+            ObjectClass.VIEW_HIGH: len(database.high),
+        }
+        self._global_sizes = self._sizes if router is None else {
+            ObjectClass.VIEW_LOW: router.n_low,
+            ObjectClass.VIEW_HIGH: router.n_high,
+        }
 
     def direct_accounting(self) -> "dict | None":
         """Smart-client counters, or ``None`` when no client used them."""
@@ -353,13 +368,33 @@ class IngestServer:
                     error["rid"] = rid
                 self._reply(replies, error, protocol)
                 continue
-            if session is not None and session.direct and topology is not None:
+            direct = (
+                session is not None and session.direct and topology is not None
+            )
+            # An id outside its partition would raise out of the install or
+            # read path, inside the clock task: refuse it here, like any
+            # other malformed record (a direct session's ids are global).
+            sizes = self._global_sizes if direct else self._sizes
+            is_update = isinstance(item, Update)
+            if is_update:
+                size = sizes[item.klass]
+                object_id = item.object_id
+                ok = type(object_id) is int and 0 <= object_id < size
+            else:
+                size = sizes[item.view_class]
+                ok = all(
+                    type(gid) is int and 0 <= gid < size for gid in item.reads
+                )
+            if not ok:
+                self._bad_object_id(item, size, rid, replies, protocol)
+                continue
+            if direct:
                 item = self._localize_direct(item, replies, protocol)
                 if item is None:
                     continue
                 self.direct_records += 1
             self.records_received += 1
-            if isinstance(item, Update):
+            if is_update:
                 # Live arrivals are stamped at delivery time: the wire
                 # record's arrival_time is in the *sender's* clock domain,
                 # and deadlines / staleness are measured against this
@@ -377,6 +412,23 @@ class IngestServer:
                 handle.add_done_callback(on_outcome)
         if updates:
             runtime.ingest_batch(updates)
+
+    def _bad_object_id(self, item, size, rid, replies, protocol) -> None:
+        """Refuse one record that names an object outside its partition."""
+        self.errors += 1
+        error = {"kind": "error", "reason": "bad_object_id"}
+        if isinstance(item, Update):
+            named = (f"update {item.seq} targets {item.klass.value} "
+                     f"object {item.object_id!r}")
+        else:
+            named = (f"transaction {item.seq} reads {item.view_class.value} "
+                     f"objects {item.reads!r}")
+            # As in a ``moved`` reply: the sender stops waiting for an outcome.
+            error["seq"] = item.seq
+        error["message"] = f"{named}, outside [0, {size})"
+        if rid is not None:
+            error["rid"] = rid
+        self._reply(replies, error, protocol)
 
     def _stale_advisory(self, session, replies, protocol) -> None:
         """Tell a direct session its shard map is stale — once per epoch

@@ -123,8 +123,8 @@ class UpdateAccounting:
         self.__init__()
         self.arrived = pending_updates
 
-    def note_arrival(self) -> None:
-        self.arrived += 1
+    def note_arrival(self, count: int = 1) -> None:
+        self.arrived += count
 
     def note_received(self, count: int = 1) -> None:
         self.received += count

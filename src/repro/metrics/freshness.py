@@ -100,16 +100,25 @@ class FreshnessLedger:
         """
         return dict(self.stale_seconds)
 
+    def snapshot_stale_fractions(
+        self, now: float, duration: float
+    ) -> dict[ObjectClass, float]:
+        """Mid-run fold metric of every partition over the last ``duration``
+        seconds, from one :meth:`snapshot_stale_seconds` pass."""
+        if duration <= 0:
+            return dict.fromkeys(self.stale_seconds, 0.0)
+        database = self._require_database()
+        fractions = {}
+        for klass, seconds in self.snapshot_stale_seconds(now).items():
+            count = len(database.partition(klass))
+            fractions[klass] = seconds / (duration * count) if count else 0.0
+        return fractions
+
     def snapshot_stale_fraction(
         self, klass: ObjectClass, now: float, duration: float
     ) -> float:
-        """Mid-run fold metric over the last ``duration`` seconds."""
-        if duration <= 0:
-            return 0.0
-        count = len(self._require_database().partition(klass))
-        if count == 0:
-            return 0.0
-        return self.snapshot_stale_seconds(now)[klass] / (duration * count)
+        """Mid-run fold metric of one partition."""
+        return self.snapshot_stale_fractions(now, duration)[klass]
 
     def _require_database(self) -> Database:
         if self._database is None:

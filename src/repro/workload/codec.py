@@ -204,6 +204,10 @@ FRAME_HEADER = struct.Struct("<BI")
 #: arrival_time, partial flag, attribute.
 _UPDATE_BODY = struct.Struct("<qBqdddBi")
 
+#: One whole update frame, header and body: what :meth:`FrameDecoder.take`
+#: unpacks a run of consecutive update frames with, in one C-level pass.
+_UPDATE_FRAME = struct.Struct("<BIqBqdddBi")
+
 #: Spec body head: seq, arrival_time, high_value flag, value,
 #: compute_time, slack, read count — followed by ``count`` int64 reads.
 _SPEC_HEAD = struct.Struct("<qdBdddI")
@@ -391,21 +395,6 @@ def encode_frames(items: Iterable) -> bytes:
     return b"".join(out)
 
 
-def _update_from_body(body) -> Update:
-    (seq, klass_code, object_id, value, generation_time, arrival_time,
-     partial, attribute) = _UPDATE_BODY.unpack(body)
-    return Update(
-        seq=seq,
-        klass=CLASS_BY_CODE[klass_code],
-        object_id=object_id,
-        value=value,
-        generation_time=generation_time,
-        arrival_time=arrival_time,
-        partial=bool(partial),
-        attribute=attribute,
-    )
-
-
 def _spec_from_body(body) -> TransactionSpec:
     (seq, arrival_time, high_value, value, compute_time, slack,
      count) = _SPEC_HEAD.unpack_from(body, 0)
@@ -515,6 +504,14 @@ class FrameDecoder:
         Returns ``[]`` when only a partial tail frame (or nothing) is
         buffered.  Records ahead of a corrupt header are returned first;
         the call that *starts* at the corrupt header raises.
+
+        Consecutive update frames are decoded as a *run*: one
+        ``iter_unpack`` pass over as many whole 44-byte frames as the
+        buffer and the limit hold, every tuple's tag and length checked as
+        it goes by.  The first tuple that is not a well-formed update
+        header ends the run and is decoded frame by frame from its own
+        offset, so the entries — and their order, for any chunking and any
+        limit — are exactly those of decoding one frame at a time.
         """
         buffer = self._buffer
         offset = self._offset
@@ -523,12 +520,46 @@ class FrameDecoder:
         if total - offset < header_size:
             return []
         out: list = []
+        append = out.append
         # Counts down to zero; without a limit it starts below zero and
         # never arrives.
         remaining = limit or -1
         view = memoryview(buffer)
         unpack_header = FRAME_HEADER.unpack_from
+        frame_size = _UPDATE_FRAME.size
+        body_size = _UPDATE_BODY.size
+        runs = not self._raw_updates and body_size <= self._max_body
         while total - offset >= header_size:
+            if runs and buffer[offset] == TAG_UPDATE:
+                frames = (total - offset) // frame_size
+                if 0 < remaining < frames:
+                    frames = remaining
+                # Released before feed() compacts the buffer: a live
+                # export makes ``del buffer[:offset]`` raise BufferError.
+                run = view[offset:offset + frames * frame_size]
+                before = len(out)
+                for (tag, length, seq, code, object_id, value, generation_time,
+                     arrival_time, partial, attribute) in _UPDATE_FRAME.iter_unpack(run):
+                    if tag != TAG_UPDATE or length != body_size:
+                        break
+                    try:
+                        append(Update(
+                            seq, CLASS_BY_CODE[code], object_id, value,
+                            generation_time, arrival_time, partial != 0,
+                            attribute,
+                        ))
+                    except KeyError:
+                        append(ValueError(
+                            f"unknown klass code {code} in update frame"
+                        ))
+                    except ValueError as exc:
+                        append(ValueError(str(exc)))
+                run.release()
+                taken = len(out) - before
+                offset += taken * frame_size
+                remaining -= taken
+                if not remaining or total - offset < header_size:
+                    break
             tag, length = unpack_header(view, offset)
             if length > self._max_body:
                 if out:
@@ -546,15 +577,15 @@ class FrameDecoder:
             end = start + length
             try:
                 if tag == TAG_UPDATE:
-                    if self._raw_updates:
-                        if length != _UPDATE_BODY.size:
-                            raise ValueError(
-                                f"update frame body is {length} bytes, "
-                                f"expected {_UPDATE_BODY.size}"
-                            )
-                        out.append(bytes(view[offset:end]))
-                    else:
-                        out.append(_update_from_body(view[start:end]))
+                    # Every well-formed update frame that is to be built
+                    # went with a run; what gets here is a wrong length,
+                    # or a router that wants the bytes (``raw_updates``).
+                    if length != body_size:
+                        raise ValueError(
+                            f"update frame body is {length} bytes, "
+                            f"expected {body_size}"
+                        )
+                    append(bytes(view[offset:end]))
                 elif tag == TAG_SPEC:
                     if self._raw_specs:
                         if length < _SPEC_HEAD.size:
@@ -571,20 +602,20 @@ class FrameDecoder:
                                 f"carries {length - _SPEC_HEAD.size} "
                                 "read bytes"
                             )
-                        out.append(bytes(view[offset:end]))
+                        append(bytes(view[offset:end]))
                     else:
-                        out.append(_spec_from_body(view[start:end]))
+                        append(_spec_from_body(view[start:end]))
                 elif tag == TAG_JSON:
                     payload = bytes(view[start:end])
-                    out.append(
+                    append(
                         json.loads(payload) if self._parse_json else payload
                     )
                 else:
                     raise ValueError(f"unknown binary frame tag {tag:#x}")
-            except (ValueError, KeyError, struct.error) as exc:
+            except (ValueError, struct.error) as exc:
                 # Rebuild rather than keep `exc`: its traceback pins a
                 # memoryview over the buffer we are about to compact.
-                out.append(ValueError(str(exc)))
+                append(ValueError(str(exc)))
             offset = end
             remaining -= 1
             if not remaining:

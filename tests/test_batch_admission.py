@@ -1,0 +1,151 @@
+"""``Controller.on_update_arrivals`` equals the per-record arrival sequence.
+
+The per-record sequence — count the arrival, offer it to the OS queue,
+show an admitted update to the algorithm's hook — is written out here as
+the reference; ``src/`` keeps only the batch form.  The same bursty trace
+goes through the reference, through ``on_update_arrival`` per record and
+through ``on_update_arrivals`` in batches of 1, 7 and 256, with an ``OSmax``
+small enough that the kernel drop falls *inside* batches, and everything
+the run produces must be identical: the full ``asdict`` result and the
+list of admitted updates.  UF and SU override the arrival hook, so they
+take the hook for every record; TF, OD, FX and TF-SPLIT keep the base hook
+and admit the rest of a batch in bulk once a burst owns the CPU.
+"""
+
+import math
+from dataclasses import asdict
+
+import pytest
+
+from repro.config import StaleReadAction, baseline_config
+from repro.core.algorithms import TransactionFirst
+from repro.live import LiveRuntime
+from repro.sim.engine import Engine
+from repro.sim.streams import StreamFamily
+from repro.workload.trace import split_trace
+from repro.workload.transactions import TransactionGenerator
+from repro.workload.updates import UpdateStreamGenerator
+
+ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
+OS_MAX = 6
+
+
+def _config(action):
+    config = baseline_config(duration=4.0, seed=20)
+    config.warmup = 0.0
+    config = config.with_updates(arrival_rate=400.0)
+    config = config.with_transactions(arrival_rate=15.0, stale_read_action=action)
+    return config.with_system(os_queue_max=OS_MAX)
+
+
+def _bursts(config, step=0.05):
+    """The drawn workload with update arrivals quantized up onto a coarse
+    grid: about twenty updates per delivery instant, over ``OSmax``."""
+    streams = StreamFamily(config.seed)
+    update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
+    txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
+    items = []
+    t = update_gen.next_interarrival()
+    while t < config.duration:
+        items.append(update_gen.draw_update(t))
+        t += update_gen.next_interarrival()
+    t = txn_gen.next_interarrival()
+    while t < config.duration:
+        items.append(txn_gen.draw_spec(t))
+        t += txn_gen.next_interarrival()
+    updates, specs = split_trace(items)
+    bursts: dict[float, list] = {}
+    for update in updates:
+        update.arrival_time = math.ceil(update.arrival_time / step) * step
+        bursts.setdefault(update.arrival_time, []).append(update)
+    return bursts, specs
+
+
+def _reference(controller, burst, admitted):
+    """The per-record sequence, written out."""
+    for update in burst:
+        controller.update_accounting.note_arrival()
+        if controller.os_queue.offer(update):
+            admitted.append(update)
+            controller.algorithm.on_update_arrival(controller, update)
+
+
+def _per_record(controller, burst, admitted):
+    for update in burst:
+        dropped = controller.os_queue.dropped
+        controller.on_update_arrival(update)
+        if controller.os_queue.dropped == dropped:
+            admitted.append(update)
+
+
+def _batches_of(size):
+    def deliver(controller, burst, admitted):
+        total = 0
+        for start in range(0, len(burst), size):
+            before = len(admitted)
+            count = controller.on_update_arrivals(burst[start:start + size], admitted)
+            assert count == len(admitted) - before
+            total += count
+        return total
+    return deliver
+
+
+def _run(config, algorithm, deliver):
+    engine = Engine()
+    runtime = LiveRuntime(config, algorithm, clock=engine)
+    bursts, specs = _bursts(config)
+    assert max(len(burst) for burst in bursts.values()) > OS_MAX
+    admitted = []
+    for at, burst in bursts.items():
+        engine.schedule_at(at, deliver, runtime.controller, burst, admitted)
+    for spec in specs:
+        engine.schedule_at(spec.arrival_time, runtime.submit, spec)
+    engine.run_until(config.duration)
+    return asdict(runtime.finalize()), [update.seq for update in admitted]
+
+
+@pytest.mark.parametrize("action", [StaleReadAction.IGNORE, StaleReadAction.ABORT])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_batches_equal_the_per_record_sequence(algorithm, action):
+    config = _config(action)
+    expected, expected_admitted = _run(config, algorithm, _reference)
+    assert expected["updates_os_dropped"] > 0  # drops fall inside batches
+    assert expected["updates_applied"] > 0
+    assert expected["transactions_committed"] > 0
+    assert len(expected_admitted) == (
+        expected["updates_arrived"] - expected["updates_os_dropped"]
+    )
+    for deliver in (_per_record, _batches_of(1), _batches_of(7), _batches_of(256)):
+        result, admitted = _run(config, algorithm, deliver)
+        assert result == expected
+        assert admitted == expected_admitted
+
+
+def test_bulk_admission_is_taken_only_under_the_base_hook():
+    """Which path an algorithm takes is worked out from its class."""
+    config = _config(StaleReadAction.IGNORE)
+    for algorithm in ALGORITHMS:
+        controller = LiveRuntime(config, algorithm, clock=Engine()).controller
+        assert controller._bulk_admission == (algorithm not in ("UF", "SU"))
+
+
+def test_an_overriding_algorithm_sees_every_arrival():
+    """A subclass that overrides ``on_update_arrival`` declares nothing
+    else, and is shown every admitted update of a batch — also while a
+    burst owns the CPU, where the base hook's batches go in bulk."""
+
+    class Watching(TransactionFirst):
+        def __init__(self):
+            self.seen = []
+
+        def on_update_arrival(self, ctl, update):
+            self.seen.append((update.seq, ctl.idle))
+            super().on_update_arrival(ctl, update)
+
+    config = _config(StaleReadAction.IGNORE)
+    expected, expected_admitted = _run(config, "TF", _reference)
+    algorithm = Watching()
+    result, admitted = _run(config, algorithm, _batches_of(256))
+    assert [seq for seq, _idle in algorithm.seen] == admitted == expected_admitted
+    assert any(not idle for _seq, idle in algorithm.seen)
+    assert result == expected

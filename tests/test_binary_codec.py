@@ -23,6 +23,8 @@ from repro.config import baseline_config
 from repro.db.objects import ObjectClass, Update
 from repro.sim.streams import StreamFamily
 from repro.workload.codec import (
+    _UPDATE_BODY,
+    CLASS_BY_CODE,
     CLASS_CODES,
     FRAME_HEADER,
     MAX_FRAME_BODY,
@@ -226,23 +228,89 @@ _BAD_BODY = FRAME_HEADER.pack(TAG_UPDATE, 8) + b"\x00" * 8
 _CORRUPT_HEADER = FRAME_HEADER.pack(0x7E, MAX_FRAME_BODY + 1)
 
 
+def _update_frame(seq, code, generation_time=0.0, arrival_time=0.0):
+    """An update frame of the right length, whatever its content."""
+    body = _UPDATE_BODY.pack(seq, code, 3, 1.0, generation_time, arrival_time, 0, 0)
+    return FRAME_HEADER.pack(TAG_UPDATE, len(body)) + body
+
+
+#: Right length, bad *content*: only building the Update finds these out.
+_BAD_CONTENT = (
+    _update_frame(9001, 7),  # no such klass code
+    _update_frame(9002, CLASS_CODES[ObjectClass.GENERAL]),
+    _update_frame(9003, 0, generation_time=2.0, arrival_time=1.0),
+)
+#: Frames that end a run of update frames without being malformed.
+_RUN_ENDERS = (
+    encode_frame(TransactionSpec(seq=9004, arrival_time=0.5, high_value=True,
+                                 value=1.0, compute_time=1e-4, reads=(1, 2),
+                                 slack=1.0)),
+    encode_frame(TransactionSpec(seq=9005, arrival_time=0.5, high_value=False,
+                                 value=1.0, compute_time=1e-4, reads=(),
+                                 slack=1.0)),
+    encode_json_frame(b'{"kind": "snapshot"}'),
+)
+
+
+def _decode_frame_by_frame(payload):
+    """The reference: one frame at a time, an update from ``FRAME_HEADER``
+    + ``_UPDATE_BODY.unpack`` + ``Update(...)``, everything else through a
+    fresh decoder that is handed that frame alone.  Ends like
+    :func:`_feed_all`."""
+    out = []
+    offset = 0
+    while len(payload) - offset >= FRAME_HEADER.size:
+        tag, length = FRAME_HEADER.unpack_from(payload, offset)
+        if length > MAX_FRAME_BODY:
+            return out + ["raise"]
+        end = offset + FRAME_HEADER.size + length
+        if end > len(payload):
+            break
+        if tag != TAG_UPDATE:
+            out.extend(FrameDecoder().feed(payload[offset:end]))
+        elif length != _UPDATE_BODY.size:
+            out.append(ValueError(
+                f"update frame body is {length} bytes, "
+                f"expected {_UPDATE_BODY.size}"
+            ))
+        else:
+            (seq, code, object_id, value, generation_time, arrival_time,
+             partial, attribute) = _UPDATE_BODY.unpack(
+                 payload[offset + FRAME_HEADER.size:end])
+            try:
+                if code not in CLASS_BY_CODE:
+                    raise ValueError(f"unknown klass code {code} in update frame")
+                out.append(Update(seq, CLASS_BY_CODE[code], object_id, value,
+                                  generation_time, arrival_time, bool(partial),
+                                  attribute))
+            except ValueError as exc:
+                out.append(exc)
+        offset = end
+    return out + [len(payload) - offset]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_limited_feeding_matches_one_unlimited_feed(data):
     """For any chunking and any limit >= 1 the decoder yields the same
     record sequence as one unlimited ``feed`` of the whole payload —
-    bad-body ``ValueError`` entries in place, and the raise on a corrupt
-    header after exactly the records ahead of it."""
+    bad-body and bad-content ``ValueError`` entries in place, and the raise
+    on a corrupt header after exactly the records ahead of it — and that
+    sequence is the frame-by-frame reference's, wherever a spec, a JSON
+    frame, a malformed frame, a partial tail or a corrupt header ends a
+    run of update frames."""
     frames = [encode_frame(item) for item in _STREAM_ITEMS]
-    frames.insert(
-        data.draw(st.integers(0, len(frames)), label="bad body at"), _BAD_BODY
-    )
+    for special in (_BAD_BODY, *_BAD_CONTENT, *_RUN_ENDERS):
+        frames.insert(
+            data.draw(st.integers(0, len(frames)), label="special at"), special
+        )
     if data.draw(st.booleans(), label="corrupt header"):
         frames.insert(
             data.draw(st.integers(0, len(frames)), label="corrupt at"),
             _CORRUPT_HEADER,
         )
-    payload = b"".join(frames)
+    tail = data.draw(st.integers(0, len(frames[0]) - 1), label="partial tail")
+    payload = b"".join(frames) + frames[0][:tail]
     cuts = sorted(data.draw(
         st.lists(st.integers(0, len(payload)), max_size=12), label="cuts"
     ))
@@ -250,10 +318,32 @@ def test_limited_feeding_matches_one_unlimited_feed(data):
         payload[a:b] for a, b in zip([0] + cuts, cuts + [len(payload)])
     ]
     limit = data.draw(st.integers(1, len(frames) + 1), label="limit")
-    expected = [_comparable(entry) for entry in _feed_all([payload])]
+    expected = [_comparable(entry) for entry in _decode_frame_by_frame(payload)]
+    assert [_comparable(entry) for entry in _feed_all([payload])] == expected
     assert [
         _comparable(entry) for entry in _feed_all(chunks, limit)
     ] == expected
+
+
+def test_bad_content_update_frames_are_error_entries_in_place():
+    """Klass code 7, code 2 (``GENERAL``) and arrival-before-generation
+    each come back as their own worded ``ValueError``, neighbours intact."""
+    good = encode_frame(_STREAM_ITEMS[0])
+    out = FrameDecoder().feed(good + good.join(_BAD_CONTENT) + good)
+    assert [type(entry) for entry in out] == [
+        Update, ValueError, Update, ValueError, Update, ValueError, Update
+    ]
+    assert str(out[1]) == "unknown klass code 7 in update frame"
+    assert str(out[3]) == "updates target view objects only"
+    assert "before it was generated" in str(out[5])
+
+
+def test_run_decode_honours_a_max_body_below_the_update_body():
+    """A cap of 38 bytes makes a 39-byte update header corrupt, run or not."""
+    frame = encode_frame(_STREAM_ITEMS[0])
+    decoder = FrameDecoder(max_body=_UPDATE_BODY.size - 1)
+    with pytest.raises(ValueError, match="corrupt"):
+        decoder.feed(frame * 3)
 
 
 def test_decoder_does_not_decode_past_the_limit():

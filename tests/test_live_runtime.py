@@ -314,6 +314,38 @@ def test_install_latency_tracker_sees_queueing_delay():
     assert 0 <= p50 <= p99 <= runtime.latency.worst
 
 
+def test_snapshot_readouts_are_one_pass_and_the_same_floats():
+    """A snapshot takes its two latency quantiles from one sort and its two
+    fold values from one ledger pass; each equals the single readout."""
+    config = _config(arrival_rate=400.0, mean_age=3.0)
+    config = config.with_transactions(max_age=1.0)
+    _, runtime, _ = _run_live(config, "UF", _draw_workload(config))
+    latency = runtime.latency
+    ordered = sorted(latency._samples)
+    assert len(ordered) > 100
+    fractions = (0.0, 0.5, 0.99, 1.0)
+    assert latency.percentiles(*fractions) == [
+        ordered[min(len(ordered) - 1, int(f * len(ordered)))] for f in fractions
+    ] == [latency.percentile(f) for f in fractions]
+    assert LiveRuntime(config, "TF", clock=Engine()).latency.percentiles(
+        0.5, 0.99
+    ) == [None, None]
+
+    ledger, now = runtime.ledger, runtime.clock.now
+    seconds = ledger.snapshot_stale_seconds(now)
+    folds = ledger.snapshot_stale_fractions(now, 2.5)
+    assert folds == {
+        klass: seconds[klass] / (2.5 * len(runtime.database.partition(klass)))
+        for klass in (ObjectClass.VIEW_LOW, ObjectClass.VIEW_HIGH)
+    }
+    assert all(
+        ledger.snapshot_stale_fraction(klass, now, 2.5) == fold
+        for klass, fold in folds.items()
+    )
+    assert min(folds.values()) > 0
+    assert set(ledger.snapshot_stale_fractions(now, 0.0).values()) == {0.0}
+
+
 # ----------------------------------------------------------------------
 # Batched ingest parity (the wire fast path must not change the model)
 # ----------------------------------------------------------------------

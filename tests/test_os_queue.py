@@ -73,3 +73,28 @@ def test_bool_reflects_content():
     assert not queue
     queue.offer(update(0))
     assert queue
+
+
+def test_offer_many_equals_offer_per_record_at_every_fill_level():
+    """``offer_many(updates, start)`` is ``offer`` on each of
+    ``updates[start:]`` in order: same content, same counters, and a
+    return value that counts the ``True`` answers — for a tuple and a
+    list, at every fill level, batch size and start."""
+    capacity = 5
+    for fill in range(capacity + 1):
+        for size in range(9):
+            for start in range(size + 1):
+                for batch_type in (list, tuple):
+                    batch = batch_type(update(100 + seq) for seq in range(size))
+                    one, many = OSQueue(capacity), OSQueue(capacity)
+                    for queue in (one, many):
+                        for seq in range(fill):
+                            queue.offer(update(seq))
+                    answers = [one.offer(item) for item in batch[start:]]
+                    taken = many.offer_many(batch, start)
+                    assert taken == sum(answers)
+                    assert answers == [True] * taken + [False] * (len(answers) - taken)
+                    assert [u.seq for u in many] == [u.seq for u in one]
+                    assert (many.dropped, many.total_enqueued) == (
+                        one.dropped, one.total_enqueued
+                    )

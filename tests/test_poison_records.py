@@ -1,0 +1,184 @@
+"""A record naming an object outside its partition is shed, not fatal.
+
+The front door checks object ids: an update whose ``object_id`` lies
+outside ``[0, n)`` of its partition, or a transaction with such a read,
+gets a typed ``bad_object_id`` error reply and never reaches the runtime —
+where it would raise out of the install or read path, inside the clock
+task, and wedge the scheduler for every session.  The session stays up,
+its later records install, and the poison is in no counter.
+"""
+
+import asyncio
+import json
+
+import pytest
+
+from repro.config import baseline_config
+from repro.core.sharding import shard_config
+from repro.db.objects import ObjectClass, Update
+from repro.db.sharding import ShardRouter, Topology
+from repro.live import IngestServer, LiveRuntime
+from repro.live.server import _SessionState
+from repro.workload.codec import (
+    _UPDATE_BODY,
+    FRAME_HEADER,
+    TAG_UPDATE,
+    WIRE_PREAMBLE,
+    FrameDecoder,
+    encode_frame,
+    encode_json_frame,
+    encode_lines,
+)
+from repro.workload.transactions import TransactionSpec
+
+GOOD = 100  # updates before the poison, and again after it
+
+
+def _config():
+    config = baseline_config(duration=1.0, seed=7)
+    config.warmup = 0.0
+    return config.with_updates(mean_age=0.0).with_system(ips=1e10)
+
+
+def _good(first):
+    return [
+        Update(seq, ObjectClass.VIEW_LOW, seq % 500, float(seq), 0.0, 0.0)
+        for seq in range(first, first + GOOD)
+    ]
+
+
+def _raw_update(object_id):
+    """What ``encode_frame`` would write, for an id ``Update`` allows but
+    the database does not have."""
+    body = _UPDATE_BODY.pack(1000, 0, object_id, 1.0, 0.0, 0.0, 0, 0)
+    return FRAME_HEADER.pack(TAG_UPDATE, len(body)) + body
+
+
+def _json_update(object_id):
+    return json.dumps({
+        "kind": "update", "seq": 1000, "klass": "view-low",
+        "object_id": object_id, "value": 1.0, "generation_time": 0.0,
+        "arrival_time": 0.0,
+    }).encode() + b"\n"
+
+
+_BAD_READ = TransactionSpec(seq=1000, arrival_time=0.0, high_value=False,
+                            value=1.0, compute_time=1e-4, reads=(3, 10**6),
+                            slack=1.0)
+
+POISON = {
+    ("out-of-range update", "binary"): _raw_update(10**6),
+    ("out-of-range update", "jsonl"): _json_update(10**6),
+    ("negative id", "binary"): _raw_update(-5),
+    ("negative id", "jsonl"): _json_update(-5),
+    ("out-of-range read", "binary"): encode_frame(_BAD_READ),
+    ("out-of-range read", "jsonl"): encode_lines([_BAD_READ]),
+    # JSON can say what a struct cannot: an id that is not an integer.
+    ("fractional id", "jsonl"): _json_update(3.5),
+}
+
+
+@pytest.mark.parametrize("poison,wire", POISON)
+def test_poison_record_is_refused_and_the_session_carries_on(poison, wire):
+    record = POISON[poison, wire]
+    binary = wire == "binary"
+    if binary:
+        before = WIRE_PREAMBLE + b"".join(encode_frame(u) for u in _good(0))
+        after = b"".join(encode_frame(u) for u in _good(GOOD))
+        snapshot = encode_json_frame(b'{"kind": "snapshot"}')
+    else:
+        before, after = encode_lines(_good(0)), encode_lines(_good(GOOD))
+        snapshot = b'{"kind": "snapshot"}\n'
+
+    async def read_replies(reader, until):
+        """Replies up to and including the first of kind ``until``."""
+        decoder = FrameDecoder()
+        replies = []
+        while not any(reply["kind"] == until for reply in replies):
+            if binary:
+                chunk = await asyncio.wait_for(reader.read(1 << 16), 5.0)
+                assert chunk, "the server closed the session"
+                replies.extend(decoder.feed(chunk))
+            else:
+                line = await asyncio.wait_for(reader.readline(), 5.0)
+                assert line, "the server closed the session"
+                replies.append(json.loads(line))
+        return replies
+
+    async def scenario():
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: unhandled.append(context)
+        )
+        runtime = LiveRuntime(_config(), "TF")
+        runtime.start()
+        server = IngestServer(runtime)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(before + record)
+        replies = await read_replies(reader, "error")
+        writer.write(after + snapshot)
+        replies += await read_replies(reader, "snapshot")
+        while not runtime.controller.idle or runtime.update_queue:
+            await asyncio.sleep(0.01)
+        clock_task_alive = not runtime._clock_task.done()
+        writer.close()
+        await server.stop()
+        result = await runtime.shutdown()
+        return server, result, replies, clock_task_alive, unhandled
+
+    server, result, replies, clock_task_alive, unhandled = asyncio.run(scenario())
+
+    error, snapshot_reply = replies
+    assert error["kind"] == "error" and error["reason"] == "bad_object_id"
+    assert "outside [0, 500)" in error["message"]
+    if poison == "out-of-range read":
+        assert error["seq"] == _BAD_READ.seq  # the sender stops waiting
+    assert snapshot_reply["kind"] == "snapshot"
+    assert clock_task_alive
+    assert unhandled == []
+    # The poison is in no counter; everything else of the session is.
+    assert server.errors == 1
+    assert server.records_received == 2 * GOOD
+    assert result.updates_arrived == 2 * GOOD
+    assert result.updates_applied + result.updates_skipped == 2 * GOOD
+    assert result.transactions_arrived == 0
+    assert result.update_conservation_gap() == 0
+    assert result.transaction_conservation_gap() == 0
+
+
+def test_direct_session_ids_are_checked_before_the_shard_lookup():
+    """A direct session sends *global* ids: the check runs on those, ahead
+    of the router's table lookup (which raises ``IndexError`` on them)."""
+    config = _config()
+    router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
+
+    class Replies:
+        def __init__(self):
+            self.records = []
+
+        def write(self, payload):
+            self.records.append(json.loads(payload))
+
+    runtime = LiveRuntime(shard_config(config, router, 0), "TF")
+    server = IngestServer(
+        runtime, topology=Topology(router.n_low, router.n_high, 2),
+        router=router, index=0,
+    )
+    # A global id this shard owns, past the end of its own (dense) ids.
+    owned = next(
+        gid for gid in range(len(runtime.database.low), router.n_low)
+        if router.shard_of(ObjectClass.VIEW_LOW, gid) == 0
+    )
+    session = _SessionState()
+    session.direct, session.epoch = True, server.topology.epoch
+    replies = Replies()
+    server._dispatch_batch([
+        Update(1, ObjectClass.VIEW_LOW, owned, 1.0, 0.0, 0.0),
+        Update(2, ObjectClass.VIEW_LOW, router.n_low, 1.0, 0.0, 0.0),
+    ], replies, session=session)
+    assert [reply["kind"] for reply in replies.records] == ["error"]
+    assert replies.records[0]["reason"] == "bad_object_id"
+    assert f"outside [0, {router.n_low})" in replies.records[0]["message"]
+    assert server.records_received == server.direct_records == 1
+    assert runtime.update_accounting.arrived == 1

@@ -6,6 +6,13 @@ Hypothesis drives random operation sequences against the real
 This complements the example-based tests with coverage of the interactions
 between tombstoning, the head pointer, compaction, expiry, and the
 per-object buckets.
+
+A second machine holds two real queues side by side — one fed whole
+batches through ``push_many``, its twin the same updates one ``push`` at a
+time — and asserts that nothing tells them apart: returned discards, the
+observer's ``(key, now)`` call log, contents and counters, for the plain
+and the ``indexed=True`` queue, at a capacity small enough to overflow
+inside a batch.
 """
 
 from hypothesis import settings
@@ -86,6 +93,24 @@ class UpdateQueueMachine(RuleBasedStateMachine):
         self.queue.push(update, self.clock)
         self.model.push(update)
 
+    @rule(batch=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=3.0),
+                  st.integers(min_value=0, max_value=OBJECTS - 1)),
+        min_size=1, max_size=8,
+    ))
+    def push_many(self, batch):
+        updates = []
+        for age, object_id in batch:
+            updates.append(Update(
+                self.seq, ObjectClass.VIEW_LOW, object_id, 0.0,
+                generation_time=max(0.0, self.clock - age),
+                arrival_time=self.clock,
+            ))
+            self.seq += 1
+        self.queue.push_many(updates, self.clock)
+        for update in updates:
+            self.model.push(update)
+
     @rule(lifo=st.booleans(), gap=st.floats(min_value=0.0, max_value=0.5))
     def pop(self, lifo, gap):
         self._advance(gap)
@@ -128,4 +153,98 @@ class UpdateQueueMachine(RuleBasedStateMachine):
 TestUpdateQueueStateful = UpdateQueueMachine.TestCase
 TestUpdateQueueStateful.settings = settings(
     max_examples=40, stateful_step_count=60, deadline=None
+)
+
+
+def _seqs(updates):
+    return [update.seq for update in updates]
+
+
+class PushManyTwinsMachine(RuleBasedStateMachine):
+    """``push_many(batch)`` on one queue, ``push`` per record on its twin."""
+
+    indexed = False
+
+    def __init__(self):
+        super().__init__()
+        self.logs = ([], [])
+        # An Update carries its own ``queued`` flag, so each queue gets its
+        # own copy of every update; they are compared by ``seq``.
+        self.batched, self.single = (
+            UpdateQueue(CAPACITY, indexed=self.indexed,
+                        observer=lambda key, now, log=log: log.append((key, now)))
+            for log in self.logs
+        )
+        # Compact and trim early and often, so both happen inside batches.
+        self.batched._COMPACT_THRESHOLD = self.single._COMPACT_THRESHOLD = 3
+        self.clock = 0.0
+        self.seq = 0
+
+    @rule(
+        gap=st.floats(min_value=0.0, max_value=0.5),
+        batch=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=3.0),
+                      st.integers(min_value=0, max_value=OBJECTS - 1)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def push_many(self, gap, batch):
+        self.clock += gap
+        copies = ([], [])
+        for age, object_id in batch:
+            for side in copies:
+                side.append(Update(
+                    self.seq, ObjectClass.VIEW_LOW, object_id, 0.0,
+                    generation_time=max(0.0, self.clock - age),
+                    arrival_time=self.clock,
+                ))
+            self.seq += 1
+        discarded = self.batched.push_many(copies[0], self.clock)
+        one_by_one = []
+        for update in copies[1]:
+            one_by_one += self.single.push(update, self.clock)
+        assert _seqs(discarded) == _seqs(one_by_one)
+
+    @rule(lifo=st.booleans(), gap=st.floats(min_value=0.0, max_value=0.5))
+    def pop(self, lifo, gap):
+        self.clock += gap
+        popped = [queue.pop_next(lifo, self.clock)
+                  for queue in (self.batched, self.single)]
+        assert (popped[0] is None) == (popped[1] is None)
+        assert popped[0] is None or popped[0].seq == popped[1].seq
+
+    @rule(horizon=st.floats(min_value=0.0, max_value=3.0))
+    def expire(self, horizon):
+        expired = [queue.expire_older_than(self.clock - horizon, self.clock)
+                   for queue in (self.batched, self.single)]
+        assert _seqs(expired[0]) == _seqs(expired[1])
+
+    @rule(object_id=st.integers(min_value=0, max_value=OBJECTS - 1))
+    def remove_newest_of_object(self, object_id):
+        key = (ObjectClass.VIEW_LOW, object_id)
+        for queue in (self.batched, self.single):
+            newest = queue.newest_for(key)
+            if newest is not None:
+                queue.remove(newest, self.clock)
+
+    @invariant()
+    def twins_are_indistinguishable(self):
+        assert _seqs(self.batched) == _seqs(self.single)
+        assert self.logs[0] == self.logs[1]
+        for counter in ("total_pushed", "overflow_discards",
+                        "expired_discards", "superseded_discards"):
+            assert getattr(self.batched, counter) == getattr(self.single, counter)
+        for object_id in range(OBJECTS):
+            key = (ObjectClass.VIEW_LOW, object_id)
+            assert self.batched.pending_for(key) == self.single.pending_for(key)
+
+
+class IndexedPushManyTwinsMachine(PushManyTwinsMachine):
+    indexed = True
+
+
+TestPushManyTwins = PushManyTwinsMachine.TestCase
+TestIndexedPushManyTwins = IndexedPushManyTwinsMachine.TestCase
+TestPushManyTwins.settings = TestIndexedPushManyTwins.settings = settings(
+    max_examples=30, stateful_step_count=40, deadline=None
 )
