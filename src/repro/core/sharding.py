@@ -43,8 +43,18 @@ from repro.db.views import ViewSpec, merge_view_reports
 from repro.metrics.freshness import SampledLedger
 from repro.metrics.results import SimulationResult
 from repro.sim.clock import Clock
-from repro.workload.codec import peek_update_route, reroute_update_frame
+from repro.workload.codec import (
+    CLASS_CODES,
+    FRAME_HEADER,
+    UPDATE_OBJECT_ID_AT,
+    UPDATE_ROUTES,
+    check_object_ids,
+    peek_update_route,
+)
 from repro.workload.transactions import TransactionSpec
+
+#: An update frame's object id, and its seq: one little-endian int64.
+_INT64 = struct.Struct("<q")
 
 
 @dataclass
@@ -222,7 +232,8 @@ def route_batch(router: ShardRouter, items, on_error=None) -> "dict[int, list]":
     semantics of routing record by record.  Updates are the hot path:
     their routing accounting collapses to one
     :meth:`~repro.db.sharding.ShardRouter.note_update_routed` call per
-    (shard, batch) instead of one per record.
+    (shard, batch) instead of one per record.  (Updates still on the wire
+    as frames never get here: :func:`split_update_run`.)
 
     An unroutable record (unknown object, non-view class) is skipped —
     counted in ``router.routing_errors`` and reported through
@@ -235,15 +246,7 @@ def route_batch(router: ShardRouter, items, on_error=None) -> "dict[int, list]":
     local_id = router.local_id
     for item in items:
         try:
-            if isinstance(item, bytes):
-                # Raw binary update frame: resolve the shard from the
-                # fixed-offset routing fields and patch the object id in
-                # place — no Update is ever materialized on this path.
-                klass, gid = peek_update_route(item)
-                shard = shard_of(klass, gid)
-                update_counts[shard] = update_counts.get(shard, 0) + 1
-                routed = reroute_update_frame(item, local_id(klass, gid))
-            elif isinstance(item, Update):
+            if isinstance(item, Update):
                 shard = shard_of(item.klass, item.object_id)
                 update_counts[shard] = update_counts.get(shard, 0) + 1
                 routed = Update(
@@ -258,7 +261,7 @@ def route_batch(router: ShardRouter, items, on_error=None) -> "dict[int, list]":
                 )
             else:
                 shard, routed = route_spec(router, item)
-        except (ValueError, IndexError, struct.error) as exc:
+        except (ValueError, IndexError) as exc:
             router.note_routing_error()
             if on_error is not None:
                 on_error(item, exc)
@@ -270,6 +273,69 @@ def route_batch(router: ShardRouter, items, on_error=None) -> "dict[int, list]":
             bucket.append(routed)
     for shard, count in update_counts.items():
         router.note_update_routed(shard, count)
+    return by_shard
+
+
+def split_update_run(
+    router: ShardRouter, run: bytes, on_error=None
+) -> "dict[int, tuple[bytes, int]]":
+    """Route a run of raw update frames without building one ``Update``.
+
+    ``run`` is whole update frames back to back, as a binary client sent
+    them (:class:`~repro.workload.codec.FrameDecoder` with
+    ``raw_updates=True`` has checked every header).  One ``iter_unpack``
+    pass reads each frame's class code and global id, range-checks the id
+    against its partition, and patches the shard-local id into one copy of
+    the run; each shard's payload is the join of its frames' slices of
+    that copy, in run order — byte for byte what
+    :func:`~repro.workload.codec.reroute_update_frame` gives frame by
+    frame, which is this function's one-element case.
+
+    Returns an insertion-ordered ``shard -> (payload, frames)``.  A frame
+    that cannot be routed (id outside its partition, unknown or non-view
+    class) is left out, counted in ``router.routing_errors`` and reported
+    through ``on_error(frame, exc)``; its neighbors route unchanged — the
+    error isolation of :func:`route_batch`.
+    """
+    patched = bytearray(run)
+    view = memoryview(patched)
+    low = router.tables(ObjectClass.VIEW_LOW)
+    high = router.tables(ObjectClass.VIEW_HIGH)
+    n_low, n_high = router.n_low, router.n_high
+    low_code = CLASS_CODES[ObjectClass.VIEW_LOW]
+    high_code = CLASS_CODES[ObjectClass.VIEW_HIGH]
+    patch = _INT64.pack_into
+    frame_size = UPDATE_ROUTES.size
+    pieces: dict[int, list] = {}
+    start = -frame_size
+    for code, gid in UPDATE_ROUTES.iter_unpack(run):
+        start += frame_size
+        if code == low_code and 0 <= gid < n_low:
+            shards, locals_ = low
+        elif code == high_code and 0 <= gid < n_high:
+            shards, locals_ = high
+        else:
+            frame = run[start:start + frame_size]
+            try:
+                klass, gid = peek_update_route(frame)
+                router.tables(klass)  # a non-view class has none
+                (seq,) = _INT64.unpack_from(frame, FRAME_HEADER.size)
+                check_object_ids("update", seq, klass, (gid,), router.sizes)
+            except ValueError as exc:
+                router.note_routing_error()
+                if on_error is not None:
+                    on_error(frame, exc)
+            continue
+        patch(patched, start + UPDATE_OBJECT_ID_AT, locals_[gid])
+        shard = shards[gid]
+        frames = pieces.get(shard)
+        if frames is None:
+            frames = pieces[shard] = []
+        frames.append(view[start:start + frame_size])
+    by_shard = {}
+    for shard, frames in pieces.items():
+        router.note_update_routed(shard, len(frames))
+        by_shard[shard] = b"".join(frames), len(frames)
     return by_shard
 
 

@@ -84,6 +84,8 @@ class ShardRouter:
         self.n_low = n_low
         self.n_high = n_high
         self.shards = shards
+        #: Partition sizes by class: what a front door checks ids against.
+        self.sizes = {ObjectClass.VIEW_LOW: n_low, ObjectClass.VIEW_HIGH: n_high}
 
         # Dense global-id -> (shard, local-id) maps, one per view class.
         self._shard_low = [self._hash_shard_of(0, gid) for gid in range(n_low)]
@@ -129,6 +131,13 @@ class ShardRouter:
         table = self._local_low if _class_bit(klass) == 0 else self._local_high
         return table[object_id]
 
+    def tables(self, klass: ObjectClass) -> "tuple[list[int], list[int]]":
+        """(owning shard, dense local id) of one view class, both indexed
+        by global object id — for a caller that routes a whole run."""
+        if _class_bit(klass) == 0:
+            return self._shard_low, self._local_low
+        return self._shard_high, self._local_high
+
     def counts(self, shard: int) -> tuple[int, int]:
         """(owned low objects, owned high objects) of one shard."""
         return self._counts_low[shard], self._counts_high[shard]
@@ -165,12 +174,7 @@ class ShardRouter:
         read-set, translated to that shard's dense local ids with the
         read order preserved within the slice.
         """
-        shard_table = (
-            self._shard_low if _class_bit(klass) == 0 else self._shard_high
-        )
-        local_table = (
-            self._local_low if _class_bit(klass) == 0 else self._local_high
-        )
+        shard_table, local_table = self.tables(klass)
         by_shard: dict[int, list[int]] = {}
         for gid in reads:
             shard = shard_table[gid]

@@ -211,10 +211,18 @@ class WallClock:
                         # coroutines run, then re-check the heap.
                         await asyncio.sleep(0)
                         continue
+                # One timer handle per timed sleep (none when idle), not
+                # ``wait_for``'s task, timer and two futures.
+                timer = None
+                if timeout is not None:
+                    timer = asyncio.get_running_loop().call_later(
+                        timeout, self._wakeup.set
+                    )
                 try:
-                    await asyncio.wait_for(self._wakeup.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
+                    await self._wakeup.wait()
+                finally:
+                    if timer is not None:
+                        timer.cancel()
                 self._wakeup.clear()
         finally:
             self._wakeup = None

@@ -54,7 +54,6 @@ from repro.live.plane import RouterPlane, ShardDownError
 from repro.live.server import ShardHost
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
-    DEFAULT_FLUSH_US,
     PROTOCOL_BINARY,
     RpcChannel,
     RpcClosedError,
@@ -222,13 +221,13 @@ async def _child_async(conn, start, *args) -> None:
 
 
 async def _start_worker(
-    pipe, config, index, shards, batch_max, flush_us,
+    pipe, config, index, shards, batch_max,
     algorithm, kwargs, log_dir, fsync, snapshot_interval, views,
 ):
     """One serving shard.  ``topology`` keeps its shard map fresh (for
     smart clients' topology/moved records); ``stop`` returns its result."""
     shard = ShardHost(
-        config, algorithm, batch_max=batch_max, flush_us=flush_us,
+        config, algorithm, batch_max=batch_max,
         router=ShardRouter(config.updates.n_low, config.updates.n_high, shards),
         index=index, log_dir=log_dir, fsync=fsync,
         snapshot_interval=snapshot_interval, views=views or (),
@@ -368,7 +367,6 @@ class ShardCluster:
         port: int = 0,
         algorithm_kwargs: dict | None = None,
         batch_max: int = DEFAULT_BATCH_MAX,
-        flush_us: float = DEFAULT_FLUSH_US,
         restart_limit: int = 1,
         shutdown_grace: float = 10.0,
         log_dir: "str | None" = None,
@@ -390,7 +388,6 @@ class ShardCluster:
         self.host = host
         self.port = port
         self.batch_max = batch_max
-        self.flush_us = flush_us
         self.restart_limit = restart_limit
         self.shutdown_grace = shutdown_grace
         self.log_dir = log_dir
@@ -433,7 +430,7 @@ class ShardCluster:
         # it observes supervisor transitions the instant they land.
         self._plane = RouterPlane(
             config, shards=shards, topology=self.topology, router=self.router,
-            batch_max=batch_max, flush_us=flush_us,
+            batch_max=batch_max,
             snapshot_cb=self._snapshot_payload,
         )
 
@@ -482,7 +479,7 @@ class ShardCluster:
             target=_child_main,
             args=(
                 child_conn, _start_worker, self.config, child.index,
-                self.shards, self.batch_max, self.flush_us,
+                self.shards, self.batch_max,
                 self.algorithm, self.algorithm_kwargs, self.log_dir,
                 self.fsync, self.snapshot_interval, self.views,
             ),
@@ -840,8 +837,7 @@ class ShardCluster:
         )
         # Control traffic is rare: flush every request immediately.
         channel = RpcChannel(
-            reader, writer, protocol=PROTOCOL_BINARY, batch_max=1,
-            flush_us=0.0,
+            reader, writer, protocol=PROTOCOL_BINARY, batch_max=1
         )
         self._control[shard] = channel
         return channel

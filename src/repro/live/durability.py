@@ -60,7 +60,7 @@ from repro.workload.codec import (
     FrameDecoder,
     WIRE_MAGIC,
     WIRE_SCHEMA_VERSION,
-    encode_update_frame,
+    encode_update_frames,
 )
 
 logger = logging.getLogger(__name__)
@@ -235,12 +235,13 @@ class UpdateLog:
 
         Each record is exactly :func:`~repro.workload.codec.
         encode_update_frame` output — the wire format *is* the disk
-        format — joined so the whole batch costs one ``write(2)``.
+        format — packed into one buffer so the whole batch costs one
+        pass and one ``write(2)``.
         """
         file = self._file
         if file is None:
             raise RuntimeError("log is not open")
-        file.write(b"".join([encode_update_frame(u) for u in updates]))
+        file.write(encode_update_frames(updates))
         count = len(updates)
         self.next_lsn += count
         self.records_appended += count

@@ -41,7 +41,6 @@ from repro.live.runtime import LiveRuntime, TransactionHandle
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
     DEFAULT_CONNECT_ATTEMPTS,
-    DEFAULT_FLUSH_US,
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
     WIRE_PROTOCOLS,
@@ -372,7 +371,7 @@ class WireClient:
 
     Args:
         host / port: Server address.
-        batch_max / flush_us: Coalescing bounds for the write side.
+        batch_max: Coalescing bound for the write side.
         attempts: Connection attempts per (re)connect before giving up.
         on_line: Optional callback invoked with every raw reply record —
             the JSON body without framing (no trailing newline in binary
@@ -393,7 +392,6 @@ class WireClient:
         port: int,
         *,
         batch_max: int = DEFAULT_BATCH_MAX,
-        flush_us: float = DEFAULT_FLUSH_US,
         attempts: int = DEFAULT_CONNECT_ATTEMPTS,
         on_line: "Callable[[bytes], None] | None" = None,
         wire: str = PROTOCOL_JSONL,
@@ -406,7 +404,6 @@ class WireClient:
         self.host = host
         self.port = port
         self.batch_max = batch_max
-        self.flush_us = flush_us
         self.attempts = attempts
         self.on_line = on_line
         self.wire = wire
@@ -446,9 +443,7 @@ class WireClient:
             # from scratch.
             writer.write(WIRE_PREAMBLE)
         self._writer = writer
-        self._out = CoalescingWriter(
-            writer, batch_max=self.batch_max, flush_us=self.flush_us
-        )
+        self._out = CoalescingWriter(writer, batch_max=self.batch_max)
         self._reader_task = asyncio.ensure_future(self._read_loop(reader))
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
@@ -564,7 +559,7 @@ class DirectClient:
 
     Args:
         host / port: The *router* address (the cluster's public socket).
-        batch_max / flush_us / attempts / wire: As for :class:`WireClient`;
+        batch_max / attempts / wire: As for :class:`WireClient`;
             shared by the router and worker connections.
         on_line: Callback for reply records that are not control traffic
             (``topology`` / ``moved`` / ``hello`` records are consumed by
@@ -589,7 +584,6 @@ class DirectClient:
         port: int,
         *,
         batch_max: int = DEFAULT_BATCH_MAX,
-        flush_us: float = DEFAULT_FLUSH_US,
         attempts: int = DEFAULT_CONNECT_ATTEMPTS,
         on_line: "Callable[[bytes], None] | None" = None,
         wire: str = PROTOCOL_JSONL,
@@ -602,7 +596,6 @@ class DirectClient:
         self.host = host
         self.port = port
         self.batch_max = batch_max
-        self.flush_us = flush_us
         self.attempts = attempts
         self.on_line = on_line
         self.wire = wire
@@ -628,7 +621,6 @@ class DirectClient:
             self.host,
             self.port,
             batch_max=self.batch_max,
-            flush_us=self.flush_us,
             attempts=self.attempts,
             on_line=self._intercept,
             wire=self.wire,
@@ -641,8 +633,7 @@ class DirectClient:
                 str(entry.get("host", "127.0.0.1")),
                 int(entry["port"]),
                 batch_max=self.batch_max,
-                flush_us=self.flush_us,
-                attempts=self.attempts,
+                    attempts=self.attempts,
                 on_line=self._intercept,
                 wire=self.wire,
             )

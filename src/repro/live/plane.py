@@ -40,16 +40,15 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
+import struct
 from dataclasses import replace
 
 from repro.config import SimulationConfig
-from repro.core.sharding import merge_verdicts, route_batch
-from repro.db.objects import Update
+from repro.core.sharding import merge_verdicts, split_update_run
 from repro.db.sharding import ShardRouter, Topology
 from repro.live.runtime import LatencyTracker
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
-    DEFAULT_FLUSH_US,
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
     CoalescingWriter,
@@ -59,9 +58,11 @@ from repro.live.wire import (
     SessionSet,
     connect_with_retry,
     encode_reply,
+    error_record,
 )
 from repro.workload.codec import (
-    TAG_SPEC,
+    TAG_UPDATE,
+    check_object_ids,
     encode_frame,
     item_from_record,
     peek_spec_budget,
@@ -99,17 +100,9 @@ class ShardDownError(ConnectionError):
     """
 
 
-def _encode_hop_frames(routed: list) -> bytes:
-    """One binary-hop payload from a routed batch.
-
-    Raw update frames (the binary-client fast path) are forwarded as-is;
-    anything materialized (JSONL-client updates, transaction specs) is
-    framed here.
-    """
-    return b"".join(
-        item if isinstance(item, bytes) else encode_frame(item)
-        for item in routed
-    )
+def _is_update_frame(record) -> bool:
+    """A binary client's update, still the bytes it sent."""
+    return type(record) is bytes and record[0] == TAG_UPDATE
 
 
 class RouterPlane:
@@ -121,8 +114,8 @@ class RouterPlane:
         shards: Worker count.
         topology: Live worker endpoints — the cluster's own
             :class:`~repro.db.sharding.Topology`.
-        batch_max / flush_us: Coalescing bounds, client and upstream
-            side; ``batch_max`` is also the records routed per loop turn
+        batch_max: Coalescing bound, client and upstream side, and the
+            records routed per loop turn
             (:func:`~repro.live.wire.serve_session`'s ingest quantum).
         router: Share an existing router instead of building one —
             the cluster shares its own, so accounting lands in one place.
@@ -138,7 +131,6 @@ class RouterPlane:
         shards: int,
         topology: Topology,
         batch_max: int = DEFAULT_BATCH_MAX,
-        flush_us: float = DEFAULT_FLUSH_US,
         router: "ShardRouter | None" = None,
         snapshot_cb=None,
     ) -> None:
@@ -146,7 +138,6 @@ class RouterPlane:
         self.shards = shards
         self.topology = topology
         self.batch_max = batch_max
-        self.flush_us = flush_us
         self.router = router if router is not None else ShardRouter(
             config.updates.n_low, config.updates.n_high, shards
         )
@@ -220,8 +211,7 @@ class RouterPlane:
         # the session runs and would lose every error counted during it.
         fatal = await self._sessions.serve(
             reader, writer, dispatch,
-            batch_max=self.batch_max, flush_us=self.flush_us,
-            raw_frames=True,
+            batch_max=self.batch_max, raw_frames=True,
             on_close=lambda: self._close_session(upstreams, merges),
         )
         self.errors += fatal
@@ -261,15 +251,17 @@ class RouterPlane:
     ) -> None:
         """Route one decoded wire batch, forward per (shard, batch).
 
-        ``records`` mixes dicts (JSONL lines, JSON frames),
-        already-built :class:`Update` instances or raw update/spec
-        frames (binary sessions), :class:`TransactionSpec` instances,
-        and ``Exception`` entries.  Updates batch per shard through
-        :meth:`_forward`; every transaction goes through
+        ``records`` mixes raw update/spec frames (binary sessions), dicts
+        (JSONL lines, JSON frames) and ``Exception`` entries.  A maximal
+        run of raw update frames never meets the per-record ladder: it
+        joins the pending run as it is, and a JSONL client's update joins
+        it as the frame a binary client would have sent, so every update
+        is routed by one :func:`~repro.core.sharding.split_update_run`
+        per run (:meth:`_forward`).  Every transaction goes through
         :meth:`_submit_spec` (single-owner pass-through or cross-shard
-        scatter-gather), flushing the updates collected so far first so
+        scatter-gather), forwarding the run collected so far first so
         the transaction observes every earlier record on each shard's
-        connection.  A snapshot request likewise flushes, then answers
+        connection.  A snapshot request likewise forwards, then answers
         with the merged fleet snapshot; a topology request answers with
         the current shard map.  A malformed record gets its error reply
         and its neighbors proceed — same per-record error semantics as
@@ -277,80 +269,65 @@ class RouterPlane:
         """
         if merges is None:
             merges = set()
-        items: list = []
-        for record in records:
-            try:
-                if isinstance(record, Exception):
-                    raise record
-                if isinstance(record, bytes) and record[0] != TAG_SPEC:
-                    items.append(record)  # raw update frame
-                    continue
-                if isinstance(record, Update):
-                    items.append(record)
-                    continue
-                if isinstance(record, (TransactionSpec, bytes)):
-                    if items:
-                        await self._forward(
-                            items, downstream, upstreams, protocol
-                        )
-                        items = []
-                    await self._submit_spec(
-                        record, downstream, upstreams, protocol, merges
-                    )
-                    continue
-                if isinstance(record, dict) and record.get("kind") == "topology":
-                    self.topology_requests += 1
-                    reply = self.topology.record()
-                    rid = record.get("rid")
-                    if rid is not None:
-                        reply = {**reply, "rid": rid}
-                    downstream.write(encode_reply(reply, protocol))
-                    continue
-                if isinstance(record, dict) and record.get("kind") == "register_view":
-                    await self._forward(items, downstream, upstreams, protocol)
-                    items = []
-                    await self._register_view(
-                        record, downstream, upstreams, protocol
-                    )
-                    continue
-                if isinstance(record, dict) and record.get("kind") == "snapshot":
-                    await self._forward(items, downstream, upstreams, protocol)
-                    items = []
-                    merged = await self.snapshot_cb()
-                    if merged is not None:
-                        merged = {"kind": "snapshot", **merged}
+        route = (downstream, upstreams, protocol)
+        run: "list[bytes]" = []
+        for raw, group in itertools.groupby(records, _is_update_frame):
+            if raw:
+                run.extend(group)
+                continue
+            for record in group:
+                try:
+                    if isinstance(record, Exception):
+                        raise record
+                    kind = record.get("kind") if isinstance(record, dict) else None
+                    if kind == "topology":
+                        self.topology_requests += 1
+                        reply = self.topology.record()
+                        rid = record.get("rid")
+                        if rid is not None:
+                            reply = {**reply, "rid": rid}
+                        downstream.write(encode_reply(reply, protocol))
+                        continue
+                    if kind == "register_view":
+                        await self._forward(run, *route)
+                        await self._register_view(record, *route)
+                        continue
+                    if kind == "snapshot":
+                        await self._forward(run, *route)
+                        merged = await self.snapshot_cb()
+                        if merged is not None:
+                            merged = {"kind": "snapshot", **merged}
+                        else:
+                            self.errors += 1
+                            merged = {
+                                "kind": "error",
+                                "reason": "shard_down",
+                                "message": "no live shard worker answered a snapshot",
+                            }
+                        downstream.write(encode_reply(merged, protocol))
+                        # Snapshot replies are full fleet results — orders
+                        # of magnitude bigger than outcome lines — so they
+                        # need the same backpressure point as every other
+                        # write path, or a snapshot-spamming client grows
+                        # the write buffer without bound.
+                        await downstream.backpressure()
+                        continue
+                    if not isinstance(record, bytes):  # else: a raw spec frame
+                        record = item_from_record(record)
+                    if isinstance(record, (TransactionSpec, bytes)):
+                        await self._forward(run, *route)
+                        await self._submit_spec(record, *route, merges)
                     else:
-                        self.errors += 1
-                        merged = {
-                            "kind": "error",
-                            "reason": "shard_down",
-                            "message": "no live shard worker answered a snapshot",
-                        }
-                    downstream.write(encode_reply(merged, protocol))
-                    # Snapshot replies are full fleet results — orders of
-                    # magnitude bigger than outcome lines — so they need
-                    # the same backpressure point as every other write
-                    # path, or a snapshot-spamming client grows the write
-                    # buffer without bound.
-                    await downstream.backpressure()
-                    continue
-                item = item_from_record(record)
-                if isinstance(item, TransactionSpec):
-                    if items:
-                        await self._forward(
-                            items, downstream, upstreams, protocol
+                        check_object_ids(
+                            "update", record.seq, record.klass,
+                            (record.object_id,), self.router.sizes,
                         )
-                        items = []
-                    await self._submit_spec(
-                        item, downstream, upstreams, protocol, merges
-                    )
-                else:
-                    items.append(item)
-            except (ValueError, KeyError, TypeError) as exc:
-                self.errors += 1
-                self.router.note_routing_error()
-                self._error_reply(downstream, exc, protocol)
-        await self._forward(items, downstream, upstreams, protocol)
+                        run.append(encode_frame(record))
+                except (ValueError, KeyError, TypeError, struct.error) as exc:
+                    self.errors += 1
+                    self.router.note_routing_error()
+                    self._error_reply(downstream, exc, protocol)
+        await self._forward(run, *route)
 
     async def _submit_spec(
         self, item, downstream, upstreams, protocol, merges
@@ -372,42 +349,35 @@ class RouterPlane:
         live shards' work on a verdict that cannot commit.
         """
         router = self.router
-        self.records_received += 1
         try:
             if isinstance(item, bytes):
                 klass, seq, reads = peek_spec_route(item)
                 compute_time, slack = peek_spec_budget(item)
-                split = (
-                    router.split_reads(klass, reads)
-                    if reads
-                    else {router.hash_shard(seq): ()}
-                )
 
                 def make_sub(sub_id, local):
                     return reroute_spec_frame(item, sub_id, local)
 
             else:
-                seq = item.seq
-                reads = item.reads
+                klass, seq, reads = item.view_class, item.seq, item.reads
                 compute_time, slack = item.compute_time, item.slack
-                split = (
-                    router.split_reads(item.view_class, reads)
-                    if reads
-                    else {router.hash_shard(seq): ()}
-                )
 
                 def make_sub(sub_id, local):
-                    return replace(item, seq=sub_id, reads=tuple(local))
+                    return encode_frame(
+                        replace(item, seq=sub_id, reads=tuple(local))
+                    )
 
-        except (ValueError, IndexError) as exc:
+            check_object_ids("transaction", seq, klass, reads, router.sizes)
+            split = (
+                router.split_reads(klass, reads)
+                if reads
+                else {router.hash_shard(seq): ()}
+            )
+        except ValueError as exc:
             self.errors += 1
             router.note_routing_error()
             self._error_reply(downstream, exc, protocol)
             return
-
-        def encode_one(sub):
-            return sub if isinstance(sub, bytes) else encode_frame(sub)
-
+        self.records_received += 1
         if len(split) == 1:
             shard, local = next(iter(split.items()))
             router.note_transaction_routed(shard)
@@ -418,7 +388,7 @@ class RouterPlane:
                 channel = await self._upstream(
                     shard, downstream, upstreams, protocol
                 )
-                channel.post(encode_one(make_sub(seq, local)))
+                channel.post(make_sub(seq, local))
                 await channel.backpressure()
             except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError):
                 self._shed(shard, 1, downstream, protocol)
@@ -442,7 +412,7 @@ class RouterPlane:
             channel = channels[shard]
             rid = _RID_BASE + next(self._rid)
             channel.expect(rid)
-            channel.post(encode_one(make_sub(rid, local)))
+            channel.post(make_sub(rid, local))
             channel.flush()
             router.note_transaction_routed(shard)
             self.fanout_sub_reads[shard] += 1
@@ -581,36 +551,37 @@ class RouterPlane:
         await downstream.backpressure()
 
     async def _forward(
-        self, items, downstream, upstreams, protocol=PROTOCOL_JSONL
+        self, run, downstream, upstreams, protocol=PROTOCOL_JSONL
     ) -> None:
-        """Group a decoded update batch by shard; one write per shard.
+        """Split the pending update run by shard; one write per shard.
 
-        ``items`` is the fire-and-forget update stream only (transactions
-        go through :meth:`_submit_spec`).  Records owned by a shard that
-        is not up — or whose worker dies between the liveness check and
-        the write — are shed, not queued: the client gets one
-        ``shard_down`` error reply per record and the session keeps
-        flowing.
+        ``run`` — update frames with global ids, the fire-and-forget
+        stream only (transactions go through :meth:`_submit_spec`) — is
+        emptied.  Frames owned by a shard that is not up — or whose worker
+        dies between the liveness check and the write — are shed, not
+        queued: the client gets one ``shard_down`` error reply per record
+        and the session keeps flowing.
         """
-        if not items:
+        if not run:
             return
-        def on_error(_item, exc):
+        def on_error(_frame, exc):
             self.errors += 1
             self._error_reply(downstream, exc, protocol)
-        by_shard = route_batch(self.router, items, on_error=on_error)
-        for shard, routed in by_shard.items():
-            self.records_received += len(routed)
+        by_shard = split_update_run(self.router, b"".join(run), on_error)
+        run.clear()
+        for shard, (payload, count) in by_shard.items():
+            self.records_received += count
             if self.topology.status_of(shard) != "up":
-                self._shed(shard, len(routed), downstream, protocol)
+                self._shed(shard, count, downstream, protocol)
                 continue
             try:
                 channel = await self._upstream(
                     shard, downstream, upstreams, protocol
                 )
-                channel.post(_encode_hop_frames(routed), len(routed))
+                channel.post(payload, count)
                 await channel.backpressure()
             except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError):
-                self._shed(shard, len(routed), downstream, protocol)
+                self._shed(shard, count, downstream, protocol)
 
     def _shed(self, shard: int, count: int, downstream, protocol) -> None:
         """Account and reply for records dropped on a down shard.
@@ -632,9 +603,7 @@ class RouterPlane:
     def _error_reply(
         downstream: CoalescingWriter, exc: Exception, protocol
     ) -> None:
-        downstream.write(
-            encode_reply({"kind": "error", "message": str(exc)}, protocol)
-        )
+        downstream.write(encode_reply(error_record(exc), protocol))
 
     async def _upstream(
         self, shard: int, downstream, upstreams, protocol
@@ -676,7 +645,6 @@ class RouterPlane:
             up_writer,
             protocol=PROTOCOL_BINARY,
             batch_max=self.batch_max,
-            flush_us=self.flush_us,
             on_push=push_reply,
         )
         upstreams[shard] = channel

@@ -84,14 +84,14 @@ from repro.live.durability import DurabilityManager, ReplayStats
 from repro.live.runtime import LiveRuntime
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
-    DEFAULT_FLUSH_US,
     PROTOCOL_JSONL,
     CoalescingWriter,
     SessionSet,
     encode_reply,
+    error_record,
 )
 from repro.metrics.results import SimulationResult
-from repro.workload.codec import item_from_record
+from repro.workload.codec import check_object_ids, item_from_record
 from repro.workload.transactions import TransactionSpec
 
 
@@ -116,8 +116,6 @@ class IngestServer:
         batch_max: Records per loop turn, in both directions: the ingest
             quantum and the coalesced reply write (``1`` = per-record
             delivery and replies, the pre-batching wire behavior).
-        flush_us: Reply flush deadline in microseconds for partially
-            filled batches.
         topology: This worker's copy of the cluster
             :class:`~repro.db.sharding.Topology` when it serves one shard
             of a cluster (enables direct sessions with ownership checks
@@ -138,7 +136,6 @@ class IngestServer:
         port: int = 0,
         *,
         batch_max: int = DEFAULT_BATCH_MAX,
-        flush_us: float = DEFAULT_FLUSH_US,
         topology: "Topology | None" = None,
         router: "ShardRouter | None" = None,
         index: int = 0,
@@ -147,7 +144,6 @@ class IngestServer:
         self.host = host
         self.port = port
         self.batch_max = batch_max
-        self.flush_us = flush_us
         self.topology = topology
         self.router = router
         self.index = index
@@ -170,10 +166,7 @@ class IngestServer:
             ObjectClass.VIEW_LOW: len(database.low),
             ObjectClass.VIEW_HIGH: len(database.high),
         }
-        self._global_sizes = self._sizes if router is None else {
-            ObjectClass.VIEW_LOW: router.n_low,
-            ObjectClass.VIEW_HIGH: router.n_high,
-        }
+        self._global_sizes = self._sizes if router is None else router.sizes
 
     def direct_accounting(self) -> "dict | None":
         """Smart-client counters, or ``None`` when no client used them."""
@@ -233,8 +226,7 @@ class IngestServer:
         # Not ``self.errors += await ...``: that reads the counter before
         # the session runs and would lose every error counted during it.
         fatal = await self._sessions.serve(
-            reader, writer, dispatch,
-            batch_max=self.batch_max, flush_us=self.flush_us,
+            reader, writer, dispatch, batch_max=self.batch_max,
         )
         self.errors += fatal
 
@@ -361,32 +353,32 @@ class IngestServer:
                             self._stale_advisory(session, replies, protocol)
                         continue
                     item = item_from_record(record)
+                direct = (
+                    session is not None and session.direct
+                    and topology is not None
+                )
+                # An id outside its partition would raise out of the install
+                # or read path, inside the clock task: refuse it here, like
+                # any other malformed record (a direct session's ids are
+                # global).  An in-range update — nearly every record — is
+                # accepted inline.
+                sizes = self._global_sizes if direct else self._sizes
+                is_update = isinstance(item, Update)
+                if is_update:
+                    object_id = item.object_id
+                    if not (type(object_id) is int
+                            and 0 <= object_id < sizes[item.klass]):
+                        check_object_ids(
+                            "update", item.seq, item.klass, (object_id,), sizes
+                        )
+                else:
+                    check_object_ids(
+                        "transaction", item.seq, item.view_class, item.reads,
+                        sizes,
+                    )
             except (ValueError, KeyError, TypeError) as exc:
                 self.errors += 1
-                error = {"kind": "error", "message": str(exc)}
-                if rid is not None:
-                    error["rid"] = rid
-                self._reply(replies, error, protocol)
-                continue
-            direct = (
-                session is not None and session.direct and topology is not None
-            )
-            # An id outside its partition would raise out of the install or
-            # read path, inside the clock task: refuse it here, like any
-            # other malformed record (a direct session's ids are global).
-            sizes = self._global_sizes if direct else self._sizes
-            is_update = isinstance(item, Update)
-            if is_update:
-                size = sizes[item.klass]
-                object_id = item.object_id
-                ok = type(object_id) is int and 0 <= object_id < size
-            else:
-                size = sizes[item.view_class]
-                ok = all(
-                    type(gid) is int and 0 <= gid < size for gid in item.reads
-                )
-            if not ok:
-                self._bad_object_id(item, size, rid, replies, protocol)
+                self._reply(replies, error_record(exc, rid), protocol)
                 continue
             if direct:
                 item = self._localize_direct(item, replies, protocol)
@@ -412,23 +404,6 @@ class IngestServer:
                 handle.add_done_callback(on_outcome)
         if updates:
             runtime.ingest_batch(updates)
-
-    def _bad_object_id(self, item, size, rid, replies, protocol) -> None:
-        """Refuse one record that names an object outside its partition."""
-        self.errors += 1
-        error = {"kind": "error", "reason": "bad_object_id"}
-        if isinstance(item, Update):
-            named = (f"update {item.seq} targets {item.klass.value} "
-                     f"object {item.object_id!r}")
-        else:
-            named = (f"transaction {item.seq} reads {item.view_class.value} "
-                     f"objects {item.reads!r}")
-            # As in a ``moved`` reply: the sender stops waiting for an outcome.
-            error["seq"] = item.seq
-        error["message"] = f"{named}, outside [0, {size})"
-        if rid is not None:
-            error["rid"] = rid
-        self._reply(replies, error, protocol)
 
     def _stale_advisory(self, session, replies, protocol) -> None:
         """Tell a direct session its shard map is stale — once per epoch
@@ -579,7 +554,6 @@ class ShardHost:
         host: str = "127.0.0.1",
         port: int = 0,
         batch_max: int = DEFAULT_BATCH_MAX,
-        flush_us: float = DEFAULT_FLUSH_US,
         router: "ShardRouter | None" = None,
         index: int = 0,
         log_dir: "str | None" = None,
@@ -604,7 +578,7 @@ class ShardHost:
             config, algorithm, clock=clock, **(algorithm_kwargs or {})
         )
         self.server = IngestServer(
-            self.runtime, host, port, batch_max=batch_max, flush_us=flush_us,
+            self.runtime, host, port, batch_max=batch_max,
             topology=topology, router=router, index=index,
         )
 

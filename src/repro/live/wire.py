@@ -8,10 +8,12 @@ cost — not the scheduler.  This module concentrates the fix:
 
 * :class:`CoalescingWriter` buffers encoded lines and hands the
   transport one contiguous payload per *batch*, flushed when the buffer
-  reaches a record/byte bound or when a flush deadline expires (so a
-  lone record is never parked longer than ``flush_us``).  ``drain()`` is
-  awaited only when the transport reports a write buffer over its
-  high-water mark — the only case where it would actually wait.
+  reaches a record/byte bound or when the event-loop turn that first
+  wrote to it ends — the batch is whatever one turn produced (a session
+  quantum's replies and forwards, the outcomes one clock dispatch
+  landed), and it leaves when that turn does, not on a timer.
+  ``drain()`` is awaited only when the transport reports a write buffer
+  over its high-water mark — the only case where it would actually wait.
 * :func:`iter_line_batches` is the read-side dual: instead of one
   ``readline`` round trip per record, each socket wakeup yields the
   complete lines already buffered, ready for one batched decode.
@@ -66,6 +68,7 @@ from repro.workload.codec import (
     WIRE_MAGIC,
     WIRE_PREAMBLE,
     WIRE_SCHEMA_VERSION,
+    BadObjectId,
     FrameDecoder,
     decode_lines,
     encode_json_frame,
@@ -79,11 +82,6 @@ logger = logging.getLogger(__name__)
 #: "Offered-load cliff" — an ~80-record quantum absorbed no more on the
 #: spine's ``node_overload`` and cost +45% ``txn_p50_ms`` on ``node_saturate``.
 DEFAULT_BATCH_MAX = 256
-
-#: Flush deadline in microseconds: the longest a buffered record waits
-#: for company before going out anyway.  Well under the paper's
-#: millisecond-scale deadlines, well over the cost of an event-loop turn.
-DEFAULT_FLUSH_US = 500.0
 
 #: Byte bound per coalesced payload; keeps one flush comfortably inside
 #: the transport's default 64 KiB high-water mark.
@@ -174,6 +172,21 @@ def encode_reply(record: dict, protocol: str) -> bytes:
     return payload + b"\n"
 
 
+def error_record(exc: Exception, rid=None) -> dict:
+    """The ``{"kind": "error"}`` reply for one refused record — typed
+    (``reason``, and the ``seq`` of a refused transaction, so its sender
+    stops waiting for an outcome) when the refusal is."""
+    record = {"kind": "error"}
+    if isinstance(exc, BadObjectId):
+        record["reason"] = "bad_object_id"
+        if exc.seq is not None:
+            record["seq"] = exc.seq
+    record["message"] = str(exc)
+    if rid is not None:
+        record["rid"] = rid
+    return record
+
+
 async def connect_with_retry(
     host: str,
     port: "int | Callable[[], int]",
@@ -239,24 +252,27 @@ class CoalescingWriter:
 
     ``write`` is synchronous and safe to call from plain callbacks (e.g.
     transaction-outcome hooks); flushing happens on the record/byte
-    bounds, on the ``flush_us`` deadline timer, or explicitly.  All
-    buffered lines reach the transport in ``write`` order.
+    bounds, explicitly, or — for a partially filled buffer — when the
+    event-loop turn that first wrote to it ends (one ``call_soon``, which
+    runs once everything already scheduled for this turn has: the rest of
+    a session quantum up to its scheduling point, the rest of a clock
+    dispatch).  Nothing waits on wall-clock time, so a reply spends no
+    part of its transaction's slack parked here.  All buffered lines
+    reach the transport in ``write`` order.
 
     Args:
         writer: The stream to feed.
         batch_max: Records per coalesced payload (``<= 1`` flushes every
             write — the per-record wire path: control channels, and
             the reference the parity tests compare batching against).
-        flush_us: Flush deadline in microseconds for partially filled
-            buffers; ``0`` also degrades to flush-per-write.
 
     Attributes:
         records: Lines accepted so far.
         flushes: Coalesced payloads handed to the transport.
     """
 
-    __slots__ = ("_writer", "_transport", "_batch_max", "_flush_s",
-                 "_buffer", "_bytes", "_pending", "_timer",
+    __slots__ = ("_writer", "_transport", "_batch_max",
+                 "_buffer", "_bytes", "_pending", "_turn_end",
                  "records", "flushes")
 
     def __init__(
@@ -264,16 +280,14 @@ class CoalescingWriter:
         writer: asyncio.StreamWriter,
         *,
         batch_max: int = DEFAULT_BATCH_MAX,
-        flush_us: float = DEFAULT_FLUSH_US,
     ) -> None:
         self._writer = writer
         self._transport = writer.transport
         self._batch_max = max(1, batch_max)
-        self._flush_s = max(0.0, flush_us) * 1e-6
         self._buffer: list[bytes] = []
         self._bytes = 0
         self._pending = 0
-        self._timer: asyncio.TimerHandle | None = None
+        self._turn_end: asyncio.Handle | None = None
         self.records = 0
         self.flushes = 0
 
@@ -306,22 +320,16 @@ class CoalescingWriter:
         self._pending += records
         self._buffer.append(payload)
         self._bytes += len(payload)
-        if (
-            self._pending >= self._batch_max
-            or self._bytes >= MAX_BATCH_BYTES
-            or self._flush_s == 0.0
-        ):
+        if self._pending >= self._batch_max or self._bytes >= MAX_BATCH_BYTES:
             self.flush()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                self._flush_s, self.flush
-            )
+        elif self._turn_end is None:
+            self._turn_end = asyncio.get_running_loop().call_soon(self.flush)
 
     def flush(self) -> None:
         """Hand everything buffered to the transport as one payload."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._turn_end is not None:
+            self._turn_end.cancel()  # also drops its reference to us
+            self._turn_end = None
         buffer = self._buffer
         if not buffer:
             return
@@ -337,9 +345,10 @@ class CoalescingWriter:
     async def backpressure(self) -> None:
         """Suspend until the transport is back under its high-water mark.
 
-        Does **not** force a flush — partially filled buffers keep their
-        deadline — so callers can apply backpressure per batch without
-        giving up coalescing.  A no-op in the common (unpaused) case.
+        Does **not** force a flush — a partially filled buffer still goes
+        out when the turn ends — so callers can apply backpressure per
+        batch without giving up coalescing.  A no-op in the common
+        (unpaused) case.
         """
         transport = self._transport
         if (
@@ -467,7 +476,6 @@ async def serve_session(
     dispatch,
     *,
     batch_max: int = DEFAULT_BATCH_MAX,
-    flush_us: float = DEFAULT_FLUSH_US,
     raw_frames: bool = False,
     on_close=None,
 ) -> int:
@@ -484,7 +492,11 @@ async def serve_session(
     load: between two quanta the :class:`~repro.live.clock.WallClock`
     task fires due burst completions and the controller dispatches, so a
     sender outrunning the server fills the socket, not a read-ahead
-    buffer the scheduler never gets to look at.
+    buffer the scheduler never gets to look at.  It is also where the
+    quantum's buffered writes leave: the replies, and whatever
+    ``dispatch`` posted to other :class:`CoalescingWriter` s (the plane's
+    per-shard forwards), are flushed as that turn ends, ahead of the next
+    quantum.
 
     Args:
         dispatch: Called once per quantum.  May return an awaitable (the
@@ -503,7 +515,7 @@ async def serve_session(
         resynchronization point, so the one session is closed.  A peer
         reset or a clean EOF is not an error.
     """
-    replies = CoalescingWriter(writer, batch_max=batch_max, flush_us=flush_us)
+    replies = CoalescingWriter(writer, batch_max=batch_max)
     errors = 0
     try:
         protocol, leftover = await negotiate_protocol(reader)
@@ -644,7 +656,10 @@ class RpcChannel:
         protocol: ``jsonl`` or ``binary`` — both what the peer reads and
             how its JSON replies come back.
         on_push: Callback for reply records that match no pending call.
-        batch_max/flush_us: Outbound coalescing bounds.
+        batch_max: Outbound coalescing bound.
+        flush_us: Accepted and ignored — there is no flush deadline any
+            more; ``benchmarks/spine/layers.py`` still passes it, and the
+            next ``[benchmark]`` PR drops both.
 
     Attributes:
         failure: The unexpected exception that ended the reader task, if
@@ -662,16 +677,14 @@ class RpcChannel:
         *,
         protocol: str,
         batch_max: int = DEFAULT_BATCH_MAX,
-        flush_us: float = DEFAULT_FLUSH_US,
+        flush_us: "float | None" = None,
         on_push: "Callable[[dict], None] | None" = None,
     ) -> None:
         self.protocol = protocol
         self.failure: Exception | None = None
         if protocol == PROTOCOL_BINARY:
             writer.write(WIRE_PREAMBLE)
-        self._writer = CoalescingWriter(
-            writer, batch_max=batch_max, flush_us=flush_us
-        )
+        self._writer = CoalescingWriter(writer, batch_max=batch_max)
         self._pending: dict[object, asyncio.Future] = {}
         self._on_push = on_push
         self._closed = False

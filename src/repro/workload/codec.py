@@ -230,7 +230,51 @@ CLASS_BY_CODE = {code: klass for klass, code in CLASS_CODES.items()}
 #: frame's shard without materializing an :class:`Update`.
 _UPDATE_ROUTE = struct.Struct("<Bq")
 _UPDATE_ROUTE_AT = FRAME_HEADER.size + 8
-_UPDATE_OBJECT_ID_AT = _UPDATE_ROUTE_AT + 1
+UPDATE_OBJECT_ID_AT = _UPDATE_ROUTE_AT + 1
+
+
+#: A whole update frame read as its two routing columns, everything else
+#: padding: what a router's ``iter_unpack`` over a run of frames yields.
+UPDATE_ROUTES = struct.Struct(
+    f"<{_UPDATE_ROUTE_AT}xBq{_UPDATE_FRAME.size - UPDATE_OBJECT_ID_AT - 8}x"
+)
+
+
+class BadObjectId(ValueError):
+    """A well-formed record names an object outside its partition.
+
+    Attributes:
+        seq: The refused transaction's sequence number — its error reply
+            carries it, so the sender stops waiting for an outcome — or
+            ``None`` for an update (fire-and-forget).
+    """
+
+    def __init__(self, message: str, seq: "int | None" = None) -> None:
+        super().__init__(message)
+        self.seq = seq
+
+
+def check_object_ids(kind: str, seq, klass: ObjectClass, ids, sizes) -> None:
+    """The front door's one check: every id an ``int`` inside ``klass``'s
+    partition (``sizes``: class -> object count).
+
+    An id outside it would raise out of the install or read path, inside
+    the clock task, or — negative — index the wrong object; every ingest
+    path (node, router plane, direct session) refuses the record here
+    instead.  Hot loops may accept an in-range ``int`` inline; every
+    refusal is decided and worded by this function.
+
+    Raises:
+        BadObjectId: naming the first offending id.
+    """
+    size = sizes.get(klass, 0)
+    for object_id in ids:
+        if type(object_id) is not int or not 0 <= object_id < size:
+            raise BadObjectId(
+                f"{kind} {seq} names {klass.value} object {object_id!r}, "
+                f"outside [0, {size})",
+                seq if kind == "transaction" else None,
+            )
 
 
 def peek_update_route(frame: bytes) -> "tuple[ObjectClass, int]":
@@ -254,7 +298,7 @@ def reroute_update_frame(frame: bytes, local_id: int) -> bytes:
     what the client sent.
     """
     patched = bytearray(frame)
-    struct.pack_into("<q", patched, _UPDATE_OBJECT_ID_AT, local_id)
+    struct.pack_into("<q", patched, UPDATE_OBJECT_ID_AT, local_id)
     return bytes(patched)
 
 
@@ -343,6 +387,35 @@ def encode_update_frame(update: Update) -> bytes:
         update.attribute,
     )
     return FRAME_HEADER.pack(TAG_UPDATE, len(body)) + body
+
+
+def encode_update_frames(updates: "list[Update]") -> bytearray:
+    """A list of updates as one contiguous payload, packed in one pass.
+
+    Byte for byte ``encode_frames(updates)`` — header and body of each
+    frame go straight into one preallocated buffer, no per-record
+    ``bytes`` in between: the write-ahead log's append.
+    """
+    size = _UPDATE_FRAME.size
+    body_size = _UPDATE_BODY.size
+    pack_into = _UPDATE_FRAME.pack_into
+    codes = CLASS_CODES
+    out = bytearray(size * len(updates))
+    offset = 0
+    for update in updates:
+        pack_into(
+            out, offset, TAG_UPDATE, body_size,
+            update.seq,
+            codes[update.klass],
+            update.object_id,
+            update.value,
+            update.generation_time,
+            update.arrival_time,
+            1 if update.partial else 0,
+            update.attribute,
+        )
+        offset += size
+    return out
 
 
 def encode_spec_frame(spec: TransactionSpec) -> bytes:
@@ -506,7 +579,7 @@ class FrameDecoder:
         the call that *starts* at the corrupt header raises.
 
         Consecutive update frames are decoded as a *run*: one
-        ``iter_unpack`` pass over as many whole 44-byte frames as the
+        ``iter_unpack`` pass over as many whole 51-byte frames as the
         buffer and the limit hold, every tuple's tag and length checked as
         it goes by.  The first tuple that is not a well-formed update
         header ends the run and is decoded frame by frame from its own

@@ -117,7 +117,6 @@ def test_killed_worker_sheds_and_session_survives():
     async def scenario():
         cluster = ShardCluster(
             _cluster_config(), "TF", shards=2, restart_limit=0,
-            flush_us=0.0,
         )
         host, port = await cluster.start()
         reader, writer = await asyncio.open_connection(host, port)
@@ -231,7 +230,6 @@ def test_restart_resumes_installs_and_books_balance():
     async def scenario():
         cluster = ShardCluster(
             _cluster_config(), "TF", shards=2, restart_limit=1,
-            flush_us=0.0,
         )
         host, port = await cluster.start()
         first_port = cluster.ports[0]
@@ -640,7 +638,7 @@ def test_wire_client_reconnects_after_peer_close():
         server = await asyncio.start_server(one_shot_handler, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         client = WireClient(
-            "127.0.0.1", port, flush_us=0.0, attempts=4,
+            "127.0.0.1", port, attempts=4,
             on_line=lambda line: replies.append(line),
         )
         await client.connect()

@@ -331,7 +331,7 @@ def test_cluster_cross_shard_round_trip():
     routed side of the books accounts for every record the session sent."""
 
     async def scenario():
-        cluster = ShardCluster(_cluster_config(), "TF", shards=2, flush_us=0.0)
+        cluster = ShardCluster(_cluster_config(), "TF", shards=2)
         host, port = await cluster.start()
         reader, writer = await asyncio.open_connection(host, port)
         g0 = _shard_gid(cluster.router, 0)
@@ -378,7 +378,7 @@ def test_killed_sub_read_is_typed_deadline_miss():
 
     async def scenario():
         cluster = ShardCluster(
-            _cluster_config(), "TF", shards=2, restart_limit=0, flush_us=0.0,
+            _cluster_config(), "TF", shards=2, restart_limit=0,
         )
         host, port = await cluster.start()
         reader, writer = await asyncio.open_connection(host, port)

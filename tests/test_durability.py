@@ -42,7 +42,7 @@ from repro.live.durability import (
 )
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
-from repro.workload.codec import FRAME_HEADER, TAG_UPDATE
+from repro.workload.codec import FRAME_HEADER, TAG_UPDATE, encode_frames
 from repro.workload.trace import update_to_dict
 from repro.workload.transactions import TransactionGenerator
 from repro.workload.updates import UpdateStreamGenerator
@@ -115,6 +115,29 @@ def test_log_append_reopen_round_trip(tmp_path):
     log2.append_batch(_simple_updates(2, start_seq=3))
     log2.close()
     assert read_log(path).next_lsn == 5
+
+
+def test_log_bytes_are_the_wire_frames_of_the_batch(tmp_path):
+    """The wire format *is* the disk format: what ``append_batch`` packs in
+    one pass is byte for byte ``encode_frames`` of the same updates —
+    drawn ones, a partial update and both view classes among them."""
+    batches = [
+        _draw_updates(_config(), 40),
+        [Update(seq=99, klass=ObjectClass.VIEW_HIGH, object_id=7, value=-1.5,
+                generation_time=0.25, arrival_time=0.375, partial=True,
+                attribute=2)],
+        [],
+    ]
+    path = str(tmp_path / "shard.log")
+    log = UpdateLog(path)
+    log.open()
+    for batch in batches:
+        log.append_batch(batch)
+    log.close()
+    with open(path, "rb") as handle:
+        on_disk = handle.read()[LOG_HEADER_BYTES:]
+    assert on_disk == b"".join(encode_frames(batch) for batch in batches)
+    assert len(on_disk) == 41 * LOG_RECORD_BYTES
 
 
 def test_log_rotate_truncates_to_new_base(tmp_path):
@@ -654,7 +677,7 @@ def test_cluster_warm_restart_replays_and_balances(tmp_path):
     async def scenario():
         cluster = ShardCluster(
             _cluster_config(), "TF", shards=2, restart_limit=1,
-            flush_us=0.0, log_dir=str(tmp_path / "wal"),
+            log_dir=str(tmp_path / "wal"),
         )
         host, port = await cluster.start()
         reader, writer = await asyncio.open_connection(host, port)

@@ -1,6 +1,7 @@
 """Tests for the wall-clock timer dispatcher (repro.live.clock)."""
 
 import asyncio
+import sys
 
 from repro.live.clock import WallClock
 from repro.sim.clock import Clock
@@ -142,3 +143,44 @@ def test_run_twice_concurrently_is_rejected():
         return raised
 
     assert asyncio.run(scenario())
+
+
+def test_a_sleep_is_one_timer_handle_and_no_task():
+    """The dispatcher parks on its wakeup event directly: an idle sleep
+    arms nothing, a timed sleep arms one ``call_later`` that is cancelled
+    when an earlier ``schedule`` or ``stop()`` ends the sleep first — no
+    helper task either way."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        armed = []
+        call_later = loop.call_later
+
+        def recording_call_later(delay, callback, *args):
+            handle = call_later(delay, callback, *args)
+            if sys._getframe(1).f_globals["__name__"] == "repro.live.clock":
+                armed.append(handle)
+            return handle
+
+        loop.call_later = recording_call_later
+        try:
+            clock = WallClock()
+            fired = []
+            task = asyncio.create_task(clock.run())
+            await asyncio.sleep(0.01)  # parked, idle: nothing to wait for
+            idle = (list(armed), len(asyncio.all_tasks()))
+            clock.schedule(30.0, fired.append, "far")  # wakes it, re-parks
+            await asyncio.sleep(0.01)
+            parked = (len(armed), armed[-1].cancelled(), len(asyncio.all_tasks()))
+            clock.schedule(0.005, fired.append, "soon")  # preempts the 30 s
+            await asyncio.sleep(0.05)
+            clock.stop()  # during the re-armed 30 s sleep
+            await task
+        finally:
+            del loop.call_later
+        return idle, parked, fired, [handle.cancelled() for handle in armed]
+
+    idle, parked, fired, cancelled = asyncio.run(scenario())
+    assert idle == ([], 2)  # this coroutine and the dispatcher
+    assert parked == (1, False, 2)
+    assert fired == ["soon"]
+    assert len(cancelled) >= 2 and all(cancelled)

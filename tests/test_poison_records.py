@@ -5,7 +5,11 @@ outside ``[0, n)`` of its partition, or a transaction with such a read,
 gets a typed ``bad_object_id`` error reply and never reaches the runtime —
 where it would raise out of the install or read path, inside the clock
 task, and wedge the scheduler for every session.  The session stays up,
-its later records install, and the poison is in no counter.
+its later records install, and the poison is in no counter.  Every door
+runs the same check (:func:`repro.workload.codec.check_object_ids`): a
+node's own socket, the routing plane of ``serve --shards N`` (where a
+negative id used to be routed by negative indexing and installed), and a
+direct session.
 """
 
 import asyncio
@@ -30,6 +34,7 @@ from repro.workload.codec import (
     encode_lines,
 )
 from repro.workload.transactions import TransactionSpec
+from tests.inprocess import RoutedPair
 
 GOOD = 100  # updates before the poison, and again after it
 
@@ -78,8 +83,31 @@ POISON = {
 }
 
 
+class _Node:
+    """The node's door, with :class:`RoutedPair`'s surface."""
+
+    def __init__(self, config):
+        self.runtimes = [LiveRuntime(config, "TF")]
+        self.front = IngestServer(self.runtimes[0])
+
+    async def start(self):
+        self.runtimes[0].start()
+        return await self.front.start()
+
+    async def stop(self):
+        await self.front.stop()
+        return await self.runtimes[0].shutdown()
+
+
+class _Routed(RoutedPair):
+    @property
+    def front(self):
+        return self.plane
+
+
+@pytest.mark.parametrize("door", ["node", "routed"])
 @pytest.mark.parametrize("poison,wire", POISON)
-def test_poison_record_is_refused_and_the_session_carries_on(poison, wire):
+def test_poison_record_is_refused_and_the_session_carries_on(poison, wire, door):
     record = POISON[poison, wire]
     binary = wire == "binary"
     if binary:
@@ -110,24 +138,25 @@ def test_poison_record_is_refused_and_the_session_carries_on(poison, wire):
         asyncio.get_running_loop().set_exception_handler(
             lambda _loop, context: unhandled.append(context)
         )
-        runtime = LiveRuntime(_config(), "TF")
-        runtime.start()
-        server = IngestServer(runtime)
-        host, port = await server.start()
+        served = (_Node if door == "node" else _Routed)(_config())
+        host, port = await served.start()
         reader, writer = await asyncio.open_connection(host, port)
         writer.write(before + record)
         replies = await read_replies(reader, "error")
         writer.write(after + snapshot)
         replies += await read_replies(reader, "snapshot")
-        while not runtime.controller.idle or runtime.update_queue:
+        runtimes = served.runtimes
+        while any(
+            not runtime.controller.idle or runtime.update_queue
+            for runtime in runtimes
+        ):
             await asyncio.sleep(0.01)
-        clock_task_alive = not runtime._clock_task.done()
+        clock_tasks_alive = not any(r._clock_task.done() for r in runtimes)
         writer.close()
-        await server.stop()
-        result = await runtime.shutdown()
-        return server, result, replies, clock_task_alive, unhandled
+        result = await served.stop()
+        return served, result, replies, clock_tasks_alive, unhandled
 
-    server, result, replies, clock_task_alive, unhandled = asyncio.run(scenario())
+    served, result, replies, clock_tasks_alive, unhandled = asyncio.run(scenario())
 
     error, snapshot_reply = replies
     assert error["kind"] == "error" and error["reason"] == "bad_object_id"
@@ -135,11 +164,15 @@ def test_poison_record_is_refused_and_the_session_carries_on(poison, wire):
     if poison == "out-of-range read":
         assert error["seq"] == _BAD_READ.seq  # the sender stops waiting
     assert snapshot_reply["kind"] == "snapshot"
-    assert clock_task_alive
+    assert clock_tasks_alive
     assert unhandled == []
     # The poison is in no counter; everything else of the session is.
-    assert server.errors == 1
-    assert server.records_received == 2 * GOOD
+    assert served.front.errors == 1
+    assert served.front.records_received == 2 * GOOD
+    if door == "routed":
+        assert sum(served.router.updates_routed) == 2 * GOOD
+        assert sum(served.router.transactions_routed) == 0
+        assert [host.server.errors for host in served.hosts] == [0, 0]
     assert result.updates_arrived == 2 * GOOD
     assert result.updates_applied + result.updates_skipped == 2 * GOOD
     assert result.transactions_arrived == 0

@@ -410,10 +410,10 @@ def test_direct_client_survives_worker_restart():
 
     async def scenario():
         cluster = ShardCluster(
-            _cluster_config(), "TF", shards=2, restart_limit=1, flush_us=0.0,
+            _cluster_config(), "TF", shards=2, restart_limit=1,
         )
         host, port = await cluster.start()
-        client = DirectClient(host, port, flush_us=0.0, attempts=2)
+        client = DirectClient(host, port, attempts=2)
         await client.connect()
         assert client.router.shards == 2
 

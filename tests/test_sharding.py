@@ -9,10 +9,18 @@ runs preserve both conservation laws and every reported invariant.
 from dataclasses import asdict
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.config import baseline_config
 from repro.core.algorithms.registry import ALGORITHMS
-from repro.core.sharding import build_shard_set, route_spec, route_update, shard_config
+from repro.core.sharding import (
+    build_shard_set,
+    route_spec,
+    route_update,
+    shard_config,
+    split_update_run,
+)
 from repro.core.simulator import run_simulation
 from repro.core.wiring import build_parts, collect_result, reset_measurement
 from repro.db.objects import ObjectClass, Update
@@ -22,6 +30,15 @@ from repro.metrics.results import SimulationResult
 from repro.metrics.validate import check_invariants
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
+from repro.workload.codec import (
+    _UPDATE_BODY,
+    _UPDATE_FRAME,
+    TAG_UPDATE,
+    BadObjectId,
+    encode_frame,
+    peek_update_route,
+    reroute_update_frame,
+)
 from repro.workload.transactions import TransactionGenerator, TransactionSpec
 from repro.workload.updates import UpdateStreamGenerator
 
@@ -253,6 +270,90 @@ def test_multi_shard_build_requires_algorithm_name():
     # The single-shard path still accepts an instance, as before.
     shard_set = build_shard_set(config, algorithm, engine, shards=1)
     assert len(shard_set) == 1
+
+
+# ----------------------------------------------------------------------
+# The run split: a run of raw update frames, routed as bytes
+# ----------------------------------------------------------------------
+_FRAMES = st.lists(
+    st.tuples(
+        st.integers(0, 1 << 40),             # seq
+        st.sampled_from([0, 0, 1, 1, 2, 7]),  # low, high, general, unknown
+        st.integers(-3, 45),                 # object id, sizes are <= 40
+        st.floats(allow_nan=False),          # value
+        st.booleans(),                       # partial
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_low=st.integers(0, 40), n_high=st.integers(0, 40),
+       shards=st.integers(1, 4), fields=_FRAMES)
+def test_split_update_run_is_reroute_update_frame_per_record(
+    n_low, n_high, shards, fields
+):
+    """For any well-formed update frames over any router: each shard's
+    payload is the in-order concatenation of ``reroute_update_frame`` of
+    its records, the routing books agree, and a frame that cannot be
+    routed yields its typed error while its neighbours route unchanged."""
+    try:
+        router = ShardRouter(n_low, n_high, shards)
+    except ValueError:
+        assume(False)
+    frames = [
+        _UPDATE_FRAME.pack(TAG_UPDATE, _UPDATE_BODY.size, seq, code, gid,
+                           value, 0.0, 0.0, partial, 3)
+        for seq, code, gid, value, partial in fields
+    ]
+    sizes = (n_low, n_high)
+    expected: dict = {}
+    unroutable = []
+    for frame, (_seq, code, gid, _value, _partial) in zip(frames, fields):
+        if code in (0, 1) and 0 <= gid < sizes[code]:
+            klass, peeked = peek_update_route(frame)
+            assert peeked == gid
+            expected.setdefault(router.shard_of(klass, gid), []).append(
+                reroute_update_frame(frame, router.local_id(klass, gid))
+            )
+        else:
+            unroutable.append((frame, code))
+
+    errors = []
+    by_shard = split_update_run(
+        router, b"".join(frames),
+        on_error=lambda frame, exc: errors.append((frame, exc)),
+    )
+
+    assert list(by_shard) == list(expected)  # first-appearance order
+    for shard, (payload, count) in by_shard.items():
+        assert payload == b"".join(expected[shard])
+        assert count == len(expected[shard])
+    assert router.updates_routed == [
+        len(expected.get(shard, [])) for shard in range(shards)
+    ]
+    assert router.routing_errors == len(unroutable)
+    assert [frame for frame, _ in errors] == [frame for frame, _ in unroutable]
+    for (_, exc), (_, code) in zip(errors, unroutable):
+        assert isinstance(exc, ValueError)
+        # Only a view-class id outside its partition is a *bad object id*;
+        # a class the router does not shard, or does not know, says so.
+        assert isinstance(exc, BadObjectId) == (code in (0, 1))
+        if isinstance(exc, BadObjectId):
+            assert f"outside [0, {sizes[code]})" in str(exc)
+            assert exc.seq is None  # updates are fire-and-forget
+
+
+def test_split_update_run_of_one_frame_and_of_none():
+    router = ShardRouter(8, 8, 2)
+    update = Update(seq=4, klass=ObjectClass.VIEW_HIGH, object_id=5, value=1.0,
+                    generation_time=0.0, arrival_time=0.1)
+    frame = encode_frame(update)
+    shard = router.shard_of(update.klass, 5)
+    assert split_update_run(router, frame) == {
+        shard: (reroute_update_frame(frame, router.local_id(update.klass, 5)), 1)
+    }
+    assert split_update_run(router, b"") == {}
 
 
 # ----------------------------------------------------------------------

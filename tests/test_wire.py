@@ -12,6 +12,7 @@ Two contracts matter:
 
 import asyncio
 import json
+import sys
 
 import pytest
 
@@ -20,11 +21,16 @@ from repro.db.objects import ObjectClass, Update
 from repro.live.wire import (
     MAX_BATCH_BYTES,
     CoalescingWriter,
+    encode_reply,
     iter_line_batches,
+    serve_session,
 )
 from repro.sim.streams import StreamFamily
 from repro.workload.codec import (
+    WIRE_PREAMBLE,
+    FrameDecoder,
     decode_lines,
+    encode_frame,
     encode_item,
     encode_lines,
     item_from_record,
@@ -32,6 +38,7 @@ from repro.workload.codec import (
 from repro.workload.trace import item_to_dict
 from repro.workload.transactions import TransactionGenerator, TransactionSpec
 from repro.workload.updates import UpdateStreamGenerator
+from tests.inprocess import RoutedPair
 
 
 def _drawn_items(seed=424242, rate=300.0, duration=3.0):
@@ -158,77 +165,108 @@ class _FakeStreamWriter:
         pass
 
 
+async def _turn():
+    """Let the current event-loop turn end (and the next one begin)."""
+    await asyncio.sleep(0)
+
+
 def test_coalescing_writer_flushes_on_batch_max():
     async def scenario():
         fake = _FakeStreamWriter()
-        out = CoalescingWriter(fake, batch_max=3, flush_us=1e6)
+        out = CoalescingWriter(fake, batch_max=3)
         for i in range(7):
             out.write(b"%d\n" % i)
+        return list(fake.payloads), out.flushes
+
+    payloads, flushes = asyncio.run(scenario())
+    # Synchronously, inside the turn; the 7th is still buffered.
+    assert payloads == [b"0\n1\n2\n", b"3\n4\n5\n"]
+    assert flushes == 2
+
+
+def test_coalescing_writer_turn_end_covers_stragglers():
+    """Whatever one loop turn wrote leaves when that turn ends: one
+    payload, in ``write`` order, and not a moment before."""
+    async def scenario():
+        fake = _FakeStreamWriter()
+        out = CoalescingWriter(fake, batch_max=1000)
+        # A callback queued ahead of the first write still gets its own in.
+        asyncio.get_running_loop().call_soon(out.write, b"d\n")
+        out.write(b"a\n")
+        out.write_batch(b"b\nc\n", 2)
+        assert fake.payloads == []  # parked until the turn ends
+        await _turn()
+        first = list(fake.payloads)
+        await _turn()
+        out.write(b"next turn\n")
+        await _turn()
+        return first, fake.payloads, out
+
+    first, payloads, out = asyncio.run(scenario())
+    assert first == [b"a\nb\nc\nd\n"]
+    assert payloads == [b"a\nb\nc\nd\n", b"next turn\n"]
+    assert (out.records, out.flushes) == (5, 2)
+
+
+def test_coalescing_writer_turn_end_after_a_bound_flush_writes_nothing_twice():
+    async def scenario():
+        fake = _FakeStreamWriter()
+        out = CoalescingWriter(fake, batch_max=2)
+        out.write(b"a\n")  # arms the turn-end flush
+        out.write(b"b\n")  # the bound gets there first
+        out.write(b"c\n")
+        await _turn()
+        await _turn()
         return fake, out
 
     fake, out = asyncio.run(scenario())
-    assert fake.payloads == [b"0\n1\n2\n", b"3\n4\n5\n"]  # 6th still buffered
-    assert out.records == 7
+    assert fake.payloads == [b"a\nb\n", b"c\n"]
     assert out.flushes == 2
-
-
-def test_coalescing_writer_flush_deadline_covers_stragglers():
-    async def scenario():
-        fake = _FakeStreamWriter()
-        out = CoalescingWriter(fake, batch_max=1000, flush_us=500.0)
-        out.write(b"lone\n")
-        assert fake.payloads == []  # parked, waiting for company
-        await asyncio.sleep(0.05)  # >> flush deadline
-        return fake
-
-    fake = asyncio.run(scenario())
-    assert fake.payloads == [b"lone\n"]
 
 
 def test_coalescing_writer_batch_max_one_is_per_record():
     async def scenario():
         fake = _FakeStreamWriter()
-        out = CoalescingWriter(fake, batch_max=1, flush_us=500.0)
+        out = CoalescingWriter(fake, batch_max=1)
         out.write(b"a\n")
         out.write(b"b\n")
-        return fake
+        return list(fake.payloads)
 
-    fake = asyncio.run(scenario())
-    assert fake.payloads == [b"a\n", b"b\n"]
+    assert asyncio.run(scenario()) == [b"a\n", b"b\n"]
 
 
 def test_coalescing_writer_write_batch_counts_records():
     """A pre-coalesced payload counts its records toward the batch bound."""
     async def scenario():
         fake = _FakeStreamWriter()
-        out = CoalescingWriter(fake, batch_max=4, flush_us=1e6)
+        out = CoalescingWriter(fake, batch_max=4)
         out.write_batch(b"a\nb\nc\n", 3)
         assert fake.payloads == []  # 3 of 4: still under the bound
         out.write(b"d\n")
-        return fake, out
+        return list(fake.payloads), out
 
-    fake, out = asyncio.run(scenario())
-    assert fake.payloads == [b"a\nb\nc\nd\n"]
+    payloads, out = asyncio.run(scenario())
+    assert payloads == [b"a\nb\nc\nd\n"]
     assert out.records == 4
 
 
 def test_coalescing_writer_byte_bound_flushes_large_batches():
     async def scenario():
         fake = _FakeStreamWriter()
-        out = CoalescingWriter(fake, batch_max=10_000, flush_us=1e6)
+        out = CoalescingWriter(fake, batch_max=10_000)
         line = b"x" * 4096 + b"\n"
         for _ in range(MAX_BATCH_BYTES // len(line) + 1):
             out.write(line)
-        return fake
+        return list(fake.payloads)
 
-    fake = asyncio.run(scenario())
-    assert fake.payloads  # flushed by bytes, not by count or deadline
+    # Flushed by bytes, inside the turn — not by count, not by its end.
+    assert asyncio.run(scenario())
 
 
 def test_coalescing_writer_backpressure_only_over_high_water():
     async def scenario():
         fake = _FakeStreamWriter()
-        out = CoalescingWriter(fake, batch_max=4, flush_us=500.0)
+        out = CoalescingWriter(fake, batch_max=4)
         await out.backpressure()
         below = fake.drains
         fake.transport.buffer_size = 1 << 20  # over the 64 KiB high water
@@ -240,30 +278,129 @@ def test_coalescing_writer_backpressure_only_over_high_water():
     assert above == 1
 
 
+def _handles_holding(loop, out):
+    """Handles queued on ``loop`` whose callback is a method of ``out``."""
+    return [
+        handle for handle in [*loop._ready, *loop._scheduled]
+        if getattr(handle._callback, "__self__", None) is out
+    ]
+
+
 def test_coalescing_writer_aclose_flushes_then_closes():
     async def scenario():
+        loop = asyncio.get_running_loop()
         fake = _FakeStreamWriter()
-        out = CoalescingWriter(fake, batch_max=100, flush_us=1e6)
+        out = CoalescingWriter(fake, batch_max=100)
         out.write(b"tail\n")
+        assert len(_handles_holding(loop, out)) == 1
         await out.aclose()
-        return fake
+        return fake, _handles_holding(loop, out)
 
-    fake = asyncio.run(scenario())
+    fake, handles = asyncio.run(scenario())
     assert fake.payloads == [b"tail\n"]
     assert fake.closed
+    # A closed session leaves nothing on the loop that keeps it alive.
+    assert handles == []
 
 
 def test_coalescing_writer_drops_writes_after_peer_close():
     async def scenario():
         fake = _FakeStreamWriter()
-        out = CoalescingWriter(fake, batch_max=1, flush_us=500.0)
+        out = CoalescingWriter(fake, batch_max=1)
         fake.transport.closing = True
         out.write(b"late\n")
-        return fake, out
+        parked = CoalescingWriter(fake, batch_max=100)
+        parked.write(b"later\n")
+        await _turn()
+        return fake, out, parked
 
-    fake, out = asyncio.run(scenario())
+    fake, out, parked = asyncio.run(scenario())
     assert fake.payloads == []
-    assert out.flushes == 0
+    assert out.flushes == parked.flushes == 0
+
+
+def test_served_session_leaves_no_handle_behind():
+    """After :func:`serve_session` returns, no handle on the loop refers
+    to its reply writer — whatever the last quantum left buffered."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        writers = []
+
+        def dispatch(records, replies, protocol):
+            writers.append(replies)
+            for record in records:
+                replies.write(encode_reply(record, protocol))
+
+        async def handle(reader, writer):
+            await serve_session(reader, writer, dispatch)
+            done.set()
+
+        done = asyncio.Event()
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        reader, writer = await asyncio.open_connection(
+            *server.sockets[0].getsockname()[:2]
+        )
+        writer.write(b'{"n": 1}\n{"n": 2}\n')
+        echoed = [await reader.readline(), await reader.readline()]
+        writer.close()
+        await asyncio.wait_for(done.wait(), 5.0)
+        server.close()
+        await server.wait_closed()
+        return echoed, _handles_holding(loop, writers[0])
+
+    echoed, handles = asyncio.run(scenario())
+    assert [json.loads(line) for line in echoed] == [{"n": 1}, {"n": 2}]
+    assert handles == []
+
+
+def test_routed_round_trip_arms_no_wire_timer():
+    """The latency guard, structural rather than timed: a single-shard
+    transaction crosses client -> plane -> worker -> plane -> client and
+    nothing in ``repro.live.wire`` arms a ``call_later`` on the way — each
+    hop's batch leaves when its loop turn ends, not when a deadline
+    (rounded up to the selector's millisecond) says so."""
+    config = baseline_config(duration=1.0, seed=7)
+    config.warmup = 0.0
+    config = config.with_updates(mean_age=0.0).with_system(ips=1e10)
+    spec = TransactionSpec(seq=5, arrival_time=0.0, high_value=False,
+                           value=1.0, compute_time=1e-4, reads=(3,), slack=1.0)
+    update = Update(1, ObjectClass.VIEW_LOW, 3, 1.0, 0.0, 0.0)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        armed_by = []
+        call_later = loop.call_later
+
+        def counting_call_later(delay, callback, *args, **kwargs):
+            armed_by.append(sys._getframe(1).f_globals["__name__"])
+            return call_later(delay, callback, *args, **kwargs)
+
+        pair = RoutedPair(config)
+        host, port = await pair.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        # Open the session and both upstream channels before counting.
+        writer.write(WIRE_PREAMBLE + encode_frame(update) + encode_frame(
+            Update(2, ObjectClass.VIEW_LOW, 4, 1.0, 0.0, 0.0)))
+        while sum(pair.router.updates_routed) < 2:
+            await asyncio.sleep(0.01)
+        loop.call_later = counting_call_later
+        try:
+            writer.write(encode_frame(update) + encode_frame(spec))
+            decoder = FrameDecoder()
+            replies = []
+            while not replies:
+                replies = decoder.feed(
+                    await asyncio.wait_for(reader.read(1 << 16), 5.0))
+        finally:
+            del loop.call_later
+        writer.close()
+        await pair.stop()
+        return replies, armed_by
+
+    replies, armed_by = asyncio.run(scenario())
+    assert replies[0]["kind"] == "outcome" and replies[0]["seq"] == spec.seq
+    assert replies[0]["outcome"] == "committed"
+    assert "repro.live.wire" not in armed_by
 
 
 # ----------------------------------------------------------------------

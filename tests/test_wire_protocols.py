@@ -377,8 +377,7 @@ def test_wire_clients_of_both_protocols_interoperate():
             if record.get("kind") == "outcome":
                 outcomes.append(record["outcome"])
 
-        client = WireClient(host, port, wire=wire, on_line=on_line,
-                            flush_us=0.0)
+        client = WireClient(host, port, wire=wire, on_line=on_line)
         await client.connect()
         await client.send(update)
         for seq in range(5):
