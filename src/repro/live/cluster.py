@@ -134,14 +134,23 @@ class ControlPipe:
         passes — peer trouble degrades the answer, it never raises."""
         token = next(self._tokens)
         future = self._calls[token] = self._loop.create_future()
+        timer = None
         try:
             if not self._send((kind, token, *args)):
                 return None
-            return await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            return None
+            # One timer handle, cancelled on reply (not ``wait_for``'s
+            # task, handle and two futures); a late answer finds no call.
+            timer = self._loop.call_later(timeout, self._give_up, future)
+            return await future
         finally:
+            if timer is not None:
+                timer.cancel()
             del self._calls[token]
+
+    @staticmethod
+    def _give_up(future: asyncio.Future) -> None:
+        if not future.done():
+            future.set_result(None)
 
     def _on_readable(self) -> None:
         """The pipe watcher: take every whole message, then notice EOF."""
@@ -189,8 +198,7 @@ class ControlPipe:
             self._loop.remove_reader(self.conn.fileno())
             self.conn.close()
             for future in self._calls.values():
-                if not future.done():
-                    future.set_result(None)
+                self._give_up(future)
 
 
 # ----------------------------------------------------------------------

@@ -28,9 +28,11 @@ outcomes (the transactions it submitted still run to completion).
 The server reads and writes in *batches* (see :mod:`repro.live.wire`):
 arrivals are delivered in quanta of at most ``batch_max`` records — one
 batched ``json.loads`` (or one pass of frame decoding) per quantum,
-consecutive updates through :meth:`LiveRuntime.ingest_batch`, then one
-yield to the event loop so the clock task and the controller get a
-scheduling point before the next quantum — and replies coalesce through
+consecutive updates through :meth:`LiveRuntime.ingest_batch`, then the
+scheduling point (:meth:`WallClock.dispatch_due
+<repro.live.clock.WallClock.dispatch_due>`: burst completions that have
+come due fire, the controller dispatches) and one yield to the event loop
+before the next quantum — and replies coalesce through
 a :class:`~repro.live.wire.CoalescingWriter`.  What has not been read
 yet waits in the socket.  A batch is just N newline-delimited records in
 one write, so per-record clients interoperate unchanged in both
@@ -167,6 +169,12 @@ class IngestServer:
             ObjectClass.VIEW_HIGH: len(database.high),
         }
         self._global_sizes = self._sizes if router is None else router.sizes
+        # The scheduling point that ends every ingest quantum.  A mocked
+        # clock (``sim.Engine``) is advanced by whoever drives it.
+        clock = runtime.clock
+        self._scheduling_point = (
+            clock.dispatch_due if isinstance(clock, WallClock) else None
+        )
 
     def direct_accounting(self) -> "dict | None":
         """Smart-client counters, or ``None`` when no client used them."""
@@ -245,7 +253,9 @@ class IngestServer:
         Consecutive updates within the batch collapse into one
         :meth:`LiveRuntime.ingest_batch` call; a transaction or snapshot
         record flushes the pending updates first, so every record observes
-        exactly the runtime state the wire order implies.
+        exactly the runtime state the wire order implies.  The quantum
+        ends with the scheduling point: whatever has come due on the
+        wall clock is dispatched before the session yields.
 
         On a *direct* session (``session.direct``) against a cluster
         worker, every record is ownership-checked first: a record this
@@ -358,7 +368,7 @@ class IngestServer:
                     and topology is not None
                 )
                 # An id outside its partition would raise out of the install
-                # or read path, inside the clock task: refuse it here, like
+                # or read path, inside a clock dispatch: refuse it here, like
                 # any other malformed record (a direct session's ids are
                 # global).  An in-range update — nearly every record — is
                 # accepted inline.
@@ -404,6 +414,8 @@ class IngestServer:
                 handle.add_done_callback(on_outcome)
         if updates:
             runtime.ingest_batch(updates)
+        if self._scheduling_point is not None:
+            self._scheduling_point()
 
     def _stale_advisory(self, session, replies, protocol) -> None:
         """Tell a direct session its shard map is stale — once per epoch

@@ -488,11 +488,13 @@ async def serve_session(
     records (decoded frames or decoded JSONL lines), decoded just in time,
     handed to ``dispatch(records, replies, protocol)`` in wire order —
     with reply backpressure and **one yield to the event loop after every
-    quantum**.  That yield is the paper's scheduling point (§3.1) under
-    load: between two quanta the :class:`~repro.live.clock.WallClock`
-    task fires due burst completions and the controller dispatches, so a
-    sender outrunning the server fills the socket, not a read-ahead
-    buffer the scheduler never gets to look at.  It is also where the
+    quantum**.  The paper's scheduling point (§3.1) under load is the end
+    of ``dispatch`` itself — an ingest server finishes each quantum by
+    firing the burst completions that have come due
+    (:meth:`~repro.live.clock.WallClock.dispatch_due`) — and the yield
+    hands the loop to everything else, so a sender outrunning the server
+    fills the socket, not a read-ahead buffer the scheduler never gets to
+    look at.  The yield is also where the
     quantum's buffered writes leave: the replies, and whatever
     ``dispatch`` posted to other :class:`CoalescingWriter` s (the plane's
     per-shard forwards), are flushed as that turn ends, ahead of the next
@@ -757,15 +759,29 @@ class RpcChannel:
         future = self._pending.get(key)
         if future is None:
             raise KeyError(f"no pending call with correlation id {key!r}")
+        # The deadline is one timer handle, cancelled on reply — not
+        # ``wait_for``'s task, timer handle and two futures per call.
+        timer = None
+        expired = False
+        if timeout is not None and not future.done():
+
+            def expire() -> None:
+                nonlocal expired
+                expired = True
+                future.cancel()
+
+            timer = asyncio.get_running_loop().call_later(timeout, expire)
         try:
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
-        except (asyncio.TimeoutError, TimeoutError):
+            return await future
+        except asyncio.CancelledError:
+            if not expired:
+                raise  # the caller was cancelled, not the call
             raise RpcDeadlineError(
                 f"no reply for call {key!r} within {timeout:.3f}s"
             ) from None
         finally:
+            if timer is not None:
+                timer.cancel()
             if future.done() and not future.cancelled():
                 self._pending.pop(key, None)
 

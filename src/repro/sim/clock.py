@@ -17,8 +17,9 @@ Implementations:
   tests (feed a recorded trace through :class:`repro.live.LiveRuntime`
   with an ``Engine`` as its clock and the run is bit-identical to the
   simulator).
-* :class:`repro.live.WallClock` — real time; an asyncio task dispatches
-  events when ``time.monotonic()`` catches up with their timestamps.
+* :class:`repro.live.WallClock` — real time; a timer the event loop
+  watches dispatches events when ``time.monotonic()`` catches up with
+  their timestamps.
 
 Contract notes beyond the method signatures:
 

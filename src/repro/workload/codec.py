@@ -259,7 +259,7 @@ def check_object_ids(kind: str, seq, klass: ObjectClass, ids, sizes) -> None:
     partition (``sizes``: class -> object count).
 
     An id outside it would raise out of the install or read path, inside
-    the clock task, or — negative — index the wrong object; every ingest
+    a clock dispatch, or — negative — index the wrong object; every ingest
     path (node, router plane, direct session) refuses the record here
     instead.  Hot loops may accept an in-range ``int`` inline; every
     refusal is decided and worded by this function.

@@ -13,6 +13,7 @@ exactly one cause.
 import asyncio
 import random
 import socket
+import sys
 import threading
 
 from repro.config import baseline_config
@@ -23,6 +24,7 @@ from repro.workload.transactions import TransactionSpec
 
 UPDATES = 200_000
 TRANSACTIONS = 200
+COMPUTE_TIME = 0.001
 SAMPLE_EVERY = 0.1
 
 
@@ -53,7 +55,7 @@ def _burst(config) -> bytes:
             count = n_high if high else n_low
             frames.append(encode_frame(TransactionSpec(
                 seq=seq // every, arrival_time=0.0, high_value=high,
-                value=1.0, compute_time=0.001,
+                value=1.0, compute_time=COMPUTE_TIME,
                 reads=(rng.randrange(count), rng.randrange(count)),
                 slack=0.1,
             )))
@@ -110,3 +112,11 @@ def test_burst_is_absorbed_not_discarded():
     # ... and every transaction an outcome.
     assert runtime.in_flight == 0
     assert result.transactions_in_flight == 0
+
+
+def test_burst_of_sub_spin_transactions_is_absorbed_not_discarded(monkeypatch):
+    """The same flood, the same three properties, with transactions that
+    compute 0.3 ms: every completion falls inside what used to be the
+    clock's spin-yield tier, where the wait was a loop turn per poll."""
+    monkeypatch.setattr(sys.modules[__name__], "COMPUTE_TIME", 0.0003)
+    test_burst_is_absorbed_not_discarded()
