@@ -151,7 +151,7 @@ class Controller:
     # ------------------------------------------------------------------
     def on_update_arrival(self, update: Update) -> None:
         """Network delivery of one stream update (engine callback)."""
-        self.on_update_arrivals((update,))
+        self.on_update_run((update,), 0, 1)
 
     def on_update_arrivals(
         self, updates: Sequence[Update], admitted: list[Update] | None = None
@@ -193,6 +193,35 @@ class Controller:
                 hook(self, update)
             # else the kernel dropped it; the OS queue counts the drop
         return count
+
+    def on_update_run(self, updates: Sequence[Update], start: int, stop: int) -> int:
+        """Network delivery of a run of the update stream in simulated time.
+
+        ``updates[start]`` arrives now; the ones after it, up to ``stop``,
+        arrive later but before the next event of any other kind — no
+        burst completes, no deadline fires, no transaction arrives and no
+        measurement window opens between them.  While a burst owns the CPU
+        and the algorithm keeps the base hook, which does nothing then, no
+        decision can change within the run, so it is admitted whole (the
+        soundness argument of :meth:`on_update_arrivals`, with the engine's
+        event order in place of the clock callback).  Otherwise exactly one
+        update is delivered: counted as arrived, offered to the OS queue and,
+        when admitted, shown to the algorithm's arrival hook.
+
+        Returns:
+            The number of updates delivered (arrived, not necessarily
+            admitted): ``stop - start`` or 1.
+        """
+        if self._bulk_admission and self._busy is not None:
+            count = stop - start
+            self.update_accounting.note_arrival(count)
+            self.os_queue.offer_many(updates, start, stop)
+            return count
+        update = updates[start]
+        self.update_accounting.note_arrival()
+        if self.os_queue.offer(update):
+            self.algorithm.on_update_arrival(self, update)
+        return 1
 
     def on_transaction_arrival(self, spec: TransactionSpec) -> None:
         """Arrival of one transaction (engine callback)."""

@@ -56,14 +56,17 @@ class OSQueue:
         self.total_enqueued += 1
         return True
 
-    def offer_many(self, updates: Sequence[Update], start: int = 0) -> int:
-        """Deliver ``updates[start:]`` at once: :meth:`offer` on each, in order.
+    def offer_many(
+        self, updates: Sequence[Update], start: int = 0, stop: int | None = None
+    ) -> int:
+        """Deliver ``updates[start:stop]`` at once: :meth:`offer` on each,
+        in order.
 
         Returns:
             How many were buffered — always a prefix, because nothing
             leaves the queue during the call; the rest are dropped.
         """
-        offered = len(updates) - start
+        offered = (len(updates) if stop is None else stop) - start
         taken = max(0, min(self.capacity - len(self._queue), offered))
         self._queue.extend(updates[start:start + taken])
         self.total_enqueued += taken

@@ -19,18 +19,50 @@ maintained on cancel and on popping a cancelled entry makes
 :meth:`Engine.pending_count` and :meth:`Engine.peek_time` O(1) amortized
 instead of O(n) scans, while keeping the common dispatch path free of any
 counter bookkeeping (cancellations are rare relative to dispatches).
+
+**Arrival sources.**  A stream whose arrival times depend on nothing the
+simulation does (the Poisson and periodic workload generators) does not
+need the heap: it is one sorted sequence, and the loop can merge it with
+the heap top.  A source is any object with ``next_time`` (``math.inf``
+while it has no arrival pending), ``next_seq`` and ``fire(limit)``; see
+:meth:`Engine.arm`.  An arrival delivered by a source costs no
+:class:`Event`, no push and no pop, and is otherwise indistinguishable
+from the event it replaces: it is ordered by the same ``(time, seq)`` key
+against the heap and the other sources, it counts in
+``events_dispatched``, and :meth:`Engine.peek_time`,
+:meth:`Engine.pending_count` and :meth:`Engine.step` see it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable
+from math import inf
+from typing import Any, Callable, Protocol
 
 from repro.sim.events import Event
 
 
 class SimulationError(RuntimeError):
     """Raised for engine misuse (scheduling in the past, running twice...)."""
+
+
+class ArrivalSource(Protocol):
+    """A sorted arrival stream the engine merges with its heap.
+
+    ``fire(limit)`` delivers the pending arrival, and may go on to deliver
+    the arrivals after it that fall *strictly before* ``limit`` — the
+    earliest instant at which anything else (a heap event, another source,
+    the end of the segment) is due, so nothing can observe the run from
+    inside.  It sets ``engine.now`` to each arrival's time as it delivers
+    it, reports ``next_time = inf`` while its sink runs (an event being
+    dispatched is not pending either), leaves ``next_time`` at the arrival
+    now pending and returns the number delivered (at least one).
+    """
+
+    next_time: float
+    next_seq: int
+
+    def fire(self, limit: float) -> int: ...
 
 
 class Engine:
@@ -56,6 +88,8 @@ class Engine:
         "_cancelled",
         "run_end",
         "events_dispatched",
+        "_sources",
+        "_rearmed",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -71,6 +105,10 @@ class Engine:
         # install-burst coalescing must not let a batch span it).
         self.run_end: float | None = None
         self.events_dispatched = 0
+        self._sources: list[ArrivalSource] = []
+        # Set whenever a source's pending arrival changed outside its own
+        # fire(); the merging loop then re-reads the sources.
+        self._rearmed = False
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -127,6 +165,23 @@ class Engine:
         """Cancel a pending event (idempotent)."""
         event.cancel()
 
+    def arm(self, source: ArrivalSource) -> None:
+        """Register ``source``'s pending arrival (``source.next_time``).
+
+        Called by a source when it starts and whenever its pending arrival
+        changes outside its own ``fire`` (the bursty update stream redraws
+        its gap when the rate flips).  The arrival takes its tie-break
+        ``seq`` here, exactly as :meth:`schedule` would have assigned it;
+        after a ``fire`` the engine assigns the next one itself, at the
+        instant a self-rescheduling callback would have called
+        :meth:`schedule` — when the sink has returned.
+        """
+        if source not in self._sources:
+            self._sources.append(source)
+        source.next_seq = self._seq
+        self._seq += 1
+        self._rearmed = True
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -142,10 +197,11 @@ class Engine:
         self._running = True
         self.run_end = end_time
         heap = self._heap
+        sources = self._sources
         pop = heapq.heappop
         dispatched = 0
         try:
-            while heap:
+            while heap and not sources:
                 head = heap[0]
                 time = head[0]
                 if time >= end_time:
@@ -161,11 +217,91 @@ class Engine:
                 self.now = time
                 dispatched += 1
                 event.callback(*event.args)
+            if sources:
+                self._run_merged(end_time)
             self.now = end_time
         finally:
             self.events_dispatched += dispatched
             self.run_end = None
             self._running = False
+
+    def _run_merged(self, end_time: float) -> None:
+        """:meth:`run_until`'s loop once a source is attached.
+
+        ``source`` is the source whose arrival is due first, ``s_time`` /
+        ``s_seq`` its key and ``o_time`` the earliest arrival among the
+        other sources; they are re-read only after a ``fire`` that moved
+        ``source`` behind another one, or when :meth:`arm` says so.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        dispatched = 0
+        self._rearmed = True
+        try:
+            while True:
+                if self._rearmed:
+                    self._rearmed = False
+                    source, s_time, s_seq, o_time = self._order_sources()
+                if heap:
+                    head = heap[0]
+                    time = head[0]
+                    if time < s_time or (time == s_time and head[1] < s_seq):
+                        if time >= end_time:
+                            break
+                        pop(heap)
+                        event = head[2]
+                        if event.cancelled:
+                            self._cancelled -= 1
+                            continue
+                        event.engine = None
+                        self.now = time
+                        dispatched += 1
+                        event.callback(*event.args)
+                        continue
+                if s_time >= end_time:
+                    break
+                # The arrival is next.  Its source may run on up to the
+                # next thing that is due: a live heap event, another
+                # source's arrival, the end of the segment.
+                limit = o_time if o_time < end_time else end_time
+                while heap:
+                    head = heap[0]
+                    if not head[2].cancelled:
+                        if head[0] < limit:
+                            limit = head[0]
+                        break
+                    pop(heap)
+                    self._cancelled -= 1
+                count = source.fire(limit)
+                dispatched += count
+                # One seq per delivery, as each would have rescheduled
+                # itself; the last is the pending arrival's.
+                s_seq = self._seq + count
+                self._seq = s_seq
+                s_seq -= 1
+                source.next_seq = s_seq
+                s_time = source.next_time
+                if s_time >= o_time:
+                    self._rearmed = True
+        finally:
+            self.events_dispatched += dispatched
+
+    def _order_sources(self) -> tuple[ArrivalSource, float, int, float]:
+        """The source due first, its ``(time, seq)``, and the earliest
+        arrival time among the rest (``inf`` when there is none)."""
+        first = None
+        s_time = o_time = inf
+        s_seq = 0
+        for source in self._sources:
+            time = source.next_time
+            if first is None or time < s_time or (
+                time == s_time and source.next_seq < s_seq
+            ):
+                o_time = s_time
+                first, s_time, s_seq = source, time, source.next_seq
+            elif time < o_time:
+                o_time = time
+        return first, s_time, s_seq, o_time
 
     def step(self) -> bool:
         """Dispatch the single next pending event.
@@ -173,22 +309,34 @@ class Engine:
         Returns:
             True if an event fired, False if the queue was empty.
         """
+        next_time = self.peek_time()  # drops cancelled heads
+        if next_time is None:
+            return False
         heap = self._heap
-        while heap:
-            _, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event.engine = None
-            self.now = event.time
-            self.events_dispatched += 1
-            event.callback(*event.args)
-            return True
-        return False
+        if self._sources:
+            source, s_time, s_seq, _ = self._order_sources()
+            if not heap or (s_time, s_seq) < heap[0][:2]:
+                # A limit at its own instant: exactly one arrival.
+                self.events_dispatched += source.fire(s_time)
+                source.next_seq = self._seq
+                self._seq += 1
+                self._rearmed = True
+                return True
+        _, _, event = heapq.heappop(heap)
+        event.engine = None
+        self.now = event.time
+        self.events_dispatched += 1
+        event.callback(*event.args)
+        return True
 
     def pending_count(self) -> int:
-        """Number of not-yet-cancelled events still in the queue (O(1))."""
-        return len(self._heap) - self._cancelled
+        """Number of not-yet-cancelled events still in the queue (O(1)),
+        counting each source's pending arrival."""
+        count = len(self._heap) - self._cancelled
+        for source in self._sources:
+            if source.next_time < inf:
+                count += 1
+        return count
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is empty.
@@ -200,4 +348,8 @@ class Engine:
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._cancelled -= 1
-        return heap[0][0] if heap else None
+        time = heap[0][0] if heap else inf
+        for source in self._sources:
+            if source.next_time < time:
+                time = source.next_time
+        return time if time < inf else None

@@ -28,6 +28,26 @@ def derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_mean(mean: float) -> None:
+    if mean < 0:
+        raise ValueError(f"exponential mean must be >= 0, got {mean}")
+
+
+def check_rate(rate: float) -> None:
+    if rate <= 0:
+        raise ValueError(f"Poisson rate must be > 0, got {rate}")
+
+
+def check_probability(probability: float) -> None:
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError(f"probability out of range: {probability}")
+
+
+def check_count(count: int) -> None:
+    if count <= 0:
+        raise ValueError(f"cannot choose from {count} items")
+
+
 class RandomStream:
     """A named pseudo-random stream with the distributions the model needs.
 
@@ -35,28 +55,31 @@ class RandomStream:
     draw types Tables 1 and 2 of the paper call for, with the domain
     truncations the model requires (values, times, and counts are
     non-negative).
+
+    Every draw method checks its parameter on every call.  A loop that
+    draws many records binds the methods of :attr:`rng` instead and makes
+    the same ``check_*`` calls once, ahead of the loop.
     """
 
-    __slots__ = ("name", "_rng")
+    __slots__ = ("name", "rng")
 
     def __init__(self, name: str, seed: int) -> None:
         self.name = name
-        self._rng = random.Random(seed)
+        self.rng = random.Random(seed)
 
     # -- raw draws ------------------------------------------------------
     def uniform(self, low: float, high: float) -> float:
         """U[low, high]."""
         if high < low:
             raise ValueError(f"uniform range inverted: [{low}, {high}]")
-        return self._rng.uniform(low, high)
+        return self.rng.uniform(low, high)
 
     def exponential(self, mean: float) -> float:
         """Exponential with the given mean (not rate)."""
-        if mean < 0:
-            raise ValueError(f"exponential mean must be >= 0, got {mean}")
+        check_mean(mean)
         if mean == 0:
             return 0.0
-        return self._rng.expovariate(1.0 / mean)
+        return self.rng.expovariate(1.0 / mean)
 
     def normal(self, mean: float, stdev: float) -> float:
         """N(mean, stdev^2)."""
@@ -64,7 +87,7 @@ class RandomStream:
             raise ValueError(f"normal stdev must be >= 0, got {stdev}")
         if stdev == 0:
             return mean
-        return self._rng.gauss(mean, stdev)
+        return self.rng.gauss(mean, stdev)
 
     # -- model-shaped draws ----------------------------------------------
     def truncated_normal(self, mean: float, stdev: float, minimum: float = 0.0) -> float:
@@ -84,36 +107,33 @@ class RandomStream:
 
     def interarrival(self, rate: float) -> float:
         """Next gap of a Poisson process with the given rate (events/sec)."""
-        if rate <= 0:
-            raise ValueError(f"Poisson rate must be > 0, got {rate}")
-        return self._rng.expovariate(rate)
+        check_rate(rate)
+        return self.rng.expovariate(rate)
 
     def bernoulli(self, probability: float) -> bool:
         """True with the given probability."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability out of range: {probability}")
-        return self._rng.random() < probability
+        check_probability(probability)
+        return self.rng.random() < probability
 
     def choose_index(self, count: int) -> int:
         """Uniform integer in [0, count)."""
-        if count <= 0:
-            raise ValueError(f"cannot choose from {count} items")
-        return self._rng.randrange(count)
+        check_count(count)
+        return self.rng.randrange(count)
 
     def poisson_arrivals(self, rate: float, until: float) -> Iterator[float]:
         """Yield absolute arrival times of a Poisson process on [0, until)."""
-        time = self._rng.expovariate(rate)
+        time = self.rng.expovariate(rate)
         while time < until:
             yield time
-            time += self._rng.expovariate(rate)
+            time += self.rng.expovariate(rate)
 
     def state(self) -> tuple:
         """Opaque state snapshot (for trace record/replay)."""
-        return self._rng.getstate()
+        return self.rng.getstate()
 
     def restore(self, state: tuple) -> None:
         """Restore a snapshot taken by :meth:`state`."""
-        self._rng.setstate(state)
+        self.rng.setstate(state)
 
 
 class StreamFamily:

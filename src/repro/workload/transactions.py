@@ -11,12 +11,13 @@ with staleness checks, then the rest of the computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.config import SimulationConfig
 from repro.db.objects import ObjectClass
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
+from repro.workload.arrivals import CHUNK, ChunkedArrivals
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ class TransactionSpec:
 TransactionSink = Callable[[TransactionSpec], None]
 
 
-class TransactionGenerator:
-    """Feeds the transaction workload into the simulation."""
+class TransactionGenerator(ChunkedArrivals):
+    """Feeds the transaction workload into the simulation (an engine
+    arrival source, like the update stream)."""
 
     STREAM_ARRIVALS = "transactions.arrivals"
     STREAM_SHAPE = "transactions.shape"
@@ -77,33 +79,30 @@ class TransactionGenerator:
     def __init__(
         self,
         config: SimulationConfig,
-        engine: Engine,
+        engine: Engine | None,
         streams: StreamFamily,
         sink: TransactionSink,
     ) -> None:
+        super().__init__(engine, sink)
         self.params = config.transactions
         self.n_low = config.updates.n_low
         self.n_high = config.updates.n_high
-        self.engine = engine
-        self.sink = sink
         self._arrivals = streams.stream(self.STREAM_ARRIVALS)
         self._shape = streams.stream(self.STREAM_SHAPE)
         self._next_seq = 0
-        self.generated = 0
 
-    def start(self) -> None:
-        """Schedule the first arrival."""
-        self.engine.schedule(
-            self._arrivals.interarrival(self.params.arrival_rate), self._arrive
-        )
+    def _draw_times(self, after: float) -> list[float]:
+        # Transactions are a few percent of the records: the chunk is the
+        # one-record calls in a loop, not a loop of its own.
+        time = after
+        times = []
+        for _ in range(CHUNK):
+            time += self.next_interarrival()
+            times.append(time)
+        return times
 
-    def _arrive(self) -> None:
-        spec = self.draw_spec(self.engine.now)
-        self.generated += 1
-        self.sink(spec)
-        self.engine.schedule(
-            self._arrivals.interarrival(self.params.arrival_rate), self._arrive
-        )
+    def _draw_items(self, times: Sequence[float]) -> list[TransactionSpec]:
+        return [self.draw_spec(time) for time in times]
 
     def next_interarrival(self) -> float:
         """Draw the next inter-arrival gap (public for loadgen pacing)."""

@@ -16,22 +16,30 @@ Two extensions the paper lists as future work are available:
 
 from __future__ import annotations
 
-from typing import Callable
+from math import log
+from typing import Callable, Sequence
 
 from repro.config import SimulationConfig, UpdatePattern
 from repro.db.objects import ObjectClass, Update
 from repro.sim.engine import Engine
-from repro.sim.streams import StreamFamily
+from repro.sim.streams import (
+    StreamFamily,
+    check_count,
+    check_mean,
+    check_probability,
+    check_rate,
+)
+from repro.workload.arrivals import CHUNK, ChunkedArrivals
 
 UpdateSink = Callable[[Update], None]
 
 
-class UpdateStreamGenerator:
+class UpdateStreamGenerator(ChunkedArrivals):
     """Feeds the update stream into the simulation.
 
-    The generator schedules one arrival at a time (lazy generation), so
-    memory stays constant for arbitrarily long runs while the draw sequence
-    stays independent of anything the scheduler does.
+    The generator is an engine arrival source: it draws a chunk of
+    arrivals ahead, so memory stays constant for arbitrarily long runs,
+    and the draw sequence is independent of anything the scheduler does.
     """
 
     STREAM_ARRIVALS = "updates.arrivals"
@@ -40,48 +48,63 @@ class UpdateStreamGenerator:
     def __init__(
         self,
         config: SimulationConfig,
-        engine: Engine,
+        engine: Engine | None,
         streams: StreamFamily,
         sink: UpdateSink,
     ) -> None:
+        super().__init__(engine, sink)
         self.params = config.updates
-        self.engine = engine
-        self.sink = sink
         self._arrivals = streams.stream(self.STREAM_ARRIVALS)
         self._shape = streams.stream(self.STREAM_SHAPE)
         self._next_seq = 0
-        self.generated = 0
-        # Periodic mode state: one slot per view object, visited round-robin.
-        self._periodic_order: list[tuple[ObjectClass, int]] | None = None
+        # Periodic mode state: view objects are visited round-robin.
         self._periodic_cursor = 0
         # Bursty mode state (Markov-modulated Poisson).
         self._in_peak = False
-        self._pending_arrival = None
 
     def start(self) -> None:
-        """Schedule the first arrival."""
-        if self.params.pattern is UpdatePattern.PERIODIC:
-            self._start_periodic()
-        elif self.params.pattern is UpdatePattern.BURSTY:
-            self._start_bursty()
-        else:
-            self.engine.schedule(
-                self._arrivals.interarrival(self.params.arrival_rate),
-                self._arrive_aperiodic,
-            )
+        """Hand the stream to the engine."""
+        if self.params.pattern is UpdatePattern.BURSTY:
+            self._in_peak = False
+            self._schedule_state_change()
+        super().start()
 
-    # ------------------------------------------------------------------
-    # Aperiodic (paper baseline)
-    # ------------------------------------------------------------------
-    def _arrive_aperiodic(self) -> None:
-        update = self.draw_update(self.engine.now)
-        self.generated += 1
-        self.sink(update)
-        self.engine.schedule(
-            self._arrivals.interarrival(self.params.arrival_rate),
-            self._arrive_aperiodic,
+    def _draw_times(self, after: float) -> list[float]:
+        params = self.params
+        pattern = params.pattern
+        if pattern is UpdatePattern.BURSTY:
+            # One arrival ahead: a state flip redraws the pending gap.
+            rate = params.peak_rate if self._in_peak else params.off_peak_rate
+            if rate <= 0:
+                return []  # silent until the state flips
+            return [after + self._arrivals.interarrival(rate)]
+        time = after
+        times = []
+        append = times.append
+        if pattern is UpdatePattern.PERIODIC:
+            # Every object is refreshed once per (N_l + N_h) / lambda_u:
+            # visit the objects round-robin at the aggregate rate.
+            gap = 1.0 / params.arrival_rate
+            for _ in range(CHUNK):
+                time += gap
+                append(time)
+        else:
+            rate = params.arrival_rate
+            check_rate(rate)
+            random = self._arrivals.rng.random
+            for _ in range(CHUNK):
+                time += -log(1.0 - random()) / rate  # expovariate(rate)
+                append(time)
+        return times
+
+    def _draw_items(self, times: Sequence[float]) -> list[Update]:
+        return self._draw_updates(
+            times, round_robin=self.params.pattern is UpdatePattern.PERIODIC
         )
 
+    # ------------------------------------------------------------------
+    # Record draws (Table 1; public one-record calls for loadgen / traces)
+    # ------------------------------------------------------------------
     def next_interarrival(self) -> float:
         """Draw the next aperiodic inter-arrival gap (public for loadgen).
 
@@ -94,64 +117,86 @@ class UpdateStreamGenerator:
 
     def draw_update(self, arrival_time: float) -> Update:
         """Draw one update per Table 1 (public for trace/loadgen tooling)."""
-        shape = self._shape
-        if shape.bernoulli(self.params.p_low):
-            klass = ObjectClass.VIEW_LOW
-            object_id = shape.choose_index(self.params.n_low)
+        return self._draw_updates((arrival_time,))[0]
+
+    def _draw_updates(
+        self, times: Sequence[float], round_robin: bool = False
+    ) -> list[Update]:
+        """One update for each arrival time, in order: per Table 1, or —
+        the periodic extension — a full update of the next view object in
+        round-robin order.
+
+        The loop spells out three stdlib one-liners instead of calling
+        them for every record: ``expovariate(r)`` is ``-log(1.0 - random())
+        / r``, ``uniform(0.0, 100.0)`` is ``100.0 * random()`` and
+        ``randrange(n)`` draws ``getrandbits(n.bit_length())`` until the
+        value is below ``n``.  ``tests/test_arrival_draws.py`` holds it,
+        record for record, to the :class:`~repro.sim.streams.RandomStream`
+        calls that do go through the stdlib, and ``tests/test_sim_golden.py``
+        to recorded results, on every interpreter CI runs.
+        """
+        params = self.params
+        p_low, n_low, n_high = params.p_low, params.n_low, params.n_high
+        p_partial = params.partial_probability
+        attributes = params.attributes_per_object
+        if round_robin:
+            p_partial = 0.0
         else:
-            klass = ObjectClass.VIEW_HIGH
-            object_id = shape.choose_index(self.params.n_high)
-        age = shape.exponential(self.params.mean_age)
-        value = shape.uniform(0.0, 100.0)
-        partial = (
-            self.params.partial_probability > 0
-            and shape.bernoulli(self.params.partial_probability)
-        )
-        attribute = (
-            shape.choose_index(self.params.attributes_per_object) if partial else 0
-        )
-        update = Update(
-            seq=self._next_seq,
-            klass=klass,
-            object_id=object_id,
-            value=value,
-            generation_time=max(0.0, arrival_time - age),
-            arrival_time=arrival_time,
-            partial=partial,
-            attribute=attribute,
-        )
-        self._next_seq += 1
-        return update
+            check_probability(p_low)
+            if p_low > 0.0:
+                check_count(n_low)
+            if p_low < 1.0:
+                check_count(n_high)
+            if p_partial > 0:
+                check_probability(p_partial)
+                check_count(attributes)
+        mean_age = params.mean_age
+        check_mean(mean_age)
+        # An age of exactly zero is not drawn (in-order streams).
+        age_rate = 1.0 / mean_age if mean_age else 0.0
+        age = 0.0
+        partial, attribute = False, 0
+        rng = self._shape.rng
+        random, getrandbits, randrange = rng.random, rng.getrandbits, rng.randrange
+        low, high = ObjectClass.VIEW_LOW, ObjectClass.VIEW_HIGH
+        low_bits, high_bits = n_low.bit_length(), n_high.bit_length()
+        cursor, objects = self._periodic_cursor, n_low + n_high
+        seq = self._next_seq
+        updates = []
+        append = updates.append
+        for time in times:
+            if round_robin:
+                if cursor < n_low:
+                    klass, object_id = low, cursor
+                else:
+                    klass, object_id = high, cursor - n_low
+                cursor = (cursor + 1) % objects
+            else:
+                if random() < p_low:
+                    klass, count, bits = low, n_low, low_bits
+                else:
+                    klass, count, bits = high, n_high, high_bits
+                object_id = getrandbits(bits)
+                while object_id >= count:
+                    object_id = getrandbits(bits)
+            if age_rate:
+                age = -log(1.0 - random()) / age_rate
+            value = 100.0 * random()
+            if p_partial > 0:
+                partial = random() < p_partial
+                attribute = randrange(attributes) if partial else 0
+            append(Update(
+                seq, klass, object_id, value,
+                time - age if age < time else 0.0, time, partial, attribute,
+            ))
+            seq += 1
+        self._periodic_cursor = cursor
+        self._next_seq = seq
+        return updates
 
     # ------------------------------------------------------------------
     # Bursty extension (Markov-modulated Poisson)
     # ------------------------------------------------------------------
-    def _start_bursty(self) -> None:
-        self._in_peak = False
-        self._pending_arrival = None
-        self._schedule_state_change()
-        self._schedule_bursty_arrival()
-
-    def _current_rate(self) -> float:
-        if self._in_peak:
-            return self.params.peak_rate
-        return self.params.off_peak_rate
-
-    def _schedule_bursty_arrival(self) -> None:
-        rate = self._current_rate()
-        if rate <= 0:
-            self._pending_arrival = None  # silent until the state flips
-            return
-        self._pending_arrival = self.engine.schedule(
-            self._arrivals.interarrival(rate), self._arrive_bursty
-        )
-
-    def _arrive_bursty(self) -> None:
-        update = self.draw_update(self.engine.now)
-        self.generated += 1
-        self.sink(update)
-        self._schedule_bursty_arrival()
-
     def _schedule_state_change(self) -> None:
         # Exponential dwell times; off-peak dwell keeps the long-run peak
         # fraction at burst_peak_fraction.
@@ -168,45 +213,8 @@ class UpdateStreamGenerator:
 
     def _flip_state(self) -> None:
         self._in_peak = not self._in_peak
-        # The exponential clock is memoryless, so cancelling the pending
+        # The exponential clock is memoryless, so dropping the pending
         # arrival and redrawing at the new rate is statistically exact.
-        if self._pending_arrival is not None:
-            self._pending_arrival.cancel()
-        self._schedule_bursty_arrival()
+        self._refill(self.engine.now)
+        self.engine.arm(self)
         self._schedule_state_change()
-
-    # ------------------------------------------------------------------
-    # Periodic extension
-    # ------------------------------------------------------------------
-    def _start_periodic(self) -> None:
-        order = [
-            (ObjectClass.VIEW_LOW, i) for i in range(self.params.n_low)
-        ] + [
-            (ObjectClass.VIEW_HIGH, i) for i in range(self.params.n_high)
-        ]
-        self._periodic_order = order
-        # Spread the first refresh of each object uniformly over one period
-        # by visiting objects round-robin at the aggregate rate.
-        self.engine.schedule(
-            1.0 / self.params.arrival_rate, self._arrive_periodic
-        )
-
-    def _arrive_periodic(self) -> None:
-        assert self._periodic_order is not None
-        klass, object_id = self._periodic_order[self._periodic_cursor]
-        self._periodic_cursor = (self._periodic_cursor + 1) % len(self._periodic_order)
-        shape = self._shape
-        arrival_time = self.engine.now
-        age = shape.exponential(self.params.mean_age)
-        update = Update(
-            seq=self._next_seq,
-            klass=klass,
-            object_id=object_id,
-            value=shape.uniform(0.0, 100.0),
-            generation_time=max(0.0, arrival_time - age),
-            arrival_time=arrival_time,
-        )
-        self._next_seq += 1
-        self.generated += 1
-        self.sink(update)
-        self.engine.schedule(1.0 / self.params.arrival_rate, self._arrive_periodic)
