@@ -156,16 +156,14 @@ class Controller:
     def on_update_arrivals(
         self, updates: Sequence[Update], admitted: list[Update] | None = None
     ) -> int:
-        """Network delivery of a batch of stream updates, in order.
+        """Network delivery of a batch of stream updates, in order, all of
+        them now (the live runtime's receive batch).
 
-        Identical to delivering them one at a time: each is counted as
-        arrived, offered to the OS queue (``OSmax`` drops the overflow)
-        and, when admitted, shown to the algorithm's arrival hook.  The one
-        shortcut: while a burst owns the CPU and the algorithm keeps the
-        base hook — which does nothing then — the rest of the batch is one
-        :meth:`~repro.db.os_queue.OSQueue.offer_many`.  That is sound
-        because the batch is delivered within one clock callback: the burst
-        cannot complete, so no decision can change, before the last record.
+        Identical to delivering them one at a time: :meth:`on_update_run`
+        over the batch until it is used up, so the bulk shortcut is sound
+        here because the batch is delivered within one clock callback — the
+        burst cannot complete, so no decision can change, before the last
+        record.
 
         Args:
             admitted: When given, collects the updates the OS queue took
@@ -174,39 +172,35 @@ class Controller:
         Returns:
             The number of updates admitted.
         """
-        accounting, os_queue = self.update_accounting, self.os_queue
-        hook = self.algorithm.on_update_arrival
-        bulk = self._bulk_admission
-        count = 0
-        for index, update in enumerate(updates):
-            if bulk and self._busy is not None:
-                accounting.note_arrival(len(updates) - index)
-                taken = os_queue.offer_many(updates, index)
-                if admitted is not None:
-                    admitted.extend(updates[index:index + taken])
-                return count + taken
-            accounting.note_arrival()
-            if os_queue.offer(update):
-                count += 1
-                if admitted is not None:
-                    admitted.append(update)
-                hook(self, update)
-            # else the kernel dropped it; the OS queue counts the drop
-        return count
+        os_queue = self.os_queue
+        before = os_queue.total_enqueued
+        start, stop = 0, len(updates)
+        while start < stop:
+            start += self.on_update_run(updates, start, stop, admitted)
+        return os_queue.total_enqueued - before
 
-    def on_update_run(self, updates: Sequence[Update], start: int, stop: int) -> int:
-        """Network delivery of a run of the update stream in simulated time.
+    def on_update_run(
+        self,
+        updates: Sequence[Update],
+        start: int,
+        stop: int,
+        admitted: list[Update] | None = None,
+    ) -> int:
+        """Network delivery of a run of the update stream.
 
         ``updates[start]`` arrives now; the ones after it, up to ``stop``,
-        arrive later but before the next event of any other kind — no
-        burst completes, no deadline fires, no transaction arrives and no
-        measurement window opens between them.  While a burst owns the CPU
-        and the algorithm keeps the base hook, which does nothing then, no
-        decision can change within the run, so it is admitted whole (the
-        soundness argument of :meth:`on_update_arrivals`, with the engine's
-        event order in place of the clock callback).  Otherwise exactly one
-        update is delivered: counted as arrived, offered to the OS queue and,
-        when admitted, shown to the algorithm's arrival hook.
+        arrive before the next event of any other kind — no burst
+        completes, no deadline fires, no transaction arrives and no
+        measurement window opens between them (the simulator's update
+        source stops a run at the next engine event; a live receive batch
+        arrives within one clock callback).  While a burst owns the CPU and
+        the algorithm keeps the base hook, which does nothing then, no
+        decision can change within the run, so it is admitted whole: one
+        ``note_arrival(n)`` and one
+        :meth:`~repro.db.os_queue.OSQueue.offer_many` (``OSmax`` drops the
+        overflow).  Otherwise exactly one update is delivered: counted as
+        arrived, offered to the OS queue and, when admitted, shown to the
+        algorithm's arrival hook.
 
         Returns:
             The number of updates delivered (arrived, not necessarily
@@ -215,12 +209,17 @@ class Controller:
         if self._bulk_admission and self._busy is not None:
             count = stop - start
             self.update_accounting.note_arrival(count)
-            self.os_queue.offer_many(updates, start, stop)
+            taken = self.os_queue.offer_many(updates, start, stop)
+            if admitted is not None:
+                admitted.extend(updates[start:start + taken])
             return count
         update = updates[start]
         self.update_accounting.note_arrival()
         if self.os_queue.offer(update):
+            if admitted is not None:
+                admitted.append(update)
             self.algorithm.on_update_arrival(self, update)
+        # else the kernel dropped it; the OS queue counts the drop
         return 1
 
     def on_transaction_arrival(self, spec: TransactionSpec) -> None:

@@ -197,46 +197,15 @@ class Engine:
         self._running = True
         self.run_end = end_time
         heap = self._heap
-        sources = self._sources
         pop = heapq.heappop
         dispatched = 0
-        try:
-            while heap and not sources:
-                head = heap[0]
-                time = head[0]
-                if time >= end_time:
-                    break
-                pop(heap)
-                event = head[2]
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                # Detach so a late cancel() (after dispatch) cannot corrupt
-                # the cancelled-entry counter.
-                event.engine = None
-                self.now = time
-                dispatched += 1
-                event.callback(*event.args)
-            if sources:
-                self._run_merged(end_time)
-            self.now = end_time
-        finally:
-            self.events_dispatched += dispatched
-            self.run_end = None
-            self._running = False
-
-    def _run_merged(self, end_time: float) -> None:
-        """:meth:`run_until`'s loop once a source is attached.
-
-        ``source`` is the source whose arrival is due first, ``s_time`` /
-        ``s_seq`` its key and ``o_time`` the earliest arrival among the
-        other sources; they are re-read only after a ``fire`` that moved
-        ``source`` behind another one, or when :meth:`arm` says so.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        dispatched = 0
-        self._rearmed = True
+        # ``source`` is the source whose arrival is due first, ``s_time`` /
+        # ``s_seq`` its key and ``o_time`` the earliest arrival among the
+        # other sources; they are re-read only after a ``fire`` that moved
+        # ``source`` behind another one, or when :meth:`arm` says so.  With
+        # no source attached they stay at ``inf`` and every heap event wins.
+        source, s_time, s_seq, o_time = None, inf, 0, inf
+        self._rearmed = bool(self._sources)
         try:
             while True:
                 if self._rearmed:
@@ -253,6 +222,8 @@ class Engine:
                         if event.cancelled:
                             self._cancelled -= 1
                             continue
+                        # Detach so a late cancel() (after dispatch) cannot
+                        # corrupt the cancelled-entry counter.
                         event.engine = None
                         self.now = time
                         dispatched += 1
@@ -283,12 +254,16 @@ class Engine:
                 s_time = source.next_time
                 if s_time >= o_time:
                     self._rearmed = True
+            self.now = end_time
         finally:
             self.events_dispatched += dispatched
+            self.run_end = None
+            self._running = False
 
-    def _order_sources(self) -> tuple[ArrivalSource, float, int, float]:
-        """The source due first, its ``(time, seq)``, and the earliest
-        arrival time among the rest (``inf`` when there is none)."""
+    def _order_sources(self) -> tuple[ArrivalSource | None, float, int, float]:
+        """The source due first (``None`` and ``inf`` with no source
+        attached), its ``(time, seq)``, and the earliest arrival time among
+        the rest (``inf`` when there is none)."""
         first = None
         s_time = o_time = inf
         s_seq = 0

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from repro.sim.engine import Engine
 
 #: Arrivals drawn ahead per refill.
-CHUNK = 256
+CHUNK = 64
 
 
 class ChunkedArrivals:

@@ -16,7 +16,6 @@ Two extensions the paper lists as future work are available:
 
 from __future__ import annotations
 
-from math import log
 from typing import Callable, Sequence
 
 from repro.config import SimulationConfig, UpdatePattern
@@ -91,9 +90,9 @@ class UpdateStreamGenerator(ChunkedArrivals):
         else:
             rate = params.arrival_rate
             check_rate(rate)
-            random = self._arrivals.rng.random
+            expovariate = self._arrivals.rng.expovariate
             for _ in range(CHUNK):
-                time += -log(1.0 - random()) / rate  # expovariate(rate)
+                time += expovariate(rate)
                 append(time)
         return times
 
@@ -116,8 +115,34 @@ class UpdateStreamGenerator(ChunkedArrivals):
         return self._arrivals.interarrival(self.params.arrival_rate)
 
     def draw_update(self, arrival_time: float) -> Update:
-        """Draw one update per Table 1 (public for trace/loadgen tooling)."""
-        return self._draw_updates((arrival_time,))[0]
+        """Draw one update per Table 1 (public for trace/loadgen tooling).
+
+        The one-record form of :meth:`_draw_updates`: the same draws from
+        the same stream in the same order, through the checked wrappers.
+        """
+        params = self.params
+        shape = self._shape
+        if shape.bernoulli(params.p_low):
+            klass = ObjectClass.VIEW_LOW
+            object_id = shape.choose_index(params.n_low)
+        else:
+            klass = ObjectClass.VIEW_HIGH
+            object_id = shape.choose_index(params.n_high)
+        age = shape.exponential(params.mean_age)
+        value = shape.uniform(0.0, 100.0)
+        partial = (
+            params.partial_probability > 0
+            and shape.bernoulli(params.partial_probability)
+        )
+        attribute = (
+            shape.choose_index(params.attributes_per_object) if partial else 0
+        )
+        update = Update(
+            self._next_seq, klass, object_id, value,
+            max(0.0, arrival_time - age), arrival_time, partial, attribute,
+        )
+        self._next_seq += 1
+        return update
 
     def _draw_updates(
         self, times: Sequence[float], round_robin: bool = False
@@ -126,14 +151,12 @@ class UpdateStreamGenerator(ChunkedArrivals):
         the periodic extension — a full update of the next view object in
         round-robin order.
 
-        The loop spells out three stdlib one-liners instead of calling
-        them for every record: ``expovariate(r)`` is ``-log(1.0 - random())
-        / r``, ``uniform(0.0, 100.0)`` is ``100.0 * random()`` and
-        ``randrange(n)`` draws ``getrandbits(n.bit_length())`` until the
-        value is below ``n``.  ``tests/test_arrival_draws.py`` holds it,
-        record for record, to the :class:`~repro.sim.streams.RandomStream`
-        calls that do go through the stdlib, and ``tests/test_sim_golden.py``
-        to recorded results, on every interpreter CI runs.
+        :meth:`draw_update` for a whole chunk: the loop binds the stream's
+        ``random.Random`` methods once and makes the parameter checks of
+        the :class:`~repro.sim.streams.RandomStream` wrappers once, ahead
+        of the loop, instead of once per record.
+        ``tests/test_arrival_draws.py`` holds the two to each other record
+        for record.
         """
         params = self.params
         p_low, n_low, n_high = params.p_low, params.n_low, params.n_high
@@ -157,9 +180,9 @@ class UpdateStreamGenerator(ChunkedArrivals):
         age = 0.0
         partial, attribute = False, 0
         rng = self._shape.rng
-        random, getrandbits, randrange = rng.random, rng.getrandbits, rng.randrange
+        random, randrange = rng.random, rng.randrange
+        expovariate, uniform = rng.expovariate, rng.uniform
         low, high = ObjectClass.VIEW_LOW, ObjectClass.VIEW_HIGH
-        low_bits, high_bits = n_low.bit_length(), n_high.bit_length()
         cursor, objects = self._periodic_cursor, n_low + n_high
         seq = self._next_seq
         updates = []
@@ -173,15 +196,12 @@ class UpdateStreamGenerator(ChunkedArrivals):
                 cursor = (cursor + 1) % objects
             else:
                 if random() < p_low:
-                    klass, count, bits = low, n_low, low_bits
+                    klass, object_id = low, randrange(n_low)
                 else:
-                    klass, count, bits = high, n_high, high_bits
-                object_id = getrandbits(bits)
-                while object_id >= count:
-                    object_id = getrandbits(bits)
+                    klass, object_id = high, randrange(n_high)
             if age_rate:
-                age = -log(1.0 - random()) / age_rate
-            value = 100.0 * random()
+                age = expovariate(age_rate)
+            value = uniform(0.0, 100.0)
             if p_partial > 0:
                 partial = random() < p_partial
                 attribute = randrange(attributes) if partial else 0

@@ -6,15 +6,16 @@ wrappers, each of which ends in one stdlib ``random.Random`` call.  That
 code is kept here as the reference (``HeapUpdateStream``,
 ``reference_update``, ``reference_spec``): it runs on its own engine and
 its own ``StreamFamily`` with the same seed, and the generators — which
-now draw 256 arrivals ahead in one loop, some stdlib one-liners spelled
-out — must produce the same records, field for field, across several
-chunk boundaries, on all three arrival patterns, with partial updates and
-with ``mean_age=0`` (whose age is *not drawn*).
+now draw a chunk of arrivals ahead in one loop over the bound
+``random.Random`` methods — must produce the same records, field for
+field, across several chunk boundaries, on all three arrival patterns,
+with partial updates and with ``mean_age=0`` (whose age is *not drawn*).
 
 The public one-record calls (``next_interarrival``, ``draw_update``,
-``draw_spec``) are the same drawing code asked for one record; the spine's
-``trace.py`` builds every live workload from them, so its record sequence
-for one seed is pinned to the digest it had before the change.
+``draw_spec``) stay on the wrappers and are held to the same reference;
+the spine's ``trace.py`` builds every live workload from them, so its
+record sequence for one seed is pinned to the digest it had before the
+change.
 """
 
 import hashlib
