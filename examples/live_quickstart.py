@@ -20,6 +20,7 @@ import asyncio
 from repro import baseline_config
 from repro.core.algorithms.registry import ALGORITHMS
 from repro.live import LiveRuntime, LoadGenerator, MetricsStreamer
+from repro.workload.transactions import TransactionSpec
 
 
 async def live_demo(args) -> None:
@@ -47,14 +48,18 @@ async def live_demo(args) -> None:
         if streamer.history:
             print(streamer.format_line(streamer.history[-1]))
 
-    # Submit one transaction by hand and watch it resolve.
-    spec = generator._txn_gen.draw_spec(runtime.clock.now)
+    # Stop the traffic, then submit one transaction by hand (the next
+    # unused sequence number) and watch it resolve.
+    generator.stop()
+    spec = TransactionSpec(
+        seq=generator.transactions_sent, arrival_time=runtime.clock.now,
+        high_value=True, value=2.0, compute_time=0.01, reads=(0, 1), slack=1.0,
+    )
     handle = runtime.submit(spec)
     outcome = await handle.wait()
     print(f"hand-submitted transaction #{spec.seq}: {outcome} "
           f"(stale read: {handle.read_stale})")
 
-    generator.stop()
     await streamer.stop(final_emit=False)
     result = await runtime.shutdown()
 

@@ -38,7 +38,6 @@ from repro.live.clock import WallClock
 from repro.live.cluster import ShardCluster, ShardDownError
 from repro.live.durability import (
     DurabilityManager,
-    Replayer,
     ReplayStats,
     SnapshotStore,
     UpdateLog,
@@ -77,7 +76,6 @@ __all__ = [
     "MetricsStreamer",
     "PROTOCOL_BINARY",
     "PROTOCOL_JSONL",
-    "Replayer",
     "ReplayStats",
     "RpcChannel",
     "RpcClosedError",

@@ -19,6 +19,7 @@ import argparse
 import asyncio
 import contextlib
 import json
+import math
 import signal
 import sys
 import time
@@ -33,9 +34,8 @@ from repro.live.observe import MetricsStreamer
 from repro.live.server import ShardHost
 from repro.live.wire import DEFAULT_CONNECT_ATTEMPTS
 from repro.sim.streams import StreamFamily
-from repro.workload.trace import load_trace
-from repro.workload.transactions import TransactionGenerator, TransactionSpec
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.trace import load_trace, synthesize
+from repro.workload.transactions import TransactionSpec
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -72,8 +72,12 @@ def _build_config(args) -> SimulationConfig:
         config = config.with_system(ips=args.ips)
     if args.indexed_queue is not None:
         config = config.with_system(indexed_update_queue=args.indexed_queue)
-    config.validate()
-    return config
+    # Only a generator draws arrivals, so the rates are loadgen's alone.
+    if getattr(args, "lambda_u", None) is not None:
+        config = config.with_updates(arrival_rate=args.lambda_u)
+    if getattr(args, "lambda_t", None) is not None:
+        config = config.with_transactions(arrival_rate=args.lambda_t)
+    return config.validate()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +207,7 @@ async def _serve(args) -> int:
         fsync=args.fsync, snapshot_interval=args.snapshot_interval,
         views=args.view,
     )
-    config = _build_config(args)
+    config = args.config
     single = args.shards <= 1
     if single:
         node = ShardHost(config, args.algorithm, **shared)
@@ -263,61 +267,53 @@ async def _serve(args) -> int:
 async def _loadgen(args) -> int:
     """Stream records at a server through a reconnecting wire client.
 
-    Connection loss mid-stream (a restarting shard worker, a bounced
-    server) is absorbed by :class:`~repro.live.loadgen.WireClient`:
-    the next record reconnects with backoff and the stream resumes —
-    records in the gap are lost like any other shed update, and the
-    tally reports how many reconnects happened.
+    Synthesized traffic and a ``--trace`` file are one time-ordered
+    iterator, paced by one loop.  Connection loss mid-stream (a
+    restarting shard worker, a bounced server) is absorbed by
+    :class:`~repro.live.loadgen.WireClient`: the next record reconnects
+    with backoff and the stream resumes — records in the gap are lost
+    like any other shed update, and the tally reports how many
+    reconnects happened.
     """
     counts: dict[str, int] = {}
 
-    def on_line(line: bytes) -> None:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return
-        if record.get("kind") == "outcome":
+    def on_record(record: dict) -> None:
+        kind = record.get("kind")
+        if kind == "outcome":
             key = record.get("outcome", "?")
             counts[key] = counts.get(key, 0) + 1
             if record.get("fanout"):  # merged cross-shard verdict
                 counts["cross_shard"] = counts.get("cross_shard", 0) + 1
-        elif record.get("kind") == "error" and record.get("reason") == "shard_down":
+        elif kind == "error" and record.get("reason") == "shard_down":
             counts["shed_shard_down"] = counts.get("shed_shard_down", 0) + 1
-        elif record.get("kind") == "view-registered":
+        elif kind == "view-registered":
             counts["views_registered"] = counts.get("views_registered", 0) + 1
 
     client_cls = DirectClient if args.direct else WireClient
     client = client_cls(
         args.host, args.port, attempts=args.connect_attempts,
-        on_line=on_line, wire=args.wire,
+        on_record=on_record, wire=args.wire,
     )
-    await client.connect()
+    try:
+        await client.connect()
+    except ConnectionError as exc:
+        print(f"repro-live loadgen: {exc}", file=sys.stderr)
+        return 1
     if args.direct:
         print(f"repro-live loadgen: direct mode — routing over "
               f"{client.router.shards} workers (topology epoch "
               f"{client.epoch})", file=sys.stderr, flush=True)
-    config = _build_config(args)
-    # Only a generator draws arrivals, so the rates are loadgen's alone.
-    if args.lambda_u is not None:
-        config = config.with_updates(arrival_rate=args.lambda_u)
-    if args.lambda_t is not None:
-        config = config.with_transactions(arrival_rate=args.lambda_t)
-    config.validate()
+    config = args.config
     if args.view:
         # Registrations travel in-order ahead of the stream, so every
         # subsequent install is already a delta against the new views.
         from repro.db.views import ViewSpec
-        from repro.live.wire import encode_reply
         for offset, spec_text in enumerate(args.view):
-            record = {
+            await client.send({
                 "kind": "register_view",
                 "rid": 1_000_000_000 + offset,
                 "view": ViewSpec.parse(spec_text).to_record(),
-            }
-            if args.direct:
-                await client.send(record)
-            else:
-                await client.send_line(encode_reply(record, args.wire))
+            })
         client.flush()
     streams = StreamFamily(config.seed)
     spreader = None
@@ -326,52 +322,28 @@ async def _loadgen(args) -> int:
             config.updates.n_low, config.updates.n_high, streams,
             frac=args.cross_shard_frac, shards=args.shards,
         )
+    if args.trace is None:
+        items = synthesize(config, until=args.seconds, streams=streams)
+        end = args.seconds
+    else:
+        items = sorted(load_trace(args.trace), key=lambda i: i.arrival_time)
+        end = math.inf
     sent = 0
     start = time.monotonic()
-
-    async def write_item(item) -> None:
-        nonlocal sent
+    for item in items:
+        now = time.monotonic() - start
+        if now >= end:
+            break  # running behind: stop on time all the same
+        if item.arrival_time > now:
+            await asyncio.sleep(item.arrival_time - now)
+        if spreader is not None and isinstance(item, TransactionSpec):
+            item = spreader.spread(item)
         try:
             await client.send(item)
         except ConnectionError:
-            return  # retry budget exhausted mid-stream; drop like a shed
+            continue  # retry budget exhausted mid-stream; drop like a shed
         sent += 1
-
-    if args.trace is not None:
-        items = load_trace(args.trace)
-        for item in sorted(items, key=lambda i: i.arrival_time):
-            if spreader is not None and isinstance(item, TransactionSpec):
-                item = spreader.spread(item)
-            delay = item.arrival_time - (time.monotonic() - start)
-            if delay > 0:
-                await asyncio.sleep(delay)
-            await write_item(item)
-            await client.backpressure()
-    else:
-        update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-        txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
-        next_update = update_gen.next_interarrival()
-        next_txn = (txn_gen.next_interarrival()
-                    if config.transactions.arrival_rate > 0 else float("inf"))
-        while True:
-            now = time.monotonic() - start
-            if now >= args.seconds:
-                break
-            upcoming = min(next_update, next_txn)
-            if upcoming > now:
-                client.flush()  # nothing due: don't park what's buffered
-                await asyncio.sleep(min(upcoming - now, args.seconds - now))
-                continue
-            if next_update <= next_txn:
-                await write_item(update_gen.draw_update(next_update))
-                next_update += update_gen.next_interarrival()
-            else:
-                spec = txn_gen.draw_spec(next_txn)
-                if spreader is not None:
-                    spec = spreader.spread(spec)
-                await write_item(spec)
-                next_txn += txn_gen.next_interarrival()
-            await client.backpressure()
+        await client.backpressure()
 
     with contextlib.suppress(ConnectionError):
         await client.drain()
@@ -409,6 +381,17 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         if args.fail_shard is not None and not 0 <= args.fail_shard < args.shards:
             parser.error(f"--fail-shard {args.fail_shard} out of range for "
                          f"{args.shards} shards")
+    elif args.cross_shard_frac:
+        if not 0.0 <= args.cross_shard_frac <= 1.0:
+            parser.error("--cross-shard-frac must be in [0, 1], got "
+                         f"{args.cross_shard_frac}")
+        if args.shards < 2:
+            parser.error("--cross-shard-frac: need --shards >= 2")
+    # Refuse a bad config before anything binds or connects.
+    try:
+        args.config = _build_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args
 
 

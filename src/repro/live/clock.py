@@ -29,7 +29,7 @@ Differences from the engine, both deliberate:
   of raising — for real time, "in the past" just means "late" (a deadline
   computed from an arrival timestamp may already be due by the time the
   ingest path runs).
-* ``run_end`` is a *rolling burst horizon* (``now + burst_horizon``)
+* ``run_end`` is a *rolling burst horizon* (``now + BURST_HORIZON``)
   instead of a run segment boundary.  The controller's install-burst
   coalescing reads it to bound how far ahead it may assemble a chain of
   installs with a single completion event; on the simulator the horizon is
@@ -39,11 +39,10 @@ Differences from the engine, both deliberate:
   newly arrived transaction waits for the whole coalesced burst instead of
   the next per-install boundary, and a mid-slice observer (snapshot,
   metrics tick) can see installs accounted at serial completion times up
-  to ``burst_horizon`` ahead of its own wakeup.  The default (2 ms) keeps
-  that skew two orders of magnitude below the paper's deadline and MA
-  scales while amortizing the dominant per-install cost — the
-  dispatch/select/schedule cycle — across dozens of installs.  Pass
-  ``burst_horizon=0.0`` to restore strict one-event-per-install dispatch.
+  to ``BURST_HORIZON`` ahead of its own wakeup.  Its 2 ms keep that skew
+  two orders of magnitude below the paper's deadline and MA scales while
+  amortizing the dominant per-install cost — the dispatch/select/schedule
+  cycle — across dozens of installs.
 
 The event objects are the engine's own :class:`~repro.sim.events.Event`, so
 cancellation semantics (lazy deletion, O(1) cancel) are identical.
@@ -70,8 +69,8 @@ _YIELD_EVERY = 256
 #: stream did not get.
 _SYNC_SPIN = 0.0002
 
-#: Default install-burst coalescing horizon (seconds); see module docstring.
-DEFAULT_BURST_HORIZON = 0.002
+#: Install-burst coalescing horizon (seconds); see module docstring.
+BURST_HORIZON = 0.002
 
 
 @functools.cache
@@ -208,8 +207,8 @@ class WallClock:
         turns: Number of dispatcher entries so far (timer wake-ups and
             explicit scheduling points) — what the clock costs the loop;
             it stays within a small multiple of ``events_dispatched``.
-        run_end: Rolling burst horizon, ``now + burst_horizon`` (see module
-            docstring); None when coalescing is disabled.
+        run_end: Rolling burst horizon, ``now + BURST_HORIZON`` (see
+            module docstring).
         max_lag: Worst observed dispatch lag (seconds between an event's
             due time and the moment it actually fired) — the live system's
             "how far behind real time am I" gauge.
@@ -219,7 +218,6 @@ class WallClock:
         self,
         time_source: Callable[[], float] = time.monotonic,
         *,
-        burst_horizon: float = DEFAULT_BURST_HORIZON,
         start_at: float = 0.0,
     ) -> None:
         self._time = time_source
@@ -243,17 +241,14 @@ class WallClock:
         self._armed_for: float | None = None
         self._soon: asyncio.Handle | None = None
         self._draining = False
-        self._burst_horizon = max(0.0, burst_horizon)
         self.events_dispatched = 0
         self.turns = 0
         self.max_lag = 0.0
 
     @property
-    def run_end(self) -> float | None:
+    def run_end(self) -> float:
         """Install-coalescing horizon: how far ahead a burst may extend."""
-        if not self._burst_horizon:
-            return None
-        return self.now + self._burst_horizon
+        return self.now + BURST_HORIZON
 
     # ------------------------------------------------------------------
     # Clock protocol

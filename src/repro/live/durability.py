@@ -18,7 +18,7 @@ warm with the classic log + snapshot pair:
   staleness-integral ledgers, and every counter behind
   :class:`~repro.metrics.results.SimulationResult`.  After a snapshot at
   LSN ``L`` the log is truncated (``rotate``) to base LSN ``L``.
-* :class:`Replayer` / :class:`DurabilityManager` — restart-path recovery:
+* :class:`DurabilityManager` — restart-path recovery:
   load the snapshot, re-ingest the log records at or past the snapshot
   LSN through the normal ingest path (idempotent — the database's
   worthiness check skips any frame whose generation is not newer than the
@@ -571,63 +571,6 @@ async def replay_into(runtime, records) -> int:
     return replayed
 
 
-class Replayer:
-    """Recovery plan for one shard: snapshot + log, read once, up front.
-
-    Reads both files at construction (before the worker announces ready)
-    and exposes:
-
-    * :attr:`resume_at` — where the predecessor's clock domain ended; the
-      new runtime's clock must start there.
-    * :meth:`recover` — restore the snapshot into a fresh runtime, then
-      replay the log records at or past the snapshot LSN.
-    """
-
-    def __init__(self, snapshot_path: str, log_path: str) -> None:
-        self.snapshots = SnapshotStore(snapshot_path)
-        self.state = self.snapshots.load()
-        self.scan = read_log(log_path)
-        self.snapshot_lsn = self.state["lsn"] if self.state else 0
-        base = self.scan.base_lsn
-        self.pending = [
-            update
-            for ordinal, update in enumerate(self.scan.updates)
-            if base + ordinal >= self.snapshot_lsn
-        ]
-
-    @property
-    def resumed(self) -> bool:
-        """Whether there is anything to warm-start from."""
-        return self.state is not None or bool(self.pending)
-
-    @property
-    def resume_at(self) -> float:
-        """Clock time the restarted runtime must resume at."""
-        at = 0.0
-        if self.state is not None:
-            at = max(self.state["wall_time"], self.state["measure_start"])
-        if self.pending:
-            at = max(at, max(u.arrival_time for u in self.pending))
-        return at
-
-    async def recover(self, runtime) -> ReplayStats:
-        """Restore + replay into ``runtime``; returns what happened."""
-        started = time.monotonic()
-        if self.state is not None:
-            restore_state(runtime, self.state)
-        replayed = await replay_into(runtime, self.pending)
-        stats = ReplayStats(
-            replayed_records=replayed,
-            replay_lag_s=time.monotonic() - started,
-            snapshot_lsn=self.snapshot_lsn,
-            log_records=len(self.scan.updates),
-            resumed=self.resumed,
-        )
-        runtime.replayed_records = stats.replayed_records
-        runtime.replay_lag_s = stats.replay_lag_s
-        return stats
-
-
 class DurabilityManager:
     """One shard's durability: recovery in, logging + snapshots out.
 
@@ -663,7 +606,19 @@ class DurabilityManager:
         self.snapshot_path = os.path.join(
             directory, f"shard-{shard:02d}.snapshot.json"
         )
-        self.replayer = Replayer(self.snapshot_path, self.log_path)
+        # The recovery plan, read once, up front (before the worker
+        # announces ready): the snapshot, and the log records at or past
+        # its LSN.
+        self.snapshots = SnapshotStore(self.snapshot_path)
+        self.state = self.snapshots.load()
+        self.scan = read_log(self.log_path)
+        self.snapshot_lsn = self.state["lsn"] if self.state else 0
+        base = self.scan.base_lsn
+        self.pending = [
+            update
+            for ordinal, update in enumerate(self.scan.updates)
+            if base + ordinal >= self.snapshot_lsn
+        ]
         self.log = UpdateLog(
             self.log_path, shard, fsync=fsync, fsync_interval=fsync_interval
         )
@@ -674,11 +629,37 @@ class DurabilityManager:
         self._task: asyncio.Task | None = None
 
     @property
+    def resumed(self) -> bool:
+        """Whether there is anything to warm-start from."""
+        return self.state is not None or bool(self.pending)
+
+    @property
     def resume_at(self) -> float:
-        return self.replayer.resume_at
+        """Where the predecessor's clock domain ended: the clock time the
+        restarted runtime must resume at."""
+        at = 0.0
+        if self.state is not None:
+            at = max(self.state["wall_time"], self.state["measure_start"])
+        if self.pending:
+            at = max(at, max(u.arrival_time for u in self.pending))
+        return at
 
     async def recover(self, runtime) -> ReplayStats:
-        self.stats = await self.replayer.recover(runtime)
+        """Restore the snapshot into a fresh ``runtime``, then replay the
+        log records at or past its LSN; returns what happened."""
+        started = time.monotonic()
+        if self.state is not None:
+            restore_state(runtime, self.state)
+        replayed = await replay_into(runtime, self.pending)
+        self.stats = ReplayStats(
+            replayed_records=replayed,
+            replay_lag_s=time.monotonic() - started,
+            snapshot_lsn=self.snapshot_lsn,
+            log_records=len(self.scan.updates),
+            resumed=self.resumed,
+        )
+        runtime.replayed_records = self.stats.replayed_records
+        runtime.replay_lag_s = self.stats.replay_lag_s
         return self.stats
 
     def attach(self, runtime) -> None:
@@ -702,7 +683,7 @@ class DurabilityManager:
         """
         lsn = self.log.next_lsn
         state = capture_state(runtime, lsn=lsn, shard=self.shard)
-        self.replayer.snapshots.save(state)
+        self.snapshots.save(state)
         self.log.rotate(lsn)
         self.snapshots_taken += 1
 

@@ -1,40 +1,25 @@
 """Traffic sources for the live runtime.
 
-Two modes, matching the two ways the simulator gets its workload:
-
-* **Synthesis** — Poisson update/transaction arrivals drawn from the same
-  :class:`~repro.workload.updates.UpdateStreamGenerator` /
-  :class:`~repro.workload.transactions.TransactionGenerator` draw methods
-  the simulator uses, seeded through the same named
-  :class:`~repro.sim.streams.StreamFamily`.  A live run and a simulated
-  run with the same seed therefore see the same *sequence* of updates and
-  transactions; only the arrival timestamps differ (wall-clock jitter vs.
-  exact exponential gaps).
-* **Replay** — a recorded trace (from
-  :func:`repro.workload.trace.load_trace` or a ``TraceRecorder``) is
-  scheduled at its recorded arrival times, bit-for-bit.
-
-The generator paces itself on the runtime's clock, so the same code drives
-a :class:`~repro.live.clock.WallClock` (real traffic) or an
-:class:`~repro.sim.engine.Engine` (deterministic parity tests).
-
-For traffic that crosses a socket, :class:`WireClient` is the resilient
-counterpart: a JSONL/TCP client (used by ``repro-live loadgen``) that
-connects through :func:`~repro.live.wire.connect_with_retry` and
-transparently reconnects when the server — e.g. a shard worker being
-restarted by the cluster supervisor — drops the connection mid-stream.
+Synthesized and recorded traffic are one thing here: a time-ordered
+iterator of updates and transaction specs — :func:`~repro.workload.trace.
+synthesize` (the simulator's draws, so a live and a simulated run with
+one seed see the same sequence) or a recorded trace.
+:class:`LoadGenerator` paces it on the runtime's clock, a
+:class:`~repro.live.clock.WallClock` or an :class:`~repro.sim.engine.
+Engine` (deterministic parity tests); ``repro-live loadgen`` paces it
+over a socket, through a :class:`WireClient` — one reconnecting
+:class:`~repro.live.wire.RpcChannel` — or a :class:`DirectClient`.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import itertools
-import json
 import logging
 from dataclasses import replace as dc_replace
-from typing import Callable, Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
-from repro.config import UpdatePattern
 from repro.db.objects import ObjectClass, Update
 from repro.db.sharding import ShardRouter, router_from_topology
 from repro.live.runtime import LiveRuntime, TransactionHandle
@@ -44,20 +29,14 @@ from repro.live.wire import (
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
     WIRE_PROTOCOLS,
-    CoalescingWriter,
+    RpcChannel,
     connect_with_retry,
-    encode_reply,
 )
 from repro.sim.events import Event
 from repro.sim.streams import StreamFamily
-from repro.workload.codec import (
-    WIRE_PREAMBLE,
-    FrameDecoder,
-    encode_frame,
-    encode_item,
-)
-from repro.workload.transactions import TransactionGenerator, TransactionSpec
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.codec import encode_frame, encode_item
+from repro.workload.trace import synthesize
+from repro.workload.transactions import TransactionSpec
 
 logger = logging.getLogger(__name__)
 
@@ -152,16 +131,24 @@ class CrossShardSpreader:
 class LoadGenerator:
     """Feeds a :class:`LiveRuntime` synthesized or replayed traffic.
 
+    Either way the traffic is one time-ordered item iterator, and one
+    clock event delivers it: it hands over everything that is due —
+    consecutive updates as one :meth:`LiveRuntime.ingest_batch` of at
+    most ``batch_max``, each transaction spread (when there is a
+    spreader) and submitted — then re-arms at the next item's time.
+    Every item is stamped at delivery the way the ingest server stamps a
+    wire record: a late item's times shift by its lateness, which keeps
+    the drawn network age.  On an :class:`~repro.sim.engine.Engine` clock
+    nothing is late.
+
     Args:
         runtime: The runtime to drive.
         seed: Root seed for the draw streams; defaults to the runtime
             config's seed, giving draw-sequence parity with a simulator
             run of the same config.
-        batch_max: Cap on how many due arrivals one catch-up delivers as
+        batch_max: Cap on how many due updates one delivery hands over as
             a single :meth:`LiveRuntime.ingest_batch` call (``1`` =
-            per-record delivery).  Pacing is unaffected: batching changes
-            how overdue arrivals are *handed over*, never when they are
-            planned.
+            per-record delivery).  Pacing is unaffected.
         cross_shard_frac: Fraction of eligible (>= 2 reads) transactions
             rewritten by a :class:`CrossShardSpreader` to span shards
             (synthesis *and* replay).  The default ``0.0`` constructs no
@@ -189,28 +176,13 @@ class LoadGenerator:
         self.batch_max = max(1, batch_max)
         self.clock = runtime.clock
         config = runtime.config
-        if config.updates.pattern is not UpdatePattern.APERIODIC:
-            raise ValueError(
-                "LoadGenerator synthesizes the aperiodic Poisson baseline; "
-                "for periodic/bursty patterns record a simulator trace and "
-                "replay it"
-            )
-        streams = StreamFamily(seed if seed is not None else config.seed)
-        # The generators are used purely as draw sources (draw_update /
-        # draw_spec / next_interarrival); pacing stays here so stop() can
-        # cancel cleanly.
-        self._update_gen = UpdateStreamGenerator(
-            config, self.clock, streams, runtime.ingest
-        )
-        self._txn_gen = TransactionGenerator(
-            config, self.clock, streams, runtime.submit
-        )
+        self._streams = StreamFamily(seed if seed is not None else config.seed)
         self.spreader: CrossShardSpreader | None = None
         if cross_shard_frac > 0.0:
             self.spreader = CrossShardSpreader(
                 config.updates.n_low,
                 config.updates.n_high,
-                streams,
+                self._streams,
                 frac=cross_shard_frac,
                 shards=shards,
             )
@@ -218,132 +190,87 @@ class LoadGenerator:
         self.updates_dropped = 0
         self.transactions_sent = 0
         self.handles: list[TransactionHandle] = []
-        self._running = False
-        self._update_event: Event | None = None
-        self._txn_event: Event | None = None
-        self._next_update_at = 0.0
-        self._next_txn_at = 0.0
+        self._items: Iterator | None = None
+        self._event: Event | None = None
 
-    # ------------------------------------------------------------------
-    # Synthesis
-    # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin Poisson synthesis of both arrival processes."""
-        if self._running:
-            raise RuntimeError("load generator is already running")
-        self._running = True
-        self._schedule_update()
-        if self.runtime.config.transactions.arrival_rate > 0:
-            self._schedule_transaction()
+        """Begin synthesizing the config's workload from the clock's now."""
+        self._run(synthesize(
+            self.runtime.config, start=self.clock.now, streams=self._streams
+        ))
+
+    def replay(self, items: Iterable[Update | TransactionSpec]) -> int:
+        """Deliver a recorded trace at its recorded arrival times.
+
+        The trace is put in time order (a stable sort: equal times keep
+        their order).  On a wall clock, items whose arrival time is
+        already past are delivered at once, late; on an engine clock the
+        times replay exactly.
+
+        Returns:
+            The number of items in the trace.
+        """
+        trace = sorted(items, key=attrgetter("arrival_time"))
+        self._run(iter(trace))
+        return len(trace)
 
     def stop(self) -> None:
-        """Stop generating; already-delivered traffic keeps flowing."""
-        self._running = False
-        if self._update_event is not None:
-            self._update_event.cancel()
-            self._update_event = None
-        if self._txn_event is not None:
-            self._txn_event.cancel()
-            self._txn_event = None
+        """Stop delivering; already-delivered traffic keeps flowing."""
+        self._items = None
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
 
-    def _schedule_update(self) -> None:
-        self._next_update_at = self.clock.now + self._update_gen.next_interarrival()
-        self._update_event = self.clock.schedule_at(
-            self._next_update_at, self._fire_update
-        )
+    def _run(self, items: Iterator) -> None:
+        if self._items is not None:
+            raise RuntimeError("load generator is already running")
+        self._items = items
+        self._arm(next(items, None))
 
-    def _fire_update(self) -> None:
-        """Deliver the due arrival, then catch up on any already-late ones.
+    def _arm(self, head) -> None:
+        if head is None:
+            self._items = self._event = None
+        else:
+            self._event = self.clock.schedule_at(
+                head.arrival_time, self._pump, head
+            )
 
-        Pacing is absolute: each planned arrival time is the previous one
-        plus a drawn exponential gap, so the offered rate holds at
-        ``lambda_u`` even when dispatch runs late — overdue arrivals are
-        delivered in a batch from this one event instead of silently
-        stretching the process.
-        """
-        if not self._running:
-            return
-        clock = self.clock
+    def _pump(self, item) -> None:
+        """Deliver ``item`` and everything else that is due, then re-arm."""
+        now = self.clock.now
+        items = self._items
         batch: list[Update] = []
-        batch_max = self.batch_max
-        while True:
-            batch.append(self._update_gen.draw_update(clock.now))
-            self._next_update_at += self._update_gen.next_interarrival()
-            if len(batch) >= batch_max:
-                self._deliver(batch)
-                batch = []
-            if self._next_update_at > clock.now or not self._running:
-                break
+        while (item is not None and item.arrival_time <= now
+               and self._items is items):  # a delivery may stop us
+            late = now - item.arrival_time
+            if isinstance(item, Update):
+                if late > 0:
+                    item.arrival_time = now
+                    item.generation_time += late
+                batch.append(item)
+                if len(batch) == self.batch_max:
+                    self._deliver(batch)
+                    batch = []
+            else:
+                if batch:
+                    self._deliver(batch)
+                    batch = []
+                if self.spreader is not None:
+                    item = self.spreader.spread(item)
+                if late > 0:
+                    item = dc_replace(item, arrival_time=now)
+                self.transactions_sent += 1
+                self.handles.append(self.runtime.submit(item))
+            item = next(items, None)
         if batch:
             self._deliver(batch)
-        self._update_event = self.clock.schedule_at(
-            self._next_update_at, self._fire_update
-        )
+        if self._items is items:
+            self._arm(item)
 
     def _deliver(self, batch: "list[Update]") -> None:
         self.updates_sent += len(batch)
         self.updates_dropped += len(batch) - self.runtime.ingest_batch(batch)
 
-    def _schedule_transaction(self) -> None:
-        self._next_txn_at = self.clock.now + self._txn_gen.next_interarrival()
-        self._txn_event = self.clock.schedule_at(
-            self._next_txn_at, self._fire_transaction
-        )
-
-    def _fire_transaction(self) -> None:
-        if not self._running:
-            return
-        clock = self.clock
-        while True:
-            spec = self._txn_gen.draw_spec(clock.now)
-            if self.spreader is not None:
-                spec = self.spreader.spread(spec)
-            self.transactions_sent += 1
-            self.handles.append(self.runtime.submit(spec))
-            self._next_txn_at += self._txn_gen.next_interarrival()
-            if self._next_txn_at > clock.now or not self._running:
-                break
-        self._txn_event = self.clock.schedule_at(
-            self._next_txn_at, self._fire_transaction
-        )
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def replay(self, items: Iterable[Update | TransactionSpec]) -> int:
-        """Schedule a recorded trace at its recorded arrival times.
-
-        On a wall clock, items whose arrival time is already past fire
-        immediately (late); on an engine clock the times replay exactly.
-
-        Returns:
-            The number of items scheduled.
-        """
-        count = 0
-        for item in items:
-            if isinstance(item, Update):
-                self.clock.schedule_at(item.arrival_time, self._replay_update, item)
-            elif isinstance(item, TransactionSpec):
-                self.clock.schedule_at(item.arrival_time, self._replay_txn, item)
-            else:
-                raise TypeError(f"unexpected trace item: {type(item).__name__}")
-            count += 1
-        return count
-
-    def _replay_update(self, update: Update) -> None:
-        self.updates_sent += 1
-        if not self.runtime.ingest(update):
-            self.updates_dropped += 1
-
-    def _replay_txn(self, spec: TransactionSpec) -> None:
-        if self.spreader is not None:
-            spec = self.spreader.spread(spec)
-        self.transactions_sent += 1
-        self.handles.append(self.runtime.submit(spec))
-
-    # ------------------------------------------------------------------
-    # Outcome tallies
-    # ------------------------------------------------------------------
     def outcome_counts(self) -> dict:
         """Tally resolved transaction outcomes (in-flight ones excluded)."""
         counts: dict[str, int] = {}
@@ -357,12 +284,12 @@ class LoadGenerator:
 # Reconnecting wire client
 # ----------------------------------------------------------------------
 class WireClient:
-    """A reconnecting JSONL/TCP client for live ingest servers.
+    """A reconnecting client session to a live ingest server.
 
-    Wraps one connection to a server (or shard-cluster router) behind
-    :func:`~repro.live.wire.connect_with_retry`, coalesces writes through
-    a :class:`~repro.live.wire.CoalescingWriter`, and feeds every reply
-    line to ``on_line``.  When the peer drops the connection — a
+    Holds one :class:`~repro.live.wire.RpcChannel` to a server (or
+    shard-cluster router): stream records go out through its coalescing
+    writer, and every reply that answers no pending call reaches
+    ``on_record`` as a dict.  When the peer drops the connection — a
     restarting server, a killed worker — the next :meth:`send` reopens it
     with the same backoff schedule instead of failing the whole stream;
     ``reconnects`` counts how often that happened.  Records written into
@@ -373,17 +300,15 @@ class WireClient:
         host / port: Server address.
         batch_max: Coalescing bound for the write side.
         attempts: Connection attempts per (re)connect before giving up.
-        on_line: Optional callback invoked with every raw reply record —
-            the JSON body without framing (no trailing newline in binary
-            sessions; JSONL sessions keep theirs).
+        on_record: Optional callback for every reply record (a dict).
         wire: ``"jsonl"`` (default — interoperates with any server
             version) or ``"binary"`` (struct frames behind the
-            magic-preamble handshake; every (re)connection re-sends the
-            preamble).
+            magic-preamble handshake, which the channel re-sends on every
+            (re)connection).
 
     Attributes:
+        channel: The current session, or None before :meth:`connect`.
         reconnects: Completed reconnections after a lost connection.
-        lines_received: Reply records seen across all connections.
     """
 
     def __init__(
@@ -393,7 +318,7 @@ class WireClient:
         *,
         batch_max: int = DEFAULT_BATCH_MAX,
         attempts: int = DEFAULT_CONNECT_ATTEMPTS,
-        on_line: "Callable[[bytes], None] | None" = None,
+        on_record: "Callable[[dict], None] | None" = None,
         wire: str = PROTOCOL_JSONL,
     ) -> None:
         if wire not in WIRE_PROTOCOLS:
@@ -405,131 +330,71 @@ class WireClient:
         self.port = port
         self.batch_max = batch_max
         self.attempts = attempts
-        self.on_line = on_line
+        self.on_record = on_record
         self.wire = wire
         self.reconnects = 0
-        self.lines_received = 0
-        self._writer: asyncio.StreamWriter | None = None
-        self._out: CoalescingWriter | None = None
-        self._reader_task: asyncio.Task | None = None
+        self.channel: RpcChannel | None = None
 
     @property
     def connected(self) -> bool:
-        """Whether the current connection is usable for writes.
-
-        Checks the reader task as well as the transport: a peer that
-        closed its end sends EOF (ending the reader) long before a write
-        in this direction would fail, and writes into that half-closed
-        socket would be silently lost.
-        """
-        return (
-            self._out is not None
-            and not self._out.is_closing
-            and self._reader_task is not None
-            and not self._reader_task.done()
-        )
+        """Whether the current session is usable.  A peer that closed its
+        end ends the channel's reader long before a write in this
+        direction would fail, and writes into that half-closed socket
+        would be silently lost."""
+        return self.channel is not None and not self.channel.closing
 
     async def connect(self) -> None:
-        """Open the initial connection (with retry)."""
-        await self._open()
-
-    async def _open(self) -> None:
+        """Open the session (with retry), or reopen a lost one; a no-op
+        while it is up."""
+        if self.connected:
+            return
+        reopening = self.channel is not None
+        await self.aclose()
         reader, writer = await connect_with_retry(
             self.host, lambda: self.port, attempts=self.attempts
         )
-        if self.wire == PROTOCOL_BINARY:
-            # The handshake is per *connection*, not per client: a
-            # reconnect lands on a fresh server session that negotiates
-            # from scratch.
-            writer.write(WIRE_PREAMBLE)
-        self._writer = writer
-        self._out = CoalescingWriter(writer, batch_max=self.batch_max)
-        self._reader_task = asyncio.ensure_future(self._read_loop(reader))
-
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        if self.wire == PROTOCOL_BINARY:
-            # Replies are JSON frame bodies; hand them over unparsed so
-            # on_line sees the same payload a JSONL session would.
-            decoder = FrameDecoder(parse_json=False)
-            while True:
-                chunk = await reader.read(64 * 1024)
-                if not chunk:
-                    return  # EOF: the next send() reconnects
-                for body in decoder.feed(chunk):
-                    if not isinstance(body, bytes):
-                        continue  # a malformed reply frame; skip it
-                    self.lines_received += 1
-                    if self.on_line is not None:
-                        self.on_line(body)
-            return
-        while True:
-            line = await reader.readline()
-            if not line:
-                return  # EOF: the next send() reconnects
-            self.lines_received += 1
-            if self.on_line is not None:
-                self.on_line(line)
-
-    async def _ensure_connected(self) -> None:
-        if self.connected:
-            return
-        had_connection = self._out is not None
-        await self._teardown()
-        await self._open()
-        if had_connection:
+        self.channel = RpcChannel(
+            reader, writer, protocol=self.wire, batch_max=self.batch_max,
+            on_push=self.on_record,
+        )
+        if reopening:
             self.reconnects += 1
             logger.info(
                 "wire client reconnected to %s:%d (reconnect %d)",
                 self.host, self.port, self.reconnects,
             )
 
-    async def _teardown(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            await asyncio.gather(self._reader_task, return_exceptions=True)
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            self._writer = None
-            self._out = None
-
-    # ------------------------------------------------------------------
     async def send(self, item) -> None:
-        """Encode and send one update/transaction record."""
-        if self.wire == PROTOCOL_BINARY:
-            await self.send_line(encode_frame(item))
+        """Send one update, transaction spec or control record (a dict)."""
+        await self.connect()
+        if isinstance(item, dict):
+            self.channel.request(item)
+        elif self.wire == PROTOCOL_BINARY:
+            self.channel.post(encode_frame(item))
         else:
-            await self.send_line(encode_item(item).encode("utf-8") + b"\n")
-
-    async def send_line(self, line: bytes) -> None:
-        """Send one pre-encoded wire record (a JSONL line or a frame)."""
-        await self._ensure_connected()
-        self._out.write(line)
+            self.channel.post(encode_item(item).encode("utf-8") + b"\n")
 
     def flush(self) -> None:
         """Flush the coalescing buffer (no-op when disconnected)."""
-        if self._out is not None:
-            self._out.flush()
+        if self.channel is not None:
+            self.channel.flush()
 
     async def backpressure(self) -> None:
         """Suspend while the transport is over its high-water mark."""
         if self.connected:
-            await self._out.backpressure()
+            await self.channel.backpressure()
 
     async def drain(self) -> None:
         """Flush and wait for the transport to catch up."""
-        if self.connected:
-            await self._out.drain()
+        self.flush()
+        await self.backpressure()
 
     async def aclose(self) -> None:
-        """Flush what's pending and close the connection for good."""
-        if self._out is not None and not self._out.is_closing:
-            self._out.flush()
-        await self._teardown()
+        """Flush what's pending and close the connection."""
+        if self.channel is not None:
+            with contextlib.suppress(OSError):
+                await self.channel.aclose()
+            self.channel = None
 
 
 # ----------------------------------------------------------------------
@@ -561,9 +426,9 @@ class DirectClient:
         host / port: The *router* address (the cluster's public socket).
         batch_max / attempts / wire: As for :class:`WireClient`;
             shared by the router and worker connections.
-        on_line: Callback for reply records that are not control traffic
-            (``topology`` / ``moved`` / ``hello`` records are consumed by
-            the client itself).
+        on_record: Callback for reply records that are not control
+            traffic (``topology`` / ``moved`` / ``hello`` records are
+            consumed by the client itself).
 
     Attributes:
         router: The locally rebuilt :class:`ShardRouter` (after
@@ -585,7 +450,7 @@ class DirectClient:
         *,
         batch_max: int = DEFAULT_BATCH_MAX,
         attempts: int = DEFAULT_CONNECT_ATTEMPTS,
-        on_line: "Callable[[bytes], None] | None" = None,
+        on_record: "Callable[[dict], None] | None" = None,
         wire: str = PROTOCOL_JSONL,
     ) -> None:
         if wire not in WIRE_PROTOCOLS:
@@ -597,7 +462,7 @@ class DirectClient:
         self.port = port
         self.batch_max = batch_max
         self.attempts = attempts
-        self.on_line = on_line
+        self.on_record = on_record
         self.wire = wire
         self.router: ShardRouter | None = None
         self.epoch = -1
@@ -610,53 +475,44 @@ class DirectClient:
         self._links: "list[WireClient]" = []
         self._hello_marks: "list[int]" = []
         self._rid = itertools.count(1)
-        self._topology_waiters: "dict[int, asyncio.Future]" = {}
 
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
+    def _client(self, host: str, port: int) -> WireClient:
+        return WireClient(
+            host, port, batch_max=self.batch_max, attempts=self.attempts,
+            on_record=self._intercept, wire=self.wire,
+        )
+
     async def connect(self, *, timeout: float = 30.0) -> None:
         """Dial the router, fetch the topology, dial every worker."""
-        self._router_client = WireClient(
-            self.host,
-            self.port,
-            batch_max=self.batch_max,
-            attempts=self.attempts,
-            on_line=self._intercept,
-            wire=self.wire,
-        )
+        self._router_client = self._client(self.host, self.port)
         await self._router_client.connect()
         record = await self.fetch_topology(timeout=timeout)
         self.router = router_from_topology(record)
         for entry in record["workers"]:
-            link = WireClient(
-                str(entry.get("host", "127.0.0.1")),
-                int(entry["port"]),
-                batch_max=self.batch_max,
-                    attempts=self.attempts,
-                on_line=self._intercept,
-                wire=self.wire,
-            )
-            self._links.append(link)
+            self._links.append(self._client(
+                str(entry.get("host", "127.0.0.1")), int(entry["port"])
+            ))
             self._hello_marks.append(-1)
         self.epoch = int(record["epoch"])
         for shard in range(len(self._links)):
-            await self._links[shard].connect()
             await self._hello(shard)
 
     async def fetch_topology(self, *, timeout: float = 30.0) -> dict:
-        """Request a fresh topology record over the router connection."""
-        rid = next(self._rid)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._topology_waiters[rid] = future
-        try:
-            await self._router_client.send_line(
-                encode_reply({"kind": "topology", "rid": rid}, self.wire)
-            )
-            self._router_client.flush()
-            record = await asyncio.wait_for(future, timeout)
-        finally:
-            self._topology_waiters.pop(rid, None)
+        """Request a fresh topology record over the router connection.
+
+        The call's correlation id is a string: the channel correlates an
+        outcome that carries no ``rid`` by its integer ``seq``, so an
+        integer id could be answered by a transaction's outcome.
+        """
+        client = self._router_client
+        await client.connect()
+        rid = f"topology-{next(self._rid)}"
+        record = await client.channel.call(
+            {"kind": "topology", "rid": rid}, rid, timeout=timeout
+        )
         self._apply_topology(record)
         return record
 
@@ -670,42 +526,24 @@ class DirectClient:
         the last hello so :meth:`_direct_send` can notice the gap.
         """
         link = self._links[shard]
-        await link.send_line(
-            encode_reply(
-                {"kind": "hello", "mode": "direct", "epoch": self.epoch},
-                self.wire,
-            )
-        )
+        await link.send({"kind": "hello", "mode": "direct", "epoch": self.epoch})
         self._hello_marks[shard] = link.reconnects
 
     # ------------------------------------------------------------------
     # Control-record interception
     # ------------------------------------------------------------------
-    def _intercept(self, body: bytes) -> None:
-        record = None
-        try:
-            record = json.loads(body)
-        except (ValueError, UnicodeDecodeError):
-            pass
-        if isinstance(record, dict):
-            kind = record.get("kind")
-            if kind == "topology":
-                future = self._topology_waiters.pop(record.get("rid"), None)
-                if future is not None and not future.done():
-                    future.set_result(record)
-                else:
-                    self._apply_topology(record)
-                return
-            if kind == "moved":
-                self.moved_redirects += 1
-                topology = record.get("topology")
-                if isinstance(topology, dict):
-                    self._apply_topology(topology)
-                return
-            if kind == "hello":
-                return  # the ack of our own announcement
-        if self.on_line is not None:
-            self.on_line(body)
+    def _intercept(self, record: dict) -> None:
+        kind = record.get("kind")
+        if kind == "topology":
+            self._apply_topology(record)
+        elif kind == "moved":
+            self.moved_redirects += 1
+            topology = record.get("topology")
+            if isinstance(topology, dict):
+                self._apply_topology(topology)
+        elif kind != "hello" and self.on_record is not None:
+            # (a hello is the ack of our own announcement)
+            self.on_record(record)
 
     def _apply_topology(self, record: dict) -> None:
         """Adopt a topology record's endpoints if it is newer than ours.
@@ -753,12 +591,7 @@ class DirectClient:
         shard = self._shard_for(item)
         if shard is None:
             self.routed_specs += 1
-            if isinstance(item, dict):
-                await self._router_client.send_line(
-                    encode_reply(item, self.wire)
-                )
-            else:
-                await self._router_client.send(item)
+            await self._router_client.send(item)
             return
         await self._direct_send(shard, item)
 
@@ -768,15 +601,13 @@ class DirectClient:
             # Reconnect *before* writing so a fresh session hears the
             # hello first: a global-id record on a session that is not in
             # direct mode yet would be misread as shard-local.
-            await link._ensure_connected()
+            await link.connect()
             if link.reconnects != self._hello_marks[shard]:
                 await self._hello(shard)
             await link.send(item)
         except ConnectionError:
             self.send_failures += 1
             await self.refresh()
-            link = self._links[shard]
-            await link._ensure_connected()
             await self._hello(shard)
             await link.send(item)
             return
@@ -789,41 +620,27 @@ class DirectClient:
     # ------------------------------------------------------------------
     # WireClient-compatible surface
     # ------------------------------------------------------------------
+    def _clients(self) -> "list[WireClient]":
+        router = [self._router_client] if self._router_client else []
+        return self._links + router
+
     def flush(self) -> None:
-        for link in self._links:
-            link.flush()
-        if self._router_client is not None:
-            self._router_client.flush()
+        for client in self._clients():
+            client.flush()
 
     async def backpressure(self) -> None:
-        for link in self._links:
-            await link.backpressure()
-        if self._router_client is not None:
-            await self._router_client.backpressure()
+        for client in self._clients():
+            await client.backpressure()
 
     async def drain(self) -> None:
-        for link in self._links:
-            await link.drain()
-        if self._router_client is not None:
-            await self._router_client.drain()
+        for client in self._clients():
+            await client.drain()
 
     async def aclose(self) -> None:
-        for link in self._links:
-            await link.aclose()
-        if self._router_client is not None:
-            await self._router_client.aclose()
+        for client in self._clients():
+            await client.aclose()
 
     @property
     def reconnects(self) -> int:
         """Total reconnections across the router and worker links."""
-        total = sum(link.reconnects for link in self._links)
-        if self._router_client is not None:
-            total += self._router_client.reconnects
-        return total
-
-    @property
-    def lines_received(self) -> int:
-        total = sum(link.lines_received for link in self._links)
-        if self._router_client is not None:
-            total += self._router_client.lines_received
-        return total
+        return sum(client.reconnects for client in self._clients())

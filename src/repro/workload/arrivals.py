@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import inf
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.sim.engine import Engine
 
@@ -54,6 +54,15 @@ class ChunkedArrivals:
         """Draw the first chunk and hand the stream to the engine."""
         self._refill(self.engine.now)
         self.engine.arm(self)
+
+    def arrivals(self, after: float = 0.0) -> Iterator[list]:
+        """The stream without an engine: the chunks the source would
+        deliver, arrivals following ``after``, lists of records in time
+        order.  Endless; the caller decides where to stop."""
+        while True:
+            times = self._draw_times(after)
+            yield self._draw_items(times)
+            after = times[-1]
 
     def _draw_times(self, after: float) -> list[float]:
         """Arrival times of the next chunk, the first one following

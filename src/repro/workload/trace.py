@@ -1,6 +1,7 @@
-"""Workload trace record / replay.
+"""Workload trace synthesis / record / replay.
 
-A :class:`TraceRecorder` can be interposed in front of any sink to capture
+:func:`synthesize` draws the simulator's workload as one time-ordered
+stream without an engine.  A :class:`TraceRecorder` can be interposed in front of any sink to capture
 the exact arrival sequence of a run; :func:`replay_updates` feeds a captured
 (or hand-written) sequence back through the engine.  Tests use this to prove
 common-random-number equality across algorithms, and examples use it to run
@@ -18,14 +19,20 @@ arrivals.  One line per item::
 
 from __future__ import annotations
 
-import json
+import heapq
+from itertools import chain, takewhile
+from math import inf
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
+from repro.config import SimulationConfig
 from repro.db.objects import ObjectClass, Update
 from repro.sim.engine import Engine
+from repro.sim.streams import StreamFamily
 from repro.workload.codec import decode_lines, encode_item, item_from_record
-from repro.workload.transactions import TransactionSpec
+from repro.workload.transactions import TransactionGenerator, TransactionSpec
+from repro.workload.updates import UpdateStreamGenerator
 
 T = TypeVar("T")
 
@@ -76,6 +83,28 @@ def replay_updates(
         engine.schedule_at(update.arrival_time, sink, update)
         count += 1
     return count
+
+
+def synthesize(
+    config: SimulationConfig,
+    *,
+    start: float = 0.0,
+    until: float = inf,
+    streams: StreamFamily | None = None,
+) -> "Iterator[Update | TransactionSpec]":
+    """The paper's two arrival processes as one time-ordered stream: the
+    simulator's update and transaction draws (default seed
+    ``config.seed``) after ``start`` and before ``until``, merged by
+    ``arrival_time``, the update first at an equal instant."""
+    streams = streams or StreamFamily(config.seed)
+    merged = heapq.merge(
+        chain.from_iterable(
+            UpdateStreamGenerator(config, None, streams, None).arrivals(start)),
+        chain.from_iterable(
+            TransactionGenerator(config, None, streams, None).arrivals(start)),
+        key=attrgetter("arrival_time"),
+    )
+    return takewhile(lambda item: item.arrival_time < until, merged)
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ class TransactionGenerator(ChunkedArrivals):
         return [self.draw_spec(time) for time in times]
 
     def next_interarrival(self) -> float:
-        """Draw the next inter-arrival gap (public for loadgen pacing)."""
+        """Draw the next inter-arrival gap (public for trace tooling)."""
         return self._arrivals.interarrival(self.params.arrival_rate)
 
     def draw_spec(self, arrival_time: float) -> TransactionSpec:

@@ -68,6 +68,11 @@ class UpdateStreamGenerator(ChunkedArrivals):
             self._schedule_state_change()
         super().start()
 
+    def arrivals(self, after: float = 0.0):
+        if self.params.pattern is UpdatePattern.BURSTY:
+            raise ValueError("bursty rate flips are engine events")
+        return super().arrivals(after)
+
     def _draw_times(self, after: float) -> list[float]:
         params = self.params
         pattern = params.pattern
@@ -102,20 +107,15 @@ class UpdateStreamGenerator(ChunkedArrivals):
         )
 
     # ------------------------------------------------------------------
-    # Record draws (Table 1; public one-record calls for loadgen / traces)
+    # Record draws (Table 1; public one-record calls for trace tooling)
     # ------------------------------------------------------------------
     def next_interarrival(self) -> float:
-        """Draw the next aperiodic inter-arrival gap (public for loadgen).
-
-        The live load generator paces itself on the wall clock instead of
-        the engine, but draws gaps and update shapes from the same streams,
-        so a live run and a simulated run with the same seed see the same
-        update sequence.
-        """
+        """Draw the next aperiodic inter-arrival gap (public for trace
+        tooling that changes the rate between phases)."""
         return self._arrivals.interarrival(self.params.arrival_rate)
 
     def draw_update(self, arrival_time: float) -> Update:
-        """Draw one update per Table 1 (public for trace/loadgen tooling).
+        """Draw one update per Table 1 (public for trace tooling).
 
         The one-record form of :meth:`_draw_updates`: the same draws from
         the same stream in the same order, through the checked wrappers.

@@ -266,6 +266,51 @@ def test_public_one_record_calls_are_the_same_draws(shape):
         assert transactions.draw_spec(0.5 * seq) == expected
 
 
+@pytest.mark.parametrize("shape", ["table1", "partial", "in_order"])
+@pytest.mark.parametrize("pattern", ["aperiodic", "periodic"])
+def test_arrivals_are_the_one_record_draws(pattern, shape):
+    """``arrivals()`` — the stream without an engine — yields the records
+    the one-record code draws, across three chunk boundaries."""
+    config = baseline_config(seed=80).with_updates(
+        **PATTERNS[pattern], **SHAPES[shape]
+    )
+    config = config.with_transactions(arrival_rate=500.0)
+    count = 3 * CHUNK + 5
+
+    engine = Engine()
+    reference = HeapUpdateStream(config, engine, StreamFamily(config.seed))
+    reference.start()
+    while len(reference.out) < count:
+        engine.step()
+    streams = StreamFamily(config.seed)
+    txn_arrivals = streams.stream(TransactionGenerator.STREAM_ARRIVALS)
+    txn_shape = streams.stream(TransactionGenerator.STREAM_SHAPE)
+    expected_specs, time = [], 0.0
+    for seq in range(count):
+        time += txn_arrivals.interarrival(500.0)
+        expected_specs.append(reference_spec(
+            txn_shape, config.transactions, config.updates.n_low,
+            config.updates.n_high, seq, time))
+
+    drawn = StreamFamily(config.seed)
+    updates = UpdateStreamGenerator(config, None, drawn, None).arrivals()
+    specs = TransactionGenerator(config, None, drawn, None).arrivals()
+    chunks = [next(updates) for _ in range(4)]
+    assert [len(chunk) for chunk in chunks] == [CHUNK] * 4
+    assert [fields(u) for chunk in chunks for u in chunk][:count] == [
+        fields(u) for u in reference.out[:count]
+    ]
+    assert [astuple(s) for _ in range(4) for s in next(specs)][:count] == [
+        astuple(s) for s in expected_specs
+    ]
+
+
+def test_bursty_arrivals_need_an_engine():
+    config = baseline_config().with_updates(**PATTERNS["bursty"])
+    with pytest.raises(ValueError, match="engine events"):
+        UpdateStreamGenerator(config, None, StreamFamily(1), None).arrivals()
+
+
 @pytest.mark.parametrize("overrides, message", [
     (dict(arrival_rate=0.0), "Poisson rate must be > 0"),
     (dict(p_low=1.5), "probability out of range"),

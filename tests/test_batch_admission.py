@@ -28,10 +28,7 @@ from repro.core.algorithms import TransactionFirst
 from repro.core.simulator import Simulation
 from repro.live import LiveRuntime
 from repro.sim.engine import Engine
-from repro.sim.streams import StreamFamily
-from repro.workload.trace import split_trace
-from repro.workload.transactions import TransactionGenerator
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.trace import split_trace, synthesize
 
 ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
 OS_MAX = 6
@@ -48,19 +45,7 @@ def _config(action):
 def _bursts(config, step=0.05):
     """The drawn workload with update arrivals quantized up onto a coarse
     grid: about twenty updates per delivery instant, over ``OSmax``."""
-    streams = StreamFamily(config.seed)
-    update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-    txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
-    items = []
-    t = update_gen.next_interarrival()
-    while t < config.duration:
-        items.append(update_gen.draw_update(t))
-        t += update_gen.next_interarrival()
-    t = txn_gen.next_interarrival()
-    while t < config.duration:
-        items.append(txn_gen.draw_spec(t))
-        t += txn_gen.next_interarrival()
-    updates, specs = split_trace(items)
+    updates, specs = split_trace(synthesize(config, until=config.duration))
     bursts: dict[float, list] = {}
     for update in updates:
         update.arrival_time = math.ceil(update.arrival_time / step) * step

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.config import baseline_config
 from repro.db.objects import ObjectClass, Update
-from repro.sim.streams import StreamFamily
 from repro.workload.codec import (
     _UPDATE_BODY,
     CLASS_BY_CODE,
@@ -43,9 +42,8 @@ from repro.workload.codec import (
     peek_spec_route,
     reroute_spec_frame,
 )
-from repro.workload.trace import item_to_dict
-from repro.workload.transactions import TransactionGenerator, TransactionSpec
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.trace import item_to_dict, synthesize
+from repro.workload.transactions import TransactionSpec
 
 
 def _drawn_items(seed=424242, rate=300.0, duration=3.0, partial=0.3):
@@ -55,19 +53,7 @@ def _drawn_items(seed=424242, rate=300.0, duration=3.0, partial=0.3):
         arrival_rate=rate, partial_probability=partial
     )
     config = config.with_transactions(arrival_rate=20.0)
-    streams = StreamFamily(config.seed)
-    update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-    txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
-    items = []
-    t = update_gen.next_interarrival()
-    while t < config.duration:
-        items.append(update_gen.draw_update(t))
-        t += update_gen.next_interarrival()
-    t = txn_gen.next_interarrival()
-    while t < config.duration:
-        items.append(txn_gen.draw_spec(t))
-        t += txn_gen.next_interarrival()
-    return items
+    return list(synthesize(config, until=config.duration))
 
 
 def _bits(x: float) -> bytes:

@@ -347,6 +347,37 @@ def test_serve_rejects_sharded_only_flags_on_a_single_node(
     assert complaint in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, complaint", [
+    (["serve", "--max-age", "0"], "max_age must be > 0"),
+    (["serve", "--ips", "0"], "ips must be > 0"),
+    (["serve", "--mean-age", "-1"], "mean update age must be >= 0"),
+    (["loadgen", "--lambda-u", "0"], "update arrival rate must be > 0"),
+    (["loadgen", "--cross-shard-frac", "0.3"], "need --shards >= 2"),
+    (["loadgen", "--cross-shard-frac", "1.5", "--shards", "2"],
+     "must be in [0, 1]"),
+])
+def test_bad_config_is_a_usage_error_before_binding_or_connecting(
+    argv, complaint, capsys
+):
+    """Regression: these died in a ``ValueError`` traceback — a loadgen
+    only after connecting (port 1 has no listener: a connect would fail
+    differently; a serve that got as far as binding stops by itself)."""
+    extra = ["--seconds", "0.2", "--metrics", "none"] if argv[0] == "serve" else []
+    with pytest.raises(SystemExit) as excinfo:
+        live_main([*argv, "--port", "1", *extra])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert complaint in err
+    assert "Traceback" not in err
+
+
+def test_loadgen_reports_an_unreachable_server_in_one_line(capsys):
+    assert live_main(["loadgen", "--port", "1", "--connect-attempts", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "could not connect" in err
+
+
 @pytest.mark.parametrize("option", [
     {RING_OPTION: True}, {"ring_bytes": 1 << 20}, {"wire": "binary"},
     {"routers": 2},
@@ -639,13 +670,13 @@ def test_wire_client_reconnects_after_peer_close():
         port = server.sockets[0].getsockname()[1]
         client = WireClient(
             "127.0.0.1", port, attempts=4,
-            on_line=lambda line: replies.append(line),
+            on_record=replies.append,
         )
         await client.connect()
-        await client.send_line(b'{"seq": 1}\n')
+        await client.send({"seq": 1})
         # Wait for the peer's FIN to land so the next send must reconnect.
         await _wait_for(lambda: not client.connected, timeout=10.0)
-        await client.send_line(b'{"seq": 2}\n')
+        await client.send({"seq": 2})
         await _wait_for(lambda: len(replies) >= 2, timeout=10.0)
         await client.aclose()
         server.close()

@@ -19,6 +19,7 @@ Layers:
 
 import asyncio
 import json
+from itertools import islice
 
 import pytest
 
@@ -43,9 +44,7 @@ from repro.live.durability import (
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
 from repro.workload.codec import FRAME_HEADER, TAG_UPDATE, encode_frames
-from repro.workload.trace import update_to_dict
-from repro.workload.transactions import TransactionGenerator
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.trace import synthesize, update_to_dict
 
 OP_TIMEOUT = 30.0
 
@@ -63,12 +62,8 @@ def _config(**update_kwargs):
 
 def _draw_updates(config, n, *, seed=None):
     streams = StreamFamily(seed if seed is not None else config.seed)
-    gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-    out, t = [], 0.0
-    for _ in range(n):
-        t += gen.next_interarrival()
-        out.append(gen.draw_update(t))
-    return out
+    stream = synthesize(config, streams=streams)
+    return list(islice((i for i in stream if isinstance(i, Update)), n))
 
 
 def _simple_updates(n, *, start_seq=0, object_id=0, at=0.0):
@@ -401,11 +396,11 @@ def _crash_cycle(algorithm, tmp_path):
     stats = asyncio.run(manager2.recover(runtime2))
     assert stats.resumed
     assert stats.replayed_records > 0
-    assert stats.snapshot_lsn == manager2.replayer.snapshot_lsn
+    assert stats.snapshot_lsn == manager2.snapshot_lsn
 
     # Warm, not cold: every restored object keeps at least the snapshot's
     # generation timestamp (replay can only advance it).
-    snapshot_state = manager2.replayer.state
+    snapshot_state = manager2.state
     for name, partition in (("low", runtime2.database.low),
                             ("high", runtime2.database.high)):
         rows = snapshot_state["objects"][name]
@@ -529,7 +524,7 @@ def test_replay_is_idempotent(tmp_path):
     generations = [o.generation_time for o in runtime2.database.low]
 
     # Feed the identical log a second time, straight through ingest.
-    asyncio.run(replay_into(runtime2, manager2.replayer.pending))
+    asyncio.run(replay_into(runtime2, manager2.pending))
     clock2.run_until(clock2.now + 1.0)
     assert runtime2.update_accounting.installed_applied == applied_once
     assert [o.generation_time for o in runtime2.database.low] == generations
@@ -554,8 +549,8 @@ def test_snapshot_rotate_bounds_replay(tmp_path):
     manager.log.close()
 
     manager2 = DurabilityManager(wal, 0, snapshot_interval=60.0)
-    assert len(manager2.replayer.pending) == admitted_after
-    assert manager2.replayer.scan.base_lsn == manager2.replayer.snapshot_lsn
+    assert len(manager2.pending) == admitted_after
+    assert manager2.scan.base_lsn == manager2.snapshot_lsn
 
 
 def test_snapshot_loop_failure_is_counted_and_surfaced(tmp_path, monkeypatch,

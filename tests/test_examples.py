@@ -72,6 +72,15 @@ def test_derived_analytics(monkeypatch, capsys):
     assert "versions recorded" in out
 
 
+def test_live_quickstart(monkeypatch, capsys):
+    out = run_example(
+        monkeypatch, capsys, "live_quickstart.py", "--seconds", "1"
+    )
+    assert "hand-submitted transaction" in out
+    assert "final snapshot (simulator-compatible)" in out
+    assert "updates: 0 installed" not in out
+
+
 @pytest.mark.parametrize(
     "script",
     [path.name for path in sorted(EXAMPLES_DIR.glob("*.py"))],

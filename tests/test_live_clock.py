@@ -35,11 +35,6 @@ def test_run_end_is_a_rolling_burst_horizon():
     assert clock.run_end == 1.0 + 0.002  # rolls forward with now
 
 
-def test_zero_burst_horizon_disables_coalescing():
-    assert WallClock(burst_horizon=0.0).run_end is None
-    assert WallClock(burst_horizon=-1.0).run_end is None
-
-
 def test_now_starts_at_zero_and_is_monotone_under_source_jitter():
     times = iter([10.0, 10.5, 10.3, 11.0])
     clock = WallClock(lambda: next(times))  # origin consumes 10.0

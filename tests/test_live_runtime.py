@@ -9,7 +9,8 @@ through either front end.
 
 import asyncio
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,16 +19,15 @@ from repro.core.simulator import Simulation
 from repro.db.objects import ObjectClass
 from repro.live import IngestServer, LiveRuntime, LoadGenerator
 from repro.sim.engine import Engine
-from repro.sim.streams import StreamFamily
 from repro.workload.codec import encode_lines
 from repro.workload.trace import (
     load_trace,
     save_trace,
     split_trace,
+    synthesize,
     synthetic_updates,
 )
-from repro.workload.transactions import TransactionGenerator, TransactionSpec
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.transactions import TransactionSpec
 
 
 def _config(**updates_kwargs):
@@ -41,19 +41,7 @@ def _config(**updates_kwargs):
 
 def _draw_workload(config):
     """Draw a full run's workload up front, using the simulator's draws."""
-    streams = StreamFamily(config.seed)
-    update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-    txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
-    items = []
-    t = update_gen.next_interarrival()
-    while t < config.duration:
-        items.append(update_gen.draw_update(t))
-        t += update_gen.next_interarrival()
-    t = txn_gen.next_interarrival()
-    while t < config.duration:
-        items.append(txn_gen.draw_spec(t))
-        t += txn_gen.next_interarrival()
-    return items
+    return list(synthesize(config, until=config.duration))
 
 
 def _run_simulator(config, algorithm, items):
@@ -90,6 +78,61 @@ def test_trace_parity_with_simulator(tmp_path, algorithm):
     sim_dict.pop("extras")
     live_dict.pop("extras")
     assert live_dict == sim_dict
+
+
+@pytest.mark.parametrize("algorithm", ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"])
+def test_synthesis_parity_with_simulator(algorithm):
+    """``LoadGenerator.start()`` on an engine clock delivers what
+    ``synthesize`` draws, at the drawn times: the same result as the
+    simulator running that stream as a script."""
+    config = _config()
+    engine = Engine()
+    runtime = LiveRuntime(config, algorithm, clock=engine)
+    LoadGenerator(runtime).start()
+    engine.run_until(config.duration)
+    live_dict = asdict(runtime.finalize())
+    sim_dict = asdict(_run_simulator(config, algorithm, _draw_workload(config)))
+    sim_dict.pop("extras")
+    live_dict.pop("extras")
+    assert live_dict == sim_dict
+    assert live_dict["transactions_arrived"] > 0
+
+
+def test_a_late_pump_hands_over_everything_due_stamped_like_a_wire_record():
+    """One delivery event that fires late hands over every due item —
+    updates in batches of at most ``batch_max``, a transaction closing the
+    batch before it — and shifts each item's times by its lateness,
+    keeping the drawn network age; then it re-arms for what is not due."""
+
+    class LateClock:
+        now = 10.0
+
+        def schedule_at(self, when, callback, *args):
+            self.armed = (when, callback, args)
+
+    batches, specs = [], []
+    runtime = SimpleNamespace(
+        clock=LateClock(), config=_config(),
+        ingest_batch=lambda batch: batches.append(list(batch)) or len(batch),
+        submit=specs.append,
+    )
+    updates = synthetic_updates([(t, 0.5) for t in (2, 1, 3, 4, 6, 7)],
+                                ObjectClass.VIEW_LOW)
+    spec = TransactionSpec(seq=0, arrival_time=5.0, high_value=False,
+                           value=1.0, compute_time=0.01, reads=(0,), slack=1.0)
+    later = TransactionSpec(**{**asdict(spec), "seq": 1, "arrival_time": 12.0})
+    generator = LoadGenerator(runtime, batch_max=2)
+    assert generator.replay([*updates, later, spec]) == 8
+    when, pump, args = runtime.clock.armed
+    assert when == 1.0
+    pump(*args)
+
+    assert [[u.seq for u in batch] for batch in batches] == [[1, 0], [2, 3], [4, 5]]
+    assert all(u.arrival_time == 10.0 and u.generation_time == 9.5
+               for u in updates)
+    assert specs == [replace(spec, arrival_time=10.0)]
+    assert runtime.clock.armed[0] == 12.0  # not due yet
+    assert (generator.updates_sent, generator.transactions_sent) == (6, 1)
 
 
 def test_parity_includes_staleness_counters(tmp_path):

@@ -8,13 +8,17 @@ noisy); throughput and latency are measured by benchmarks/spine/run.py
 """
 
 import asyncio
+import contextlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.config import baseline_config
 from repro.live import (
@@ -23,7 +27,8 @@ from repro.live import (
     LoadGenerator,
     MetricsStreamer,
 )
-from repro.workload.trace import spec_to_dict, update_to_dict
+from repro.live.__main__ import main as live_main
+from repro.workload.trace import save_trace, spec_to_dict, synthesize, update_to_dict
 from repro.workload.transactions import TransactionSpec
 from repro.db.objects import ObjectClass, Update
 
@@ -124,8 +129,11 @@ def test_live_server_roundtrip():
     assert result.transactions_committed == 1
 
 
-def test_serve_cli_drains_cleanly_on_sigint(tmp_path):
-    """`repro-live serve` + SIGINT → exit 0 and a final JSON snapshot."""
+@contextlib.contextmanager
+def _serve_cli():
+    """A `repro-live serve --port 0` process, its port read off the
+    banner; SIGINT on the way out.  Yields ``(port, outcome)``, and
+    ``outcome`` is filled with ``(returncode, stdout, stderr)``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.Popen(
@@ -133,6 +141,7 @@ def test_serve_cli_drains_cleanly_on_sigint(tmp_path):
          "--port", "0", "--metrics", "none", "--drain-timeout", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
+    outcome = []
     try:
         # Wait for the "serving on" banner so SIGINT lands after startup.
         deadline = time.monotonic() + 10
@@ -140,14 +149,50 @@ def test_serve_cli_drains_cleanly_on_sigint(tmp_path):
         while b"serving on" not in banner and time.monotonic() < deadline:
             banner += proc.stderr.read1(4096)
         assert b"serving on" in banner
+        yield int(re.search(rb"serving on [^ ]+:(\d+)", banner)[1]), outcome
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=15)
+        outcome.extend((proc.returncode, out.decode(), err.decode()))
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-    assert proc.returncode == 0, err.decode()
-    snapshot = json.loads(out.decode().strip().splitlines()[-1])
+
+
+def test_serve_cli_drains_cleanly_on_sigint(tmp_path):
+    """`repro-live serve` + SIGINT → exit 0 and a final JSON snapshot."""
+    with _serve_cli() as (_, outcome):
+        pass
+    returncode, out, err = outcome
+    assert returncode == 0, err
+    snapshot = json.loads(out.strip().splitlines()[-1])
     assert snapshot["algorithm"] == "TF"
     assert snapshot["duration"] > 0
+
+
+@pytest.mark.parametrize("mode", ["synthesis", "trace"])
+def test_loadgen_cli_delivers_every_update_it_sends(tmp_path, mode, capsys):
+    """`repro-live loadgen` against a real `serve`, synthesizing or
+    replaying a trace file: the server's final snapshot counts every
+    update the loadgen sent."""
+    config = baseline_config(seed=5).with_updates(arrival_rate=300.0)
+    config = config.with_transactions(arrival_rate=5.0)
+    argv = ["--seed", "5", "--lambda-u", "300", "--lambda-t", "5",
+            "--seconds", "1"]
+    items = list(synthesize(config, until=1.0))
+    if mode == "trace":
+        path = tmp_path / "trace.jsonl"
+        items = list(synthesize(config.replace(seed=6), until=0.5))
+        save_trace(path, items)
+        argv += ["--trace", str(path), "--wire", "binary"]
+    with _serve_cli() as (port, outcome):
+        assert live_main(["loadgen", "--port", str(port), *argv]) == 0
+    returncode, out, err = outcome
+    assert returncode == 0, err
+    assert "Traceback" not in err
+    assert f"sent {len(items)} records" in capsys.readouterr().out
+    snapshot = json.loads(out.strip().splitlines()[-1])
+    assert snapshot["updates_arrived"] == sum(
+        isinstance(item, Update) for item in items
+    ) > 0
 

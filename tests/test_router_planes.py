@@ -39,10 +39,8 @@ from repro.db.sharding import (
 from repro.live import DirectClient, IngestServer, LiveRuntime, ShardCluster
 from repro.metrics.results import SimulationResult
 from repro.sim.engine import Engine
-from repro.sim.streams import StreamFamily
-from repro.workload.trace import update_to_dict
-from repro.workload.transactions import TransactionGenerator, TransactionSpec
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.trace import synthesize, update_to_dict
+from repro.workload.transactions import TransactionSpec
 
 ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
 
@@ -225,22 +223,9 @@ def test_stale_epoch_gets_one_advisory_per_change():
 # Client-side routing parity with the router plane
 # ----------------------------------------------------------------------
 def _parity_workload(config):
-    streams = StreamFamily(config.seed)
-    update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-    txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
-    items = []
-    t = update_gen.next_interarrival()
-    while t < config.duration:
-        items.append(update_gen.draw_update(t))
-        t += update_gen.next_interarrival()
-    t = txn_gen.next_interarrival()
-    seq = 0
-    while t < config.duration:
-        items.append(txn_gen.draw_spec(t))
-        seq += 1
-        t += txn_gen.next_interarrival()
-    template = next(i for i in items if isinstance(i, TransactionSpec))
-    items.append(replace(template, seq=seq, arrival_time=2.5, reads=()))
+    items = list(synthesize(config, until=config.duration))
+    specs = [i for i in items if isinstance(i, TransactionSpec)]
+    items.append(replace(specs[0], seq=len(specs), arrival_time=2.5, reads=()))
     return items
 
 
@@ -380,6 +365,50 @@ def test_direct_split_parity_all_algorithms(algorithm):
     via_direct = run(direct_split)
     assert via_direct == via_router
     assert via_direct["updates_applied"] > 0
+
+
+def test_topology_call_is_not_answered_by_an_outcome():
+    """Regression: a reply channel correlates an outcome that carries no
+    ``rid`` by its ``seq``, so a topology call under an integer id equal
+    to an in-flight transaction's seq would be resolved by that
+    transaction's outcome.  Here every topology request is answered
+    only after the outcomes of transactions 1 and 2."""
+
+    async def scenario():
+        async def peer(reader, writer):
+            async for line in reader:
+                record = json.loads(line)
+                replies = []
+                if record["kind"] == "topology":
+                    replies = [{"kind": "outcome", "seq": seq,
+                                "outcome": "committed"} for seq in (1, 2)]
+                    replies.append({**topology, "rid": record["rid"]})
+                elif record["kind"] == "hello":
+                    replies = [{"kind": "hello", "shard": 0, "epoch": 1}]
+                for reply in replies:
+                    writer.write(json.dumps(reply).encode() + b"\n")
+            writer.close()
+
+        server = await asyncio.start_server(peer, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        topology = topology_record(
+            shards=2, n_low=10, n_high=10, epoch=1,
+            workers=[{"shard": i, "host": "127.0.0.1", "port": port,
+                      "status": "up"} for i in range(2)],
+        )
+        outcomes = []
+        client = DirectClient("127.0.0.1", port, attempts=2,
+                              on_record=outcomes.append)
+        await asyncio.wait_for(client.connect(timeout=5.0), OP_TIMEOUT)
+        await asyncio.wait_for(client.refresh(timeout=5.0), OP_TIMEOUT)
+        await client.aclose()
+        server.close()
+        await server.wait_closed()
+        return client, outcomes
+
+    client, outcomes = asyncio.run(scenario())
+    assert client.router.shards == 2
+    assert [record["seq"] for record in outcomes] == [1, 2, 1, 2]
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ pipeline (replicated verbatim in :func:`_reference_run`), and multi-shard
 runs preserve both conservation laws and every reported invariant.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +39,7 @@ from repro.workload.codec import (
     peek_update_route,
     reroute_update_frame,
 )
+from repro.workload.trace import synthesize
 from repro.workload.transactions import TransactionGenerator, TransactionSpec
 from repro.workload.updates import UpdateStreamGenerator
 
@@ -365,20 +366,14 @@ def _drawn_schedule(config, step=0.02):
     wire batch produces at the router."""
     import math
 
-    streams = StreamFamily(config.seed)
-    update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-    txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
     bursts: dict[float, list] = {}
-    t = update_gen.next_interarrival()
-    while t < config.duration:
-        at = math.ceil(t / step) * step
-        bursts.setdefault(at, []).append(update_gen.draw_update(at))
-        t += update_gen.next_interarrival()
-    t = txn_gen.next_interarrival()
-    while t < config.duration:
-        at = math.ceil(t / step) * step
-        bursts.setdefault(at, []).append(txn_gen.draw_spec(at))
-        t += txn_gen.next_interarrival()
+    for item in synthesize(config, until=config.duration):
+        at = math.ceil(item.arrival_time / step) * step
+        if isinstance(item, Update):
+            item.arrival_time = at
+        else:
+            item = replace(item, arrival_time=at)
+        bursts.setdefault(at, []).append(item)
     return bursts
 
 

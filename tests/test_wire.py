@@ -25,7 +25,6 @@ from repro.live.wire import (
     iter_line_batches,
     serve_session,
 )
-from repro.sim.streams import StreamFamily
 from repro.workload.codec import (
     WIRE_PREAMBLE,
     FrameDecoder,
@@ -35,9 +34,8 @@ from repro.workload.codec import (
     encode_lines,
     item_from_record,
 )
-from repro.workload.trace import item_to_dict
-from repro.workload.transactions import TransactionGenerator, TransactionSpec
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.trace import item_to_dict, synthesize
+from repro.workload.transactions import TransactionSpec
 from tests.inprocess import RoutedPair
 
 
@@ -46,19 +44,7 @@ def _drawn_items(seed=424242, rate=300.0, duration=3.0):
     config.warmup = 0.0
     config = config.with_updates(arrival_rate=rate)
     config = config.with_transactions(arrival_rate=20.0)
-    streams = StreamFamily(config.seed)
-    update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-    txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
-    items = []
-    t = update_gen.next_interarrival()
-    while t < config.duration:
-        items.append(update_gen.draw_update(t))
-        t += update_gen.next_interarrival()
-    t = txn_gen.next_interarrival()
-    while t < config.duration:
-        items.append(txn_gen.draw_spec(t))
-        t += txn_gen.next_interarrival()
-    return items
+    return list(synthesize(config, until=config.duration))
 
 
 # ----------------------------------------------------------------------

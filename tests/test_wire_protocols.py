@@ -35,7 +35,6 @@ from repro.live.wire import (
 )
 from repro.metrics.results import SimulationResult
 from repro.sim.engine import Engine
-from repro.sim.streams import StreamFamily
 from repro.workload.codec import (
     FRAME_HEADER,
     MAX_FRAME_BODY,
@@ -47,8 +46,8 @@ from repro.workload.codec import (
     encode_lines,
     item_from_record,
 )
-from repro.workload.transactions import TransactionGenerator, TransactionSpec
-from repro.workload.updates import UpdateStreamGenerator
+from repro.workload.trace import synthesize
+from repro.workload.transactions import TransactionSpec
 
 ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
 
@@ -65,22 +64,9 @@ def _config(**updates_kwargs):
 def _draw_workload(config):
     """The simulator's own draws, plus one empty-read spec (satellite
     requirement: the readless schema edge must ride both wires)."""
-    streams = StreamFamily(config.seed)
-    update_gen = UpdateStreamGenerator(config, None, streams, lambda _: None)
-    txn_gen = TransactionGenerator(config, None, streams, lambda _: None)
-    items = []
-    t = update_gen.next_interarrival()
-    while t < config.duration:
-        items.append(update_gen.draw_update(t))
-        t += update_gen.next_interarrival()
-    t = txn_gen.next_interarrival()
-    seq = 0
-    while t < config.duration:
-        items.append(txn_gen.draw_spec(t))
-        seq += 1
-        t += txn_gen.next_interarrival()
-    template = next(i for i in items if isinstance(i, TransactionSpec))
-    items.append(replace(template, seq=seq, arrival_time=2.5, reads=()))
+    items = list(synthesize(config, until=config.duration))
+    specs = [i for i in items if isinstance(i, TransactionSpec)]
+    items.append(replace(specs[0], seq=len(specs), arrival_time=2.5, reads=()))
     assert any(isinstance(i, Update) and i.partial for i in items)
     return items
 
@@ -372,12 +358,11 @@ def test_wire_clients_of_both_protocols_interoperate():
     async def drive(host, port, wire):
         outcomes = []
 
-        def on_line(body: bytes):
-            record = json.loads(body)
+        def on_record(record: dict):
             if record.get("kind") == "outcome":
                 outcomes.append(record["outcome"])
 
-        client = WireClient(host, port, wire=wire, on_line=on_line)
+        client = WireClient(host, port, wire=wire, on_record=on_record)
         await client.connect()
         await client.send(update)
         for seq in range(5):
