@@ -20,8 +20,9 @@ Layout:
   :class:`~repro.config.SimulationConfig`, or bit-for-bit replay of a
   recorded simulator trace.
 * :class:`MetricsStreamer` — periodic JSONL snapshots of a running system.
-* :class:`IngestServer` — optional TCP ingest; each session negotiates
-  JSONL or the binary frame protocol from its first bytes.
+* :class:`IngestServer` — optional TCP ingest: updates and transactions
+  as binary frames, control records as JSON (a JSONL session is the
+  ``nc``-able control dialect).
 * :class:`ShardCluster` — N shard worker processes (one pipeline each)
   behind one ingest router; merged fleet snapshots and final results.
   The router→worker hop is loopback TCP carrying binary frames.
@@ -57,7 +58,6 @@ from repro.live.server import IngestServer
 from repro.live.wire import (
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
-    WIRE_PROTOCOLS,
     RpcChannel,
     RpcClosedError,
     RpcDeadlineError,
@@ -87,7 +87,6 @@ __all__ = [
     "TransactionHandle",
     "UpdateLog",
     "WallClock",
-    "WIRE_PROTOCOLS",
     "WireClient",
     "capture_state",
     "connect_with_retry",

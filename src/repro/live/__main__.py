@@ -154,11 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "exponential backoff — a restarting server is "
                          f"re-reached transparently (default "
                          f"{DEFAULT_CONNECT_ATTEMPTS})")
-    loadgen.add_argument("--wire", choices=["jsonl", "binary"],
-                         default="jsonl",
-                         help="client wire protocol (default jsonl; binary "
-                         "sends struct frames behind the magic-preamble "
-                         "handshake — the server negotiates per session)")
     loadgen.add_argument("--cross-shard-frac", type=float, default=0.0,
                          metavar="FRAC",
                          help="rewrite this fraction of multi-read "
@@ -292,7 +287,7 @@ async def _loadgen(args) -> int:
     client_cls = DirectClient if args.direct else WireClient
     client = client_cls(
         args.host, args.port, attempts=args.connect_attempts,
-        on_record=on_record, wire=args.wire,
+        on_record=on_record,
     )
     try:
         await client.connect()

@@ -76,8 +76,9 @@ BURST_HORIZON = 0.002
 @functools.cache
 def _libc_timerfd():
     """``(create, settime, itimerspec)`` bound from libc through ``ctypes``
-    — what ``os.timerfd_*`` is from Python 3.13 on.  Imported on first use:
-    only a process that runs a clock pays for ``ctypes``."""
+    — the syscalls ``os.timerfd_*`` wraps from Python 3.13 on, on every
+    interpreter.  Imported on first use: only a process that runs a clock
+    pays for ``ctypes``."""
     import ctypes
 
     class Timespec(ctypes.Structure):
@@ -118,24 +119,10 @@ class _TimerFd:
     def __init__(self, loop: asyncio.AbstractEventLoop, callback) -> None:
         self._loop = loop
         self._callback = callback
-        if hasattr(os, "timerfd_create"):
-            fd = os.timerfd_create(
-                time.CLOCK_MONOTONIC, flags=os.TFD_NONBLOCK | os.TFD_CLOEXEC
-            )
-            self._set_ns = functools.partial(os.timerfd_settime_ns, fd)
-        else:
-            create, settime, itimerspec = _libc_timerfd()
-            # TFD_NONBLOCK and TFD_CLOEXEC are the O_* values by definition.
-            fd = create(time.CLOCK_MONOTONIC, os.O_NONBLOCK | os.O_CLOEXEC)
-            spec = itimerspec()  # ours for as long as the fd is
-
-            def set_ns(*, initial: int) -> None:
-                spec.it_value.tv_sec, spec.it_value.tv_nsec = divmod(
-                    initial, 1_000_000_000
-                )
-                settime(fd, 0, spec, None)
-
-            self._set_ns = set_ns
+        create, self._settime, itimerspec = _libc_timerfd()
+        # TFD_NONBLOCK and TFD_CLOEXEC are the O_* values by definition.
+        fd = create(time.CLOCK_MONOTONIC, os.O_NONBLOCK | os.O_CLOEXEC)
+        self._spec = itimerspec()  # ours for as long as the fd is
         self._fd = fd
         try:
             loop.add_reader(fd, self._on_readable)
@@ -143,12 +130,17 @@ class _TimerFd:
             os.close(fd)
             raise
 
+    def _set_ns(self, initial: int) -> None:
+        value = self._spec.it_value
+        value.tv_sec, value.tv_nsec = divmod(initial, 1_000_000_000)
+        self._settime(self._fd, 0, self._spec, None)
+
     def arm(self, delay: float) -> None:
         # An all-zero value would disarm: the shortest wait is a nanosecond.
-        self._set_ns(initial=max(1, int(delay * 1e9)))
+        self._set_ns(max(1, int(delay * 1e9)))
 
     def disarm(self) -> None:
-        self._set_ns(initial=0)
+        self._set_ns(0)
 
     def _on_readable(self) -> None:
         try:

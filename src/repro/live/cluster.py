@@ -5,8 +5,8 @@ full single-shard pipeline (a :class:`~repro.live.server.ShardHost` — the
 same start/stop sequence a standalone server runs — on a loopback port),
 behind one public TCP socket served by one
 :class:`~repro.live.plane.RouterPlane` in this process, sharing its router
-and topology.  The public socket speaks the same wire protocols as a
-single server — clients cannot tell the difference.  This module is the
+and topology.  The public socket speaks the same wire as a single
+server — clients cannot tell the difference.  This module is the
 *supervisor* side of that:
 
 * **process supervision**: a shard worker is a ``multiprocessing``
@@ -54,7 +54,6 @@ from repro.live.plane import RouterPlane, ShardDownError
 from repro.live.server import ShardHost
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
-    PROTOCOL_BINARY,
     RpcChannel,
     RpcClosedError,
     RpcError,
@@ -844,9 +843,7 @@ class ShardCluster:
             "127.0.0.1", lambda: self._workers[shard].port
         )
         # Control traffic is rare: flush every request immediately.
-        channel = RpcChannel(
-            reader, writer, protocol=PROTOCOL_BINARY, batch_max=1
-        )
+        channel = RpcChannel(reader, writer, batch_max=1)
         self._control[shard] = channel
         return channel
 

@@ -26,15 +26,12 @@ from repro.live.runtime import LiveRuntime, TransactionHandle
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
     DEFAULT_CONNECT_ATTEMPTS,
-    PROTOCOL_BINARY,
-    PROTOCOL_JSONL,
-    WIRE_PROTOCOLS,
     RpcChannel,
     connect_with_retry,
 )
 from repro.sim.events import Event
 from repro.sim.streams import StreamFamily
-from repro.workload.codec import encode_frame, encode_item
+from repro.workload.codec import encode_frame
 from repro.workload.trace import synthesize
 from repro.workload.transactions import TransactionSpec
 
@@ -287,8 +284,9 @@ class WireClient:
     """A reconnecting client session to a live ingest server.
 
     Holds one :class:`~repro.live.wire.RpcChannel` to a server (or
-    shard-cluster router): stream records go out through its coalescing
-    writer, and every reply that answers no pending call reaches
+    shard-cluster router): stream records go out as binary frames through
+    its coalescing writer (the channel re-sends the preamble on every
+    (re)connection), and every reply that answers no pending call reaches
     ``on_record`` as a dict.  When the peer drops the connection — a
     restarting server, a killed worker — the next :meth:`send` reopens it
     with the same backoff schedule instead of failing the whole stream;
@@ -301,10 +299,6 @@ class WireClient:
         batch_max: Coalescing bound for the write side.
         attempts: Connection attempts per (re)connect before giving up.
         on_record: Optional callback for every reply record (a dict).
-        wire: ``"jsonl"`` (default — interoperates with any server
-            version) or ``"binary"`` (struct frames behind the
-            magic-preamble handshake, which the channel re-sends on every
-            (re)connection).
 
     Attributes:
         channel: The current session, or None before :meth:`connect`.
@@ -319,19 +313,12 @@ class WireClient:
         batch_max: int = DEFAULT_BATCH_MAX,
         attempts: int = DEFAULT_CONNECT_ATTEMPTS,
         on_record: "Callable[[dict], None] | None" = None,
-        wire: str = PROTOCOL_JSONL,
     ) -> None:
-        if wire not in WIRE_PROTOCOLS:
-            raise ValueError(
-                f"unknown wire protocol {wire!r}; expected one of "
-                f"{WIRE_PROTOCOLS}"
-            )
         self.host = host
         self.port = port
         self.batch_max = batch_max
         self.attempts = attempts
         self.on_record = on_record
-        self.wire = wire
         self.reconnects = 0
         self.channel: RpcChannel | None = None
 
@@ -354,8 +341,7 @@ class WireClient:
             self.host, lambda: self.port, attempts=self.attempts
         )
         self.channel = RpcChannel(
-            reader, writer, protocol=self.wire, batch_max=self.batch_max,
-            on_push=self.on_record,
+            reader, writer, batch_max=self.batch_max, on_push=self.on_record,
         )
         if reopening:
             self.reconnects += 1
@@ -369,10 +355,8 @@ class WireClient:
         await self.connect()
         if isinstance(item, dict):
             self.channel.request(item)
-        elif self.wire == PROTOCOL_BINARY:
-            self.channel.post(encode_frame(item))
         else:
-            self.channel.post(encode_item(item).encode("utf-8") + b"\n")
+            self.channel.post(encode_frame(item))
 
     def flush(self) -> None:
         """Flush the coalescing buffer (no-op when disconnected)."""
@@ -424,8 +408,8 @@ class DirectClient:
 
     Args:
         host / port: The *router* address (the cluster's public socket).
-        batch_max / attempts / wire: As for :class:`WireClient`;
-            shared by the router and worker connections.
+        batch_max / attempts: As for :class:`WireClient`; shared by the
+            router and worker connections.
         on_record: Callback for reply records that are not control
             traffic (``topology`` / ``moved`` / ``hello`` records are
             consumed by the client itself).
@@ -451,19 +435,12 @@ class DirectClient:
         batch_max: int = DEFAULT_BATCH_MAX,
         attempts: int = DEFAULT_CONNECT_ATTEMPTS,
         on_record: "Callable[[dict], None] | None" = None,
-        wire: str = PROTOCOL_JSONL,
     ) -> None:
-        if wire not in WIRE_PROTOCOLS:
-            raise ValueError(
-                f"unknown wire protocol {wire!r}; expected one of "
-                f"{WIRE_PROTOCOLS}"
-            )
         self.host = host
         self.port = port
         self.batch_max = batch_max
         self.attempts = attempts
         self.on_record = on_record
-        self.wire = wire
         self.router: ShardRouter | None = None
         self.epoch = -1
         self.direct_sends = 0
@@ -482,7 +459,7 @@ class DirectClient:
     def _client(self, host: str, port: int) -> WireClient:
         return WireClient(
             host, port, batch_max=self.batch_max, attempts=self.attempts,
-            on_record=self._intercept, wire=self.wire,
+            on_record=self._intercept,
         )
 
     async def connect(self, *, timeout: float = 30.0) -> None:

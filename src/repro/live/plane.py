@@ -1,14 +1,14 @@
 """The routing plane: the cluster's data plane.
 
 A :class:`RouterPlane` is everything the cluster's public socket does to
-one client session: it rewrites each ``update`` / ``transaction`` record
-onto its owning shard (stable hash of the global object id, shard-local
-ids on the wire to the worker) and forwards it as binary frames over a
-per-shard loopback-TCP :class:`~repro.live.wire.RpcChannel` — whatever
-the *client* speaks on the outside (negotiated per session by
-:func:`~repro.live.wire.serve_session`), and with a binary client's
-frames routed by field peek and never materialized.  Beyond plain
-forwarding it
+one client session: it rewrites each update / transaction frame onto its
+owning shard (stable hash of the global object id, shard-local ids on the
+wire to the worker) and forwards it over a per-shard loopback-TCP
+:class:`~repro.live.wire.RpcChannel` — routed by field peek, forwarded as
+the bytes the client sent (ids patched), never materialized.  It only
+ever sees raw frames and control dicts: the session's dialect is
+:func:`~repro.live.wire.serve_session`'s business, and a JSON update or
+transaction is refused like any unknown kind.  Beyond plain forwarding it
 
 * **scatter-gathers cross-shard transactions**: a spec whose read-set
   spans shards is split per owner (:meth:`ShardRouter.split_reads`),
@@ -23,7 +23,8 @@ forwarding it
   are counted per shard, mirroring the paper's drop accounting; the
   client session stays up;
 * answers the ``snapshot``, ``register_view`` and ``topology`` control
-  records — the last is the shard map
+  records, echoing a request's ``rid`` on every reply to it — the last
+  is the shard map
   (:meth:`repro.db.sharding.Topology.record`) a smart client needs to
   skip the router hop and dial workers directly (see
   :class:`~repro.live.loadgen.DirectClient` and ``docs/SCALING.md``).
@@ -41,7 +42,6 @@ import asyncio
 import itertools
 import logging
 import struct
-from dataclasses import replace
 
 from repro.config import SimulationConfig
 from repro.core.sharding import merge_verdicts, split_update_run
@@ -49,27 +49,21 @@ from repro.db.sharding import ShardRouter, Topology
 from repro.live.runtime import LatencyTracker
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
-    PROTOCOL_BINARY,
-    PROTOCOL_JSONL,
-    CoalescingWriter,
     RpcChannel,
     RpcDeadlineError,
     RpcError,
     SessionSet,
     connect_with_retry,
-    encode_reply,
     error_record,
+    unknown_kind,
 )
 from repro.workload.codec import (
     TAG_UPDATE,
     check_object_ids,
-    encode_frame,
-    item_from_record,
     peek_spec_budget,
     peek_spec_route,
     reroute_spec_frame,
 )
-from repro.workload.transactions import TransactionSpec
 
 logger = logging.getLogger(__name__)
 
@@ -101,7 +95,7 @@ class ShardDownError(ConnectionError):
 
 
 def _is_update_frame(record) -> bool:
-    """A binary client's update, still the bytes it sent."""
+    """A client's update, still the bytes it sent."""
     return type(record) is bytes and record[0] == TAG_UPDATE
 
 
@@ -186,11 +180,10 @@ class RouterPlane:
     async def handle(self, reader, writer) -> None:
         """One client session: route record batches, relay replies back.
 
-        The session's protocol is negotiated from its first bytes, same
-        as a plain :class:`~repro.live.server.IngestServer` session; it
-        is independent of the (always binary) internal hop — each
-        upstream :class:`RpcChannel` re-frames pushed replies into the
-        client's protocol, and a binary client's update and spec frames
+        The session loop is :func:`~repro.live.wire.serve_session`, same
+        as a plain :class:`~repro.live.server.IngestServer` session; each
+        upstream :class:`RpcChannel` hands pushed replies to the
+        session's reply writer, and the client's update and spec frames
         stay raw end to end: routed by field peek, forwarded
         byte-identical (ids patched), never materialized in the router.
 
@@ -202,10 +195,8 @@ class RouterPlane:
         upstreams: "dict[int, RpcChannel]" = {}
         merges: "set[asyncio.Task]" = set()
 
-        def dispatch(records, downstream, protocol):
-            return self._dispatch_batch(
-                records, downstream, upstreams, protocol, merges
-            )
+        def dispatch(records, downstream):
+            return self._dispatch_batch(records, downstream, upstreams, merges)
 
         # Not ``self.errors += await ...``: that reads the counter before
         # the session runs and would lose every error counted during it.
@@ -242,51 +233,53 @@ class RouterPlane:
                 )
 
     async def _dispatch_batch(
-        self,
-        records,
-        downstream,
-        upstreams,
-        protocol=PROTOCOL_JSONL,
-        merges=None,
+        self, records, downstream, upstreams, merges=None
     ) -> None:
         """Route one decoded wire batch, forward per (shard, batch).
 
-        ``records`` mixes raw update/spec frames (binary sessions), dicts
-        (JSONL lines, JSON frames) and ``Exception`` entries.  A maximal
-        run of raw update frames never meets the per-record ladder: it
-        joins the pending run as it is, and a JSONL client's update joins
-        it as the frame a binary client would have sent, so every update
-        is routed by one :func:`~repro.core.sharding.split_update_run`
-        per run (:meth:`_forward`).  Every transaction goes through
+        ``records`` mixes raw update/spec frames, control dicts (JSONL
+        lines, JSON frames), other decoded JSON values and ``Exception``
+        entries.  A maximal run of raw update frames never meets the
+        per-record ladder: it joins the pending run as it is, so every
+        update is routed by one
+        :func:`~repro.core.sharding.split_update_run` per run
+        (:meth:`_forward`).  Every transaction goes through
         :meth:`_submit_spec` (single-owner pass-through or cross-shard
         scatter-gather), forwarding the run collected so far first so
         the transaction observes every earlier record on each shard's
         connection.  A snapshot request likewise forwards, then answers
         with the merged fleet snapshot; a topology request answers with
         the current shard map.  A malformed record gets its error reply
-        and its neighbors proceed — same per-record error semantics as
-        the unbatched path.
+        (echoing the request's ``rid``) and its neighbors proceed — same
+        per-record error semantics as the unbatched path.
         """
         if merges is None:
             merges = set()
-        route = (downstream, upstreams, protocol)
+        route = (downstream, upstreams)
         run: "list[bytes]" = []
         for raw, group in itertools.groupby(records, _is_update_frame):
             if raw:
                 run.extend(group)
                 continue
             for record in group:
+                rid = None
                 try:
                     if isinstance(record, Exception):
                         raise record
-                    kind = record.get("kind") if isinstance(record, dict) else None
+                    if type(record) is bytes:  # a raw spec frame
+                        await self._forward(run, *route)
+                        await self._submit_spec(record, *route, merges)
+                        continue
+                    if not isinstance(record, dict):
+                        raise unknown_kind(record)
+                    kind = record.get("kind")
+                    rid = record.get("rid")
                     if kind == "topology":
                         self.topology_requests += 1
                         reply = self.topology.record()
-                        rid = record.get("rid")
                         if rid is not None:
                             reply = {**reply, "rid": rid}
-                        downstream.write(encode_reply(reply, protocol))
+                        downstream.reply(reply)
                         continue
                     if kind == "register_view":
                         await self._forward(run, *route)
@@ -304,7 +297,9 @@ class RouterPlane:
                                 "reason": "shard_down",
                                 "message": "no live shard worker answered a snapshot",
                             }
-                        downstream.write(encode_reply(merged, protocol))
+                        if rid is not None:
+                            merged["rid"] = rid
+                        downstream.reply(merged)
                         # Snapshot replies are full fleet results — orders
                         # of magnitude bigger than outcome lines — so they
                         # need the same backpressure point as every other
@@ -312,31 +307,18 @@ class RouterPlane:
                         # the write buffer without bound.
                         await downstream.backpressure()
                         continue
-                    if not isinstance(record, bytes):  # else: a raw spec frame
-                        record = item_from_record(record)
-                    if isinstance(record, (TransactionSpec, bytes)):
-                        await self._forward(run, *route)
-                        await self._submit_spec(record, *route, merges)
-                    else:
-                        check_object_ids(
-                            "update", record.seq, record.klass,
-                            (record.object_id,), self.router.sizes,
-                        )
-                        run.append(encode_frame(record))
+                    raise unknown_kind(record)
                 except (ValueError, KeyError, TypeError, struct.error) as exc:
                     self.errors += 1
                     self.router.note_routing_error()
-                    self._error_reply(downstream, exc, protocol)
+                    downstream.reply(error_record(exc, rid))
         await self._forward(run, *route)
 
-    async def _submit_spec(
-        self, item, downstream, upstreams, protocol, merges
-    ) -> None:
+    async def _submit_spec(self, frame, downstream, upstreams, merges) -> None:
         """Route one transaction: pass-through or cross-shard scatter.
 
-        ``item`` is a :class:`TransactionSpec` or a raw binary
-        ``TAG_SPEC`` frame (binary client — split by field peek, re-id'd
-        by in-place patch, never materialized).
+        ``frame`` is the client's raw ``TAG_SPEC`` frame — split by field
+        peek, re-id'd by in-place patch, never materialized.
 
         A read-set owned by one shard forwards as-is under the client's
         own seq; the worker's outcome pushes straight back.  A read-set
@@ -350,22 +332,8 @@ class RouterPlane:
         """
         router = self.router
         try:
-            if isinstance(item, bytes):
-                klass, seq, reads = peek_spec_route(item)
-                compute_time, slack = peek_spec_budget(item)
-
-                def make_sub(sub_id, local):
-                    return reroute_spec_frame(item, sub_id, local)
-
-            else:
-                klass, seq, reads = item.view_class, item.seq, item.reads
-                compute_time, slack = item.compute_time, item.slack
-
-                def make_sub(sub_id, local):
-                    return encode_frame(
-                        replace(item, seq=sub_id, reads=tuple(local))
-                    )
-
+            klass, seq, reads = peek_spec_route(frame)
+            compute_time, slack = peek_spec_budget(frame)
             check_object_ids("transaction", seq, klass, reads, router.sizes)
             split = (
                 router.split_reads(klass, reads)
@@ -375,36 +343,34 @@ class RouterPlane:
         except ValueError as exc:
             self.errors += 1
             router.note_routing_error()
-            self._error_reply(downstream, exc, protocol)
+            downstream.reply(error_record(exc))
             return
         self.records_received += 1
         if len(split) == 1:
             shard, local = next(iter(split.items()))
             router.note_transaction_routed(shard)
             if self.topology.status_of(shard) != "up":
-                self._shed(shard, 1, downstream, protocol)
+                self._shed(shard, 1, downstream)
                 return
             try:
-                channel = await self._upstream(
-                    shard, downstream, upstreams, protocol
-                )
-                channel.post(make_sub(seq, local))
+                channel = await self._upstream(shard, downstream, upstreams)
+                channel.post(reroute_spec_frame(frame, seq, local))
                 await channel.backpressure()
             except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError):
-                self._shed(shard, 1, downstream, protocol)
+                self._shed(shard, 1, downstream)
             return
         down = [s for s in split if self.topology.status_of(s) != "up"]
         if down:
-            self._shed(down[0], 1, downstream, protocol)
+            self._shed(down[0], 1, downstream)
             return
         channels = {}
         try:
             for shard in split:
                 channels[shard] = await self._upstream(
-                    shard, downstream, upstreams, protocol
+                    shard, downstream, upstreams
                 )
         except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError):
-            self._shed(shard, 1, downstream, protocol)
+            self._shed(shard, 1, downstream)
             return
         self.cross_shard_submits += 1
         subs = []
@@ -412,7 +378,7 @@ class RouterPlane:
             channel = channels[shard]
             rid = _RID_BASE + next(self._rid)
             channel.expect(rid)
-            channel.post(make_sub(rid, local))
+            channel.post(reroute_spec_frame(frame, rid, local))
             channel.flush()
             router.note_transaction_routed(shard)
             self.fanout_sub_reads[shard] += 1
@@ -428,14 +394,12 @@ class RouterPlane:
             + _RPC_GRACE
         )
         task = asyncio.ensure_future(
-            self._gather_verdict(seq, subs, timeout, downstream, protocol)
+            self._gather_verdict(seq, subs, timeout, downstream)
         )
         merges.add(task)
         task.add_done_callback(merges.discard)
 
-    async def _gather_verdict(
-        self, seq, subs, timeout, downstream, protocol
-    ) -> None:
+    async def _gather_verdict(self, seq, subs, timeout, downstream) -> None:
         """Await every sub-read, merge the verdicts, reply to the client.
 
         The firm deadline is enforced across the *slowest* shard: all
@@ -488,12 +452,10 @@ class RouterPlane:
             "finish_time": verdict["finish_time"],
             "fanout": len(subs),
         }
-        downstream.write(encode_reply(reply, protocol))
+        downstream.reply(reply)
         await downstream.backpressure()
 
-    async def _register_view(
-        self, record, downstream, upstreams, protocol
-    ) -> None:
+    async def _register_view(self, record, downstream, upstreams) -> None:
         """Broadcast one view registration to every shard; ack once.
 
         A derived view over a sharded keyspace is only correct when
@@ -508,51 +470,49 @@ class RouterPlane:
         processes only; a worker restart comes back without them.
         """
         client_rid = record.get("rid")
+        view = dict(record.get("view") or {})  # refused here, not by N shards
         down = [
             shard for shard in range(self.shards)
             if self.topology.status_of(shard) != "up"
         ]
         if down:
-            self._shed(down[0], 1, downstream, protocol)
+            self._shed(down[0], 1, downstream, client_rid)
             return
         subs = []
         try:
             for shard in range(self.shards):
-                channel = await self._upstream(
-                    shard, downstream, upstreams, protocol
-                )
+                channel = await self._upstream(shard, downstream, upstreams)
                 rid = _RID_BASE + next(self._rid)
                 channel.expect(rid)
                 channel.request({**record, "rid": rid})
                 channel.flush()
                 subs.append((shard, rid, channel))
         except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError):
-            self._shed(shard, 1, downstream, protocol)
+            self._shed(shard, 1, downstream, client_rid)
             return
         reply = {
             "kind": "view-registered",
-            "name": (record.get("view") or {}).get("name"),
+            "name": view.get("name"),
             "shards": len(subs),
         }
         for shard, rid, channel in subs:
             try:
                 await channel.result(rid, timeout=_VIEW_ACK_TIMEOUT)
             except RpcError as exc:
+                if reply["kind"] == "error":
+                    continue  # collected all the same; the first one answers
                 self.errors += 1
                 reply = {
                     "kind": "error",
                     "shard": shard,
                     "message": getattr(exc, "message", str(exc)),
                 }
-                break
         if client_rid is not None:
             reply["rid"] = client_rid
-        downstream.write(encode_reply(reply, protocol))
+        downstream.reply(reply)
         await downstream.backpressure()
 
-    async def _forward(
-        self, run, downstream, upstreams, protocol=PROTOCOL_JSONL
-    ) -> None:
+    async def _forward(self, run, downstream, upstreams) -> None:
         """Split the pending update run by shard; one write per shard.
 
         ``run`` — update frames with global ids, the fire-and-forget
@@ -566,55 +526,45 @@ class RouterPlane:
             return
         def on_error(_frame, exc):
             self.errors += 1
-            self._error_reply(downstream, exc, protocol)
+            downstream.reply(error_record(exc))
         by_shard = split_update_run(self.router, b"".join(run), on_error)
         run.clear()
         for shard, (payload, count) in by_shard.items():
             self.records_received += count
             if self.topology.status_of(shard) != "up":
-                self._shed(shard, count, downstream, protocol)
+                self._shed(shard, count, downstream)
                 continue
             try:
-                channel = await self._upstream(
-                    shard, downstream, upstreams, protocol
-                )
+                channel = await self._upstream(shard, downstream, upstreams)
                 channel.post(payload, count)
                 await channel.backpressure()
             except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError):
-                self._shed(shard, count, downstream, protocol)
+                self._shed(shard, count, downstream)
 
-    def _shed(self, shard: int, count: int, downstream, protocol) -> None:
+    def _shed(self, shard: int, count: int, downstream, rid=None) -> None:
         """Account and reply for records dropped on a down shard.
 
         The cluster analogue of the paper's OSmax drop: the records are
         lost by design, the loss is *counted* (per shard, in
         ``extras["shed_shard_down"]``), and the sender is
-        told with a typed outcome instead of a killed session.
+        told with a typed outcome instead of a killed session — one
+        reply per record, encoded once.  A shed control request's reply
+        echoes its ``rid``.
         """
         self.shed_shard_down[shard] += count
-        reply = encode_reply(
-            {"kind": "error", "reason": "shard_down", "shard": shard},
-            protocol,
-        )
-        for _ in range(count):
-            downstream.write(reply)
+        reply = {"kind": "error", "reason": "shard_down", "shard": shard}
+        if rid is not None:
+            reply["rid"] = rid
+        downstream.reply(reply, count)
 
-    @staticmethod
-    def _error_reply(
-        downstream: CoalescingWriter, exc: Exception, protocol
-    ) -> None:
-        downstream.write(encode_reply(error_record(exc), protocol))
-
-    async def _upstream(
-        self, shard: int, downstream, upstreams, protocol
-    ) -> RpcChannel:
+    async def _upstream(self, shard: int, downstream, upstreams) -> RpcChannel:
         """This client's RPC channel to one shard, opened on first use.
 
         The channel speaks binary frames (it opens with the preamble);
         worker replies that match a pending cross-shard
         sub-read resolve its future, and everything else — pass-through
         outcomes, worker error frames — pushes straight back to the
-        client, re-encoded into the session's protocol.  A cached
+        client through the session's reply writer.  A cached
         channel that is closing belongs to a dead (or restarted) worker
         incarnation; it is discarded (its failure, if any, counted) and
         reopened against the worker's *current* port —
@@ -636,16 +586,9 @@ class RouterPlane:
             self.topology.host_of(shard),
             lambda: self.topology.port_of(shard),
         )
-
-        def push_reply(record, _down=downstream, _proto=protocol):
-            _down.write(encode_reply(record, _proto))
-
         channel = RpcChannel(
-            up_reader,
-            up_writer,
-            protocol=PROTOCOL_BINARY,
-            batch_max=self.batch_max,
-            on_push=push_reply,
+            up_reader, up_writer, batch_max=self.batch_max,
+            on_push=downstream.reply,
         )
         upstreams[shard] = channel
         return channel

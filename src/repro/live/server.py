@@ -1,16 +1,22 @@
-"""Network ingest for the live runtime: JSONL or binary frames over TCP.
+"""Network ingest for the live runtime: binary frames and JSON control
+records over TCP.
 
-The founding wire format is exactly the trace JSONL format
-(:mod:`repro.workload.trace`), one record per line:
+A session's dialect is decided in :mod:`repro.live.wire`.  The data
+records are binary frames (:mod:`repro.workload.codec`) behind the
+:data:`~repro.workload.codec.WIRE_PREAMBLE`:
 
-* ``{"kind": "update", ...}`` — delivered to :meth:`LiveRuntime.ingest`.
+* an update frame — delivered to :meth:`LiveRuntime.ingest_batch`.
   Fire-and-forget, like the paper's stream: a dropped update is accounted
   (``OSmax``) but never NACKed to the sender.
-* ``{"kind": "transaction", ...}`` — submitted to the scheduler.  When the
+* a transaction-spec frame — submitted to the scheduler.  When the
   controller finishes it, the server writes back
   ``{"kind": "outcome", "seq": ..., "outcome": "committed" | "missed" |
   "aborted-stale" | "rejected", "read_stale": ...}``.
-* ``{"kind": "snapshot"}`` — replies with one full metrics snapshot line
+
+Control records are JSON, as JSON frames on a binary session or as lines
+on a JSONL one (the ``nc``-able control dialect):
+
+* ``{"kind": "snapshot"}`` — replies with one full metrics snapshot
   (the same record :class:`~repro.live.observe.MetricsStreamer` emits).
 
 Every reply is a valid :class:`~repro.live.wire.RpcChannel` frame: an
@@ -18,36 +24,28 @@ outcome correlates by ``seq``, and a snapshot or error reply echoes the
 request's ``rid`` field when the client sent one, so a caller multiplexing
 requests over one session can match replies without ordering assumptions.
 
-Malformed lines get an ``{"kind": "error", ...}`` reply and the connection
-stays up — so does a well-formed record that names an object outside its
-partition (``"reason": "bad_object_id"``, with the ``seq`` of a refused
-transaction): it is counted in ``errors`` only and never reaches the
-runtime.  A client that disconnects mid-flight simply stops receiving
-outcomes (the transactions it submitted still run to completion).
+A malformed record, a JSON record of an unknown kind — an ``update`` or
+``transaction`` in JSON included — and a well-formed record that names an
+object outside its partition (``"reason": "bad_object_id"``, with the
+``seq`` of a refused transaction) each get an ``{"kind": "error", ...}``
+reply and the connection stays up: the record is counted in ``errors``
+only and never reaches the runtime.  A client that disconnects mid-flight
+simply stops receiving outcomes (the transactions it submitted still run
+to completion).
 
 The server reads and writes in *batches* (see :mod:`repro.live.wire`):
 arrivals are delivered in quanta of at most ``batch_max`` records — one
-batched ``json.loads`` (or one pass of frame decoding) per quantum,
-consecutive updates through :meth:`LiveRuntime.ingest_batch`, then the
+pass of frame decoding per quantum, consecutive updates through
+:meth:`LiveRuntime.ingest_batch`, then the
 scheduling point (:meth:`WallClock.dispatch_due
 <repro.live.clock.WallClock.dispatch_due>`: burst completions that have
 come due fire, the controller dispatches) and one yield to the event loop
 before the next quantum — and replies coalesce through
 a :class:`~repro.live.wire.CoalescingWriter`.  What has not been read
-yet waits in the socket.  A batch is just N newline-delimited records in
-one write, so per-record clients interoperate unchanged in both
-directions.  All records in one quantum share a single delivery instant
-(``clock.now`` sampled once per quantum) — the quantum *is* the arrival
-burst.
-
-Each session additionally **negotiates its protocol** from its first
-bytes (:func:`~repro.live.wire.negotiate_protocol`): a session that opens
-with the :data:`~repro.workload.codec.WIRE_PREAMBLE` magic speaks the
-length-prefixed binary frame format of
-:class:`~repro.workload.codec.BinaryCodec` instead of JSONL — same
-records, same semantics, same reply kinds (replies travel as JSON frame
-bodies), minus the per-record JSON tax.  JSONL and binary sessions coexist
-behind one listening socket.
+yet waits in the socket.  A batch is just N frames in one write, so
+per-record clients interoperate unchanged in both directions.  All
+records in one quantum share a single delivery instant (``clock.now``
+sampled once per quantum) — the quantum *is* the arrival burst.
 
 **Smart clients** (see ``docs/SCALING.md``) add three control records:
 
@@ -86,14 +84,13 @@ from repro.live.durability import DurabilityManager, ReplayStats
 from repro.live.runtime import LiveRuntime
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
-    PROTOCOL_JSONL,
     CoalescingWriter,
     SessionSet,
-    encode_reply,
     error_record,
+    unknown_kind,
 )
 from repro.metrics.results import SimulationResult
-from repro.workload.codec import check_object_ids, item_from_record
+from repro.workload.codec import check_object_ids
 from repro.workload.transactions import TransactionSpec
 
 
@@ -228,8 +225,8 @@ class IngestServer:
         self.connections += 1
         session = _SessionState()
 
-        def dispatch(records, replies, protocol) -> None:
-            self._dispatch_batch(records, replies, protocol, session)
+        def dispatch(records, replies) -> None:
+            self._dispatch_batch(records, replies, session)
 
         # Not ``self.errors += await ...``: that reads the counter before
         # the session runs and would lose every error counted during it.
@@ -242,14 +239,14 @@ class IngestServer:
         self,
         records: list,
         replies: CoalescingWriter,
-        protocol: str = PROTOCOL_JSONL,
         session: "_SessionState | None" = None,
     ) -> None:
         """Deliver one decoded wire batch (an ingest quantum) in order.
 
-        ``records`` mixes dicts (JSONL lines, JSON frames), already-built
-        :class:`Update` / :class:`TransactionSpec` instances (binary
-        frames), and ``Exception`` entries for malformed records.
+        ``records`` mixes :class:`Update` / :class:`TransactionSpec`
+        instances (binary frames), control dicts (JSONL lines, JSON
+        frames), and ``Exception`` entries for malformed records; any
+        other JSON record is refused with an error reply.
         Consecutive updates within the batch collapse into one
         :meth:`LiveRuntime.ingest_batch` call; a transaction or snapshot
         record flushes the pending updates first, so every record observes
@@ -272,7 +269,7 @@ class IngestServer:
             session is not None and session.direct and topology is not None
             and session.epoch != topology.epoch
         ):
-            self._stale_advisory(session, replies, protocol)
+            self._stale_advisory(session, replies)
         # The whole batch is delivered in one loop turn: it shares one
         # delivery instant, exactly like a burst in the paper's stream.
         now = runtime.clock.now
@@ -282,13 +279,13 @@ class IngestServer:
             # Fires synchronously when the controller (or the reject
             # path) lands the outcome — the RPC reply for one submitted
             # transaction, correlated by its seq.
-            self._reply(replies, {
+            replies.reply({
                 "kind": "outcome",
                 "seq": handle.spec.seq,
                 "outcome": handle.outcome,
                 "read_stale": handle.read_stale,
                 "finish_time": handle.finish_time,
-            }, protocol)
+            })
 
         for record in records:
             rid = None
@@ -298,11 +295,10 @@ class IngestServer:
                 if isinstance(record, (Update, TransactionSpec)):
                     item = record
                 else:
-                    if isinstance(record, dict):
-                        kind = record.get("kind")
-                        rid = record.get("rid")
-                    else:
-                        kind = None
+                    if not isinstance(record, dict):
+                        raise unknown_kind(record)
+                    kind = record.get("kind")
+                    rid = record.get("rid")
                     if kind == "snapshot":
                         if updates:
                             runtime.ingest_batch(updates)
@@ -311,16 +307,14 @@ class IngestServer:
                         if rid is not None:
                             reply["rid"] = rid
                         reply.update(asdict(runtime.snapshot()))
-                        self._reply(
-                            replies, self.attach_direct(reply), protocol
-                        )
+                        replies.reply(self.attach_direct(reply))
                         continue
                     if kind == "topology":
                         self.topology_requests += 1
                         reply = self._topology_record()
                         if rid is not None:
                             reply = {**reply, "rid": rid}
-                        self._reply(replies, reply, protocol)
+                        replies.reply(reply)
                         continue
                     if kind == "register_view":
                         # Flush pending updates first so the new view's
@@ -329,14 +323,12 @@ class IngestServer:
                         if updates:
                             runtime.ingest_batch(updates)
                             updates.clear()
-                        runtime.register_view(dict(record.get("view") or {}))
-                        reply = {
-                            "kind": "view-registered",
-                            "name": record.get("view", {}).get("name"),
-                        }
+                        view = dict(record.get("view") or {})
+                        runtime.register_view(view)
+                        reply = {"kind": "view-registered", "name": view.get("name")}
                         if rid is not None:
                             reply["rid"] = rid
-                        self._reply(replies, reply, protocol)
+                        replies.reply(reply)
                         continue
                     if kind == "hello":
                         self.hello_records += 1
@@ -350,7 +342,7 @@ class IngestServer:
                         }
                         if rid is not None:
                             reply["rid"] = rid
-                        self._reply(replies, reply, protocol)
+                        replies.reply(reply)
                         if (
                             session is not None and session.direct
                             and topology is not None
@@ -360,9 +352,9 @@ class IngestServer:
                             # advise now, not at the *next* batch, so a
                             # hello+records burst gets its refresh ahead
                             # of the records that follow it here.
-                            self._stale_advisory(session, replies, protocol)
+                            self._stale_advisory(session, replies)
                         continue
-                    item = item_from_record(record)
+                    raise unknown_kind(record)
                 direct = (
                     session is not None and session.direct
                     and topology is not None
@@ -388,10 +380,10 @@ class IngestServer:
                     )
             except (ValueError, KeyError, TypeError) as exc:
                 self.errors += 1
-                self._reply(replies, error_record(exc, rid), protocol)
+                replies.reply(error_record(exc, rid))
                 continue
             if direct:
-                item = self._localize_direct(item, replies, protocol)
+                item = self._localize_direct(item, replies)
                 if item is None:
                     continue
                 self.direct_records += 1
@@ -417,18 +409,18 @@ class IngestServer:
         if self._scheduling_point is not None:
             self._scheduling_point()
 
-    def _stale_advisory(self, session, replies, protocol) -> None:
+    def _stale_advisory(self, session, replies) -> None:
         """Tell a direct session its shard map is stale — once per epoch
         change, with the fresh topology embedded for a free refresh."""
         topology = self.topology
         self.stale_epoch_redirects += 1
-        self._reply(replies, {
+        replies.reply({
             "kind": "moved",
             "reason": "stale_epoch",
             "shard": self.index,
             "epoch": topology.epoch,
             "topology": topology.record(),
-        }, protocol)
+        })
         session.epoch = topology.epoch
 
     def _topology_record(self) -> dict:
@@ -455,7 +447,7 @@ class IngestServer:
             }],
         )
 
-    def _localize_direct(self, item, replies, protocol):
+    def _localize_direct(self, item, replies):
         """Ownership-check one direct record; translate ids or redirect.
 
         Returns the shard-local item to deliver, or ``None`` when the
@@ -468,7 +460,7 @@ class IngestServer:
         if isinstance(item, Update):
             owner = router.shard_of(item.klass, item.object_id)
             if owner != index:
-                self._moved(replies, protocol, owner=owner)
+                self._moved(replies, owner=owner)
                 return None
             item.object_id = router.local_id(item.klass, item.object_id)
             return item
@@ -479,7 +471,7 @@ class IngestServer:
             if owners != {index}:
                 foreign = next(iter(owners - {index}))
                 self._moved(
-                    replies, protocol, owner=foreign, seq=item.seq,
+                    replies, owner=foreign, seq=item.seq,
                     reason="cross_shard" if len(owners) > 1 else "misrouted",
                 )
                 return None
@@ -489,13 +481,11 @@ class IngestServer:
             return replace(item, reads=local)
         owner = router.hash_shard(item.seq)
         if owner != index:
-            self._moved(replies, protocol, owner=owner, seq=item.seq)
+            self._moved(replies, owner=owner, seq=item.seq)
             return None
         return item
 
-    def _moved(
-        self, replies, protocol, *, owner, seq=None, reason="misrouted"
-    ) -> None:
+    def _moved(self, replies, *, owner, seq=None, reason="misrouted") -> None:
         """Drop one direct record with a typed redirect.
 
         The reply names the owning shard and the current epoch, and
@@ -513,15 +503,7 @@ class IngestServer:
         }
         if seq is not None:
             reply["seq"] = seq
-        self._reply(replies, reply, protocol)
-
-    @staticmethod
-    def _reply(
-        replies: CoalescingWriter,
-        record: dict,
-        protocol: str = PROTOCOL_JSONL,
-    ) -> None:
-        replies.write(encode_reply(record, protocol))
+        replies.reply(reply)
 
 
 class ShardHost:

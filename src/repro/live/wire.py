@@ -1,4 +1,4 @@
-"""Coalesced JSONL wire I/O for the live stack.
+"""Wire I/O for the live stack: sessions, dialects, coalescing and RPC.
 
 The PR-2/PR-3 ingest path paid one transport ``write`` (a syscall on a
 selector transport with an empty buffer) and one awaited ``drain()`` per
@@ -6,7 +6,7 @@ record, at every hop: server replies, router forwarding, outcome
 pump-back.  Under the paper's bursty update streams that is the dominant
 cost — not the scheduler.  This module concentrates the fix:
 
-* :class:`CoalescingWriter` buffers encoded lines and hands the
+* :class:`CoalescingWriter` buffers encoded records and hands the
   transport one contiguous payload per *batch*, flushed when the buffer
   reaches a record/byte bound or when the event-loop turn that first
   wrote to it ends — the batch is whatever one turn produced (a session
@@ -14,9 +14,10 @@ cost — not the scheduler.  This module concentrates the fix:
   landed), and it leaves when that turn does, not on a timer.
   ``drain()`` is awaited only when the transport reports a write buffer
   over its high-water mark — the only case where it would actually wait.
-* :func:`iter_line_batches` is the read-side dual: instead of one
-  ``readline`` round trip per record, each socket wakeup yields the
-  complete lines already buffered, ready for one batched decode.
+* :func:`iter_frame_batches` (:func:`iter_line_batches` on a JSONL
+  session) is the read-side dual: instead of one read per record, each
+  socket wakeup yields the complete records already buffered, ready for
+  one batched decode.
 
 ``batch_max`` bounds both directions: replies coalesce up to that many
 records per write, and :func:`serve_session` delivers arrivals in quanta
@@ -25,26 +26,30 @@ the event loop after each — so the scheduler gets its turn between
 quanta and whatever the server has not read yet waits in the socket (TCP
 backpressure, not read-ahead).
 
-The wire format itself is unchanged: a batch is exactly N
-newline-delimited JSON records in one write, so an old per-record peer
+A batch is exactly N records in one write, so a per-record peer
 interoperates with a coalescing one in either direction.
 
 :func:`connect_with_retry` is the shared connection primitive for peers
 that must survive a restarting endpoint (exponential backoff + jitter,
 bounded attempts, per-attempt timeout) — see ``docs/RESILIENCE.md``.
 
-Since PR 6 the wire speaks **two protocols** behind one socket:
+One socket speaks **two dialects**, and this module alone decides which
+one a session speaks:
 
-* ``jsonl`` — the original newline-delimited JSON records;
-* ``binary`` — length-prefixed ``struct``-packed frames
-  (:class:`repro.workload.codec.BinaryCodec`), selected by a 5-byte
-  magic+version preamble as the first bytes of a session.
+* **binary frames** — the data dialect.  Updates and transactions cross
+  a socket only as length-prefixed ``struct`` frames
+  (:mod:`repro.workload.codec`) behind a 5-byte magic+version preamble;
+  control records and replies ride along as JSON frames.
+* **JSONL** — the control dialect: newline-delimited JSON records an
+  operator can type into ``nc`` (``snapshot``, ``topology``,
+  ``register_view``, ``hello``).  An ``update`` or ``transaction``
+  record in JSON — a line or a JSON frame — is refused like any unknown
+  kind (:func:`unknown_kind`).
 
-:func:`negotiate_protocol` is the server side of that handshake: it
-peeks one byte, and a byte that cannot start a JSONL line selects the
-binary decoder for the rest of the session.  JSONL clients, recorded
-traces, and old load generators interoperate unchanged — they simply
-never send the magic.
+:func:`negotiate_protocol` peeks one byte — the magic's first byte
+cannot start a JSON line — and :func:`serve_session` fixes the outcome on
+the session's reply writer (:meth:`CoalescingWriter.reply`), so the
+doors above it never see a dialect.
 
 Since PR 8 the reply direction is a real **RPC layer**:
 :class:`RpcChannel` owns one session's writer *and* reader, matches
@@ -100,12 +105,10 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 #: perturbs the module-level `random` state the workload draws depend on.
 _BACKOFF_RNG = random.Random()
 
-#: Wire protocol names, as accepted by ``loadgen --wire`` and the client
-#: constructors.  ``jsonl`` is the founding newline-delimited protocol;
-#: ``binary`` is the struct-framed fast path.
+#: Session dialects, as :func:`negotiate_protocol` names them: ``jsonl``
+#: is the control dialect, ``binary`` the data dialect.
 PROTOCOL_JSONL = "jsonl"
 PROTOCOL_BINARY = "binary"
-WIRE_PROTOCOLS = (PROTOCOL_JSONL, PROTOCOL_BINARY)
 
 
 class WireProtocolError(ConnectionError):
@@ -170,6 +173,14 @@ def encode_reply(record: dict, protocol: str) -> bytes:
     if protocol == PROTOCOL_BINARY:
         return encode_json_frame(payload)
     return payload + b"\n"
+
+
+def unknown_kind(record) -> ValueError:
+    """The refusal of a JSON record no door serves: an unknown kind, or an
+    update or transaction, which travel only as binary frames."""
+    kind = record.get("kind") if isinstance(record, dict) else None
+    return ValueError(f"not a control record: kind {kind!r} (updates and "
+                      "transactions travel only as binary frames)")
 
 
 def error_record(exc: Exception, rid=None) -> dict:
@@ -257,7 +268,7 @@ class CoalescingWriter:
     runs once everything already scheduled for this turn has: the rest of
     a session quantum up to its scheduling point, the rest of a clock
     dispatch).  Nothing waits on wall-clock time, so a reply spends no
-    part of its transaction's slack parked here.  All buffered lines
+    part of its transaction's slack parked here.  All buffered records
     reach the transport in ``write`` order.
 
     Args:
@@ -267,13 +278,15 @@ class CoalescingWriter:
             the reference the parity tests compare batching against).
 
     Attributes:
-        records: Lines accepted so far.
+        records: Records accepted so far.
         flushes: Coalesced payloads handed to the transport.
+        protocol: The dialect :meth:`reply` encodes in — binary frames
+            unless :func:`serve_session` negotiated a JSONL session.
     """
 
     __slots__ = ("_writer", "_transport", "_batch_max",
                  "_buffer", "_bytes", "_pending", "_turn_end",
-                 "records", "flushes")
+                 "records", "flushes", "protocol")
 
     def __init__(
         self,
@@ -290,6 +303,7 @@ class CoalescingWriter:
         self._turn_end: asyncio.Handle | None = None
         self.records = 0
         self.flushes = 0
+        self.protocol = PROTOCOL_BINARY
 
     @property
     def is_closing(self) -> bool:
@@ -301,19 +315,24 @@ class CoalescingWriter:
         """
         return self._transport.is_closing()
 
-    def write(self, line: bytes) -> None:
-        """Buffer one newline-terminated line; flush on a full batch."""
-        self._push(line, 1)
+    def write(self, record: bytes) -> None:
+        """Buffer one encoded record; flush on a full batch."""
+        self._push(record, 1)
 
     def write_batch(self, payload: bytes, records: int) -> None:
-        """Buffer a pre-coalesced payload of ``records`` complete lines.
+        """Buffer a pre-coalesced payload of ``records`` complete records.
 
         Used where a whole batch is encoded in one go (e.g. the router's
-        per-shard forwarding): the payload still counts ``records`` lines
-        toward the batch bound, so latency behavior matches ``records``
-        individual :meth:`write` calls.
+        per-shard forwarding): the payload still counts ``records``
+        records toward the batch bound, so latency behavior matches
+        ``records`` individual :meth:`write` calls.
         """
         self._push(payload, records)
+
+    def reply(self, record: dict, count: int = 1) -> None:
+        """Buffer one JSON record in this session's dialect — ``count``
+        copies of it (a shed run's replies), encoded once."""
+        self._push(encode_reply(record, self.protocol) * count, count)
 
     def _push(self, payload: bytes, records: int) -> None:
         self.records += records
@@ -462,14 +481,6 @@ async def iter_frame_batches(
             records = decoder.take(limit)
 
 
-async def _jsonl_record_batches(
-    reader: asyncio.StreamReader, leftover: bytes, limit: int
-):
-    """JSONL sessions as decoded-record batches (the frame-batch dual)."""
-    async for lines in iter_line_batches(reader, initial=leftover, limit=limit):
-        yield decode_lines(lines)
-
-
 async def serve_session(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -483,10 +494,11 @@ async def serve_session(
 
     The session loop every listening socket of the live stack runs — a
     shard's :class:`~repro.live.server.IngestServer` and a
-    :class:`~repro.live.plane.RouterPlane` alike: negotiate the protocol,
-    then deliver arrivals in bounded quanta — at most ``batch_max``
-    records (decoded frames or decoded JSONL lines), decoded just in time,
-    handed to ``dispatch(records, replies, protocol)`` in wire order —
+    :class:`~repro.live.plane.RouterPlane` alike: negotiate the dialect
+    and fix it on the reply writer, then deliver arrivals in bounded
+    quanta — at most ``batch_max`` records (decoded frames or decoded
+    JSONL lines), decoded just in time, handed to
+    ``dispatch(records, replies)`` in wire order —
     with reply backpressure and **one yield to the event loop after every
     quantum**.  The paper's scheduling point (§3.1) under load is the end
     of ``dispatch`` itself — an ingest server finishes each quantum by
@@ -520,17 +532,19 @@ async def serve_session(
     replies = CoalescingWriter(writer, batch_max=batch_max)
     errors = 0
     try:
-        protocol, leftover = await negotiate_protocol(reader)
+        replies.protocol, leftover = await negotiate_protocol(reader)
         quantum = max(1, batch_max)
-        if protocol == PROTOCOL_BINARY:
+        if replies.protocol == PROTOCOL_BINARY:
             batches = iter_frame_batches(
                 reader, raw_updates=raw_frames, raw_specs=raw_frames,
                 limit=quantum,
             )
-        else:
-            batches = _jsonl_record_batches(reader, leftover, quantum)
+        else:  # a control session: JSON lines, decoded a wakeup at a time
+            batches = (decode_lines(lines) async for lines in iter_line_batches(
+                reader, initial=leftover, limit=quantum
+            ))
         async for records in batches:
-            pending = dispatch(records, replies, protocol)
+            pending = dispatch(records, replies)
             if pending is not None:
                 await pending
             await replies.backpressure()
@@ -638,8 +652,8 @@ class RpcClosedError(RpcError):
 class RpcChannel:
     """Correlation-id request/reply matching over one wire session.
 
-    Owns both directions of a connection to a peer that replies with JSON
-    records (in either wire protocol): stream records and requests go out
+    Owns both directions of a binary session to a peer that replies with
+    JSON frames: stream records and requests go out (after the preamble)
     through a :class:`CoalescingWriter`; one reader task matches every
     incoming record against the pending-call table and hands the rest —
     the pass-through reply stream — to ``on_push``.  This replaces the
@@ -654,14 +668,14 @@ class RpcChannel:
 
     Args:
         reader/writer: The connected session (the channel writes the
-            binary preamble itself when ``protocol`` is binary).
-        protocol: ``jsonl`` or ``binary`` — both what the peer reads and
-            how its JSON replies come back.
+            binary preamble itself).
         on_push: Callback for reply records that match no pending call.
         batch_max: Outbound coalescing bound.
-        flush_us: Accepted and ignored — there is no flush deadline any
-            more; ``benchmarks/spine/layers.py`` still passes it, and the
-            next ``[benchmark]`` PR drops both.
+        protocol / flush_us: Accepted for ``benchmarks/spine/layers.py``,
+            which still passes both: ``protocol`` must be
+            :data:`PROTOCOL_BINARY`, and ``flush_us`` is ignored — there
+            is no flush deadline any more.  ROADMAP 1(vii)'s
+            ``[benchmark]`` PR drops both.
 
     Attributes:
         failure: The unexpected exception that ended the reader task, if
@@ -669,7 +683,7 @@ class RpcChannel:
             these, exactly as they counted pump failures.
     """
 
-    __slots__ = ("protocol", "failure", "_writer", "_pending", "_on_push",
+    __slots__ = ("failure", "_writer", "_pending", "_on_push",
                  "_reader_task", "_closed")
 
     def __init__(
@@ -677,15 +691,17 @@ class RpcChannel:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         *,
-        protocol: str,
+        protocol: str = PROTOCOL_BINARY,
         batch_max: int = DEFAULT_BATCH_MAX,
         flush_us: "float | None" = None,
         on_push: "Callable[[dict], None] | None" = None,
     ) -> None:
-        self.protocol = protocol
+        if protocol != PROTOCOL_BINARY:
+            raise ValueError(
+                f"an RPC channel speaks binary frames only, not {protocol!r}"
+            )
         self.failure: Exception | None = None
-        if protocol == PROTOCOL_BINARY:
-            writer.write(WIRE_PREAMBLE)
+        writer.write(WIRE_PREAMBLE)
         self._writer = CoalescingWriter(writer, batch_max=batch_max)
         self._pending: dict[object, asyncio.Future] = {}
         self._on_push = on_push
@@ -712,8 +728,8 @@ class RpcChannel:
         self._writer.write_batch(payload, records)
 
     def request(self, record: dict) -> None:
-        """Send one JSON request record in the session's protocol."""
-        self._writer.write(encode_reply(record, self.protocol))
+        """Send one JSON request record (a JSON frame)."""
+        self._writer.reply(record)
 
     def flush(self) -> None:
         """Flush the outbound coalescing buffer now."""
@@ -797,16 +813,10 @@ class RpcChannel:
     # -- inbound --------------------------------------------------------
     async def _read_replies(self, reader: asyncio.StreamReader) -> None:
         try:
-            if self.protocol == PROTOCOL_BINARY:
-                async for records in iter_frame_batches(reader):
-                    for record in records:
-                        if isinstance(record, dict):
-                            self._deliver(record)
-            else:
-                async for lines in iter_line_batches(reader):
-                    for record in decode_lines(lines):
-                        if isinstance(record, dict):
-                            self._deliver(record)
+            async for records in iter_frame_batches(reader):
+                for record in records:
+                    if isinstance(record, dict):
+                        self._deliver(record)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # peer went away: same outcome as EOF
         except Exception as exc:  # corrupt frame header etc. — typed close

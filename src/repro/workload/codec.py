@@ -1,13 +1,12 @@
-"""Schema-specialized fast codec for the trace/wire JSONL format.
+"""The record codecs: JSONL traces and control lines, binary wire frames.
 
-The on-disk trace format and the live wire protocol are the same JSONL
-schema (:mod:`repro.workload.trace`): one JSON object per line, tagged
-``"kind": "update" | "transaction"``.  The generic path — a dict build
-plus one ``json.dumps`` per record on the way out, one ``json.loads``
-plus an ``Enum`` call per record on the way in — is the per-record tax
-this module removes:
+The on-disk trace format is JSONL (:mod:`repro.workload.trace`): one JSON
+object per line, tagged ``"kind": "update" | "transaction"``.  The
+generic path — a dict build plus one ``json.dumps`` per record on the way
+out, one ``json.loads`` plus an ``Enum`` call per record on the way in —
+is the per-record tax the JSONL half of this module removes:
 
-* **Encode** (:func:`encode_item`, :func:`encode_lines`): each line is
+* **Encode** (:func:`encode_item`): each line is
   assembled directly from the record's fields with ``repr`` formatting.
   ``json.dumps`` serializes floats with ``float.__repr__`` and this
   schema contains no strings that need escaping (the only string field
@@ -16,25 +15,21 @@ this module removes:
   at roughly a third of the cost.
 * **Decode** (:func:`decode_lines`): a batch of lines is wrapped in one
   JSON array and parsed with a *single* ``json.loads`` call, instead of
-  one call (and its setup cost) per line.  A malformed line falls back
-  to per-line parsing so the error stays attributable to the offending
+  one call (and its setup cost) per line — traces, and the live
+  stack's JSONL control sessions.  A malformed line falls back to
+  per-line parsing so the error stays attributable to the offending
   record.
 * **Rebuild** (:func:`item_from_record`): dict → object with the
   ``klass`` enum resolved through a reused lookup table instead of an
   ``Enum.__call__`` per record.
 
-Shared by :func:`repro.workload.trace.save_trace`, the live
-:class:`~repro.live.server.IngestServer`, and the
-:class:`~repro.live.cluster.ShardCluster` router.
-
-Alongside the JSONL functions lives :class:`BinaryCodec`: a
-length-prefixed, ``struct``-packed binary frame format for the same two
-fixed wire schemas.  A binary session starts with a 5-byte preamble
-(magic + schema version) that can never begin a JSONL session, so the
-two protocols negotiate per connection (see :mod:`repro.live.wire`) and
-interoperate behind one server socket.  Every field round-trips
-bit-exactly — IEEE-754 doubles travel as themselves instead of through
-``repr``/``float()`` — which the parity suite asserts field by field.
+The wire's data dialect is the other half: length-prefixed,
+``struct``-packed binary frames for the same two fixed schemas
+(:func:`encode_frame`, :class:`FrameDecoder`), behind a 5-byte preamble
+(magic + schema version) that can never begin a JSONL session, so one
+peeked byte tells a data session from a control one (see
+:mod:`repro.live.wire`).  Every field round-trips bit-exactly — IEEE-754
+doubles travel as themselves instead of through ``repr``/``float()``.
 """
 
 from __future__ import annotations
@@ -88,16 +83,6 @@ def encode_item(item) -> str:
     if isinstance(item, TransactionSpec):
         return encode_spec(item)
     raise TypeError(f"cannot serialize {type(item).__name__} into a trace")
-
-
-def encode_lines(items: Iterable) -> bytes:
-    """A batch of items as one newline-delimited wire payload.
-
-    The payload is exactly the concatenation of the records' individual
-    lines: a batch on the wire is indistinguishable from the same records
-    written one at a time.
-    """
-    return "".join([encode_item(item) + "\n" for item in items]).encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -450,9 +435,9 @@ def encode_frame(item) -> bytes:
 def encode_frames(items: Iterable) -> bytes:
     """A batch of items as one contiguous binary payload.
 
-    Exactly the concatenation of the records' individual frames — the
-    binary analogue of :func:`encode_lines`: a batch on the wire is
-    indistinguishable from the same frames written one at a time.
+    Exactly the concatenation of the records' individual frames: a batch
+    on the wire is indistinguishable from the same frames written one at
+    a time.
     """
     out = []
     append = out.append
@@ -697,41 +682,3 @@ class FrameDecoder:
         self._offset = offset
         return out
 
-
-class BinaryCodec:
-    """The binary wire codec, bundled: magic, version, encode, decode.
-
-    The module-level functions are the hot path (no attribute hops); this
-    class is the discoverable front door and the unit the negotiation
-    layer versions against.
-    """
-
-    MAGIC = WIRE_MAGIC
-    VERSION = WIRE_SCHEMA_VERSION
-    PREAMBLE = WIRE_PREAMBLE
-
-    encode_item = staticmethod(encode_frame)
-    encode_batch = staticmethod(encode_frames)
-    encode_json = staticmethod(encode_json_frame)
-
-    @staticmethod
-    def decoder(*, parse_json: bool = True) -> FrameDecoder:
-        """A fresh incremental decoder for one session."""
-        return FrameDecoder(parse_json=parse_json)
-
-    @staticmethod
-    def decode(payload: bytes) -> list:
-        """Decode one complete payload (tests, traces).
-
-        Raises:
-            ValueError: when the payload ends mid-frame — a complete
-                payload that does not parse completely is corrupt.
-        """
-        decoder = FrameDecoder()
-        records = decoder.feed(payload)
-        if decoder.pending_bytes:
-            raise ValueError(
-                f"payload ends mid-frame ({decoder.pending_bytes} "
-                "trailing bytes)"
-            )
-        return records

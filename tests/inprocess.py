@@ -1,19 +1,30 @@
-"""``serve --shards N`` on one event loop: a routing plane over N shard
-hosts, minus the processes and the supervisor.
+"""The live stack's two front doors on one event loop, and a raw client.
 
-The data path is the real one — client TCP session → :class:`RouterPlane`
-→ loopback :class:`RpcChannel` per shard → :class:`IngestServer` — so a
-test can drive the routed front door, or count what a round trip arms on
-the loop, without spawning anything.
+:class:`RoutedPair` is ``serve --shards N`` minus the processes and the
+supervisor.  The data path is the real one — client TCP session →
+:class:`RouterPlane` → loopback :class:`RpcChannel` per shard →
+:class:`IngestServer` — so a test can drive the routed front door, or
+count what a round trip arms on the loop, without spawning anything.
+:class:`NodeDoor` is a plain node's door with the same surface, and
+:class:`FrameSession` is a client speaking the data dialect by hand.
 """
 
 import asyncio
+import json
+from collections import deque
 from dataclasses import asdict
 
 from repro.db.sharding import ShardRouter, Topology
 from repro.live.plane import RouterPlane
-from repro.live.server import ShardHost
+from repro.live.runtime import LiveRuntime
+from repro.live.server import IngestServer, ShardHost
 from repro.metrics.results import SimulationResult
+from repro.workload.codec import (
+    WIRE_PREAMBLE,
+    FrameDecoder,
+    encode_frame,
+    encode_json_frame,
+)
 
 
 class RoutedPair:
@@ -31,6 +42,10 @@ class RoutedPair:
             snapshot_cb=self._snapshot,
         )
         self._server = None
+
+    @property
+    def front(self):
+        return self.plane
 
     @property
     def runtimes(self):
@@ -65,3 +80,62 @@ class RoutedPair:
         await self.plane.close_sessions()
         await self._server.wait_closed()
         return self._merge([(await host.stop())[0] for host in self.hosts])
+
+
+class NodeDoor:
+    """A plain node's door, with :class:`RoutedPair`'s surface."""
+
+    def __init__(self, config, algorithm="TF"):
+        self.runtimes = [LiveRuntime(config, algorithm)]
+        self.front = IngestServer(self.runtimes[0])
+
+    async def start(self) -> "tuple[str, int]":
+        self.runtimes[0].start()
+        return await self.front.start()
+
+    async def stop(self) -> SimulationResult:
+        await self.front.stop()
+        return await self.runtimes[0].shutdown()
+
+
+def door(name, config):
+    """``"node"`` or ``"routed"``: the front door a test drives."""
+    return (NodeDoor if name == "node" else RoutedPair)(config)
+
+
+class FrameSession:
+    """A client session in the data dialect, by hand: the preamble on
+    open, updates and specs out as frames and dicts as JSON frames, every
+    reply decoded."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+        self._decoder = FrameDecoder()
+        self._replies = deque()
+
+    @classmethod
+    async def open(cls, host, port) -> "FrameSession":
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(WIRE_PREAMBLE)
+        return cls(reader, writer)
+
+    def send(self, *records) -> None:
+        self.writer.write(b"".join(
+            encode_json_frame(json.dumps(record).encode())
+            if isinstance(record, dict) else encode_frame(record)
+            for record in records
+        ))
+
+    async def drain(self) -> None:
+        await self.writer.drain()
+
+    async def reply(self, timeout: float = 30.0) -> dict:
+        """The next reply record."""
+        while not self._replies:
+            chunk = await asyncio.wait_for(self.reader.read(1 << 16), timeout)
+            assert chunk, "the server closed the session"
+            self._replies.extend(self._decoder.feed(chunk))
+        return self._replies.popleft()
+
+    def close(self) -> None:
+        self.writer.close()

@@ -1,6 +1,6 @@
 """Tests for the binary wire codec: frames, bit-exactness, versioning.
 
-The contracts that make the binary protocol a safe peer of JSONL:
+The contracts that make binary frames the wire's data dialect:
 
 * Every schema field round-trips **bit-exactly** — floats travel as
   IEEE-754 doubles, not through ``repr``/``float()`` — including the
@@ -33,7 +33,6 @@ from repro.workload.codec import (
     WIRE_MAGIC,
     WIRE_PREAMBLE,
     WIRE_SCHEMA_VERSION,
-    BinaryCodec,
     FrameDecoder,
     encode_frame,
     encode_frames,
@@ -76,9 +75,6 @@ def test_wire_contract_is_pinned():
         ObjectClass.VIEW_HIGH: 1,
         ObjectClass.GENERAL: 2,
     }
-    assert BinaryCodec.MAGIC == WIRE_MAGIC
-    assert BinaryCodec.VERSION == WIRE_SCHEMA_VERSION
-    assert BinaryCodec.PREAMBLE == WIRE_PREAMBLE
 
 
 def test_magic_first_byte_cannot_start_a_jsonl_line():
@@ -95,7 +91,7 @@ def test_drawn_workload_round_trips_bit_exactly():
     items = _drawn_items()
     assert len(items) > 500
     assert any(isinstance(i, Update) and i.partial for i in items)
-    rebuilt = BinaryCodec.decode(encode_frames(items))
+    rebuilt = FrameDecoder().feed(encode_frames(items))
     assert len(rebuilt) == len(items)
     for a, b in zip(items, rebuilt):
         assert type(a) is type(b)
@@ -120,7 +116,7 @@ def test_update_edge_cases_round_trip():
                partial=True, attribute=2),
     ]
     for update in updates:
-        (back,) = BinaryCodec.decode(encode_frame(update))
+        (back,) = FrameDecoder().feed(encode_frame(update))
         assert isinstance(back, Update)
         assert item_to_dict(back) == item_to_dict(update)
         assert _bits(back.value) == _bits(update.value)
@@ -133,7 +129,7 @@ def test_spec_with_empty_reads_round_trips():
     spec = TransactionSpec(seq=5, arrival_time=0.125, high_value=True,
                            value=10.0, compute_time=1e-4, reads=(),
                            slack=2.0)
-    (back,) = BinaryCodec.decode(encode_frame(spec))
+    (back,) = FrameDecoder().feed(encode_frame(spec))
     assert isinstance(back, TransactionSpec)
     assert back.reads == ()
     assert item_to_dict(back) == item_to_dict(spec)
@@ -149,7 +145,7 @@ def test_batch_encoding_is_concatenation_of_frames():
 def test_json_frame_round_trips_raw_and_parsed():
     payload = b'{"kind": "outcome", "seq": 7, "outcome": "committed"}'
     frame = encode_json_frame(payload)
-    (parsed,) = BinaryCodec.decode(frame)
+    (parsed,) = FrameDecoder().feed(frame)
     assert parsed == {"kind": "outcome", "seq": 7, "outcome": "committed"}
     (raw,) = FrameDecoder(parse_json=False).feed(frame)
     assert raw == payload
@@ -431,8 +427,12 @@ def test_decode_rejects_trailing_bytes():
         Update(seq=1, klass=ObjectClass.VIEW_LOW, object_id=1, value=1.0,
                generation_time=0.0, arrival_time=0.0)
     )
-    with pytest.raises(ValueError, match="mid-frame"):
-        BinaryCodec.decode(frame + b"\x01")
+    # A payload that ends mid-frame yields its whole frames; the tail is
+    # held back as pending bytes, never returned as a record.
+    decoder = FrameDecoder()
+    (back,) = decoder.feed(frame + b"\x01")
+    assert isinstance(back, Update)
+    assert decoder.pending_bytes == 1
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +476,7 @@ def test_reroute_spec_frame_same_count_patches_in_place():
     frame = encode_frame(spec)
     patched = reroute_spec_frame(frame, 9000, (1, 2, 3))
     assert len(patched) == len(frame)
-    (back,) = BinaryCodec.decode(patched)
+    (back,) = FrameDecoder().feed(patched)
     assert back.seq == 9000
     assert back.reads == (1, 2, 3)
     # Every non-routing field is byte-identical.
@@ -489,7 +489,7 @@ def test_reroute_spec_frame_changed_count_rebuilds():
     spec = _spec(seq=42, reads=(3, 11, 200))
     frame = encode_frame(spec)
     sub = reroute_spec_frame(frame, 2**62 + 1, (5,))
-    (back,) = BinaryCodec.decode(sub)
+    (back,) = FrameDecoder().feed(sub)
     assert back.seq == 2**62 + 1
     assert back.reads == (5,)
     assert _bits(back.compute_time) == _bits(spec.compute_time)

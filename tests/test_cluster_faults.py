@@ -21,7 +21,6 @@ file stays in smoke-test territory.
 
 import asyncio
 import dataclasses
-import json
 import multiprocessing
 
 import pytest
@@ -32,9 +31,14 @@ from repro.live import MetricsStreamer, ShardCluster, ShardDownError, WireClient
 from repro.live.__main__ import build_parser, main as live_main
 from repro.live.cluster import WorkerState
 from repro.live.wire import RpcChannel, connect_with_retry
-from repro.workload.codec import FRAME_HEADER, MAX_FRAME_BODY, WIRE_PREAMBLE
+from repro.workload.codec import (
+    FRAME_HEADER,
+    MAX_FRAME_BODY,
+    WIRE_PREAMBLE,
+    encode_json_frame,
+)
 from repro.metrics.results import SimulationResult
-from repro.workload.trace import update_to_dict
+from tests.inprocess import FrameSession
 
 #: Generous bound for operations the code promises to bound much tighter;
 #: CI machines are slow, a hang is what we're ruling out.
@@ -59,15 +63,14 @@ def _shard_gids(router, shard, count=5):
     return gids[:count]
 
 
-def _update_lines(gids, start_seq=0):
-    lines = []
-    for offset, gid in enumerate(gids):
-        update = Update(
+def _updates(gids, start_seq=0):
+    return [
+        Update(
             seq=start_seq + offset, klass=ObjectClass.VIEW_LOW, object_id=gid,
             value=1.0, generation_time=0.0, arrival_time=0.0,
         )
-        lines.append(json.dumps(update_to_dict(update)).encode() + b"\n")
-    return b"".join(lines)
+        for offset, gid in enumerate(gids)
+    ]
 
 
 async def _wait_for(predicate, *, timeout=OP_TIMEOUT, interval=0.05):
@@ -93,14 +96,14 @@ def _zero_result(extras=None):
 
 
 class FakeDownstream:
-    """Records writes and backpressure points; quacks like the writer."""
+    """Records replies and backpressure points; quacks like the writer."""
 
     def __init__(self):
         self.writes = []
         self.backpressure_calls = 0
 
-    def write(self, payload):
-        self.writes.append(payload)
+    def reply(self, record, count=1):
+        self.writes.extend([record] * count)
 
     async def backpressure(self):
         self.backpressure_calls += 1
@@ -119,37 +122,33 @@ def test_killed_worker_sheds_and_session_survives():
             _cluster_config(), "TF", shards=2, restart_limit=0,
         )
         host, port = await cluster.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        session = await FrameSession.open(host, port)
         gids0 = _shard_gids(cluster.router, 0)
         gids1 = _shard_gids(cluster.router, 1)
 
         # Both shards take traffic while healthy.
-        writer.write(_update_lines(gids0) + _update_lines(gids1, start_seq=5))
-        await writer.drain()
+        session.send(*_updates(gids0), *_updates(gids1, start_seq=5))
+        await session.drain()
         await asyncio.sleep(0.3)
 
         cluster.kill_worker(0)
         await _wait_for(lambda: cluster.worker_status(0) == "down")
 
         # Records owned by the dead shard are shed with typed errors …
-        writer.write(_update_lines(gids0, start_seq=10))
-        await writer.drain()
-        errors = []
-        while len(errors) < len(gids0):
-            line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-            assert line, "router dropped the client session"
-            errors.append(json.loads(line))
+        session.send(*_updates(gids0, start_seq=10))
+        await session.drain()
+        errors = [
+            await session.reply(timeout=OP_TIMEOUT) for _ in range(len(gids0))
+        ]
         assert all(e["kind"] == "error" for e in errors)
         assert all(e["reason"] == "shard_down" for e in errors)
         assert all(e["shard"] == 0 for e in errors)
 
         # … while the same session still serves the surviving shard and
         # answers a merged snapshot.
-        writer.write(_update_lines(gids1, start_seq=20))
-        writer.write(b'{"kind": "snapshot"}\n')
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-        snap = json.loads(line)
+        session.send(*_updates(gids1, start_seq=20), {"kind": "snapshot"})
+        await session.drain()
+        snap = await session.reply(timeout=OP_TIMEOUT)
         assert snap["kind"] == "snapshot"
         assert snap["extras"]["merged_shards"] == [1]
         assert snap["extras"]["down_shards"] == [0]
@@ -157,7 +156,7 @@ def test_killed_worker_sheds_and_session_survives():
         statuses = [w["status"] for w in snap["extras"]["workers"]]
         assert statuses == ["down", "up"]
 
-        writer.close()
+        session.close()
         result = await asyncio.wait_for(
             cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
         )
@@ -233,11 +232,11 @@ def test_restart_resumes_installs_and_books_balance():
         )
         host, port = await cluster.start()
         first_port = cluster.ports[0]
-        reader, writer = await asyncio.open_connection(host, port)
+        session = await FrameSession.open(host, port)
         gids0 = _shard_gids(cluster.router, 0)
 
-        writer.write(_update_lines(gids0))
-        await writer.drain()
+        session.send(*_updates(gids0))
+        await session.drain()
         await asyncio.sleep(0.3)
 
         cluster.kill_worker(0)
@@ -249,18 +248,17 @@ def test_restart_resumes_installs_and_books_balance():
 
         # Installs resume on the restarted shard, over the *same* client
         # connection (the router replaced its stale upstream).
-        writer.write(_update_lines(gids0, start_seq=10))
-        await writer.drain()
+        session.send(*_updates(gids0, start_seq=10))
+        await session.drain()
         await asyncio.sleep(0.5)
-        writer.write(b'{"kind": "snapshot"}\n')
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-        snap = json.loads(line)
+        session.send({"kind": "snapshot"})
+        await session.drain()
+        snap = await session.reply(timeout=OP_TIMEOUT)
         assert snap["extras"]["merged_shards"] == [0, 1]
         assert snap["extras"]["worker_restarts"] == [1, 0]
         assert snap["updates_arrived"] >= len(gids0)
 
-        writer.close()
+        session.close()
         result = await asyncio.wait_for(
             cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
         )
@@ -355,6 +353,8 @@ def test_serve_rejects_sharded_only_flags_on_a_single_node(
     (["loadgen", "--cross-shard-frac", "0.3"], "need --shards >= 2"),
     (["loadgen", "--cross-shard-frac", "1.5", "--shards", "2"],
      "must be in [0, 1]"),
+    # Data travels only as binary frames: there is no client codec to pick.
+    (["loadgen", "--wire", "binary"], "unrecognized arguments: --wire binary"),
 ])
 def test_bad_config_is_a_usage_error_before_binding_or_connecting(
     argv, complaint, capsys
@@ -522,7 +522,7 @@ def test_close_session_counts_channel_failures():
         reader, writer = await connect_with_retry(
             "127.0.0.1", lambda: port, attempts=2
         )
-        channel = RpcChannel(reader, writer, protocol="binary")
+        channel = RpcChannel(reader, writer)
         await _wait_for(lambda: channel.failure is not None)
         await cluster._plane._close_session({0: channel}, set())
         server.close()
@@ -552,7 +552,7 @@ def test_snapshot_reply_applies_backpressure(monkeypatch):
 
     downstream = asyncio.run(scenario())
     assert len(downstream.writes) == 1
-    assert json.loads(downstream.writes[0])["kind"] == "snapshot"
+    assert downstream.writes[0]["kind"] == "snapshot"
     assert downstream.backpressure_calls >= 1
 
 
@@ -569,14 +569,15 @@ def test_snapshot_reply_degrades_when_all_shards_down(monkeypatch):
         monkeypatch.setattr(cluster, "snapshot", fake_snapshot)
         downstream = FakeDownstream()
         await cluster._plane._dispatch_batch(
-            [{"kind": "snapshot"}], downstream, {}
+            [{"kind": "snapshot", "rid": 7}], downstream, {}
         )
         return cluster, downstream
 
     cluster, downstream = asyncio.run(scenario())
-    reply = json.loads(downstream.writes[0])
+    reply = downstream.writes[0]
     assert reply["kind"] == "error"
     assert reply["reason"] == "shard_down"
+    assert reply["rid"] == 7  # the caller's pending call resolves
     assert cluster._plane.errors == 1
     assert downstream.backpressure_calls >= 1
 
@@ -651,7 +652,7 @@ def test_connect_with_retry_reresolves_callable_port():
 
 
 def test_wire_client_reconnects_after_peer_close():
-    """WireClient: a peer that hangs up after each line is transparently
+    """WireClient: a peer that hangs up after each record is transparently
     re-reached on the next send, with the reconnect counted."""
 
     async def scenario():
@@ -661,8 +662,12 @@ def test_wire_client_reconnects_after_peer_close():
         async def one_shot_handler(reader, writer):
             nonlocal connections
             connections += 1
-            await reader.readline()
-            writer.write(b'{"kind":"ack"}\n')
+            await reader.readexactly(len(WIRE_PREAMBLE))
+            _, length = FRAME_HEADER.unpack(
+                await reader.readexactly(FRAME_HEADER.size)
+            )
+            await reader.readexactly(length)
+            writer.write(encode_json_frame(b'{"kind":"ack"}'))
             await writer.drain()
             writer.close()
 

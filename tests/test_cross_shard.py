@@ -20,7 +20,6 @@ same model as a single shard, just scattered:
 """
 
 import asyncio
-import json
 
 import pytest
 
@@ -31,8 +30,8 @@ from repro.db.sharding import ShardRouter
 from repro.live import CrossShardSpreader, LiveRuntime, LoadGenerator, ShardCluster
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
-from repro.workload.trace import spec_to_dict, update_to_dict
 from repro.workload.transactions import TransactionSpec
+from tests.inprocess import FrameSession
 
 OP_TIMEOUT = 30.0
 
@@ -333,21 +332,18 @@ def test_cluster_cross_shard_round_trip():
     async def scenario():
         cluster = ShardCluster(_cluster_config(), "TF", shards=2)
         host, port = await cluster.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        session = await FrameSession.open(host, port)
         g0 = _shard_gid(cluster.router, 0)
         g1 = _shard_gid(cluster.router, 1)
         for seq in range(8):  # four updates to each shard, then the spec
-            update = Update(
+            session.send(Update(
                 seq=seq, klass=ObjectClass.VIEW_LOW, object_id=(g0, g1)[seq % 2],
                 value=1.0, generation_time=0.0, arrival_time=0.0,
-            )
-            writer.write(json.dumps(update_to_dict(update)).encode() + b"\n")
-        spec = _spec(7, (g0, g1), slack=2.0, arrival=0.0)
-        writer.write(json.dumps(spec_to_dict(spec)).encode() + b"\n")
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-        reply = json.loads(line)
-        writer.close()
+            ))
+        session.send(_spec(7, (g0, g1), slack=2.0, arrival=0.0))
+        await session.drain()
+        reply = await session.reply(timeout=OP_TIMEOUT)
+        session.close()
         result = await asyncio.wait_for(
             cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
         )
@@ -381,18 +377,16 @@ def test_killed_sub_read_is_typed_deadline_miss():
             _cluster_config(), "TF", shards=2, restart_limit=0,
         )
         host, port = await cluster.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        session = await FrameSession.open(host, port)
         g0 = _shard_gid(cluster.router, 0)
         g1 = _shard_gid(cluster.router, 1)
         # Long compute keeps the victim's sub-read in flight when it dies.
-        spec = _spec(9, (g0, g1), compute=1.0, slack=1.0, arrival=0.0)
-        writer.write(json.dumps(spec_to_dict(spec)).encode() + b"\n")
-        await writer.drain()
+        session.send(_spec(9, (g0, g1), compute=1.0, slack=1.0, arrival=0.0))
+        await session.drain()
         await asyncio.sleep(0.3)
         cluster.kill_worker(1)
-        line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-        reply = json.loads(line)
-        writer.close()
+        reply = await session.reply(timeout=OP_TIMEOUT)
+        session.close()
         result = await asyncio.wait_for(
             cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
         )

@@ -18,7 +18,6 @@ Layers:
 """
 
 import asyncio
-import json
 from itertools import islice
 
 import pytest
@@ -44,7 +43,8 @@ from repro.live.durability import (
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
 from repro.workload.codec import FRAME_HEADER, TAG_UPDATE, encode_frames
-from repro.workload.trace import synthesize, update_to_dict
+from repro.workload.trace import synthesize
+from tests.inprocess import FrameSession
 
 OP_TIMEOUT = 30.0
 
@@ -645,15 +645,14 @@ def _shard_gids(router, shard, count=5):
     return gids[:count]
 
 
-def _update_lines(gids, start_seq=0, value=1.0):
-    lines = []
-    for offset, gid in enumerate(gids):
-        update = Update(
+def _updates(gids, start_seq=0, value=1.0):
+    return [
+        Update(
             seq=start_seq + offset, klass=ObjectClass.VIEW_LOW, object_id=gid,
             value=value, generation_time=0.0, arrival_time=0.0,
         )
-        lines.append(json.dumps(update_to_dict(update)).encode() + b"\n")
-    return b"".join(lines)
+        for offset, gid in enumerate(gids)
+    ]
 
 
 async def _wait_for(predicate, *, timeout=OP_TIMEOUT, interval=0.05):
@@ -675,17 +674,16 @@ def test_cluster_warm_restart_replays_and_balances(tmp_path):
             log_dir=str(tmp_path / "wal"),
         )
         host, port = await cluster.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        session = await FrameSession.open(host, port)
         gids0 = _shard_gids(cluster.router, 0)
 
-        writer.write(_update_lines(gids0))
-        await writer.drain()
+        session.send(*_updates(gids0))
+        await session.drain()
         await asyncio.sleep(0.4)
 
-        writer.write(b'{"kind": "snapshot"}\n')
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-        before = json.loads(line)
+        session.send({"kind": "snapshot"})
+        await session.drain()
+        before = await session.reply(timeout=OP_TIMEOUT)
         assert before["updates_arrived"] >= len(gids0)
 
         cluster.kill_worker(0)
@@ -697,11 +695,10 @@ def test_cluster_warm_restart_replays_and_balances(tmp_path):
         assert liveness["replayed_records"] > 0
 
         # Post-restart traffic lands on the warm shard.
-        writer.write(_update_lines(gids0, start_seq=100, value=2.0))
-        writer.write(b'{"kind": "snapshot"}\n')
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=OP_TIMEOUT)
-        after = json.loads(line)
+        session.send(*_updates(gids0, start_seq=100, value=2.0),
+                     {"kind": "snapshot"})
+        await session.drain()
+        after = await session.reply(timeout=OP_TIMEOUT)
         assert after["extras"]["durability"] is True
         assert after["extras"]["replayed_records"][0] > 0
         assert after["extras"]["worker_restarts"] == [1, 0]
@@ -709,7 +706,7 @@ def test_cluster_warm_restart_replays_and_balances(tmp_path):
         # (minus at most the records that were in flight at the kill).
         assert after["updates_arrived"] >= before["updates_arrived"]
 
-        writer.close()
+        session.close()
         result = await asyncio.wait_for(
             cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
         )

@@ -19,7 +19,7 @@ from repro.core.simulator import Simulation
 from repro.db.objects import ObjectClass
 from repro.live import IngestServer, LiveRuntime, LoadGenerator
 from repro.sim.engine import Engine
-from repro.workload.codec import encode_lines
+from repro.workload.codec import WIRE_PREAMBLE, encode_frame
 from repro.workload.trace import (
     load_trace,
     save_trace,
@@ -444,7 +444,7 @@ def test_ingest_batch_parity_with_per_record(algorithm):
 
 @pytest.mark.parametrize("algorithm", ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"])
 def test_wire_batch_parity_with_per_record(algorithm):
-    """One coalesced N-line client write == N per-record writes + drains.
+    """One coalesced N-frame client write == N per-record writes + drains.
 
     Runs the real IngestServer over a real socket with a frozen engine
     clock, so both framings see one delivery instant and the results must
@@ -453,7 +453,7 @@ def test_wire_batch_parity_with_per_record(algorithm):
     """
     config = _config(arrival_rate=300.0)
     items = _draw_workload(config)
-    payload = encode_lines(items)
+    frames = [encode_frame(item) for item in items]
 
     async def scenario(chunked):
         engine = Engine()
@@ -462,14 +462,14 @@ def test_wire_batch_parity_with_per_record(algorithm):
         server = IngestServer(runtime)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
+        writer.write(WIRE_PREAMBLE)
         if chunked:
-            writer.write(payload)
+            writer.write(b"".join(frames))
             await writer.drain()
         else:
-            for line in payload.split(b"\n"):
-                if line:
-                    writer.write(line + b"\n")
-                    await writer.drain()
+            for frame in frames:
+                writer.write(frame)
+                await writer.drain()
         while server.records_received < len(items):
             await asyncio.sleep(0.001)
         writer.close()

@@ -28,9 +28,11 @@ from repro.live import (
     MetricsStreamer,
 )
 from repro.live.__main__ import main as live_main
-from repro.workload.trace import save_trace, spec_to_dict, synthesize, update_to_dict
+from repro.workload.codec import encode_json_frame
+from repro.workload.trace import save_trace, synthesize
 from repro.workload.transactions import TransactionSpec
 from repro.db.objects import ObjectClass, Update
+from tests.inprocess import FrameSession
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,25 +96,19 @@ def test_live_server_roundtrip():
         runtime = LiveRuntime(_smoke_config(update_rate=100.0), "TF")
         runtime.start()
         server = IngestServer(runtime)
-        host, port = await server.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        session = await FrameSession.open(*await server.start())
 
         update = Update(seq=0, klass=ObjectClass.VIEW_LOW, object_id=1,
                         value=42.0, generation_time=0.0, arrival_time=0.0)
         spec = TransactionSpec(seq=0, arrival_time=0.0, high_value=False,
                                value=1.0, compute_time=0.001, reads=(1,),
                                slack=2.0)
-        writer.write(json.dumps(update_to_dict(update)).encode() + b"\n")
-        writer.write(json.dumps(spec_to_dict(spec)).encode() + b"\n")
-        writer.write(b'{"kind": "snapshot"}\n')
-        writer.write(b"not json\n")
-        await writer.drain()
+        session.send(update, spec, {"kind": "snapshot"})
+        session.writer.write(encode_json_frame(b"not json"))
+        await session.drain()
 
-        replies = []
-        for _ in range(3):
-            line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            replies.append(json.loads(line))
-        writer.close()
+        replies = [await session.reply(timeout=5.0) for _ in range(3)]
+        session.close()
         await server.stop()
         result = await runtime.shutdown()
         return replies, result, server
@@ -184,7 +180,7 @@ def test_loadgen_cli_delivers_every_update_it_sends(tmp_path, mode, capsys):
         path = tmp_path / "trace.jsonl"
         items = list(synthesize(config.replace(seed=6), until=0.5))
         save_trace(path, items)
-        argv += ["--trace", str(path), "--wire", "binary"]
+        argv += ["--trace", str(path)]
     with _serve_cli() as (port, outcome):
         assert live_main(["loadgen", "--port", str(port), *argv]) == 0
     returncode, out, err = outcome

@@ -9,7 +9,8 @@ its later records install, and the poison is in no counter.  Every door
 runs the same check (:func:`repro.workload.codec.check_object_ids`): a
 node's own socket, the routing plane of ``serve --shards N`` (where a
 negative id used to be routed by negative indexing and installed), and a
-direct session.
+direct session.  The same poison in JSON is refused sooner, as a data
+record in the control dialect: it never reaches the runtime either.
 """
 
 import asyncio
@@ -30,11 +31,11 @@ from repro.workload.codec import (
     WIRE_PREAMBLE,
     FrameDecoder,
     encode_frame,
+    encode_item,
     encode_json_frame,
-    encode_lines,
 )
 from repro.workload.transactions import TransactionSpec
-from tests.inprocess import RoutedPair
+from tests.inprocess import door
 
 GOOD = 100  # updates before the poison, and again after it
 
@@ -60,11 +61,11 @@ def _raw_update(object_id):
 
 
 def _json_update(object_id):
-    return json.dumps({
+    return encode_json_frame(json.dumps({
         "kind": "update", "seq": 1000, "klass": "view-low",
         "object_id": object_id, "value": 1.0, "generation_time": 0.0,
         "arrival_time": 0.0,
-    }).encode() + b"\n"
+    }).encode())
 
 
 _BAD_READ = TransactionSpec(seq=1000, arrival_time=0.0, high_value=False,
@@ -77,60 +78,34 @@ POISON = {
     ("negative id", "binary"): _raw_update(-5),
     ("negative id", "jsonl"): _json_update(-5),
     ("out-of-range read", "binary"): encode_frame(_BAD_READ),
-    ("out-of-range read", "jsonl"): encode_lines([_BAD_READ]),
+    ("out-of-range read", "jsonl"): encode_json_frame(
+        encode_item(_BAD_READ).encode()
+    ),
     # JSON can say what a struct cannot: an id that is not an integer.
     ("fractional id", "jsonl"): _json_update(3.5),
 }
 
 
-class _Node:
-    """The node's door, with :class:`RoutedPair`'s surface."""
-
-    def __init__(self, config):
-        self.runtimes = [LiveRuntime(config, "TF")]
-        self.front = IngestServer(self.runtimes[0])
-
-    async def start(self):
-        self.runtimes[0].start()
-        return await self.front.start()
-
-    async def stop(self):
-        await self.front.stop()
-        return await self.runtimes[0].shutdown()
-
-
-class _Routed(RoutedPair):
-    @property
-    def front(self):
-        return self.plane
-
-
-@pytest.mark.parametrize("door", ["node", "routed"])
+@pytest.mark.parametrize("door_name", ["node", "routed"])
 @pytest.mark.parametrize("poison,wire", POISON)
-def test_poison_record_is_refused_and_the_session_carries_on(poison, wire, door):
+def test_poison_record_is_refused_and_the_session_carries_on(
+    poison, wire, door_name
+):
+    """``wire`` is how the poison travels: as the binary frame a data
+    client sends, or as JSON (a JSON frame here; a JSONL line is refused
+    alike), which no door takes data in."""
     record = POISON[poison, wire]
-    binary = wire == "binary"
-    if binary:
-        before = WIRE_PREAMBLE + b"".join(encode_frame(u) for u in _good(0))
-        after = b"".join(encode_frame(u) for u in _good(GOOD))
-        snapshot = encode_json_frame(b'{"kind": "snapshot"}')
-    else:
-        before, after = encode_lines(_good(0)), encode_lines(_good(GOOD))
-        snapshot = b'{"kind": "snapshot"}\n'
+    before = WIRE_PREAMBLE + b"".join(encode_frame(u) for u in _good(0))
+    after = b"".join(encode_frame(u) for u in _good(GOOD))
+    snapshot = encode_json_frame(b'{"kind": "snapshot"}')
 
-    async def read_replies(reader, until):
+    async def read_replies(reader, decoder, until):
         """Replies up to and including the first of kind ``until``."""
-        decoder = FrameDecoder()
         replies = []
         while not any(reply["kind"] == until for reply in replies):
-            if binary:
-                chunk = await asyncio.wait_for(reader.read(1 << 16), 5.0)
-                assert chunk, "the server closed the session"
-                replies.extend(decoder.feed(chunk))
-            else:
-                line = await asyncio.wait_for(reader.readline(), 5.0)
-                assert line, "the server closed the session"
-                replies.append(json.loads(line))
+            chunk = await asyncio.wait_for(reader.read(1 << 16), 5.0)
+            assert chunk, "the server closed the session"
+            replies.extend(decoder.feed(chunk))
         return replies
 
     async def scenario():
@@ -138,13 +113,14 @@ def test_poison_record_is_refused_and_the_session_carries_on(poison, wire, door)
         asyncio.get_running_loop().set_exception_handler(
             lambda _loop, context: unhandled.append(context)
         )
-        served = (_Node if door == "node" else _Routed)(_config())
+        served = door(door_name, _config())
         host, port = await served.start()
         reader, writer = await asyncio.open_connection(host, port)
+        decoder = FrameDecoder()
         writer.write(before + record)
-        replies = await read_replies(reader, "error")
+        replies = await read_replies(reader, decoder, "error")
         writer.write(after + snapshot)
-        replies += await read_replies(reader, "snapshot")
+        replies += await read_replies(reader, decoder, "snapshot")
         runtimes = served.runtimes
         while any(
             not runtime.controller.idle or runtime.update_queue
@@ -159,17 +135,22 @@ def test_poison_record_is_refused_and_the_session_carries_on(poison, wire, door)
     served, result, replies, clock_tasks_alive, unhandled = asyncio.run(scenario())
 
     error, snapshot_reply = replies
-    assert error["kind"] == "error" and error["reason"] == "bad_object_id"
-    assert "outside [0, 500)" in error["message"]
-    if poison == "out-of-range read":
-        assert error["seq"] == _BAD_READ.seq  # the sender stops waiting
+    assert error["kind"] == "error"
+    if wire == "binary":
+        assert error["reason"] == "bad_object_id"
+        assert "outside [0, 500)" in error["message"]
+        if poison == "out-of-range read":
+            assert error["seq"] == _BAD_READ.seq  # the sender stops waiting
+    else:  # refused as a data record in JSON, before any id is looked at
+        assert "reason" not in error
+        assert "travel only as binary frames" in error["message"]
     assert snapshot_reply["kind"] == "snapshot"
     assert clock_tasks_alive
     assert unhandled == []
     # The poison is in no counter; everything else of the session is.
     assert served.front.errors == 1
     assert served.front.records_received == 2 * GOOD
-    if door == "routed":
+    if door_name == "routed":
         assert sum(served.router.updates_routed) == 2 * GOOD
         assert sum(served.router.transactions_routed) == 0
         assert [host.server.errors for host in served.hosts] == [0, 0]
@@ -190,8 +171,8 @@ def test_direct_session_ids_are_checked_before_the_shard_lookup():
         def __init__(self):
             self.records = []
 
-        def write(self, payload):
-            self.records.append(json.loads(payload))
+        def reply(self, record):
+            self.records.append(record)
 
     runtime = LiveRuntime(shard_config(config, router, 0), "TF")
     server = IngestServer(

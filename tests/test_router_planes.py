@@ -39,8 +39,10 @@ from repro.db.sharding import (
 from repro.live import DirectClient, IngestServer, LiveRuntime, ShardCluster
 from repro.metrics.results import SimulationResult
 from repro.sim.engine import Engine
-from repro.workload.trace import synthesize, update_to_dict
+from repro.workload.codec import WIRE_PREAMBLE, FrameDecoder, encode_json_frame
+from repro.workload.trace import synthesize
 from repro.workload.transactions import TransactionSpec
+from tests.inprocess import FrameSession
 
 ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
 
@@ -88,10 +90,9 @@ def _small_config():
     return config.with_system(ips=5e8)
 
 
-def _update_line(seq, gid, klass=ObjectClass.VIEW_LOW):
-    update = Update(seq=seq, klass=klass, object_id=gid, value=1.0,
-                    generation_time=0.0, arrival_time=0.0)
-    return json.dumps(update_to_dict(update)).encode() + b"\n"
+def _update(seq, gid, klass=ObjectClass.VIEW_LOW):
+    return Update(seq=seq, klass=klass, object_id=gid, value=1.0,
+                  generation_time=0.0, arrival_time=0.0)
 
 
 def _gids_for(router, shard, count=3, klass=ObjectClass.VIEW_LOW):
@@ -117,16 +118,11 @@ def test_direct_session_localizes_and_redirects():
         runtime.start()
         server = IngestServer(runtime, topology=topology, router=router,
                               index=0)
-        host, port = await server.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        session = await FrameSession.open(*await server.start())
+        reply = session.reply
 
-        async def reply():
-            line = await asyncio.wait_for(reader.readline(),
-                                          timeout=OP_TIMEOUT)
-            return json.loads(line)
-
-        writer.write(b'{"kind": "hello", "mode": "direct", "epoch": 3}\n')
-        await writer.drain()
+        session.send({"kind": "hello", "mode": "direct", "epoch": 3})
+        await session.drain()
         ack = await reply()
         assert ack == {"kind": "hello", "shard": 0, "epoch": 3}
 
@@ -135,10 +131,10 @@ def test_direct_session_localizes_and_redirects():
 
         # Owned global ids install (after local-id translation) ...
         for seq, gid in enumerate(mine):
-            writer.write(_update_line(seq, gid))
+            session.send(_update(seq, gid))
         # ... a misrouted one is dropped with a typed redirect ...
-        writer.write(_update_line(99, theirs[0]))
-        await writer.drain()
+        session.send(_update(99, theirs[0]))
+        await session.drain()
         moved = await reply()
         assert moved["kind"] == "moved"
         assert moved["reason"] == "misrouted"
@@ -148,21 +144,16 @@ def test_direct_session_localizes_and_redirects():
         assert router_from_topology(moved["topology"]).shards == 2
 
         # ... and a cross-shard read-set is refused towards a router.
-        spec = TransactionSpec(
+        session.send(TransactionSpec(
             seq=0, arrival_time=0.0, high_value=False, value=1.0,
             compute_time=0.001, reads=(mine[0], theirs[0]), slack=5.0,
-        )
-        writer.write(json.dumps({
-            "kind": "transaction", "seq": spec.seq, "arrival_time": 0.0,
-            "high_value": False, "value": 1.0, "compute_time": 0.001,
-            "reads": list(spec.reads), "slack": 5.0,
-        }).encode() + b"\n")
-        await writer.drain()
+        ))
+        await session.drain()
         refused = await reply()
         assert refused["kind"] == "moved"
         assert refused["reason"] == "cross_shard"
 
-        writer.close()
+        session.close()
         await server.stop()
         result = await runtime.shutdown()
         accounting = server.direct_accounting()
@@ -191,21 +182,17 @@ def test_stale_epoch_gets_one_advisory_per_change():
         runtime.start()
         server = IngestServer(runtime, topology=topology, router=router,
                               index=0)
-        host, port = await server.start()
-        reader, writer = await asyncio.open_connection(host, port)
+        session = await FrameSession.open(*await server.start())
 
-        writer.write(b'{"kind": "hello", "mode": "direct", "epoch": 2}\n')
+        session.send({"kind": "hello", "mode": "direct", "epoch": 2})
         mine = _gids_for(router, 0)
         for seq, gid in enumerate(mine):
-            writer.write(_update_line(seq, gid))
-        await writer.drain()
+            session.send(_update(seq, gid))
+        await session.drain()
 
-        replies = []
-        for _ in range(2):  # hello ack + exactly one stale-epoch advisory
-            line = await asyncio.wait_for(reader.readline(),
-                                          timeout=OP_TIMEOUT)
-            replies.append(json.loads(line))
-        writer.close()
+        # hello ack + exactly one stale-epoch advisory
+        replies = [await session.reply(OP_TIMEOUT) for _ in range(2)]
+        session.close()
         await server.stop()
         await runtime.shutdown()
         return replies, server.stale_epoch_redirects, server.direct_records
@@ -376,17 +363,19 @@ def test_topology_call_is_not_answered_by_an_outcome():
 
     async def scenario():
         async def peer(reader, writer):
-            async for line in reader:
-                record = json.loads(line)
-                replies = []
-                if record["kind"] == "topology":
-                    replies = [{"kind": "outcome", "seq": seq,
-                                "outcome": "committed"} for seq in (1, 2)]
-                    replies.append({**topology, "rid": record["rid"]})
-                elif record["kind"] == "hello":
-                    replies = [{"kind": "hello", "shard": 0, "epoch": 1}]
-                for reply in replies:
-                    writer.write(json.dumps(reply).encode() + b"\n")
+            await reader.readexactly(len(WIRE_PREAMBLE))
+            decoder = FrameDecoder()
+            while chunk := await reader.read(1 << 16):
+                for record in decoder.feed(chunk):
+                    replies = []
+                    if record["kind"] == "topology":
+                        replies = [{"kind": "outcome", "seq": seq,
+                                    "outcome": "committed"} for seq in (1, 2)]
+                        replies.append({**topology, "rid": record["rid"]})
+                    elif record["kind"] == "hello":
+                        replies = [{"kind": "hello", "shard": 0, "epoch": 1}]
+                    for reply in replies:
+                        writer.write(encode_json_frame(json.dumps(reply).encode()))
             writer.close()
 
         server = await asyncio.start_server(peer, "127.0.0.1", 0)

@@ -2,10 +2,9 @@
 
 Two contracts matter:
 
-* The schema-specialized codec is *byte-identical* to the generic
-  ``json.dumps(item_to_dict(...))`` encoder — a batch on the wire is
-  indistinguishable from the same records written one at a time, so old
-  peers interoperate.
+* The schema-specialized trace codec is *byte-identical* to the generic
+  ``json.dumps(item_to_dict(...))`` encoder, so a trace file reads the
+  same whichever wrote it.
 * :class:`CoalescingWriter` / :func:`iter_line_batches` change syscall
   granularity, never content or order.
 """
@@ -21,7 +20,6 @@ from repro.db.objects import ObjectClass, Update
 from repro.live.wire import (
     MAX_BATCH_BYTES,
     CoalescingWriter,
-    encode_reply,
     iter_line_batches,
     serve_session,
 )
@@ -31,7 +29,6 @@ from repro.workload.codec import (
     decode_lines,
     encode_frame,
     encode_item,
-    encode_lines,
     item_from_record,
 )
 from repro.workload.trace import item_to_dict, synthesize
@@ -72,7 +69,7 @@ def test_encoder_rejects_unknown_types():
 
 def test_batch_round_trip_rebuilds_identical_records():
     items = _drawn_items()
-    payload = encode_lines(items)
+    payload = "".join(encode_item(item) + "\n" for item in items).encode()
     lines = [line for line in payload.split(b"\n") if line]
     rebuilt = [item_from_record(record) for record in decode_lines(lines)]
     assert [item_to_dict(item) for item in rebuilt] == [
@@ -312,10 +309,10 @@ def test_served_session_leaves_no_handle_behind():
         loop = asyncio.get_running_loop()
         writers = []
 
-        def dispatch(records, replies, protocol):
+        def dispatch(records, replies):
             writers.append(replies)
             for record in records:
-                replies.write(encode_reply(record, protocol))
+                replies.reply(record)
 
         async def handle(reader, writer):
             await serve_session(reader, writer, dispatch)

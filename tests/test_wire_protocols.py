@@ -1,53 +1,53 @@
-"""Tests for wire-protocol negotiation and JSONL/binary parity.
-
-Three layers of the interop contract:
+"""Tests for the wire's two dialects: binary frames carry data, JSONL
+carries control.
 
 * :func:`negotiate_protocol` — the first bytes of a session select the
-  codec; a JSONL peer's first byte is handed back untouched.
-* Mixed sessions — a JSONL client and a binary client against the same
-  binary-capable server see the same records land and the same replies
-  come back.
-* Full parity — for every scheduling algorithm, a live run fed over the
-  binary wire is asdict-identical to the same run fed over JSONL, at
-  shards=1 (real socket, engine clock) and shards=2 (routed engine-level
-  pipelines), including partial updates and empty-read transactions.
+  dialect; a JSONL peer's first byte is handed back untouched.
+* The session loop — every way a session ends, and the bounded quanta,
+  in both dialects.
+* The doors — an update or transaction in JSON is refused like an unknown
+  kind, on a session that keeps answering control records; every control
+  reply echoes the request's ``rid``, so an :class:`RpcChannel` call
+  against either door resolves.
+* Parity — for every scheduling algorithm, a live run fed over a binary
+  session is asdict-identical to the same items delivered in-process
+  under the server's stamping rule, including partial updates and
+  empty-read transactions.
 """
 
 import asyncio
+import copy
 import json
 from dataclasses import asdict, replace
 
 import pytest
 
 from repro.config import baseline_config
-from repro.core.sharding import route_batch, shard_config
 from repro.db.objects import ObjectClass, Update
-from repro.db.sharding import ShardRouter, Topology
-from repro.live import IngestServer, LiveRuntime, WireClient
+from repro.db.sharding import Topology
+from repro.live import IngestServer, LiveRuntime
 from repro.live.plane import RouterPlane
 from repro.live.wire import (
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
+    RpcChannel,
+    RpcDeadlineError,
+    RpcError,
     WireProtocolError,
-    encode_reply,
     negotiate_protocol,
     serve_session,
 )
-from repro.metrics.results import SimulationResult
 from repro.sim.engine import Engine
 from repro.workload.codec import (
     FRAME_HEADER,
     MAX_FRAME_BODY,
     WIRE_PREAMBLE,
-    FrameDecoder,
-    decode_lines,
     encode_frames,
-    encode_json_frame,
-    encode_lines,
-    item_from_record,
+    encode_item,
 )
 from repro.workload.trace import synthesize
 from repro.workload.transactions import TransactionSpec
+from tests.inprocess import door
 
 ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
 
@@ -69,6 +69,10 @@ def _draw_workload(config):
     items.append(replace(specs[0], seq=len(specs), arrival_time=2.5, reads=()))
     assert any(isinstance(i, Update) and i.partial for i in items)
     return items
+
+
+def _control_lines(records) -> bytes:
+    return b"".join(json.dumps(record).encode() + b"\n" for record in records)
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +132,11 @@ def test_negotiate_rejects_unknown_version():
         asyncio.run(run())
 
 
+def test_an_rpc_channel_speaks_binary_frames_only():
+    with pytest.raises(ValueError, match="binary frames only"):
+        RpcChannel(None, None, protocol=PROTOCOL_JSONL)
+
+
 # ----------------------------------------------------------------------
 # The session loop (shared by IngestServer and RouterPlane)
 # ----------------------------------------------------------------------
@@ -181,7 +190,7 @@ _CORRUPT_HEADER = FRAME_HEADER.pack(0x7E, MAX_FRAME_BODY + 1)
     (lambda: _reset_reader(WIRE_PREAMBLE), 0, 0),
     # clean EOF, binary and JSONL
     (lambda: _reader_with(WIRE_PREAMBLE + encode_frames([_UPDATE])), 0, 1),
-    (lambda: _reader_with(encode_lines([_UPDATE])), 0, 1),
+    (lambda: _reader_with(_control_lines([{"kind": "snapshot"}])), 0, 1),
 ], ids=["bad-preamble", "corrupt-header", "peer-reset", "eof-binary",
         "eof-jsonl"])
 @pytest.mark.parametrize("async_dispatch", [False, True])
@@ -192,13 +201,13 @@ def test_serve_session_exits(make_reader, expected_errors, expected_batches,
     dispatch is a plain function (server) or a coroutine (plane)."""
     batches, hook_calls = [], []
 
-    def dispatch(records, replies, protocol):
-        batches.append((protocol, records))
-        replies.write(encode_reply({"kind": "ack"}, protocol))
+    def dispatch(records, replies):
+        batches.append((replies.protocol, records))
+        replies.reply({"kind": "ack"})
 
-    async def dispatch_async(records, replies, protocol):
+    async def dispatch_async(records, replies):
         await asyncio.sleep(0)
-        dispatch(records, replies, protocol)
+        dispatch(records, replies)
 
     async def on_close():
         hook_calls.append(1)
@@ -238,7 +247,9 @@ def test_serve_session_delivers_bounded_quanta(protocol, batch_max):
     ]
     payload = (
         WIRE_PREAMBLE + encode_frames(updates)
-        if protocol == PROTOCOL_BINARY else encode_lines(updates)
+        if protocol == PROTOCOL_BINARY else _control_lines(
+            {"kind": "snapshot", "seq": update.seq} for update in updates
+        )
     )
     turns = 0
     calls = []  # (loop turns seen so far, seqs delivered)
@@ -249,8 +260,8 @@ def test_serve_session_delivers_bounded_quanta(protocol, batch_max):
             turns += 1
             await asyncio.sleep(0)
 
-    def dispatch(records, replies, session_protocol):
-        assert session_protocol == protocol
+    def dispatch(records, replies):
+        assert replies.protocol == protocol
         calls.append((turns, [
             record.seq if isinstance(record, Update) else record["seq"]
             for record in records
@@ -274,7 +285,7 @@ def test_serve_session_delivers_bounded_quanta(protocol, batch_max):
 
 
 # ----------------------------------------------------------------------
-# Mixed-protocol sessions against one server
+# The doors: data in JSON is refused, control replies carry their rid
 # ----------------------------------------------------------------------
 def _smoke_config():
     config = baseline_config(duration=1.0, seed=7)
@@ -294,101 +305,85 @@ def _session_items():
     return update, spec
 
 
-def test_binary_session_roundtrip_matches_jsonl_session():
-    """The smoke-test session, once per protocol, on the same server:
-    identical records received and reply records either way."""
-
-    async def jsonl_session(host, port):
-        update, spec = _session_items()
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(encode_lines([update, spec]))
-        writer.write(b'{"kind": "snapshot"}\n')
-        await writer.drain()
-        replies = []
-        for _ in range(2):
-            line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            replies.append(json.loads(line))
-        writer.close()
-        return replies
-
-    async def binary_session(host, port):
-        update, spec = _session_items()
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(WIRE_PREAMBLE)
-        writer.write(encode_frames([update, spec]))
-        writer.write(encode_json_frame(b'{"kind": "snapshot"}'))
-        await writer.drain()
-        decoder = FrameDecoder()
-        replies = []
-        while len(replies) < 2:
-            chunk = await asyncio.wait_for(reader.read(4096), timeout=5.0)
-            assert chunk, "server closed before replying"
-            replies.extend(decoder.feed(chunk))
-        writer.close()
-        return replies
-
-    async def scenario():
-        runtime = LiveRuntime(_smoke_config(), "TF")
-        runtime.start()
-        server = IngestServer(runtime)
-        host, port = await server.start()
-        jsonl = await jsonl_session(host, port)
-        binary = await binary_session(host, port)
-        await server.stop()
-        result = await runtime.shutdown()
-        return jsonl, binary, server, result
-
-    jsonl, binary, server, result = asyncio.run(scenario())
-    assert server.records_received == 4  # 2 per session
-    assert server.errors == 0
-    key = lambda r: r["kind"]  # noqa: E731 - tiny sort key
-    for j, b in zip(sorted(jsonl, key=key), sorted(binary, key=key)):
-        assert j.keys() == b.keys()
-        assert j["kind"] == b["kind"]
-    outcomes = [r for r in jsonl + binary if r["kind"] == "outcome"]
-    assert [r["outcome"] for r in outcomes] == ["committed", "committed"]
-    assert result.transactions_committed == 2
-
-
-def test_wire_clients_of_both_protocols_interoperate():
-    """A JSONL WireClient and a binary WireClient drive the same server
-    and collect identical outcome counts for identical submissions."""
+@pytest.mark.parametrize("door_name", ["node", "routed"])
+def test_a_data_record_in_json_is_refused_and_the_control_session_carries_on(
+    door_name,
+):
+    """An update or transaction line on a JSONL session gets one error
+    reply apiece, is counted like any refused record and never reaches the
+    runtime; the same session still answers a JSONL snapshot."""
     update, spec = _session_items()
 
-    async def drive(host, port, wire):
-        outcomes = []
+    async def scenario():
+        served = door(door_name, _smoke_config())
+        reader, writer = await asyncio.open_connection(*await served.start())
+        writer.write(
+            (encode_item(update) + "\n" + encode_item(spec) + "\n").encode()
+            + b'{"kind": "snapshot"}\n'
+        )
+        replies = [
+            json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+            for _ in range(3)
+        ]
+        writer.close()
+        return served, replies, await served.stop()
 
-        def on_record(record: dict):
-            if record.get("kind") == "outcome":
-                outcomes.append(record["outcome"])
+    served, replies, result = asyncio.run(scenario())
+    *refusals, snapshot = replies
+    assert [reply["kind"] for reply in refusals] == ["error", "error"]
+    for reply in refusals:
+        assert "travel only as binary frames" in reply["message"]
+    assert snapshot["kind"] == "snapshot"
+    assert snapshot["updates_arrived"] == snapshot["transactions_arrived"] == 0
+    assert served.front.errors == 2
+    assert served.front.records_received == 0
+    if door_name == "routed":
+        assert served.router.routing_errors == 2
+    assert result.updates_arrived == result.transactions_arrived == 0
 
-        client = WireClient(host, port, wire=wire, on_record=on_record)
-        await client.connect()
-        await client.send(update)
-        for seq in range(5):
-            await client.send(replace(spec, seq=seq))
-        await client.drain()
-        deadline = asyncio.get_event_loop().time() + 5.0
-        while len(outcomes) < 5:
-            assert asyncio.get_event_loop().time() < deadline
-            await asyncio.sleep(0.005)
-        await client.aclose()
-        return outcomes
+
+@pytest.mark.parametrize("door_name", ["node", "routed"])
+def test_every_control_reply_echoes_its_rid_so_calls_resolve_at_both_doors(
+    door_name,
+):
+    """Regression: the routed door dropped ``rid``, so an
+    :meth:`RpcChannel.call` against a cluster's public port timed out —
+    for a snapshot, and for a refused record that the node answers with a
+    typed error.  A request shed against a down shard carries it too."""
 
     async def scenario():
-        runtime = LiveRuntime(_smoke_config(), "TF")
-        runtime.start()
-        server = IngestServer(runtime)
-        host, port = await server.start()
-        via_jsonl = await drive(host, port, PROTOCOL_JSONL)
-        via_binary = await drive(host, port, PROTOCOL_BINARY)
-        await server.stop()
-        await runtime.shutdown()
-        return via_jsonl, via_binary
+        served = door(door_name, _smoke_config())
+        channel = RpcChannel(*await asyncio.open_connection(
+            *await served.start()
+        ))
+        failures = []
+        try:
+            snapshot = await channel.call(
+                {"kind": "snapshot", "rid": "snapshot-1"}, "snapshot-1",
+                timeout=2.0,
+            )
+            calls = [{"kind": "bogus", "rid": "b-1"}]
+            if door_name == "routed":
+                served.topology.workers[1]["status"] = "down"
+                calls.append({"kind": "register_view", "rid": "v-1", "view": {
+                    "name": "v", "kind": "sum", "partition": "low",
+                }})
+            for request in calls:
+                try:
+                    await channel.call(request, request["rid"], timeout=2.0)
+                except RpcError as exc:
+                    failures.append(exc)
+        finally:
+            await channel.aclose()
+            await served.stop()
+        return snapshot, failures
 
-    via_jsonl, via_binary = asyncio.run(scenario())
-    assert len(via_jsonl) == len(via_binary) == 5
-    assert sorted(via_jsonl) == sorted(via_binary)
+    snapshot, failures = asyncio.run(scenario())
+    assert snapshot["kind"] == "snapshot" and snapshot["rid"] == "snapshot-1"
+    assert not any(isinstance(exc, RpcDeadlineError) for exc in failures)
+    assert [exc.reason for exc in failures] == (
+        ["error"] if door_name == "node" else ["error", "shard_down"]
+    )
 
 
 @pytest.mark.parametrize("endpoint", ["server", "plane"])
@@ -401,7 +396,7 @@ def test_stop_ends_open_sessions_without_tracebacks(endpoint):
 
     async def open_sessions(host, port):
         jsonl = await asyncio.open_connection(host, port)
-        jsonl[1].write(encode_lines([update]))
+        jsonl[1].write(_control_lines([{"kind": "topology"}]))
         binary = await asyncio.open_connection(host, port)
         binary[1].write(WIRE_PREAMBLE + encode_frames([update]))
         for _, writer in (jsonl, binary):
@@ -419,7 +414,7 @@ def test_stop_ends_open_sessions_without_tracebacks(endpoint):
         runtime.start()
         server = IngestServer(runtime)
         sessions = await open_sessions(*await server.start())
-        while server.records_received < 2:
+        while server.records_received < 1 or server.topology_requests < 1:
             await asyncio.sleep(0.005)
         await server.stop()
         await read_eof(sessions)
@@ -427,7 +422,7 @@ def test_stop_ends_open_sessions_without_tracebacks(endpoint):
         return server.connections
 
     async def plane_scenario():
-        # Shard 0 is not up: the plane sheds the records, which is all
+        # Shard 0 is not up: the plane sheds the record, which is all
         # this test needs — a session that is open and has done work.
         config = _smoke_config()
         plane = RouterPlane(config, shards=1, topology=Topology(
@@ -435,7 +430,7 @@ def test_stop_ends_open_sessions_without_tracebacks(endpoint):
         ))
         listener = await asyncio.start_server(plane.handle, "127.0.0.1", 0)
         sessions = await open_sessions(*listener.sockets[0].getsockname()[:2])
-        while sum(plane.shed_shard_down) < 2:
+        while sum(plane.shed_shard_down) < 1 or plane.topology_requests < 1:
             await asyncio.sleep(0.005)
         listener.close()
         await plane.close_sessions()
@@ -459,26 +454,28 @@ def test_stop_ends_open_sessions_without_tracebacks(endpoint):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_binary_wire_parity_single_shard(algorithm):
-    """A binary-wire session == a JSONL session, asdict-identical.
+    """A binary-wire session == the same items delivered in-process.
 
-    Same pattern as the wire-batch parity test: frozen engine clock, one
-    delivery instant, real IngestServer over a real socket — only the
-    session codec differs, so the results must match field for field.
+    Frozen engine clock, one delivery instant.  One side is a real
+    IngestServer behind a real socket; the other hands the items straight
+    to the runtime under the server's stamping rule (a late update's times
+    shift by its lateness, a spec arrives now).  Framing, quanta and
+    decoding must change nothing, field for field.
     """
     config = _config(arrival_rate=300.0)
     items = _draw_workload(config)
 
-    async def scenario(protocol):
+    def runtime_at_one_instant():
         engine = Engine()
         engine.run_until(1.0)  # a fixed, shared delivery instant
-        runtime = LiveRuntime(config, algorithm, clock=engine)
+        return engine, LiveRuntime(config, algorithm, clock=engine)
+
+    async def over_the_wire():
+        engine, runtime = runtime_at_one_instant()
         server = IngestServer(runtime)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
-        if protocol == PROTOCOL_BINARY:
-            writer.write(WIRE_PREAMBLE + encode_frames(items))
-        else:
-            writer.write(encode_lines(items))
+        writer.write(WIRE_PREAMBLE + encode_frames(items))
         await writer.drain()
         while server.records_received < len(items):
             await asyncio.sleep(0.001)
@@ -487,61 +484,27 @@ def test_binary_wire_parity_single_shard(algorithm):
         engine.run_until(60.0)  # let every queued transaction finish
         return asdict(runtime.finalize())
 
-    jsonl = asyncio.run(scenario(PROTOCOL_JSONL))
-    binary = asyncio.run(scenario(PROTOCOL_BINARY))
-    assert binary == jsonl
-    assert binary["updates_applied"] > 0
-    assert binary["transactions_committed"] > 0
-
-
-# ----------------------------------------------------------------------
-# Six-algorithm parity, shards=2: routed engine-level pipelines
-# ----------------------------------------------------------------------
-def _decode_via(protocol, items):
-    if protocol == PROTOCOL_BINARY:
-        decoded = FrameDecoder().feed(encode_frames(items))
-    else:
-        decoded = [
-            item_from_record(record)
-            for record in decode_lines(encode_lines(items).splitlines())
-        ]
-    assert not any(isinstance(d, Exception) for d in decoded)
-    return decoded
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_binary_wire_parity_two_shards(algorithm):
-    """Shards=2: the routed, merged run is asdict-identical whether the
-    trace crossed the wire as binary frames or JSONL lines."""
-    config = _config(arrival_rate=300.0)
-    items = _draw_workload(config)
-
-    def run(protocol):
-        decoded = _decode_via(protocol, items)
-        router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
-        engine = Engine()
-        runtimes = [
-            LiveRuntime(shard_config(config, router, i), algorithm,
-                        clock=engine)
-            for i in range(2)
-        ]
-        for shard, routed in route_batch(router, decoded).items():
-            runtime = runtimes[shard]
-            for record in routed:
-                if isinstance(record, Update):
-                    engine.schedule_at(record.arrival_time,
-                                       runtime.ingest, record)
-                else:
-                    engine.schedule_at(record.arrival_time,
-                                       runtime.submit, record)
+    def in_process():
+        engine, runtime = runtime_at_one_instant()
+        now, updates = engine.now, []
+        for item in map(copy.copy, items):
+            if isinstance(item, Update):
+                late = now - item.arrival_time
+                if late > 0:
+                    item.arrival_time = now
+                    item.generation_time += late
+                updates.append(item)
+                continue
+            if updates:
+                runtime.ingest_batch(updates)
+                updates = []
+            runtime.submit(replace(item, arrival_time=now))
+        if updates:
+            runtime.ingest_batch(updates)
         engine.run_until(60.0)
-        merged = SimulationResult.merge([r.finalize() for r in runtimes])
-        result = asdict(merged)
-        result.pop("extras", None)  # merge provenance, not model output
-        return result
+        return asdict(runtime.finalize())
 
-    jsonl = run(PROTOCOL_JSONL)
-    binary = run(PROTOCOL_BINARY)
-    assert binary == jsonl
-    assert binary["updates_applied"] > 0
-    assert binary["transactions_committed"] > 0
+    wire = asyncio.run(over_the_wire())
+    assert wire == in_process()
+    assert wire["updates_applied"] > 0
+    assert wire["transactions_committed"] > 0
