@@ -3,10 +3,14 @@
 Every other simulator parity suite compares two live implementations (sim
 ≡ live, shards=1 ≡ reference wiring, batch ≡ per-record); a change that
 moves both sides moves none of them.  This file pins the six algorithms on
-six workload variants — the three arrival patterns, partial updates,
-in-order updates and a warmup reset — to the sha256 of their full
-``asdict`` results (``events_dispatched`` included), recorded on the
-commit *before* arrivals left the event heap (PR 23).
+twelve workload variants to the sha256 of their full ``asdict`` results
+(``events_dispatched`` included).  The first six — the three arrival
+patterns, partial updates, in-order updates and a warmup reset — were
+recorded on the commit *before* arrivals left the event heap; the other
+six — switch, queue and scan costs, UU with ABORT, LIFO with transaction
+preemption, a hot stream against ``OSmax = 3``, no feasibility test with
+WARN, bursty arrivals with a switch cost — on the commit before UF, SU and
+FX took the update stream by the run.
 
 The digests depend on the stdlib ``random`` draw algorithms
 (``expovariate``, ``randrange``, ``uniform``, ``gauss``); CI runs this file
@@ -23,7 +27,13 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.config import UpdatePattern, baseline_config
+from repro.config import (
+    QueueDiscipline,
+    StaleReadAction,
+    StalenessPolicy,
+    UpdatePattern,
+    baseline_config,
+)
 from repro.core.simulator import run_simulation
 
 ALGORITHMS = ("UF", "TF", "SU", "OD", "FX", "TF-SPLIT")
@@ -61,6 +71,46 @@ def _warmup():
     return config
 
 
+# The six variants above all run with x_switch = x_queue = x_scan = 0;
+# these charge every cost and take the less travelled policy branches.
+def _costs():
+    return baseline_config(duration=12.0, seed=107).with_system(
+        x_switch=2000, x_queue=300, x_scan=50
+    )
+
+
+def _uu_abort():
+    config = baseline_config(duration=12.0, seed=108).with_transactions(
+        stale_read_action=StaleReadAction.ABORT
+    ).with_system(x_scan=40)
+    config.staleness = StalenessPolicy.UNAPPLIED_UPDATE
+    return config
+
+
+def _lifo_preemption():
+    return baseline_config(duration=12.0, seed=109).with_system(
+        queue_discipline=QueueDiscipline.LIFO, transaction_preemption=True
+    )
+
+
+def _hot_os_max():
+    return baseline_config(duration=6.0, seed=110).with_updates(
+        arrival_rate=1500.0
+    ).with_system(os_queue_max=3)
+
+
+def _infeasible_warn():
+    return baseline_config(duration=12.0, seed=111).with_transactions(
+        stale_read_action=StaleReadAction.WARN
+    ).with_system(feasible_deadline=False)
+
+
+def _bursty_switch():
+    return baseline_config(duration=12.0, seed=112).with_updates(
+        pattern=UpdatePattern.BURSTY, burst_dwell_mean=1.0
+    ).with_system(x_switch=3000)
+
+
 VARIANTS = {
     "aperiodic": _aperiodic,
     "periodic": _periodic,
@@ -68,6 +118,12 @@ VARIANTS = {
     "partial": _partial,
     "mean_age_0": _in_order,
     "warmup": _warmup,
+    "costs": _costs,
+    "uu_abort": _uu_abort,
+    "lifo_preemption": _lifo_preemption,
+    "hot_os_max": _hot_os_max,
+    "infeasible_warn": _infeasible_warn,
+    "bursty_switch": _bursty_switch,
 }
 
 GOLDEN = {
@@ -95,6 +151,66 @@ GOLDEN = {
         "d1d143c197451c4c6bdd3925ef4b9df5d1ae02b9ed75b4c6b349064fb60c5095",
     ("bursty", "TF-SPLIT"):
         "6d894d8b27dd3841f9b130ef4d45105d45c7b56d41c2fb541be9a6deb9f113e9",
+    ("bursty_switch", "UF"):
+        "86d62e2a1e01cb40872c8859c7e9bc95e08b704485df04d75c5d1aae0360c1c8",
+    ("bursty_switch", "TF"):
+        "181a95ca9998869daebccf76d812c61a33f6221da92c19f38ef923384af7adbc",
+    ("bursty_switch", "SU"):
+        "aed6c8632e4c2a5c82569e1cdf43f0367ab0d8302de34b6d6e425bebe6221912",
+    ("bursty_switch", "OD"):
+        "2ba19ae5ba237fad95ebe2ce032528457e81176ebd7a71d603bf1edc89a63cdd",
+    ("bursty_switch", "FX"):
+        "cc1dfd5978f5f5158b81e2b9d48b8d0e08b3c7de317c55f7d2a16e5674efcd40",
+    ("bursty_switch", "TF-SPLIT"):
+        "01769c47ee1d29198008b33e7bc6bc8c457239503205de57a1c288448d38df22",
+    ("costs", "UF"):
+        "c12dbf3e36dadaba91a86798681c14487d07222fefab68a3dc99740af43c54c7",
+    ("costs", "TF"):
+        "1ea9020de1e3e6cc0deb7c79e34ee21da9bdf51351a12a397411fcaeab0daed1",
+    ("costs", "SU"):
+        "234fe48f212604f466e65757a527b2acc05e29adea2a348aed8de710240bf378",
+    ("costs", "OD"):
+        "e83611fdcfb73b62e273d2575d3832254c5222888b65b64549ee324f21023ede",
+    ("costs", "FX"):
+        "3dad703e616df9edd41219d1367cdf50a16d6fd9d9ebb2e6202c5d22f1f9132a",
+    ("costs", "TF-SPLIT"):
+        "d8b531d848b03f9f8c5de180c0031783455c26064aaef494b0e3a1ca40877818",
+    ("hot_os_max", "UF"):
+        "d5fb56377d271b5ae51d2535ae85f0c22b12c335a43bc2210cb421484b93c7d7",
+    ("hot_os_max", "TF"):
+        "f53fbb8d29f48383d1ae342694cc011670449fb866f0efeb24496bfc1fe98c85",
+    ("hot_os_max", "SU"):
+        "29448b7b041b5919b6b6d5fa0acd4becf954d40981d967fac648f27c70c5ab1a",
+    ("hot_os_max", "OD"):
+        "a0b508c378c1cb3b6b84c11258868b7a7446411d23f87034f84516cbbd1cbb3a",
+    ("hot_os_max", "FX"):
+        "cc547c0fb93c56c936b455afd6211e1a63be77aa79409bfedc58940cceaef69f",
+    ("hot_os_max", "TF-SPLIT"):
+        "dbbe87c252939a4d531c5333df04d37ea091ec8a63abac223c63e092db5a5732",
+    ("infeasible_warn", "UF"):
+        "32bfe29790ae2953439a85fc26820333e2da8f0f5f7d48cb19d389ab8da755a7",
+    ("infeasible_warn", "TF"):
+        "185206251b28f443f593b3d2130cf197cf969f7719712d8b38e3b7ff9d08186d",
+    ("infeasible_warn", "SU"):
+        "54f5e955d306adc91f6428e250b72e8515573066e519abc0c8790ab04c54883a",
+    ("infeasible_warn", "OD"):
+        "49a760db3c7bda0a2861d2dbef98c22f2bc2d8b8d4e3ffce3eb4e726565f6a5a",
+    ("infeasible_warn", "FX"):
+        "3ffef76f7f0e54fce334581a0b96884ecc6a13b2069c1bdd456e9d601fc7452c",
+    ("infeasible_warn", "TF-SPLIT"):
+        "97838d98d579c9b6cf66fff4cb29ac9102a820c7eb2c6f26585085af74a229ff",
+    ("lifo_preemption", "UF"):
+        "6d69af40d62ca77138e32898cdd48c6a627b90538aa47abfbe335feb726a7ab0",
+    ("lifo_preemption", "TF"):
+        "5fc78af9f7e7b50097298789f6e098ff4d34bf6e4f560ff4fbf4eb17bf78792e",
+    ("lifo_preemption", "SU"):
+        "7e47c2825a00f77fa5bc0bd0c4bccf1c5ef3cde9293a11fe8cf15e3326e52f0d",
+    ("lifo_preemption", "OD"):
+        "5cb733967958484f657f5cd616fa62ba40f616deab91b6eba6fce7f48021409a",
+    ("lifo_preemption", "FX"):
+        "03e8dc553d3a26a1346364a3ba95de03c49d0bd02897f89e987c25a4c851b95e",
+    ("lifo_preemption", "TF-SPLIT"):
+        "c78df89618daaa643629b3c6ab481f545e2abf7ad2b3f30df57f1f08169593d8",
     ("mean_age_0", "UF"):
         "136172ca87fc721ca86e9307d6f17df852057727b34c0974aa3837098a8f903f",
     ("mean_age_0", "TF"):
@@ -131,6 +247,18 @@ GOLDEN = {
         "1f82ab2965ad6f0875f1e8dc1a8be1a1e442be8d5cfd0ff7a86888caf2bebcaf",
     ("periodic", "TF-SPLIT"):
         "b88082d6af7003efbe879fa55d1759f3643a730f65457fbbacca899d706874d8",
+    ("uu_abort", "UF"):
+        "54aec201575e1738672e614d5a3ba9ac0a3b07970b99ce6e585909d3d0214126",
+    ("uu_abort", "TF"):
+        "e2ae6f91314f8a2c5a17512f7305980ba4b2518650e217cb37299018a52aca45",
+    ("uu_abort", "SU"):
+        "cc693f9ff89b6942b2f472528ca0f91ae80d864fae8dbc22a9a915ca1a73825b",
+    ("uu_abort", "OD"):
+        "4f54f7ee0f60a166e340b6717be3e025bbe60c593c62c4ef2573b404bdc74690",
+    ("uu_abort", "FX"):
+        "17135e40c591ceeac758d6912fd72a3804f32043b9372b125d3668465902e7e9",
+    ("uu_abort", "TF-SPLIT"):
+        "7428ab9a55b4b1052d05744efe97681e0474506b67422e3c505392f971fa584e",
     ("warmup", "UF"):
         "99f256e567f40a74cbe8fb923a430d71382c57a02b047f9e4a42397f4cdc355a",
     ("warmup", "TF"):
