@@ -49,12 +49,39 @@ class SchedulingAlgorithm:
     def on_update_arrival(self, ctl, update: Update) -> None:
         """React to an update landing in the OS queue.
 
-        The default (used by the queue-based algorithms) starts the
-        dispatch loop only if the CPU is idle: a running transaction or
-        update burst is never interrupted.
+        An idle CPU starts the dispatch loop.  A running transaction is
+        preempted when :meth:`preempts_for` says so; an update burst is
+        never interrupted.
         """
         if ctl.idle:
             ctl.dispatch()
+        elif self.preempts_for(update) and ctl.transaction_burst_in_progress:
+            ctl.preempt_running_transaction()
+            ctl.dispatch()
+
+    def preempts_for(self, update: Update) -> bool:
+        """Does this admitted update take the CPU from a running
+        transaction?  Never, for the queue-based algorithms.
+
+        An algorithm that overrides it declares SU's shape (section 4.3):
+        its ``select_work`` receives preempting updates for direct
+        installation (:meth:`Controller.drain_os_split`), installs them
+        first and then resumes the preempted transaction.  The simulator
+        relies on that shape to take the update stream by the run.
+        """
+        return False
+
+    def updates_behind(self, update_seconds: float, elapsed: float) -> bool:
+        """Would this algorithm install a queued update ahead of a waiting
+        transaction, given the update CPU seconds and the seconds measured
+        so far?  Never, for the transactions-first algorithms.
+
+        An algorithm that overrides it (FX) declares that this share test
+        is the only thing its ``select_work`` weighs at a scheduling point
+        with nothing to receive, so the controller may assemble the
+        installs it allows back to back.
+        """
+        return False
 
     def select_work(self, ctl) -> str:
         """Choose the next activity; see module docstring for the protocol."""

@@ -25,15 +25,14 @@ class FixedFraction(SchedulingAlgorithm):
             raise ValueError(f"fraction out of [0,1]: {fraction}")
         self.fraction = fraction
 
+    def updates_behind(self, update_seconds: float, elapsed: float) -> bool:
+        return elapsed > 0 and update_seconds < self.fraction * elapsed
+
     def select_work(self, ctl) -> str:
         status = ctl.drain_os_to_queue()
         if status is BUSY:
             return status
-        elapsed = ctl.engine.now
-        updates_behind = (
-            elapsed > 0 and ctl.cpu.update_seconds < self.fraction * elapsed
-        )
-        if updates_behind:
+        if self.updates_behind(ctl.cpu.update_seconds, ctl.engine.now):
             status = ctl.start_install_from_queue()
             if status is not IDLE:
                 return status

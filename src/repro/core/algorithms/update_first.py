@@ -4,37 +4,23 @@ Every update is applied as soon as it arrives: if a transaction is running
 it is preempted (costing ``2 * x_switch``); updates that arrive while
 another update is being installed wait in the small OS queue.  UF never
 uses the application-level update queue.
+
+That is Split Updates with every update of high importance, so UF is SU
+with :meth:`preempts_for` always true.
 """
 
 from __future__ import annotations
 
-from repro.core.algorithms.base import SchedulingAlgorithm
-from repro.core.controller import AGAIN, IDLE
+from repro.core.algorithms.split_updates import SplitUpdates
 from repro.db.objects import Update
 
 
-class UpdateFirst(SchedulingAlgorithm):
+class UpdateFirst(SplitUpdates):
     """Apply updates on arrival, ahead of all transactions."""
 
     name = "UF"
     description = "updates preempt transactions and are applied on arrival"
     uses_update_queue = False
 
-    def on_update_arrival(self, ctl, update: Update) -> None:
-        if ctl.idle:
-            ctl.dispatch()
-            return
-        if ctl.transaction_burst_in_progress:
-            ctl.preempt_running_transaction()
-            ctl.dispatch()
-        # Otherwise an update install is already on the CPU; the arrival
-        # waits its turn in the OS queue.
-
-    def select_work(self, ctl) -> str:
-        status = ctl.drain_os_to_direct()
-        if status is AGAIN:
-            pass  # fresh updates were received; install them below
-        install = ctl.start_direct_install()
-        if install is not IDLE:
-            return install
-        return ctl.start_best_transaction()
+    def preempts_for(self, update: Update) -> bool:
+        return True

@@ -137,13 +137,15 @@ class Controller:
         # bound from the front.
         self._expiry_enabled = config.staleness is StalenessPolicy.MAX_AGE
         self._seconds = config.system.seconds
-        # The base arrival hook only dispatches an idle CPU, so while a
-        # burst runs it decides nothing and a batch can be admitted in bulk;
-        # an algorithm that overrides the hook (UF, SU) sees every arrival.
-        self._bulk_admission = (
-            type(algorithm).on_update_arrival
-            is SchedulingAlgorithm.on_update_arrival
-        )
+        # Under the base hook a policy that never preempts decides nothing
+        # while a burst runs (bulk admission); a preempting one (UF, SU)
+        # takes runs; one that overrides the hook sees every arrival.
+        kind = type(algorithm)
+        base_hook = kind.on_update_arrival is SchedulingAlgorithm.on_update_arrival
+        preempting = kind.preempts_for is not SchedulingAlgorithm.preempts_for
+        self._bulk_admission = base_hook and not preempting
+        self._takes_runs = base_hook and preempting
+        self._streaks = kind.updates_behind is not SchedulingAlgorithm.updates_behind
         algorithm.attach(self)
 
     # ------------------------------------------------------------------
@@ -222,6 +224,188 @@ class Controller:
         # else the kernel dropped it; the OS queue counts the drop
         return 1
 
+    def on_update_stream(
+        self, updates: Sequence[Update], start: int, stop: int
+    ) -> int:
+        """The simulator's run sink: ``updates`` is the update source's
+        chunk, ``updates[start]`` arrives now; returns how many it took.
+
+        A preempting algorithm (UF, SU) takes the run while the serial
+        schedule is section 3.3's cycle — preempt the transaction (charge
+        the elapsed part, note its progress), receive, install at ``t +
+        install + 2 x_switch``, resume with its switch — with arrivals
+        during an install waiting in the OS queue.  One loop computes it:
+        every hook gets an explicit ``now``, CPU charges go in serial
+        order, each install's completion counts as the event it is, and at
+        most one heap event is left, the burst still running.  It stops
+        before anything else the schedule would look at — :meth:`_horizon`
+        (not ``stop``, which may be the preempted burst's end), a step's
+        end, two installs due at once, an infeasible resume, an install
+        priced by the one before, a costly enqueue, an instant shared with
+        the next arrival (sequence numbers order it), the chunk's end — and
+        what it cannot take goes through :meth:`on_update_run`.
+        """
+        busy = self._busy
+        if not self._takes_runs:
+            return self.on_update_run(updates, start, stop)
+        if busy is None and not (self._resume_txn or self.ready or self.os_queue):
+            txn, end = None, math.inf
+        elif (busy is not None and busy.preemptible and busy.txn is not None
+              and updates[start].arrival_time < busy.event.time):
+            txn, end = busy.txn, busy.event.time
+            tx_start, tx_switch = busy.start, busy.switch_seconds
+        else:
+            return self.on_update_run(updates, start, stop)
+        engine, osq, uq, cpu = self.engine, self.os_queue, self.update_queue, self.cpu
+        preempts_for, charged = self.algorithm.preempts_for, cpu.busy_seconds
+        install, install_seconds = self.database.install, self._install_seconds
+        note_installed = self.update_accounting.note_installed
+        expiry = self._expiry_enabled and self.algorithm.uses_update_queue
+        expire, max_age, x_queue = uq.expire_older_than, self._max_age, self.system.x_queue
+        feasible, switch = self.system.feasible_deadline, self._seconds(self.system.x_switch)
+        horizon, updating = self._horizon(), self._last_owner == "update-process"
+        real, resumed, installing, waiting = busy is not None, False, None, None
+        k, n, queued = start, len(updates), len(osq)
+        arrived = received = switches = preemptions = completions = waits = 0
+        while k < n:
+            update = updates[k]
+            t = update.arrival_time
+            if end < t:
+                # The running burst ends first: an install's completion.
+                if installing is None or end >= horizon or waits > 1:
+                    break
+                nxt = waiting if waits else None
+                lows = queued > waits
+                nxt_end = math.inf
+                if nxt is not None:
+                    if (lows and x_queue) or nxt.key == installing.key:
+                        break
+                    nxt_total = install_seconds(nxt)
+                    nxt_end = end + nxt_total
+                elif txn is None:
+                    if lows or uq:  # SU installs queued lows in idle time
+                        break
+                else:
+                    if (lows and x_queue) or (feasible and not txn.is_feasible(end)):
+                        break
+                    nxt_total = txn.next_burst_seconds() + switch
+                    nxt_end = end + nxt_total
+                if nxt_end == t:
+                    break
+                completions += 1
+                engine.now = end
+                charged[CpuAccounting.UPDATE] += ins_total
+                note_installed(install(installing, end))
+                if expiry:
+                    expire(end - max_age, end)
+                if lows:
+                    self.drain_os_split()
+                    if expiry:
+                        expire(end - max_age, end)
+                    if nxt is not None:
+                        self.direct_installs.popleft()
+                elif waits:
+                    osq.receive()
+                    received += 1
+                waits = queued = 0
+                if nxt is not None:
+                    installing, ins_start, ins_switch = nxt, end, 0.0
+                    ins_total, end = nxt_total, nxt_end
+                elif txn is not None:
+                    self._resume_txn = None
+                    txn.state = TransactionState.RUNNING
+                    switches += 1
+                    updating, resumed, installing = False, True, None
+                    tx_start, tx_switch, tx_total, end = end, switch, nxt_total, nxt_end
+                else:
+                    installing, end = None, math.inf
+                continue
+            preempting = preempts_for(update)
+            if not (t < end and t < horizon) or installing is None and (
+                (end == math.inf and not preempting)  # SU: a low to an idle CPU
+                or (preempting and queued and x_queue)  # an enqueue that costs CPU
+            ):
+                break
+            k += 1
+            arrived += 1
+            engine.now = t
+            if not osq.offer(update):
+                continue
+            queued += 1
+            if installing is not None:
+                if preempting:
+                    waits += 1
+                    waiting = update
+                continue
+            if txn is not None:
+                if not preempting:
+                    continue
+                if real:
+                    busy.event.cancel()
+                    self._busy = None
+                    real = False
+                    horizon = self._horizon()
+                elapsed = t - tx_start
+                charged[CpuAccounting.TRANSACTION] += elapsed
+                txn.note_burst_progress(max(0.0, elapsed - tx_switch))
+                txn.state = TransactionState.PREEMPTED
+                self._resume_txn = txn
+                preemptions += 1
+            if expiry:
+                expire(t - max_age, t)
+            if queued > 1:
+                # SU: the lows waiting with it are enqueued now.
+                self.drain_os_split()
+                if len(self.direct_installs) > 1:
+                    # More were waiting (a step may start after a scan with
+                    # some queued): serial, as nothing has looked past ``t``.
+                    self._extra_switches = 1
+                    self.dispatch()
+                    end = math.inf
+                    break
+                if expiry:
+                    expire(t - max_age, t)
+                self.direct_installs.popleft()
+            else:
+                osq.receive()
+                received += 1
+            queued = 0
+            if updating:
+                ins_switch = 0.0
+            else:
+                # A preemptive receive pays 2 * x_switch (section 3.3).
+                ins_switch = switch * (1 if txn is None else 2)
+                switches += 1
+                updating = True
+            installing, ins_start = update, t
+            ins_total = install_seconds(update) + ins_switch
+            end = t + ins_total
+        self.update_accounting.note_arrival(arrived)
+        self.update_accounting.note_received(received)
+        cpu.context_switches += switches
+        cpu.preemptions += preemptions
+        engine.events_dispatched += completions
+        if updating:
+            self._last_owner = "update-process"
+        elif resumed:
+            self._last_owner = ("txn", txn.spec.seq)
+        if installing is not None:
+            self._installing = installing
+            self._busy = _Burst(
+                CpuAccounting.UPDATE, ins_total, ins_start,
+                engine.schedule_at(end, self._burst_done), self._finish_install,
+                (installing,), None, False, ins_switch,
+            )
+        elif not real and end < math.inf:
+            self._busy = _Burst(
+                CpuAccounting.TRANSACTION, tx_total, tx_start,
+                engine.schedule_at(end, self._burst_done),
+                self._transaction_step_done, (txn,), txn, True, tx_switch,
+            )
+        if k == start:
+            return self.on_update_run(updates, start, stop)
+        return k - start
+
     def on_transaction_arrival(self, spec: TransactionSpec) -> None:
         """Arrival of one transaction (engine callback)."""
         self.transaction_log.note_arrival(spec.value)
@@ -297,28 +481,20 @@ class Controller:
         """Any transaction waiting for the CPU (ignoring feasibility)?"""
         return self._resume_txn is not None or bool(self.ready)
 
-    def drain_os_to_direct(self) -> str:
-        """Receive all OS-queued updates for direct installation (UF path)."""
-        updates = self.os_queue.receive_all()
-        if not updates:
-            return IDLE
-        self.update_accounting.note_received(len(updates))
-        self.direct_installs.extend(updates)
-        return AGAIN
-
     def drain_os_split(self) -> str:
-        """Receive all OS-queued updates, split by importance (SU path).
+        """Receive all OS-queued updates, split by preemption (UF/SU path).
 
-        High-importance updates go to the direct-install list; low-importance
-        updates are enqueued (paying the queue-insert cost).
+        Updates the algorithm preempts for go to the direct-install list;
+        the others are enqueued (paying the queue-insert cost).
         """
         updates = self.os_queue.receive_all()
         if not updates:
             return IDLE
         self.update_accounting.note_received(len(updates))
         lows = []
+        preempts_for = self.algorithm.preempts_for
         for update in updates:
-            if self.algorithm.is_high_importance(update):
+            if preempts_for(update):
                 self.direct_installs.append(update)
             else:
                 lows.append(update)
@@ -335,31 +511,24 @@ class Controller:
         return self._enqueue_batch(updates)
 
     def _enqueue_batch(self, updates: list[Update]) -> str:
-        cost = self._enqueue_cost_seconds(len(updates))
-        if cost > 0:
-            self._receiving = updates
-            self._start_burst(
-                cost,
-                CpuAccounting.UPDATE,
-                self._finish_enqueue,
-                owner="update-process",
-                args=(updates,),
-            )
-            return BUSY
-        self._finish_enqueue(updates, then_dispatch=False)
-        return AGAIN
-
-    def _enqueue_cost_seconds(self, count: int) -> float:
-        """Total x_queue * ln(n) cost of inserting ``count`` updates."""
         x_queue = self.system.x_queue
-        if x_queue == 0 or count == 0:
-            return 0.0
+        if not x_queue:
+            self._finish_enqueue(updates, then_dispatch=False)
+            return AGAIN
+        # The x_queue * ln(n) cost of each insert, as one burst.
         size = len(self.update_queue)
         instructions = 0.0
-        for i in range(count):
-            n = size + i + 1
-            instructions += x_queue * math.log(max(n, 2))
-        return self._seconds(instructions)
+        for i in range(len(updates)):
+            instructions += x_queue * math.log(max(size + i + 1, 2))
+        self._receiving = updates
+        self._start_burst(
+            self._seconds(instructions),
+            CpuAccounting.UPDATE,
+            self._finish_enqueue,
+            owner="update-process",
+            args=(updates,),
+        )
+        return BUSY
 
     def _finish_enqueue(self, updates: list[Update], then_dispatch: bool = True) -> None:
         self._receiving = None
@@ -392,11 +561,13 @@ class Controller:
         if self.system.x_queue:
             n = max(len(self.update_queue) + 1, 2)
             extra = self._seconds(self.system.x_queue * math.log(n))
-        if self.has_runnable_transaction() or self.os_queue or self.direct_installs:
+        if self.os_queue or self.direct_installs or (
+            not self._streaks and self.has_runnable_transaction()
+        ):
             # At the next burst boundary the algorithm may pick something
-            # other than "install the next queued update" (FX can flip back
-            # to transactions; SU serves direct installs first) — install
-            # one update at a time so every decision point is honored.
+            # other than "install the next queued update" (SU serves direct
+            # installs first, TF a transaction) — install one update at a
+            # time so every decision point is honored.
             return self._start_install_burst(update, extra_seconds=extra)
         return self._start_install_batch(update, extra, from_queue=True)
 
@@ -422,6 +593,18 @@ class Controller:
         )
         return BUSY
 
+    def _horizon(self) -> float | None:
+        """How far the CPU's own work can be assembled ahead: the next
+        pending engine event or the end of the run_until segment,
+        whichever is first; None outside run_until."""
+        engine = self.engine
+        horizon = engine.run_end
+        if horizon is not None:
+            next_event = engine.peek_time()
+            if next_event is not None and next_event < horizon:
+                horizon = next_event
+        return horizon
+
     def _start_install_batch(self, first: Update, first_extra: float,
                              from_queue: bool) -> str:
         """Coalesce consecutive installs into one burst with one event.
@@ -438,25 +621,31 @@ class Controller:
         costs in serial order.  All metrics are bit-identical to the
         one-event-per-install schedule; only ``events_dispatched`` shrinks.
 
-        The batch never extends to or past the next pending engine event /
-        the end of the run_until segment, so no other code can observe the
-        intermediate state and arrivals/deadlines/warmup interleave exactly
-        as they would serially.
+        The batch never extends to or past :meth:`_horizon`, so no other
+        code can observe the intermediate state and arrivals, deadlines and
+        the warmup interleave exactly as they would serially.  With a
+        transaction waiting only FX gets here: the chain is its install
+        streak, its share test is replayed at every boundary with the
+        update seconds charged so far, every install counts as its event,
+        and the last install may span arrival-source deliveries.
         """
         if self._busy is not None:
             raise RuntimeError("CPU is already busy")
         engine = self.engine
-        horizon = engine.run_end
-        if horizon is not None:
-            next_event = engine.peek_time()
-            if next_event is not None and next_event < horizon:
-                horizon = next_event
+        horizon = self._horizon()
         start = engine.now
         switch_seconds = self._take_switch_seconds("update-process")
         first_seconds = self._install_seconds(first) + first_extra
         total = first_seconds + switch_seconds
         end = start + total
-        if horizon is None or end + first_seconds >= horizon:
+        streak = from_queue and self._streaks and self.has_runnable_transaction()
+        spans = horizon
+        if streak and horizon is not None and hasattr(engine, "arm"):
+            # A source's arrival only joins the OS queue during an install
+            # (FX keeps the base hook): the last install may span it.
+            next_event = engine.peek_time(sources=False)
+            spans = engine.run_end if next_event is None else min(next_event, engine.run_end)
+        if horizon is None or end >= horizon or end + first_seconds >= spans:
             # The first install runs into the next scheduling point (or we
             # are outside run_until), or the horizon leaves no room for a
             # second one — a one-install "batch" is pure assembly overhead.
@@ -477,11 +666,15 @@ class Controller:
         expire, peek, pop = queue.expire_older_than, queue.peek_next, queue.pop_next
         expiry, max_age, lifo = self._expiry_enabled, self._max_age, self._lifo
         x_queue = self.system.x_queue
+        behind = self.algorithm.updates_behind
+        update_seconds = self.cpu.update_seconds + total
         charges = [total]
         note_installed(install(first, end))
-        while True:
+        while end < horizon:
             if expiry and queue:
                 expire(end - max_age, end)
+            if streak and not behind(update_seconds, end):
+                break
             if from_queue:
                 update = peek(lifo)
                 if update is None:
@@ -496,7 +689,7 @@ class Controller:
                 update = direct[0]
                 seconds = install_seconds(update)
             nxt_end = end + seconds
-            if nxt_end >= horizon:
+            if nxt_end >= spans:
                 break
             if from_queue:
                 pop(lifo, end)
@@ -505,6 +698,9 @@ class Controller:
             end = nxt_end
             note_installed(install(update, end))
             charges.append(seconds)
+            update_seconds += seconds
+        if streak:
+            engine.events_dispatched += len(charges) - 1
         event = engine.schedule_at(end, self._burst_done)
         self._busy = _Burst(
             CpuAccounting.UPDATE, end - start, start, event,
@@ -765,10 +961,11 @@ class Controller:
             # Coalesced install batch: replay the per-install charges in
             # serial order so the float accumulation is bit-identical to
             # the burst-per-install schedule.
-            charge = self.cpu.charge
-            category = burst.category
+            busy_seconds = self.cpu.busy_seconds
+            total = busy_seconds[burst.category]
             for seconds in charges:
-                charge(category, seconds)
+                total += seconds
+            busy_seconds[burst.category] = total
         burst.on_done(*burst.on_done_args)
 
     def _cancel_busy_burst(self) -> None:

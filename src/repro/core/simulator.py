@@ -78,7 +78,7 @@ class Simulation:
         if shards == 1:
             # One pipeline: the controller takes the stream by the run.  A
             # sharded run routes every record to its owner one at a time.
-            self.update_generator.run_sink = self.controller.on_update_run
+            self.update_generator.run_sink = self.controller.on_update_stream
         self.transaction_generator = TransactionGenerator(
             config, self.engine, self.streams, self.shard_set.route_spec
         )

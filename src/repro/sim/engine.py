@@ -313,8 +313,9 @@ class Engine:
                 count += 1
         return count
 
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or None if the queue is empty.
+    def peek_time(self, sources: bool = True) -> float | None:
+        """Time of the next live event, or None if the queue is empty;
+        with ``sources=False``, of the next heap event alone.
 
         Amortized O(1): cancelled heads are popped eagerly, each one paid
         for by the cancellation that produced it.
@@ -324,7 +325,8 @@ class Engine:
             heapq.heappop(heap)
             self._cancelled -= 1
         time = heap[0][0] if heap else inf
-        for source in self._sources:
-            if source.next_time < time:
-                time = source.next_time
+        if sources:
+            for source in self._sources:
+                if source.next_time < time:
+                    time = source.next_time
         return time if time < inf else None

@@ -12,9 +12,12 @@ take the hook for every record; TF, OD, FX and TF-SPLIT keep the base hook
 and admit the rest of a batch in bulk once a burst owns the CPU.
 
 The simulator reaches the same bulk admission from the other side: its
-update stream is an engine arrival source, and ``Controller.on_update_run``
-is offered every arrival that precedes the next event of any other kind.
-The second half of this file checks what a run may and may not contain.
+update stream is an engine arrival source, and its run sink
+(``Controller.on_update_stream``) offers ``Controller.on_update_run`` every
+arrival that precedes the next event of any other kind.  The second half of
+this file spies on ``on_update_run`` as that sink and checks what a run may
+and may not contain (``tests/test_update_runs.py`` covers the runs UF and SU
+take on their own).
 """
 
 import math
