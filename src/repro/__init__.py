@@ -35,7 +35,7 @@ from repro.core import (
 )
 from repro.metrics import SimulationResult, format_result, format_table
 
-__version__ = "1.0.0"
+__version__ = "1.0.1"
 
 __all__ = [
     "ALGORITHMS",

@@ -2,9 +2,9 @@
 
 Section 7 lists "giving a fixed CPU fraction to updates" as an unexplored
 scheduling algorithm.  FX reserves a target fraction ``f`` of CPU time for
-the update process: at every scheduling point, if the update process has so
-far consumed less than ``f`` of elapsed time, update work runs first;
-otherwise transactions do.  The policy is work-conserving — whichever side
+the update process: at every scheduling point, if the update process has
+consumed less than ``f`` of the time measured so far (since the warmup, as
+the CPU ledger is), update work runs first; otherwise transactions do.  The policy is work-conserving — whichever side
 has nothing to do yields the CPU to the other.
 """
 
@@ -32,7 +32,10 @@ class FixedFraction(SchedulingAlgorithm):
         status = ctl.drain_os_to_queue()
         if status is BUSY:
             return status
-        if self.updates_behind(ctl.cpu.update_seconds, ctl.engine.now):
+        # The CPU ledger restarts at the warmup boundary, and so does the
+        # elapsed time its share is measured against.
+        elapsed = ctl.engine.now - ctl.measured_from
+        if self.updates_behind(ctl.cpu.update_seconds, elapsed):
             status = ctl.start_install_from_queue()
             if status is not IDLE:
                 return status

@@ -136,6 +136,9 @@ class Controller:
         # measured from arrival, which the generation-ordered queue cannot
         # bound from the front.
         self._expiry_enabled = config.staleness is StalenessPolicy.MAX_AGE
+        # Start of the measurement window (the warmup boundary), which the
+        # CPU ledger counts from.
+        self.measured_from = 0.0
         self._seconds = config.system.seconds
         # Under the base hook a policy that never preempts decides nothing
         # while a burst runs (bulk admission); a preempting one (UF, SU)
@@ -673,7 +676,7 @@ class Controller:
         while end < horizon:
             if expiry and queue:
                 expire(end - max_age, end)
-            if streak and not behind(update_seconds, end):
+            if streak and not behind(update_seconds, end - self.measured_from):
                 break
             if from_queue:
                 update = peek(lifo)
@@ -1014,8 +1017,10 @@ class Controller:
         """Split the in-flight burst at the warmup boundary.
 
         The CPU ledger is reset at ``now``; the part of the current burst
-        that already ran must not be charged into the measurement window.
+        that already ran must not be charged into the measurement window,
+        and a share of the CPU (FX) is measured from here on.
         """
+        self.measured_from = now
         burst = self._busy
         if burst is not None:
             elapsed = now - burst.start

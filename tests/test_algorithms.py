@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import baseline_config
 from repro.core.algorithms import (
     ALGORITHMS,
     FixedFraction,
@@ -13,6 +14,7 @@ from repro.core.algorithms import (
     make_algorithm,
 )
 from repro.core.algorithms.registry import PAPER_ALGORITHMS
+from repro.core.simulator import run_simulation
 from repro.db.objects import ObjectClass, Update
 
 
@@ -41,6 +43,20 @@ def test_make_algorithm_passes_kwargs():
 def test_fixed_fraction_validation():
     with pytest.raises(ValueError):
         FixedFraction(fraction=1.5)
+
+
+@pytest.mark.parametrize("warmup", [0.0, 10.0, 20.0])
+def test_fixed_fraction_measures_its_share_from_the_warmup(warmup):
+    """With the CPU saturated by transactions FX's updates get exactly
+    their fraction of the measured window, however long the warmup: the
+    share is of the time the CPU ledger counts, not of the whole run (which
+    read 0.125 and 0.150 here at warmups 10 and 20)."""
+    config = baseline_config(duration=warmup + 40.0, seed=5)
+    config = config.with_transactions(arrival_rate=40.0)
+    config.warmup = warmup
+    result = run_simulation(config, "FX", fraction=0.1)
+    assert result.rho_transactions > 0.85
+    assert result.rho_updates == pytest.approx(0.1, abs=0.002)
 
 
 def test_policy_attributes():

@@ -11,7 +11,7 @@ from repro.live.__main__ import build_parser, main as live_main
 
 
 def test_version():
-    assert repro.__version__ == "1.0.0"
+    assert repro.__version__ == "1.0.1"
 
 
 def test_all_exports_resolve():

@@ -268,7 +268,7 @@ GOLDEN = {
     ("warmup", "OD"):
         "62ebf43f2e097e582b3a1afd58ce2538ea181bd6bfc1a0a999b8ea1adffafe6e",
     ("warmup", "FX"):
-        "2271fb1d6f1a384420398acf10232aea24f398047b9d3eeabc9071c9fcf5b773",
+        "978877e49b45c5e278073cc82dbcf747ee0782b3650d5de349d13fe99d4ce376",
     ("warmup", "TF-SPLIT"):
         "2a9c8fad699c32df62746fbaf204044306aa5a88174e65a38af7ef60bd3edbb2",
 }
