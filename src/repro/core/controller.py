@@ -149,6 +149,8 @@ class Controller:
         self._bulk_admission = base_hook and not preempting
         self._takes_runs = base_hook and preempting
         self._streaks = kind.updates_behind is not SchedulingAlgorithm.updates_behind
+        # True while an update is delivered (see _start_install_batch).
+        self._delivering = False
         algorithm.attach(self)
 
     # ------------------------------------------------------------------
@@ -223,7 +225,9 @@ class Controller:
         if self.os_queue.offer(update):
             if admitted is not None:
                 admitted.append(update)
+            self._delivering = True
             self.algorithm.on_update_arrival(self, update)
+            self._delivering = False
         # else the kernel dropped it; the OS queue counts the drop
         return 1
 
@@ -363,7 +367,9 @@ class Controller:
                     # More were waiting (a step may start after a scan with
                     # some queued): serial, as nothing has looked past ``t``.
                     self._extra_switches = 1
+                    self._delivering = True
                     self.dispatch()
+                    self._delivering = False
                     end = math.inf
                     break
                 if expiry:
@@ -626,7 +632,9 @@ class Controller:
 
         The batch never extends to or past :meth:`_horizon`, so no other
         code can observe the intermediate state and arrivals, deadlines and
-        the warmup interleave exactly as they would serially.  With a
+        the warmup interleave exactly as they would serially.  While an
+        update is delivered the stream's next arrival is hidden (its source
+        reports none), so nothing is assembled then.  With a
         transaction waiting only FX gets here: the chain is its install
         streak, its share test is replayed at every boundary with the
         update seconds charged so far, every install counts as its event,
@@ -648,7 +656,8 @@ class Controller:
             # (FX keeps the base hook): the last install may span it.
             next_event = engine.peek_time(sources=False)
             spans = engine.run_end if next_event is None else min(next_event, engine.run_end)
-        if horizon is None or end >= horizon or end + first_seconds >= spans:
+        if (horizon is None or self._delivering or end >= horizon
+                or end + first_seconds >= spans):
             # The first install runs into the next scheduling point (or we
             # are outside run_until), or the horizon leaves no room for a
             # second one — a one-install "batch" is pure assembly overhead.

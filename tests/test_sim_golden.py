@@ -252,7 +252,7 @@ GOLDEN = {
     ("uu_abort", "TF"):
         "e2ae6f91314f8a2c5a17512f7305980ba4b2518650e217cb37299018a52aca45",
     ("uu_abort", "SU"):
-        "cc693f9ff89b6942b2f472528ca0f91ae80d864fae8dbc22a9a915ca1a73825b",
+        "4a3a440b02b0fdce0c79f05da7c9953f4a724a4505388c3eb63fbee1a061c739",
     ("uu_abort", "OD"):
         "4f54f7ee0f60a166e340b6717be3e025bbe60c593c62c4ef2573b404bdc74690",
     ("uu_abort", "FX"):

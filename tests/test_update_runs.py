@@ -13,6 +13,7 @@ traffic is bounded too: the per-arrival path pushes 1.84 (UF), 1.09 (SU)
 and 1.04 (FX) heap events per update arrival.
 """
 
+import bisect
 import hashlib
 import json
 from dataclasses import asdict
@@ -88,3 +89,53 @@ def test_an_instant_shared_with_the_next_arrival_keeps_the_serial_order():
     assert expected["updates_arrived"] == 2
     assert expected["preemptions"] == 2  # the arrival came first
     assert _tied(one_at_a_time=False) == expected
+
+
+def _chains(variant, algorithm):
+    """Run one golden cell, check that no assembled chain of installs
+    crosses the update stream's next arrival, and count the chains."""
+    simulation = Simulation(VARIANTS[variant](), algorithm)
+    controller = simulation.controller
+    arrivals, chains = [], []
+    deliver = simulation.update_generator.run_sink
+
+    def run_sink(updates, start, stop):
+        taken = deliver(updates, start, stop)
+        arrivals.extend(update.arrival_time for update in updates[start:start + taken])
+        return taken
+
+    assemble = controller._start_install_batch
+
+    def spy(first, first_extra, from_queue):
+        streak = (from_queue and algorithm == "FX"
+                  and controller.has_runnable_transaction())
+        status = assemble(first, first_extra, from_queue)
+        burst = controller._busy
+        if burst.charges is not None and len(burst.charges) > 1:
+            # The boundaries, summed exactly as the assembly sums them.
+            ends = [burst.start + burst.charges[0]]
+            for seconds in burst.charges[1:]:
+                ends.append(ends[-1] + seconds)
+            chains.append((burst.start, ends[-2] if streak else ends[-1]))
+        return status
+
+    simulation.update_generator.run_sink = run_sink
+    controller._start_install_batch = spy
+    simulation.run()
+    for start, last in chains:
+        following = bisect.bisect_right(arrivals, start)
+        if following < len(arrivals):
+            assert last < arrivals[following]
+    return len(chains)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_no_assembled_chain_crosses_the_next_arrival(variant, algorithm):
+    """A chain of installs ends before the update stream's next arrival:
+    outside a delivery the engine shows it, and inside one, where the
+    source hides it, nothing is assembled past now.  FX's streak may run
+    one install past it (the arrival only joins the OS queue) but never
+    starts one after it.  Periodic arrivals never leave UF two installs to
+    chain."""
+    assert _chains(variant, algorithm) or (variant, algorithm) == ("periodic", "UF")
