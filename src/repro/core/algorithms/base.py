@@ -6,11 +6,15 @@ install next.  It expresses them through two hooks:
 
 * :meth:`on_update_arrival` — called the moment an update lands in the OS
   queue; this is where preemptive algorithms interrupt the running
-  transaction.
+  transaction (the ones that say so through :meth:`preempts_for`).
 * :meth:`select_work` — called by the controller's dispatch loop whenever
   the CPU is free; the algorithm starts exactly one burst (returning
   ``BUSY``), performs an instantaneous action (``AGAIN``), or declares the
   system idle (``IDLE``).
+
+The two predicates, :meth:`preempts_for` and :meth:`updates_behind`, also
+tell the controller when the serial schedule is known in advance, so the
+simulator can compute it by the run.
 """
 
 from __future__ import annotations

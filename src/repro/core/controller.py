@@ -136,9 +136,7 @@ class Controller:
         # measured from arrival, which the generation-ordered queue cannot
         # bound from the front.
         self._expiry_enabled = config.staleness is StalenessPolicy.MAX_AGE
-        # Start of the measurement window (the warmup boundary), which the
-        # CPU ledger counts from.
-        self.measured_from = 0.0
+        self.measured_from = 0.0  # where the CPU ledger counts from (warmup)
         self._seconds = config.system.seconds
         # Under the base hook a policy that never preempts decides nothing
         # while a burst runs (bulk admission); a preempting one (UF, SU)
@@ -149,8 +147,7 @@ class Controller:
         self._bulk_admission = base_hook and not preempting
         self._takes_runs = base_hook and preempting
         self._streaks = kind.updates_behind is not SchedulingAlgorithm.updates_behind
-        # True while an update is delivered (see _start_install_batch).
-        self._delivering = False
+        self._delivering = False  # an update is being delivered (_start_install_batch)
         algorithm.attach(self)
 
     # ------------------------------------------------------------------
@@ -231,26 +228,21 @@ class Controller:
         # else the kernel dropped it; the OS queue counts the drop
         return 1
 
-    def on_update_stream(
-        self, updates: Sequence[Update], start: int, stop: int
-    ) -> int:
-        """The simulator's run sink: ``updates`` is the update source's
-        chunk, ``updates[start]`` arrives now; returns how many it took.
+    def on_update_stream(self, updates: Sequence[Update], start: int, stop: int) -> int:
+        """The simulator's run sink: ``updates[start]`` (of the source's
+        chunk) arrives now; returns how many arrivals it took.
 
-        A preempting algorithm (UF, SU) takes the run while the serial
-        schedule is section 3.3's cycle — preempt the transaction (charge
-        the elapsed part, note its progress), receive, install at ``t +
-        install + 2 x_switch``, resume with its switch — with arrivals
-        during an install waiting in the OS queue.  One loop computes it:
-        every hook gets an explicit ``now``, CPU charges go in serial
-        order, each install's completion counts as the event it is, and at
-        most one heap event is left, the burst still running.  It stops
-        before anything else the schedule would look at — :meth:`_horizon`
-        (not ``stop``, which may be the preempted burst's end), a step's
-        end, two installs due at once, an infeasible resume, an install
-        priced by the one before, a costly enqueue, an instant shared with
-        the next arrival (sequence numbers order it), the chunk's end — and
-        what it cannot take goes through :meth:`on_update_run`.
+        UF and SU take the run while the serial schedule is section 3.3's
+        cycle — preempt (charge the elapsed part, note the progress),
+        receive, install at ``t + install + 2 x_switch``, resume — with
+        arrivals during an install waiting in the OS queue: every hook with
+        an explicit ``now``, CPU charges in serial order, each completion
+        counted as its event, one heap event left (the running burst).  It
+        stops before anything else the schedule looks at (:meth:`_horizon`,
+        not ``stop``; a step's end; two installs due at once; an infeasible
+        resume; an install priced by the one before; a costly enqueue; an
+        instant shared with the next arrival; the chunk's end) and leaves
+        the rest to :meth:`on_update_run`.
         """
         busy = self._busy
         if not self._takes_runs:
@@ -403,14 +395,12 @@ class Controller:
             self._busy = _Burst(
                 CpuAccounting.UPDATE, ins_total, ins_start,
                 engine.schedule_at(end, self._burst_done), self._finish_install,
-                (installing,), None, False, ins_switch,
-            )
+                (installing,), None, False, ins_switch)
         elif not real and end < math.inf:
             self._busy = _Burst(
                 CpuAccounting.TRANSACTION, tx_total, tx_start,
                 engine.schedule_at(end, self._burst_done),
-                self._transaction_step_done, (txn,), txn, True, tx_switch,
-            )
+                self._transaction_step_done, (txn,), txn, True, tx_switch)
         if k == start:
             return self.on_update_run(updates, start, stop)
         return k - start
@@ -501,9 +491,8 @@ class Controller:
             return IDLE
         self.update_accounting.note_received(len(updates))
         lows = []
-        preempts_for = self.algorithm.preempts_for
         for update in updates:
-            if preempts_for(update):
+            if self.algorithm.preempts_for(update):
                 self.direct_installs.append(update)
             else:
                 lows.append(update)
@@ -655,7 +644,7 @@ class Controller:
             # A source's arrival only joins the OS queue during an install
             # (FX keeps the base hook): the last install may span it.
             next_event = engine.peek_time(sources=False)
-            spans = engine.run_end if next_event is None else min(next_event, engine.run_end)
+            spans = min(engine.run_end, math.inf if next_event is None else next_event)
         if (horizon is None or self._delivering or end >= horizon
                 or end + first_seconds >= spans):
             # The first install runs into the next scheduling point (or we

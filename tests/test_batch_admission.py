@@ -7,9 +7,9 @@ goes through the reference, through ``on_update_arrival`` per record and
 through ``on_update_arrivals`` in batches of 1, 7 and 256, with an ``OSmax``
 small enough that the kernel drop falls *inside* batches, and everything
 the run produces must be identical: the full ``asdict`` result and the
-list of admitted updates.  UF and SU override the arrival hook, so they
-take the hook for every record; TF, OD, FX and TF-SPLIT keep the base hook
-and admit the rest of a batch in bulk once a burst owns the CPU.
+list of admitted updates.  UF and SU preempt (``preempts_for``), so they
+take the hook for every record; TF, OD, FX and TF-SPLIT never preempt and
+admit the rest of a batch in bulk once a burst owns the CPU.
 
 The simulator reaches the same bulk admission from the other side: its
 update stream is an engine arrival source, and its run sink
