@@ -69,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="hash-index the update queue (newest per object)")
     parser.add_argument("--fraction", type=float, default=0.2,
                         help="reserved update share for FX (default 0.2)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="hash-partition the keyspace over this many "
-                        "pipelines on one virtual clock (default 1, the "
-                        "classic single pipeline)")
     parser.add_argument("--view", action="append", default=[], metavar="SPEC",
                         help="register a derived view before the run "
                         "(repeatable); SPEC is NAME=KIND:PARTITION with "
@@ -116,10 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     kwargs = {"fraction": args.fraction} if args.algorithm.upper() == "FX" else {}
 
     if args.replications > 1:
-        if args.shards > 1:
-            print("--shards is a single-run option; drop --replications",
-                  file=sys.stderr)
-            return 2
         if args.view:
             print("--view is a single-run option; drop --replications",
                   file=sys.stderr)
@@ -143,9 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         ))
         return 0
 
-    result = run_simulation(
-        config, args.algorithm, shards=args.shards, views=args.view, **kwargs
-    )
+    result = run_simulation(config, args.algorithm, views=args.view, **kwargs)
     print(format_result(result))
     violations = check_invariants(result)
     if violations:

@@ -17,7 +17,7 @@ from repro.core.algorithms import (
     make_algorithm,
 )
 from repro.core.controller import Controller
-from repro.core.sharding import Shard, ShardSet, build_shard_set, shard_config
+from repro.core.sharding import shard_config
 from repro.core.simulator import Simulation, run_simulation
 from repro.core.transaction import LiveTransaction, TransactionState
 
@@ -28,14 +28,11 @@ __all__ = [
     "LiveTransaction",
     "OnDemand",
     "SchedulingAlgorithm",
-    "Shard",
-    "ShardSet",
     "Simulation",
     "SplitUpdates",
     "TransactionFirst",
     "TransactionState",
     "UpdateFirst",
-    "build_shard_set",
     "make_algorithm",
     "run_simulation",
     "shard_config",

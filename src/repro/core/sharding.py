@@ -1,48 +1,33 @@
-"""Shard construction: N independent pipelines over one keyspace.
+"""The routing plane's pure functions over one sharded keyspace.
 
-The unit of execution here is a **shard**: its own
-:class:`~repro.db.database.Database` slice, OS queue, update queue,
-staleness checker/ledger, collectors, and
-:class:`~repro.core.controller.Controller`, all wired by the same
-:func:`repro.core.wiring.build_parts` the single pipeline uses — a shard
-*is* a ``RuntimeParts``.  :func:`build_shard_set` generalizes that wiring
-to N shards behind a :class:`~repro.db.sharding.ShardRouter`:
+A shard of ``repro-live serve --shards N`` is one complete pipeline
+(:func:`repro.core.wiring.build_parts`) over its slice of the keyspace,
+and the :class:`~repro.db.sharding.ShardRouter` says which slice.  This
+module holds what the routing plane, its workers and the benchmark's
+replay share, with no I/O:
 
-* ``shards=1`` builds exactly one ``build_parts(config, ...)`` with the
-  original config and routes by handing out the controller's own bound
-  arrival methods — the single-shard path is the degenerate case of the
-  same code, not a fork, and stays bit-identical to the pre-shard wiring.
-* ``shards=N`` derives one sub-config per shard (owned object counts,
-  per-shard ``OSmax``/``UQmax`` budgets via :func:`shard_config`), builds
-  N part sets on the *same* clock, and routes arrivals by stable hash of
-  the target object id.
+* :func:`shard_config` / :func:`shard_view_key_map` — what one shard's
+  pipeline is built from, and its view registry's local → global id map;
+* :func:`split_update_run` — a run of update frames, split per owner as
+  bytes;
+* :func:`split_spec` / :func:`merge_verdicts` — a transaction's scatter
+  and gather: per-shard sub-reads of the real read-set, and the
+  stale-anywhere verdict.
 
-Cross-shard reads: a transaction's read set is drawn against the global
-keyspace, but a transaction executes on exactly one shard (the owner of
-its first read).  Reads owned by that shard keep their identity; reads
-owned elsewhere are approximated by a deterministic stand-in object on
-the executing shard and counted in ``router.remapped_reads`` — see
-``docs/SCALING.md`` for what this preserves and what it blurs.
+The simulator is one pipeline, the paper's one CPU.  A sharded run on a
+virtual clock is N ``LiveRuntime`` instances on one
+:class:`~repro.sim.engine.Engine` fed by these functions
+(``docs/SCALING.md``).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import replace as dataclass_replace
 
 from repro.config import SimulationConfig
-from repro.core.wiring import (
-    RuntimeParts,
-    build_parts,
-    collect_result,
-    reset_measurement,
-)
-from repro.db.objects import ObjectClass, Update
+from repro.db.objects import ObjectClass
 from repro.db.sharding import ShardRouter
-from repro.db.views import ViewSpec, merge_view_reports
-from repro.metrics.freshness import SampledLedger
-from repro.metrics.results import SimulationResult
-from repro.sim.clock import Clock
 from repro.workload.codec import (
     CLASS_CODES,
     FRAME_HEADER,
@@ -55,16 +40,6 @@ from repro.workload.transactions import TransactionSpec
 
 #: An update frame's object id, and its seq: one little-endian int64.
 _INT64 = struct.Struct("<q")
-
-
-@dataclass
-class Shard:
-    """One pipeline plus its slice of the keyspace."""
-
-    index: int
-    parts: RuntimeParts
-    n_low: int
-    n_high: int
 
 
 def shard_config(
@@ -92,57 +67,6 @@ def shard_config(
     )
 
 
-def route_update(router: ShardRouter, update: Update) -> tuple[int, Update]:
-    """Resolve an update's owning shard and its shard-local record.
-
-    A fresh record is returned: the original keeps its global id (the
-    caller may hold it), and queue state (``queued``) must be shard-local.
-    """
-    shard = router.shard_of(update.klass, update.object_id)
-    router.note_update_routed(shard)
-    routed = Update(
-        seq=update.seq,
-        klass=update.klass,
-        object_id=router.local_id(update.klass, update.object_id),
-        value=update.value,
-        generation_time=update.generation_time,
-        arrival_time=update.arrival_time,
-        partial=update.partial,
-        attribute=update.attribute,
-    )
-    return shard, routed
-
-
-def route_spec(
-    router: ShardRouter, spec: TransactionSpec
-) -> tuple[int, TransactionSpec]:
-    """Resolve a transaction's executing shard and its remapped spec.
-
-    The owner of the first read executes the transaction; reads owned by
-    that shard keep their identity (shard-local id), cross-shard reads
-    are approximated by a deterministic stand-in object there (counted in
-    ``router.remapped_reads``).  A readless transaction is placed by a
-    stable hash of its sequence number.
-    """
-    klass = spec.view_class
-    if not spec.reads:
-        shard = router.hash_shard(spec.seq)
-        router.note_transaction_routed(shard)
-        return shard, spec
-    shard = router.shard_of(klass, spec.reads[0])
-    owned = router.count_for(shard, klass)
-    local_reads = []
-    for gid in spec.reads:
-        if router.shard_of(klass, gid) == shard:
-            local_reads.append(router.local_id(klass, gid))
-        else:
-            # owned > 0 because this shard owns reads[0] of the same class.
-            router.note_remapped_read()
-            local_reads.append(gid % owned)
-    router.note_transaction_routed(shard)
-    return shard, dataclass_replace(spec, reads=tuple(local_reads))
-
-
 def split_spec(
     router: ShardRouter, spec: TransactionSpec
 ) -> "dict[int, TransactionSpec]":
@@ -161,9 +85,6 @@ def split_spec(
     if not spec.reads:
         return {router.hash_shard(spec.seq): spec}
     pieces = router.split_reads(spec.view_class, spec.reads)
-    if len(pieces) == 1:
-        shard, local = next(iter(pieces.items()))
-        return {shard: dataclass_replace(spec, reads=tuple(local))}
     return {
         shard: dataclass_replace(spec, reads=tuple(local))
         for shard, local in pieces.items()
@@ -223,59 +144,6 @@ def merge_verdicts(sub_outcomes: "list[dict]") -> dict:
     }
 
 
-def route_batch(router: ShardRouter, items, on_error=None) -> "dict[int, list]":
-    """Group one decoded arrival batch by owning shard.
-
-    Returns an insertion-ordered mapping ``shard -> routed records``;
-    within each shard the records keep their batch order, so a downstream
-    that delivers each shard's list in order preserves the wire-order
-    semantics of routing record by record.  Updates are the hot path:
-    their routing accounting collapses to one
-    :meth:`~repro.db.sharding.ShardRouter.note_update_routed` call per
-    (shard, batch) instead of one per record.  (Updates still on the wire
-    as frames never get here: :func:`split_update_run`.)
-
-    An unroutable record (unknown object, non-view class) is skipped —
-    counted in ``router.routing_errors`` and reported through
-    ``on_error(item, exc)`` when given — so one bad record never poisons
-    its batch neighbors, matching the per-record path's error handling.
-    """
-    by_shard: dict[int, list] = {}
-    update_counts: dict[int, int] = {}
-    shard_of = router.shard_of
-    local_id = router.local_id
-    for item in items:
-        try:
-            if isinstance(item, Update):
-                shard = shard_of(item.klass, item.object_id)
-                update_counts[shard] = update_counts.get(shard, 0) + 1
-                routed = Update(
-                    seq=item.seq,
-                    klass=item.klass,
-                    object_id=local_id(item.klass, item.object_id),
-                    value=item.value,
-                    generation_time=item.generation_time,
-                    arrival_time=item.arrival_time,
-                    partial=item.partial,
-                    attribute=item.attribute,
-                )
-            else:
-                shard, routed = route_spec(router, item)
-        except (ValueError, IndexError) as exc:
-            router.note_routing_error()
-            if on_error is not None:
-                on_error(item, exc)
-            continue
-        bucket = by_shard.get(shard)
-        if bucket is None:
-            by_shard[shard] = [routed]
-        else:
-            bucket.append(routed)
-    for shard, count in update_counts.items():
-        router.note_update_routed(shard, count)
-    return by_shard
-
-
 def split_update_run(
     router: ShardRouter, run: bytes, on_error=None
 ) -> "dict[int, tuple[bytes, int]]":
@@ -294,8 +162,8 @@ def split_update_run(
     Returns an insertion-ordered ``shard -> (payload, frames)``.  A frame
     that cannot be routed (id outside its partition, unknown or non-view
     class) is left out, counted in ``router.routing_errors`` and reported
-    through ``on_error(frame, exc)``; its neighbors route unchanged — the
-    error isolation of :func:`route_batch`.
+    through ``on_error(frame, exc)``; its neighbors route unchanged, so
+    one bad frame never poisons its run.
     """
     patched = bytearray(run)
     view = memoryview(patched)
@@ -337,202 +205,6 @@ def split_update_run(
         router.note_update_routed(shard, len(frames))
         by_shard[shard] = b"".join(frames), len(frames)
     return by_shard
-
-
-class ShardSet:
-    """N wired pipelines plus the routing that feeds them.
-
-    Built by :func:`build_shard_set`; don't construct directly.
-
-    Attributes:
-        config: The global (pre-split) configuration.
-        router: The keyspace router, or None for the single-shard case.
-        shards: The wired :class:`Shard` pipelines, by index.
-        route_update / route_spec: Arrival sinks accepting *global* object
-            ids — plug them wherever a single controller's
-            ``on_update_arrival`` / ``on_transaction_arrival`` went.  With
-            one shard they *are* those bound methods.
-    """
-
-    def __init__(
-        self,
-        config: SimulationConfig,
-        router: ShardRouter | None,
-        shards: list[Shard],
-    ) -> None:
-        self.config = config
-        self.router = router
-        self.shards = shards
-        if router is None:
-            controller = shards[0].parts.controller
-            self.route_update = controller.on_update_arrival
-            self.route_spec = controller.on_transaction_arrival
-        else:
-            self.route_update = self._route_update
-            self.route_spec = self._route_spec
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def __iter__(self):
-        return iter(self.shards)
-
-    # ------------------------------------------------------------------
-    # Routing (multi-shard only; single-shard uses the bound methods)
-    # ------------------------------------------------------------------
-    def _route_update(self, update: Update) -> None:
-        shard, routed = route_update(self.router, update)
-        self.shards[shard].parts.controller.on_update_arrival(routed)
-
-    def _route_spec(self, spec: TransactionSpec) -> None:
-        shard, routed = route_spec(self.router, spec)
-        self.shards[shard].parts.controller.on_transaction_arrival(routed)
-
-    def route_batch(self, items) -> None:
-        """Deliver one mixed arrival batch, grouped per shard.
-
-        Each record still hits its controller's own arrival method (the
-        per-arrival scheduling point is part of the model); the batch
-        amortizes routing table lookups and accounting.  With one shard
-        this is a plain in-order delivery loop on the single controller.
-        """
-        if self.router is None:
-            on_update = self.route_update
-            on_spec = self.route_spec
-            for item in items:
-                (on_update if isinstance(item, Update) else on_spec)(item)
-            return
-        for shard, routed in route_batch(self.router, items).items():
-            controller = self.shards[shard].parts.controller
-            on_update = controller.on_update_arrival
-            on_spec = controller.on_transaction_arrival
-            for item in routed:
-                (on_update if isinstance(item, Update) else on_spec)(item)
-
-    # ------------------------------------------------------------------
-    # Lifecycle fan-out
-    # ------------------------------------------------------------------
-    def start_ledgers(self) -> None:
-        """Start every sampled ledger (no-op for exact ledgers)."""
-        for shard in self.shards:
-            if isinstance(shard.parts.ledger, SampledLedger):
-                shard.parts.ledger.start()
-
-    def reset_measurement(self, now: float) -> None:
-        """Warmup boundary on every shard."""
-        for shard in self.shards:
-            reset_measurement(shard.parts, now)
-
-    def finalize(self, now: float) -> None:
-        """End-of-run finalize on every shard's controller and ledger."""
-        for shard in self.shards:
-            shard.parts.controller.finalize(now)
-            shard.parts.ledger.finalize(now)
-            shard.parts.views.finalize(now)
-
-    def register_view(self, spec: ViewSpec, now: float = 0.0) -> ViewSpec:
-        """Register a derived view on every shard.
-
-        Each shard maintains the view over the members it owns; group keys
-        are computed from global ids (the key map installed at build time),
-        so :meth:`collect` can merge the per-shard states exactly.
-        """
-        for shard in self.shards:
-            shard.parts.views.register(spec, now)
-        return spec
-
-    def collect(
-        self,
-        duration: float,
-        *,
-        now: float | None = None,
-        final: bool = True,
-        extras: dict | None = None,
-    ) -> SimulationResult:
-        """Collect per-shard results and merge them into one report.
-
-        With one shard this is exactly :func:`collect_result` — bit-
-        identical to the unsharded path.  With N, the merge weights the
-        staleness folds by owned object counts and stamps the router's
-        accounting into ``extras``.
-        """
-        if self.router is None:
-            return collect_result(
-                self.shards[0].parts,
-                duration,
-                now=now,
-                final=final,
-                extras=extras,
-            )
-        per_shard = [
-            collect_result(shard.parts, duration, now=now, final=final)
-            for shard in self.shards
-        ]
-        merged_extras = dict(self.router.accounting())
-        if extras:
-            merged_extras.update(extras)
-        view_reports = [
-            shard.parts.views.report(now)
-            for shard in self.shards
-            if shard.parts.views.specs
-        ]
-        if view_reports:
-            merged_extras.setdefault("views", merge_view_reports(view_reports))
-        return SimulationResult.merge(
-            per_shard,
-            weights_low=[shard.n_low for shard in self.shards],
-            weights_high=[shard.n_high for shard in self.shards],
-            extras=merged_extras,
-        )
-
-
-def build_shard_set(
-    config: SimulationConfig,
-    algorithm,
-    clock: Clock,
-    shards: int = 1,
-    **algorithm_kwargs,
-) -> ShardSet:
-    """Wire ``shards`` pipelines over one keyspace and one clock.
-
-    Args:
-        config: The global configuration (global object counts and queue
-            budgets; they are split across shards).
-        algorithm: Scheduler name, or an instance (single-shard only — N
-            pipelines need N independent scheduler states, so multi-shard
-            builds require a registry name).
-        clock: Shared clock for every shard (an
-            :class:`~repro.sim.engine.Engine` for deterministic sharded
-            simulation, a wall clock in a live worker).
-        shards: Shard count; 1 reproduces the unsharded wiring exactly.
-        **algorithm_kwargs: Constructor args for a named algorithm.
-    """
-    if shards < 1:
-        raise ValueError(f"need at least one shard, got {shards}")
-    if shards == 1:
-        parts = build_parts(config, algorithm, clock, **algorithm_kwargs)
-        shard = Shard(
-            index=0,
-            parts=parts,
-            n_low=config.updates.n_low,
-            n_high=config.updates.n_high,
-        )
-        return ShardSet(config, None, [shard])
-    if not isinstance(algorithm, str):
-        raise ValueError(
-            "multi-shard builds need an algorithm name (each shard gets "
-            "its own instance), not a shared instance"
-        )
-    config.validate()
-    router = ShardRouter(config.updates.n_low, config.updates.n_high, shards)
-    built = []
-    for index in range(shards):
-        sub_config = shard_config(config, router, index)
-        parts = build_parts(sub_config, algorithm, clock, **algorithm_kwargs)
-        parts.views.set_key_map(shard_view_key_map(router, index))
-        k_low, k_high = router.counts(index)
-        built.append(Shard(index=index, parts=parts, n_low=k_low, n_high=k_high))
-    return ShardSet(config, router, built)
 
 
 def shard_view_key_map(router: ShardRouter, index: int):

@@ -8,20 +8,22 @@
     print(result.summary())
 
 The model itself (controller, queues, ledgers, collectors) is built by
-:mod:`repro.core.sharding` — one pipeline per shard on a single virtual
-clock, with ``shards=1`` (the default) reproducing the classic single
-pipeline bit-for-bit.  The wiring is shared with the wall-clock runtime
-in :mod:`repro.live`: a Simulation is "the wired shard set plus a
-virtual clock plus the Poisson workload generators".
+:func:`repro.core.wiring.build_parts` — one pipeline on one virtual clock,
+the paper's one CPU.  The wiring is shared with the wall-clock runtime in
+:mod:`repro.live`: a Simulation is "the wired pipeline plus a virtual
+clock plus the Poisson workload generators".
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.config import SimulationConfig
 from repro.core.algorithms.base import SchedulingAlgorithm
-from repro.core.sharding import build_shard_set
+from repro.core.wiring import (
+    build_parts,
+    collect_result,
+    reset_measurement,
+)
+from repro.metrics.freshness import SampledLedger
 from repro.metrics.results import SimulationResult
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
@@ -32,31 +34,20 @@ from repro.workload.updates import UpdateStreamGenerator
 class Simulation:
     """A fully wired simulation run.
 
-    Building the object constructs the whole model (engine, databases,
-    queues, staleness machinery, controllers, workload generators);
+    Building the object constructs the whole model (engine, database,
+    queues, staleness machinery, controller, workload generators);
     calling :meth:`run` executes it and returns the metrics.  A
     Simulation is single-use: running twice raises.
-
-    With ``shards > 1`` the keyspace is hash-partitioned over N
-    independent pipelines that share the virtual clock (the model of one
-    core per shard); the workload generators draw against the *global*
-    config — the same arrival sequence as the unsharded run — and the
-    shard router delivers each arrival to its owner.  The convenience
-    attributes (``controller``, ``database``, ...) refer to shard 0.
     """
 
     def __init__(
         self,
         config: SimulationConfig,
         algorithm: str | SchedulingAlgorithm = "TF",
-        shards: int = 1,
         **algorithm_kwargs,
     ) -> None:
         self.engine = Engine()
-        self.shard_set = build_shard_set(
-            config, algorithm, self.engine, shards=shards, **algorithm_kwargs
-        )
-        parts = self.shard_set.shards[0].parts
+        parts = build_parts(config, algorithm, self.engine, **algorithm_kwargs)
         self._parts = parts
         self.config = config
         self.algorithm = parts.algorithm
@@ -73,40 +64,31 @@ class Simulation:
 
         self.streams = StreamFamily(config.seed)
         self.update_generator = UpdateStreamGenerator(
-            config, self.engine, self.streams, self.shard_set.route_update
+            config, self.engine, self.streams, self.controller.on_update_arrival
         )
-        if shards == 1:
-            # One pipeline: the controller takes the stream by the run.  A
-            # sharded run routes every record to its owner one at a time.
-            self.update_generator.run_sink = self.controller.on_update_stream
+        # The controller takes the update stream by the run.
+        self.update_generator.run_sink = self.controller.on_update_stream
         self.transaction_generator = TransactionGenerator(
-            config, self.engine, self.streams, self.shard_set.route_spec
+            config, self.engine, self.streams,
+            self.controller.on_transaction_arrival,
         )
         self._ran = False
 
     def register_view(self, spec) -> None:
         """Register a derived view (a :class:`~repro.db.views.ViewSpec`
-        or its CLI string form) on every shard before running."""
+        or its CLI string form) before running."""
         from repro.db.views import ViewSpec
 
         if isinstance(spec, str):
             spec = ViewSpec.parse(spec)
-        self.shard_set.register_view(spec, self.engine.now)
+        self.views.register(spec, self.engine.now)
 
     def run(self) -> SimulationResult:
         """Execute the run and return its metrics."""
-        if self._ran:
-            raise RuntimeError("a Simulation object is single-use; build a new one")
-        self._ran = True
+        self._begin()
         self.update_generator.start()
         self.transaction_generator.start()
-        self.shard_set.start_ledgers()
-        if self.config.warmup > 0:
-            self.engine.schedule_at(self.config.warmup, self._warmup_reset)
-        duration = self.config.duration
-        self.engine.run_until(duration)
-        self.shard_set.finalize(duration)
-        return self._collect(duration - self.config.warmup)
+        return self._finish()
 
     def run_scripted(self, updates=(), transactions=()) -> SimulationResult:
         """Run against explicit workloads instead of the generators.
@@ -116,45 +98,46 @@ class Simulation:
         :class:`~repro.workload.transactions.TransactionSpec` specs are
         delivered at their own arrival times; nothing else arrives.
         """
-        if self._ran:
-            raise RuntimeError("a Simulation object is single-use; build a new one")
-        self._ran = True
+        self._begin()
+        controller = self.controller
         for update in updates:
             self.engine.schedule_at(
-                update.arrival_time, self.shard_set.route_update, update
+                update.arrival_time, controller.on_update_arrival, update
             )
         for spec in transactions:
             self.engine.schedule_at(
-                spec.arrival_time, self.shard_set.route_spec, spec
+                spec.arrival_time, controller.on_transaction_arrival, spec
             )
-        self.shard_set.start_ledgers()
-        if self.config.warmup > 0:
-            self.engine.schedule_at(self.config.warmup, self._warmup_reset)
+        return self._finish()
+
+    def _begin(self) -> None:
+        if self._ran:
+            raise RuntimeError("a Simulation object is single-use; build a new one")
+        self._ran = True
+
+    def _finish(self) -> SimulationResult:
+        """Run to the end of the configured duration and collect."""
+        parts = self._parts
+        if isinstance(parts.ledger, SampledLedger):
+            parts.ledger.start()
+        warmup = self.config.warmup
+        if warmup > 0:
+            self.engine.schedule_at(warmup, self._warmup_reset)
         duration = self.config.duration
         self.engine.run_until(duration)
-        self.shard_set.finalize(duration)
-        return self._collect(duration - self.config.warmup)
+        self.controller.finalize(duration)
+        self.ledger.finalize(duration)
+        self.views.finalize(duration)
+        return collect_result(parts, duration - warmup)
 
     def _warmup_reset(self) -> None:
         """Discard everything measured during warmup (content stays live)."""
-        self.shard_set.reset_measurement(self.engine.now)
-
-    def _collect(self, duration: float) -> SimulationResult:
-        result = self.shard_set.collect(duration)
-        if len(self.shard_set) > 1:
-            # Every shard shares this engine, so the merge's summed
-            # dispatch count overstates by a factor of N; report the
-            # engine's true total.
-            result = replace(
-                result, events_dispatched=self.engine.events_dispatched
-            )
-        return result
+        reset_measurement(self._parts, self.engine.now)
 
 
 def run_simulation(
     config: SimulationConfig,
     algorithm: str | SchedulingAlgorithm = "TF",
-    shards: int = 1,
     views=(),
     **algorithm_kwargs,
 ) -> SimulationResult:
@@ -165,7 +148,7 @@ def run_simulation(
             :class:`~repro.db.views.ViewSpec` objects or their CLI string
             forms (``NAME=KIND:PARTITION[,opt=...]``).
     """
-    simulation = Simulation(config, algorithm, shards=shards, **algorithm_kwargs)
+    simulation = Simulation(config, algorithm, **algorithm_kwargs)
     for spec in views:
         simulation.register_view(spec)
     return simulation.run()

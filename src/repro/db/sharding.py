@@ -11,18 +11,18 @@ each shard's :class:`~repro.db.database.Database` can be built with plain
 buffer budgets across shards.
 
 Routing accounting (how many updates/transactions each shard received,
-how many cross-shard reads had to be remapped, how many records were
-unroutable) lives here too, so a merged report can attribute load and
-drops per shard.
+how many records were unroutable) lives here too, so a merged report can
+attribute load and drops per shard.
 """
 
 from __future__ import annotations
 
 from repro.db.objects import ObjectClass
 
-#: Version of the routing function.  Participates in cache fingerprints:
-#: changing the hash or the budget split must invalidate every cached
-#: sharded result.
+#: Version of the routing function.  Rides in every topology record: a
+#: smart client whose routing function differs from the cluster's refuses
+#: the record (:func:`router_from_topology`), so changing the hash or the
+#: budget split must bump it.
 ROUTER_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
@@ -66,8 +66,6 @@ class ShardRouter:
         updates_routed: Per-shard count of updates routed through
             :meth:`note_update_routed`.
         transactions_routed: Per-shard count of routed transactions.
-        remapped_reads: Cross-shard view reads approximated onto an
-            owner-local object (see ``docs/SCALING.md``).
         routing_errors: Records that could not be routed (unknown object).
     """
 
@@ -112,7 +110,6 @@ class ShardRouter:
 
         self.updates_routed = [0] * shards
         self.transactions_routed = [0] * shards
-        self.remapped_reads = 0
         self.routing_errors = 0
 
     def _hash_shard_of(self, class_bit: int, gid: int) -> int:
@@ -213,9 +210,6 @@ class ShardRouter:
     def note_transaction_routed(self, shard: int, count: int = 1) -> None:
         self.transactions_routed[shard] += count
 
-    def note_remapped_read(self, count: int = 1) -> None:
-        self.remapped_reads += count
-
     def note_routing_error(self) -> None:
         self.routing_errors += 1
 
@@ -226,7 +220,6 @@ class ShardRouter:
             "router_version": ROUTER_VERSION,
             "updates_routed": list(self.updates_routed),
             "transactions_routed": list(self.transactions_routed),
-            "remapped_reads": self.remapped_reads,
             "routing_errors": self.routing_errors,
         }
 

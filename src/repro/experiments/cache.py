@@ -1,8 +1,8 @@
 """Persistent, content-addressed cache of simulation results.
 
 Every sweep cell is a pure function of ``(config, algorithm,
-algorithm_kwargs, shard topology, package version)`` — simulations are
-deterministic by construction (common random numbers, seeded streams).  That makes results
+algorithm_kwargs, package version)`` — simulations are deterministic by
+construction (common random numbers, seeded streams).  That makes results
 perfectly memoizable: this module stores each cell's
 :class:`~repro.metrics.results.SimulationResult` as one JSON file named by
 the SHA-256 of a canonical encoding of everything that determines it.
@@ -29,7 +29,6 @@ from pathlib import Path
 
 from repro import __version__
 from repro.config import SimulationConfig
-from repro.db.sharding import ROUTER_VERSION
 from repro.metrics.results import SimulationResult
 from repro.metrics.storage import result_from_dict, result_to_dict
 
@@ -71,7 +70,6 @@ def fingerprint(
     kwargs: dict | None = None,
     extra: str = "",
     version: str | None = None,
-    shards: int = 1,
 ) -> str:
     """Content address of one simulation cell.
 
@@ -83,11 +81,6 @@ def fingerprint(
             (e.g. an installed update transformer).
         version: Package version; defaults to the running one.  Any change
             invalidates the address.
-        shards: Shard topology the cell was run under.  The router version
-            rides along, so a change to the keyspace hash also invalidates
-            every sharded entry (single-shard entries never route and are
-            unaffected by the router, but share the addressing for
-            uniformity).
     """
     payload = {
         "config": _canonical(asdict(config)),
@@ -95,7 +88,6 @@ def fingerprint(
         "kwargs": _canonical(kwargs or {}),
         "extra": extra,
         "version": __version__ if version is None else version,
-        "topology": {"shards": int(shards), "router_version": ROUTER_VERSION},
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -126,11 +118,10 @@ class ResultCache:
         algorithm: str,
         kwargs: dict | None = None,
         extra: str = "",
-        shards: int = 1,
     ) -> SimulationResult | None:
         """The cached result for a cell, or None (corruption counts as a
         miss and emits a warning — the caller recomputes)."""
-        key = fingerprint(config, algorithm, kwargs, extra, shards=shards)
+        key = fingerprint(config, algorithm, kwargs, extra)
         path = self.path_for(key)
         try:
             blob = path.read_text()
@@ -163,10 +154,9 @@ class ResultCache:
         result: SimulationResult,
         kwargs: dict | None = None,
         extra: str = "",
-        shards: int = 1,
     ) -> Path:
         """Store one cell's result; atomic against concurrent writers."""
-        key = fingerprint(config, algorithm, kwargs, extra, shards=shards)
+        key = fingerprint(config, algorithm, kwargs, extra)
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         payload = {

@@ -246,8 +246,3 @@ def test_runs_change_no_result(algorithm):
     expected = asdict(one_by_one.run())
     assert expected["updates_os_dropped"] > 0 or algorithm in ("UF", "SU")
     assert asdict(by_the_run.run()) == expected
-
-
-def test_a_sharded_simulation_delivers_record_by_record():
-    simulation = Simulation(_run_config(), "TF", shards=2)
-    assert simulation.update_generator.run_sink is None

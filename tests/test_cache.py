@@ -51,20 +51,6 @@ class TestFingerprint:
         )
         assert fingerprint(config, "TF") != fingerprint(config, "TF", extra="t")
 
-    def test_sensitive_to_shard_topology(self):
-        config = tiny_config()
-        assert fingerprint(config, "TF") == fingerprint(config, "TF", shards=1)
-        assert fingerprint(config, "TF") != fingerprint(config, "TF", shards=2)
-        assert fingerprint(config, "TF", shards=2) != fingerprint(
-            config, "TF", shards=4
-        )
-
-    def test_sensitive_to_router_version(self, monkeypatch):
-        config = tiny_config()
-        before = fingerprint(config, "TF", shards=2)
-        monkeypatch.setattr(cache_module, "ROUTER_VERSION", 999)
-        assert fingerprint(config, "TF", shards=2) != before
-
     def test_default_cache_dir_env_override(self, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, "/tmp/somewhere-else")
         assert str(default_cache_dir()) == "/tmp/somewhere-else"
@@ -93,18 +79,6 @@ class TestResultCache:
         assert cache.get(config, "TF", kwargs={"x": 1}) is None
         assert cache.get(config, "TF", extra="transformed") is None
         assert cache.get(config, "TF") is not None
-
-    def test_sharded_and_unsharded_cells_are_distinct(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        config = tiny_config()
-        flat = run_simulation(config, "TF")
-        sharded = run_simulation(config, "TF", shards=2)
-        cache.put(config, "TF", flat)
-        cache.put(config, "TF", sharded, shards=2)
-        assert len(cache) == 2
-        assert cache.get(config, "TF") == flat
-        assert cache.get(config, "TF", shards=2) == sharded
-        assert cache.get(config, "TF", shards=4) is None
 
     def test_version_change_invalidates(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)

@@ -67,6 +67,13 @@ def test_unknown_algorithm_fails_loudly(capsys):
     err = capsys.readouterr().err
     assert "invalid choice" in err
     assert "TF-SPLIT" in err  # the registry names are listed
+    # The simulator is one pipeline; sharding is the live cluster's.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--shards", "2", "--seconds", "5", "--lambda-u", "40"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --shards 2" in err
+    assert "Traceback" not in err
 
 
 def test_algorithm_case_insensitive(capsys):

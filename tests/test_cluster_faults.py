@@ -394,7 +394,7 @@ def test_cluster_rejects_removed_transport_options(option):
 #: seen — a wire contract the spine and the CI smokes read.
 EXTRAS_KEYS = {
     "shards", "router_version", "updates_routed", "transactions_routed",
-    "remapped_reads", "routing_errors", "records_received",
+    "routing_errors", "records_received",
     "protocol_errors", "cross_shard_submits", "fanout_sub_reads",
     "sub_read_misses", "sub_read_aborts", "sub_read_deadline_misses",
     "sub_read_latency_p99", "shed_shard_down", "topology_requests",
@@ -430,7 +430,7 @@ def test_merge_is_plane_counters_plus_worker_direct_counters():
                 "sub_read_misses", "sub_read_aborts",
                 "sub_read_deadline_misses", "shed_shard_down"):
         assert idle[key] == [0, 0], key
-    for key in ("remapped_reads", "routing_errors", "records_received",
+    for key in ("routing_errors", "records_received",
                 "protocol_errors", "cross_shard_submits",
                 "topology_requests"):
         assert idle[key] == 0, key

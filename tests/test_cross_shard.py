@@ -10,9 +10,10 @@ same model as a single shard, just scattered:
   over everything;
 * parity — on a virtual Engine clock, the scripted workload produces
   the *same* per-transaction verdicts through one global LiveRuntime as
-  through two shard runtimes plus ``split_spec``/``merge_verdicts``,
-  across all six algorithms and both stale-read actions, with both
-  conservation laws holding per shard;
+  through two shard runtimes fed by the plane's routing
+  (:class:`tests.inprocess.EngineCluster`), across all six algorithms
+  and both stale-read actions, with both conservation laws holding per
+  shard;
 * wall clock — a real 2-shard :class:`ShardCluster` answers a
   cross-shard transaction with one merged outcome (``fanout == 2``) and
   full per-shard accounting in ``extras``, and a worker killed with a
@@ -24,14 +25,14 @@ import asyncio
 import pytest
 
 from repro.config import StaleReadAction, baseline_config
-from repro.core.sharding import merge_verdicts, route_update, shard_config, split_spec
+from repro.core.sharding import merge_verdicts, split_spec
 from repro.db.objects import ObjectClass, Update
 from repro.db.sharding import ShardRouter
 from repro.live import CrossShardSpreader, LiveRuntime, LoadGenerator, ShardCluster
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
 from repro.workload.transactions import TransactionSpec
-from tests.inprocess import FrameSession
+from tests.inprocess import EngineCluster, FrameSession
 
 OP_TIMEOUT = 30.0
 
@@ -234,53 +235,20 @@ def _run_single(config, algorithm, updates, specs):
     return runtime.finalize(), handles
 
 
-def _run_sharded(config, algorithm, router, updates, specs):
-    engine = Engine()
-    runtimes = {
-        shard: LiveRuntime(shard_config(config, router, shard), algorithm, clock=engine)
-        for shard in (0, 1)
-    }
-    sub_handles = {spec.seq: [] for spec in specs}
-    for update in updates:
-        shard, local = route_update(router, update)
-        engine.schedule_at(local.arrival_time, runtimes[shard].ingest, local)
-    for spec in specs:
-        for shard, sub in split_spec(router, spec).items():
-            engine.schedule_at(
-                sub.arrival_time,
-                lambda shard=shard, sub=sub, seq=spec.seq: sub_handles[seq].append(
-                    runtimes[shard].submit(sub)
-                ),
-            )
-    engine.run_until(config.duration)
-    results = {shard: runtime.finalize() for shard, runtime in runtimes.items()}
-    verdicts = {
-        seq: merge_verdicts([
-            {
-                "outcome": handle.outcome,
-                "read_stale": handle.read_stale,
-                "finish_time": handle.finish_time,
-            }
-            for handle in handles
-        ])
-        for seq, handles in sub_handles.items()
-    }
-    return results, verdicts
-
-
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("action", [StaleReadAction.IGNORE, StaleReadAction.ABORT])
 def test_cross_shard_verdicts_match_single_shard(algorithm, action):
     """Scatter-gather over two shards reaches the verdict one shard would."""
     config = _parity_config().with_transactions(stale_read_action=action)
-    router = ShardRouter(
-        n_low=config.updates.n_low, n_high=config.updates.n_high, shards=2
-    )
+    cluster = EngineCluster(config, algorithm, 2)
 
-    # Updates carry mutable queue state, so each run gets its own copies.
-    single_result, handles = _run_single(config, algorithm, *_workload(router)[:2])
-    updates, specs, expected = _workload(router)
-    shard_results, verdicts = _run_sharded(config, algorithm, router, updates, specs)
+    updates, specs, expected = _workload(cluster.router)
+    # The cluster routes encoded frames, so the updates it was given keep
+    # no queue state and the single runtime can take them afterwards.
+    cluster.run([*updates, *specs])
+    single_result, handles = _run_single(config, algorithm, updates, specs)
+    verdicts = cluster.verdicts()
+    shard_results = dict(enumerate(cluster.results))
 
     for seq, stale_anywhere in expected.items():
         assert handles[seq].done, f"seq {seq} unresolved in single-shard run"

@@ -1,11 +1,12 @@
-"""Byte-level session fuzz at both front doors.
+"""Byte-level session fuzz at all three front doors.
 
 A session is an optional preamble followed by any mix of valid update,
 spec and JSON frames, a corrupt frame header, JSONL control and data
 lines, and random bytes, written in chunks cut at arbitrary offsets.  At
-the node's door (:class:`IngestServer`) and the routed one (a
-:class:`RouterPlane` over two shard hosts), one server per door serving
-every example:
+the node's door (:class:`IngestServer`), the routed one (a
+:class:`RouterPlane` over two shard hosts) and the direct one (a shard
+host's own door, the session opened with a direct-mode ``hello`` and
+carrying global ids), one server per door serving every example:
 
 * every reply decodes and carries a ``kind``;
 * the session ends — the door closes it once the client is done, or
@@ -89,9 +90,13 @@ _PIECES = st.one_of(
 
 
 @st.composite
-def _sessions(draw):
-    preamble = WIRE_PREAMBLE if draw(st.booleans()) else b""
-    payload = preamble + b"".join(draw(st.lists(_PIECES, max_size=10)))
+def _sessions(draw, hello=None):
+    binary = draw(st.booleans())
+    opening = WIRE_PREAMBLE if binary else b""
+    if hello is not None:
+        hello = json.dumps(hello).encode()
+        opening += encode_json_frame(hello) if binary else hello + b"\n"
+    payload = opening + b"".join(draw(st.lists(_PIECES, max_size=10)))
     cuts = sorted(draw(st.lists(st.integers(0, len(payload)), max_size=4)))
     bounds = [0, *cuts, len(payload)]
     return payload, [payload[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -135,17 +140,21 @@ def _replies(payload, received, reset) -> list:
     return [json.loads(line) for line in lines if line]
 
 
-@pytest.mark.parametrize("door_name", ["node", "routed"])
+@pytest.mark.parametrize("door_name", ["node", "routed", "direct"])
 def test_any_session_gets_typed_replies_and_a_clean_end(door_name):
     loop = asyncio.new_event_loop()
     complaints = []
     loop.set_exception_handler(lambda _loop, context: complaints.append(context))
     served = door(door_name, _config())
     host, port = loop.run_until_complete(served.start())
+    hello = served.hello if door_name == "direct" else None
+    sessions = 0
 
     @settings(max_examples=200, deadline=None)
-    @given(_sessions())
+    @given(_sessions(hello))
     def session(drawn):
+        nonlocal sessions
+        sessions += 1
         payload, chunks = drawn
         received, reset = loop.run_until_complete(_run(host, port, chunks))
         for reply in _replies(payload, received, reset):
@@ -160,5 +169,7 @@ def test_any_session_gets_typed_replies_and_a_clean_end(door_name):
         loop.close()
     assert clocks_alive
     assert complaints == []
+    if hello is not None:  # every session really was opened direct
+        assert served.front.hello_records >= sessions > 0
     assert result.update_conservation_gap() == 0
     assert result.transaction_conservation_gap() == 0

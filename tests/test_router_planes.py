@@ -11,9 +11,10 @@ skips the hop.  This suite covers that path:
   come back as typed ``moved`` records, and a stale client epoch gets
   one advisory per epoch change.
 * Client-side routing parity — for every record ``DirectClient`` ships
-  direct, the (shard, localized record) matches what the router plane's
-  ``route_batch`` would have produced, for all six algorithms the merged
-  engine-clock results are asdict-identical.
+  direct, the (shard, localized record) matches what the routing plane's
+  ``split_update_run`` / ``split_spec`` produce, and for all six
+  algorithms the merged engine-clock results are asdict-identical
+  (:class:`tests.inprocess.EngineCluster`).
 * Process test — a worker killed under direct load comes back with the
   client refreshing its map off the ``moved``/error path while the
   merged books still balance.
@@ -27,7 +28,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.config import baseline_config
-from repro.core.sharding import route_batch, shard_config
+from repro.core.sharding import shard_config, split_spec, split_update_run
 from repro.db.objects import ObjectClass, Update
 from repro.db.sharding import (
     ROUTER_VERSION,
@@ -37,12 +38,15 @@ from repro.db.sharding import (
     topology_record,
 )
 from repro.live import DirectClient, IngestServer, LiveRuntime, ShardCluster
-from repro.metrics.results import SimulationResult
-from repro.sim.engine import Engine
-from repro.workload.codec import WIRE_PREAMBLE, FrameDecoder, encode_json_frame
+from repro.workload.codec import (
+    WIRE_PREAMBLE,
+    FrameDecoder,
+    encode_frame,
+    encode_json_frame,
+)
 from repro.workload.trace import synthesize
 from repro.workload.transactions import TransactionSpec
-from tests.inprocess import FrameSession
+from tests.inprocess import EngineCluster, FrameSession
 
 ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
 
@@ -243,9 +247,26 @@ def replace_update(update, local_id):
     )
 
 
-def test_direct_routing_agrees_with_route_batch():
+def _plane_placement(router, items):
+    """``(kind, seq) -> (shard, record)`` for every record the routing
+    plane places on one shard: updates split as frames, specs by
+    ``split_spec`` (a cross-shard spec has no single placement)."""
+    placement = {}
+    updates = b"".join(encode_frame(i) for i in items if isinstance(i, Update))
+    for shard, (payload, _) in split_update_run(router, updates).items():
+        for update in FrameDecoder().feed(payload):
+            placement[("Update", update.seq)] = (shard, update)
+    for item in items:
+        if isinstance(item, TransactionSpec):
+            split = split_spec(router, item)
+            if len(split) == 1:
+                placement[("TransactionSpec", item.seq)] = next(iter(split.items()))
+    return placement
+
+
+def test_direct_routing_agrees_with_the_plane():
     """Every record the client would ship direct lands on the same shard
-    with the same shard-local ids the router plane would have produced;
+    with the same shard-local ids the routing plane would have produced;
     only multi-owner read-sets (and control dicts) defer to the plane."""
     config = baseline_config(duration=5.0, seed=424242)
     config.warmup = 0.0
@@ -260,13 +281,7 @@ def test_direct_routing_agrees_with_route_batch():
     )
     client = _client_side(record)
     server_router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
-    routed = route_batch(server_router, list(items))
-    placement = {}
-    for shard, bucket in routed.items():
-        for routed_item in bucket:
-            placement[(type(routed_item).__name__, routed_item.seq)] = (
-                shard, routed_item
-            )
+    placement = _plane_placement(server_router, items)
 
     deferred = 0
     for item in items:
@@ -277,6 +292,7 @@ def test_direct_routing_agrees_with_route_batch():
                 owners = {client.router.shard_of(item.view_class, g)
                           for g in item.reads}
                 assert len(owners) > 1  # only genuine cross-shard defers
+                assert (type(item).__name__, item.seq) not in placement
             continue
         expect_shard, expect_item = placement[(type(item).__name__, item.seq)]
         assert shard == expect_shard
@@ -293,9 +309,9 @@ def test_direct_routing_agrees_with_route_batch():
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_direct_split_parity_all_algorithms(algorithm):
     """Routed-vs-direct model parity: partitioning the workload with the
-    client's rebuilt map (direct decisions, plane fallback for
-    cross-shard) produces an asdict-identical merged result to routing
-    everything through ``route_batch``, for every algorithm."""
+    client's rebuilt map (direct decisions, the plane's scatter-gather
+    for cross-shard read-sets) produces an asdict-identical merged result
+    to routing everything through the plane, for every algorithm."""
     config = baseline_config(duration=5.0, seed=424242)
     config.warmup = 0.0
     config = config.with_updates(arrival_rate=120.0)
@@ -307,51 +323,35 @@ def test_direct_split_parity_all_algorithms(algorithm):
                           for i in range(2)],
     )
 
-    def run(split):
-        router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
-        engine = Engine()
-        runtimes = [
-            LiveRuntime(shard_config(config, router, i), algorithm,
-                        clock=engine)
-            for i in range(2)
-        ]
-        for shard, routed in split(router).items():
-            runtime = runtimes[shard]
-            for item in routed:
-                if isinstance(item, Update):
-                    engine.schedule_at(item.arrival_time, runtime.ingest, item)
+    def run(direct):
+        cluster = EngineCluster(config, algorithm, 2)
+        via_plane = items
+        if direct:
+            client = _client_side(record)
+            via_plane = []
+            for item in items:
+                shard = client._shard_for(item)
+                if shard is None:
+                    # Cross-shard records still travel via the plane.
+                    via_plane.append(item)
                 else:
-                    engine.schedule_at(item.arrival_time, runtime.submit, item)
-        engine.run_until(60.0)
-        merged = SimulationResult.merge([r.finalize() for r in runtimes])
+                    cluster.deliver(shard, _localize(client.router, shard, item))
+        merged = cluster.run(via_plane, until=60.0)
         result = asdict(merged)
+        # The plane's routing books count only what it routed.
         result.pop("extras", None)
-        return result
+        return result, cluster.verdicts()
 
-    def routed_split(router):
-        return route_batch(router, list(items))
-
-    def direct_split(router):
-        client = _client_side(record)
-        by_shard = {}
-        fallback = []
-        for item in items:
-            shard = client._shard_for(item)
-            if shard is None:
-                fallback.append(item)
-                continue
-            by_shard.setdefault(shard, []).append(
-                _localize(client.router, shard, item)
-            )
-        # Cross-shard records still travel via a router plane.
-        for shard, bucket in route_batch(router, fallback).items():
-            by_shard.setdefault(shard, []).extend(bucket)
-        return by_shard
-
-    via_router = run(routed_split)
-    via_direct = run(direct_split)
+    via_router, routed_verdicts = run(direct=False)
+    via_direct, direct_verdicts = run(direct=True)
     assert via_direct == via_router
+    assert direct_verdicts == routed_verdicts
     assert via_direct["updates_applied"] > 0
+    assert len(routed_verdicts) == sum(
+        1 for item in items if isinstance(item, TransactionSpec)
+    )
+    # Some read-sets spanned both shards and were scattered.
+    assert via_direct["transactions_arrived"] > len(routed_verdicts)
 
 
 def test_topology_call_is_not_answered_by_an_outcome():

@@ -1,12 +1,13 @@
-"""Tests for keyspace sharding: router, merge, and sharded simulation.
+"""Tests for keyspace sharding: router, merge, and the sharded run.
 
-The load-bearing guarantee is at the bottom: for every registered
-algorithm, ``shards=1`` is *asdict-identical* to the pre-refactor single
-pipeline (replicated verbatim in :func:`_reference_run`), and multi-shard
-runs preserve both conservation laws and every reported invariant.
+The simulator is one pipeline: for every registered algorithm it is
+*asdict-identical* to the plain wiring (replicated in
+:func:`_reference_run`).  A sharded run is the cluster's shards on one
+engine clock (:class:`tests.inprocess.EngineCluster`), and it preserves
+both conservation laws and every reported invariant.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,13 +15,7 @@ from hypothesis import strategies as st
 
 from repro.config import baseline_config
 from repro.core.algorithms.registry import ALGORITHMS
-from repro.core.sharding import (
-    build_shard_set,
-    route_spec,
-    route_update,
-    shard_config,
-    split_update_run,
-)
+from repro.core.sharding import shard_config, split_spec, split_update_run
 from repro.core.simulator import run_simulation
 from repro.core.wiring import build_parts, collect_result, reset_measurement
 from repro.db.objects import ObjectClass, Update
@@ -39,9 +34,9 @@ from repro.workload.codec import (
     peek_update_route,
     reroute_update_frame,
 )
-from repro.workload.trace import synthesize
 from repro.workload.transactions import TransactionGenerator, TransactionSpec
 from repro.workload.updates import UpdateStreamGenerator
+from tests.inprocess import EngineCluster
 
 
 def small_config(**overrides):
@@ -55,8 +50,8 @@ def small_config(**overrides):
 # ----------------------------------------------------------------------
 class TestStableHash:
     def test_hard_coded_values_never_change(self):
-        """Routing is part of the cache key (ROUTER_VERSION); if these
-        change, ROUTER_VERSION must be bumped."""
+        """Routing is part of the topology record (ROUTER_VERSION); if
+        these change, ROUTER_VERSION must be bumped."""
         assert ROUTER_VERSION == 1
         assert stable_hash(0) == 16294208416658607535
         assert stable_hash(1) == 10451216379200822465
@@ -104,57 +99,22 @@ class TestShardRouter:
         router.note_update_routed(0)
         router.note_update_routed(1)
         router.note_transaction_routed(1)
-        router.note_remapped_read()
         acct = router.accounting()
         assert acct["shards"] == 2
         assert acct["router_version"] == ROUTER_VERSION
         assert acct["updates_routed"] == [1, 1]
         assert acct["transactions_routed"] == [0, 1]
-        assert acct["remapped_reads"] == 1
         assert acct["routing_errors"] == 0
 
 
 class TestRouting:
-    def _update(self, gid, klass=ObjectClass.VIEW_LOW):
-        return Update(0, klass, gid, 1.0, 0.5, 0.6)
-
-    def test_route_update_localizes_without_mutating_original(self):
-        router = ShardRouter(30, 20, 4)
-        update = self._update(17)
-        shard, routed = route_update(router, update)
-        assert shard == router.shard_of(ObjectClass.VIEW_LOW, 17)
-        assert routed.object_id == router.local_id(ObjectClass.VIEW_LOW, 17)
-        assert routed is not update and update.object_id == 17
-        assert sum(router.updates_routed) == 1
-
-    def test_route_spec_remaps_cross_shard_reads(self):
-        router = ShardRouter(30, 20, 4)
-        spec = TransactionSpec(
-            seq=1, arrival_time=0.1, high_value=False, value=1.0,
-            compute_time=0.01, reads=tuple(range(10)), slack=1.0,
-        )
-        shard, routed = route_spec(router, spec)
-        assert shard == router.shard_of(ObjectClass.VIEW_LOW, 0)
-        owned = router.count_for(shard, ObjectClass.VIEW_LOW)
-        assert all(0 <= r < owned for r in routed.reads)
-        # Owned reads keep their identity; foreign ones are stand-ins.
-        for gid, local in zip(spec.reads, routed.reads):
-            if router.shard_of(ObjectClass.VIEW_LOW, gid) == shard:
-                assert local == router.local_id(ObjectClass.VIEW_LOW, gid)
-        assert router.remapped_reads == sum(
-            1 for gid in spec.reads
-            if router.shard_of(ObjectClass.VIEW_LOW, gid) != shard
-        )
-
     def test_readless_spec_routes_by_sequence(self):
         router = ShardRouter(30, 20, 4)
         spec = TransactionSpec(
             seq=9, arrival_time=0.1, high_value=True, value=1.0,
             compute_time=0.01, reads=(), slack=1.0,
         )
-        shard, routed = route_spec(router, spec)
-        assert shard == router.hash_shard(9)
-        assert routed is spec
+        assert split_spec(router, spec) == {router.hash_shard(9): spec}
 
 
 # ----------------------------------------------------------------------
@@ -190,11 +150,11 @@ class TestMerge:
 
 
 # ----------------------------------------------------------------------
-# shards=1 parity against the pre-refactor pipeline
+# The simulator against the plain wiring
 # ----------------------------------------------------------------------
 def _reference_run(config, algorithm, **kwargs) -> SimulationResult:
-    """The single-pipeline simulation loop exactly as it was wired before
-    sharding existed: build_parts + controller-bound generator sinks."""
+    """The simulation loop in its plainest wiring: build_parts plus the
+    controller's bound methods as generator sinks, one arrival at a time."""
     engine = Engine()
     parts = build_parts(config, algorithm, engine, **kwargs)
     streams = StreamFamily(config.seed)
@@ -223,7 +183,6 @@ def test_single_shard_is_bit_identical_to_reference(algorithm):
     config = small_config()
     reference = asdict(_reference_run(config, algorithm))
     assert asdict(run_simulation(config, algorithm)) == reference
-    assert asdict(run_simulation(config, algorithm, shards=1)) == reference
 
 
 # ----------------------------------------------------------------------
@@ -232,14 +191,23 @@ def test_single_shard_is_bit_identical_to_reference(algorithm):
 @pytest.mark.parametrize("shards", [2, 4])
 def test_sharded_run_sees_every_arrival(shards):
     """At warmup=0 nothing is recounted at a boundary, so the sharded
-    topology must account for exactly the same arrival streams."""
+    topology must account for exactly the same arrival streams: every
+    update once, every transaction once as a parent and once per owning
+    shard as a sub-read."""
     config = small_config()
     flat = run_simulation(config, "TF")
-    sharded = run_simulation(config, "TF", shards=shards)
+    cluster = EngineCluster(config, "TF", shards)
+    sharded = cluster.run()
     assert sharded.updates_arrived == flat.updates_arrived
-    assert sharded.transactions_arrived == flat.transactions_arrived
+    assert len(cluster.sub_reads) == flat.transactions_arrived
+    assert sharded.transactions_arrived == sum(
+        len(handles) for handles in cluster.sub_reads.values()
+    )
     assert sharded.extras["shards"] == shards
     assert sum(sharded.extras["updates_routed"]) == flat.updates_arrived
+    assert sum(sharded.extras["transactions_routed"]) == (
+        sharded.transactions_arrived
+    )
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -247,9 +215,12 @@ def test_sharded_run_preserves_conservation_and_invariants(algorithm):
     config = baseline_config(duration=6.0, seed=23)
     config.warmup = 2.0
     config = config.with_updates(arrival_rate=150.0, n_low=30, n_high=30)
-    result = run_simulation(config, algorithm, shards=2)
-    assert result.update_conservation_gap() == 0
-    assert result.transaction_conservation_gap() == 0
+    cluster = EngineCluster(config, algorithm, 2)
+    result = cluster.run()
+    assert result.duration == pytest.approx(config.duration - config.warmup)
+    for shard in (*cluster.results, result):
+        assert shard.update_conservation_gap() == 0
+        assert shard.transaction_conservation_gap() == 0
     assert check_invariants(result) == []
 
 
@@ -260,17 +231,6 @@ def test_sharded_config_splits_the_keyspace_and_budgets():
     assert sum(c.updates.n_low for c in configs) == config.updates.n_low
     assert sum(c.updates.n_high for c in configs) == config.updates.n_high
     assert sum(c.system.os_queue_max for c in configs) >= config.system.os_queue_max
-
-
-def test_multi_shard_build_requires_algorithm_name():
-    config = small_config()
-    algorithm = ALGORITHMS["TF"]()
-    engine = Engine()
-    with pytest.raises(ValueError, match="algorithm name"):
-        build_shard_set(config, algorithm, engine, shards=2)
-    # The single-shard path still accepts an instance, as before.
-    shard_set = build_shard_set(config, algorithm, engine, shards=1)
-    assert len(shard_set) == 1
 
 
 # ----------------------------------------------------------------------
@@ -355,97 +315,3 @@ def test_split_update_run_of_one_frame_and_of_none():
         shard: (reroute_update_frame(frame, router.local_id(update.klass, 5)), 1)
     }
     assert split_update_run(router, b"") == {}
-
-
-# ----------------------------------------------------------------------
-# Batched routing parity (route_batch must not change the model)
-# ----------------------------------------------------------------------
-def _drawn_schedule(config, step=0.02):
-    """Draw the workload up front and quantize arrivals *up* onto a grid,
-    so several records share one delivery instant — the shape a coalesced
-    wire batch produces at the router."""
-    import math
-
-    bursts: dict[float, list] = {}
-    for item in synthesize(config, until=config.duration):
-        at = math.ceil(item.arrival_time / step) * step
-        if isinstance(item, Update):
-            item.arrival_time = at
-        else:
-            item = replace(item, arrival_time=at)
-        bursts.setdefault(at, []).append(item)
-    return bursts
-
-
-@pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_route_batch_parity_with_per_record(algorithm, shards):
-    """Batched routing == per-record routing, for every algorithm, at one
-    shard and two: identical results *and* identical routing accounting."""
-    config = small_config()
-
-    def run(batched):
-        engine = Engine()
-        shard_set = build_shard_set(config, algorithm, engine, shards=shards)
-        shard_set.start_ledgers()
-        for at, burst in _drawn_schedule(config).items():
-            if batched:
-                engine.schedule_at(at, shard_set.route_batch, burst)
-            else:
-                for item in burst:
-                    if isinstance(item, Update):
-                        engine.schedule_at(at, shard_set.route_update, item)
-                    else:
-                        engine.schedule_at(at, shard_set.route_spec, item)
-        engine.run_until(config.duration)
-        shard_set.finalize(config.duration)
-        result = asdict(shard_set.collect(config.duration))
-        # The clock-event count is the delivery mechanism, not the model.
-        result.pop("events_dispatched")
-        return result
-
-    per_record = run(batched=False)
-    batch = run(batched=True)
-    assert batch == per_record
-    assert batch["updates_applied"] > 0
-
-
-def test_route_batch_groups_by_shard_and_amortizes_accounting():
-    router = ShardRouter(30, 30, 3)
-    from repro.core.sharding import route_batch
-
-    updates = [
-        Update(seq=i, klass=ObjectClass.VIEW_LOW, object_id=i, value=1.0,
-               generation_time=0.0, arrival_time=0.1)
-        for i in range(30)
-    ]
-    by_shard = route_batch(router, updates)
-    assert sorted(by_shard) == [0, 1, 2]
-    # Every record landed on its owner, in batch order, localized.
-    total = 0
-    for shard, routed in by_shard.items():
-        seqs = [u.seq for u in routed]
-        assert seqs == sorted(seqs)
-        for u in routed:
-            assert router.shard_of(ObjectClass.VIEW_LOW, u.seq) == shard
-            assert u.object_id == router.local_id(ObjectClass.VIEW_LOW, u.seq)
-        total += len(routed)
-    assert total == 30
-    assert router.updates_routed == [len(by_shard.get(s, [])) for s in range(3)]
-
-
-def test_route_batch_skips_unroutable_records_without_poisoning_neighbors():
-    router = ShardRouter(8, 8, 2)
-    from repro.core.sharding import route_batch
-
-    good = Update(seq=0, klass=ObjectClass.VIEW_LOW, object_id=1, value=1.0,
-                  generation_time=0.0, arrival_time=0.1)
-    bad = Update(seq=1, klass=ObjectClass.VIEW_LOW, object_id=999, value=1.0,
-                 generation_time=0.0, arrival_time=0.1)
-    errors = []
-    by_shard = route_batch(router, [good, bad, good],
-                           on_error=lambda item, exc: errors.append(item))
-    assert sum(len(routed) for routed in by_shard.values()) == 2
-    assert errors == [bad]
-    assert router.routing_errors == 1
-    assert sum(router.updates_routed) == 2

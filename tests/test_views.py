@@ -35,6 +35,7 @@ from repro.db.views import (
 from repro.live import LiveRuntime
 from repro.metrics.validate import check_invariants
 from repro.sim.engine import Engine
+from tests.inprocess import EngineCluster
 
 ALL_SPECS = (
     "by4=sum:low,groups=4",
@@ -98,13 +99,19 @@ class TestViewSpec:
 def test_delta_views_match_recompute(algorithm, shards):
     """Every install's delta leaves the views bit-identical to a full
     recomputation — checked after *every single install* via the
-    registry's self-check hook, on every shard."""
-    sim = Simulation(_config(), algorithm, shards=shards)
-    for shard in sim.shard_set.shards:
-        shard.parts.views.self_check = True
+    registry's self-check hook, in the simulator and on every shard of a
+    cluster."""
+    if shards == 1:
+        run = Simulation(_config(), algorithm)
+        registries = [run.views]
+    else:
+        run = EngineCluster(_config(), algorithm, shards)
+        registries = [runtime.views for runtime in run.runtimes]
+    for registry in registries:
+        registry.self_check = True
     for text in ALL_SPECS:
-        sim.register_view(text)
-    result = sim.run()
+        run.register_view(text)
+    result = run.run()
 
     # The self-check would have raised mid-run on any divergence; make
     # sure it actually exercised installs and reported the views.
@@ -146,19 +153,18 @@ def test_view_registered_on_populated_database_matches_recompute():
 def test_sharded_merge_equals_global_recompute():
     """Per-shard partial aggregates merge to exactly the values a global
     recomputation over the union of shard databases produces."""
-    sim = Simulation(_config(), "TF", shards=2)
+    cluster = EngineCluster(_config(), "TF", 2)
     for text in ALL_SPECS:
-        sim.register_view(text)
-    result = sim.run()
+        cluster.register_view(text)
+    result = cluster.run()
     merged = result.extras["views"]
 
     # Global member list: every shard's objects under their global ids.
     members = {klass: [] for klass in (ObjectClass.VIEW_LOW, ObjectClass.VIEW_HIGH)}
-    for shard in sim.shard_set.shards:
-        registry = shard.parts.views
+    for runtime in cluster.runtimes:
         for klass in members:
-            members[klass].extend(registry._members(klass))
-    now = sim.engine.now
+            members[klass].extend(runtime.views._members(klass))
+    now = cluster.engine.now
     for text in ALL_SPECS:
         spec = ViewSpec.parse(text)
         expected = recompute(spec, members[spec.klass], now)
@@ -293,13 +299,13 @@ def test_merge_view_reports_is_exact():
     """Merging shard reports reconstructs values from the rational
     partials — float-exact for sums, and the global top-K is contained
     in the union of shard top-Ks."""
-    sim = Simulation(_config(), "TF", shards=2)
-    sim.register_view("s=sum:low,groups=3")
-    sim.register_view("m=mean:low,groups=3")
-    sim.register_view("hot=top_k:low,k=5")
-    sim.run()
-    reports = [shard.parts.views.report(sim.engine.now)
-               for shard in sim.shard_set.shards]
+    cluster = EngineCluster(_config(), "TF", 2)
+    cluster.register_view("s=sum:low,groups=3")
+    cluster.register_view("m=mean:low,groups=3")
+    cluster.register_view("hot=top_k:low,k=5")
+    cluster.run()
+    reports = [runtime.views.report(cluster.engine.now)
+               for runtime in cluster.runtimes]
     merged = merge_view_reports(reports)
 
     from fractions import Fraction
@@ -342,10 +348,18 @@ def test_table_view_tracks_mutations_exactly():
 def test_result_merge_weights_fold_views_by_registration():
     from repro.metrics.results import SimulationResult
 
-    result = run_simulation(_config(), "TF", shards=2,
-                            views=["by2=sum:low,groups=2"])
-    rebuilt = SimulationResult.merge([result])
-    assert rebuilt.fold_views == result.fold_views
+    cluster = EngineCluster(_config(), "TF", 2)
+    cluster.register_view("by2=sum:low,groups=2")
+    cluster.register_view("w=window_avg:low,window=1.0")
+    result = cluster.run()
+    shards = cluster.results
+    registered = [shard.views_registered for shard in shards]
+    assert registered == [2, 2]
+    assert result.fold_views == pytest.approx(
+        sum(s.fold_views * n for s, n in zip(shards, registered))
+        / sum(registered)
+    )
+    assert SimulationResult.merge([result]).fold_views == result.fold_views
 
 
 def test_no_views_means_zero_overhead_fields():
