@@ -1,36 +1,20 @@
-"""Microbenchmarks of the substrate extensions.
+"""Microbenchmark of the substrate's update transformers.
 
-Wall-clock overheads of the pieces the simulated cost model does not
-charge for (history recording, transformer invocation, table indexing),
-so their real costs stay visible.
+The wall-clock overhead of transformer invocation, which the simulated
+cost model charges as ``x_transform`` instructions, so its real cost stays
+visible.
 """
-
-import pytest
 
 from repro.config import baseline_config
 from repro.core.simulator import Simulation
-from repro.db.history import HistoryStore
 from repro.db.objects import ObjectClass
-from repro.db.table import Table
 from repro.db.transforms import exponential_average
 
 
-def short_config(**system):
-    config = baseline_config(duration=10.0).with_updates(
+def short_config():
+    return baseline_config(duration=10.0).with_updates(
         arrival_rate=200.0, n_low=100, n_high=100
     )
-    return config.with_system(**system)
-
-
-def test_simulation_with_history_overhead(benchmark):
-    """One run with a 16-deep history on every object."""
-
-    def run():
-        sim = Simulation(short_config(history_depth=16), "UF")
-        return sim.run()
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert result.updates_applied > 0
 
 
 def test_simulation_with_transformer_overhead(benchmark):
@@ -45,36 +29,3 @@ def test_simulation_with_transformer_overhead(benchmark):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.updates_applied > 0
-
-
-def test_history_store_throughput(benchmark):
-    def churn():
-        store = HistoryStore(depth=8)
-        for i in range(20_000):
-            key = (ObjectClass.VIEW_LOW, i % 500)
-            store.record(key, float(i), generation_time=i * 0.01,
-                         install_time=i * 0.01)
-        hits = 0
-        for i in range(2_000):
-            key = (ObjectClass.VIEW_LOW, i % 500)
-            if store.value_as_of(key, 250.0) is not None:
-                hits += 1
-        return store.recorded, hits
-
-    recorded, hits = benchmark(churn)
-    assert recorded == 20_000
-    assert hits == 2_000
-
-
-def test_table_indexed_lookup_throughput(benchmark):
-    def churn():
-        table = Table("bench", ("id", "bucket", "payload"), key="id")
-        table.create_index("bucket")
-        for i in range(5_000):
-            table.upsert({"id": i, "bucket": i % 50, "payload": float(i)})
-        found = 0
-        for i in range(2_000):
-            found += len(table.lookup("bucket", i % 50))
-        return found
-
-    assert benchmark(churn) == 2_000 * 100

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Derived analytics: view complexity, history, and general data together.
+"""Derived analytics: a running-average transform feeding a derived view.
 
 The paper's section 2 notes that installing an update is not always a
-plain store: "running averages may have to be computed", and general data
-(section 3.2) holds values *derived* from the view — composite indices,
-position tables.  Section 7 lists historical views as future work.
+plain store: "running averages may have to be computed", and section 3.2
+keeps values *derived* from the view data — composite indices, position
+tables — fresh as the update stream moves.
 
-This example wires all three extensions of this reproduction into one
-scenario:
+This example wires both into one scenario:
 
 * price updates are smoothed through an exponential running average
   before being stored (a registered *transformer*, costing ``x_transform``
-  extra instructions per install);
-* every installed version is retained in the *history store*, enabling
-  as-of queries ("what was the smoothed price 5 seconds ago?");
-* a *general-data table* of positions is combined with current view
-  values to compute a derived portfolio mark-to-market.
+  extra instructions per install — the mechanism of figure A5);
+* a registered partition view ``book=sum:low,groups=4`` keeps the sum of
+  the smoothed prices of each of four books (instrument ``i`` belongs to
+  book ``i % 4``), maintained by one exact delta per applied install and
+  read after the run.
 
 Usage::
 
@@ -28,8 +27,9 @@ import argparse
 
 from repro import Simulation, baseline_config, format_table
 from repro.db.objects import ObjectClass
-from repro.db.table import Table
 from repro.db.transforms import exponential_average
+
+BOOKS = 4
 
 
 def main() -> None:
@@ -42,7 +42,7 @@ def main() -> None:
         baseline_config(duration=args.seconds)
         .with_updates(arrival_rate=200.0, n_low=args.instruments,
                       n_high=args.instruments)
-        .with_system(history_depth=32, x_transform=5000)
+        .with_system(x_transform=5000)
     )
 
     sim = Simulation(config, "OD")
@@ -50,52 +50,29 @@ def main() -> None:
     sim.database.set_transformer(
         ObjectClass.VIEW_LOW, exponential_average(alpha=0.3)
     )
-
-    # General data: a positions table, derived from nothing in the view.
-    positions = Table("positions", ("instrument", "quantity"), key="instrument")
-    for instrument in range(0, args.instruments, 2):
-        positions.upsert({"instrument": instrument, "quantity": 10 * (instrument + 1)})
+    sim.register_view(f"book=sum:low,groups={BOOKS}")
 
     result = sim.run()
 
     print(result.summary())
     print()
 
-    # Derived value: mark the positions against the *smoothed* view.
-    def mark(acc: float, row) -> float:
-        obj = sim.database.view_object(ObjectClass.VIEW_LOW, row["instrument"])
-        return acc + row["quantity"] * obj.value
-
-    total = 0.0
-    for row in positions.scan():
-        obj = sim.database.view_object(ObjectClass.VIEW_LOW, row["instrument"])
-        total += row["quantity"] * obj.value
-    print(f"portfolio mark-to-market over {len(positions)} positions: {total:,.2f}")
-
-    # As-of queries against the historical view.
-    history = sim.database.history
-    probe = args.seconds - 5.0
-    rows = []
-    for instrument in range(0, min(args.instruments, 6), 2):
-        key = (ObjectClass.VIEW_LOW, instrument)
-        now_version = history.versions(key)[-1] if history.versions(key) else None
-        past_version = history.value_as_of(key, probe)
-        rows.append((
-            instrument,
-            f"{now_version.value:.2f}" if now_version else "-",
-            f"{past_version.value:.2f}" if past_version else "-",
-            history.version_count(key),
-        ))
-    print()
+    report = sim.views.report()["book"]
+    members = [
+        sum(1 for i in range(args.instruments) if i % BOOKS == book)
+        for book in range(BOOKS)
+    ]
     print(format_table(
-        ("instrument", "smoothed now", f"as of t={probe:g}", "versions kept"),
-        rows,
-        title="Historical view: as-of queries on the smoothed prices",
+        ("book", "instruments", "sum of smoothed prices"),
+        zip(range(BOOKS), members, report["values"]),
+        title="Derived view 'book': smoothed prices summed per book",
     ))
     print()
-    print(f"history: {history.recorded} versions recorded, "
-          f"{history.evicted} evicted (ring depth {history.depth}); "
-          f"transform cost charged on every one of "
+    exact = report["values"] == sim.views.expected_values("book", args.seconds)
+    print(f"view refreshes: {report['refreshes']} (one exact delta per applied "
+          f"low-importance install); equals a full recompute: {exact}; "
+          f"stale fraction {result.fold_views:.4f}")
+    print(f"transform cost charged on every one of "
           f"{result.updates_applied} installs.")
 
 

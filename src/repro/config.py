@@ -322,11 +322,6 @@ class SystemParams:
     on the update queue keyed by object, keeping only the newest update per
     object and making OD lookups O(1)."""
 
-    history_depth: int = 0
-    """Extension (paper section 7 future work): retain up to this many past
-    versions of every view object for as-of queries.  0 (the paper's
-    snapshot-view model) disables history entirely."""
-
     def validate(self) -> None:
         if self.ips <= 0:
             raise ValueError(f"ips must be > 0, got {self.ips}")
@@ -338,8 +333,6 @@ class SystemParams:
             raise ValueError("OS queue must hold at least one update")
         if self.update_queue_max < 1:
             raise ValueError("update queue must hold at least one update")
-        if self.history_depth < 0:
-            raise ValueError(f"history_depth must be >= 0, got {self.history_depth}")
 
     def seconds(self, instructions: float) -> float:
         """Convert an instruction count to seconds of CPU time."""

@@ -1,13 +1,12 @@
 """Main-memory real-time database substrate.
 
 The portion of the STRIP system the paper's model depends on: a
-partitioned object store (view data split into low/high importance, plus
-general data), a bounded OS message queue, the generation-ordered update
-queue, and the staleness definitions of paper section 2.
+partitioned object store (view data split into low/high importance), a
+bounded OS message queue, the generation-ordered update queue, and the
+staleness definitions of paper section 2.
 """
 
 from repro.db.database import Database
-from repro.db.history import HistoryStore, Version
 from repro.db.objects import DataObject, ObjectClass, Update
 from repro.db.os_queue import OSQueue
 from repro.db.sharding import ROUTER_VERSION, ShardRouter, stable_hash
@@ -19,7 +18,6 @@ from repro.db.staleness import (
     UnappliedUpdateStaleness,
     make_staleness_checker,
 )
-from repro.db.table import Row, SchemaError, Table
 from repro.db.transforms import clamp, exponential_average, identity, scale
 from repro.db.update_queue import PartitionedUpdateQueue, UpdateQueue
 
@@ -27,8 +25,6 @@ __all__ = [
     "CombinedStaleness",
     "Database",
     "DataObject",
-    "HistoryStore",
-    "Version",
     "MaxAgeArrivalStaleness",
     "MaxAgeStaleness",
     "ObjectClass",
@@ -36,10 +32,7 @@ __all__ = [
     "PartitionedUpdateQueue",
     "ROUTER_VERSION",
     "ShardRouter",
-    "Row",
-    "SchemaError",
     "StalenessChecker",
-    "Table",
     "UnappliedUpdateStaleness",
     "Update",
     "UpdateQueue",

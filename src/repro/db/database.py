@@ -1,10 +1,11 @@
 """The main-memory database (paper sections 3.2 and 3.3).
 
-Holds the two view partitions (low/high importance) plus a general-data
-store, and implements update installation with the paper's *worthiness*
-check: an update whose generation timestamp is not newer than the installed
-value is skipped (it can only arise when updates are applied out of order —
-LIFO service or On-Demand pulls).
+Holds the two view partitions (low/high importance) and implements update
+installation with the paper's *worthiness* check: an update whose
+generation timestamp is not newer than the installed value is skipped (it
+can only arise when updates are applied out of order — LIFO service or
+On-Demand pulls).  General data is not stored: the paper folds its access
+cost into transaction compute time, and it never goes stale.
 
 The database itself is policy-free: all CPU cost accounting and scheduling
 lives in :mod:`repro.core`.  A freshness ledger may subscribe to installs to
@@ -37,41 +38,12 @@ class InstallListener(Protocol):
         """Called after an update is applied to ``obj``."""
 
 
-class GeneralStore:
-    """General (non-view) data: read and written only by transactions.
-
-    The paper folds the cost of general-data access into transaction compute
-    time and general data never goes stale, so this store only needs to be
-    functionally correct: a keyed record table with access counters, used by
-    the examples to model derived data such as composite indices.
-    """
-
-    def __init__(self) -> None:
-        self._records: dict[int, float] = {}
-        self.reads = 0
-        self.writes = 0
-
-    def read(self, key: int) -> float:
-        """Read a record (0.0 for never-written keys)."""
-        self.reads += 1
-        return self._records.get(key, 0.0)
-
-    def write(self, key: int, value: float) -> None:
-        """Write a record."""
-        self.writes += 1
-        self._records[key] = value
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
 class Database:
     """The partitioned main-memory store.
 
     Attributes:
         low: Low-importance view objects (``N_l`` of them).
         high: High-importance view objects (``N_h`` of them).
-        general: The general-data store.
         installs_applied: Updates actually applied.
         installs_skipped: Updates skipped by the worthiness check.
     """
@@ -82,7 +54,6 @@ class Database:
         n_high: int,
         attributes_per_object: int = 1,
         install_listener: InstallListener | None = None,
-        history_depth: int = 0,
     ) -> None:
         if n_low < 0 or n_high < 0 or n_low + n_high == 0:
             raise ValueError(f"invalid view sizes: n_low={n_low}, n_high={n_high}")
@@ -94,19 +65,12 @@ class Database:
             DataObject(ObjectClass.VIEW_HIGH, i, attributes_per_object)
             for i in range(n_high)
         ]
-        self.general = GeneralStore()
         self.install_listener = install_listener
         # Derived-view hook (repro.db.views.ViewRegistry); attached only
         # when a view is registered, unlike the swap-prone install_listener.
         self.views = None
         self.installs_applied = 0
         self.installs_skipped = 0
-        if history_depth > 0:
-            from repro.db.history import HistoryStore
-
-            self.history: "HistoryStore | None" = HistoryStore(history_depth)
-        else:
-            self.history = None
         # View-complexity extension (paper §2): per-partition update
         # transformers applied before the value is stored.
         self._transformers: dict[ObjectClass, "Transformer"] = {}
@@ -126,7 +90,6 @@ class Database:
                 updates.attributes_per_object if updates.partial_probability > 0 else 1
             ),
             install_listener=install_listener,
-            history_depth=config.system.history_depth,
         )
 
     # ------------------------------------------------------------------
@@ -233,10 +196,6 @@ class Database:
                 stored_value, update.generation_time, update.arrival_time, now
             )
         self.installs_applied += 1
-        if self.history is not None:
-            self.history.record(
-                obj.key, stored_value, update.generation_time, now
-            )
         if self.install_listener is not None:
             self.install_listener.note_install(
                 obj, old_generation, old_arrival_time, old_install_time, now

@@ -3,11 +3,10 @@
 The paper's §3.2 motivates derived data — composite indices, position
 tables, "running averages" — kept fresh by the update stream.  This module
 supplies that layer: aggregate/group-by views declared over the base view
-partitions (or over :class:`~repro.db.table.Table` rows), maintained
-*incrementally*: every base install contributes a delta (``new - old``) to
-per-group partial aggregates, so a single update touches O(1) view state.
-Full recomputation survives only as a parity oracle
-(:meth:`ViewRegistry.expected_values`).
+partitions, maintained *incrementally*: every base install contributes a
+delta (``new - old``) to per-group partial aggregates, so a single update
+touches O(1) view state.  Full recomputation survives only as a parity
+oracle (:meth:`ViewRegistry.expected_values`).
 
 Exactness is load-bearing.  Partial sums are kept as
 :class:`fractions.Fraction` — every float is a dyadic rational, so
@@ -26,10 +25,8 @@ per-view stale-interval ledger mirroring
 all registered views surfaces as ``SimulationResult.fold_views``.
 
 Sharding: each shard maintains its views over the members it owns, with
-group keys computed from *global* object ids (via the key map installed by
-the shard set / cluster worker), so shard-local states merge exactly.
-Table-sourced views are process-local; registering one on a sharded
-registry raises :class:`CrossShardViewError`.
+group keys computed from *global* object ids (via the key map a cluster
+worker installs), so shard-local states merge exactly.
 """
 
 from __future__ import annotations
@@ -48,10 +45,6 @@ logger = logging.getLogger(__name__)
 #: Supported aggregate kinds.
 VIEW_KINDS = ("sum", "count", "mean", "top_k", "window_avg")
 
-#: Kinds a Table-sourced view supports (windowing and top-K need install
-#: times / the member keyspace, which table rows do not carry).
-TABLE_VIEW_KINDS = ("sum", "count", "mean")
-
 _PARTITIONS = {
     "low": ObjectClass.VIEW_LOW,
     "high": ObjectClass.VIEW_HIGH,
@@ -61,16 +54,6 @@ _PARTITION_NAMES = {klass: name for name, klass in _PARTITIONS.items()}
 
 class ViewError(ValueError):
     """A view declaration or registration problem."""
-
-
-class CrossShardViewError(ViewError):
-    """The view cannot be maintained shard-locally.
-
-    Raised when a Table-sourced view is registered on a sharded registry:
-    table rows live in one process and carry no stable global keyspace, so
-    their aggregates cannot be merged across shards.  Partition views never
-    raise this — their group keys are global object ids and merge exactly.
-    """
 
 
 # ----------------------------------------------------------------------
@@ -422,96 +405,6 @@ def recompute(
 
 
 # ----------------------------------------------------------------------
-# Table-sourced views (process-local)
-# ----------------------------------------------------------------------
-class TableView:
-    """A sum/count/mean group-by over a :class:`~repro.db.table.Table`.
-
-    Maintained by the table's mutation listener: every upsert / delete /
-    in-place update contributes an exact delta.  Table rows are general
-    data in the paper's model — written by transactions, never stale — so
-    table views carry no staleness ledger.
-    """
-
-    def __init__(self, name: str, table, kind: str, value_column: str,
-                 group_column: str | None = None) -> None:
-        if kind not in TABLE_VIEW_KINDS:
-            raise ViewError(
-                f"table views support {', '.join(TABLE_VIEW_KINDS)}, not {kind!r}"
-            )
-        self.name = name
-        self.table = table
-        self.kind = kind
-        self.value_column = value_column
-        self.group_column = group_column
-        self.sums: dict[object, Fraction] = {}
-        self.counts: dict[object, int] = {}
-        self.refreshes = 0
-        for row in table.scan():
-            self._add(row)
-        table.add_listener(self._on_mutation)
-
-    def _group_of(self, row) -> object:
-        return row[self.group_column] if self.group_column else "all"
-
-    def _add(self, row) -> None:
-        group = self._group_of(row)
-        self.sums[group] = self.sums.get(group, Fraction(0)) + _rat(
-            float(row[self.value_column])
-        )
-        self.counts[group] = self.counts.get(group, 0) + 1
-
-    def _remove(self, row) -> None:
-        group = self._group_of(row)
-        self.sums[group] -= _rat(float(row[self.value_column]))
-        self.counts[group] -= 1
-        if self.counts[group] == 0:
-            del self.counts[group]
-            del self.sums[group]
-
-    def _on_mutation(self, old_row, new_row) -> None:
-        if old_row is not None:
-            self._remove(old_row)
-        if new_row is not None:
-            self._add(new_row)
-        self.refreshes += 1
-
-    def values(self) -> dict:
-        if self.kind == "sum":
-            return {str(g): float(total) for g, total in self.sums.items()}
-        if self.kind == "count":
-            return {str(g): count for g, count in self.counts.items()}
-        return {
-            str(g): float(self.sums[g] / self.counts[g]) for g in self.counts
-        }
-
-    def expected_values(self) -> dict:
-        """Full-recompute oracle over a fresh table scan."""
-        sums: dict[object, Fraction] = {}
-        counts: dict[object, int] = {}
-        for row in self.table.scan():
-            group = self._group_of(row)
-            sums[group] = sums.get(group, Fraction(0)) + _rat(
-                float(row[self.value_column])
-            )
-            counts[group] = counts.get(group, 0) + 1
-        if self.kind == "sum":
-            return {str(g): float(total) for g, total in sums.items()}
-        if self.kind == "count":
-            return {str(g): count for g, count in counts.items()}
-        return {str(g): float(sums[g] / counts[g]) for g in counts}
-
-    def report(self) -> dict:
-        return {
-            "source": "table",
-            "kind": self.kind,
-            "stale": False,
-            "refreshes": self.refreshes,
-            "values": self.values(),
-        }
-
-
-# ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
 class ViewRegistry:
@@ -525,7 +418,6 @@ class ViewRegistry:
 
     def __init__(self) -> None:
         self.specs: dict[str, ViewSpec] = {}
-        self.table_views: dict[str, TableView] = {}
         self._aggregates: dict[str, _Aggregate] = {}
         self._by_klass: dict[ObjectClass, list[str]] = {}
         self._pending: dict[str, list[tuple[int, float, float, bool, float]]] = {}
@@ -569,16 +461,11 @@ class ViewRegistry:
         """Install the shard-local→global id map (before registering).
 
         ``key_map(klass, local_id) -> global_id``; None means ids are
-        already global (single pipeline).  A non-None map marks the
-        registry sharded, which rejects Table-sourced views.
+        already global (single pipeline).
         """
-        if self.specs or self.table_views:
+        if self.specs:
             raise ViewError("set the key map before registering views")
         self._key_map = key_map
-
-    @property
-    def sharded(self) -> bool:
-        return self._key_map is not None
 
     def _gid(self, klass: ObjectClass, local_id: int) -> int:
         if self._key_map is None:
@@ -605,11 +492,11 @@ class ViewRegistry:
 
     # -- registration ----------------------------------------------------
     def __len__(self) -> int:
-        return len(self.specs) + len(self.table_views)
+        return len(self.specs)
 
     def register(self, spec: ViewSpec, now: float = 0.0) -> ViewSpec:
         """Register a partition view and materialize its current state."""
-        if spec.name in self.specs or spec.name in self.table_views:
+        if spec.name in self.specs:
             raise ViewError(f"view {spec.name!r} is already registered")
         self._ensure_hooked()
         aggregate = _AGGREGATES[spec.kind](spec)
@@ -643,21 +530,6 @@ class ViewRegistry:
             }
         self._refresh_view_staleness(spec.name, now)
         return spec
-
-    def register_table(self, name: str, table, kind: str, value_column: str,
-                       group_column: str | None = None) -> TableView:
-        """Register a process-local Table-sourced view."""
-        if self.sharded:
-            raise CrossShardViewError(
-                f"table view {name!r}: Table rows are process-local and have "
-                "no global keyspace; register table views on unsharded "
-                "pipelines only"
-            )
-        if name in self.specs or name in self.table_views:
-            raise ViewError(f"view {name!r} is already registered")
-        view = TableView(name, table, kind, value_column, group_column)
-        self.table_views[name] = view
-        return view
 
     # -- base hooks ------------------------------------------------------
     def note_base_install(self, obj: DataObject, old_value: float,
@@ -837,14 +709,6 @@ class ViewRegistry:
                     f"view {name!r} diverged from recompute at t={now}: "
                     f"delta={maintained!r} oracle={expected!r}"
                 )
-        for name, view in self.table_views.items():
-            maintained = view.values()
-            expected = view.expected_values()
-            if maintained != expected:
-                raise AssertionError(
-                    f"table view {name!r} diverged from recompute: "
-                    f"delta={maintained!r} oracle={expected!r}"
-                )
 
     # -- reporting -------------------------------------------------------
     def report(self, now: float | None = None) -> dict:
@@ -855,7 +719,6 @@ class ViewRegistry:
         out: dict[str, dict] = {}
         for name, spec in self.specs.items():
             entry = {
-                "source": "partition",
                 "stale": self._view_is_stale(name),
                 "pending_deltas": self.pending_deltas(name),
                 "refreshes": self.refresh_counts[name],
@@ -864,8 +727,6 @@ class ViewRegistry:
             }
             entry.update(self._aggregates[name].state(now))
             out[name] = entry
-        for name, view in self.table_views.items():
-            out[name] = view.report()
         return out
 
 
@@ -882,10 +743,6 @@ def merge_view_reports(reports: "list[dict]") -> dict:
     merged: dict[str, dict] = {}
     for report in reports:
         for name, entry in report.items():
-            if entry.get("source") == "table":
-                raise CrossShardViewError(
-                    f"table view {name!r} leaked into a sharded merge"
-                )
             if name not in merged:
                 merged[name] = {
                     key: value for key, value in entry.items()

@@ -115,6 +115,12 @@ def test_system_params_validation(overrides):
         params.validate()
 
 
+def test_history_depth_is_an_unknown_field():
+    # Historical views were removed; the knob fails like any unknown field.
+    with pytest.raises(TypeError):
+        baseline_config().with_system(history_depth=4)
+
+
 def test_duration_must_be_positive():
     with pytest.raises(ValueError):
         SimulationConfig(duration=0.0).validate()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import baseline_config
-from repro.db.database import Database, GeneralStore
+from repro.db.database import Database
 from repro.db.objects import DataObject, ObjectClass, Update
 
 
@@ -125,12 +125,3 @@ def test_listener_not_called_for_skips():
     database.install(make_update(1, generation=1.0), now=6.0)
     assert len(calls) == 1
 
-
-def test_general_store_roundtrip():
-    store = GeneralStore()
-    assert store.read(7) == 0.0
-    store.write(7, 3.5)
-    assert store.read(7) == 3.5
-    assert store.reads == 2
-    assert store.writes == 1
-    assert len(store) == 1

@@ -5,6 +5,7 @@ durations, and its stdout is checked for the scenario's signature lines —
 so documentation drift or API breakage in examples/ fails the suite.
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -21,9 +22,11 @@ def run_example(monkeypatch, capsys, script: str, *args: str) -> str:
 
 
 def test_examples_directory_contents():
+    """README's examples table lists exactly the scripts in examples/."""
     scripts = {path.name for path in EXAMPLES_DIR.glob("*.py")}
-    assert "quickstart.py" in scripts
-    assert len(scripts) >= 6
+    readme = (EXAMPLES_DIR.parent / "README.md").read_text()
+    listed = set(re.findall(r"^\| `examples/([\w.]+\.py)` \|", readme, re.M))
+    assert listed == scripts
 
 
 def test_quickstart(monkeypatch, capsys):
@@ -67,9 +70,9 @@ def test_derived_analytics(monkeypatch, capsys):
     out = run_example(
         monkeypatch, capsys, "derived_analytics.py", "--seconds", "12"
     )
-    assert "mark-to-market" in out
-    assert "Historical view" in out
-    assert "versions recorded" in out
+    assert "Derived view 'book'" in out
+    assert "equals a full recompute: True" in out
+    assert "transform cost charged" in out
 
 
 def test_live_quickstart(monkeypatch, capsys):

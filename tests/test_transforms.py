@@ -73,13 +73,6 @@ class TestDatabaseTransform:
         with pytest.raises(ValueError):
             Database(2, 2).set_transformer(ObjectClass.GENERAL, identity())
 
-    def test_history_records_transformed_value(self):
-        database = Database(2, 2, history_depth=4)
-        database.set_transformer(ObjectClass.VIEW_LOW, scale(2.0))
-        database.install(make_update(0, generation=1.0, value=3.0), now=1.1)
-        versions = database.history.versions((ObjectClass.VIEW_LOW, 0))
-        assert versions[0].value == 6.0
-
 
 class TestTransformCost:
     def test_x_transform_charged_per_applied_install(self):

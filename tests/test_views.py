@@ -23,7 +23,6 @@ from repro.core.algorithms.registry import ALGORITHMS
 from repro.core.simulator import Simulation, run_simulation
 from repro.db.objects import ObjectClass, Update
 from repro.db.views import (
-    CrossShardViewError,
     ViewError,
     ViewRegistry,
     ViewSpec,
@@ -278,16 +277,6 @@ def test_duplicate_and_unbound_registration_rejected():
         sim.register_view("x=count:low")
 
 
-def test_table_views_rejected_on_sharded_registries():
-    from repro.db.table import Table
-
-    registry = ViewRegistry()
-    registry.set_key_map(lambda klass, local_id: local_id)
-    table = Table("t", ("k", "v"), key="k")
-    with pytest.raises(CrossShardViewError):
-        registry.register_table("tv", table, "sum", "v")
-
-
 def test_key_map_fixed_after_registration():
     sim = Simulation(_config(), "TF")
     sim.register_view("x=sum:low")
@@ -321,25 +310,6 @@ def test_merge_view_reports_is_exact():
     union = {tuple(pair) for rep in reports for pair in rep["hot"]["values"]}
     assert set(map(tuple, merged["hot"]["values"])) <= union
     assert merged["s"]["refreshes"] == sum(r["s"]["refreshes"] for r in reports)
-
-
-def test_table_view_tracks_mutations_exactly():
-    from repro.db.table import Table
-
-    registry = ViewRegistry()
-    table = Table("holdings", ("symbol", "shares", "desk"), key="symbol")
-    view = registry.register_table("by_desk", table, "sum", "shares",
-                                  group_column="desk")
-    for i in range(6):
-        table.upsert({"symbol": f"S{i}", "shares": 10.0 * i,
-                      "desk": "arb" if i % 2 else "macro"})
-    table.update_where(lambda row: row["desk"] == "arb", {"shares": 1.25})
-    table.delete("S0")
-    assert view.values() == view.expected_values()
-    assert view.values()["arb"] == pytest.approx(3 * 1.25)
-    report = registry.report(0.0)
-    assert report["by_desk"]["source"] == "table"
-    assert report["by_desk"]["stale"] is False
 
 
 # ----------------------------------------------------------------------
