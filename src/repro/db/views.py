@@ -88,7 +88,8 @@ class ViewSpec:
         klass: Source partition (``VIEW_LOW`` or ``VIEW_HIGH``).
         groups: Group-by fanout; member ``gid`` lands in group
             ``gid % groups`` (sum/count/mean only; top_k and window_avg
-            aggregate the whole partition).
+            aggregate the whole partition).  Registration refuses more
+            groups than the partition has objects.
         k: Result size for ``top_k``.
         window: Lookback seconds for ``window_avg``.
         eager: True applies deltas inside each base install; False buffers
@@ -118,7 +119,7 @@ class ViewSpec:
             raise ViewError(f"groups must be >= 1, got {self.groups}")
         if self.k < 1:
             raise ViewError(f"k must be >= 1, got {self.k}")
-        if self.window <= 0:
+        if not self.window > 0:  # NaN too: a JSON ``NaN`` parses to one
             raise ViewError(f"window must be > 0, got {self.window}")
 
     @property
@@ -440,6 +441,7 @@ class ViewRegistry:
         self._seconds_per_refresh = 0.0
         self.x_view_refresh = 0
         self._key_map: Callable[[ObjectClass, int], int] | None = None
+        self._global_sizes: dict[ObjectClass, int] | None = None
         self._hooked = False
         self._eager_instructions: dict[ObjectClass, int] = {}
         #: Test hook: recompute and compare after every applied delta.
@@ -457,15 +459,19 @@ class ViewRegistry:
         self._cpu = cpu
         self._seconds_per_refresh = seconds_per_refresh
 
-    def set_key_map(self, key_map: Callable[[ObjectClass, int], int] | None) -> None:
+    def set_key_map(self, key_map: Callable[[ObjectClass, int], int] | None,
+                    sizes: "dict[ObjectClass, int] | None" = None) -> None:
         """Install the shard-local→global id map (before registering).
 
         ``key_map(klass, local_id) -> global_id``; None means ids are
-        already global (single pipeline).
+        already global (single pipeline).  ``sizes`` are the partitions'
+        *global* sizes, which bound a view's ``groups``; None means the
+        local partitions are the whole keyspace.
         """
         if self.specs:
             raise ViewError("set the key map before registering views")
         self._key_map = key_map
+        self._global_sizes = sizes
 
     def _gid(self, klass: ObjectClass, local_id: int) -> int:
         if self._key_map is None:
@@ -475,8 +481,6 @@ class ViewRegistry:
     def _ensure_hooked(self) -> None:
         if self._hooked:
             return
-        if self._database is None or self._queue is None:
-            raise ViewError("bind() the registry before registering views")
         self._database.views = self
         previous = self._queue.observer
         if previous is None:
@@ -498,6 +502,18 @@ class ViewRegistry:
         """Register a partition view and materialize its current state."""
         if spec.name in self.specs:
             raise ViewError(f"view {spec.name!r} is already registered")
+        if self._database is None or self._queue is None:
+            raise ViewError("bind() the registry before registering views")
+        # Every aggregate holds (and every report carries) one slot per
+        # group, and groups past the partition's size stay empty forever.
+        size = (len(self._database.partition(spec.klass))
+                if self._global_sizes is None
+                else self._global_sizes[spec.klass])
+        if spec.groups > max(size, 1):
+            raise ViewError(
+                f"view {spec.name!r}: groups={spec.groups} exceeds the "
+                f"{spec.partition} partition's {size} objects"
+            )
         self._ensure_hooked()
         aggregate = _AGGREGATES[spec.kind](spec)
         # Materialize from the members already installed, so mid-run

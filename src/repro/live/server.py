@@ -593,7 +593,8 @@ class ShardHost:
             # Group keys must be global object ids so the supervisor can
             # merge per-shard view states without collisions.
             runtime.views.set_key_map(
-                shard_view_key_map(server.router, server.index)
+                shard_view_key_map(server.router, server.index),
+                server.router.sizes,
             )
         for spec in self.views:
             runtime.register_view(spec)

@@ -173,7 +173,9 @@ class EngineCluster:
                 shard_config(config, self.router, index), algorithm,
                 clock=self.engine,
             )
-            runtime.views.set_key_map(shard_view_key_map(self.router, index))
+            runtime.views.set_key_map(
+                shard_view_key_map(self.router, index), self.router.sizes
+            )
             self.runtimes.append(runtime)
         self._decoders = [FrameDecoder() for _ in range(shards)]
         #: Each transaction's sub-read handles, by seq, once submitted.

@@ -14,6 +14,7 @@ buffered), and the per-view stale intervals fold into ``fold_views``
 next to ``fold_low``/``fold_high``.
 """
 
+import asyncio
 import math
 
 import pytest
@@ -34,7 +35,7 @@ from repro.db.views import (
 from repro.live import LiveRuntime
 from repro.metrics.validate import check_invariants
 from repro.sim.engine import Engine
-from tests.inprocess import EngineCluster
+from tests.inprocess import EngineCluster, FrameSession, door
 
 ALL_SPECS = (
     "by4=sum:low,groups=4",
@@ -78,6 +79,7 @@ class TestViewSpec:
     @pytest.mark.parametrize("bad", [
         "noequals", "x=badkind:low", "x=sum:nowhere", "x=sum:low,groups=0",
         "x=top_k:low,k=0", "x=window_avg:low,window=0", "x=sum:low,bogus=1",
+        "x=window_avg:low,window=nan",
     ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ViewError):
@@ -282,6 +284,65 @@ def test_key_map_fixed_after_registration():
     sim.register_view("x=sum:low")
     with pytest.raises(ViewError):
         sim.views.set_key_map(lambda klass, local_id: local_id)
+
+
+def _unfillable_views(n_low):
+    """A group count past the partition (every aggregate and report is
+    dense in it: 20M groups once stalled a snapshot for 25 s) and a wire
+    ``NaN`` window (a view that would read 0.0 forever)."""
+    return [
+        {"name": "g", "kind": "sum", "partition": "low", "groups": n_low + 1},
+        {"name": "w", "kind": "window_avg", "partition": "low",
+         "window": math.nan},
+    ]
+
+
+def test_node_door_refuses_unfillable_views_and_keeps_answering():
+    config = _config()
+
+    async def scenario():
+        served = door("node", config)
+        session = await FrameSession.open(*await served.start())
+        replies = []
+        try:
+            for view in _unfillable_views(config.updates.n_low):
+                session.send({"kind": "register_view", "rid": view["name"],
+                              "view": view})
+                replies.append(await session.reply())
+            session.send({"kind": "snapshot", "rid": "s"})
+            replies.append(await session.reply())
+        finally:
+            session.close()
+            await served.stop()
+        return served, replies
+
+    served, (groups, window, snapshot) = asyncio.run(scenario())
+    assert (groups["kind"], groups["rid"]) == ("error", "g")
+    assert "exceeds the low partition's 500 objects" in groups["message"]
+    assert (window["kind"], window["rid"]) == ("error", "w")
+    assert (snapshot["kind"], snapshot["rid"]) == ("snapshot", "s")
+    assert snapshot["views_registered"] == 0
+    assert served.front.errors == 2
+
+
+def test_cluster_bounds_groups_by_the_global_partition_on_every_shard():
+    """Each shard owns about half the partition, yet a view may use one
+    group per *global* object, and no more — refused on every shard."""
+    config = _config()
+    n_low = config.updates.n_low
+    cluster = EngineCluster(config, "TF", 2)
+    cluster.register_view(f"whole=sum:low,groups={n_low}")
+    for runtime in cluster.runtimes:
+        assert len(runtime.database.low) < n_low
+        for view in _unfillable_views(n_low):
+            with pytest.raises(ViewError):
+                runtime.register_view(view)
+        assert list(runtime.views.specs) == ["whole"]
+    cluster.run()
+    merged = merge_view_reports(
+        [runtime.views.report(cluster.engine.now) for runtime in cluster.runtimes]
+    )
+    assert len(merged["whole"]["values"]) == n_low
 
 
 def test_merge_view_reports_is_exact():
