@@ -22,6 +22,7 @@ virtual clock is N ``LiveRuntime`` instances on one
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import replace as dataclass_replace
 
@@ -34,6 +35,7 @@ from repro.workload.codec import (
     UPDATE_OBJECT_ID_AT,
     UPDATE_ROUTES,
     check_object_ids,
+    check_update_value,
     peek_update_route,
 )
 from repro.workload.transactions import TransactionSpec
@@ -157,11 +159,13 @@ def split_update_run(
     the run; each shard's payload is the join of its frames' slices of
     that copy, in run order — byte for byte what
     :func:`~repro.workload.codec.reroute_update_frame` gives frame by
-    frame, which is this function's one-element case.
+    frame, which is this function's one-element case.  The same pass
+    checks each value finite, so the plane refuses what a worker would
+    refuse.
 
     Returns an insertion-ordered ``shard -> (payload, frames)``.  A frame
     that cannot be routed (id outside its partition, unknown or non-view
-    class) is left out, counted in ``router.routing_errors`` and reported
+    class, NaN or infinite value) is left out, counted in ``router.routing_errors`` and reported
     through ``on_error(frame, exc)``; its neighbors route unchanged, so
     one bad frame never poisons its run.
     """
@@ -175,12 +179,13 @@ def split_update_run(
     patch = _INT64.pack_into
     frame_size = UPDATE_ROUTES.size
     pieces: dict[int, list] = {}
+    inf = math.inf
     start = -frame_size
-    for code, gid in UPDATE_ROUTES.iter_unpack(run):
+    for code, gid, value in UPDATE_ROUTES.iter_unpack(run):
         start += frame_size
-        if code == low_code and 0 <= gid < n_low:
+        if code == low_code and 0 <= gid < n_low and -inf < value < inf:
             shards, locals_ = low
-        elif code == high_code and 0 <= gid < n_high:
+        elif code == high_code and 0 <= gid < n_high and -inf < value < inf:
             shards, locals_ = high
         else:
             frame = run[start:start + frame_size]
@@ -189,6 +194,7 @@ def split_update_run(
                 router.tables(klass)  # a non-view class has none
                 (seq,) = _INT64.unpack_from(frame, FRAME_HEADER.size)
                 check_object_ids("update", seq, klass, (gid,), router.sizes)
+                check_update_value(seq, value)
             except ValueError as exc:
                 router.note_routing_error()
                 if on_error is not None:

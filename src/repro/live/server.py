@@ -25,9 +25,10 @@ request's ``rid`` field when the client sent one, so a caller multiplexing
 requests over one session can match replies without ordering assumptions.
 
 A malformed record, a JSON record of an unknown kind — an ``update`` or
-``transaction`` in JSON included — and a well-formed record that names an
+``transaction`` in JSON included — a well-formed record that names an
 object outside its partition (``"reason": "bad_object_id"``, with the
-``seq`` of a refused transaction) each get an ``{"kind": "error", ...}``
+``seq`` of a refused transaction) and an update whose value is NaN or
+infinite (``"reason": "bad_value"``) each get an ``{"kind": "error", ...}``
 reply and the connection stays up: the record is counted in ``errors``
 only and never reaches the runtime.  A client that disconnects mid-flight
 simply stops receiving outcomes (the transactions it submitted still run
@@ -73,6 +74,7 @@ the standalone ``serve`` command and every cluster worker.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import asdict, replace
 
 from repro.config import SimulationConfig
@@ -90,8 +92,11 @@ from repro.live.wire import (
     unknown_kind,
 )
 from repro.metrics.results import SimulationResult
-from repro.workload.codec import check_object_ids
+from repro.workload.codec import check_object_ids, check_update_value
 from repro.workload.transactions import TransactionSpec
+
+
+_INF = math.inf
 
 
 class _SessionState:
@@ -359,10 +364,11 @@ class IngestServer:
                     session is not None and session.direct
                     and topology is not None
                 )
-                # An id outside its partition would raise out of the install
-                # or read path, inside a clock dispatch: refuse it here, like
+                # An id outside its partition, or a NaN or infinite value
+                # with a view registered, would raise out of the install or
+                # read path, inside a clock dispatch: refuse it here, like
                 # any other malformed record (a direct session's ids are
-                # global).  An in-range update — nearly every record — is
+                # global).  A good update — nearly every record — is
                 # accepted inline.
                 sizes = self._global_sizes if direct else self._sizes
                 is_update = isinstance(item, Update)
@@ -373,6 +379,8 @@ class IngestServer:
                         check_object_ids(
                             "update", item.seq, item.klass, (object_id,), sizes
                         )
+                    if not -_INF < item.value < _INF:
+                        check_update_value(item.seq, item.value)
                 else:
                     check_object_ids(
                         "transaction", item.seq, item.view_class, item.reads,

@@ -73,7 +73,7 @@ from repro.workload.codec import (
     WIRE_MAGIC,
     WIRE_PREAMBLE,
     WIRE_SCHEMA_VERSION,
-    BadObjectId,
+    BadRecord,
     FrameDecoder,
     decode_lines,
     encode_json_frame,
@@ -188,8 +188,8 @@ def error_record(exc: Exception, rid=None) -> dict:
     (``reason``, and the ``seq`` of a refused transaction, so its sender
     stops waiting for an outcome) when the refusal is."""
     record = {"kind": "error"}
-    if isinstance(exc, BadObjectId):
-        record["reason"] = "bad_object_id"
+    if isinstance(exc, BadRecord):
+        record["reason"] = exc.reason
         if exc.seq is not None:
             record["seq"] = exc.seq
     record["message"] = str(exc)

@@ -35,6 +35,7 @@ doubles travel as themselves instead of through ``repr``/``float()``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Iterable
 
@@ -218,15 +219,17 @@ _UPDATE_ROUTE_AT = FRAME_HEADER.size + 8
 UPDATE_OBJECT_ID_AT = _UPDATE_ROUTE_AT + 1
 
 
-#: A whole update frame read as its two routing columns, everything else
-#: padding: what a router's ``iter_unpack`` over a run of frames yields.
+#: A whole update frame read as its two routing columns and the value
+#: (checked finite at the door), everything else padding: what a router's
+#: ``iter_unpack`` over a run of frames yields.
 UPDATE_ROUTES = struct.Struct(
-    f"<{_UPDATE_ROUTE_AT}xBq{_UPDATE_FRAME.size - UPDATE_OBJECT_ID_AT - 8}x"
+    f"<{_UPDATE_ROUTE_AT}xBqd{_UPDATE_FRAME.size - UPDATE_OBJECT_ID_AT - 16}x"
 )
 
 
-class BadObjectId(ValueError):
-    """A well-formed record names an object outside its partition.
+class BadRecord(ValueError):
+    """A well-formed record the front door refuses; its error reply says
+    why in ``reason``.
 
     Attributes:
         seq: The refused transaction's sequence number — its error reply
@@ -234,9 +237,25 @@ class BadObjectId(ValueError):
             ``None`` for an update (fire-and-forget).
     """
 
+    reason = "bad_record"
+
     def __init__(self, message: str, seq: "int | None" = None) -> None:
         super().__init__(message)
         self.seq = seq
+
+
+class BadObjectId(BadRecord):
+    """A well-formed record names an object outside its partition."""
+
+    reason = "bad_object_id"
+
+
+class BadValue(BadRecord):
+    """A well-formed update carries a NaN or infinite value: a binary
+    frame holds the value as a raw double, and no view sum, mean or
+    install of one means anything."""
+
+    reason = "bad_value"
 
 
 def check_object_ids(kind: str, seq, klass: ObjectClass, ids, sizes) -> None:
@@ -260,6 +279,19 @@ def check_object_ids(kind: str, seq, klass: ObjectClass, ids, sizes) -> None:
                 f"outside [0, {size})",
                 seq if kind == "transaction" else None,
             )
+
+
+def check_update_value(seq, value: float) -> None:
+    """The front door's check on an update's value: finite.
+
+    Hot loops test ``-inf < value < inf`` inline and call this only on a
+    failure; every refusal is worded here.
+
+    Raises:
+        BadValue: when ``value`` is NaN or infinite.
+    """
+    if not -math.inf < value < math.inf:
+        raise BadValue(f"update {seq} carries value {value!r}, not a finite number")
 
 
 def peek_update_route(frame: bytes) -> "tuple[ObjectClass, int]":

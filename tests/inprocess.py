@@ -178,6 +178,8 @@ class EngineCluster:
             )
             self.runtimes.append(runtime)
         self._decoders = [FrameDecoder() for _ in range(shards)]
+        #: What the plane's routing refused, in order: (frame, error).
+        self.refused: "list[tuple[bytes, Exception]]" = []
         #: Each transaction's sub-read handles, by seq, once submitted.
         self.sub_reads: "dict[int, list]" = {}
         self.results: "list[SimulationResult]" = []
@@ -203,7 +205,8 @@ class EngineCluster:
         if not run:
             return
         for shard, (payload, _) in split_update_run(
-            self.router, b"".join(run)
+            self.router, b"".join(run),
+            lambda frame, exc: self.refused.append((frame, exc)),
         ).items():
             for update in self._decoders[shard].feed(payload):
                 self.deliver(shard, update)

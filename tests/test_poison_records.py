@@ -11,10 +11,16 @@ node's own socket, the routing plane of ``serve --shards N`` (where a
 negative id used to be routed by negative indexing and installed), and a
 direct session.  The same poison in JSON is refused sooner, as a data
 record in the control dialect: it never reaches the runtime either.
+
+An update frame carries its value as a raw double, so it can carry NaN or
+an infinity; with a sum, mean or window view registered, such a value
+used to raise out of the install burst and leave the object holding it.
+Every door refuses it too (``bad_value``), beside the id check.
 """
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -27,6 +33,7 @@ from repro.live.server import _SessionState
 from repro.workload.codec import (
     _UPDATE_BODY,
     FRAME_HEADER,
+    BadValue,
     TAG_UPDATE,
     WIRE_PREAMBLE,
     FrameDecoder,
@@ -35,7 +42,7 @@ from repro.workload.codec import (
     encode_json_frame,
 )
 from repro.workload.transactions import TransactionSpec
-from tests.inprocess import door
+from tests.inprocess import EngineCluster, FrameSession, door
 
 GOOD = 100  # updates before the poison, and again after it
 
@@ -196,3 +203,78 @@ def test_direct_session_ids_are_checked_before_the_shard_lookup():
     assert f"outside [0, {router.n_low})" in replies.records[0]["message"]
     assert server.records_received == server.direct_records == 1
     assert runtime.update_accounting.arrived == 1
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _burst(value, object_ids):
+    """Five low-partition updates, the first carrying ``value``."""
+    return [
+        Update(seq, ObjectClass.VIEW_LOW, object_id,
+               value if seq == 0 else 1.0, 0.1, 0.1)
+        for seq, object_id in enumerate(object_ids)
+    ]
+
+
+@pytest.mark.parametrize("door_name", ["node", "routed", "direct"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_value_is_refused_with_a_sum_view_registered(door_name, value):
+    """The refusal is typed, counted once (at the plane on the routed
+    door), the same session's snapshot answers, and both gaps stay 0."""
+
+    async def scenario():
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: unhandled.append(context)
+        )
+        served = door(door_name, _config())
+        session = await FrameSession.open(*await served.start())
+        for runtime in served.runtimes:
+            runtime.register_view("s=sum:low,groups=2")
+        object_ids = range(3, 8)
+        if door_name == "direct":  # global ids this shard owns
+            router = served.router
+            object_ids = [gid for gid in range(router.n_low)
+                          if router.shard_of(ObjectClass.VIEW_LOW, gid) == 0][:5]
+            session.send(served.hello)
+            assert (await session.reply())["kind"] == "hello"
+        session.send(*_burst(value, object_ids), {"kind": "snapshot", "rid": "s"})
+        replies = [await session.reply(), await session.reply()]
+        runtimes = served.runtimes
+        while any(not r.controller.idle or r.update_queue for r in runtimes):
+            await asyncio.sleep(0.01)
+        session.close()
+        result = await served.stop()
+        return served, result, replies, unhandled
+
+    served, result, (error, snapshot), unhandled = asyncio.run(scenario())
+    assert (error["kind"], error["reason"]) == ("error", "bad_value")
+    assert "update 0 carries value" in error["message"]
+    assert (snapshot["kind"], snapshot["rid"]) == ("snapshot", "s")
+    assert unhandled == []
+    assert served.front.errors == 1
+    if door_name != "node":
+        assert [host.server.errors for host in served.hosts] == (
+            [1, 0] if door_name == "direct" else [0, 0]
+        )
+    assert result.updates_arrived == 4
+    assert result.updates_applied == 4
+    assert result.update_conservation_gap() == 0
+    assert result.transaction_conservation_gap() == 0
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_cluster_routing_refuses_a_non_finite_value(value):
+    """Two shards on one clock, fed by the plane's own split: the frame
+    is refused typed, its neighbours install, the view stays exact."""
+    cluster = EngineCluster(_config(), "TF", 2)
+    cluster.register_view("s=sum:low,groups=2")
+    result = cluster.run(_burst(value, range(3, 8)), until=0.5)
+    [(_frame, exc)] = cluster.refused
+    assert isinstance(exc, BadValue) and exc.seq is None
+    assert cluster.router.routing_errors == 1
+    assert result.updates_arrived == result.updates_applied == 4
+    assert result.update_conservation_gap() == 0
+    assert result.transaction_conservation_gap() == 0
+    assert result.extras["views"]["s"]["values"] == [2.0, 2.0]

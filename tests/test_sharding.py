@@ -7,6 +7,7 @@ engine clock (:class:`tests.inprocess.EngineCluster`), and it preserves
 both conservation laws and every reported invariant.
 """
 
+import math
 from dataclasses import asdict
 
 import pytest
@@ -30,6 +31,7 @@ from repro.workload.codec import (
     _UPDATE_FRAME,
     TAG_UPDATE,
     BadObjectId,
+    BadValue,
     encode_frame,
     peek_update_route,
     reroute_update_frame,
@@ -241,7 +243,7 @@ _FRAMES = st.lists(
         st.integers(0, 1 << 40),             # seq
         st.sampled_from([0, 0, 1, 1, 2, 7]),  # low, high, general, unknown
         st.integers(-3, 45),                 # object id, sizes are <= 40
-        st.floats(allow_nan=False),          # value
+        st.floats(),                         # value: NaN/±inf are refused
         st.booleans(),                       # partial
     ),
     max_size=40,
@@ -270,15 +272,15 @@ def test_split_update_run_is_reroute_update_frame_per_record(
     sizes = (n_low, n_high)
     expected: dict = {}
     unroutable = []
-    for frame, (_seq, code, gid, _value, _partial) in zip(frames, fields):
-        if code in (0, 1) and 0 <= gid < sizes[code]:
+    for frame, (_seq, code, gid, value, _partial) in zip(frames, fields):
+        if code in (0, 1) and 0 <= gid < sizes[code] and math.isfinite(value):
             klass, peeked = peek_update_route(frame)
             assert peeked == gid
             expected.setdefault(router.shard_of(klass, gid), []).append(
                 reroute_update_frame(frame, router.local_id(klass, gid))
             )
         else:
-            unroutable.append((frame, code))
+            unroutable.append((frame, code, gid))
 
     errors = []
     by_shard = split_update_run(
@@ -294,14 +296,19 @@ def test_split_update_run_is_reroute_update_frame_per_record(
         len(expected.get(shard, [])) for shard in range(shards)
     ]
     assert router.routing_errors == len(unroutable)
-    assert [frame for frame, _ in errors] == [frame for frame, _ in unroutable]
-    for (_, exc), (_, code) in zip(errors, unroutable):
+    assert [frame for frame, _ in errors] == [frame for frame, *_ in unroutable]
+    for (_, exc), (_, code, gid) in zip(errors, unroutable):
         assert isinstance(exc, ValueError)
-        # Only a view-class id outside its partition is a *bad object id*;
-        # a class the router does not shard, or does not know, says so.
-        assert isinstance(exc, BadObjectId) == (code in (0, 1))
+        # Only a view-class id outside its partition is a *bad object id*,
+        # and only an in-range view-class record a *bad value*; a class the
+        # router does not shard, or does not know, says so.
+        view_class = code in (0, 1)
+        bad_id = view_class and not 0 <= gid < sizes[code]
+        assert isinstance(exc, BadObjectId) == bad_id
+        assert isinstance(exc, BadValue) == (view_class and not bad_id)
         if isinstance(exc, BadObjectId):
             assert f"outside [0, {sizes[code]})" in str(exc)
+        if view_class:
             assert exc.seq is None  # updates are fire-and-forget
 
 
