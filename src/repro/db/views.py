@@ -2,27 +2,29 @@
 
 The paper's §3.2 motivates derived data — composite indices, position
 tables, "running averages" — kept fresh by the update stream.  This module
-supplies that layer: aggregate/group-by views declared over the base view
+supplies that layer: aggregate/group-by views over the base view
 partitions, maintained *incrementally*: every base install contributes a
 delta (``new - old``) to per-group partial aggregates, so a single update
 touches O(1) view state.  Full recomputation survives only as a parity
 oracle (:meth:`ViewRegistry.expected_values`).
 
-Exactness is load-bearing.  Partial sums are kept as
-:class:`fractions.Fraction` — every float is a dyadic rational, so
-``Fraction(x)`` is exact and Fraction addition is associative — which makes
-delta-maintained values *bit-identical* to a full recompute regardless of
-the order installs arrived in, per shard and across shard merges
-(:func:`merge_view_reports` ships partials as ``"num/den"`` strings).
+Exactness is load-bearing.  Every finite double is an integer multiple of
+2^-1074, so a partial sum is a Python ``int`` at that fixed binary scale:
+a delta is a shift and an add, an element of an abelian group as in DBSP,
+with no gcd.  Integer addition is associative, so delta-maintained values
+are *bit-identical* to a full recompute in any install order, per shard
+and across shard merges; a readout is one correctly rounded ``int / int``
+division, exactly what ``float(Fraction)`` does.  Reports carry the
+partials as reduced ``"num/den"`` strings (:func:`merge_view_reports`).
 
 Views are first-class stale-able objects: a view is stale whenever an
 admitted-but-uninstalled base update would change it (the update queue
-holds a strictly newer generation than some installed member — exactly the
-worthiness condition the UU ledger tracks per object) or, for a deferred
-view, while buffered deltas await a refresh.  The registry keeps an exact
-per-view stale-interval ledger mirroring
-:class:`~repro.metrics.freshness.UnappliedUpdateLedger`, and the fold over
-all registered views surfaces as ``SimulationResult.fold_views``.
+holds a strictly newer generation than some installed member — the UU
+ledger's worthiness condition) or, for a deferred view, while buffered
+deltas await a refresh.  The registry keeps each partition's stale ids
+and touches a view's exact stale interval only when that set, or a
+deferred view's buffer, turns empty or non-empty; the fold over all views
+surfaces as ``SimulationResult.fold_views``.
 
 Sharding: each shard maintains its views over the members it owns, with
 group keys computed from *global* object ids (via the key map a cluster
@@ -32,7 +34,6 @@ worker installs), so shard-local states merge exactly.
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -40,16 +41,12 @@ from typing import Callable, Iterable
 from repro.db.objects import DataObject, ObjectClass
 from repro.db.update_queue import ObjectKey
 
-logger = logging.getLogger(__name__)
-
 #: Supported aggregate kinds.
 VIEW_KINDS = ("sum", "count", "mean", "top_k", "window_avg")
 
-_PARTITIONS = {
-    "low": ObjectClass.VIEW_LOW,
-    "high": ObjectClass.VIEW_HIGH,
-}
+_PARTITIONS = {"low": ObjectClass.VIEW_LOW, "high": ObjectClass.VIEW_HIGH}
 _PARTITION_NAMES = {klass: name for name, klass in _PARTITIONS.items()}
+_VIEW_LOW = ObjectClass.VIEW_LOW
 
 
 class ViewError(ValueError):
@@ -57,11 +54,32 @@ class ViewError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Exact rational plumbing
+# Exact plumbing: fixed-point partials, rational wire strings
 # ----------------------------------------------------------------------
-def _rat(value: float) -> Fraction:
-    """Exact rational of a float (floats are dyadic rationals)."""
-    return Fraction(value)
+#: Partials are integers in units of 2^-SCALE, the smallest subnormal.
+SCALE = 1074
+_ONE = 1 << SCALE
+
+
+def _fix(value: float) -> int:
+    """``value`` in units of 2^-1074, exactly (a finite double's
+    denominator is a power of two no larger than 2^1074)."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (SCALE + 1 - denominator.bit_length())
+
+
+def _fixed_str(total: int) -> str:
+    """Wire form of a fixed-point partial: its reduced ``num/den``."""
+    return rational_str(Fraction(total, _ONE))
+
+
+def _parse_fixed(text: str) -> int:
+    """Inverse of :func:`_fixed_str`."""
+    value = parse_rational(text)
+    scale, rest = divmod(_ONE, value.denominator)
+    if rest:
+        raise ViewError(f"partial {text!r} is not a multiple of 2^-{SCALE}")
+    return value.numerator * scale
 
 
 def rational_str(value: Fraction) -> str:
@@ -161,15 +179,9 @@ class ViewSpec:
 
     def to_record(self) -> dict:
         """Wire/JSON form (for cluster workers and control records)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "partition": self.partition,
-            "groups": self.groups,
-            "k": self.k,
-            "window": self.window,
-            "eager": self.eager,
-        }
+        return {"name": self.name, "kind": self.kind,
+                "partition": self.partition, "groups": self.groups,
+                "k": self.k, "window": self.window, "eager": self.eager}
 
     @classmethod
     def from_record(cls, record: dict) -> "ViewSpec":
@@ -177,12 +189,9 @@ class ViewSpec:
         if partition not in _PARTITIONS:
             raise ViewError(f"bad partition {partition!r} in view record")
         return cls(
-            name=str(record["name"]),
-            kind=str(record["kind"]),
-            klass=_PARTITIONS[partition],
-            groups=int(record.get("groups", 1)),
-            k=int(record.get("k", 8)),
-            window=float(record.get("window", 1.0)),
+            name=str(record["name"]), kind=str(record["kind"]),
+            klass=_PARTITIONS[partition], groups=int(record.get("groups", 1)),
+            k=int(record.get("k", 8)), window=float(record.get("window", 1.0)),
             eager=bool(record.get("eager", True)),
         )
 
@@ -191,40 +200,35 @@ class ViewSpec:
 # Aggregates: O(1) delta application + exact state
 # ----------------------------------------------------------------------
 class _Aggregate:
-    """One view's materialized state; subclasses define the algebra."""
+    """One view's materialized state; subclasses define the algebra:
+    ``apply(gid, old_value, new_value, first, install_time)`` a delta,
+    ``values(now)`` the JSON-safe readout, ``partials()`` the exact state
+    behind it, and ``merge(partials)`` adds another shard's."""
 
     def __init__(self, spec: ViewSpec) -> None:
         self.spec = spec
 
-    def apply(self, gid: int, old_value: float, new_value: float,
-              first: bool, install_time: float) -> None:
-        raise NotImplementedError
-
-    def values(self, now: float) -> object:
-        """Readout (floats/ints, JSON-safe)."""
-        raise NotImplementedError
-
     def state(self, now: float) -> dict:
         """Readout plus exact partials, for reports and shard merges."""
-        raise NotImplementedError
+        return {"values": self.values(now), "partials": self.partials()}
 
 
 class _SumAggregate(_Aggregate):
     def __init__(self, spec: ViewSpec) -> None:
         super().__init__(spec)
-        self.sums = [Fraction(0)] * spec.groups
+        self.sums = [0] * spec.groups  # fixed point, units of 2^-SCALE
 
     def apply(self, gid, old_value, new_value, first, install_time) -> None:
-        self.sums[gid % self.spec.groups] += _rat(new_value) - _rat(old_value)
+        self.sums[gid % self.spec.groups] += _fix(new_value) - _fix(old_value)
 
     def values(self, now):
-        return [float(total) for total in self.sums]
+        return [total / _ONE for total in self.sums]
 
-    def state(self, now):
-        return {
-            "values": self.values(now),
-            "partials": {"sums": [rational_str(total) for total in self.sums]},
-        }
+    def partials(self):
+        return {"sums": [_fixed_str(total) for total in self.sums]}
+
+    def merge(self, partials):
+        self.sums = [a + _parse_fixed(b) for a, b in zip(self.sums, partials["sums"])]
 
 
 class _CountAggregate(_Aggregate):
@@ -239,36 +243,38 @@ class _CountAggregate(_Aggregate):
     def values(self, now):
         return list(self.counts)
 
-    def state(self, now):
-        return {"values": self.values(now), "partials": {"counts": list(self.counts)}}
+    def partials(self):
+        return {"counts": list(self.counts)}
+
+    def merge(self, partials):
+        self.counts = [a + b for a, b in zip(self.counts, partials["counts"])]
 
 
 class _MeanAggregate(_Aggregate):
     def __init__(self, spec: ViewSpec) -> None:
         super().__init__(spec)
-        self.sums = [Fraction(0)] * spec.groups
+        self.sums = [0] * spec.groups  # fixed point, units of 2^-SCALE
         self.counts = [0] * spec.groups
 
     def apply(self, gid, old_value, new_value, first, install_time) -> None:
         group = gid % self.spec.groups
-        self.sums[group] += _rat(new_value) - _rat(old_value)
+        self.sums[group] += _fix(new_value) - _fix(old_value)
         if first:
             self.counts[group] += 1
 
     def values(self, now):
         return [
-            float(total / count) if count else 0.0
+            total / (count << SCALE) if count else 0.0
             for total, count in zip(self.sums, self.counts)
         ]
 
-    def state(self, now):
-        return {
-            "values": self.values(now),
-            "partials": {
-                "sums": [rational_str(total) for total in self.sums],
-                "counts": list(self.counts),
-            },
-        }
+    def partials(self):
+        return {"sums": [_fixed_str(total) for total in self.sums],
+                "counts": list(self.counts)}
+
+    def merge(self, partials):
+        _SumAggregate.merge(self, partials)
+        _CountAggregate.merge(self, partials)
 
 
 def top_k_of(members: Iterable[tuple[int, float]], k: int) -> list[list]:
@@ -295,10 +301,13 @@ class _TopKAggregate(_Aggregate):
     def values(self, now):
         return top_k_of(self.members.items(), self.spec.k)
 
-    def state(self, now):
+    def partials(self):
         # The global top-K of a union is contained in the union of the
         # shard-local top-Ks, so shipping K rows per shard merges exactly.
-        return {"values": self.values(now), "partials": {"top": self.values(now)}}
+        return {"top": top_k_of(self.members.items(), self.spec.k)}
+
+    def merge(self, partials):
+        self.members.update(partials["top"])  # shards own disjoint gids
 
 
 class _WindowAverageAggregate(_Aggregate):
@@ -306,22 +315,23 @@ class _WindowAverageAggregate(_Aggregate):
 
     Members are kept in an insertion-ordered dict; installs happen at
     non-decreasing times, so expiry only ever pops from the front (lazy,
-    at readout).  The running (sum, count) partials stay exact Fractions.
+    at readout).  The running (sum, count) partials stay exact: the sum in
+    fixed point.
     """
 
     def __init__(self, spec: ViewSpec) -> None:
         super().__init__(spec)
         self.entries: dict[int, tuple[float, float]] = {}  # gid -> (value, t)
-        self.total = Fraction(0)
+        self.total = 0  # fixed point, units of 2^-SCALE
         self.count = 0
 
     def apply(self, gid, old_value, new_value, first, install_time) -> None:
         previous = self.entries.pop(gid, None)
         if previous is not None:
-            self.total -= _rat(previous[0])
+            self.total -= _fix(previous[0])
             self.count -= 1
         self.entries[gid] = (new_value, install_time)
-        self.total += _rat(new_value)
+        self.total += _fix(new_value)
         self.count += 1
 
     def _expire(self, now: float) -> None:
@@ -331,19 +341,19 @@ class _WindowAverageAggregate(_Aggregate):
             if installed > horizon:
                 break
             del self.entries[gid]
-            self.total -= _rat(value)
+            self.total -= _fix(value)
             self.count -= 1
 
     def values(self, now):
         self._expire(now)
-        return float(self.total / self.count) if self.count else 0.0
+        return self.total / (self.count << SCALE) if self.count else 0.0
 
-    def state(self, now):
-        self._expire(now)
-        return {
-            "values": self.values(now),
-            "partials": {"sum": rational_str(self.total), "count": self.count},
-        }
+    def partials(self):  # after values(now) has expired the window
+        return {"sum": _fixed_str(self.total), "count": self.count}
+
+    def merge(self, partials):
+        self.total += _parse_fixed(partials["sum"])
+        self.count += partials["count"]
 
 
 _AGGREGATES: dict[str, type[_Aggregate]] = {
@@ -356,7 +366,7 @@ _AGGREGATES: dict[str, type[_Aggregate]] = {
 
 
 # ----------------------------------------------------------------------
-# Parity oracle: full recomputation with the same exact arithmetic
+# Parity oracle: full recomputation in independent exact arithmetic
 # ----------------------------------------------------------------------
 def recompute(
     spec: ViewSpec,
@@ -365,49 +375,58 @@ def recompute(
 ) -> object:
     """Recompute the view from scratch over (global id, object) members.
 
-    The oracle the delta path is checked against: identical Fraction
-    arithmetic, so any divergence is a maintenance bug, not float noise.
+    The oracle the delta path is checked against.  It sums in
+    :class:`~fractions.Fraction` and shares no arithmetic with the
+    fixed-point partials, yet both are exact, so any divergence is a
+    maintenance bug, not float noise.
     """
-    if spec.kind == "sum":
-        sums = [Fraction(0)] * spec.groups
-        for gid, obj in members:
-            sums[gid % spec.groups] += _rat(obj.value)
-        return [float(total) for total in sums]
-    if spec.kind == "count":
-        counts = [0] * spec.groups
-        for gid, obj in members:
-            if obj.installs > 0:
-                counts[gid % spec.groups] += 1
-        return counts
-    if spec.kind == "mean":
-        sums = [Fraction(0)] * spec.groups
-        counts = [0] * spec.groups
-        for gid, obj in members:
-            sums[gid % spec.groups] += _rat(obj.value)
-            if obj.installs > 0:
-                counts[gid % spec.groups] += 1
-        return [
-            float(total / count) if count else 0.0
-            for total, count in zip(sums, counts)
-        ]
+    members = list(members)
+    installed = [(gid, obj) for gid, obj in members if obj.installs > 0]
     if spec.kind == "top_k":
-        installed = [(gid, obj.value) for gid, obj in members if obj.installs > 0]
-        return top_k_of(installed, spec.k)
+        return top_k_of([(gid, obj.value) for gid, obj in installed], spec.k)
     if spec.kind == "window_avg":
         horizon = now - spec.window
-        total = Fraction(0)
-        count = 0
-        for gid, obj in members:
-            if obj.installs > 0 and obj.install_time > horizon:
-                total += _rat(obj.value)
-                count += 1
-        return float(total / count) if count else 0.0
+        recent = [Fraction(obj.value) for _, obj in installed
+                  if obj.install_time > horizon]
+        return float(sum(recent, Fraction(0)) / len(recent)) if recent else 0.0
+    sums = [Fraction(0)] * spec.groups
+    counts = [0] * spec.groups
+    for gid, obj in members:
+        sums[gid % spec.groups] += Fraction(obj.value)
+        counts[gid % spec.groups] += obj.installs > 0
+    if spec.kind == "sum":
+        return [float(total) for total in sums]
+    if spec.kind == "count":
+        return counts
+    if spec.kind == "mean":
+        return [float(total / count) if count else 0.0
+                for total, count in zip(sums, counts)]
     raise ViewError(f"unknown view kind {spec.kind!r}")
 
 
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
+class _Partition:
+    """One base partition's view state.  ``stale`` holds the ids with a
+    strictly newer generation queued than installed, and ``since`` when
+    it last turned non-empty (None while empty): the one stale interval
+    the partition's eager views share.  ``installs`` counts installs since
+    the measurement start — each eager view's refreshes."""
+
+    __slots__ = ("objects", "gids", "stale", "since", "eager", "applies",
+                 "deferred", "installs")
+
+    def __init__(self, objects: list[DataObject], gids, stale: set[int],
+                 now: float) -> None:
+        self.objects, self.gids, self.stale = objects, gids, stale
+        self.since = now if stale else None
+        self.eager: list[str] = []
+        self.applies: list[Callable] = []  # the eager views' apply
+        self.deferred: list[str] = []
+        self.installs = 0
+
+
 class ViewRegistry:
     """Registered views plus their delta maintenance and staleness ledger.
 
@@ -420,30 +439,31 @@ class ViewRegistry:
     def __init__(self) -> None:
         self.specs: dict[str, ViewSpec] = {}
         self._aggregates: dict[str, _Aggregate] = {}
-        self._by_klass: dict[ObjectClass, list[str]] = {}
+        self._parts: dict[ObjectClass, _Partition] = {}
+        # The hot paths pick a partition by class identity: hashing an
+        # enum member is a Python-level call.
+        self._low = self._high = None  # the _parts entries
         self._pending: dict[str, list[tuple[int, float, float, bool, float]]] = {}
         # Per-view exact stale-interval ledger (mirrors UnappliedUpdateLedger).
+        # An eager view shares its partition's interval (``_joined``: its
+        # own start, when registered into an open one); a deferred view
+        # keeps its own in ``_stale_since``.
         self.stale_seconds: dict[str, float] = {}
+        self._joined: dict[str, float] = {}
         self._stale_since: dict[str, float] = {}
-        self._stale_keys: dict[ObjectClass, set[ObjectKey]] = {}
         self.measure_start = 0.0
         self._finalized = False
         self._final_now: float | None = None
-        # Counters.
         self.refreshes = 0
-        self.refresh_counts: dict[str, int] = {}
+        self.refresh_counts: dict[str, int] = {}  # deferred views
+        self._counted_from: dict[str, int] = {}  # eager views: installs then
         self.deltas_buffered = 0
-        # Wiring.
-        self._database = None
-        self._queue = None
-        self._controller = None
-        self._cpu = None
+        self._database = self._queue = self._controller = self._cpu = None
         self._seconds_per_refresh = 0.0
         self.x_view_refresh = 0
         self._key_map: Callable[[ObjectClass, int], int] | None = None
         self._global_sizes: dict[ObjectClass, int] | None = None
         self._hooked = False
-        self._eager_instructions: dict[ObjectClass, int] = {}
         #: Test hook: recompute and compare after every applied delta.
         self.self_check = False
 
@@ -452,12 +472,9 @@ class ViewRegistry:
              x_view_refresh: int = 0, cpu=None,
              seconds_per_refresh: float = 0.0) -> None:
         """Attach the pipeline; hooks are deferred to first registration."""
-        self._database = database
-        self._queue = queue
-        self._controller = controller
+        self._database, self._queue, self._controller = database, queue, controller
         self.x_view_refresh = x_view_refresh
-        self._cpu = cpu
-        self._seconds_per_refresh = seconds_per_refresh
+        self._cpu, self._seconds_per_refresh = cpu, seconds_per_refresh
 
     def set_key_map(self, key_map: Callable[[ObjectClass, int], int] | None,
                     sizes: "dict[ObjectClass, int] | None" = None) -> None:
@@ -474,9 +491,7 @@ class ViewRegistry:
         self._global_sizes = sizes
 
     def _gid(self, klass: ObjectClass, local_id: int) -> int:
-        if self._key_map is None:
-            return local_id
-        return self._key_map(klass, local_id)
+        return local_id if self._key_map is None else self._key_map(klass, local_id)
 
     def _ensure_hooked(self) -> None:
         if self._hooked:
@@ -493,6 +508,23 @@ class ViewRegistry:
         if self._controller is not None:
             self._controller.views = self
         self._hooked = True
+
+    def _partition(self, klass: ObjectClass, now: float) -> _Partition:
+        """The partition's view state, built on its first view."""
+        part = self._parts.get(klass)
+        if part is None:
+            objects = self._database.partition(klass)
+            newest_for = self._queue.newest_generation_for
+            stale = set()
+            for obj in objects:
+                newest = newest_for(obj.key)
+                if newest is not None and newest > obj.generation_time:
+                    stale.add(obj.object_id)
+            gids = [self._gid(klass, i) for i in range(len(objects))]
+            part = self._parts[klass] = _Partition(objects, gids, stale, now)
+            self._low = self._parts.get(_VIEW_LOW)
+            self._high = self._parts.get(ObjectClass.VIEW_HIGH)
+        return part
 
     # -- registration ----------------------------------------------------
     def __len__(self) -> int:
@@ -515,91 +547,100 @@ class ViewRegistry:
                 f"{spec.partition} partition's {size} objects"
             )
         self._ensure_hooked()
+        part = self._partition(spec.klass, now)
         aggregate = _AGGREGATES[spec.kind](spec)
         # Materialize from the members already installed, so mid-run
         # registration starts consistent with the database — in install
         # order, which is what the aggregates see from live deltas (the
         # windowed average expires from the front of that order).
-        installed = [
-            obj for obj in self._database.partition(spec.klass)
-            if obj.installs > 0
-        ]
+        installed = [obj for obj in part.objects if obj.installs > 0]
         installed.sort(key=lambda obj: obj.install_time)
         for obj in installed:
-            aggregate.apply(
-                self._gid(spec.klass, obj.object_id),
-                0.0, obj.value, True, obj.install_time,
-            )
+            aggregate.apply(part.gids[obj.object_id], 0.0, obj.value, True,
+                            obj.install_time)
         self.specs[spec.name] = spec
         self._aggregates[spec.name] = aggregate
-        self._by_klass.setdefault(spec.klass, []).append(spec.name)
-        if not spec.eager:
-            self._pending[spec.name] = []
         self.stale_seconds[spec.name] = 0.0
-        self.refresh_counts[spec.name] = 0
-        self._recount_eager_instructions()
-        if spec.klass not in self._stale_keys:
-            self._stale_keys[spec.klass] = {
-                obj.key
-                for obj in self._database.partition(spec.klass)
-                if self._key_is_stale(obj.key)
-            }
-        self._refresh_view_staleness(spec.name, now)
+        if spec.eager:
+            part.eager.append(spec.name)
+            part.applies.append(aggregate.apply)
+            self._counted_from[spec.name] = part.installs
+            if part.since is not None:
+                self._joined[spec.name] = now
+        else:
+            part.deferred.append(spec.name)
+            self._pending[spec.name] = []
+            self.refresh_counts[spec.name] = 0
+            self._refresh_view_staleness(spec.name, now)
         return spec
 
     # -- base hooks ------------------------------------------------------
     def note_base_install(self, obj: DataObject, old_value: float,
                           now: float) -> None:
         """Called by :meth:`Database.install` after every applied update."""
-        klass = obj.klass
-        names = self._by_klass.get(klass)
-        if names is None:
+        part = self._low if obj.klass is _VIEW_LOW else self._high
+        if part is None:
             return
+        object_id = obj.object_id
+        gid = part.gids[object_id]
+        new_value = obj.value
         first = obj.installs == 1
-        gid = self._gid(klass, obj.object_id)
-        for name in names:
-            spec = self.specs[name]
-            if spec.eager:
-                self._aggregates[name].apply(gid, old_value, obj.value, first, now)
-                self.refreshes += 1
-                self.refresh_counts[name] += 1
-            else:
-                self._pending[name].append((gid, old_value, obj.value, first, now))
-                self.deltas_buffered += 1
-        # The install may have caught the object up to (or past) the newest
-        # queued generation — re-evaluate its contribution to staleness.
-        self._note_key(obj.key, now)
+        applies = part.applies
+        if applies:
+            for apply in applies:
+                apply(gid, old_value, new_value, first, now)
+            part.installs += 1
+            self.refreshes += len(applies)
+        for name in part.deferred:
+            buffered = self._pending[name]
+            buffered.append((gid, old_value, new_value, first, now))
+            self.deltas_buffered += 1
+            if len(buffered) == 1:
+                self._refresh_view_staleness(name, now)
+        # The install may have caught a stale object up to (or past) the
+        # newest queued generation; it cannot make a fresh one stale.
+        if object_id in part.stale:
+            self._on_queue_event((obj.klass, object_id), now)
         if self.self_check:
             self.assert_parity(now)
 
     def _on_queue_event(self, key: ObjectKey, now: float) -> None:
-        if key[0] in self._stale_keys:
-            self._note_key(key, now)
-
-    def _key_is_stale(self, key: ObjectKey) -> bool:
-        newest = self._queue.newest_generation_for(key)
-        if newest is None:
-            return False
-        return newest > self._database.view_object(*key).generation_time
-
-    def _note_key(self, key: ObjectKey, now: float) -> None:
-        stale_keys = self._stale_keys.get(key[0])
-        if stale_keys is None:
+        """Re-judge one object's staleness; act only when its partition's
+        stale set turns empty or non-empty."""
+        part = self._low if key[0] is _VIEW_LOW else self._high
+        if part is None:
             return
-        if self._key_is_stale(key):
-            stale_keys.add(key)
-        else:
-            stale_keys.discard(key)
-        for name in self._by_klass.get(key[0], ()):
+        object_id = key[1]
+        newest = self._queue.newest_generation_for(key)
+        stale = part.stale
+        if newest is not None and newest > part.objects[object_id].generation_time:
+            if object_id not in stale:
+                stale.add(object_id)
+                if len(stale) == 1:
+                    self._partition_turned(part, now)
+        elif object_id in stale:
+            stale.discard(object_id)
+            if not stale:
+                self._partition_turned(part, now)
+
+    def _partition_turned(self, part: _Partition, now: float) -> None:
+        """Open or close the eager views' shared interval; re-judge the
+        deferred views, whose buffers may keep them stale."""
+        if part.stale:
+            part.since = now
+        elif part.since is not None:
+            since, part.since = part.since, None
+            for name in part.eager:
+                self.stale_seconds[name] += now - self._joined.pop(name, since)
+        for name in part.deferred:
             self._refresh_view_staleness(name, now)
 
     def _view_is_stale(self, name: str) -> bool:
-        spec = self.specs[name]
-        if self._stale_keys.get(spec.klass):
-            return True
-        return bool(self._pending.get(name))
+        return bool(self._parts[self.specs[name].klass].stale
+                    or self._pending.get(name))
 
     def _refresh_view_staleness(self, name: str, now: float) -> None:
+        """Open or close a deferred view's own interval."""
         stale = self._view_is_stale(name)
         open_since = self._stale_since.get(name)
         if stale and open_since is None:
@@ -636,38 +677,52 @@ class ViewRegistry:
             self._cpu.charge("update", applied * self._seconds_per_refresh)
         return applied
 
+    def _refreshes_of(self, name: str) -> int:
+        spec = self.specs[name]
+        if spec.eager:
+            return self._parts[spec.klass].installs - self._counted_from[name]
+        return self.refresh_counts[name]
+
     def eager_refresh_instructions(self, klass: ObjectClass) -> int:
         """Instructions one install into ``klass`` adds for eager views."""
-        return self._eager_instructions.get(klass, 0)
-
-    def _recount_eager_instructions(self) -> None:
-        counts: dict[ObjectClass, int] = {}
-        for spec in self.specs.values():
-            if spec.eager:
-                counts[spec.klass] = counts.get(spec.klass, 0) + 1
-        self._eager_instructions = {
-            klass: count * self.x_view_refresh for klass, count in counts.items()
-        }
+        part = self._low if klass is _VIEW_LOW else self._high
+        return 0 if part is None else len(part.eager) * self.x_view_refresh
 
     # -- measurement lifecycle (FreshnessLedger conventions) -------------
+    def _open_intervals(self):
+        """(view name, start) of every open stale interval."""
+        joined = self._joined
+        for part in self._parts.values():
+            if part.since is not None:
+                for name in part.eager:
+                    yield name, joined.get(name, part.since)
+        yield from self._stale_since.items()
+
     def begin_measurement(self, now: float) -> None:
         self.measure_start = now
-        for name in self.stale_seconds:
-            self.stale_seconds[name] = 0.0
+        self.stale_seconds = dict.fromkeys(self.stale_seconds, 0.0)
+        for part in self._parts.values():
+            if part.since is not None:
+                part.since = now
+            part.installs = 0
+        self._joined.clear()
         for name in self._stale_since:
             self._stale_since[name] = now
         self.refreshes = 0
         self.deltas_buffered = 0
-        for name in self.refresh_counts:
-            self.refresh_counts[name] = 0
+        self.refresh_counts = dict.fromkeys(self.refresh_counts, 0)
+        self._counted_from = dict.fromkeys(self._counted_from, 0)
 
     def finalize(self, now: float) -> None:
         """Apply outstanding deferred deltas and close open stale intervals."""
         if self._finalized:
             return
         self.refresh(now)
-        for name, since in self._stale_since.items():
+        for name, since in self._open_intervals():
             self.stale_seconds[name] += now - since
+        for part in self._parts.values():
+            part.since = None
+        self._joined.clear()
         self._stale_since.clear()
         self._finalized = True
         self._final_now = now
@@ -675,7 +730,7 @@ class ViewRegistry:
     def snapshot_stale_seconds(self, now: float) -> dict[str, float]:
         """Closed intervals plus open tails at ``now``, without mutating."""
         snapshot = dict(self.stale_seconds)
-        for name, since in self._stale_since.items():
+        for name, since in self._open_intervals():
             snapshot[name] += now - since
         return snapshot
 
@@ -693,9 +748,8 @@ class ViewRegistry:
         """Mid-run fold over all registered partition views."""
         if not self.specs or duration <= 0:
             return 0.0
-        return sum(self.snapshot_stale_seconds(now).values()) / (
-            duration * len(self.specs)
-        )
+        seconds = self.snapshot_stale_seconds(now).values()
+        return sum(seconds) / (duration * len(self.specs))
 
     # -- parity oracle ---------------------------------------------------
     def _members(self, klass: ObjectClass) -> list[tuple[int, DataObject]]:
@@ -737,7 +791,7 @@ class ViewRegistry:
             entry = {
                 "stale": self._view_is_stale(name),
                 "pending_deltas": self.pending_deltas(name),
-                "refreshes": self.refresh_counts[name],
+                "refreshes": self._refreshes_of(name),
                 "stale_seconds": stale_seconds[name],
                 **spec.to_record(),
             }
@@ -752,89 +806,34 @@ class ViewRegistry:
 def merge_view_reports(reports: "list[dict]") -> dict:
     """Merge per-shard ``extras["views"]`` dicts into the global view state.
 
-    Partial sums travel as exact rationals, so the merged values are
-    bit-identical to an unsharded maintenance of the same installs.  Every
-    shard registers the same view specs, so names must agree.
+    Each view's shard partials are added into one aggregate of its kind,
+    exactly, so the merged values are bit-identical to an unsharded
+    maintenance of the same installs.  Every shard registers the same
+    view specs, so names must agree.
     """
     merged: dict[str, dict] = {}
+    aggregates: dict[str, _Aggregate] = {}
     for report in reports:
         for name, entry in report.items():
-            if name not in merged:
-                merged[name] = {
-                    key: value for key, value in entry.items()
-                    if key not in ("values", "partials")
-                }
-                merged[name]["partials"] = _copy_partials(entry["partials"])
-                continue
-            target = merged[name]
-            if target.get("kind") != entry.get("kind"):
+            target = merged.get(name)
+            if target is None:
+                merged[name] = {key: value for key, value in entry.items()
+                                if key not in ("values", "partials")}
+                spec = ViewSpec.from_record(entry)
+                aggregates[name] = _AGGREGATES[spec.kind](spec)
+            elif target.get("kind") != entry.get("kind"):
                 raise ViewError(
                     f"view {name!r} kind disagrees across shards: "
                     f"{target.get('kind')!r} != {entry.get('kind')!r}"
                 )
-            target["stale"] = target["stale"] or entry["stale"]
-            target["pending_deltas"] += entry["pending_deltas"]
-            target["refreshes"] += entry["refreshes"]
-            target["stale_seconds"] += entry["stale_seconds"]
-            _merge_partials(entry["kind"], target["partials"], entry["partials"],
-                            k=int(entry.get("k", 1)))
-    for entry in merged.values():
-        entry["values"] = _values_from_partials(entry["kind"], entry["partials"])
+            else:
+                target["stale"] = target["stale"] or entry["stale"]
+                target["pending_deltas"] += entry["pending_deltas"]
+                target["refreshes"] += entry["refreshes"]
+                target["stale_seconds"] += entry["stale_seconds"]
+            aggregates[name].merge(entry["partials"])
+    for name, entry in merged.items():
+        state = aggregates[name].state(0.0)  # nothing left to expire
+        entry["partials"] = state["partials"]
+        entry["values"] = state["values"]
     return merged
-
-
-def _copy_partials(partials: dict) -> dict:
-    copied: dict = {}
-    for key, value in partials.items():
-        copied[key] = list(value) if isinstance(value, list) else value
-    return copied
-
-
-def _merge_partials(kind: str, target: dict, source: dict, *, k: int) -> None:
-    if kind == "sum":
-        target["sums"] = _sum_rationals(target["sums"], source["sums"])
-    elif kind == "count":
-        target["counts"] = [
-            a + b for a, b in zip(target["counts"], source["counts"])
-        ]
-    elif kind == "mean":
-        target["sums"] = _sum_rationals(target["sums"], source["sums"])
-        target["counts"] = [
-            a + b for a, b in zip(target["counts"], source["counts"])
-        ]
-    elif kind == "top_k":
-        pool = [tuple(row) for row in target["top"]] + [
-            tuple(row) for row in source["top"]
-        ]
-        target["top"] = top_k_of(pool, k)
-    elif kind == "window_avg":
-        total = parse_rational(target["sum"]) + parse_rational(source["sum"])
-        target["sum"] = rational_str(total)
-        target["count"] += source["count"]
-    else:
-        raise ViewError(f"unknown view kind {kind!r}")
-
-
-def _sum_rationals(left: "list[str]", right: "list[str]") -> "list[str]":
-    return [
-        rational_str(parse_rational(a) + parse_rational(b))
-        for a, b in zip(left, right)
-    ]
-
-
-def _values_from_partials(kind: str, partials: dict) -> object:
-    if kind == "sum":
-        return [float(parse_rational(total)) for total in partials["sums"]]
-    if kind == "count":
-        return list(partials["counts"])
-    if kind == "mean":
-        return [
-            float(parse_rational(total) / count) if count else 0.0
-            for total, count in zip(partials["sums"], partials["counts"])
-        ]
-    if kind == "top_k":
-        return [list(row) for row in partials["top"]]
-    if kind == "window_avg":
-        count = partials["count"]
-        return float(parse_rational(partials["sum"]) / count) if count else 0.0
-    raise ViewError(f"unknown view kind {kind!r}")
