@@ -44,7 +44,10 @@ from repro.db.update_queue import ObjectKey
 #: Supported aggregate kinds.
 VIEW_KINDS = ("sum", "count", "mean", "top_k", "window_avg")
 
-_PARTITIONS = {"low": ObjectClass.VIEW_LOW, "high": ObjectClass.VIEW_HIGH}
+_PARTITIONS = {
+    "low": ObjectClass.VIEW_LOW,
+    "high": ObjectClass.VIEW_HIGH,
+}
 _PARTITION_NAMES = {klass: name for name, klass in _PARTITIONS.items()}
 _VIEW_LOW = ObjectClass.VIEW_LOW
 
@@ -75,7 +78,7 @@ def _fixed_str(total: int) -> str:
 
 def _parse_fixed(text: str) -> int:
     """Inverse of :func:`_fixed_str`."""
-    value = parse_rational(text)
+    value = Fraction(text)
     scale, rest = divmod(_ONE, value.denominator)
     if rest:
         raise ViewError(f"partial {text!r} is not a multiple of 2^-{SCALE}")
@@ -83,14 +86,9 @@ def _parse_fixed(text: str) -> int:
 
 
 def rational_str(value: Fraction) -> str:
-    """Wire form of an exact partial sum (JSON-safe, lossless)."""
+    """Wire form of an exact partial sum (JSON-safe, lossless); the
+    ``Fraction`` constructor parses it back."""
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`rational_str`."""
-    numerator, _, denominator = text.partition("/")
-    return Fraction(int(numerator), int(denominator or "1"))
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +177,15 @@ class ViewSpec:
 
     def to_record(self) -> dict:
         """Wire/JSON form (for cluster workers and control records)."""
-        return {"name": self.name, "kind": self.kind,
-                "partition": self.partition, "groups": self.groups,
-                "k": self.k, "window": self.window, "eager": self.eager}
+        return {
+            "name": self.name,
+            "kind": self.kind,
+            "partition": self.partition,
+            "groups": self.groups,
+            "k": self.k,
+            "window": self.window,
+            "eager": self.eager,
+        }
 
     @classmethod
     def from_record(cls, record: dict) -> "ViewSpec":
@@ -189,9 +193,12 @@ class ViewSpec:
         if partition not in _PARTITIONS:
             raise ViewError(f"bad partition {partition!r} in view record")
         return cls(
-            name=str(record["name"]), kind=str(record["kind"]),
-            klass=_PARTITIONS[partition], groups=int(record.get("groups", 1)),
-            k=int(record.get("k", 8)), window=float(record.get("window", 1.0)),
+            name=str(record["name"]),
+            kind=str(record["kind"]),
+            klass=_PARTITIONS[partition],
+            groups=int(record.get("groups", 1)),
+            k=int(record.get("k", 8)),
+            window=float(record.get("window", 1.0)),
             eager=bool(record.get("eager", True)),
         )
 
@@ -200,10 +207,9 @@ class ViewSpec:
 # Aggregates: O(1) delta application + exact state
 # ----------------------------------------------------------------------
 class _Aggregate:
-    """One view's materialized state; subclasses define the algebra:
-    ``apply(gid, old_value, new_value, first, install_time)`` a delta,
-    ``values(now)`` the JSON-safe readout, ``partials()`` the exact state
-    behind it, and ``merge(partials)`` adds another shard's."""
+    """One view's materialized state.  Subclasses define ``apply`` (one
+    delta), ``values`` (the JSON-safe readout), ``partials`` (the exact
+    state behind it) and ``merge`` (add another shard's partials)."""
 
     def __init__(self, spec: ViewSpec) -> None:
         self.spec = spec
@@ -417,10 +423,10 @@ class _Partition:
     __slots__ = ("objects", "gids", "stale", "since", "eager", "applies",
                  "deferred", "installs")
 
-    def __init__(self, objects: list[DataObject], gids, stale: set[int],
-                 now: float) -> None:
-        self.objects, self.gids, self.stale = objects, gids, stale
-        self.since = now if stale else None
+    def __init__(self, objects: list[DataObject], gids) -> None:
+        self.objects, self.gids = objects, gids
+        self.stale: set[int] = set()
+        self.since: float | None = None
         self.eager: list[str] = []
         self.applies: list[Callable] = []  # the eager views' apply
         self.deferred: list[str] = []
@@ -451,13 +457,11 @@ class ViewRegistry:
         self.stale_seconds: dict[str, float] = {}
         self._joined: dict[str, float] = {}
         self._stale_since: dict[str, float] = {}
-        self.measure_start = 0.0
         self._finalized = False
         self._final_now: float | None = None
         self.refreshes = 0
         self.refresh_counts: dict[str, int] = {}  # deferred views
         self._counted_from: dict[str, int] = {}  # eager views: installs then
-        self.deltas_buffered = 0
         self._database = self._queue = self._controller = self._cpu = None
         self._seconds_per_refresh = 0.0
         self.x_view_refresh = 0
@@ -472,9 +476,12 @@ class ViewRegistry:
              x_view_refresh: int = 0, cpu=None,
              seconds_per_refresh: float = 0.0) -> None:
         """Attach the pipeline; hooks are deferred to first registration."""
-        self._database, self._queue, self._controller = database, queue, controller
+        self._database = database
+        self._queue = queue
+        self._controller = controller
         self.x_view_refresh = x_view_refresh
-        self._cpu, self._seconds_per_refresh = cpu, seconds_per_refresh
+        self._cpu = cpu
+        self._seconds_per_refresh = seconds_per_refresh
 
     def set_key_map(self, key_map: Callable[[ObjectClass, int], int] | None,
                     sizes: "dict[ObjectClass, int] | None" = None) -> None:
@@ -514,16 +521,12 @@ class ViewRegistry:
         part = self._parts.get(klass)
         if part is None:
             objects = self._database.partition(klass)
-            newest_for = self._queue.newest_generation_for
-            stale = set()
-            for obj in objects:
-                newest = newest_for(obj.key)
-                if newest is not None and newest > obj.generation_time:
-                    stale.add(obj.object_id)
             gids = [self._gid(klass, i) for i in range(len(objects))]
-            part = self._parts[klass] = _Partition(objects, gids, stale, now)
+            part = self._parts[klass] = _Partition(objects, gids)
             self._low = self._parts.get(_VIEW_LOW)
             self._high = self._parts.get(ObjectClass.VIEW_HIGH)
+            for obj in objects:  # what is already queued
+                self._on_queue_event(obj.key, now)
         return part
 
     # -- registration ----------------------------------------------------
@@ -583,18 +586,16 @@ class ViewRegistry:
             return
         object_id = obj.object_id
         gid = part.gids[object_id]
-        new_value = obj.value
         first = obj.installs == 1
         applies = part.applies
         if applies:
             for apply in applies:
-                apply(gid, old_value, new_value, first, now)
+                apply(gid, old_value, obj.value, first, now)
             part.installs += 1
             self.refreshes += len(applies)
         for name in part.deferred:
             buffered = self._pending[name]
-            buffered.append((gid, old_value, new_value, first, now))
-            self.deltas_buffered += 1
+            buffered.append((gid, old_value, obj.value, first, now))
             if len(buffered) == 1:
                 self._refresh_view_staleness(name, now)
         # The install may have caught a stale object up to (or past) the
@@ -605,8 +606,7 @@ class ViewRegistry:
             self.assert_parity(now)
 
     def _on_queue_event(self, key: ObjectKey, now: float) -> None:
-        """Re-judge one object's staleness; act only when its partition's
-        stale set turns empty or non-empty."""
+        """Re-judge one object; act only when its partition's set flips."""
         part = self._low if key[0] is _VIEW_LOW else self._high
         if part is None:
             return
@@ -699,7 +699,6 @@ class ViewRegistry:
         yield from self._stale_since.items()
 
     def begin_measurement(self, now: float) -> None:
-        self.measure_start = now
         self.stale_seconds = dict.fromkeys(self.stale_seconds, 0.0)
         for part in self._parts.values():
             if part.since is not None:
@@ -709,7 +708,6 @@ class ViewRegistry:
         for name in self._stale_since:
             self._stale_since[name] = now
         self.refreshes = 0
-        self.deltas_buffered = 0
         self.refresh_counts = dict.fromkeys(self.refresh_counts, 0)
         self._counted_from = dict.fromkeys(self._counted_from, 0)
 

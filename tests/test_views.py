@@ -4,8 +4,9 @@ The contract under test is DBSP-style exactness: a view maintained by
 per-install deltas must be *value-identical* — not approximately equal —
 to a full recomputation from the base partition, after every install,
 under every scheduling algorithm, at every shard count.  The registry
-keeps its partial aggregates as :class:`fractions.Fraction`, so equality
-here is exact equality; any divergence is a maintenance bug.
+keeps its partial aggregates exact (sums as integers in units of
+2^-1074), so equality here is exact equality; any divergence is a
+maintenance bug.
 
 Staleness rides the same machinery as the paper's unapplied-update
 metric: a view is stale exactly while some admitted-but-uninstalled base
@@ -28,7 +29,6 @@ from repro.db.views import (
     ViewRegistry,
     ViewSpec,
     merge_view_reports,
-    parse_rational,
     rational_str,
     recompute,
 )
@@ -89,7 +89,7 @@ class TestViewSpec:
         for value in (0.1, -3.75, 1e9 + 1 / 3, 0.0):
             from fractions import Fraction
             f = Fraction(value)
-            assert parse_rational(rational_str(f)) == f
+            assert Fraction(rational_str(f)) == f
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +361,7 @@ def test_merge_view_reports_is_exact():
     from fractions import Fraction
     for group in range(3):
         expected = sum(
-            (parse_rational(rep["s"]["partials"]["sums"][group])
+            (Fraction(rep["s"]["partials"]["sums"][group])
              for rep in reports), Fraction(0),
         )
         assert merged["s"]["values"][group] == float(expected)
