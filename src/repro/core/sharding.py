@@ -165,9 +165,10 @@ def split_update_run(
 
     Returns an insertion-ordered ``shard -> (payload, frames)``.  A frame
     that cannot be routed (id outside its partition, unknown or non-view
-    class, NaN or infinite value) is left out, counted in ``router.routing_errors`` and reported
-    through ``on_error(frame, exc)``; its neighbors route unchanged, so
-    one bad frame never poisons its run.
+    class, NaN or infinite value) is left out, counted in
+    ``router.routing_errors`` and reported through ``on_error(frame,
+    exc)``; its neighbors route unchanged, so one bad frame never poisons
+    its run.
     """
     patched = bytearray(run)
     view = memoryview(patched)

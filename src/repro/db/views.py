@@ -498,7 +498,9 @@ class ViewRegistry:
         self._global_sizes = sizes
 
     def _gid(self, klass: ObjectClass, local_id: int) -> int:
-        return local_id if self._key_map is None else self._key_map(klass, local_id)
+        if self._key_map is None:
+            return local_id
+        return self._key_map(klass, local_id)
 
     def _ensure_hooked(self) -> None:
         if self._hooked:
@@ -746,8 +748,9 @@ class ViewRegistry:
         """Mid-run fold over all registered partition views."""
         if not self.specs or duration <= 0:
             return 0.0
-        seconds = self.snapshot_stale_seconds(now).values()
-        return sum(seconds) / (duration * len(self.specs))
+        return sum(self.snapshot_stale_seconds(now).values()) / (
+            duration * len(self.specs)
+        )
 
     # -- parity oracle ---------------------------------------------------
     def _members(self, klass: ObjectClass) -> list[tuple[int, DataObject]]:
