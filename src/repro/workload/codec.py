@@ -251,15 +251,15 @@ class BadObjectId(BadRecord):
 
 
 class BadValue(BadRecord):
-    """A well-formed update carries a NaN or infinite value: a binary
-    frame holds the value as a raw double, and no view sum, mean or
-    install of one means anything."""
+    """A well-formed update carries a NaN or infinite value (a binary
+    frame holds the value as a raw double); no exact view partial can
+    hold one."""
 
     reason = "bad_value"
 
 
 def check_object_ids(kind: str, seq, klass: ObjectClass, ids, sizes) -> None:
-    """The front door's one check: every id an ``int`` inside ``klass``'s
+    """The front door's id check: every id an ``int`` inside ``klass``'s
     partition (``sizes``: class -> object count).
 
     An id outside it would raise out of the install or read path, inside
