@@ -211,8 +211,6 @@ class UpdateQueue:
         candidates = self._by_object.get(key)
         if not candidates:
             return None
-        if len(candidates) == 1:  # the usual case: skip max's key calls
-            return candidates[0]
         return max(candidates, key=lambda u: (u.generation_time, u.seq))
 
     def newest_generation_for(self, key: ObjectKey) -> float | None:

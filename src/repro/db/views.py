@@ -49,7 +49,6 @@ _PARTITIONS = {
     "high": ObjectClass.VIEW_HIGH,
 }
 _PARTITION_NAMES = {klass: name for name, klass in _PARTITIONS.items()}
-_VIEW_LOW = ObjectClass.VIEW_LOW
 
 
 class ViewError(ValueError):
@@ -350,11 +349,15 @@ class _WindowAverageAggregate(_Aggregate):
             self.total -= _fix(value)
             self.count -= 1
 
+    def state(self, now):
+        self._expire(now)
+        return super().state(now)
+
     def values(self, now):
         self._expire(now)
         return self.total / (self.count << SCALE) if self.count else 0.0
 
-    def partials(self):  # after values(now) has expired the window
+    def partials(self):
         return {"sum": _fixed_str(self.total), "count": self.count}
 
     def merge(self, partials):
@@ -446,9 +449,6 @@ class ViewRegistry:
         self.specs: dict[str, ViewSpec] = {}
         self._aggregates: dict[str, _Aggregate] = {}
         self._parts: dict[ObjectClass, _Partition] = {}
-        # The hot paths pick a partition by class identity: hashing an
-        # enum member is a Python-level call.
-        self._low = self._high = None  # the _parts entries
         self._pending: dict[str, list[tuple[int, float, float, bool, float]]] = {}
         # Per-view exact stale-interval ledger (mirrors UnappliedUpdateLedger).
         # An eager view shares its partition's interval (``_joined``: its
@@ -525,8 +525,6 @@ class ViewRegistry:
             objects = self._database.partition(klass)
             gids = [self._gid(klass, i) for i in range(len(objects))]
             part = self._parts[klass] = _Partition(objects, gids)
-            self._low = self._parts.get(_VIEW_LOW)
-            self._high = self._parts.get(ObjectClass.VIEW_HIGH)
             for obj in objects:  # what is already queued
                 self._on_queue_event(obj.key, now)
         return part
@@ -583,7 +581,7 @@ class ViewRegistry:
     def note_base_install(self, obj: DataObject, old_value: float,
                           now: float) -> None:
         """Called by :meth:`Database.install` after every applied update."""
-        part = self._low if obj.klass is _VIEW_LOW else self._high
+        part = self._parts.get(obj.klass)
         if part is None:
             return
         object_id = obj.object_id
@@ -609,7 +607,7 @@ class ViewRegistry:
 
     def _on_queue_event(self, key: ObjectKey, now: float) -> None:
         """Re-judge one object; act only when its partition's set flips."""
-        part = self._low if key[0] is _VIEW_LOW else self._high
+        part = self._parts.get(key[0])
         if part is None:
             return
         object_id = key[1]
@@ -687,7 +685,7 @@ class ViewRegistry:
 
     def eager_refresh_instructions(self, klass: ObjectClass) -> int:
         """Instructions one install into ``klass`` adds for eager views."""
-        part = self._low if klass is _VIEW_LOW else self._high
+        part = self._parts.get(klass)
         return 0 if part is None else len(part.eager) * self.x_view_refresh
 
     # -- measurement lifecycle (FreshnessLedger conventions) -------------
