@@ -12,7 +12,9 @@ replay share, with no I/O:
   bytes;
 * :func:`split_spec` / :func:`merge_verdicts` — a transaction's scatter
   and gather: per-shard sub-reads of the real read-set, and the
-  stale-anywhere verdict.
+  stale-anywhere verdict;
+* :func:`merge_shard_results` — per-shard results as one fleet result,
+  the one merge every sharded harness reports through.
 
 The simulator is one pipeline, the paper's one CPU.  A sharded run on a
 virtual clock is N ``LiveRuntime`` instances on one
@@ -29,6 +31,8 @@ from dataclasses import replace as dataclass_replace
 from repro.config import SimulationConfig
 from repro.db.objects import ObjectClass
 from repro.db.sharding import ShardRouter
+from repro.db.views import merge_view_reports
+from repro.metrics.results import SimulationResult
 from repro.workload.codec import (
     CLASS_CODES,
     FRAME_HEADER,
@@ -144,6 +148,40 @@ def merge_verdicts(sub_outcomes: "list[dict]") -> dict:
         "read_stale": read_stale,
         "finish_time": max(finish_times) if finish_times else None,
     }
+
+
+def merge_shard_results(
+    router: ShardRouter,
+    per_shard: "list[SimulationResult]",
+    indices,
+    extras: dict,
+) -> SimulationResult:
+    """Per-shard results as one fleet result (``indices`` names the
+    shard each came from).
+
+    ``extras`` is the caller's fleet-level accounting (the plane's
+    counters, the worker table), extended in place: each shard's
+    smart-client counters (``extras["direct"]``) are summed into it, and
+    the shards' view reports are merged exactly into ``extras["views"]``.
+    The folds are weighted by the objects each shard owns.  Shard states
+    form a group under addition, so the fleet is their sum, taken here.
+    """
+    reports = []
+    for result in per_shard:
+        shard_extras = result.extras or {}
+        for key, count in (shard_extras.get("direct") or {}).items():
+            extras[key] = extras.get(key, 0) + count
+        if shard_extras.get("views"):
+            reports.append(shard_extras["views"])
+    if reports:
+        extras["views"] = merge_view_reports(reports)
+    weights = [router.counts(index) for index in indices]
+    return SimulationResult.merge(
+        per_shard,
+        weights_low=[low for low, _ in weights],
+        weights_high=[high for _, high in weights],
+        extras=extras,
+    )
 
 
 def split_update_run(

@@ -11,31 +11,33 @@ server — clients cannot tell the difference.  This module is the
 
 * **process supervision**: a shard worker is a ``multiprocessing``
   ("spawn") process behind one entry point (a :class:`WorkerState` here),
-  controlled over a :class:`ControlPipe` (ready / topology / stop) while
-  data flows over loopback TCP as binary frames.  Each worker rebuilds the
-  (deterministic) :class:`~repro.db.sharding.ShardRouter` from the global
-  config, so nothing stateful crosses the process boundary.  Death is an
-  event — the process sentinel turning readable, not a poll: the worker
-  is restarted (fresh :class:`LiveRuntime`, warm from its log with
-  ``log_dir``, on a re-registered port, counted in
-  ``extras["worker_restarts"]``) or, once ``restart_limit`` is exhausted,
-  marked **down**; a down worker's records are shed with typed
-  ``shard_down`` replies while the client session stays up — the cluster
-  is fault tolerant the same way the scheduler is overload tolerant: by
-  shedding, accounting, and recovering.  See ``docs/RESILIENCE.md`` for
-  the failure model;
+  controlled over a :class:`ControlPipe` (ready / topology / snapshot /
+  stop) — the supervisor's one link to it — while client data flows
+  from the plane over loopback TCP as binary frames.  Each worker
+  rebuilds the (deterministic) :class:`~repro.db.sharding.ShardRouter`
+  from the global config, so nothing stateful crosses the process
+  boundary.  Death is an event — the process sentinel turning
+  readable, not a poll: the worker is restarted (fresh
+  :class:`LiveRuntime`, warm from its log with ``log_dir``, on a
+  re-registered port, counted in ``extras["worker_restarts"]``) or, once
+  ``restart_limit`` is exhausted, marked **down**; a down worker's
+  records are shed with typed ``shard_down`` replies while the client
+  session stays up — the cluster is fault tolerant the same way the
+  scheduler is overload tolerant: by shedding, accounting, and
+  recovering.  See ``docs/RESILIENCE.md`` for the failure model;
 * **topology epochs**: the supervisor owns the one authoritative
   :class:`~repro.db.sharding.Topology`, refreshes it on every worker
   status or endpoint change (:meth:`ShardCluster._bump_epoch`) and
   broadcasts it to every worker;
 * **snapshot fan-in and merge**: ``{"kind": "snapshot"}`` is answered
-  with the *merged* fleet snapshot — per-shard snapshots fetched over the
-  workers' own wire protocol and aggregated by
-  :meth:`SimulationResult.merge`; ``extras`` is the plane's routing
-  accounting plus the sum of the workers' smart-client counters, so every
-  counter has one owner.  ``snapshot()`` and ``shutdown()`` skip dead
-  workers under bounded timeouts (join -> terminate -> kill escalation)
-  and note them in ``extras``.
+  with the *merged* fleet snapshot — per-shard snapshots asked for over
+  the control pipes and aggregated by
+  :func:`~repro.core.sharding.merge_shard_results`; ``extras`` is the
+  plane's routing accounting and the worker table plus the sum of the
+  workers' smart-client counters, so every counter has one owner.
+  ``snapshot()`` and ``shutdown()`` skip dead workers under bounded
+  timeouts (join -> terminate -> kill escalation) and note them in
+  ``extras``.
 """
 
 from __future__ import annotations
@@ -48,17 +50,11 @@ import signal
 from dataclasses import asdict, dataclass
 
 from repro.config import SimulationConfig
-from repro.db.views import merge_view_reports
+from repro.core.sharding import merge_shard_results
 from repro.db.sharding import ShardRouter, Topology
 from repro.live.plane import RouterPlane, ShardDownError
 from repro.live.server import ShardHost
-from repro.live.wire import (
-    DEFAULT_BATCH_MAX,
-    RpcChannel,
-    RpcClosedError,
-    RpcError,
-    connect_with_retry,
-)
+from repro.live.wire import DEFAULT_BATCH_MAX
 from repro.metrics.results import SimulationResult
 from repro.metrics.storage import result_from_dict
 
@@ -87,7 +83,8 @@ class ControlPipe:
     and speak one message shape.  A request is ``(kind, token, *args)``:
     the receiver runs ``handlers[kind](*args)`` and, for a non-zero
     token, sends the (awaited) return value back as ``(token, value)``,
-    resolving the sender's :meth:`call`.  Token 0 is a :meth:`post` —
+    resolving the sender's :meth:`call` — ``None`` if the handler raised
+    (logged; the pipe keeps serving).  Token 0 is a :meth:`post` —
     nobody waits, nothing comes back (``topology`` broadcasts, a child's
     ``ready``).  Either end may call the other.  The fd is watched with
     ``loop.add_reader``: a message, and the peer closing its end, are
@@ -129,8 +126,9 @@ class ControlPipe:
 
     async def call(self, kind: str, *args, timeout: float):
         """One round trip: the peer handler's return value, or ``None``
-        when the pipe is closed, the peer goes away mid-call or ``timeout``
-        passes — peer trouble degrades the answer, it never raises."""
+        when the pipe is closed, the peer goes away mid-call, its handler
+        fails or ``timeout`` passes — peer trouble degrades the answer, it
+        never raises."""
         token = next(self._tokens)
         future = self._calls[token] = self._loop.create_future()
         timer = None
@@ -180,9 +178,14 @@ class ControlPipe:
 
     async def _run(self, kind: str, token: int, *args) -> None:
         try:
-            value = self.handlers[kind](*args)
-            if asyncio.iscoroutine(value):
-                value = await value
+            try:
+                value = self.handlers[kind](*args)
+                if asyncio.iscoroutine(value):
+                    value = await value
+            except Exception:
+                # Answered at once: the caller must not sit out its timeout.
+                logger.exception("control pipe %r handler failed", kind)
+                value = None
             if token:
                 self._send((token, value))
         finally:
@@ -232,7 +235,8 @@ async def _start_worker(
     algorithm, kwargs, log_dir, fsync, snapshot_interval, views,
 ):
     """One serving shard.  ``topology`` keeps its shard map fresh (for
-    smart clients' topology/moved records); ``stop`` returns its result."""
+    smart clients' topology/moved records); ``snapshot`` returns its
+    mid-run result, ``stop`` its final one."""
     shard = ShardHost(
         config, algorithm, batch_max=batch_max,
         router=ShardRouter(config.updates.n_low, config.updates.n_high, shards),
@@ -241,6 +245,9 @@ async def _start_worker(
         algorithm_kwargs=kwargs,
     )
     stats = await shard.start()
+
+    def snapshot() -> dict:
+        return shard.server.attach_direct(asdict(shard.runtime.snapshot()))
 
     async def stop(drain_timeout: float = 5.0) -> dict:
         result, _ = await shard.stop(drain_timeout)
@@ -251,7 +258,11 @@ async def _start_worker(
         "replayed_records": stats.replayed_records if stats else 0,
         "replay_lag_s": stats.replay_lag_s if stats else 0.0,
     }
-    return info, {"topology": shard.server.topology.apply, "stop": stop}
+    return info, {
+        "topology": shard.server.topology.apply,
+        "snapshot": snapshot,
+        "stop": stop,
+    }
 
 
 async def _reap(process, *, grace: float = _REAP_GRACE) -> None:
@@ -423,8 +434,6 @@ class ShardCluster:
         self.topology = Topology(
             config.updates.n_low, config.updates.n_high, shards
         )
-        self._rid = itertools.count(1)
-        self._control: "dict[int, RpcChannel]" = {}
         self._workers: list[WorkerState] = []
         self._context = None
         self._server: asyncio.AbstractServer | None = None
@@ -659,8 +668,31 @@ class ShardCluster:
             worker.pipe.post("topology", topology.epoch, entries)
 
     # ------------------------------------------------------------------
-    # Drain and merge
+    # Drain, snapshot and merge
     # ------------------------------------------------------------------
+    async def _gather(
+        self, kind: str, *args, timeout: float
+    ) -> "tuple[list[SimulationResult], list[int]]":
+        """Ask every ``up`` worker for its result over its pipe, side by
+        side: ``(per_shard, indices)`` of those that answered.  A dead,
+        hung or failed worker answers ``None`` and is skipped."""
+        live = [worker for worker in self._workers if worker.status == "up"]
+        payloads = await asyncio.gather(*(
+            worker.pipe.call(kind, *args, timeout=timeout) for worker in live
+        ))
+        per_shard: list[SimulationResult] = []
+        indices: list[int] = []
+        for worker, payload in zip(live, payloads):
+            if payload is None:
+                logger.warning(
+                    "shard %d answered no %s; merging without it",
+                    worker.index, kind,
+                )
+            else:
+                per_shard.append(result_from_dict(payload))
+                indices.append(worker.index)
+        return per_shard, indices
+
     async def shutdown(self, drain_timeout: float = 5.0) -> SimulationResult:
         """Stop ingest, drain the surviving workers, merge their results.
 
@@ -681,28 +713,12 @@ class ShardCluster:
         if self._restart_tasks:
             await asyncio.gather(*self._restart_tasks, return_exceptions=True)
         await self.stop_ingest()
-        for channel in self._control.values():
-            await channel.aclose()
-        self._control.clear()
-        # All drains run side by side; a worker that is gone answers None.
-        live = [w for w in self._workers if w.status == "up"]
-        timeout = drain_timeout + self.shutdown_grace
-        payloads = await asyncio.gather(*(
-            worker.pipe.call("stop", drain_timeout, timeout=timeout)
-            for worker in live
-        ))
-        per_shard: list[SimulationResult] = []
-        indices: list[int] = []
-        for worker, payload in zip(live, payloads):
-            if payload is None:
+        per_shard, indices = await self._gather(
+            "stop", drain_timeout, timeout=drain_timeout + self.shutdown_grace
+        )
+        for worker in self._workers:
+            if worker.status == "up" and worker.index not in indices:
                 worker.status = "down"
-                logger.warning(
-                    "shard %d reported no final result; merging without it",
-                    worker.index,
-                )
-            else:
-                per_shard.append(result_from_dict(payload))
-                indices.append(worker.index)
         await asyncio.gather(*map(self._retire, self._workers))
         if not per_shard:
             raise ShardDownError(
@@ -711,6 +727,24 @@ class ShardCluster:
         self._result = self._merge(per_shard, indices)
         return self._result
 
+    async def snapshot(self) -> SimulationResult:
+        """One merged mid-run snapshot over the surviving shards.
+
+        Shards that are down (or fail their bounded snapshot round trip)
+        are skipped and noted in ``extras["workers"]`` /
+        ``extras["merged_shards"]`` instead of poisoning the merge for
+        every client.
+
+        Raises:
+            ShardDownError: when no live shard answered.
+        """
+        per_shard, indices = await self._gather(
+            "snapshot", timeout=_SNAPSHOT_TIMEOUT
+        )
+        if not per_shard:
+            raise ShardDownError("no live shard worker answered a snapshot")
+        return self._merge(per_shard, indices)
+
     def _merge(
         self,
         per_shard: list[SimulationResult],
@@ -718,15 +752,14 @@ class ShardCluster:
     ) -> SimulationResult:
         """Merge per-shard results (``indices`` names the shards present).
 
-        The counter half of ``extras`` is the plane's live routing
-        accounting plus, summed across workers, the smart-client counters
-        each reports as ``extras["direct"]`` (absent until a client
-        bypasses the router; ``topology_requests`` is counted on both
-        sides).
+        ``extras`` starts as the plane's live routing accounting and the
+        worker table; :func:`~repro.core.sharding.merge_shard_results`
+        adds, summed across workers, the smart-client counters each
+        reports as ``extras["direct"]`` (absent until a client bypasses
+        the router; ``topology_requests`` is counted on both sides).
         """
         if indices is None:
             indices = list(range(self.shards))
-        weights = [self.router.counts(index) for index in indices]
         # Durability snapshot-failure gauges ride along in each shard's
         # snapshot extras; copy them onto the worker table so liveness()
         # and the merged extras both expose them.
@@ -740,10 +773,6 @@ class ShardCluster:
                 )
         workers = self.liveness()
         extras = self._plane.stats()
-        for result in per_shard:
-            direct = (result.extras or {}).get("direct") or {}
-            for key, count in direct.items():
-                extras[key] = extras.get(key, 0) + count
         extras.update({
             "workers": workers,
             "worker_restarts": [w["restarts"] for w in workers],
@@ -760,113 +789,7 @@ class ShardCluster:
                 w["last_snapshot_error"] for w in workers
             ],
         })
-        view_sources = [
-            (result.extras or {}).get("views") for result in per_shard
-        ]
-        view_sources = [source for source in view_sources if source]
-        if view_sources:
-            extras["views"] = merge_view_reports(view_sources)
-        return SimulationResult.merge(
-            per_shard,
-            weights_low=[low for low, _ in weights],
-            weights_high=[high for _, high in weights],
-            extras=extras,
-        )
-
-    # ------------------------------------------------------------------
-    # Fleet snapshot
-    # ------------------------------------------------------------------
-    async def snapshot(self) -> SimulationResult:
-        """One merged mid-run snapshot over the surviving shards.
-
-        Shards that are down (or fail their bounded snapshot round trip)
-        are skipped and noted in ``extras["workers"]`` /
-        ``extras["merged_shards"]`` instead of poisoning the merge for
-        every client.
-
-        Raises:
-            ShardDownError: when no live shard answered.
-        """
-        live = [worker for worker in self._workers if worker.status == "up"]
-        results = await asyncio.gather(
-            *(self._try_shard_snapshot(worker) for worker in live)
-        )
-        per_shard: list[SimulationResult] = []
-        indices: list[int] = []
-        for worker, result in zip(live, results):
-            if result is not None:
-                per_shard.append(result)
-                indices.append(worker.index)
-        if not per_shard:
-            raise ShardDownError("no live shard worker answered a snapshot")
-        return self._merge(per_shard, indices)
-
-    async def _try_shard_snapshot(
-        self, worker: WorkerState
-    ) -> "SimulationResult | None":
-        """One shard's snapshot, bounded and failure-typed (None = skip)."""
-        try:
-            return await asyncio.wait_for(
-                self._shard_snapshot(worker.index), _SNAPSHOT_TIMEOUT
-            )
-        except (
-            ConnectionError,
-            OSError,
-            ValueError,
-            EOFError,
-            asyncio.TimeoutError,
-            TimeoutError,
-            asyncio.IncompleteReadError,
-            RpcError,
-        ) as exc:
-            # The supervisor owns the status transition (it can tell a
-            # crash from a transient hiccup via the process sentinel);
-            # here the shard is only skipped for this snapshot.
-            logger.warning("snapshot of shard %d failed: %r", worker.index, exc)
-            return None
-
-    async def _control_channel(self, shard: int) -> RpcChannel:
-        """The cluster's persistent control channel to one worker.
-
-        Carries low-rate request/reply traffic (snapshots) over the same
-        :class:`RpcChannel` correlation machinery as the data plane; a
-        channel whose transport died (worker crash/restart) is discarded
-        and reopened against the worker's *current* port.
-        """
-        channel = self._control.get(shard)
-        if channel is not None:
-            if not channel.closing:
-                return channel
-            del self._control[shard]
-            await channel.aclose()
-        reader, writer = await connect_with_retry(
-            "127.0.0.1", lambda: self._workers[shard].port
-        )
-        # Control traffic is rare: flush every request immediately.
-        channel = RpcChannel(reader, writer, batch_max=1)
-        self._control[shard] = channel
-        return channel
-
-    async def _shard_snapshot(self, shard: int) -> SimulationResult:
-        """One worker's own snapshot, as an RPC over the control channel.
-
-        Raises:
-            ShardDownError: when the channel closed with the call in
-                flight — the worker died between the request and the
-                reply (must not surface as a decode crash).
-        """
-        channel = await self._control_channel(shard)
-        rid = next(self._rid)
-        try:
-            record = await channel.call({"kind": "snapshot", "rid": rid}, rid)
-        except RpcClosedError as exc:
-            raise ShardDownError(
-                f"shard {shard} closed the snapshot channel ({exc.message})"
-            ) from exc
-        record = dict(record)
-        record.pop("kind", None)
-        record.pop("rid", None)
-        return result_from_dict(record)
+        return merge_shard_results(self.router, per_shard, indices, extras)
 
     async def _snapshot_payload(self) -> "dict | None":
         """The plane's snapshot callback (late-bound through

@@ -86,10 +86,9 @@ _VIEW_ACK_TIMEOUT = 30.0
 class ShardDownError(ConnectionError):
     """A shard worker is dead or unreachable.
 
-    Raised by ``ShardCluster._shard_snapshot`` when a worker connection
-    yields EOF, and by ``ShardCluster.snapshot`` / ``shutdown`` when
-    *no* shard survives (a client asking for that snapshot gets a typed
-    ``shard_down`` reply).  A single down shard never raises: its records
+    Raised by ``ShardCluster.snapshot`` / ``shutdown`` when *no* shard
+    answers over its control pipe (a client asking for that snapshot
+    gets a typed ``shard_down`` reply).  A single down shard never raises: its records
     are shed and accounted while the survivors keep serving.
     """
 

@@ -214,8 +214,8 @@ async def connect_with_retry(
     being restarted by the supervisor refuses connections for a few
     hundred milliseconds, and a plain ``open_connection`` would turn that
     blip into a client-visible failure.  Retrying here makes a restart
-    transparent to the router's upstream connections, the snapshot
-    fan-in, and reconnecting load generators.
+    transparent to the router's upstream connections and reconnecting
+    load generators.
 
     Args:
         host: Peer address.
@@ -274,8 +274,8 @@ class CoalescingWriter:
     Args:
         writer: The stream to feed.
         batch_max: Records per coalesced payload (``<= 1`` flushes every
-            write — the per-record wire path: control channels, and
-            the reference the parity tests compare batching against).
+            write — the per-record wire path the parity tests compare
+            batching against).
 
     Attributes:
         records: Records accepted so far.

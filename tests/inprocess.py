@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import asdict, replace
 
 from repro.core.sharding import (
+    merge_shard_results,
     merge_verdicts,
     shard_config,
     shard_view_key_map,
@@ -28,7 +29,6 @@ from repro.core.sharding import (
 )
 from repro.db.objects import Update
 from repro.db.sharding import ShardRouter, Topology
-from repro.db.views import merge_view_reports
 from repro.live.plane import RouterPlane
 from repro.live.runtime import LiveRuntime
 from repro.live.server import IngestServer, ShardHost
@@ -41,18 +41,6 @@ from repro.workload.codec import (
     encode_json_frame,
 )
 from repro.workload.trace import synthesize
-
-
-def merge_shards(router, results, extras=None) -> SimulationResult:
-    """Per-shard results as one fleet result, folds weighted by the
-    objects each shard owns."""
-    counts = [router.counts(index) for index in range(len(results))]
-    return SimulationResult.merge(
-        results,
-        weights_low=[low for low, _ in counts],
-        weights_high=[high for _, high in counts],
-        extras=extras,
-    )
 
 
 class RoutedPair:
@@ -79,9 +67,16 @@ class RoutedPair:
     def runtimes(self):
         return [host.runtime for host in self.hosts]
 
+    def _merge(self, per_shard) -> SimulationResult:
+        """The fleet result as the real cluster reports it: the plane's
+        counters plus the merged shards."""
+        return merge_shard_results(
+            self.router, per_shard, range(len(per_shard)), self.plane.stats()
+        )
+
     async def _snapshot(self) -> dict:
-        return asdict(merge_shards(
-            self.router, [runtime.snapshot() for runtime in self.runtimes]
+        return asdict(self._merge(
+            [runtime.snapshot() for runtime in self.runtimes]
         ))
 
     async def start(self) -> "tuple[str, int]":
@@ -101,9 +96,7 @@ class RoutedPair:
         self._server.close()
         await self.plane.close_sessions()
         await self._server.wait_closed()
-        return merge_shards(
-            self.router, [(await host.stop())[0] for host in self.hosts]
-        )
+        return self._merge([(await host.stop())[0] for host in self.hosts])
 
 
 class DirectDoor(RoutedPair):
@@ -245,11 +238,10 @@ class EngineCluster:
                 self.engine.schedule_at(config.warmup, runtime.begin_measurement)
         self.engine.run_until(config.duration if until is None else until)
         self.results = [runtime.finalize() for runtime in self.runtimes]
-        extras = self.router.accounting()
-        reports = [r.extras["views"] for r in self.results if "views" in r.extras]
-        if reports:
-            extras["views"] = merge_view_reports(reports)
-        merged = merge_shards(self.router, self.results, extras)
+        merged = merge_shard_results(
+            self.router, self.results, range(len(self.results)),
+            self.router.accounting(),
+        )
         return replace(merged, events_dispatched=self.engine.events_dispatched)
 
     def verdicts(self) -> dict:

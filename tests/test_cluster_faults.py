@@ -11,9 +11,10 @@ hook (`ShardCluster.kill_worker`) and the suite asserts that:
   merging the survivors with ``shed_shard_down`` / ``worker_restarts`` /
   ``down_shards`` accounting in ``extras``;
 * restart mode brings the shard back on a fresh port and installs resume;
-* each of the four historical crash bugs (shutdown hang, snapshot EOF
-  decode crash, swallowed reply-channel failures, missing snapshot
-  backpressure) stays fixed.
+* each of the historical crash bugs (shutdown hang, swallowed
+  reply-channel failures, missing snapshot backpressure) stays fixed; a
+  worker hanging up mid-snapshot is covered where snapshots travel, on
+  the control pipe (``tests/test_control_pipe.py``).
 
 Process-spawning tests keep to 2 shards and short drains so the whole
 file stays in smoke-test territory.
@@ -63,11 +64,11 @@ def _shard_gids(router, shard, count=5):
     return gids[:count]
 
 
-def _updates(gids, start_seq=0):
+def _updates(gids, start_seq=0, value=1.0):
     return [
         Update(
             seq=start_seq + offset, klass=ObjectClass.VIEW_LOW, object_id=gid,
-            value=1.0, generation_time=0.0, arrival_time=0.0,
+            value=value, generation_time=0.0, arrival_time=0.0,
         )
         for offset, gid in enumerate(gids)
     ]
@@ -470,40 +471,8 @@ def test_merge_is_plane_counters_plus_worker_direct_counters():
 
 
 # ----------------------------------------------------------------------
-# Unit: the four crash-path bugs
+# Unit: the crash-path bugs
 # ----------------------------------------------------------------------
-def test_shard_snapshot_eof_is_typed_not_decode_error():
-    """Regression: a worker hanging up with the snapshot call in flight
-    raises ShardDownError, not a decode crash (pre-RPC: `json.loads(b"")`
-    from an empty readline)."""
-
-    async def scenario():
-        async def eof_handler(reader, writer):
-            # Read the preamble and the one request frame, then hang up
-            # before any reply.
-            await reader.readexactly(len(WIRE_PREAMBLE))
-            _, length = FRAME_HEADER.unpack(
-                await reader.readexactly(FRAME_HEADER.size)
-            )
-            await reader.readexactly(length)
-            writer.close()
-
-        server = await asyncio.start_server(eof_handler, "127.0.0.1", 0)
-        port = server.sockets[0].getsockname()[1]
-        cluster = ShardCluster(_cluster_config(), "TF", shards=2)
-        cluster._workers = [WorkerState(0, port=port, status="up")]
-        try:
-            with pytest.raises(ShardDownError):
-                await cluster._shard_snapshot(0)
-        finally:
-            for channel in cluster._control.values():
-                await channel.aclose()
-            server.close()
-            await server.wait_closed()
-
-    asyncio.run(scenario())
-
-
 def test_close_session_counts_channel_failures():
     """Regression: an upstream channel whose reader died with a real
     exception is counted in protocol_errors (and logged) instead of

@@ -3,17 +3,23 @@
 ``ControlPipe`` is the one thing both ends of a supervised child's pipe
 are wrapped in, and ``_child_async`` is the one child-side control loop.
 Here both ends of a real ``multiprocessing.Pipe()`` live in one event
-loop, so the protocol — tokens, broadcasts, EOF in either direction, and
-the supervisor's death handler ignoring a retired incarnation — is
+loop, so the protocol — tokens, broadcasts, EOF in either direction, a
+failing handler, the supervisor's death handler ignoring a retired
+incarnation, and its snapshot gather skipping a worker that hangs up — is
 exercised without processes, sockets or sleeps.  This is the seam a
 deterministic transport for the cluster protocol plugs into.
 """
 
 import asyncio
+import logging
 import multiprocessing
 import os
+from dataclasses import asdict
+
+import pytest
 
 from repro.config import baseline_config
+from repro.live import LiveRuntime, ShardDownError
 from repro.live.cluster import (
     ControlPipe,
     ShardCluster,
@@ -109,6 +115,36 @@ def test_call_times_out_to_none_and_forgets_the_token():
         await _settle()
 
     asyncio.run(scenario())
+
+
+def test_a_raising_handler_is_answered_none_at_once_and_logged(caplog):
+    """Regression: a handler that raised sent nothing back, so the caller
+    sat out its whole timeout and asyncio later logged an exception
+    nobody retrieved.  The failure is logged and answered ``None`` by
+    event; the pipe keeps serving."""
+
+    async def scenario():
+        parent, child = _ends()
+
+        def broken():
+            raise RuntimeError("snapshot blew up")
+
+        child.watch({"snapshot": broken, "ping": lambda: "pong"})
+        parent.watch({})
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        assert await parent.call("snapshot", timeout=LONG) is None
+        assert loop.time() - started < 5.0  # by event, not by timeout
+        assert await parent.call("ping", timeout=LONG) == "pong"
+        parent.close()
+        child.close()
+
+    with caplog.at_level(logging.ERROR, logger="repro.live.cluster"):
+        asyncio.run(scenario())
+    failures = [r for r in caplog.records if r.exc_info]
+    assert len(failures) == 1
+    assert "'snapshot'" in failures[0].getMessage()
+    assert "snapshot blew up" in str(failures[0].exc_info[1])
 
 
 def test_child_loop_reports_ready_then_stops_when_told():
@@ -284,5 +320,54 @@ def test_death_past_the_restart_budget_marks_down_and_bumps_the_epoch():
         cluster._bump_epoch()
         assert cluster.topology.epoch == epoch + 1
         process.close()
+
+    asyncio.run(scenario())
+
+
+def _snapshot_payload():
+    """What a worker's ``snapshot`` handler sends: a result as a dict."""
+    runtime = LiveRuntime(baseline_config(duration=1.0, seed=11), "TF")
+    return asdict(runtime.snapshot())
+
+
+def _piped_cluster():
+    """A never-started 2-shard cluster whose workers' pipes are real
+    ``ControlPipe`` ends; returns it and the two child ends."""
+    cluster = _bare_cluster(1, [None, None])
+    children = []
+    for worker in cluster._workers:
+        worker.pipe, child = _ends()
+        worker.pipe.watch({})
+        children.append(child)
+    return cluster, children
+
+
+def test_snapshot_skips_a_worker_that_hangs_up_mid_call():
+    """A worker whose pipe closes with the snapshot call in flight is
+    skipped by event — typed, never a decode crash, never a timeout —
+    and the survivor's result is merged."""
+
+    async def scenario():
+        cluster, (answers, hangs_up) = _piped_cluster()
+        answers.watch({"snapshot": _snapshot_payload})
+        hangs_up.watch({"snapshot": hangs_up.close})
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        merged = await cluster.snapshot()
+        assert loop.time() - started < 5.0  # by event, not by timeout
+        assert merged.extras["merged_shards"] == [0]
+        assert cluster._workers[1].pipe.conn.closed
+        answers.close()
+
+    asyncio.run(scenario())
+
+
+def test_snapshot_with_every_pipe_closed_raises_shard_down():
+    async def scenario():
+        cluster, children = _piped_cluster()
+        for child in children:
+            child.close()
+        with pytest.raises(ShardDownError):
+            await cluster.snapshot()
 
     asyncio.run(scenario())

@@ -325,6 +325,57 @@ def test_node_door_refuses_unfillable_views_and_keeps_answering():
     assert served.front.errors == 2
 
 
+def test_routed_door_reports_like_the_cluster():
+    """The in-process routed door merges through the cluster's one merge:
+    the reply carries the plane's routing counters next to the merged
+    view, whose per-group sums are those of the updates sent."""
+    config = _config()
+
+    async def scenario():
+        served = door("routed", config)
+        router = served.router
+        session = await FrameSession.open(*await served.start())
+        gids = {
+            shard: [
+                gid for gid in range(router.n_low)
+                if router.shard_of(ObjectClass.VIEW_LOW, gid) == shard
+            ][:3]
+            for shard in (0, 1)
+        }
+        sent = [gid for shard in (0, 1) for gid in gids[shard]]
+        try:
+            session.send({"kind": "register_view", "rid": "v", "view": {
+                "name": "s", "kind": "sum", "partition": "low", "groups": 2,
+            }})
+            assert (await session.reply())["kind"] == "view-registered"
+            session.send(*(
+                Update(seq=seq, klass=ObjectClass.VIEW_LOW, object_id=gid,
+                       value=gid + 0.5, generation_time=0.0,
+                       arrival_time=0.0)
+                for seq, gid in enumerate(sent)
+            ))
+            for _ in range(200):  # until every update has installed
+                session.send({"kind": "snapshot", "rid": "s"})
+                snapshot = await session.reply()
+                if snapshot["updates_applied"] == len(sent):
+                    break
+                await asyncio.sleep(0.01)
+        finally:
+            session.close()
+            await served.stop()
+        return gids, sent, snapshot
+
+    gids, sent, snapshot = asyncio.run(scenario())
+    assert snapshot["kind"] == "snapshot"
+    assert snapshot["updates_applied"] == len(sent)
+    extras = snapshot["extras"]
+    assert extras["updates_routed"] == [len(gids[0]), len(gids[1])]
+    assert extras["views"]["s"]["values"] == [
+        sum(gid + 0.5 for gid in sent if gid % 2 == group)
+        for group in (0, 1)
+    ]
+
+
 def test_cluster_bounds_groups_by_the_global_partition_on_every_shard():
     """Each shard owns about half the partition, yet a view may use one
     group per *global* object, and no more — refused on every shard."""
