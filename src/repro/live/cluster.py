@@ -411,9 +411,10 @@ class ShardCluster:
         self.log_dir = log_dir
         self.fsync = fsync
         self.snapshot_interval = snapshot_interval
-        # Derived views registered on every worker at spawn: ViewSpec
-        # objects, CLI strings, or wire records — normalized to records
-        # here (they cross the process boundary as plain dicts).
+        # Derived views registered on every worker at spawn, before the
+        # plane's own (registered by clients since): ViewSpec objects,
+        # CLI strings, or wire records — normalized to records here
+        # (they cross the process boundary as plain dicts).
         from repro.db.views import ViewSpec
 
         self.views = [
@@ -497,7 +498,8 @@ class ShardCluster:
                 child_conn, _start_worker, self.config, child.index,
                 self.shards, self.batch_max,
                 self.algorithm, self.algorithm_kwargs, self.log_dir,
-                self.fsync, self.snapshot_interval, self.views,
+                self.fsync, self.snapshot_interval,
+                self.views + self._plane.views,
             ),
             daemon=True,
         )

@@ -135,6 +135,9 @@ class RouterPlane:
             config.updates.n_low, config.updates.n_high, shards
         )
         self.snapshot_cb = snapshot_cb
+        #: Views registered through this plane and acked by every shard
+        #: (wire records): a restarted worker registers them again.
+        self.views: "list[dict]" = []
         self.records_received = 0
         self.errors = 0
         self.sessions = 0
@@ -465,8 +468,8 @@ class RouterPlane:
         the slowest one.  A down shard — or any shard rejecting the
         spec — fails the whole registration with a typed error reply: a
         view maintained on a subset of shards would merge to silently
-        wrong values.  Dynamically registered views live in the worker
-        processes only; a worker restart comes back without them.
+        wrong values.  A registration every shard acked joins
+        :attr:`views`, which the supervisor hands a restarted worker.
         """
         client_rid = record.get("rid")
         view = dict(record.get("view") or {})  # refused here, not by N shards
@@ -506,6 +509,8 @@ class RouterPlane:
                     "shard": shard,
                     "message": getattr(exc, "message", str(exc)),
                 }
+        if reply["kind"] == "view-registered":
+            self.views.append(view)
         if client_rid is not None:
             reply["rid"] = client_rid
         downstream.reply(reply)

@@ -273,6 +273,59 @@ def test_restart_resumes_installs_and_books_balance():
     assert result.transaction_conservation_gap() == 0
 
 
+def test_a_view_registered_through_the_router_survives_a_restart():
+    """Regression: a view registered over the routed door was lost when a
+    worker restarted, and the merged view then reported the survivor's
+    partials as the fleet's."""
+
+    async def scenario():
+        cluster = ShardCluster(
+            _cluster_config(), "TF", shards=2, restart_limit=1,
+        )
+        host, port = await cluster.start()
+        session = await FrameSession.open(host, port)
+        try:
+            session.send({"kind": "register_view", "rid": "v", "view": {
+                "name": "tot", "kind": "sum", "partition": "low",
+            }})
+            ack = await session.reply(timeout=OP_TIMEOUT)
+            assert (ack["kind"], ack["shards"]) == ("view-registered", 2)
+            before = await cluster.snapshot()
+
+            cluster.kill_worker(0)
+            await _wait_for(
+                lambda: cluster.worker_status(0) == "up"
+                and cluster.liveness()[0]["restarts"] == 1
+            )
+            session.send(
+                *_updates(_shard_gids(cluster.router, 0, 3), value=1000.0),
+                *_updates(_shard_gids(cluster.router, 1, 3), start_seq=3),
+            )
+            await session.drain()
+            snapshots = []
+
+            async def poll():
+                snapshots.append(await cluster.snapshot())
+                return snapshots[-1].updates_applied == 6
+
+            deadline = asyncio.get_running_loop().time() + OP_TIMEOUT
+            while not await poll():
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.05)
+        finally:
+            session.close()
+            await asyncio.wait_for(
+                cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
+            )
+        return before, snapshots[-1]
+
+    before, after = asyncio.run(scenario())
+    assert after.extras["merged_shards"] == [0, 1]
+    assert after.extras["worker_restarts"] == [1, 0]
+    assert after.views_registered == before.views_registered
+    assert after.extras["views"]["tot"]["values"] == [3003.0]
+
+
 # ----------------------------------------------------------------------
 # End-to-end: a worker that dies before it is ready
 # ----------------------------------------------------------------------
