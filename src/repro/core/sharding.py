@@ -163,8 +163,7 @@ def merge_shard_results(
     counters, the worker table), extended in place: each shard's
     smart-client counters (``extras["direct"]``) are summed into it, and
     the shards' view reports are merged exactly into ``extras["views"]``.
-    The folds are weighted by the objects each shard owns.  Shard states
-    form a group under addition, so the fleet is their sum, taken here.
+    The folds are weighted by the objects each shard owns.
     """
     reports = []
     for result in per_shard:

@@ -88,8 +88,9 @@ class ShardDownError(ConnectionError):
 
     Raised by ``ShardCluster.snapshot`` / ``shutdown`` when *no* shard
     answers over its control pipe (a client asking for that snapshot
-    gets a typed ``shard_down`` reply).  A single down shard never raises: its records
-    are shed and accounted while the survivors keep serving.
+    gets a typed ``shard_down`` reply).  A single down shard never
+    raises: its records are shed and accounted while the survivors keep
+    serving.
     """
 
 

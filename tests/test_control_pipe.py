@@ -358,6 +358,7 @@ def test_snapshot_skips_a_worker_that_hangs_up_mid_call():
         assert merged.extras["merged_shards"] == [0]
         assert cluster._workers[1].pipe.conn.closed
         answers.close()
+        cluster._workers[0].pipe.close()
 
     asyncio.run(scenario())
 
@@ -369,5 +370,7 @@ def test_snapshot_with_every_pipe_closed_raises_shard_down():
             child.close()
         with pytest.raises(ShardDownError):
             await cluster.snapshot()
+        for worker in cluster._workers:
+            worker.pipe.close()
 
     asyncio.run(scenario())
