@@ -302,14 +302,8 @@ def test_a_view_registered_through_the_router_survives_a_restart():
                 *_updates(_shard_gids(cluster.router, 1, 3), start_seq=3),
             )
             await session.drain()
-            snapshots = []
-
-            async def poll():
-                snapshots.append(await cluster.snapshot())
-                return snapshots[-1].updates_applied == 6
-
             deadline = asyncio.get_running_loop().time() + OP_TIMEOUT
-            while not await poll():
+            while (after := await cluster.snapshot()).updates_applied < 6:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.05)
         finally:
@@ -317,7 +311,7 @@ def test_a_view_registered_through_the_router_survives_a_restart():
             await asyncio.wait_for(
                 cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
             )
-        return before, snapshots[-1]
+        return before, after
 
     before, after = asyncio.run(scenario())
     assert after.extras["merged_shards"] == [0, 1]

@@ -354,7 +354,7 @@ def test_routed_door_reports_like_the_cluster():
                        arrival_time=0.0)
                 for seq, gid in enumerate(sent)
             ))
-            for _ in range(200):  # until every update has installed
+            for _ in range(1000):  # until every update has installed
                 session.send({"kind": "snapshot", "rid": "s"})
                 snapshot = await session.reply()
                 if snapshot["updates_applied"] == len(sent):
