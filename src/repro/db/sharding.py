@@ -13,6 +13,10 @@ buffer budgets across shards.
 Routing accounting (how many updates/transactions each shard received,
 how many records were unroutable) lives here too, so a merged report can
 attribute load and drops per shard.
+
+A :class:`Topology` is the one shard map: a router, the workers that
+serve its shards and an epoch.  Every door reads its router and shard
+count from one, and a standalone server is the one-shard map.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.db.objects import ObjectClass
 
 #: Version of the routing function.  Rides in every topology record: a
 #: smart client whose routing function differs from the cluster's refuses
-#: the record (:func:`router_from_topology`), so changing the hash or the
+#: the record (:meth:`Topology.from_record`), so changing the hash or the
 #: budget split must bump it.
 ROUTER_VERSION = 1
 
@@ -192,9 +196,12 @@ class ShardRouter:
     def uq_budget(self, shard: int, update_queue_max: int) -> int:
         """This shard's slice of the global ``UQmax`` update-queue bound.
 
-        Clamped to 2 so a partitioned (TF-SPLIT) queue can always be
-        built on every shard.
+        Clamped to 2 across two or more shards, so a partitioned
+        (TF-SPLIT) queue can always be built on every shard; one shard
+        takes the bound as it is.
         """
+        if self.shards == 1:
+            return update_queue_max
         return max(2, self._split(shard, update_queue_max))
 
     def _split(self, shard: int, total: int) -> int:
@@ -231,67 +238,49 @@ class ShardRouter:
 # ----------------------------------------------------------------------
 # Topology control records
 # ----------------------------------------------------------------------
-def topology_record(
-    *,
-    shards: int,
-    n_low: int,
-    n_high: int,
-    epoch: int,
-    workers: "list[dict]",
-) -> dict:
-    """The ``{"kind": "topology"}`` control record served to smart clients.
-
-    Carries everything a client needs to rebuild the exact routing
-    function locally (the router is deterministic from ``n_low`` /
-    ``n_high`` / ``shards``) plus the per-worker endpoints and the
-    topology ``epoch``, which advances whenever a worker endpoint
-    changes.  Each ``workers`` entry is
-    ``{"shard": i, "host": h, "port": p, "status": s}``.
-    """
-    return {
-        "kind": "topology",
-        "router_version": ROUTER_VERSION,
-        "shards": shards,
-        "n_low": n_low,
-        "n_high": n_high,
-        "epoch": epoch,
-        "workers": list(workers),
-    }
-
-
 class Topology:
-    """The cluster's shard map at one epoch: ``(epoch, workers)``.
+    """The shard map at one epoch: the routing function and its workers.
 
-    The supervisor owns the authoritative instance and refreshes it
-    whenever a worker endpoint or status changes (the routing plane reads
-    it directly); shard workers keep their own copy, fed by the
-    supervisor's ``topology(epoch, workers)`` pipe broadcast through
-    :meth:`apply`.  Routing decisions read :meth:`port_of` /
+    One value describes a deployment to everything that routes by it:
+    the :class:`ShardRouter` (``shards`` is its count), the ``epoch``,
+    and one ``workers`` entry per shard,
+    ``{"shard": i, "host": h, "port": p, "status": s}``.  A standalone
+    server is the one-shard map naming itself.  The supervisor owns the
+    authoritative instance and moves it with :meth:`publish`; the routing
+    plane reads it directly, and shard workers keep their own copy, fed
+    by the supervisor's ``topology(epoch, workers)`` pipe broadcast
+    through :meth:`apply`.  Routing decisions read :meth:`port_of` /
     :meth:`status_of` at use time, so a refresh takes effect on the very
-    next record; :meth:`record` is what smart clients are served.
+    next record; :meth:`record` is what smart clients are served, and
+    :meth:`from_record` rebuilds the whole map from it.
     """
 
     def __init__(
         self,
-        n_low: int,
-        n_high: int,
-        shards: int,
+        router: ShardRouter,
         *,
         epoch: int = 0,
         workers: "list[dict] | None" = None,
     ) -> None:
-        self.n_low = n_low
-        self.n_high = n_high
-        self.shards = shards
+        self.router = router
+        self.shards = router.shards
         self.epoch = epoch
         self.workers = workers or [
             {"shard": i, "host": "127.0.0.1", "port": 0, "status": "starting"}
-            for i in range(shards)
+            for i in range(self.shards)
         ]
 
     def apply(self, epoch: int, workers: "list[dict]") -> None:
         self.epoch = epoch
         self.workers = workers
+
+    def publish(self, workers: "list[dict]") -> bool:
+        """Adopt a worker table; the epoch advances exactly when it
+        changed.  Returns whether it did."""
+        if workers == self.workers:
+            return False
+        self.apply(self.epoch + 1, workers)
+        return True
 
     def port_of(self, shard: int) -> int:
         return self.workers[shard]["port"]
@@ -303,26 +292,35 @@ class Topology:
         return self.workers[shard]["status"]
 
     def record(self) -> dict:
-        return topology_record(
-            shards=self.shards,
-            n_low=self.n_low,
-            n_high=self.n_high,
-            epoch=self.epoch,
-            workers=self.workers,
-        )
+        """The ``{"kind": "topology"}`` control record served to smart
+        clients: everything they need to rebuild the exact routing
+        function (it is deterministic from ``n_low`` / ``n_high`` /
+        ``shards``), the worker endpoints and the epoch."""
+        return {
+            "kind": "topology",
+            "router_version": ROUTER_VERSION,
+            "shards": self.shards,
+            "n_low": self.router.n_low,
+            "n_high": self.router.n_high,
+            "epoch": self.epoch,
+            "workers": list(self.workers),
+        }
 
-
-def router_from_topology(record: dict) -> ShardRouter:
-    """Rebuild the cluster's exact :class:`ShardRouter` from a topology
-    record, refusing records produced by an incompatible hash version."""
-    if record.get("kind") != "topology":
-        raise ValueError(f"not a topology record: {record.get('kind')!r}")
-    version = record.get("router_version")
-    if version != ROUTER_VERSION:
-        raise ValueError(
-            f"topology router_version {version} != {ROUTER_VERSION}; "
-            "client and cluster disagree on the routing function"
+    @classmethod
+    def from_record(cls, record: dict) -> "Topology":
+        """Rebuild the whole map from a :meth:`record`, refusing records
+        produced by an incompatible routing function."""
+        if record.get("kind") != "topology":
+            raise ValueError(f"not a topology record: {record.get('kind')!r}")
+        version = record.get("router_version")
+        if version != ROUTER_VERSION:
+            raise ValueError(
+                f"topology router_version {version} != {ROUTER_VERSION}; "
+                "client and cluster disagree on the routing function"
+            )
+        router = ShardRouter(
+            int(record["n_low"]), int(record["n_high"]), int(record["shards"])
         )
-    return ShardRouter(
-        int(record["n_low"]), int(record["n_high"]), int(record["shards"])
-    )
+        return cls(
+            router, epoch=int(record["epoch"]), workers=list(record["workers"])
+        )

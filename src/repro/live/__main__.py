@@ -27,6 +27,7 @@ from dataclasses import asdict
 
 from repro.config import SimulationConfig, StalenessPolicy, baseline_config
 from repro.core.algorithms.registry import ALGORITHMS
+from repro.db.sharding import Topology
 from repro.live.cluster import ShardCluster
 from repro.live.durability import FSYNC_POLICIES
 from repro.live.loadgen import CrossShardSpreader, DirectClient, WireClient
@@ -158,11 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="FRAC",
                          help="rewrite this fraction of multi-read "
                          "transactions to span shard boundaries (exercises "
-                         "the cluster's scatter-gather path; needs "
-                         "--shards >= 2; default 0 — workload unchanged)")
-    loadgen.add_argument("--shards", type=int, default=1,
-                         help="shard count of the target deployment, for "
-                         "--cross-shard-frac's routing (default 1)")
+                         "the cluster's scatter-gather path; routes by the "
+                         "server's own shard map, so it needs a sharded "
+                         "server; default 0 — workload unchanged)")
     loadgen.add_argument("--view", action="append", default=[], metavar="SPEC",
                          help="register a derived view on the server before "
                          "streaming (repeatable); same SPEC syntax as "
@@ -289,16 +288,31 @@ async def _loadgen(args) -> int:
         args.host, args.port, attempts=args.connect_attempts,
         on_record=on_record,
     )
+    config = args.config
+    streams = StreamFamily(config.seed)
+    spreader = None
     try:
         await client.connect()
-    except ConnectionError as exc:
+        if args.cross_shard_frac > 0.0:
+            router = (client.router if args.direct else
+                      Topology.from_record(await client.topology()).router)
+            if router.shards < 2:
+                print("repro-live loadgen: --cross-shard-frac needs a sharded "
+                      f"server; {args.host}:{args.port} serves one shard",
+                      file=sys.stderr)
+                await client.aclose()
+                return 2
+            spreader = CrossShardSpreader(
+                router.n_low, router.n_high, streams,
+                frac=args.cross_shard_frac, shards=router.shards,
+            )
+    except (ConnectionError, ValueError) as exc:
         print(f"repro-live loadgen: {exc}", file=sys.stderr)
         return 1
     if args.direct:
         print(f"repro-live loadgen: direct mode — routing over "
               f"{client.router.shards} workers (topology epoch "
               f"{client.epoch})", file=sys.stderr, flush=True)
-    config = args.config
     if args.view:
         # Registrations travel in-order ahead of the stream, so every
         # subsequent install is already a delta against the new views.
@@ -310,13 +324,6 @@ async def _loadgen(args) -> int:
                 "view": ViewSpec.parse(spec_text).to_record(),
             })
         client.flush()
-    streams = StreamFamily(config.seed)
-    spreader = None
-    if args.cross_shard_frac > 0.0:
-        spreader = CrossShardSpreader(
-            config.updates.n_low, config.updates.n_high, streams,
-            frac=args.cross_shard_frac, shards=args.shards,
-        )
     if args.trace is None:
         items = synthesize(config, until=args.seconds, streams=streams)
         end = args.seconds
@@ -376,12 +383,9 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         if args.fail_shard is not None and not 0 <= args.fail_shard < args.shards:
             parser.error(f"--fail-shard {args.fail_shard} out of range for "
                          f"{args.shards} shards")
-    elif args.cross_shard_frac:
-        if not 0.0 <= args.cross_shard_frac <= 1.0:
-            parser.error("--cross-shard-frac must be in [0, 1], got "
-                         f"{args.cross_shard_frac}")
-        if args.shards < 2:
-            parser.error("--cross-shard-frac: need --shards >= 2")
+    elif not 0.0 <= args.cross_shard_frac <= 1.0:
+        parser.error("--cross-shard-frac must be in [0, 1], got "
+                     f"{args.cross_shard_frac}")
     # Refuse a bad config before anything binds or connects.
     try:
         args.config = _build_config(args)

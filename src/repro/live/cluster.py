@@ -4,8 +4,8 @@
 full single-shard pipeline (a :class:`~repro.live.server.ShardHost` — the
 same start/stop sequence a standalone server runs — on a loopback port),
 behind one public TCP socket served by one
-:class:`~repro.live.plane.RouterPlane` in this process, sharing its router
-and topology.  The public socket speaks the same wire as a single
+:class:`~repro.live.plane.RouterPlane` in this process, sharing its
+topology.  The public socket speaks the same wire as a single
 server — clients cannot tell the difference.  This module is the
 *supervisor* side of that:
 
@@ -15,9 +15,9 @@ server — clients cannot tell the difference.  This module is the
   stop) — the supervisor's one link to it — while client data flows
   from the plane over loopback TCP as binary frames.  Each worker
   rebuilds the (deterministic) :class:`~repro.db.sharding.ShardRouter`
-  from the global config, so nothing stateful crosses the process
-  boundary.  Death is an event — the process sentinel turning
-  readable, not a poll: the worker is restarted (fresh
+  from the global config and the shard count, so nothing stateful
+  crosses the process boundary.  Death is an event — the process
+  sentinel turning readable, not a poll: the worker is restarted (fresh
   :class:`LiveRuntime`, warm from its log with ``log_dir``, on a
   re-registered port, counted in ``extras["worker_restarts"]``) or, once
   ``restart_limit`` is exhausted, marked **down**; a down worker's
@@ -26,9 +26,9 @@ server — clients cannot tell the difference.  This module is the
   scheduler is overload tolerant: by shedding, accounting, and
   recovering.  See ``docs/RESILIENCE.md`` for the failure model;
 * **topology epochs**: the supervisor owns the one authoritative
-  :class:`~repro.db.sharding.Topology`, refreshes it on every worker
-  status or endpoint change (:meth:`ShardCluster._bump_epoch`) and
-  broadcasts it to every worker;
+  :class:`~repro.db.sharding.Topology`, publishes every worker status or
+  endpoint change to it (:meth:`ShardCluster._bump_epoch`) and
+  broadcasts each new epoch to every worker;
 * **snapshot fan-in and merge**: ``{"kind": "snapshot"}`` is answered
   with the *merged* fleet snapshot — per-shard snapshots asked for over
   the control pipes and aggregated by
@@ -238,8 +238,7 @@ async def _start_worker(
     smart clients' topology/moved records); ``snapshot`` returns its
     mid-run result, ``stop`` its final one."""
     shard = ShardHost(
-        config, algorithm, batch_max=batch_max,
-        router=ShardRouter(config.updates.n_low, config.updates.n_high, shards),
+        config, algorithm, batch_max=batch_max, shards=shards,
         index=index, log_dir=log_dir, fsync=fsync,
         snapshot_interval=snapshot_interval, views=views or (),
         algorithm_kwargs=kwargs,
@@ -425,16 +424,14 @@ class ShardCluster:
             ).to_record()
             for spec in (views or [])
         ]
-        self.router = ShardRouter(
-            config.updates.n_low, config.updates.n_high, shards
-        )
-        #: The authoritative shard map.  Its epoch is bumped (and the map
+        #: The authoritative shard map.  Its epoch moves (and the map is
         #: broadcast to every worker) whenever a worker endpoint or status
         #: changes, so smart clients can detect a stale map (see
         #: ``docs/SCALING.md``).
         self.topology = Topology(
-            config.updates.n_low, config.updates.n_high, shards
+            ShardRouter(config.updates.n_low, config.updates.n_high, shards)
         )
+        self.router = self.topology.router
         self._workers: list[WorkerState] = []
         self._context = None
         self._server: asyncio.AbstractServer | None = None
@@ -443,11 +440,10 @@ class ShardCluster:
         self._stopping = False
         self._restart_tasks: set[asyncio.Task] = set()
         self._result: SimulationResult | None = None
-        # The routing plane shares this cluster's router and topology, so
-        # it observes supervisor transitions the instant they land.
+        # The routing plane shares this cluster's topology, so it
+        # observes supervisor transitions the instant they land.
         self._plane = RouterPlane(
-            config, shards=shards, topology=self.topology, router=self.router,
-            batch_max=batch_max,
+            config, self.topology, batch_max=batch_max,
             snapshot_cb=self._snapshot_payload,
         )
 
@@ -648,12 +644,10 @@ class ShardCluster:
     # Topology epochs (smart clients)
     # ------------------------------------------------------------------
     def _bump_epoch(self) -> None:
-        """If the worker table changed, advance the topology epoch and
-        broadcast the table: every worker needs it to answer direct
-        clients' topology requests and stamp ``moved`` redirects.  A
-        worker that is already dead misses it — its death is handled
-        separately."""
-        topology = self.topology
+        """Publish the worker table; if that moved the epoch, broadcast
+        it: every worker needs it to answer direct clients' topology
+        requests and stamp ``moved`` redirects.  A worker that is already
+        dead misses it — its death is handled separately."""
         entries = [
             {
                 "shard": worker.index,
@@ -663,11 +657,9 @@ class ShardCluster:
             }
             for worker in self._workers
         ]
-        if entries == topology.workers:
-            return
-        topology.apply(topology.epoch + 1, entries)
-        for worker in self._workers:
-            worker.pipe.post("topology", topology.epoch, entries)
+        if self.topology.publish(entries):
+            for worker in self._workers:
+                worker.pipe.post("topology", self.topology.epoch, entries)
 
     # ------------------------------------------------------------------
     # Drain, snapshot and merge

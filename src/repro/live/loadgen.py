@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.db.objects import ObjectClass, Update
-from repro.db.sharding import ShardRouter, router_from_topology
+from repro.db.sharding import ShardRouter, Topology
 from repro.live.runtime import LiveRuntime, TransactionHandle
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
@@ -131,8 +131,8 @@ class LoadGenerator:
     Either way the traffic is one time-ordered item iterator, and one
     clock event delivers it: it hands over everything that is due —
     consecutive updates as one :meth:`LiveRuntime.ingest_batch` of at
-    most ``batch_max``, each transaction spread (when there is a
-    spreader) and submitted — then re-arms at the next item's time.
+    most ``batch_max``, each transaction submitted — then re-arms at the
+    next item's time.
     Every item is stamped at delivery the way the ingest server stamps a
     wire record: a late item's times shift by its lateness, which keeps
     the drawn network age.  On an :class:`~repro.sim.engine.Engine` clock
@@ -146,18 +146,11 @@ class LoadGenerator:
         batch_max: Cap on how many due updates one delivery hands over as
             a single :meth:`LiveRuntime.ingest_batch` call (``1`` =
             per-record delivery).  Pacing is unaffected.
-        cross_shard_frac: Fraction of eligible (>= 2 reads) transactions
-            rewritten by a :class:`CrossShardSpreader` to span shards
-            (synthesis *and* replay).  The default ``0.0`` constructs no
-            spreader, keeping existing workloads draw-identical.
-        shards: Target shard count for the spreader (required >= 2 when
-            ``cross_shard_frac > 0``).
 
     Attributes:
         updates_sent / updates_dropped: Ingest attempts and OS-queue drops.
         transactions_sent: Submitted transaction count.
         handles: One :class:`TransactionHandle` per submitted transaction.
-        spreader: The :class:`CrossShardSpreader`, or None.
     """
 
     def __init__(
@@ -166,23 +159,11 @@ class LoadGenerator:
         *,
         seed: int | None = None,
         batch_max: int = DEFAULT_BATCH_MAX,
-        cross_shard_frac: float = 0.0,
-        shards: int = 1,
     ) -> None:
         self.runtime = runtime
         self.batch_max = max(1, batch_max)
         self.clock = runtime.clock
-        config = runtime.config
-        self._streams = StreamFamily(seed if seed is not None else config.seed)
-        self.spreader: CrossShardSpreader | None = None
-        if cross_shard_frac > 0.0:
-            self.spreader = CrossShardSpreader(
-                config.updates.n_low,
-                config.updates.n_high,
-                self._streams,
-                frac=cross_shard_frac,
-                shards=shards,
-            )
+        self._streams = StreamFamily(seed if seed is not None else runtime.config.seed)
         self.updates_sent = 0
         self.updates_dropped = 0
         self.transactions_sent = 0
@@ -252,8 +233,6 @@ class LoadGenerator:
                 if batch:
                     self._deliver(batch)
                     batch = []
-                if self.spreader is not None:
-                    item = self.spreader.spread(item)
                 if late > 0:
                     item = dc_replace(item, arrival_time=now)
                 self.transactions_sent += 1
@@ -321,6 +300,7 @@ class WireClient:
         self.on_record = on_record
         self.reconnects = 0
         self.channel: RpcChannel | None = None
+        self._rid = itertools.count(1)
 
     @property
     def connected(self) -> bool:
@@ -357,6 +337,19 @@ class WireClient:
             self.channel.request(item)
         else:
             self.channel.post(encode_frame(item))
+
+    async def topology(self, *, timeout: float = 30.0) -> dict:
+        """The server's topology record: its shard map.
+
+        The call's correlation id is a string: the channel correlates an
+        outcome that carries no ``rid`` by its integer ``seq``, so an
+        integer id could be answered by a transaction's outcome.
+        """
+        await self.connect()
+        rid = f"topology-{next(self._rid)}"
+        return await self.channel.call(
+            {"kind": "topology", "rid": rid}, rid, timeout=timeout
+        )
 
     def flush(self) -> None:
         """Flush the coalescing buffer (no-op when disconnected)."""
@@ -451,7 +444,6 @@ class DirectClient:
         self._router_client: WireClient | None = None
         self._links: "list[WireClient]" = []
         self._hello_marks: "list[int]" = []
-        self._rid = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Connection management
@@ -467,7 +459,7 @@ class DirectClient:
         self._router_client = self._client(self.host, self.port)
         await self._router_client.connect()
         record = await self.fetch_topology(timeout=timeout)
-        self.router = router_from_topology(record)
+        self.router = Topology.from_record(record).router
         for entry in record["workers"]:
             self._links.append(self._client(
                 str(entry.get("host", "127.0.0.1")), int(entry["port"])
@@ -478,18 +470,8 @@ class DirectClient:
             await self._hello(shard)
 
     async def fetch_topology(self, *, timeout: float = 30.0) -> dict:
-        """Request a fresh topology record over the router connection.
-
-        The call's correlation id is a string: the channel correlates an
-        outcome that carries no ``rid`` by its integer ``seq``, so an
-        integer id could be answered by a transaction's outcome.
-        """
-        client = self._router_client
-        await client.connect()
-        rid = f"topology-{next(self._rid)}"
-        record = await client.channel.call(
-            {"kind": "topology", "rid": rid}, rid, timeout=timeout
-        )
+        """Request a fresh topology record over the router connection."""
+        record = await self._router_client.topology(timeout=timeout)
         self._apply_topology(record)
         return record
 

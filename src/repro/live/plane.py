@@ -30,10 +30,12 @@ transaction is refused like any unknown kind.  Beyond plain forwarding it
   :class:`~repro.live.loadgen.DirectClient` and ``docs/SCALING.md``).
 
 The one plane runs in the supervisor process, sharing the
-:class:`~repro.live.cluster.ShardCluster`'s router and topology (why
-there is one: ``docs/SCALING.md``).  It owns every routing/shed/fan-out
-counter and reports them through :meth:`RouterPlane.stats`, which the
-cluster puts into ``extras`` next to the per-shard results.
+:class:`~repro.live.cluster.ShardCluster`'s
+:class:`~repro.db.sharding.Topology`: it routes by that one map's router
+and forwards to its workers (why there is one plane:
+``docs/SCALING.md``).  It owns every routing/shed/fan-out counter and
+reports them through :meth:`RouterPlane.stats`, which the cluster puts
+into ``extras`` next to the per-shard results.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import struct
 
 from repro.config import SimulationConfig
 from repro.core.sharding import merge_verdicts, split_update_run
-from repro.db.sharding import ShardRouter, Topology
+from repro.db.sharding import Topology
 from repro.live.runtime import LatencyTracker
 from repro.live.wire import (
     DEFAULT_BATCH_MAX,
@@ -103,16 +105,14 @@ class RouterPlane:
     """The routing plane: client sessions in, per-shard batches out.
 
     Args:
-        config: The global configuration (object counts for the router,
-            the cost model for cross-shard deadline windows).
-        shards: Worker count.
-        topology: Live worker endpoints — the cluster's own
-            :class:`~repro.db.sharding.Topology`.
+        config: The global configuration (the cost model for cross-shard
+            deadline windows).
+        topology: The cluster's own :class:`~repro.db.sharding.Topology`:
+            its router routes (and keeps the routing accounting), its
+            workers are the live endpoints.
         batch_max: Coalescing bound, client and upstream side, and the
             records routed per loop turn
             (:func:`~repro.live.wire.serve_session`'s ingest quantum).
-        router: Share an existing router instead of building one —
-            the cluster shares its own, so accounting lands in one place.
         snapshot_cb: Async callback returning one merged fleet snapshot
             as an ``asdict`` payload (``None`` when no shard answers);
             the supervisor owns the snapshot fan-in.
@@ -121,20 +121,14 @@ class RouterPlane:
     def __init__(
         self,
         config: SimulationConfig,
-        *,
-        shards: int,
         topology: Topology,
+        *,
         batch_max: int = DEFAULT_BATCH_MAX,
-        router: "ShardRouter | None" = None,
         snapshot_cb=None,
     ) -> None:
         self.config = config
-        self.shards = shards
         self.topology = topology
         self.batch_max = batch_max
-        self.router = router if router is not None else ShardRouter(
-            config.updates.n_low, config.updates.n_high, shards
-        )
         self.snapshot_cb = snapshot_cb
         #: Views registered through this plane and acked by every shard
         #: (wire records): a restarted worker registers them again.
@@ -143,6 +137,7 @@ class RouterPlane:
         self.errors = 0
         self.sessions = 0
         self.topology_requests = 0
+        shards = topology.shards
         self.shed_shard_down = [0] * shards
         # Cross-shard scatter-gather accounting (merged into extras).
         self.cross_shard_submits = 0
@@ -164,7 +159,7 @@ class RouterPlane:
         """This plane's counters: the routing half of the cluster's
         ``extras`` (per-shard lists are copies)."""
         return {
-            **self.router.accounting(),
+            **self.topology.router.accounting(),
             "records_received": self.records_received,
             "protocol_errors": self.errors,
             "cross_shard_submits": self.cross_shard_submits,
@@ -313,7 +308,7 @@ class RouterPlane:
                     raise unknown_kind(record)
                 except (ValueError, KeyError, TypeError, struct.error) as exc:
                     self.errors += 1
-                    self.router.note_routing_error()
+                    self.topology.router.note_routing_error()
                     downstream.reply(error_record(exc, rid))
         await self._forward(run, *route)
 
@@ -333,7 +328,7 @@ class RouterPlane:
         shed with one typed ``shard_down`` reply instead of burning the
         live shards' work on a verdict that cannot commit.
         """
-        router = self.router
+        router = self.topology.router
         try:
             klass, seq, reads = peek_spec_route(frame)
             compute_time, slack = peek_spec_budget(frame)
@@ -474,8 +469,9 @@ class RouterPlane:
         """
         client_rid = record.get("rid")
         view = dict(record.get("view") or {})  # refused here, not by N shards
+        shards = range(self.topology.shards)
         down = [
-            shard for shard in range(self.shards)
+            shard for shard in shards
             if self.topology.status_of(shard) != "up"
         ]
         if down:
@@ -483,7 +479,7 @@ class RouterPlane:
             return
         subs = []
         try:
-            for shard in range(self.shards):
+            for shard in shards:
                 channel = await self._upstream(shard, downstream, upstreams)
                 rid = _RID_BASE + next(self._rid)
                 channel.expect(rid)
@@ -532,7 +528,7 @@ class RouterPlane:
         def on_error(_frame, exc):
             self.errors += 1
             downstream.reply(error_record(exc))
-        by_shard = split_update_run(self.router, b"".join(run), on_error)
+        by_shard = split_update_run(self.topology.router, b"".join(run), on_error)
         run.clear()
         for shard, (payload, count) in by_shard.items():
             self.records_received += count

@@ -50,10 +50,10 @@ sampled once per quantum) — the quantum *is* the arrival burst.
 
 **Smart clients** (see ``docs/SCALING.md``) add three control records:
 
-* ``{"kind": "topology"}`` — replies with the cluster's shard map
-  (:func:`~repro.db.sharding.topology_record`): everything a client
+* ``{"kind": "topology"}`` — replies with the server's shard map
+  (:meth:`~repro.db.sharding.Topology.record`): everything a client
   needs to rebuild the routing function and dial workers directly.  A
-  standalone server answers a degenerate one-shard map for itself.
+  standalone server is the one-shard map: it names itself, at epoch 0.
 * ``{"kind": "hello", "mode": "direct", "epoch": E}`` — declares this
   session a *direct* session: the client routed its own records and
   sends **global** object ids, which the worker translates to its dense
@@ -80,7 +80,7 @@ from dataclasses import asdict, replace
 from repro.config import SimulationConfig
 from repro.core.sharding import shard_config, shard_view_key_map
 from repro.db.objects import ObjectClass, Update
-from repro.db.sharding import ShardRouter, Topology, topology_record
+from repro.db.sharding import ShardRouter, Topology
 from repro.live.clock import WallClock
 from repro.live.durability import DurabilityManager, ReplayStats
 from repro.live.runtime import LiveRuntime
@@ -120,17 +120,14 @@ class IngestServer:
         batch_max: Records per loop turn, in both directions: the ingest
             quantum and the coalesced reply write (``1`` = per-record
             delivery and replies, the pre-batching wire behavior).
-        topology: This worker's copy of the cluster
-            :class:`~repro.db.sharding.Topology` when it serves one shard
-            of a cluster (enables direct sessions with ownership checks
-            and ``moved`` redirects, and answers smart clients'
-            ``topology`` requests); ``None`` for a standalone server,
-            which answers a degenerate one-shard topology and accepts
-            direct sessions trivially (global and local ids coincide at
-            ``shards=1``).
-        router / index: With ``topology``: the cluster's (deterministic)
-            router and this worker's shard index, for the ownership check
-            and the global → local id translation of direct records.
+        topology: The shard map this server serves shard ``index`` of:
+            its router does the ownership check and the global → local
+            id translation of direct records, and its record answers
+            smart clients' ``topology`` requests and rides in ``moved``
+            redirects.  ``None`` is a standalone server: the one-shard
+            map of ``runtime.config``, which :meth:`start` fills with
+            the bound endpoint.
+        index: This server's shard in ``topology``.
     """
 
     def __init__(
@@ -141,15 +138,16 @@ class IngestServer:
         *,
         batch_max: int = DEFAULT_BATCH_MAX,
         topology: "Topology | None" = None,
-        router: "ShardRouter | None" = None,
         index: int = 0,
     ) -> None:
+        if topology is None:
+            updates = runtime.config.updates
+            topology = Topology(ShardRouter(updates.n_low, updates.n_high, 1))
         self.runtime = runtime
         self.host = host
         self.port = port
         self.batch_max = batch_max
         self.topology = topology
-        self.router = router
         self.index = index
         self.connections = 0
         self.records_received = 0
@@ -163,14 +161,13 @@ class IngestServer:
         self._server: asyncio.AbstractServer | None = None
         self._sessions = SessionSet()
         # What the front door checks object ids against: this shard's
-        # partition sizes, and the cluster's for a direct session's global
-        # ids (the same thing on a standalone server).
+        # partition sizes (a direct session's global ids are checked
+        # against the map's, the same thing on a standalone server).
         database = runtime.database
         self._sizes = {
             ObjectClass.VIEW_LOW: len(database.low),
             ObjectClass.VIEW_HIGH: len(database.high),
         }
-        self._global_sizes = self._sizes if router is None else router.sizes
         # The scheduling point that ends every ingest quantum.  A mocked
         # clock (``sim.Engine``) is advanced by whoever drives it.
         clock = runtime.clock
@@ -208,6 +205,11 @@ class IngestServer:
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
+        if self.topology.shards == 1:  # the one-shard map names its server
+            self.topology.apply(0, [{
+                "shard": 0, "host": self.host, "port": self.port,
+                "status": "up",
+            }])
         return self.host, self.port
 
     async def stop(self) -> None:
@@ -259,21 +261,19 @@ class IngestServer:
         ends with the scheduling point: whatever has come due on the
         wall clock is dispatched before the session yields.
 
-        On a *direct* session (``session.direct``) against a cluster
-        worker, every record is ownership-checked first: a record this
-        shard does not own is dropped with a ``moved`` redirect, an
-        owned record has its global object ids translated to this
-        shard's dense local ids before delivery.
+        On a *direct* session (``session.direct``), every record is
+        ownership-checked first: a record this shard does not own is
+        dropped with a ``moved`` redirect, an owned record has its global
+        object ids translated to this shard's dense local ids before
+        delivery.
         """
         runtime = self.runtime
         topology = self.topology
+        direct = session is not None and session.direct
         # A direct client's shard map went stale (worker restart bumped
         # the epoch): announce it once, ahead of this batch's records,
         # so the client refreshes before burning sends on redirects.
-        if (
-            session is not None and session.direct and topology is not None
-            and session.epoch != topology.epoch
-        ):
+        if direct and session.epoch != topology.epoch:
             self._stale_advisory(session, replies)
         # The whole batch is delivered in one loop turn: it shares one
         # delivery instant, exactly like a burst in the paper's stream.
@@ -316,7 +316,7 @@ class IngestServer:
                         continue
                     if kind == "topology":
                         self.topology_requests += 1
-                        reply = self._topology_record()
+                        reply = topology.record()
                         if rid is not None:
                             reply = {**reply, "rid": rid}
                         replies.reply(reply)
@@ -338,21 +338,17 @@ class IngestServer:
                     if kind == "hello":
                         self.hello_records += 1
                         if record.get("mode") == "direct" and session is not None:
-                            session.direct = True
+                            session.direct = direct = True
                             session.epoch = int(record.get("epoch", -1))
                         reply = {
                             "kind": "hello",
                             "shard": self.index,
-                            "epoch": topology.epoch if topology is not None else 0,
+                            "epoch": topology.epoch,
                         }
                         if rid is not None:
                             reply["rid"] = rid
                         replies.reply(reply)
-                        if (
-                            session is not None and session.direct
-                            and topology is not None
-                            and session.epoch != topology.epoch
-                        ):
+                        if direct and session.epoch != topology.epoch:
                             # The hello itself announced a stale map —
                             # advise now, not at the *next* batch, so a
                             # hello+records burst gets its refresh ahead
@@ -360,17 +356,13 @@ class IngestServer:
                             self._stale_advisory(session, replies)
                         continue
                     raise unknown_kind(record)
-                direct = (
-                    session is not None and session.direct
-                    and topology is not None
-                )
                 # An id outside its partition, or a NaN or infinite value
                 # with a view registered, would raise out of the install or
                 # read path, inside a clock dispatch: refuse it here, like
                 # any other malformed record (a direct session's ids are
                 # global).  A good update — nearly every record — is
                 # accepted inline.
-                sizes = self._global_sizes if direct else self._sizes
+                sizes = topology.router.sizes if direct else self._sizes
                 is_update = isinstance(item, Update)
                 if is_update:
                     object_id = item.object_id
@@ -431,30 +423,6 @@ class IngestServer:
         })
         session.epoch = topology.epoch
 
-    def _topology_record(self) -> dict:
-        """The topology record this server serves to smart clients.
-
-        A cluster worker serves the supervisor-broadcast fleet map; a
-        standalone server serves a degenerate one-shard map naming
-        itself (at ``shards=1`` the dense local ids coincide with the
-        global ids, so direct routing degenerates to plain sends).
-        """
-        if self.topology is not None:
-            return self.topology.record()
-        config = self.runtime.config
-        return topology_record(
-            shards=1,
-            n_low=config.updates.n_low,
-            n_high=config.updates.n_high,
-            epoch=0,
-            workers=[{
-                "shard": 0,
-                "host": self.host,
-                "port": self.port,
-                "status": "up",
-            }],
-        )
-
     def _localize_direct(self, item, replies):
         """Ownership-check one direct record; translate ids or redirect.
 
@@ -463,7 +431,7 @@ class IngestServer:
         own it (stale client map), or the spec's read-set spans shards
         (direct clients must send those via a router plane).
         """
-        router = self.router
+        router = self.topology.router
         index = self.index
         if isinstance(item, Update):
             owner = router.shard_of(item.klass, item.object_id)
@@ -518,8 +486,8 @@ class ShardHost:
     """One shard's pipeline, from recovery to its final result.
 
     The start/stop sequence of everything that serves a shard —
-    ``repro-live serve`` (``shards=1``: no router, the config and the
-    view key map are the identity) and every worker process of a
+    ``repro-live serve`` (``shards=1``: the config cut and the view key
+    map are the identity) and every worker process of a
     :class:`~repro.live.cluster.ShardCluster` alike.  The order is
     load-bearing:
 
@@ -537,10 +505,10 @@ class ShardHost:
       ledgers' open stale intervals.
 
     Args:
-        config: The *global* configuration; with ``router`` it is cut
-            down to shard ``index``'s slice.
-        router / index: The cluster's router and this shard's index, or
-            ``None`` / 0 for a standalone server.
+        config: The *global* configuration, cut down to shard
+            ``index``'s slice of the ``shards``-way keyspace.
+        shards / index: The deployment's shard count and this shard's
+            index (1 / 0: a standalone server).
         log_dir: Durability directory (``None`` = off, cold restarts);
             ``fsync`` / ``snapshot_interval`` as for
             :class:`~repro.live.durability.DurabilityManager`.
@@ -556,7 +524,7 @@ class ShardHost:
         host: str = "127.0.0.1",
         port: int = 0,
         batch_max: int = DEFAULT_BATCH_MAX,
-        router: "ShardRouter | None" = None,
+        shards: int = 1,
         index: int = 0,
         log_dir: "str | None" = None,
         fsync: str = "never",
@@ -566,22 +534,20 @@ class ShardHost:
     ) -> None:
         self.views = views
         self.manager = None
-        topology = None
         clock = None
         if log_dir is not None:
             self.manager = DurabilityManager(
                 log_dir, index, fsync=fsync, snapshot_interval=snapshot_interval
             )
             clock = WallClock(start_at=self.manager.resume_at)
-        if router is not None:
-            config = shard_config(config, router, index)
-            topology = Topology(router.n_low, router.n_high, router.shards)
+        router = ShardRouter(config.updates.n_low, config.updates.n_high, shards)
         self.runtime = LiveRuntime(
-            config, algorithm, clock=clock, **(algorithm_kwargs or {})
+            shard_config(config, router, index), algorithm, clock=clock,
+            **(algorithm_kwargs or {}),
         )
         self.server = IngestServer(
             self.runtime, host, port, batch_max=batch_max,
-            topology=topology, router=router, index=index,
+            topology=Topology(router), index=index,
         )
 
     async def start(self) -> "ReplayStats | None":
@@ -597,13 +563,12 @@ class ShardHost:
             stats = await manager.recover(runtime)
             manager.attach(runtime)
             manager.start(runtime)
-        if server.router is not None:
-            # Group keys must be global object ids so the supervisor can
-            # merge per-shard view states without collisions.
-            runtime.views.set_key_map(
-                shard_view_key_map(server.router, server.index),
-                server.router.sizes,
-            )
+        # Group keys must be global object ids so the supervisor can
+        # merge per-shard view states without collisions.
+        router = server.topology.router
+        runtime.views.set_key_map(
+            shard_view_key_map(router, server.index), router.sizes
+        )
         for spec in self.views:
             runtime.register_view(spec)
         await server.start()

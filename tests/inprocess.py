@@ -45,17 +45,16 @@ from repro.workload.trace import synthesize
 
 class RoutedPair:
     def __init__(self, config, algorithm="TF", shards=2):
-        self.router = ShardRouter(
+        self.topology = Topology(ShardRouter(
             config.updates.n_low, config.updates.n_high, shards
-        )
-        self.topology = Topology(self.router.n_low, self.router.n_high, shards)
+        ))
+        self.router = self.topology.router
         self.hosts = [
-            ShardHost(config, algorithm, router=self.router, index=index)
+            ShardHost(config, algorithm, shards=shards, index=index)
             for index in range(shards)
         ]
         self.plane = RouterPlane(
-            config, shards=self.router.shards, topology=self.topology,
-            router=self.router, snapshot_cb=self._snapshot,
+            config, self.topology, snapshot_cb=self._snapshot
         )
         self._server = None
 
@@ -82,7 +81,7 @@ class RoutedPair:
     async def start(self) -> "tuple[str, int]":
         for host in self.hosts:
             await host.start()
-        self.topology.apply(1, [
+        self.topology.publish([
             {"shard": index, "host": "127.0.0.1", "port": host.server.port,
              "status": "up"}
             for index, host in enumerate(self.hosts)

@@ -28,7 +28,7 @@ from repro.config import StaleReadAction, baseline_config
 from repro.core.sharding import merge_verdicts, split_spec
 from repro.db.objects import ObjectClass, Update
 from repro.db.sharding import ShardRouter
-from repro.live import CrossShardSpreader, LiveRuntime, LoadGenerator, ShardCluster
+from repro.live import CrossShardSpreader, LiveRuntime, ShardCluster
 from repro.sim.engine import Engine
 from repro.sim.streams import StreamFamily
 from repro.workload.transactions import TransactionSpec
@@ -174,19 +174,6 @@ def test_spreader_rewrites_second_read_to_foreign_shard():
     assert spreader.spread(single) is single
     # Deterministic under the seed: a fresh spreader repeats the rewrite.
     assert build().spread(_spec(3, (a, b))).reads == spread.reads
-
-
-def test_loadgen_frac_zero_never_builds_a_spreader():
-    """``--cross-shard-frac 0`` must stay draw-identical to a loadgen
-    without the flag: no spreader means no stream is even touched."""
-    engine = Engine()
-    runtime = LiveRuntime(_parity_config(), "TF", clock=engine)
-    assert LoadGenerator(runtime).spreader is None
-    assert LoadGenerator(runtime, cross_shard_frac=0.0, shards=2).spreader is None
-    spread = LoadGenerator(runtime, cross_shard_frac=0.5, shards=2)
-    assert spread.spreader is not None
-    with pytest.raises(ValueError):
-        LoadGenerator(runtime, cross_shard_frac=0.5)  # shards=1
 
 
 # ----------------------------------------------------------------------

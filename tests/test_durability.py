@@ -444,14 +444,10 @@ def test_views_match_recompute_after_warm_restart(tmp_path, shards, index):
     standalone server (shards=1) and for a cluster worker."""
     config = _config()
     wal = str(tmp_path / "wal")
-    router = None
-    if shards > 1:
-        router = ShardRouter(config.updates.n_low, config.updates.n_high,
-                             shards)
 
     def host():
         return ShardHost(
-            config, "TF", router=router, index=index, log_dir=wal,
+            config, "TF", shards=shards, index=index, log_dir=wal,
             snapshot_interval=60.0,
             views=["s=sum:low,groups=2", "recent=window_avg:low,window=2.0"],
         )

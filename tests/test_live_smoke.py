@@ -126,15 +126,17 @@ def test_live_server_roundtrip():
 
 
 @contextlib.contextmanager
-def _serve_cli():
-    """A `repro-live serve --port 0` process, its port read off the
-    banner; SIGINT on the way out.  Yields ``(port, outcome)``, and
-    ``outcome`` is filled with ``(returncode, stdout, stderr)``."""
+def _serve_cli(*serve_args):
+    """A `repro-live serve --port 0` process (plus ``serve_args``), its
+    port read off the banner; SIGINT on the way out.  Yields
+    ``(port, outcome)``, and ``outcome`` is filled with
+    ``(returncode, stdout, stderr)``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.live", "serve",
-         "--port", "0", "--metrics", "none", "--drain-timeout", "2"],
+         "--port", "0", "--metrics", "none", "--drain-timeout", "2",
+         *serve_args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     outcome = []
@@ -192,3 +194,32 @@ def test_loadgen_cli_delivers_every_update_it_sends(tmp_path, mode, capsys):
         isinstance(item, Update) for item in items
     ) > 0
 
+
+def test_loadgen_cross_shard_frac_routes_by_the_servers_shard_map(capsys):
+    """`loadgen --cross-shard-frac` reads the shard count from the server's
+    topology record: against `serve --shards 2`, every multi-read
+    transaction it sends spans both shards.  A plain server has one shard
+    to span: a usage error in one line."""
+    config = baseline_config(seed=5).with_updates(arrival_rate=50.0)
+    config = config.with_transactions(arrival_rate=40.0)
+    argv = ["--seed", "5", "--lambda-u", "50", "--lambda-t", "40",
+            "--seconds", "1", "--cross-shard-frac", "1.0"]
+    with _serve_cli("--shards", "2") as (port, outcome):
+        assert live_main(["loadgen", "--port", str(port), *argv]) == 0
+    returncode, out, err = outcome
+    assert returncode == 0, err
+    sent = int(re.search(r"sent (\d+) records", capsys.readouterr().out)[1])
+    items = list(synthesize(config, until=1.0))[:sent]
+    multi_read = sum(
+        isinstance(item, TransactionSpec) and len(item.reads) >= 2
+        for item in items
+    )
+    snapshot = json.loads(out.strip().splitlines()[-1])
+    assert snapshot["extras"]["cross_shard_submits"] == multi_read > 0
+
+    with _serve_cli() as (port, _):
+        assert live_main(["loadgen", "--port", str(port), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert "--cross-shard-frac needs a sharded server" in err
+    assert "Traceback" not in err

@@ -182,10 +182,7 @@ def test_direct_session_ids_are_checked_before_the_shard_lookup():
             self.records.append(record)
 
     runtime = LiveRuntime(shard_config(config, router, 0), "TF")
-    server = IngestServer(
-        runtime, topology=Topology(router.n_low, router.n_high, 2),
-        router=router, index=0,
-    )
+    server = IngestServer(runtime, topology=Topology(router), index=0)
     # A global id this shard owns, past the end of its own (dense) ids.
     owned = next(
         gid for gid in range(len(runtime.database.low), router.n_low)

@@ -5,11 +5,14 @@ One routing plane serves the cluster's public socket (why one:
 skips the hop.  This suite covers that path:
 
 * The ``topology`` control record — a smart client can rebuild the exact
-  ``ShardRouter`` from it, and version skew is refused loudly.
+  shard map from it, and version skew is refused loudly.  ``Topology`` is
+  a value: its epoch moves exactly when its worker table does.
 * Server-side direct mode — a ``hello`` switches the session, global ids
   are localized on accepted records, misroutes and cross-shard read-sets
   come back as typed ``moved`` records, and a stale client epoch gets
   one advisory per epoch change.
+* The standalone door is the one-shard cluster: it names itself in its
+  topology, and a smart client sends it everything direct.
 * Client-side routing parity — for every record ``DirectClient`` ships
   direct, the (shard, localized record) matches what the routing plane's
   ``split_update_run`` / ``split_spec`` produce, and for all six
@@ -26,17 +29,13 @@ import json
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import baseline_config
 from repro.core.sharding import shard_config, split_spec, split_update_run
 from repro.db.objects import ObjectClass, Update
-from repro.db.sharding import (
-    ROUTER_VERSION,
-    ShardRouter,
-    Topology,
-    router_from_topology,
-    topology_record,
-)
+from repro.db.sharding import ROUTER_VERSION, ShardRouter, Topology
 from repro.live import DirectClient, IngestServer, LiveRuntime, ShardCluster
 from repro.workload.codec import (
     WIRE_PREAMBLE,
@@ -46,7 +45,7 @@ from repro.workload.codec import (
 )
 from repro.workload.trace import synthesize
 from repro.workload.transactions import TransactionSpec
-from tests.inprocess import EngineCluster, FrameSession
+from tests.inprocess import EngineCluster, FrameSession, door
 
 ALGORITHMS = ["UF", "TF", "SU", "OD", "FX", "TF-SPLIT"]
 
@@ -58,12 +57,11 @@ OP_TIMEOUT = 30.0
 # ----------------------------------------------------------------------
 def test_router_rebuilt_from_topology_record_is_identical():
     router = ShardRouter(120, 40, 3)
-    record = topology_record(
-        shards=3, n_low=120, n_high=40, epoch=7,
-        workers=[{"shard": i, "host": "127.0.0.1", "port": 9000 + i,
-                  "status": "up"} for i in range(3)],
-    )
-    rebuilt = router_from_topology(record)
+    record = Topology(router, epoch=7, workers=[
+        {"shard": i, "host": "127.0.0.1", "port": 9000 + i, "status": "up"}
+        for i in range(3)
+    ]).record()
+    rebuilt = Topology.from_record(record).router
     for gid in range(120):
         assert rebuilt.shard_of(ObjectClass.VIEW_LOW, gid) == \
             router.shard_of(ObjectClass.VIEW_LOW, gid)
@@ -75,13 +73,45 @@ def test_router_rebuilt_from_topology_record_is_identical():
 
 
 def test_topology_record_refuses_version_skew():
-    record = topology_record(shards=2, n_low=10, n_high=10, epoch=1,
-                             workers=[])
+    record = Topology(ShardRouter(10, 10, 2), epoch=1).record()
     record["router_version"] = ROUTER_VERSION + 1
     with pytest.raises(ValueError, match="router_version"):
-        router_from_topology(record)
+        Topology.from_record(record)
     with pytest.raises(ValueError, match="not a topology record"):
-        router_from_topology({"kind": "snapshot"})
+        Topology.from_record({"kind": "snapshot"})
+
+
+#: Worker tables of up to three shards, from a small domain so that
+#: consecutive tables often repeat.
+_TABLE = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from(["starting", "up", "down"])),
+    min_size=3, max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shards=st.integers(1, 3), tables=st.lists(_TABLE, min_size=1, max_size=6))
+def test_topology_epoch_moves_exactly_when_the_worker_table_does(shards, tables):
+    """Epochs are monotone: ``publish`` adds one exactly when the worker
+    table differs, and a record rebuilds the same map."""
+    topology = Topology(ShardRouter(20, 20, shards))
+    for rows in tables:
+        table = [
+            {"shard": i, "host": "127.0.0.1", "port": port, "status": status}
+            for i, (port, status) in enumerate(rows[:shards])
+        ]
+        epoch, changed = topology.epoch, table != topology.workers
+        assert topology.publish(table) is changed
+        assert topology.epoch == epoch + changed
+        assert topology.workers == table
+        assert topology.publish([dict(row) for row in table]) is False
+        assert topology.epoch == epoch + changed
+
+        record = topology.record()
+        rebuilt = Topology.from_record(record)
+        assert rebuilt.record() == record
+        for klass in (ObjectClass.VIEW_LOW, ObjectClass.VIEW_HIGH):
+            assert rebuilt.router.tables(klass) == topology.router.tables(klass)
 
 
 # ----------------------------------------------------------------------
@@ -116,12 +146,10 @@ def test_direct_session_localizes_and_redirects():
         router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
         workers = [{"shard": i, "host": "127.0.0.1", "port": 9000 + i,
                     "status": "up"} for i in range(2)]
-        topology = Topology(router.n_low, router.n_high, 2,
-                            epoch=3, workers=workers)
+        topology = Topology(router, epoch=3, workers=workers)
         runtime = LiveRuntime(shard_config(config, router, 0), "TF")
         runtime.start()
-        server = IngestServer(runtime, topology=topology, router=router,
-                              index=0)
+        server = IngestServer(runtime, topology=topology, index=0)
         session = await FrameSession.open(*await server.start())
         reply = session.reply
 
@@ -145,7 +173,7 @@ def test_direct_session_localizes_and_redirects():
         assert moved["shard"] == 1
         assert moved["epoch"] == 3
         assert moved["topology"]["kind"] == "topology"
-        assert router_from_topology(moved["topology"]).shards == 2
+        assert Topology.from_record(moved["topology"]).shards == 2
 
         # ... and a cross-shard read-set is refused towards a router.
         session.send(TransactionSpec(
@@ -178,14 +206,13 @@ def test_stale_epoch_gets_one_advisory_per_change():
     async def scenario():
         config = _small_config()
         router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
-        topology = Topology(router.n_low, router.n_high, 2, epoch=5, workers=[
+        topology = Topology(router, epoch=5, workers=[
             {"shard": i, "host": "127.0.0.1", "port": 9000 + i,
              "status": "up"} for i in range(2)
         ])
         runtime = LiveRuntime(shard_config(config, router, 0), "TF")
         runtime.start()
-        server = IngestServer(runtime, topology=topology, router=router,
-                              index=0)
+        server = IngestServer(runtime, topology=topology, index=0)
         session = await FrameSession.open(*await server.start())
 
         session.send({"kind": "hello", "mode": "direct", "epoch": 2})
@@ -210,6 +237,41 @@ def test_stale_epoch_gets_one_advisory_per_change():
     assert direct == 3  # the advisory is advice, not a drop
 
 
+def test_the_standalone_door_is_the_one_shard_cluster():
+    """A plain node serves the one-shard map naming itself at epoch 0,
+    and a smart client against it sends every record direct."""
+    config = _small_config()
+    items = list(synthesize(config, until=config.duration))
+
+    async def scenario():
+        node = door("node", config)
+        host, port = await node.start()
+        session = await FrameSession.open(host, port)
+        session.send({"kind": "topology", "rid": "map"})
+        await session.drain()
+        record = await session.reply(OP_TIMEOUT)
+        session.close()
+        client = DirectClient(host, port, attempts=2)
+        await client.connect()
+        for item in items:
+            await client.send(item)
+        await client.drain()
+        await _wait_for(lambda: node.front.direct_records >= len(items))
+        await client.aclose()
+        await node.stop()
+        return record, client, node.front
+
+    record, client, server = asyncio.run(scenario())
+    assert record["rid"] == "map"
+    assert (record["shards"], record["epoch"]) == (1, 0)
+    assert record["workers"] == [{
+        "shard": 0, "host": server.host, "port": server.port, "status": "up",
+    }]
+    assert client.direct_sends == len(items)
+    assert client.routed_specs == client.moved_redirects == 0
+    assert server.direct_records == len(items)
+
+
 # ----------------------------------------------------------------------
 # Client-side routing parity with the router plane
 # ----------------------------------------------------------------------
@@ -224,7 +286,7 @@ def _client_side(record):
     """An unconnected DirectClient holding a map rebuilt from the wire
     record — exactly what a connected one holds after ``connect()``."""
     client = DirectClient("127.0.0.1", 0)
-    client.router = router_from_topology(record)
+    client.router = Topology.from_record(record).router
     return client
 
 
@@ -274,11 +336,11 @@ def test_direct_routing_agrees_with_the_plane():
     config = config.with_transactions(arrival_rate=10.0)
     items = _parity_workload(config)
 
-    record = topology_record(
-        shards=2, n_low=config.updates.n_low, n_high=config.updates.n_high,
-        epoch=1, workers=[{"shard": i, "host": "h", "port": i, "status": "up"}
-                          for i in range(2)],
-    )
+    record = Topology(
+        ShardRouter(config.updates.n_low, config.updates.n_high, 2), epoch=1,
+        workers=[{"shard": i, "host": "h", "port": i, "status": "up"}
+                 for i in range(2)],
+    ).record()
     client = _client_side(record)
     server_router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
     placement = _plane_placement(server_router, items)
@@ -317,11 +379,11 @@ def test_direct_split_parity_all_algorithms(algorithm):
     config = config.with_updates(arrival_rate=120.0)
     config = config.with_transactions(arrival_rate=10.0)
     items = _parity_workload(config)
-    record = topology_record(
-        shards=2, n_low=config.updates.n_low, n_high=config.updates.n_high,
-        epoch=1, workers=[{"shard": i, "host": "h", "port": i, "status": "up"}
-                          for i in range(2)],
-    )
+    record = Topology(
+        ShardRouter(config.updates.n_low, config.updates.n_high, 2), epoch=1,
+        workers=[{"shard": i, "host": "h", "port": i, "status": "up"}
+                 for i in range(2)],
+    ).record()
 
     def run(direct):
         cluster = EngineCluster(config, algorithm, 2)
@@ -380,11 +442,10 @@ def test_topology_call_is_not_answered_by_an_outcome():
 
         server = await asyncio.start_server(peer, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        topology = topology_record(
-            shards=2, n_low=10, n_high=10, epoch=1,
-            workers=[{"shard": i, "host": "127.0.0.1", "port": port,
-                      "status": "up"} for i in range(2)],
-        )
+        topology = Topology(ShardRouter(10, 10, 2), epoch=1, workers=[
+            {"shard": i, "host": "127.0.0.1", "port": port, "status": "up"}
+            for i in range(2)
+        ]).record()
         outcomes = []
         client = DirectClient("127.0.0.1", port, attempts=2,
                               on_record=outcomes.append)

@@ -235,6 +235,41 @@ def test_sharded_config_splits_the_keyspace_and_budgets():
     assert sum(c.system.os_queue_max for c in configs) >= config.system.os_queue_max
 
 
+@st.composite
+def _valid_configs(draw):
+    n_low, n_high = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    assume(n_low + n_high > 0)
+    p_low = (0.0 if n_low == 0 else 1.0 if n_high == 0
+             else draw(st.floats(0.0, 1.0)))
+    config = baseline_config().with_updates(
+        n_low=n_low, n_high=n_high, p_low=p_low
+    )
+    return config.with_system(
+        os_queue_max=draw(st.integers(1, 10_000)),
+        update_queue_max=draw(st.integers(1, 10_000)),
+    ).validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_valid_configs())
+def test_the_one_shard_cut_is_the_identity(config):
+    """A standalone server is shard 0 of a one-shard map: cutting its
+    config must change nothing, ``update_queue_max=1`` included.  At 2-4
+    shards every budget keeps its split: an even share, the remainder to
+    the low shards, at least 1 (OS queue) or 2 (update queue, so TF-SPLIT
+    builds on every shard)."""
+    updates = config.updates
+    one = ShardRouter(updates.n_low, updates.n_high, 1)
+    assert shard_config(config, one, 0) == config
+    for shards in (2, 3, 4):
+        router = ShardRouter(20, 20, shards)
+        for total in range(1, 65):
+            for shard in range(shards):
+                share = total // shards + (shard < total % shards)
+                assert router.os_budget(shard, total) == max(1, share)
+                assert router.uq_budget(shard, total) == max(2, share)
+
+
 # ----------------------------------------------------------------------
 # The run split: a run of raw update frames, routed as bytes
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ import pytest
 
 from repro.config import baseline_config
 from repro.db.objects import ObjectClass, Update
-from repro.db.sharding import Topology
+from repro.db.sharding import ShardRouter, Topology
 from repro.live import IngestServer, LiveRuntime
 from repro.live.plane import RouterPlane
 from repro.live.wire import (
@@ -425,9 +425,9 @@ def test_stop_ends_open_sessions_without_tracebacks(endpoint):
         # Shard 0 is not up: the plane sheds the record, which is all
         # this test needs — a session that is open and has done work.
         config = _smoke_config()
-        plane = RouterPlane(config, shards=1, topology=Topology(
+        plane = RouterPlane(config, Topology(ShardRouter(
             config.updates.n_low, config.updates.n_high, 1
-        ))
+        )))
         listener = await asyncio.start_server(plane.handle, "127.0.0.1", 0)
         sessions = await open_sessions(*listener.sockets[0].getsockname()[:2])
         while sum(plane.shed_shard_down) < 1 or plane.topology_requests < 1:
