@@ -9,15 +9,15 @@ topology.  The public socket speaks the same wire as a single
 server — clients cannot tell the difference.  This module is the
 *supervisor* side of that:
 
-* **process supervision**: a shard worker is a ``multiprocessing``
-  ("spawn") process behind one entry point (a :class:`WorkerState` here),
-  controlled over a :class:`ControlPipe` (ready / topology / snapshot /
-  stop) — the supervisor's one link to it — while client data flows
-  from the plane over loopback TCP as binary frames.  Each worker
-  rebuilds the (deterministic) :class:`~repro.db.sharding.ShardRouter`
-  from the global config and the shard count, so nothing stateful
-  crosses the process boundary.  Death is an event — the process
-  sentinel turning readable, not a poll: the worker is restarted (fresh
+* **process supervision**: a shard worker is a plain child interpreter
+  behind one entry point (a :class:`WorkerState` here), holding the
+  other end of one socketpair: its :class:`ControlPipe` (start / ready /
+  topology / snapshot / stop), the supervisor's one link to it, while
+  client data flows from the plane over loopback TCP as binary frames.
+  Each worker rebuilds the (deterministic) router from the global
+  config and the shard count, so nothing stateful crosses the process
+  boundary.  Death is an event — EOF on the
+  control pipe, not a poll: the worker is restarted (fresh
   :class:`LiveRuntime`, warm from its log with ``log_dir``, on a
   re-registered port, counted in ``extras["worker_restarts"]``) or, once
   ``restart_limit`` is exhausted, marked **down**; a down worker's
@@ -36,7 +36,7 @@ server — clients cannot tell the difference.  This module is the
   plane's routing accounting and the worker table plus the sum of the
   workers' smart-client counters, so every counter has one owner.
   ``snapshot()`` and ``shutdown()`` skip dead workers under bounded
-  timeouts (join -> terminate -> kill escalation) and note them in
+  timeouts (wait -> terminate -> kill escalation) and note them in
   ``extras``.
 """
 
@@ -45,9 +45,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-import multiprocessing
 import signal
+import socket
+import subprocess
+import sys
 from dataclasses import asdict, dataclass
+from multiprocessing.connection import Connection
 
 from repro.config import SimulationConfig
 from repro.core.sharding import merge_shard_results
@@ -66,10 +69,10 @@ _WORKER_TIMEOUT = 60.0
 #: Bound on one shard's snapshot round trip (a slower shard is skipped).
 _SNAPSHOT_TIMEOUT = 10.0
 
-#: Liveness poll period inside the join -> terminate -> kill escalation.
+#: Liveness poll period inside the wait -> terminate -> kill escalation.
 _POLL_INTERVAL = 0.02
 
-#: Per-stage wait inside the join -> terminate -> kill escalation.
+#: Per-stage wait inside the wait -> terminate -> kill escalation.
 _REAP_GRACE = 2.0
 
 
@@ -206,18 +209,18 @@ class ControlPipe:
 # ----------------------------------------------------------------------
 # Child processes
 # ----------------------------------------------------------------------
-def _ignore_signals() -> None:
-    """Shield a child process from group-delivered SIGINT/SIGTERM (Ctrl-C
-    hits the whole foreground group); shutdown arrives over the pipe, and
-    the daemon flag reaps children if the parent dies."""
+def _child_main(fd: int) -> None:
+    """Entry point of every supervised child, on ``fd``, its end of the
+    control pipe.  The first message is its role (:func:`_start_worker`)
+    and the role's start arguments.
+
+    Group-delivered SIGINT/SIGTERM (Ctrl-C hits the whole foreground
+    group) are ignored: shutdown arrives over the pipe, and a child whose
+    parent dies reads that pipe's EOF as ``stop``."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-
-
-def _child_main(conn, start, *args) -> None:
-    """Entry point of every supervised child (runs in a spawned process);
-    ``start`` is its role: :func:`_start_worker`."""
-    _ignore_signals()
+    conn = Connection(fd)
+    start, *args = conn.recv()
     asyncio.run(_child_async(conn, start, *args))
 
 
@@ -264,23 +267,21 @@ async def _start_worker(
     }
 
 
-async def _reap(process, *, grace: float = _REAP_GRACE) -> None:
-    """Retire one child process with bounded escalation.
-
-    Wait up to ``grace`` for a voluntary exit, then ``terminate()``, wait
-    again, then ``kill()`` — so a hung or signal-shielded child can delay
-    shutdown by at most ``2 * grace`` instead of forever.  Always joins at
-    the end so the child is reaped (no zombies).
-    """
+async def _reap(process: subprocess.Popen, *, grace=_REAP_GRACE) -> None:
+    """Retire one child process with bounded escalation, polled on the
+    loop: wait up to ``grace`` for a voluntary exit, then ``terminate()``,
+    wait again, then ``kill()`` and wait once more — so a hung or
+    signal-shielded child delays shutdown by at most ``3 * grace``, not
+    forever.  An exited child is reaped (no zombie) with its
+    ``returncode`` set."""
     loop = asyncio.get_running_loop()
-    for escalate in (process.terminate, process.kill):
+    for escalate in (process.terminate, process.kill, None):
         deadline = loop.time() + grace
-        while process.is_alive() and loop.time() < deadline:
+        while process.poll() is None and loop.time() < deadline:
             await asyncio.sleep(_POLL_INTERVAL)
-        if not process.is_alive():
-            break
+        if process.returncode is not None or escalate is None:
+            return
         escalate()
-    process.join(timeout=1.0)
 
 
 @dataclass
@@ -308,7 +309,7 @@ class WorkerState:
     """
 
     index: int
-    process: "multiprocessing.process.BaseProcess | None" = None
+    process: "subprocess.Popen | None" = None
     pipe: "ControlPipe | None" = None
     status: str = "starting"
     restarts: int = 0
@@ -325,7 +326,7 @@ class WorkerState:
     def kill(self) -> None:
         """Fault injection: SIGKILL the current incarnation.  The
         supervisor observes the death exactly as it would a real crash."""
-        if self.process is not None and self.process.is_alive():
+        if self.process is not None and self.process.poll() is None:
             self.process.kill()
 
     def liveness(self) -> dict:
@@ -433,12 +434,12 @@ class ShardCluster:
         )
         self.router = self.topology.router
         self._workers: list[WorkerState] = []
-        self._context = None
         self._server: asyncio.AbstractServer | None = None
         #: Set by :meth:`shutdown` (and a failed :meth:`start`): children
         #: exiting from here on were told to, and are not restarted.
         self._stopping = False
-        self._restart_tasks: set[asyncio.Task] = set()
+        #: In-flight :meth:`_recover` tasks (cancelled by shutdown).
+        self._recoveries: set[asyncio.Task] = set()
         self._result: SimulationResult | None = None
         # The routing plane shares this cluster's topology, so it
         # observes supervisor transitions the instant they land.
@@ -462,7 +463,6 @@ class ShardCluster:
         first."""
         if self._workers:
             raise RuntimeError("cluster is already running")
-        self._context = multiprocessing.get_context("spawn")
         self._workers = [WorkerState(index) for index in range(self.shards)]
         try:
             # Side by side: spawn them all, then wait for each to be ready.
@@ -486,30 +486,35 @@ class ShardCluster:
         return self.host, self.port
 
     def _spawn(self, child: WorkerState) -> None:
-        """(Re)create one child: process, control pipe, death watch."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_child_main,
-            args=(
-                child_conn, _start_worker, self.config, child.index,
-                self.shards, self.batch_max,
-                self.algorithm, self.algorithm_kwargs, self.log_dir,
-                self.fsync, self.snapshot_interval,
-                self.views + self._plane.views,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        loop = asyncio.get_running_loop()
-        ready = loop.create_future()
+        """(Re)create one child: a fresh interpreter (with this one's
+        flags and ``sys.path``) holding the only copy of its end of the
+        control pipe, whose EOF is therefore its death."""
+        parent_sock, child_sock = socket.socketpair()
+        with child_sock:
+            fd = child_sock.fileno()
+            entry = (f"import sys; sys.path[:] = {sys.path!r}; from repro."
+                     f"live.cluster import _child_main; _child_main({fd})")
+            process = subprocess.Popen(
+                [sys.executable, *subprocess._args_from_interpreter_flags(),
+                 "-c", entry],
+                pass_fds=(fd,), stdin=subprocess.DEVNULL,
+            )
+        conn = Connection(parent_sock.detach())
+        conn.send((
+            _start_worker, self.config, child.index, self.shards,
+            self.batch_max, self.algorithm, self.algorithm_kwargs,
+            self.log_dir, self.fsync, self.snapshot_interval,
+            self.views + self._plane.views,
+        ))
+        ready = asyncio.get_running_loop().create_future()
         child.process, child.ready = process, ready
-        child.pipe = ControlPipe(parent_conn)
+        child.pipe = ControlPipe(conn)
         child.pipe.watch({
             # not done(): a report racing the incarnation's death loses.
             "ready": lambda info: ready.done() or ready.set_result(info),
+            # This end's "stop" is the peer's EOF: the child is gone.
+            "stop": lambda: self._on_death(child, process),
         })
-        loop.add_reader(process.sentinel, self._on_death, child, process)
 
     async def _await_ready(self, child: WorkerState) -> None:
         """Wait for the current incarnation's ready report; register it."""
@@ -519,11 +524,12 @@ class ShardCluster:
             raise TimeoutError(
                 f"timed out waiting for {child.role} {child.index}"
             ) from None
-        # exitcode: it may also have died in the very turn its report landed.
-        if info is None or child.process.exitcode is not None:
+        # closed: it may also have died in the very turn its report landed.
+        if info is None or child.pipe.conn.closed:
+            await _reap(child.process)
             raise RuntimeError(
                 f"{child.role} {child.index} (pid={child.process.pid}) died "
-                f"before it was ready (exitcode {child.process.exitcode})"
+                f"before it was ready (exitcode {child.process.returncode})"
             )
         for name, value in info.items():
             setattr(child, name, value)
@@ -542,17 +548,13 @@ class ShardCluster:
     # Supervision
     # ------------------------------------------------------------------
     def _on_death(self, child: WorkerState, process) -> None:
-        """``process``, an incarnation of ``child``, has exited (its
-        sentinel turned readable): restart the child or mark it down.
-        A retired incarnation's callback must be inert, hence the
-        identity test; so must one fired during shutdown, where children
-        exit because they were told to."""
-        asyncio.get_running_loop().remove_reader(process.sentinel)
+        """``process``, an incarnation of ``child``, closed its control
+        pipe (exited, or past managing): mark the child restarting or
+        down and :meth:`_recover` it.  A retired incarnation's callback
+        must be inert, hence the identity test; so must one fired during
+        shutdown, where children exit because they were told to."""
         if process is not child.process or self._stopping:
             return
-        # The sentinel closes a moment before the exit status can be
-        # collected; join() blocks for that moment only.
-        process.join(_REAP_GRACE)
         if child.status != "up":
             # Died coming up: whoever awaits its ready report hears of it.
             if not child.ready.done():
@@ -560,17 +562,10 @@ class ShardCluster:
             return
         restart = child.restarts < self.restart_limit
         child.status = "restarting" if restart else "down"
-        logger.warning(
-            "%s %d died (exitcode %s); %s",
-            child.role, child.index, process.exitcode,
-            f"restarting ({child.restarts + 1}/{self.restart_limit})"
-            if restart else "restart budget exhausted — marking down",
-        )
-        if restart:
-            task = asyncio.ensure_future(self._restart(child))
-            self._restart_tasks.add(task)
-            task.add_done_callback(self._restart_tasks.discard)
-        # If that changed the shard map, direct clients must learn the
+        task = asyncio.ensure_future(self._recover(child, restart))
+        self._recoveries.add(task)
+        task.add_done_callback(self._recoveries.discard)
+        # That changed the shard map: direct clients must learn the
         # endpoint is gone before they burn retries against it.
         self._bump_epoch()
 
@@ -579,9 +574,9 @@ class ShardCluster:
         ready — leaves behind.
 
         The single place crash loops, a failed :meth:`start` and shutdown
-        release child-attached resources, so no path can leak: the death
-        watch goes, the control pipe is closed (a child still alive reads
-        that as ``stop``), the process is reaped (join → terminate → kill).
+        release child-attached resources, so no path can leak: the control
+        pipe — the death watch — is closed (a child still alive reads that
+        as ``stop``), the process is reaped (wait → terminate → kill).
 
         Durability files need no parent-side retirement: the dead
         incarnation's log fd died with the process, and the successor
@@ -590,19 +585,26 @@ class ShardCluster:
         """
         if child.process is None:
             return
-        asyncio.get_running_loop().remove_reader(child.process.sentinel)
         child.pipe.close()
         await _reap(child.process)
 
-    async def _restart(self, child: WorkerState) -> None:
-        """Replace a dead child with a fresh incarnation: a fresh runtime
-        on a fresh port (with ``log_dir`` it warm-starts from the shard's
-        snapshot + log before it announces the port).  Meanwhile the child
-        stays non-``up``, so a shard's records are shed rather than queued
-        against a process that may never come back; on failure the child
-        is marked down for good."""
+    async def _recover(self, child: WorkerState, restart: bool) -> None:
+        """Reap a dead child, log its exit status and, with ``restart``,
+        replace it: a fresh runtime on a fresh port (with ``log_dir``
+        warm from the shard's snapshot + log before it announces the
+        port).  Meanwhile the child stays non-``up``, so its records are
+        shed rather than queued against a process that may never come
+        back; on failure the child is marked down for good."""
         try:
             await self._retire(child)
+            logger.warning(
+                "%s %d died (exitcode %s); %s",
+                child.role, child.index, child.process.returncode,
+                f"restarting ({child.restarts + 1}/{self.restart_limit})"
+                if restart else "restart budget exhausted — marking down",
+            )
+            if not restart:
+                return
             self._spawn(child)
             await self._await_ready(child)
             child.restarts += 1
@@ -692,7 +694,7 @@ class ShardCluster:
 
         Dead or unresponsive workers cannot hang the drain: each result
         wait is bounded by ``drain_timeout + shutdown_grace``, every
-        child process is retired through the join -> terminate -> kill
+        child process is retired through the wait -> terminate -> kill
         escalation, and the merged result notes the dead shards in
         ``extras["down_shards"]``.
 
@@ -702,10 +704,10 @@ class ShardCluster:
         if self._result is not None:
             return self._result
         self._stopping = True
-        for task in list(self._restart_tasks):
+        for task in list(self._recoveries):
             task.cancel()
-        if self._restart_tasks:
-            await asyncio.gather(*self._restart_tasks, return_exceptions=True)
+        if self._recoveries:
+            await asyncio.gather(*self._recoveries, return_exceptions=True)
         await self.stop_ingest()
         per_shard, indices = await self._gather(
             "stop", drain_timeout, timeout=drain_timeout + self.shutdown_grace
@@ -739,11 +741,8 @@ class ShardCluster:
             raise ShardDownError("no live shard worker answered a snapshot")
         return self._merge(per_shard, indices)
 
-    def _merge(
-        self,
-        per_shard: list[SimulationResult],
-        indices: "list[int] | None" = None,
-    ) -> SimulationResult:
+    def _merge(self, per_shard: "list[SimulationResult]",
+               indices: "list[int] | None" = None) -> SimulationResult:
         """Merge per-shard results (``indices`` names the shards present).
 
         ``extras`` starts as the plane's live routing accounting and the

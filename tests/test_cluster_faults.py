@@ -22,7 +22,7 @@ file stays in smoke-test territory.
 
 import asyncio
 import dataclasses
-import multiprocessing
+import os
 
 import pytest
 
@@ -344,8 +344,10 @@ def test_failed_start_names_the_dead_child_and_leaks_none(tmp_path):
     assert str(error) == (
         f"shard worker 1 (pid={pid}) died before it was ready (exitcode 1)"
     )
-    assert [w.process.is_alive() for w in cluster._workers] == [False, False]
-    assert multiprocessing.active_children() == []
+    # Both reaped: an exit status each, and no /proc entry (not a zombie).
+    assert None not in [w.process.poll() for w in cluster._workers]
+    assert not [w for w in cluster._workers
+                if os.path.exists(f"/proc/{w.process.pid}")]
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +530,8 @@ def test_close_session_counts_channel_failures():
             # A corrupt frame header (body length over the cap) is
             # session-fatal for the channel's reader loop.
             writer.write(FRAME_HEADER.pack(0x7E, MAX_FRAME_BODY + 1))
-            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
 
         server = await asyncio.start_server(bad_server, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
@@ -629,7 +632,7 @@ def test_connect_with_retry_reaches_late_server():
             nonlocal server
             await asyncio.sleep(0.3)
             server = await asyncio.start_server(
-                lambda r, w: None, "127.0.0.1", port
+                lambda r, w: w.close(), "127.0.0.1", port
             )
 
         binder = asyncio.ensure_future(bind_late())
@@ -650,7 +653,9 @@ def test_connect_with_retry_reresolves_callable_port():
     restarts onto a new port is found mid-retry."""
 
     async def scenario():
-        server = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
+        server = await asyncio.start_server(
+            lambda r, w: w.close(), "127.0.0.1", 0
+        )
         good_port = server.sockets[0].getsockname()[1]
         ports = iter([1, good_port])  # first attempt: a dead port
         reader, writer = await connect_with_retry(

@@ -1,4 +1,4 @@
-"""The cluster's control endpoint, in-process (no ``spawn``).
+"""The cluster's control endpoint, in-process (no child processes).
 
 ``ControlPipe`` is the one thing both ends of a supervised child's pipe
 are wrapped in, and ``_child_async`` is the one child-side control loop.
@@ -13,7 +13,6 @@ deterministic transport for the cluster protocol plugs into.
 import asyncio
 import logging
 import multiprocessing
-import os
 from dataclasses import asdict
 
 import pytest
@@ -242,19 +241,17 @@ def test_retired_pipe_is_deaf_to_a_late_eof():
 
 
 class FakeProcess:
-    """What ``_on_death`` touches of a process: sentinel, join, exitcode."""
+    """What a death touches of a ``Popen``: an exited, reaped child."""
 
-    exitcode = -9
+    returncode = -9
 
-    def __init__(self):
-        self.sentinel, self._write_end = os.pipe()
+    def poll(self):
+        return self.returncode
 
-    def join(self, timeout=None):
-        pass
+    def terminate(self):
+        raise AssertionError("an exited child is never signalled")
 
-    def close(self):
-        os.close(self.sentinel)
-        os.close(self._write_end)
+    kill = terminate
 
 
 class RecordingPipe:
@@ -262,9 +259,13 @@ class RecordingPipe:
 
     def __init__(self):
         self.posted = []
+        self.closed = False
 
     def post(self, *message):
         self.posted.append(message)
+
+    def close(self):
+        self.closed = True
 
 
 def _bare_cluster(restart_limit, processes):
@@ -281,8 +282,8 @@ def _bare_cluster(restart_limit, processes):
 
 
 def test_death_of_a_retired_incarnation_changes_nothing():
-    """The sentinel callback of an incarnation that has been replaced (or
-    one firing during shutdown) must be inert."""
+    """The EOF callback of an incarnation that has been replaced (or one
+    firing during shutdown) must be inert."""
 
     async def scenario():
         retired, current = FakeProcess(), FakeProcess()
@@ -296,14 +297,12 @@ def test_death_of_a_retired_incarnation_changes_nothing():
 
         assert (worker.status, worker.restarts) == ("up", 0)
         assert cluster.topology.epoch == epoch
-        assert not cluster._restart_tasks
-        retired.close()
-        current.close()
+        assert not cluster._recoveries
 
     asyncio.run(scenario())
 
 
-def test_death_past_the_restart_budget_marks_down_and_bumps_the_epoch():
+def test_death_past_the_restart_budget_marks_down_and_bumps_the_epoch(caplog):
     async def scenario():
         process = FakeProcess()
         cluster = _bare_cluster(0, [process, None])
@@ -319,7 +318,11 @@ def test_death_past_the_restart_budget_marks_down_and_bumps_the_epoch():
         # A bump with the shard map unchanged moves nothing.
         cluster._bump_epoch()
         assert cluster.topology.epoch == epoch + 1
-        process.close()
+        # The dead incarnation is reaped off the loop, and its exit
+        # status is the one logged.
+        await asyncio.gather(*cluster._recoveries)
+        assert worker.pipe.closed
+        assert "shard worker 0 died (exitcode -9)" in caplog.text
 
     asyncio.run(scenario())
 

@@ -127,9 +127,9 @@ def test_live_server_roundtrip():
 
 @contextlib.contextmanager
 def _serve_cli(*serve_args):
-    """A `repro-live serve --port 0` process (plus ``serve_args``), its
-    port read off the banner; SIGINT on the way out.  Yields
-    ``(port, outcome)``, and ``outcome`` is filled with
+    """A `repro-live serve --port 0` process (plus ``serve_args``) leading
+    its own session, its port read off the banner; SIGINT on the way out.
+    Yields ``(port, outcome, pid)``, and ``outcome`` is filled with
     ``(returncode, stdout, stderr)``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
@@ -138,6 +138,7 @@ def _serve_cli(*serve_args):
          "--port", "0", "--metrics", "none", "--drain-timeout", "2",
          *serve_args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        start_new_session=True,
     )
     outcome = []
     try:
@@ -147,7 +148,8 @@ def _serve_cli(*serve_args):
         while b"serving on" not in banner and time.monotonic() < deadline:
             banner += proc.stderr.read1(4096)
         assert b"serving on" in banner
-        yield int(re.search(rb"serving on [^ ]+:(\d+)", banner)[1]), outcome
+        port = int(re.search(rb"serving on [^ ]+:(\d+)", banner)[1])
+        yield port, outcome, proc.pid
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=15)
         outcome.extend((proc.returncode, out.decode(), err.decode()))
@@ -157,9 +159,57 @@ def _serve_cli(*serve_args):
             proc.communicate()
 
 
+def _group(pgid):
+    """Command lines of the live (not zombie) processes in group ``pgid``."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                state, _, group = stat.read().rsplit(")", 1)[1].split()[:3]
+            with open(f"/proc/{pid}/cmdline", "rb") as cmdline:
+                command = cmdline.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue  # exited between the listing and the read
+        if int(group) == pgid and state != "Z":
+            members.append(command)
+    return members
+
+
+def _wait_for_empty_group(pgid, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while (members := _group(pgid)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_a_sharded_serve_is_the_supervisor_plus_one_process_per_shard():
+    """`serve --shards 2` is three processes — no helper interpreter
+    beside the workers — and SIGINT leaves none of them behind."""
+    with _serve_cli("--shards", "2") as (_, outcome, pid):
+        members = _group(pid)
+        assert len(members) == 3, members
+        assert not [m for m in members if "resource_tracker" in m], members
+    returncode, _, err = outcome
+    assert returncode == 0, err
+    assert _wait_for_empty_group(pid) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_a_worker_never_outlives_its_supervisor():
+    """SIGKILL of the supervisor: every worker reads its control pipe's
+    EOF as ``stop`` and exits, quietly and within seconds."""
+    with _serve_cli("--shards", "2") as (_, outcome, pid):
+        os.kill(pid, signal.SIGKILL)
+        assert _wait_for_empty_group(pid) == []
+    returncode, _, err = outcome
+    assert returncode == -signal.SIGKILL
+    assert "Traceback" not in err, err
+
+
 def test_serve_cli_drains_cleanly_on_sigint(tmp_path):
     """`repro-live serve` + SIGINT → exit 0 and a final JSON snapshot."""
-    with _serve_cli() as (_, outcome):
+    with _serve_cli() as (_, outcome, _):
         pass
     returncode, out, err = outcome
     assert returncode == 0, err
@@ -183,7 +233,7 @@ def test_loadgen_cli_delivers_every_update_it_sends(tmp_path, mode, capsys):
         items = list(synthesize(config.replace(seed=6), until=0.5))
         save_trace(path, items)
         argv += ["--trace", str(path)]
-    with _serve_cli() as (port, outcome):
+    with _serve_cli() as (port, outcome, _):
         assert live_main(["loadgen", "--port", str(port), *argv]) == 0
     returncode, out, err = outcome
     assert returncode == 0, err
@@ -204,7 +254,7 @@ def test_loadgen_cross_shard_frac_routes_by_the_servers_shard_map(capsys):
     config = config.with_transactions(arrival_rate=40.0)
     argv = ["--seed", "5", "--lambda-u", "50", "--lambda-t", "40",
             "--seconds", "1", "--cross-shard-frac", "1.0"]
-    with _serve_cli("--shards", "2") as (port, outcome):
+    with _serve_cli("--shards", "2") as (port, outcome, _):
         assert live_main(["loadgen", "--port", str(port), *argv]) == 0
     returncode, out, err = outcome
     assert returncode == 0, err
@@ -217,7 +267,7 @@ def test_loadgen_cross_shard_frac_routes_by_the_servers_shard_map(capsys):
     snapshot = json.loads(out.strip().splitlines()[-1])
     assert snapshot["extras"]["cross_shard_submits"] == multi_read > 0
 
-    with _serve_cli() as (port, _):
+    with _serve_cli() as (port, _, _):
         assert live_main(["loadgen", "--port", str(port), *argv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1, err
