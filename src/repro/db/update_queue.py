@@ -47,10 +47,13 @@ class UpdateQueue:
     identical to its updates pushed one at a time (state, counters,
     returned discards, observer calls).
 
+    The queue counts only its discards: what entered it is the
+    controller's ``update_accounting.enqueued``, and what it holds is
+    ``len(queue)``.
+
     Attributes:
         capacity: Maximum number of live queued updates (``UQmax``).
         indexed: Whether the newest-per-object hash index is active.
-        total_pushed: Updates accepted into the queue.
         overflow_discards: Updates discarded to make room (oldest-first).
         expired_discards: Updates discarded because they exceeded max age.
         superseded_discards: Updates discarded by the index because a newer
@@ -80,14 +83,12 @@ class UpdateQueue:
         self._head = 0
         self._by_object: dict[ObjectKey, list[Update]] = {}
         self._live = 0
-        self.total_pushed = 0
         self.overflow_discards = 0
         self.expired_discards = 0
         self.superseded_discards = 0
 
     def reset_counters(self) -> None:
         """Zero the discard counters (warmup boundary); content stays."""
-        self.total_pushed = 0
         self.overflow_discards = 0
         self.expired_discards = 0
         self.superseded_discards = 0
@@ -152,7 +153,6 @@ class UpdateQueue:
                 items.append(update)
             update.queued = True
             self._live += 1
-            self.total_pushed += 1
             bucket = by_object.get(key)
             if bucket is None:
                 by_object[key] = [update]
@@ -409,10 +409,6 @@ class PartitionedUpdateQueue:
         yield from self.low
 
     # -- aggregated counters ------------------------------------------------
-    @property
-    def total_pushed(self) -> int:
-        return self.high.total_pushed + self.low.total_pushed
-
     @property
     def overflow_discards(self) -> int:
         return self.high.overflow_discards + self.low.overflow_discards

@@ -23,14 +23,14 @@ from repro.config import (
     StalenessPolicy,
 )
 from repro.core.algorithms.registry import PAPER_ALGORITHMS
-from repro.core.simulator import run_simulation
 from repro.experiments.cache import ResultCache
 from repro.experiments.sweeps import (
     ExperimentScale,
     Sweep,
-    map_cells,
+    run_cells,
     run_sweep,
     scaled_baseline,
+    simulate_cell,
 )
 from repro.metrics.report import format_table
 from repro.metrics.results import SimulationResult
@@ -143,12 +143,6 @@ def clear_sweep_cache() -> None:
         _ACTIVE_DISK_CACHE.clear()
 
 
-def _sim_cell(args: tuple) -> SimulationResult:
-    """Worker entry for one ablation cell (picklable)."""
-    config, name, kwargs = args
-    return run_simulation(config, name, **kwargs)
-
-
 def _transformed_sim_cell(args: tuple) -> SimulationResult:
     """Worker for the view-complexity ablation: installs run through an
     exponentially-weighted average transformer on both view classes."""
@@ -161,43 +155,6 @@ def _transformed_sim_cell(args: tuple) -> SimulationResult:
     sim.database.set_transformer(ObjectClass.VIEW_LOW, exponential_average(0.3))
     sim.database.set_transformer(ObjectClass.VIEW_HIGH, exponential_average(0.3))
     return sim.run()
-
-
-def _run_cells(
-    worker: Callable,
-    cells: Sequence[tuple],
-    workers: int = 1,
-    cache: ResultCache | None = None,
-    extra: str = "",
-) -> list[SimulationResult]:
-    """Run ``(config, algorithm, kwargs)`` cells through the cache + pool.
-
-    The ablation builders' inline loops all funnel through here so they
-    get the same parallel fan-out and persistent memoization as
-    :func:`~repro.experiments.sweeps.run_sweep`.  ``extra`` tags cells
-    whose behaviour the config alone cannot address (e.g. an installed
-    update transformer) so they never collide with plain runs.
-    """
-    _note_disk_cache(cache)
-    results: list[SimulationResult | None] = [None] * len(cells)
-    if cache is not None:
-        misses = []
-        for position, (config, name, kwargs) in enumerate(cells):
-            hit = cache.get(config, name, kwargs, extra)
-            if hit is not None:
-                results[position] = hit
-            else:
-                misses.append(position)
-    else:
-        misses = list(range(len(cells)))
-    if misses:
-        computed = map_cells(worker, [cells[i] for i in misses], workers)
-        for position, result in zip(misses, computed):
-            results[position] = result
-            if cache is not None:
-                config, name, kwargs = cells[position]
-                cache.put(config, name, result, kwargs, extra)
-    return results
 
 
 def _lambda_t_sweep(
@@ -1052,7 +1009,8 @@ def ablation_indexed_queue(
         cells.append((plain_config, "OD", {}))
         cells.append((plain_config.with_system(indexed_update_queue=True),
                       "OD", {}))
-    results = _run_cells(_sim_cell, cells, workers, cache)
+    _note_disk_cache(cache)
+    results = run_cells(simulate_cell, cells, workers, cache)
     columns_av: dict[str, list[tuple[float, float]]] = {"OD": [], "OD-IDX": []}
     columns_ps: dict[str, list[tuple[float, float]]] = {"OD": [], "OD-IDX": []}
     for x, plain, indexed in zip(grid, results[::2], results[1::2]):
@@ -1089,7 +1047,8 @@ def ablation_fixed_fraction(
     base = scaled_baseline(scale)
     fractions = (0.0, 0.1, 0.2, 0.3, 0.5)
     cells = [(base, "FX", {"fraction": fraction}) for fraction in fractions]
-    results = _run_cells(_sim_cell, cells, workers, cache)
+    _note_disk_cache(cache)
+    results = run_cells(simulate_cell, cells, workers, cache)
     columns: dict[str, list[tuple[float, float]]] = {
         "p_success": [],
         "AV": [],
@@ -1166,7 +1125,8 @@ def ablation_preemption(
         cells.append((off_config, "TF", {}))
         cells.append((off_config.with_system(transaction_preemption=True),
                       "TF", {}))
-    results = _run_cells(_sim_cell, cells, workers, cache)
+    _note_disk_cache(cache)
+    results = run_cells(simulate_cell, cells, workers, cache)
     columns_md: dict[str, list[tuple[float, float]]] = {"TF": [], "TF+preempt": []}
     columns_av: dict[str, list[tuple[float, float]]] = {"TF": [], "TF+preempt": []}
     for x, off, on in zip(grid, results[::2], results[1::2]):
@@ -1215,7 +1175,8 @@ def ablation_view_complexity(
     ]
     # The transformer is run-time state the config cannot express, so the
     # cells carry an ``extra`` tag to keep them apart from plain runs.
-    results = _run_cells(
+    _note_disk_cache(cache)
+    results = run_cells(
         _transformed_sim_cell, cells, workers, cache,
         extra="transformer:exponential_average(0.3)",
     )
@@ -1274,7 +1235,8 @@ def ablation_bursty_feed(
             )
         for name in algorithms:
             cells.append((config, name, {}))
-    results = _run_cells(_sim_cell, cells, workers, cache)
+    _note_disk_cache(cache)
+    results = run_cells(simulate_cell, cells, workers, cache)
     columns_ps: dict[str, list[tuple[float, float]]] = {a: [] for a in algorithms}
     columns_md: dict[str, list[tuple[float, float]]] = {a: [] for a in algorithms}
     pairs = zip(cells, results)

@@ -147,11 +147,11 @@ class Sweep:
         return [y for _, y in self.series(algorithm, metric)]
 
 
-def _run_cell(args: tuple) -> SweepPoint:
-    """Worker entry for one (x, algorithm) sweep cell (picklable)."""
-    x, config, name, kwargs = args
-    return SweepPoint(x=x, algorithm=name,
-                      result=run_simulation(config, name, **kwargs))
+def simulate_cell(args: tuple) -> SimulationResult:
+    """Worker entry for one ``(config, algorithm, kwargs)`` cell
+    (picklable)."""
+    config, name, kwargs = args
+    return run_simulation(config, name, **kwargs)
 
 
 def map_cells(worker: Callable, cells: Sequence, workers: int = 1) -> list:
@@ -169,6 +169,37 @@ def map_cells(worker: Callable, cells: Sequence, workers: int = 1) -> list:
 
     with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
         return list(pool.map(worker, cells))
+
+
+def run_cells(
+    worker: Callable,
+    cells: Sequence[tuple],
+    workers: int = 1,
+    cache: "ResultCache | None" = None,
+    extra: str = "",
+) -> list[SimulationResult]:
+    """Run ``(config, algorithm, kwargs)`` cells through the cache + pool.
+
+    Cache hits skip the simulation; the misses fan out through
+    :func:`map_cells` and are stored once run.  ``extra`` tags cells
+    whose behaviour the config alone cannot address (e.g. an installed
+    update transformer) so they never collide with plain runs.
+    """
+    results: list = [None] * len(cells)
+    misses = []
+    for position, (config, name, kwargs) in enumerate(cells):
+        hit = None if cache is None else cache.get(config, name, kwargs, extra)
+        if hit is None:
+            misses.append(position)
+        else:
+            results[position] = hit
+    computed = map_cells(worker, [cells[i] for i in misses], workers)
+    for position, result in zip(misses, computed):
+        results[position] = result
+        if cache is not None:
+            config, name, kwargs = cells[position]
+            cache.put(config, name, result, kwargs, extra)
+    return results
 
 
 def run_sweep(
@@ -196,34 +227,19 @@ def run_sweep(
         cache: Optional persistent result cache; hits skip the simulation
             entirely and misses are stored after running.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     sweep = Sweep(x_label=x_label, algorithms=tuple(algorithms))
     kwargs_by_name = algorithm_kwargs or {}
-    cells = []
+    grid, cells = [], []
     for x in xs:
         config = configure(base_config, x).validate()
         for name in algorithms:
-            cells.append((x, config, name, kwargs_by_name.get(name, {})))
-    points: list[SweepPoint | None] = [None] * len(cells)
-    misses = []
-    if cache is not None:
-        for position, (x, config, name, kwargs) in enumerate(cells):
-            result = cache.get(config, name, kwargs)
-            if result is not None:
-                points[position] = SweepPoint(x=x, algorithm=name, result=result)
-            else:
-                misses.append(position)
-    else:
-        misses = list(range(len(cells)))
-    if misses:
-        computed = map_cells(_run_cell, [cells[i] for i in misses], workers)
-        for position, point in zip(misses, computed):
-            points[position] = point
-            if cache is not None:
-                _, config, name, kwargs = cells[position]
-                cache.put(config, name, point.result, kwargs)
-    sweep.points.extend(points)
+            grid.append((x, name))
+            cells.append((config, name, kwargs_by_name.get(name, {})))
+    results = run_cells(simulate_cell, cells, workers, cache)
+    sweep.points.extend(
+        SweepPoint(x=x, algorithm=name, result=result)
+        for (x, name), result in zip(grid, results)
+    )
     return sweep
 
 

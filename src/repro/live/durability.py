@@ -1,9 +1,7 @@
 """Durability for the live runtime: write-ahead log, snapshots, replay.
 
-A supervised restart (see :mod:`repro.live.cluster`) used to bring a shard
-back *empty*: every crash silently reset generation timestamps and
-staleness integrals for that keyspace slice.  This module makes restarts
-warm with the classic log + snapshot pair:
+A supervised restart (see :mod:`repro.live.cluster`) brings a shard back
+*warm* through the classic log + snapshot pair:
 
 * :class:`UpdateLog` — a per-shard append-only log of binary update
   frames, written from the ingest path *after* OSmax admission so the log
@@ -15,9 +13,9 @@ warm with the classic log + snapshot pair:
   tail is recognized byte-exactly.
 * :class:`SnapshotStore` — atomically replaced compacted snapshots of the
   full measured state: view-object values + generation timestamps, the
-  staleness-integral ledgers, and every counter behind
-  :class:`~repro.metrics.results.SimulationResult`.  After a snapshot at
-  LSN ``L`` the log is truncated (``rotate``) to base LSN ``L``.
+  staleness-integral ledgers, and the runtime's counter objects saved
+  whole under their attribute names.  After a snapshot at LSN ``L`` the
+  log is truncated (``rotate``) to base LSN ``L``.
 * :class:`DurabilityManager` — restart-path recovery:
   load the snapshot, re-ingest the log records at or past the snapshot
   LSN through the normal ingest path (idempotent — the database's
@@ -26,28 +24,29 @@ warm with the classic log + snapshot pair:
   ``WallClock(start_at=...)`` so restored timestamps and new measurements
   share one clock.
 
-Consistency note: the snapshot LSN is read, the state captured, the file
-replaced, and the log rotated in one synchronous block on the worker's
-event loop, so a crash can only leave *more* log records than the
-snapshot needs — replay filters on the recorded LSN and the worthiness
-check guards the (unreachable in practice) overlap.
+Consistency note: LSN read, capture, replace and rotate are one
+synchronous block on the worker's event loop, so a crash can only leave
+*more* log records than the snapshot needs; replay filters on its LSN.
 
 Fsync policy trade-offs (see docs/DURABILITY.md): the log file is opened
 unbuffered, so every append is a single ``write(2)`` and survives a
 *process* crash even with ``fsync=never``; ``interval`` bounds data loss
 on a *machine* crash to the sync interval; ``always`` makes every batch
-durable before ingest returns.
+durable before ingest returns.  Under both, a snapshot is on disk before
+the log it covers is cut.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import reduce
 
 from repro.db.objects import Update
 from repro.db.update_queue import PartitionedUpdateQueue
@@ -79,7 +78,7 @@ LOG_HEADER_BYTES = FRAME_HEADER.size + _LOG_HEADER.size
 LOG_RECORD_BYTES = FRAME_HEADER.size + _UPDATE_BODY.size
 
 #: Snapshot payload schema, versioned independently of the wire.
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 #: Fsync policies accepted by :class:`UpdateLog`.
 FSYNC_POLICIES = ("never", "interval", "always")
@@ -95,18 +94,16 @@ class LogReplay:
     """Everything :func:`read_log` learned about one log file."""
 
     shard: int = 0
-    schema_version: int = WIRE_SCHEMA_VERSION
     base_lsn: int = 0
     updates: list = field(default_factory=list)
+    #: ``base_lsn`` plus the records read: a value, so it outlives the
+    #: ``updates`` list once recovery has released it.
+    next_lsn: int = 0
     #: Prefix of the file that parsed cleanly; the tail past it is torn or
     #: corrupt and is truncated away when the log is reopened for append.
     valid_bytes: int = 0
     truncated: bool = False
     reason: str | None = None
-
-    @property
-    def next_lsn(self) -> int:
-        return self.base_lsn + len(self.updates)
 
 
 def read_log(path: str) -> LogReplay:
@@ -140,10 +137,8 @@ def read_log(path: str) -> LogReplay:
             f"v{WIRE_SCHEMA_VERSION}"
         )
     replay = LogReplay(shard=shard, base_lsn=base_lsn)
-    # The body cap is the satellite knob on FrameDecoder: any declared
-    # length beyond one update body is garbage, and capping there makes
-    # the decoder *raise* on it instead of buffering up to 16 MiB of
-    # bytes that will never arrive — tolerate-and-stop, not hang.
+    # Any declared length beyond one update body is garbage: the cap makes
+    # the decoder raise on it instead of waiting for bytes that never come.
     decoder = FrameDecoder(max_body=_UPDATE_BODY.size)
     reason = None
     updates = replay.updates
@@ -165,6 +160,7 @@ def read_log(path: str) -> LogReplay:
         updates.append(record)
     if reason is None and decoder.pending_bytes:
         reason = f"torn tail frame ({decoder.pending_bytes} bytes)"
+    replay.next_lsn = base_lsn + len(updates)
     replay.valid_bytes = LOG_HEADER_BYTES + len(updates) * LOG_RECORD_BYTES
     replay.truncated = reason is not None or replay.valid_bytes < len(blob)
     replay.reason = reason
@@ -185,14 +181,8 @@ class UpdateLog:
         syncs: fsync calls issued (fsync-policy observability).
     """
 
-    def __init__(
-        self,
-        path: str,
-        shard: int = 0,
-        *,
-        fsync: str = "never",
-        fsync_interval: float = 0.2,
-    ) -> None:
+    def __init__(self, path: str, shard: int = 0, *, fsync: str = "never",
+                 fsync_interval: float = 0.2) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
@@ -209,16 +199,19 @@ class UpdateLog:
         self._file = None
         self._last_sync = time.monotonic()
 
-    def open(self) -> LogReplay:
+    def open(self, scan: LogReplay | None = None) -> LogReplay:
         """Open for append, truncating any corrupt tail; returns the scan.
 
-        An existing healthy log keeps its records (they stay replayable
-        until the next :meth:`rotate`); a missing or unusable file is
-        replaced with a fresh header at base LSN 0.
+        ``scan`` is this file's :func:`read_log`, when the caller already
+        holds it (the manager reads its recovery plan at construction);
+        without one the file is read here.  An existing healthy log keeps
+        its records (they stay replayable until the next :meth:`rotate`);
+        a missing or unusable file is replaced with a fresh header at base
+        LSN 0.
         """
         if self._file is not None:
             raise RuntimeError("log is already open")
-        replay = read_log(self.path)
+        replay = read_log(self.path) if scan is None else scan
         if replay.reason is not None and replay.valid_bytes == 0:
             self._file = open(self.path, "wb", buffering=0)
             self._file.write(_encode_log_header(self.shard, 0))
@@ -245,12 +238,9 @@ class UpdateLog:
         count = len(updates)
         self.next_lsn += count
         self.records_appended += count
-        if self.fsync == "always":
-            os.fsync(file.fileno())
-            self.syncs += 1
-        elif self.fsync == "interval":
+        if self.fsync != "never":
             now = time.monotonic()
-            if now - self._last_sync >= self.fsync_interval:
+            if self.fsync == "always" or now - self._last_sync >= self.fsync_interval:
                 os.fsync(file.fileno())
                 self.syncs += 1
                 self._last_sync = now
@@ -283,16 +273,31 @@ class UpdateLog:
 
 
 class SnapshotStore:
-    """Atomically replaced JSON snapshot of one shard's full state."""
+    """Atomically replaced JSON snapshot of one shard's full state.
 
-    def __init__(self, path: str) -> None:
+    With ``sync``, :meth:`save` fsyncs the new file before it replaces the
+    old one and the directory after, so the snapshot is on disk before the
+    caller cuts the log it covers.
+    """
+
+    def __init__(self, path: str, *, sync: bool = False) -> None:
         self.path = path
+        self.sync = sync
 
     def save(self, state: dict) -> None:
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(state, handle, separators=(",", ":"))
+            if self.sync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, self.path)
+        if self.sync:
+            directory = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
 
     def load(self) -> dict | None:
         """The last complete snapshot, or None (missing/corrupt → cold)."""
@@ -309,32 +314,72 @@ class SnapshotStore:
 # ----------------------------------------------------------------------
 # State capture / restore
 # ----------------------------------------------------------------------
+#: The runtime's counter objects, saved whole under their attribute names:
+#: a counter added to one of them is carried across a restart as it is.
+BOOKS = ("transaction_log", "update_accounting", "cpu")
+
+#: Single counters outside the books, by attribute path from the runtime.
+_COUNTERS = (
+    "os_queue.dropped",
+    "database.installs_applied",
+    "database.installs_skipped",
+    "clock.events_dispatched",
+    "watchdog_alerts",
+    "transactions_shed",
+    "ingest_rejected",
+)
+
+#: Each update-queue part's discard counters.
+_QUEUE_COUNTERS = ("overflow_discards", "expired_discards", "superseded_discards")
+
+
+def _copy(value):
+    """A JSON round trip: the copy shares no mutable object with its
+    source, and an in-memory capture equals a saved-and-loaded one."""
+    return json.loads(json.dumps(value))
+
+
+def _counter_paths(runtime) -> list:
+    parts = ["update_queue"]
+    if isinstance(runtime.update_queue, PartitionedUpdateQueue):
+        parts = ["update_queue.high", "update_queue.low"]
+    return [*_COUNTERS, *(f"{part}.{name}" for part in parts
+                          for name in _QUEUE_COUNTERS)]
+
+
+def _owner(runtime, path: str):
+    """The object holding counter ``path``, and the counter's name."""
+    *owners, name = path.split(".")
+    return reduce(getattr, owners, runtime), name
+
+
+def _require_names(what: str, saved, expected) -> None:
+    if set(saved) != set(expected):
+        raise ValueError(f"snapshot section {what!r} does not match this "
+                         f"build: {sorted(set(saved) ^ set(expected))}")
+
+
 def _capture_objects(database) -> dict:
     out = {}
     for name, partition in (("low", database.low), ("high", database.high)):
         out[name] = [
-            [
-                obj.value,
-                obj.generation_time,
-                obj.arrival_time,
-                obj.install_time,
-                obj.installs,
-                obj.attribute_generations,
-            ]
+            [obj.value, obj.generation_time, obj.arrival_time,
+             obj.install_time, obj.installs, obj.attribute_generations]
             for obj in partition
         ]
     return out
 
 
 def _restore_objects(database, objects: dict) -> None:
-    for name, partition in (("low", database.low), ("high", database.high)):
-        rows = objects[name]
-        if len(rows) != len(partition):
+    partitions = (("low", database.low), ("high", database.high))
+    for name, partition in partitions:
+        if len(objects[name]) != len(partition):
             raise ValueError(
-                f"snapshot has {len(rows)} {name} objects, config builds "
-                f"{len(partition)}"
+                f"snapshot has {len(objects[name])} {name} objects, config "
+                f"builds {len(partition)}"
             )
-        for obj, row in zip(partition, rows):
+    for name, partition in partitions:
+        for obj, row in zip(partition, objects[name]):
             (obj.value, obj.generation_time, obj.arrival_time,
              obj.install_time, obj.installs, attribute_generations) = row
             if attribute_generations is not None:
@@ -343,10 +388,7 @@ def _restore_objects(database, objects: dict) -> None:
 
 def _capture_ledger(ledger) -> dict:
     state: dict = {
-        "stale_seconds": {
-            klass.value: seconds
-            for klass, seconds in ledger.stale_seconds.items()
-        },
+        "stale_seconds": {k.value: v for k, v in ledger.stale_seconds.items()},
         "measure_start": ledger.measure_start,
     }
     if isinstance(ledger, UnappliedUpdateLedger):
@@ -376,36 +418,6 @@ def _restore_ledger(ledger, state: dict) -> None:
     # in the restored objects' generation/install timestamps.
 
 
-def _queue_parts(queue) -> dict:
-    if isinstance(queue, PartitionedUpdateQueue):
-        return {"high": queue.high, "low": queue.low}
-    return {"single": queue}
-
-
-def _capture_queues(queue) -> dict:
-    # ``total_pushed - len(part)``: records still parked in the queue die
-    # with the process, so their pushes leave the books with them (the
-    # same subtraction the arrival counters get in restore_state).
-    return {
-        name: [
-            part.total_pushed - len(part),
-            part.overflow_discards,
-            part.expired_discards,
-            part.superseded_discards,
-        ]
-        for name, part in _queue_parts(queue).items()
-    }
-
-
-def _restore_queues(queue, state: dict) -> None:
-    for name, part in _queue_parts(queue).items():
-        row = state.get(name)
-        if row is None:
-            continue
-        (part.total_pushed, part.overflow_discards,
-         part.expired_discards, part.superseded_discards) = row
-
-
 def capture_state(runtime, *, lsn: int, shard: int = 0) -> dict:
     """Serialize everything a warm restart needs, as one JSON document.
 
@@ -413,11 +425,29 @@ def capture_state(runtime, *, lsn: int, shard: int = 0) -> dict:
     worker's event loop guarantees that) and *before*
     ``runtime.finalize()`` — finalization destructively closes the
     ledgers' open stale intervals, and this capture records them open.
+
+    The work that dies with the process leaves the books here, so that
+    :func:`restore_state` only loads them: updates parked in the OS
+    queue, the direct-install list, the burst in progress or the update
+    queue were logged below ``lsn`` and are not replayed, and in-flight
+    transactions die with their clients::
+
+        update_accounting.arrived  -= parked updates (all four places)
+        update_accounting.received -= updates in the update queue
+        update_accounting.enqueued -= updates in the update queue
+        transaction_log.arrived    -= transactions in flight
     """
-    database = runtime.database
-    log = runtime.transaction_log
-    accounting = runtime.update_accounting
-    cpu = runtime.cpu
+    database, controller = runtime.database, runtime.controller
+    books = {name: _copy(vars(getattr(runtime, name))) for name in BOOKS}
+    queued = len(runtime.update_queue)
+    accounting = books["update_accounting"]
+    accounting["arrived"] -= (
+        len(runtime.os_queue) + len(controller.direct_installs)
+        + controller.unsettled_updates() + queued
+    )
+    accounting["received"] -= queued
+    accounting["enqueued"] -= queued
+    books["transaction_log"]["arrived"] -= runtime.transaction_log.in_flight
     return {
         "schema": SNAPSHOT_SCHEMA,
         "wire_schema": WIRE_SCHEMA_VERSION,
@@ -426,103 +456,44 @@ def capture_state(runtime, *, lsn: int, shard: int = 0) -> dict:
         "wall_time": runtime.clock.now,
         "measure_start": runtime.measure_start,
         "algorithm": runtime.algorithm.name,
-        "result": asdict(runtime.snapshot()),
+        "books": books,
+        "counters": {
+            path: getattr(*_owner(runtime, path))
+            for path in _counter_paths(runtime)
+        },
         "objects": _capture_objects(database),
         "ledger": _capture_ledger(runtime.ledger),
-        "queues": _capture_queues(runtime.update_queue),
-        "db_installs": [database.installs_applied, database.installs_skipped],
-        "aux": {
-            "committed_warned": log.committed_warned,
-            "committed_low": log.committed_low,
-            "committed_high": log.committed_high,
-            "queue_length_sum": accounting.queue_length_sum,
-            "queue_length_samples": accounting.queue_length_samples,
-            "cpu_busy": [cpu.transaction_seconds, cpu.update_seconds],
-            "os_total_enqueued": runtime.os_queue.total_enqueued,
-            "watchdog_alerts": runtime.watchdog_alerts,
-            "transactions_shed": runtime.transactions_shed,
-            "ingest_rejected": runtime.ingest_rejected,
-        },
     }
 
 
 def restore_state(runtime, state: dict) -> None:
-    """Load a captured snapshot into a *fresh* runtime.
+    """Load a captured snapshot into a *fresh* runtime: the inverse of
+    :func:`capture_state`, with no arithmetic.
 
     The runtime must have been built from the same config/algorithm, on a
     clock resumed in the snapshot's time domain (``WallClock(start_at=
-    manager.resume_at)`` or ``Engine(start_time=...)``).
-
-    Counter rebalancing: records that were parked in the OS/update queues
-    (and transactions in flight) at capture time died with the process
-    and are *not* replayed — they were logged before the snapshot LSN.
-    Their arrivals are subtracted so both conservation laws hold exactly
-    over the stitched pre+post-crash ledger::
-
-        arrived' = arrived - pending_os - pending_queue   (updates)
-        arrived' = arrived - in_flight                    (transactions)
+    manager.resume_at)`` or ``Engine(start_time=...)``).  A snapshot
+    taken under another algorithm, or whose books, counters or object
+    counts are not this build's, is refused with ``ValueError`` before
+    anything is loaded.
     """
     if state.get("algorithm") != runtime.algorithm.name:
         raise ValueError(
             f"snapshot was taken under {state.get('algorithm')!r}, runtime "
             f"runs {runtime.algorithm.name!r}"
         )
-    result = state["result"]
-    pending_os = result["updates_pending_os"]
-    pending_queue = result["updates_pending_queue"]
-
+    books, counters = state["books"], state["counters"]
+    _require_names("books", books, BOOKS)
+    for name in BOOKS:
+        _require_names(name, books[name], vars(getattr(runtime, name)))
+    _require_names("counters", counters, _counter_paths(runtime))
     _restore_objects(runtime.database, state["objects"])
-    runtime.database.installs_applied, runtime.database.installs_skipped = (
-        state["db_installs"]
-    )
-
-    log = runtime.transaction_log
-    log.arrived = result["transactions_arrived"] - result["transactions_in_flight"]
-    log.committed = result["transactions_committed"]
-    log.committed_fresh = result["transactions_committed_fresh"]
-    log.missed_deadline = result["transactions_missed"]
-    log.infeasible_aborts = result["transactions_infeasible"]
-    log.aborted_stale = result["transactions_aborted_stale"]
-    log.value_earned = result["value_earned"]
-    log.value_offered = result["value_offered"]
-    log.stale_reads = result["stale_reads"]
-    log.view_reads = result["view_reads"]
-
-    accounting = runtime.update_accounting
-    accounting.arrived = result["updates_arrived"] - pending_os - pending_queue
-    accounting.received = result["updates_received"] - pending_queue
-    accounting.enqueued = result["updates_enqueued"] - pending_queue
-    accounting.installed_applied = result["updates_applied"]
-    accounting.installed_skipped = result["updates_skipped"]
-    accounting.on_demand_applied = result["updates_on_demand_applied"]
-    accounting.on_demand_scans = result["updates_on_demand_scans"]
-
-    aux = state["aux"]
-    log.committed_warned = aux["committed_warned"]
-    log.committed_low = aux["committed_low"]
-    log.committed_high = aux["committed_high"]
-    accounting.queue_length_sum = aux["queue_length_sum"]
-    accounting.queue_length_samples = aux["queue_length_samples"]
-
-    cpu = runtime.cpu
-    cpu.busy_seconds[cpu.TRANSACTION] = aux["cpu_busy"][0]
-    cpu.busy_seconds[cpu.UPDATE] = aux["cpu_busy"][1]
-    cpu.context_switches = result["context_switches"]
-    cpu.preemptions = result["preemptions"]
-    runtime.clock.events_dispatched = result["events_dispatched"]
-
-    os_queue = runtime.os_queue
-    os_queue.dropped = result["updates_os_dropped"]
-    depth = result["extras"].get("os_queue_depth", 0) or 0
-    os_queue.total_enqueued = max(0, aux["os_total_enqueued"] - depth)
-
-    _restore_queues(runtime.update_queue, state["queues"])
+    for name in BOOKS:
+        vars(getattr(runtime, name)).update(_copy(books[name]))
+    for path, value in counters.items():
+        setattr(*_owner(runtime, path), value)
     _restore_ledger(runtime.ledger, state["ledger"])
-
     runtime.measure_start = state["measure_start"]
-    runtime.watchdog_alerts = aux["watchdog_alerts"]
-    runtime.transactions_shed = aux["transactions_shed"]
-    runtime.ingest_rejected = aux["ingest_rejected"]
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +506,6 @@ class ReplayStats:
     replayed_records: int
     replay_lag_s: float
     snapshot_lsn: int
-    log_records: int
     resumed: bool
 
 
@@ -550,12 +520,10 @@ async def replay_into(runtime, records) -> int:
 
     Returns the number of records the OS queue admitted.
     """
-    replayed = 0
+    replayed = index = 0
     os_queue = runtime.os_queue
     live = isinstance(runtime.clock, WallClock)
-    index = 0
-    total = len(records)
-    while index < total:
+    while index < len(records):
         free = os_queue.capacity - len(os_queue)
         if free <= 0:
             if live:
@@ -585,68 +553,46 @@ class DurabilityManager:
     below ``next_lsn``.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        shard: int = 0,
-        *,
-        fsync: str = "never",
-        fsync_interval: float = 0.2,
-        snapshot_interval: float = 5.0,
-    ) -> None:
+    def __init__(self, directory: str, shard: int = 0, *, fsync: str = "never",
+                 snapshot_interval: float = 5.0) -> None:
         if snapshot_interval <= 0:
             raise ValueError(
                 f"snapshot_interval must be > 0, got {snapshot_interval}"
             )
         os.makedirs(directory, exist_ok=True)
-        self.directory = directory
         self.shard = shard
         self.snapshot_interval = snapshot_interval
-        self.log_path = os.path.join(directory, f"shard-{shard:02d}.log")
-        self.snapshot_path = os.path.join(
-            directory, f"shard-{shard:02d}.snapshot.json"
-        )
+        prefix = os.path.join(directory, f"shard-{shard:02d}")
+        self.log = UpdateLog(prefix + ".log", shard, fsync=fsync)
         # The recovery plan, read once, up front (before the worker
         # announces ready): the snapshot, and the log records at or past
-        # its LSN.
-        self.snapshots = SnapshotStore(self.snapshot_path)
+        # its LSN.  :meth:`attach` opens the log on this same scan.
+        self.snapshots = SnapshotStore(prefix + ".snapshot.json",
+                                       sync=fsync != "never")
         self.state = self.snapshots.load()
-        self.scan = read_log(self.log_path)
+        self.scan = read_log(self.log.path)
         self.snapshot_lsn = self.state["lsn"] if self.state else 0
-        base = self.scan.base_lsn
-        self.pending = [
-            update
-            for ordinal, update in enumerate(self.scan.updates)
-            if base + ordinal >= self.snapshot_lsn
+        self.pending = self.scan.updates[
+            max(0, self.snapshot_lsn - self.scan.base_lsn):
         ]
-        self.log = UpdateLog(
-            self.log_path, shard, fsync=fsync, fsync_interval=fsync_interval
-        )
+        times = [update.arrival_time for update in self.pending]
+        if self.state is not None:
+            times += [self.state["wall_time"], self.state["measure_start"]]
+        #: Where the predecessor's clock domain ended: the clock time the
+        #: restarted runtime must resume at.
+        self.resume_at = max(times, default=0.0)
         self.stats: ReplayStats | None = None
         self.snapshots_taken = 0
         self.snapshot_errors = 0
         self.last_snapshot_error: str | None = None
         self._task: asyncio.Task | None = None
 
-    @property
-    def resumed(self) -> bool:
-        """Whether there is anything to warm-start from."""
-        return self.state is not None or bool(self.pending)
-
-    @property
-    def resume_at(self) -> float:
-        """Where the predecessor's clock domain ended: the clock time the
-        restarted runtime must resume at."""
-        at = 0.0
-        if self.state is not None:
-            at = max(self.state["wall_time"], self.state["measure_start"])
-        if self.pending:
-            at = max(at, max(u.arrival_time for u in self.pending))
-        return at
-
     async def recover(self, runtime) -> ReplayStats:
         """Restore the snapshot into a fresh ``runtime``, then replay the
-        log records at or past its LSN; returns what happened."""
+        log records at or past its LSN; returns what happened.
+
+        The replayed records are released afterwards: the scan keeps only
+        the values :meth:`attach` opens the log with."""
         started = time.monotonic()
         if self.state is not None:
             restore_state(runtime, self.state)
@@ -655,16 +601,15 @@ class DurabilityManager:
             replayed_records=replayed,
             replay_lag_s=time.monotonic() - started,
             snapshot_lsn=self.snapshot_lsn,
-            log_records=len(self.scan.updates),
-            resumed=self.resumed,
+            resumed=self.state is not None or bool(self.pending),
         )
-        runtime.replayed_records = self.stats.replayed_records
-        runtime.replay_lag_s = self.stats.replay_lag_s
+        self.pending = []
+        self.scan.updates = []
         return self.stats
 
     def attach(self, runtime) -> None:
         """Open the log for append and hook it into the ingest path."""
-        self.log.open()
+        self.log.open(self.scan)
         runtime.update_log = self.log
         runtime.durability = self
 
@@ -712,15 +657,9 @@ class DurabilityManager:
         """
         if self._task is not None:
             self._task.cancel()
-            try:
+            with contextlib.suppress(asyncio.CancelledError):
                 await self._task
-            except asyncio.CancelledError:
-                pass
             self._task = None
         if final_snapshot:
             self.snapshot_now(runtime)
-        self.log.close()
-
-    def close(self) -> None:
-        """Release the log handle without snapshotting (error paths)."""
         self.log.close()

@@ -48,6 +48,9 @@ from repro.metrics.results import SimulationResult
 from repro.sim.clock import Clock
 from repro.workload.transactions import TransactionSpec
 
+#: Seconds between install-latency watchdog checks.
+WATCHDOG_INTERVAL = 1.0
+
 
 class LatencyTracker:
     """Sliding window of install latencies with percentile readouts."""
@@ -192,10 +195,6 @@ class LiveRuntime:
         clock: A :class:`Clock`; defaults to a fresh :class:`WallClock`.
             Pass an :class:`~repro.sim.engine.Engine` for deterministic
             (mocked-clock) runs driven by ``engine.run_until``.
-        latency_budget: Install-latency watchdog threshold in seconds;
-            defaults to the MA staleness bound ``config.transactions.max_age``
-            (an install that slow is stale on arrival in the database).
-        watchdog_interval: Seconds between watchdog checks.
     """
 
     def __init__(
@@ -204,8 +203,6 @@ class LiveRuntime:
         algorithm="TF",
         *,
         clock: Clock | None = None,
-        latency_budget: float | None = None,
-        watchdog_interval: float = 1.0,
         **algorithm_kwargs,
     ) -> None:
         self.clock: Clock = clock if clock is not None else WallClock()
@@ -228,12 +225,6 @@ class LiveRuntime:
         self.controller.outcome_listener = self._on_outcome
         self._handles: dict[int, TransactionHandle] = {}
 
-        self.latency_budget = (
-            latency_budget
-            if latency_budget is not None
-            else config.transactions.max_age
-        )
-        self.watchdog_interval = watchdog_interval
         self.watchdog_alerts = 0
         self.transactions_shed = 0
         self.ingest_rejected = 0
@@ -243,8 +234,6 @@ class LiveRuntime:
         # write-ahead log, and recovery stats surface in the gauges.
         self.update_log = None
         self.durability = None
-        self.replayed_records = 0
-        self.replay_lag_s = 0.0
 
         self.measure_start = self.clock.now
         self.accepting = True
@@ -342,8 +331,7 @@ class LiveRuntime:
         if self._clock_task is not None:
             raise RuntimeError("runtime is already started")
         self._clock_task = asyncio.ensure_future(self.clock.run())
-        if self.watchdog_interval > 0:
-            self._watchdog_task = asyncio.ensure_future(self._watchdog())
+        self._watchdog_task = asyncio.ensure_future(self._watchdog())
 
     async def drain(self, timeout: float = 5.0) -> bool:
         """Stop accepting traffic and let the controller finish what it has.
@@ -445,16 +433,16 @@ class LiveRuntime:
         }
         if isinstance(self.clock, WallClock):
             gauges["dispatch_lag_worst"] = self.clock.max_lag
-        if self.update_log is not None or self.replayed_records:
-            gauges["replayed_records"] = self.replayed_records
-            gauges["replay_lag_s"] = self.replay_lag_s
-            if self.update_log is not None:
-                gauges["log_records_appended"] = self.update_log.records_appended
-                gauges["log_next_lsn"] = self.update_log.next_lsn
-        if self.durability is not None:
-            gauges["snapshots_taken"] = self.durability.snapshots_taken
-            gauges["snapshot_errors"] = self.durability.snapshot_errors
-            gauges["last_snapshot_error"] = self.durability.last_snapshot_error
+        durability = self.durability
+        if durability is not None:
+            stats = durability.stats
+            gauges["replayed_records"] = stats.replayed_records if stats else 0
+            gauges["replay_lag_s"] = stats.replay_lag_s if stats else 0.0
+            gauges["log_records_appended"] = durability.log.records_appended
+            gauges["log_next_lsn"] = durability.log.next_lsn
+            gauges["snapshots_taken"] = durability.snapshots_taken
+            gauges["snapshot_errors"] = durability.snapshot_errors
+            gauges["last_snapshot_error"] = durability.last_snapshot_error
         if len(self.views):
             gauges["views_registered"] = len(self.views)
             gauges["view_refreshes"] = self.views.refreshes
@@ -468,14 +456,17 @@ class LiveRuntime:
         """Flag budget-breaking install latency and shed doomed work.
 
         When the p99 install latency over the recent window exceeds the
-        soft real-time budget, the system is falling behind its stream;
+        soft real-time budget — the MA staleness bound
+        ``config.transactions.max_age``: an install that slow is stale on
+        arrival in the database — the system is falling behind its stream;
         transactions whose deadlines are already infeasible are discarded
         (the paper's feasible-deadline policy) so the CPU goes to work that
         can still earn value.
         """
+        budget = self.config.transactions.max_age
         while True:
-            await asyncio.sleep(self.watchdog_interval)
+            await asyncio.sleep(WATCHDOG_INTERVAL)
             p99 = self.latency.percentile(0.99)
-            if p99 is not None and p99 > self.latency_budget:
+            if p99 is not None and p99 > budget:
                 self.watchdog_alerts += 1
                 self.transactions_shed += self.controller.shed_infeasible()

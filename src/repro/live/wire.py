@@ -437,7 +437,6 @@ async def iter_frame_batches(
     reader: asyncio.StreamReader,
     *,
     chunk_size: int = READ_CHUNK,
-    parse_json: bool = True,
     raw_updates: bool = False,
     raw_specs: bool = False,
     limit: "int | None" = None,
@@ -463,9 +462,7 @@ async def iter_frame_batches(
     A corrupt frame *header* propagates as ``ValueError`` — the session
     cannot be resynchronized and the caller should close it.
     """
-    decoder = FrameDecoder(
-        parse_json=parse_json, raw_updates=raw_updates, raw_specs=raw_specs
-    )
+    decoder = FrameDecoder(raw_updates=raw_updates, raw_specs=raw_specs)
     while True:
         chunk = await reader.read(chunk_size)
         if not chunk:

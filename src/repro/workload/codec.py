@@ -521,12 +521,9 @@ class FrameDecoder:
     :func:`decode_lines`); a malformed *header* — unknown tag with an
     absurd length — raises once the records ahead of it have been
     returned, because past a broken header there is no resynchronization
-    point.
+    point.  JSON frames come back parsed, as dicts.
 
     Args:
-        parse_json: Parse TAG_JSON bodies into dicts (the ingest
-            direction).  ``False`` returns the raw JSON bytes instead —
-            reply pumps re-frame them without a decode/encode round trip.
         raw_updates: Return well-formed update frames as their raw bytes
             (header included) instead of :class:`Update` instances — the
             router's fast path, which routes via :func:`peek_update_route`
@@ -547,14 +544,12 @@ class FrameDecoder:
     """
 
     __slots__ = (
-        "_buffer", "_offset", "_parse_json", "_raw_updates", "_raw_specs",
-        "_max_body",
+        "_buffer", "_offset", "_raw_updates", "_raw_specs", "_max_body",
     )
 
     def __init__(
         self,
         *,
-        parse_json: bool = True,
         raw_updates: bool = False,
         raw_specs: bool = False,
         max_body: int = MAX_FRAME_BODY,
@@ -564,7 +559,6 @@ class FrameDecoder:
         # consumed prefix is dropped once per :meth:`feed`, not once per
         # quantum.
         self._offset = 0
-        self._parse_json = parse_json
         self._raw_updates = raw_updates
         self._raw_specs = raw_specs
         self._max_body = max_body
@@ -696,10 +690,7 @@ class FrameDecoder:
                     else:
                         append(_spec_from_body(view[start:end]))
                 elif tag == TAG_JSON:
-                    payload = bytes(view[start:end])
-                    append(
-                        json.loads(payload) if self._parse_json else payload
-                    )
+                    append(json.loads(bytes(view[start:end])))
                 else:
                     raise ValueError(f"unknown binary frame tag {tag:#x}")
             except (ValueError, struct.error) as exc:

@@ -9,20 +9,26 @@ still satisfy both conservation laws exactly.
 Layers:
 
 * unit — :class:`UpdateLog` / :func:`read_log` / :class:`SnapshotStore`
-  (round trips, rotation, torn tails, corrupt records, fsync policies);
+  (round trips, rotation, torn tails, corrupt records, fsync policies,
+  the snapshot on disk before the log is cut);
 * in-process — full crash cycles on a mocked Engine clock for all six
-  algorithms, snapshot capture→restore→capture consistency at one shard
-  and at a two-shard keyspace slice;
+  algorithms, snapshot capture→restore→capture consistency for every
+  algorithm and staleness policy at one shard and at a two-shard
+  keyspace slice, one log scan per warm start and no replayed record
+  kept after it;
 * process — a real :class:`ShardCluster` worker SIGKILLed mid-run and
-  warm-restarted by the supervisor.
+  warm-restarted by the supervisor, from its log alone and from a
+  snapshot plus the log tail past it.
 """
 
 import asyncio
-from itertools import islice
+import os
+from dataclasses import replace
+from itertools import islice, product
 
 import pytest
 
-from repro.config import baseline_config
+from repro.config import StalenessPolicy, baseline_config
 from repro.core.sharding import shard_config
 from repro.db.objects import ObjectClass, Update
 from repro.db.sharding import ShardRouter
@@ -280,79 +286,102 @@ def test_log_fsync_policies(tmp_path):
 def test_snapshot_store_round_trip_and_corruption(tmp_path):
     store = SnapshotStore(str(tmp_path / "snap.json"))
     assert store.load() is None  # missing → cold start
-    state = {"schema": 1, "lsn": 42, "objects": {"low": []}}
+    state = {"schema": 2, "lsn": 42, "objects": {"low": []}}
     store.save(state)
     assert store.load() == state
 
     with open(store.path, "w", encoding="utf-8") as handle:
-        handle.write('{"schema": 1, "lsn":')  # torn mid-replace loses only
+        handle.write('{"schema": 2, "lsn":')  # torn mid-replace loses only
     assert store.load() is None                # the *new* snapshot
 
     store.save({"schema": 999})
     assert store.load() is None  # future schema → cold, not crash
 
 
+@pytest.mark.parametrize("policy", ["always", "interval", "never"])
+def test_snapshot_is_on_disk_before_the_log_is_cut(tmp_path, monkeypatch,
+                                                   policy):
+    """Under any policy but ``never``, ``snapshot_now`` fsyncs the new
+    snapshot, then its directory, before ``rotate`` fsyncs the cut log:
+    a machine crash can then never leave a log that starts past a
+    snapshot which is not on disk.  Under ``never`` it makes no fsync."""
+    wal = str(tmp_path / "wal")
+    manager = DurabilityManager(wal, 0, fsync=policy, snapshot_interval=60.0)
+    runtime = LiveRuntime(_config(), "TF", clock=Engine())
+    manager.attach(runtime)
+    runtime.ingest_batch(_simple_updates(3))
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr("repro.live.durability.os.fsync", recording_fsync)
+    manager.snapshot_now(runtime)
+    manager.log.close()
+    names = {
+        os.stat(path).st_ino: name
+        for name, path in (("snapshot", manager.snapshots.path),
+                           ("directory", wal), ("log", manager.log.path))
+    }
+    expected = [] if policy == "never" else ["snapshot", "directory", "log"]
+    assert [names.get(inode, inode) for inode in synced] == expected
+
+
 # ----------------------------------------------------------------------
 # In-process: capture → restore → capture consistency
 # ----------------------------------------------------------------------
-def _expected_after_restore(state):
-    """What a capture from the restored runtime must report."""
-    result = dict(state["result"])
-    pending_os = result["updates_pending_os"]
-    pending_queue = result["updates_pending_queue"]
-    in_flight = result["transactions_in_flight"]
-    result["updates_arrived"] -= pending_os + pending_queue
-    result["updates_received"] -= pending_queue
-    result["updates_enqueued"] -= pending_queue
-    result["updates_pending_os"] = 0
-    result["updates_pending_queue"] = 0
-    result["transactions_arrived"] -= in_flight
-    result["transactions_in_flight"] = 0
-    aux = dict(state["aux"])
-    depth = state["result"]["extras"].get("os_queue_depth", 0) or 0
-    aux["os_total_enqueued"] = max(0, aux["os_total_enqueued"] - depth)
-    return result, aux
-
-
-def _roundtrip(config, algorithm="TF"):
+def _mid_run(config, algorithm):
+    """A runtime stopped halfway through a second of its workload, with
+    updates parked and transactions in flight."""
     engine = Engine()
     runtime = LiveRuntime(config, algorithm, clock=engine)
-    updates = _draw_updates(config, 300)
-    runtime.ingest_batch(updates)
-    engine.run_until(updates[-1].arrival_time + 0.2)
-    state = capture_state(runtime, lsn=300)
-
-    resumed = Engine(start_time=state["wall_time"])
-    fresh = LiveRuntime(config, algorithm, clock=resumed)
-    restore_state(fresh, state)
-    state2 = capture_state(fresh, lsn=300)
-    return state, state2
+    for item in synthesize(config, streams=StreamFamily(config.seed), until=1.0):
+        act = runtime.ingest if isinstance(item, Update) else runtime.submit
+        engine.schedule_at(item.arrival_time, act, item)
+    engine.run_until(0.5)
+    return runtime
 
 
 @pytest.mark.parametrize("slice_of_two", [False, True])
-def test_capture_restore_capture_is_consistent(slice_of_two):
-    """A restored runtime re-captures the same state document, modulo the
-    pending-work subtraction restore_state documents — at the full config
-    and at a 2-shard keyspace slice (the worker's actual sub-config)."""
+def test_capture_restore_capture_is_consistent(tmp_path, slice_of_two):
+    """Restore is the inverse of capture: a runtime restored from a saved
+    snapshot re-captures the same document — for every algorithm and
+    staleness policy, at the full config and at a 2-shard keyspace slice
+    (the worker's actual sub-config).  The capture is taken mid-run, so
+    the work that dies with the process is already off the books it
+    saves."""
+    store = SnapshotStore(str(tmp_path / "snap.json"))
+    for algorithm, staleness in product(ALGORITHMS, StalenessPolicy):
+        config = replace(_config(), staleness=staleness)
+        if slice_of_two:
+            router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
+            config = shard_config(config, router, 0)
+        runtime = _mid_run(config, algorithm)
+        assert runtime.transaction_log.in_flight > 0
+        store.save(capture_state(runtime, lsn=300))
+        state = store.load()
+
+        fresh = LiveRuntime(config, algorithm,
+                            clock=Engine(start_time=state["wall_time"]))
+        restore_state(fresh, state)
+        assert capture_state(fresh, lsn=300) == state, (algorithm, staleness)
+
+
+@pytest.mark.parametrize("book", ["transaction_log", "cpu", "counters"])
+def test_restore_refuses_a_book_of_another_build(book):
+    """A book whose attribute names are not this build's is refused before
+    anything is loaded, so a snapshot is never half-loaded."""
     config = _config()
-    if slice_of_two:
-        router = ShardRouter(config.updates.n_low, config.updates.n_high, 2)
-        config = shard_config(config, router, 0)
-    state, state2 = _roundtrip(config)
-
-    assert state2["objects"] == state["objects"]
-    assert state2["ledger"] == state["ledger"]
-    assert state2["queues"] == state["queues"]
-    assert state2["db_installs"] == state["db_installs"]
-    assert state2["measure_start"] == state["measure_start"]
-    assert state2["algorithm"] == state["algorithm"]
-
-    expected_result, expected_aux = _expected_after_restore(state)
-    got = dict(state2["result"])
-    expected_result.pop("extras")
-    got.pop("extras")
-    assert got == expected_result
-    assert state2["aux"] == expected_aux
+    state = capture_state(_mid_run(config, "TF"), lsn=0)
+    saved = state[book] if book == "counters" else state["books"][book]
+    saved["from_another_build"] = 0
+    fresh = LiveRuntime(config, "TF", clock=Engine(start_time=state["wall_time"]))
+    untouched = capture_state(fresh, lsn=0)
+    with pytest.raises(ValueError, match="from_another_build"):
+        restore_state(fresh, state)
+    assert capture_state(fresh, lsn=0) == untouched
 
 
 def test_restore_rejects_algorithm_mismatch():
@@ -514,17 +543,100 @@ def test_replay_is_idempotent(tmp_path):
     manager2 = DurabilityManager(wal, 0, snapshot_interval=60.0)
     clock2 = Engine(start_time=manager2.resume_at)
     runtime2 = LiveRuntime(config, "TF", clock=clock2)
+    logged = list(manager2.pending)
     asyncio.run(manager2.recover(runtime2))
     clock2.run_until(clock2.now + 1.0)
     applied_once = runtime2.update_accounting.installed_applied
     generations = [o.generation_time for o in runtime2.database.low]
 
-    # Feed the identical log a second time, straight through ingest.
-    asyncio.run(replay_into(runtime2, manager2.pending))
+    # Feed the identical log a second time, straight through ingest
+    # (a copy: recover releases the manager's own list).
+    asyncio.run(replay_into(runtime2, logged))
     clock2.run_until(clock2.now + 1.0)
     assert runtime2.update_accounting.installed_applied == applied_once
     assert [o.generation_time for o in runtime2.database.low] == generations
     assert runtime2.update_accounting.installed_skipped > 0
+
+
+def _warm_wal(wal, config):
+    """A crashed first life: a snapshot, then a log tail past it."""
+    updates = _draw_updates(config, 300)
+    manager = DurabilityManager(wal, 0, snapshot_interval=60.0)
+    clock = Engine()
+    runtime = LiveRuntime(config, "TF", clock=clock)
+    manager.attach(runtime)
+    runtime.ingest_batch(updates[:200])
+    clock.run_until(updates[199].arrival_time + 0.5)
+    manager.snapshot_now(runtime)
+    runtime.ingest_batch(updates[200:])
+    manager.log.close()
+
+
+def _updates_reachable_from(root) -> int:
+    """Updates reachable from ``root`` through containers and this
+    package's objects."""
+    seen, stack, found = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Update):
+            found += 1
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def test_recover_releases_the_replayed_records(tmp_path):
+    """Once recovered, the manager holds no replayed ``Update``: the scan
+    keeps only the values the log is opened with."""
+    config = _config()
+    wal = str(tmp_path / "wal")
+    _warm_wal(wal, config)
+    manager = DurabilityManager(wal, 0, snapshot_interval=60.0)
+    next_lsn = manager.scan.next_lsn
+    assert _updates_reachable_from(manager) == 100
+    runtime = LiveRuntime(config, "TF",
+                          clock=Engine(start_time=manager.resume_at))
+    stats = asyncio.run(manager.recover(runtime))
+    assert stats.resumed and stats.replayed_records > 0
+    assert _updates_reachable_from(manager) == 0
+    manager.attach(runtime)
+    assert manager.log.next_lsn == next_lsn
+    manager.log.close()
+
+
+def test_warm_start_reads_the_log_once(tmp_path, monkeypatch):
+    """A warm ``ShardHost`` scans its log once: the manager's recovery
+    plan is the scan the log is then opened on."""
+    import repro.live.durability as durability_mod
+
+    config = _config()
+    wal = str(tmp_path / "wal")
+    _warm_wal(wal, config)
+    reads = []
+    real_read_log = durability_mod.read_log
+
+    def counting_read_log(path):
+        reads.append(path)
+        return real_read_log(path)
+
+    monkeypatch.setattr(durability_mod, "read_log", counting_read_log)
+
+    async def scenario():
+        host = ShardHost(config, "TF", log_dir=wal, snapshot_interval=60.0)
+        stats = await host.start()
+        await host.stop(drain_timeout=1.0)
+        return stats
+
+    stats = asyncio.run(asyncio.wait_for(scenario(), timeout=OP_TIMEOUT))
+    assert stats.resumed and stats.replayed_records > 0
+    assert len(reads) == 1
 
 
 def test_snapshot_rotate_bounds_replay(tmp_path):
@@ -712,5 +824,63 @@ def test_cluster_warm_restart_replays_and_balances(tmp_path):
     assert result.extras["worker_restarts"] == [1, 0]
     assert result.extras["down_shards"] == []
     assert result.extras["replayed_records"][0] > 0
+    assert result.update_conservation_gap() == 0
+    assert result.transaction_conservation_gap() == 0
+
+
+def test_cluster_worker_restores_its_snapshot_then_replays_the_tail(tmp_path):
+    """A worker killed after it took a snapshot comes back from that
+    snapshot plus the log tail past it: ``restore_state`` runs in a real
+    worker process, some books come from the snapshot and the rest from
+    replay, and the stitched books balance exactly."""
+    wal = tmp_path / "wal"
+    snapshots = SnapshotStore(str(wal / "shard-00.snapshot.json"))
+    log_path = str(wal / "shard-00.log")
+
+    async def scenario():
+        cluster = ShardCluster(
+            _cluster_config(), "TF", shards=2, restart_limit=1,
+            log_dir=str(wal), snapshot_interval=0.3,
+        )
+        host, port = await cluster.start()
+        session = await FrameSession.open(host, port)
+        gids0 = _shard_gids(cluster.router, 0)
+
+        sent = len(gids0)
+        session.send(*_updates(gids0))
+        await session.drain()
+        await _wait_for(lambda: (snapshots.load() or {}).get("lsn", 0) > 0)
+        session.send({"kind": "snapshot"})
+        await session.drain()
+        before = await session.reply(timeout=OP_TIMEOUT)
+
+        # Send a tail until the log holds records past the snapshot, then
+        # kill at once, before the next snapshot can cut them.
+        for batch in range(1, 200):
+            session.send(*_updates(gids0, start_seq=100 * batch, value=batch))
+            await session.drain()
+            sent += len(gids0)
+            await asyncio.sleep(0.02)
+            if os.path.getsize(log_path) > LOG_HEADER_BYTES:
+                cluster.kill_worker(0)
+                break
+        await _wait_for(
+            lambda: cluster.worker_status(0) == "up"
+            and cluster.liveness()[0]["restarts"] == 1
+        )
+
+        session.send({"kind": "snapshot"})
+        await session.drain()
+        after = await session.reply(timeout=OP_TIMEOUT)
+        assert 0 < after["extras"]["replayed_records"][0] < sent
+        assert after["updates_arrived"] >= before["updates_arrived"]
+
+        session.close()
+        return await asyncio.wait_for(
+            cluster.shutdown(drain_timeout=1.0), timeout=OP_TIMEOUT
+        )
+
+    result = asyncio.run(scenario())
+    assert result.extras["worker_restarts"] == [1, 0]
     assert result.update_conservation_gap() == 0
     assert result.transaction_conservation_gap() == 0

@@ -159,6 +159,6 @@ def test_aggregated_counters():
     queue = PartitionedUpdateQueue(10)
     queue.push(low(0, 1.0), 2.0)
     queue.push(high(1, 1.0), 2.0)
-    assert queue.total_pushed == 2
+    assert len(queue) == 2
     assert queue.superseded_discards == 0
     assert queue.expired_discards == 0

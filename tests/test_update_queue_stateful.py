@@ -231,8 +231,8 @@ class PushManyTwinsMachine(RuleBasedStateMachine):
     def twins_are_indistinguishable(self):
         assert _seqs(self.batched) == _seqs(self.single)
         assert self.logs[0] == self.logs[1]
-        for counter in ("total_pushed", "overflow_discards",
-                        "expired_discards", "superseded_discards"):
+        for counter in ("overflow_discards", "expired_discards",
+                        "superseded_discards"):
             assert getattr(self.batched, counter) == getattr(self.single, counter)
         for object_id in range(OBJECTS):
             key = (ObjectClass.VIEW_LOW, object_id)
