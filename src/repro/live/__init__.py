@@ -63,7 +63,6 @@ from repro.live.wire import (
     RpcDeadlineError,
     RpcError,
     connect_with_retry,
-    negotiate_protocol,
 )
 
 __all__ = [
@@ -90,7 +89,6 @@ __all__ = [
     "WireClient",
     "capture_state",
     "connect_with_retry",
-    "negotiate_protocol",
     "read_log",
     "restore_state",
 ]

@@ -18,7 +18,7 @@ point** the ingest side calls when a quantum ends
 (:meth:`repro.live.server.IngestServer._dispatch_batch`): a session
 delivers at most ``batch_max`` records per loop turn, then drains what has
 come due — burst completions, the controller's scheduling points — before
-it yields, instead of hoping the loop gets round to the timer first.  A
+the next quantum, instead of hoping the loop gets round to the timer.  A
 drain is bounded (``_YIELD_EVERY`` dispatches, then the rest waits for the
 next loop turn) so ingest I/O cannot starve either.  :meth:`WallClock.run`
 owns the timer's file descriptor for as long as the clock runs.

@@ -178,7 +178,7 @@ class RouterPlane:
     async def handle(self, reader, writer) -> None:
         """One client session: route record batches, relay replies back.
 
-        The session loop is :func:`~repro.live.wire.serve_session`, same
+        The session is :func:`~repro.live.wire.serve_session`, same
         as a plain :class:`~repro.live.server.IngestServer` session; each
         upstream :class:`RpcChannel` hands pushed replies to the
         session's reply writer, and the client's update and spec frames

@@ -35,18 +35,15 @@ simply stops receiving outcomes (the transactions it submitted still run
 to completion).
 
 The server reads and writes in *batches* (see :mod:`repro.live.wire`):
-arrivals are delivered in quanta of at most ``batch_max`` records — one
-pass of frame decoding per quantum, consecutive updates through
-:meth:`LiveRuntime.ingest_batch`, then the
-scheduling point (:meth:`WallClock.dispatch_due
-<repro.live.clock.WallClock.dispatch_due>`: burst completions that have
-come due fire, the controller dispatches) and one yield to the event loop
-before the next quantum — and replies coalesce through
-a :class:`~repro.live.wire.CoalescingWriter`.  What has not been read
-yet waits in the socket.  A batch is just N frames in one write, so
-per-record clients interoperate unchanged in both directions.  All
-records in one quantum share a single delivery instant (``clock.now``
-sampled once per quantum) — the quantum *is* the arrival burst.
+arrivals come in quanta of at most ``batch_max`` records from the
+session's read callback — consecutive updates through
+:meth:`LiveRuntime.ingest_batch`, then the scheduling point
+(:meth:`WallClock.dispatch_due <repro.live.clock.WallClock.dispatch_due>`:
+burst completions that have come due fire, the controller dispatches) —
+and replies coalesce through a :class:`~repro.live.wire.CoalescingWriter`.
+What has not been read yet waits in the socket.  All records in one
+quantum share a single delivery instant (``clock.now`` sampled once per
+quantum) — the quantum *is* the arrival burst.
 
 **Smart clients** (see ``docs/SCALING.md``) add three control records:
 
@@ -259,7 +256,7 @@ class IngestServer:
         record flushes the pending updates first, so every record observes
         exactly the runtime state the wire order implies.  The quantum
         ends with the scheduling point: whatever has come due on the
-        wall clock is dispatched before the session yields.
+        wall clock is dispatched before the next quantum.
 
         On a *direct* session (``session.direct``), every record is
         ownership-checked first: a record this shard does not own is

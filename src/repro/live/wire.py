@@ -1,64 +1,32 @@
 """Wire I/O for the live stack: sessions, dialects, coalescing and RPC.
 
-The PR-2/PR-3 ingest path paid one transport ``write`` (a syscall on a
-selector transport with an empty buffer) and one awaited ``drain()`` per
-record, at every hop: server replies, router forwarding, outcome
-pump-back.  Under the paper's bursty update streams that is the dominant
-cost — not the scheduler.  This module concentrates the fix:
+Per-record writes and reads were the dominant cost of the paper's bursty
+update streams at every hop, so this module batches both directions:
 
-* :class:`CoalescingWriter` buffers encoded records and hands the
-  transport one contiguous payload per *batch*, flushed when the buffer
-  reaches a record/byte bound or when the event-loop turn that first
-  wrote to it ends — the batch is whatever one turn produced (a session
-  quantum's replies and forwards, the outcomes one clock dispatch
-  landed), and it leaves when that turn does, not on a timer.
-  ``drain()`` is awaited only when the transport reports a write buffer
-  over its high-water mark — the only case where it would actually wait.
-* :func:`iter_frame_batches` (:func:`iter_line_batches` on a JSONL
-  session) is the read-side dual: instead of one read per record, each
-  socket wakeup yields the complete records already buffered, ready for
-  one batched decode.
+* :class:`CoalescingWriter` hands the transport one payload per *batch*:
+  on a record/byte bound, when the delivery that wrote it returns, or
+  else when the loop turn that first wrote to it ends (one callback per
+  turn for every writer on the loop, never a timer).
+* Every session and every :class:`RpcChannel` is an
+  :class:`asyncio.BufferedProtocol` that reads into one buffer reused
+  for the connection's life and dispatches from the read callback — no
+  ``recv`` allocation, ``StreamReader`` hand-off or reader task per
+  read.  :func:`serve_session` delivers at most ``batch_max`` records
+  per loop turn; the rest of a read waits, with reading paused, so
+  unread bytes wait in the socket.
 
-``batch_max`` bounds both directions: replies coalesce up to that many
-records per write, and :func:`serve_session` delivers arrivals in quanta
-of at most that many records — decoded just in time, with one yield to
-the event loop after each — so the scheduler gets its turn between
-quanta and whatever the server has not read yet waits in the socket (TCP
-backpressure, not read-ahead).
+One socket speaks **two dialects**: **binary frames**
+(:mod:`repro.workload.codec`, behind a 5-byte magic+version preamble)
+carry updates and transactions, with control records and replies as
+JSON frames; **JSONL** is the control dialect an operator can type into
+``nc``, where an update or transaction is refused like any unknown kind
+(:func:`unknown_kind`).  The magic's first byte cannot start a JSON
+line, so a session's first byte decides, and the reply writer carries
+the outcome (:meth:`CoalescingWriter.reply`).
 
-A batch is exactly N records in one write, so a per-record peer
-interoperates with a coalescing one in either direction.
-
-:func:`connect_with_retry` is the shared connection primitive for peers
-that must survive a restarting endpoint (exponential backoff + jitter,
-bounded attempts, per-attempt timeout) — see ``docs/RESILIENCE.md``.
-
-One socket speaks **two dialects**, and this module alone decides which
-one a session speaks:
-
-* **binary frames** — the data dialect.  Updates and transactions cross
-  a socket only as length-prefixed ``struct`` frames
-  (:mod:`repro.workload.codec`) behind a 5-byte magic+version preamble;
-  control records and replies ride along as JSON frames.
-* **JSONL** — the control dialect: newline-delimited JSON records an
-  operator can type into ``nc`` (``snapshot``, ``topology``,
-  ``register_view``, ``hello``).  An ``update`` or ``transaction``
-  record in JSON — a line or a JSON frame — is refused like any unknown
-  kind (:func:`unknown_kind`).
-
-:func:`negotiate_protocol` peeks one byte — the magic's first byte
-cannot start a JSON line — and :func:`serve_session` fixes the outcome on
-the session's reply writer (:meth:`CoalescingWriter.reply`), so the
-doors above it never see a dialect.
-
-Since PR 8 the reply direction is a real **RPC layer**:
-:class:`RpcChannel` owns one session's writer *and* reader, matches
-reply records to pending calls by correlation id (``rid``, or ``seq``
-for transaction outcomes), enforces per-call deadlines, and converts
-typed error frames (``{"kind": "error", "reason": ...}``) into the
-:class:`RpcError` hierarchy.  Records that match no pending call — the
-pass-through outcome stream — are handed to an ``on_push`` callback,
-which is the entire surface the old hand-rolled reply pumps provided.
+:class:`RpcChannel` is the RPC layer over a binary session, and
+:func:`connect_with_retry` opens connections that survive a restarting
+endpoint (see ``docs/RESILIENCE.md``).
 """
 
 from __future__ import annotations
@@ -67,9 +35,11 @@ import asyncio
 import json
 import logging
 import random
+import weakref
 from typing import Callable
 
 from repro.workload.codec import (
+    FRAME_HEADER,
     WIRE_MAGIC,
     WIRE_PREAMBLE,
     WIRE_SCHEMA_VERSION,
@@ -92,8 +62,8 @@ DEFAULT_BATCH_MAX = 256
 #: the transport's default 64 KiB high-water mark.
 MAX_BATCH_BYTES = 48 * 1024
 
-#: Read-side chunk size: one socket read's worth of undecoded bytes.
-READ_CHUNK = 256 * 1024
+#: A connection's reused receive buffer: the most one socket read takes.
+READ_CHUNK = 64 * 1024
 
 #: Default connection-retry schedule (see :func:`connect_with_retry`).
 DEFAULT_CONNECT_ATTEMPTS = 6
@@ -112,34 +82,23 @@ PROTOCOL_BINARY = "binary"
 
 
 class WireProtocolError(ConnectionError):
-    """A peer opened a session this endpoint cannot speak.
-
-    Raised by :func:`negotiate_protocol` for a truncated preamble or an
-    unsupported binary schema version.  Typed so servers can close the
-    one session instead of treating it as an internal failure.
-    """
+    """A peer opened a session this endpoint cannot speak: a truncated
+    preamble or an unsupported binary schema version.  Typed so servers
+    close the one session instead of treating it as an internal failure."""
 
 
 async def negotiate_protocol(
     reader: asyncio.StreamReader,
 ) -> "tuple[str, bytes]":
-    """Server-side protocol selection from the first bytes of a session.
-
-    Reads exactly one byte.  The binary magic's first byte (0xB7) is not
-    valid UTF-8 and can never begin a JSONL record, so one byte decides:
-
-    * magic byte → read and verify the rest of the 5-byte preamble,
-      return ``(PROTOCOL_BINARY, b"")``;
-    * anything else → the byte belongs to the client's first JSONL line,
-      return ``(PROTOCOL_JSONL, that_byte)`` for the caller to prepend;
-    * immediate EOF → an empty JSONL session (nothing to prepend).
+    """A stream's dialect from its first byte, as a session picks it:
+    ``(PROTOCOL_BINARY, b"")`` past a checked preamble, else
+    ``(PROTOCOL_JSONL, first_byte)`` (empty at EOF).  Kept, with
+    :func:`iter_frame_batches`, for ``benchmarks/spine/layers.py``.
 
     Raises:
         WireProtocolError: truncated preamble or unsupported version.
     """
     first = await reader.read(1)
-    if not first:
-        return PROTOCOL_JSONL, b""
     if first != WIRE_MAGIC[:1]:
         return PROTOCOL_JSONL, first
     try:
@@ -148,18 +107,18 @@ async def negotiate_protocol(
         raise WireProtocolError(
             "peer closed mid-preamble of a binary session"
         ) from exc
-    preamble = first + rest
-    if preamble[:-1] != WIRE_MAGIC:
-        raise WireProtocolError(
-            f"bad binary wire magic: {preamble[:-1]!r}"
-        )
-    version = preamble[-1]
-    if version != WIRE_SCHEMA_VERSION:
-        raise WireProtocolError(
-            f"unsupported binary wire schema version {version} "
-            f"(this endpoint speaks {WIRE_SCHEMA_VERSION})"
-        )
+    _check_preamble(first + rest)
     return PROTOCOL_BINARY, b""
+
+
+def _check_preamble(preamble: bytes) -> None:
+    """Refuse a binary preamble this endpoint cannot speak."""
+    if preamble[:-1] != WIRE_MAGIC:
+        raise WireProtocolError(f"bad binary wire magic: {preamble[:-1]!r}")
+    if preamble[-1] != WIRE_SCHEMA_VERSION:
+        raise WireProtocolError(
+            f"unsupported binary wire schema version {preamble[-1]} "
+            f"(this endpoint speaks {WIRE_SCHEMA_VERSION})")
 
 
 def encode_reply(record: dict, protocol: str) -> bytes:
@@ -210,31 +169,20 @@ async def connect_with_retry(
 ) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter]":
     """Open a TCP connection, retrying with exponential backoff + jitter.
 
-    The resilience primitive of the live cluster: a shard worker that is
-    being restarted by the supervisor refuses connections for a few
-    hundred milliseconds, and a plain ``open_connection`` would turn that
-    blip into a client-visible failure.  Retrying here makes a restart
-    transparent to the router's upstream connections and reconnecting
-    load generators.
+    A shard worker being restarted refuses connections for a few hundred
+    milliseconds; retrying here makes that transparent to the router's
+    upstream connections and reconnecting load generators.
 
     Args:
-        host: Peer address.
         port: Peer port, or a zero-argument callable re-resolved before
-            every attempt — a restarted shard worker comes back on a
-            *new* port, so the router passes ``lambda: worker.port``.
-        attempts: Total connection attempts before giving up (>= 1).
-        base_delay: Sleep after the first failure; doubles per attempt.
-        max_delay: Cap on the between-attempt sleep.
-        attempt_timeout: Per-attempt connect timeout.
-        jitter: Fraction of the delay added as uniform random jitter so a
-            fleet of reconnecting clients does not stampede the socket.
-
-    Returns:
-        The connected ``(reader, writer)`` pair.
+            every attempt (a restarted worker comes back on a new port).
+        attempts: Total attempts (>= 1); ``base_delay`` is the sleep
+            after the first failure, doubling up to ``max_delay``, plus
+            up to ``jitter`` of it at random so reconnecting clients do
+            not stampede; ``attempt_timeout`` bounds each attempt.
 
     Raises:
-        ConnectionError: when every attempt failed; the last underlying
-            error is chained as ``__cause__``.
+        ConnectionError: every attempt failed (the last error chained).
     """
     resolve = port if callable(port) else (lambda: port)
     attempts = max(1, attempts)
@@ -258,18 +206,56 @@ async def connect_with_retry(
     ) from last_exc
 
 
+class _TurnEnd:
+    """One loop's parked writers: the first to park outside a delivery
+    arms one ``call_soon`` that flushes them all, in parking order; inside
+    :meth:`deliver`, the delivery flushes them when it returns."""
+
+    __slots__ = ("writers", "_depth")
+
+    def __init__(self) -> None:
+        self.writers: "list[CoalescingWriter]" = []
+        self._depth = 0
+
+    def park(self, writer: "CoalescingWriter") -> None:
+        if not (self.writers or self._depth):
+            asyncio.get_running_loop().call_soon(self.flush)
+        self.writers.append(writer)
+
+    def deliver(self, callback, *args):
+        """``callback(*args)``; what it writes leaves when it returns."""
+        self._depth += 1
+        try:
+            return callback(*args)
+        finally:
+            self._depth -= 1
+            if not self._depth:
+                self.flush()
+
+    def flush(self) -> None:
+        writers, self.writers = self.writers, []
+        for writer in writers:
+            writer._parked = False
+            writer.flush()
+
+
+#: Each running loop's :class:`_TurnEnd`, dropped with its loop.
+_TURN_ENDS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _turn_end() -> _TurnEnd:
+    loop = asyncio.get_running_loop()
+    return _TURN_ENDS.get(loop) or _TURN_ENDS.setdefault(loop, _TurnEnd())
+
+
 class CoalescingWriter:
     """Batching front end for one :class:`asyncio.StreamWriter`.
 
     ``write`` is synchronous and safe to call from plain callbacks (e.g.
-    transaction-outcome hooks); flushing happens on the record/byte
-    bounds, explicitly, or — for a partially filled buffer — when the
-    event-loop turn that first wrote to it ends (one ``call_soon``, which
-    runs once everything already scheduled for this turn has: the rest of
-    a session quantum up to its scheduling point, the rest of a clock
-    dispatch).  Nothing waits on wall-clock time, so a reply spends no
-    part of its transaction's slack parked here.  All buffered records
-    reach the transport in ``write`` order.
+    transaction-outcome hooks).  A payload leaves on the record/byte
+    bounds, on :meth:`flush`, when the delivery it was written in
+    returns, or else when the loop turn that first wrote to it ends.
+    Nothing waits on wall-clock time; records keep ``write`` order.
 
     Args:
         writer: The stream to feed.
@@ -284,8 +270,8 @@ class CoalescingWriter:
             unless :func:`serve_session` negotiated a JSONL session.
     """
 
-    __slots__ = ("_writer", "_transport", "_batch_max",
-                 "_buffer", "_bytes", "_pending", "_turn_end",
+    __slots__ = ("_writer", "_transport", "_batch_max", "_turn",
+                 "_buffer", "_bytes", "_pending", "_parked",
                  "records", "flushes", "protocol")
 
     def __init__(
@@ -297,36 +283,23 @@ class CoalescingWriter:
         self._writer = writer
         self._transport = writer.transport
         self._batch_max = max(1, batch_max)
+        self._turn = _turn_end()
         self._buffer: list[bytes] = []
         self._bytes = 0
         self._pending = 0
-        self._turn_end: asyncio.Handle | None = None
+        self._parked = False
         self.records = 0
         self.flushes = 0
         self.protocol = PROTOCOL_BINARY
-
-    @property
-    def is_closing(self) -> bool:
-        """Whether the underlying transport is closed or closing.
-
-        A closing writer silently drops flushed payloads (matching the
-        old per-record path), so reconnecting callers check this before
-        writing and reopen the stream instead.
-        """
-        return self._transport.is_closing()
 
     def write(self, record: bytes) -> None:
         """Buffer one encoded record; flush on a full batch."""
         self._push(record, 1)
 
     def write_batch(self, payload: bytes, records: int) -> None:
-        """Buffer a pre-coalesced payload of ``records`` complete records.
-
-        Used where a whole batch is encoded in one go (e.g. the router's
-        per-shard forwarding): the payload still counts ``records``
-        records toward the batch bound, so latency behavior matches
-        ``records`` individual :meth:`write` calls.
-        """
+        """Buffer a pre-coalesced payload of ``records`` complete records
+        (the router's per-shard forwarding); it counts ``records`` toward
+        the batch bound, like that many :meth:`write` calls."""
         self._push(payload, records)
 
     def reply(self, record: dict, count: int = 1) -> None:
@@ -341,14 +314,12 @@ class CoalescingWriter:
         self._bytes += len(payload)
         if self._pending >= self._batch_max or self._bytes >= MAX_BATCH_BYTES:
             self.flush()
-        elif self._turn_end is None:
-            self._turn_end = asyncio.get_running_loop().call_soon(self.flush)
+        elif not self._parked:
+            self._parked = True
+            self._turn.park(self)
 
     def flush(self) -> None:
         """Hand everything buffered to the transport as one payload."""
-        if self._turn_end is not None:
-            self._turn_end.cancel()  # also drops its reference to us
-            self._turn_end = None
         buffer = self._buffer
         if not buffer:
             return
@@ -362,13 +333,8 @@ class CoalescingWriter:
         self._writer.write(payload)
 
     async def backpressure(self) -> None:
-        """Suspend until the transport is back under its high-water mark.
-
-        Does **not** force a flush — a partially filled buffer still goes
-        out when the turn ends — so callers can apply backpressure per
-        batch without giving up coalescing.  A no-op in the common
-        (unpaused) case.
-        """
+        """Suspend while the transport is over its high-water mark; no
+        flush, so per-batch backpressure keeps the coalescing."""
         transport = self._transport
         if (
             transport.get_write_buffer_size()
@@ -376,14 +342,12 @@ class CoalescingWriter:
         ):
             await self._writer.drain()
 
-    async def drain(self) -> None:
-        """Flush, then apply backpressure."""
-        self.flush()
-        await self.backpressure()
-
     async def aclose(self) -> None:
         """Flush what's pending and close the underlying stream."""
         self.flush()
+        if self._parked:  # nothing on the loop keeps a closed writer
+            self._parked = False
+            self._turn.writers.remove(self)
         self._writer.close()
         try:
             await self._writer.wait_closed()
@@ -391,91 +355,240 @@ class CoalescingWriter:
             pass
 
 
-async def iter_line_batches(
-    reader: asyncio.StreamReader,
-    *,
-    chunk_size: int = READ_CHUNK,
-    initial: bytes = b"",
-    limit: "int | None" = None,
-):
-    """Yield the complete lines available per socket wakeup.
-
-    Each yielded batch is a list of stripped, non-empty line payloads (no
-    trailing newline), in wire order.  Where ``readline`` wakes the
-    consumer once per record, this wakes it once per *burst*: whatever
-    the kernel buffered since the last read comes back as one batch for
-    one batched decode.  A trailing unterminated line at EOF is yielded
-    on its own, matching ``readline``'s end-of-stream behavior.
-
-    Args:
-        initial: Bytes already read off the socket (the byte the
-            protocol negotiation peeked), treated as the head of the
-            first chunk.
-        limit: Yield a wakeup's lines in consecutive batches of at most
-            this many (default: one batch per wakeup).
-    """
-    pending = b""
-    chunk = initial
-    while True:
-        pending += chunk
-        if b"\n" in chunk:
-            *lines, pending = pending.split(b"\n")
-            batch = [stripped for line in lines if (stripped := line.strip())]
-            if batch:
-                step = limit or len(batch)
-                for start in range(0, len(batch), step):
-                    yield batch[start:start + step]
-        chunk = await reader.read(chunk_size)
-        if not chunk:
-            tail = pending.strip()
-            if tail:
-                yield [tail]
-            return
-
-
 async def iter_frame_batches(
-    reader: asyncio.StreamReader,
-    *,
-    chunk_size: int = READ_CHUNK,
-    raw_updates: bool = False,
-    raw_specs: bool = False,
-    limit: "int | None" = None,
+    reader: asyncio.StreamReader, *, raw_updates: bool = False,
 ):
-    """Binary dual of :func:`iter_line_batches`: decoded frames per wakeup.
-
-    Yields lists of decoded records — :class:`~repro.db.objects.Update` /
-    :class:`~repro.workload.transactions.TransactionSpec` instances,
-    dicts (JSON frames), raw update/spec-frame bytes (``raw_updates=True``
-    / ``raw_specs=True``, the router's zero-materialization paths), or
-    ``ValueError`` entries
-    for malformed frame bodies — in wire order.  Framing *and* decoding happen in one pass
-    here (the length prefixes delimit records, there is no separate
-    "split" step), which is exactly the per-record tax the binary
-    protocol removes.  A partial frame at EOF is surfaced as one
-    ``ValueError`` batch, mirroring the unterminated-line behavior.
-
-    With ``limit``, a wakeup's records come in consecutive batches of at
-    most that many, each decoded only when the consumer asks for it (the
-    rest of the chunk waits as bytes); without, one batch holds everything
-    the chunk completed.
-
-    A corrupt frame *header* propagates as ``ValueError`` — the session
-    cannot be resynchronized and the caller should close it.
-    """
-    decoder = FrameDecoder(raw_updates=raw_updates, raw_specs=raw_specs)
-    while True:
-        chunk = await reader.read(chunk_size)
-        if not chunk:
-            if decoder.pending_bytes:
-                yield [ValueError(
-                    f"session ended mid-frame ({decoder.pending_bytes} "
-                    "trailing bytes)"
-                )]
-            return
-        records = decoder.feed(chunk, limit)
+    """The decoded frames of each ``StreamReader`` wakeup, in wire order
+    (a partial frame at EOF is one ``ValueError`` batch).  Kept for
+    ``benchmarks/spine/layers.py``'s wire replay until ROADMAP item 6
+    deletes that replay; no door reads through it."""
+    decoder = FrameDecoder(raw_updates=raw_updates)
+    while chunk := await reader.read(READ_CHUNK):
+        records = decoder.feed(chunk)
         while records:
             yield records
-            records = decoder.take(limit)
+            records = decoder.take()
+    if decoder.pending_bytes:
+        yield [ValueError(f"session ended mid-frame "
+                          f"({decoder.pending_bytes} trailing bytes)")]
+
+
+class _LineDecoder:
+    """:class:`FrameDecoder`'s twin for JSONL: at most ``limit`` decoded,
+    non-blank lines per call, the rest kept for :meth:`take`."""
+
+    __slots__ = ("_tail", "_lines")
+
+    def __init__(self) -> None:
+        self._tail = b""
+        self._lines: "list[bytes]" = []
+
+    @property
+    def pending_bytes(self) -> int:
+        return len(self._tail)
+
+    def feed(self, data, limit: "int | None" = None) -> list:
+        *lines, self._tail = (self._tail + data).split(b"\n")
+        self._lines += [kept for line in lines if (kept := line.strip())]
+        return self.take(limit)
+
+    def take(self, limit: "int | None" = None) -> list:
+        count = limit or len(self._lines)
+        lines, self._lines = self._lines[:count], self._lines[count:]
+        return decode_lines(lines)
+
+
+class _Reader(asyncio.BufferedProtocol):
+    """The receive side of a connection taken over from its stream pair:
+    each read lands in one buffer reused for the connection's life.  Flow
+    control and the close pass on to the replaced stream protocol, so the
+    ``StreamWriter`` keeps its ``drain()`` and ``wait_closed()``."""
+
+    __slots__ = ("_transport", "_stream", "_view")
+
+    def _take_over(self, reader, transport) -> None:
+        self._transport = transport
+        self._stream = transport.get_protocol()
+        self._view = memoryview(bytearray(READ_CHUNK))
+        transport.set_protocol(self)
+        # What the stream protocol read before now: at EOF ``read()``
+        # completes without suspending, or raises the reset it recorded.
+        reader.feed_eof()
+        try:
+            reader.read().send(None)
+        except StopIteration as done:
+            early = done.value
+        except OSError as exc:
+            return self._lost(exc)
+        if not transport.is_closing():
+            # Re-arm reading, which the stream protocol stops at an EOF.
+            transport.pause_reading()
+            transport.resume_reading()
+        if early:
+            self._received(early)
+        if transport.is_closing():
+            self._lost(None)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._received(self._view[:nbytes])
+
+    def connection_lost(self, exc) -> None:
+        self._lost(exc)
+        self._stream.connection_lost(exc)
+
+    def pause_writing(self) -> None:
+        self._stream.pause_writing()
+
+    def resume_writing(self) -> None:
+        self._stream.resume_writing()
+
+
+class _Session(_Reader):
+    """:func:`serve_session`'s protocol.  It reads only while idle — no
+    quantum set aside, no ``dispatch`` awaitable pending, the replies
+    under their high-water mark — and :meth:`_settle` alone decides."""
+
+    __slots__ = ("_dispatch", "_replies", "_quantum", "_raw", "_decoder",
+                 "_head", "_next", "_waiting", "_full", "_write_paused",
+                 "_closed", "ended")
+
+    def __init__(self, reader, replies, dispatch, raw_frames) -> None:
+        self._dispatch = dispatch
+        self._replies = replies
+        self._quantum = replies._batch_max  # one bound, both directions
+        self._raw = raw_frames
+        self._decoder = None
+        self._head = b""
+        self._next = self._waiting = None
+        self._full = self._write_paused = self._closed = False
+        #: The session-fatal protocol errors (0 or 1), once it has ended.
+        self.ended = asyncio.get_running_loop().create_future()
+        self._take_over(reader, replies._transport)
+
+    def _received(self, data) -> None:
+        if self._decoder is None:  # the first byte fixes the dialect
+            head = self._head + data
+            if head[:1] != WIRE_MAGIC[:1]:
+                self._replies.protocol = PROTOCOL_JSONL
+                self._decoder = _LineDecoder()
+                data = head
+            elif len(head) < len(WIRE_PREAMBLE):
+                self._head = head
+                return
+            else:
+                try:
+                    _check_preamble(head[:len(WIRE_PREAMBLE)])
+                except WireProtocolError as exc:
+                    return self._finish(exc)
+                self._decoder = FrameDecoder(raw_updates=self._raw,
+                                             raw_specs=self._raw)
+                data = head[len(WIRE_PREAMBLE):]
+        self._pull(data)
+
+    def _pull(self, data=None) -> None:
+        """Deliver one quantum: from ``data`` just read, or from what an
+        earlier read set aside."""
+        self._next = None
+        try:
+            records = (self._decoder.take(self._quantum) if data is None
+                       else self._decoder.feed(data, self._quantum))
+        except ValueError as exc:
+            return self._finish(exc)
+        if records:
+            return self._deliver(records)
+        self._full = False
+        self._settle()
+
+    def _deliver(self, records: list) -> None:
+        try:
+            pending = self._replies._turn.deliver(self._dispatch, records,
+                                                  self._replies)
+        except Exception as exc:
+            return self._finish(exc)
+        self._full = len(records) >= self._quantum
+        if pending is not None:
+            self._waiting = asyncio.ensure_future(pending)
+            self._waiting.add_done_callback(self._dispatched)
+        self._settle()
+
+    def _dispatched(self, task: asyncio.Future) -> None:
+        self._waiting = None
+        failure = None if task.cancelled() else task.exception()
+        if failure is not None:
+            return self._finish(failure)
+        self._settle()
+
+    def _settle(self) -> None:
+        """After a quantum: wait with reading paused, deliver the next
+        quantum set aside on the next loop turn, or read again — or end,
+        once no more bytes can come."""
+        if self.ended.done() or self._next is not None:
+            return
+        if self._waiting is not None or self._write_paused:
+            return self._transport.pause_reading()
+        if self._full:
+            self._transport.pause_reading()
+            self._next = asyncio.get_running_loop().call_soon(self._pull)
+            return
+        decoder = self._decoder
+        # Nothing whole is left: this only surfaces a corrupt header.
+        if decoder is not None and decoder.pending_bytes >= FRAME_HEADER.size:
+            try:
+                decoder.take()
+            except ValueError as exc:
+                return self._finish(exc)
+        if self._closed:
+            return self._finish()
+        self._transport.resume_reading()
+
+    def eof_received(self) -> bool:
+        self._closed = True
+        decoder, tail = self._decoder, []
+        if decoder is None and self._head:
+            self._finish(WireProtocolError(
+                "peer closed mid-preamble of a binary session"
+            ))
+        elif self._replies.protocol == PROTOCOL_JSONL:
+            tail = decoder.feed(b"\n")  # the unterminated last line
+        elif decoder is not None and decoder.pending_bytes:
+            tail = [ValueError(f"session ended mid-frame "
+                               f"({decoder.pending_bytes} trailing bytes)")]
+        if tail:
+            self._deliver(tail)
+        else:
+            self._settle()
+        return True  # the replies still go out, before the close
+
+    def _lost(self, exc) -> None:
+        self._closed = True
+        self._write_paused = False  # no resume_writing comes any more
+        self._settle()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        super().pause_writing()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        super().resume_writing()
+        self._settle()
+
+    def _finish(self, exc: "BaseException | None" = None) -> None:
+        """End cleanly, on a protocol error (counted), or failing."""
+        if self.ended.done():
+            return
+        self._closed = True
+        self._transport.pause_reading()
+        if isinstance(exc, WireProtocolError):
+            logger.warning("wire negotiation failed: %s", exc)
+        elif isinstance(exc, ValueError):
+            logger.warning("binary session corrupt: %s", exc)
+        elif exc is not None:
+            return self.ended.set_exception(exc)
+        self.ended.set_result(int(exc is not None))
 
 
 async def serve_session(
@@ -489,30 +602,24 @@ async def serve_session(
 ) -> int:
     """One server-side session, from its first byte to its close.
 
-    The session loop every listening socket of the live stack runs — a
-    shard's :class:`~repro.live.server.IngestServer` and a
-    :class:`~repro.live.plane.RouterPlane` alike: negotiate the dialect
-    and fix it on the reply writer, then deliver arrivals in bounded
-    quanta — at most ``batch_max`` records (decoded frames or decoded
-    JSONL lines), decoded just in time, handed to
-    ``dispatch(records, replies)`` in wire order —
-    with reply backpressure and **one yield to the event loop after every
-    quantum**.  The paper's scheduling point (§3.1) under load is the end
-    of ``dispatch`` itself — an ingest server finishes each quantum by
-    firing the burst completions that have come due
-    (:meth:`~repro.live.clock.WallClock.dispatch_due`) — and the yield
-    hands the loop to everything else, so a sender outrunning the server
-    fills the socket, not a read-ahead buffer the scheduler never gets to
-    look at.  The yield is also where the
-    quantum's buffered writes leave: the replies, and whatever
-    ``dispatch`` posted to other :class:`CoalescingWriter` s (the plane's
-    per-shard forwards), are flushed as that turn ends, ahead of the next
-    quantum.
+    Every listening socket runs it (:class:`~repro.live.server.IngestServer`
+    and :class:`~repro.live.plane.RouterPlane`).  A
+    :class:`asyncio.BufferedProtocol` takes the connection over, fixes the
+    dialect on the reply writer and calls ``dispatch(records, replies)``
+    from the read callback with at most ``batch_max`` records, decoded
+    just in time, in wire order.  The end of ``dispatch`` is the paper's
+    scheduling point (§3.1; an ingest server runs
+    :meth:`~repro.live.clock.WallClock.dispatch_due`), and what the
+    quantum wrote leaves then.  The rest of a read waits for later loop
+    turns, one quantum each, with reading paused — as it is while the
+    reply transport is over its high-water mark or ``dispatch``'s
+    awaitable is pending — so a sender outrunning the server fills the
+    socket, not a read-ahead buffer.
 
     Args:
         dispatch: Called once per quantum.  May return an awaitable (the
-            plane forwards over sockets); it is awaited once per quantum,
-            never per record.
+            plane forwards over sockets): it runs as a task, and the next
+            quantum waits for it.
         batch_max: Records per loop turn, in both directions: the ingest
             quantum and the reply coalescing bound.
         raw_frames: Leave binary update/spec frames undecoded (the
@@ -522,55 +629,25 @@ async def serve_session(
 
     Returns:
         Session-fatal protocol errors (0 or 1): a bad preamble, or a
-        corrupt binary frame header — past one there is no
-        resynchronization point, so the one session is closed.  A peer
-        reset or a clean EOF is not an error.
+        corrupt frame header (past one there is no resynchronization).
+        A reset or a clean EOF is not an error; a partial frame at EOF
+        is delivered as one ``ValueError`` record.
     """
     replies = CoalescingWriter(writer, batch_max=batch_max)
-    errors = 0
     try:
-        replies.protocol, leftover = await negotiate_protocol(reader)
-        quantum = max(1, batch_max)
-        if replies.protocol == PROTOCOL_BINARY:
-            batches = iter_frame_batches(
-                reader, raw_updates=raw_frames, raw_specs=raw_frames,
-                limit=quantum,
-            )
-        else:  # a control session: JSON lines, decoded a wakeup at a time
-            batches = (decode_lines(lines) async for lines in iter_line_batches(
-                reader, initial=leftover, limit=quantum
-            ))
-        async for records in batches:
-            pending = dispatch(records, replies)
-            if pending is not None:
-                await pending
-            await replies.backpressure()
-            await asyncio.sleep(0)
-    except WireProtocolError as exc:
-        errors = 1
-        logger.warning("wire negotiation failed: %s", exc)
-    except ValueError as exc:
-        errors = 1
-        logger.warning("binary session corrupt: %s", exc)
-    except (ConnectionResetError, asyncio.IncompleteReadError):
-        pass
+        return await _Session(reader, replies, dispatch, raw_frames).ended
     finally:
         try:
             if on_close is not None:
                 await on_close()
         finally:
             await replies.aclose()
-    return errors
 
 
 class SessionSet:
-    """The open sessions of one listening endpoint, so a stop can end them.
-
-    Closing a listening socket leaves its accepted sessions running; left
-    to loop teardown they are *cancelled*, and asyncio logs a
-    ``CancelledError`` traceback per session on every clean shutdown.
-    :meth:`close` ends them the way a departing client would instead.
-    """
+    """The open sessions of one listening endpoint, so a stop can end them
+    the way a departing client would — not by loop teardown cancelling
+    them, with a ``CancelledError`` traceback per session."""
 
     __slots__ = ("_writers",)
 
@@ -587,13 +664,9 @@ class SessionSet:
             del self._writers[task]
 
     async def close(self) -> None:
-        """Close every session's stream and wait for its handler.
-
-        Each handler reads EOF and returns through :func:`serve_session`'s
-        ``finally`` (``on_close`` runs, what the transport already holds
-        is flushed); replies still coalescing are dropped, as for any
-        closing peer.
-        """
+        """Close every session's stream and wait for its handler, which
+        returns through :func:`serve_session`'s ``finally``; replies
+        still coalescing are dropped, as for any closing peer."""
         handlers = list(self._writers)
         for writer in self._writers.values():
             writer.close()
@@ -637,24 +710,21 @@ class RpcDeadlineError(RpcError):
 
 
 class RpcClosedError(RpcError):
-    """The channel closed (peer EOF, reset, or local close) mid-call.
-
-    The fast-failure path: a killed shard worker resolves every in-flight
-    sub-read immediately instead of burning its deadline.
-    """
+    """The channel closed (peer EOF, reset, or local close) mid-call: a
+    killed shard worker fails every in-flight sub-read at once instead of
+    burning its deadline."""
 
     reason = "closed"
 
 
-class RpcChannel:
+class RpcChannel(_Reader):
     """Correlation-id request/reply matching over one wire session.
 
     Owns both directions of a binary session to a peer that replies with
-    JSON frames: stream records and requests go out (after the preamble)
-    through a :class:`CoalescingWriter`; one reader task matches every
-    incoming record against the pending-call table and hands the rest —
-    the pass-through reply stream — to ``on_push``.  This replaces the
-    per-session reply pumps the cluster router used to hand-roll.
+    JSON frames: records and requests go out (after the preamble) through
+    a :class:`CoalescingWriter`; as the connection's protocol, it matches
+    each read's records against the pending calls and hands the rest to
+    ``on_push``, whose writes leave when the read is through.
 
     Matching: a record correlates by its ``rid`` field, or by ``seq``
     when it is a transaction outcome (``kind == "outcome"``) — submitted
@@ -665,23 +735,21 @@ class RpcChannel:
 
     Args:
         reader/writer: The connected session (the channel writes the
-            binary preamble itself).
+            binary preamble itself, and takes the transport over).
         on_push: Callback for reply records that match no pending call.
         batch_max: Outbound coalescing bound.
-        protocol / flush_us: Accepted for ``benchmarks/spine/layers.py``,
-            which still passes both: ``protocol`` must be
-            :data:`PROTOCOL_BINARY`, and ``flush_us`` is ignored — there
-            is no flush deadline any more.  ROADMAP 1(vii)'s
-            ``[benchmark]`` PR drops both.
+        protocol / flush_us: Accepted for ``benchmarks/spine/layers.py``:
+            ``protocol`` must be :data:`PROTOCOL_BINARY`, ``flush_us`` is
+            ignored (there is no flush deadline).
 
     Attributes:
-        failure: The unexpected exception that ended the reader task, if
-            any — ``None`` for a clean EOF/reset.  Session owners count
-            these, exactly as they counted pump failures.
+        failure: The unexpected exception that ended the reading (a
+            corrupt frame header, a failing ``on_push``), if any —
+            ``None`` for a clean EOF/reset.  Session owners count these.
     """
 
     __slots__ = ("failure", "_writer", "_pending", "_on_push",
-                 "_reader_task", "_closed")
+                 "_decoder", "_closed")
 
     def __init__(
         self,
@@ -702,23 +770,15 @@ class RpcChannel:
         self._writer = CoalescingWriter(writer, batch_max=batch_max)
         self._pending: dict[object, asyncio.Future] = {}
         self._on_push = on_push
+        self._decoder = FrameDecoder()
         self._closed = False
-        self._reader_task = asyncio.ensure_future(self._read_replies(reader))
+        self._take_over(reader, writer.transport)
 
     # -- outbound -------------------------------------------------------
     @property
     def closing(self) -> bool:
         """Whether this channel can no longer complete calls."""
-        return (
-            self._closed
-            or self._writer.is_closing
-            or self._reader_task.done()
-        )
-
-    @property
-    def records(self) -> int:
-        """Stream records written so far (CoalescingWriter passthrough)."""
-        return self._writer.records
+        return self._closed or self._transport.is_closing()
 
     def post(self, payload: bytes, records: int = 1) -> None:
         """Send pre-encoded stream records, fire-and-forget."""
@@ -808,19 +868,30 @@ class RpcChannel:
         return await self.result(key, timeout=timeout)
 
     # -- inbound --------------------------------------------------------
-    async def _read_replies(self, reader: asyncio.StreamReader) -> None:
+    def _received(self, data) -> None:
+        if self._closed:
+            return
         try:
-            async for records in iter_frame_batches(reader):
-                for record in records:
-                    if isinstance(record, dict):
-                        self._deliver(record)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # peer went away: same outcome as EOF
+            records = self._decoder.feed(data)
+            self._writer._turn.deliver(self._deliver_all, records)
         except Exception as exc:  # corrupt frame header etc. — typed close
             self.failure = exc
-        finally:
-            self._closed = True
-            self._fail_pending()
+            self._lost(None)
+
+    def _deliver_all(self, records: list) -> None:
+        for record in records:
+            if isinstance(record, dict):
+                self._deliver(record)
+
+    def eof_received(self) -> bool:
+        self._lost(None)
+        return True  # the send side stays open until aclose()
+
+    def _lost(self, exc) -> None:
+        # A reset is the peer going away, the same outcome as EOF.
+        self._closed = True
+        self._transport.pause_reading()
+        self._fail_pending()
 
     def _deliver(self, record: dict) -> None:
         key = record.get("rid")
@@ -861,12 +932,6 @@ class RpcChannel:
                 future.exception()
 
     async def aclose(self) -> None:
-        """Cancel the reader, fail pending calls, close the writer."""
-        self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._fail_pending()
+        """Stop reading, fail pending calls, close the writer."""
+        self._lost(None)
         await self._writer.aclose()

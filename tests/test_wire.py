@@ -5,12 +5,14 @@ Two contracts matter:
 * The schema-specialized trace codec is *byte-identical* to the generic
   ``json.dumps(item_to_dict(...))`` encoder, so a trace file reads the
   same whichever wrote it.
-* :class:`CoalescingWriter` / :func:`iter_line_batches` change syscall
-  granularity, never content or order.
+* :class:`CoalescingWriter` changes syscall granularity, never content
+  or order, and :class:`RpcChannel` resolves a call whatever the reads
+  its reply arrives in.
 """
 
 import asyncio
 import json
+import socket
 import sys
 
 import pytest
@@ -20,7 +22,8 @@ from repro.db.objects import ObjectClass, Update
 from repro.live.wire import (
     MAX_BATCH_BYTES,
     CoalescingWriter,
-    iter_line_batches,
+    RpcChannel,
+    RpcClosedError,
     serve_session,
 )
 from repro.workload.codec import (
@@ -29,6 +32,7 @@ from repro.workload.codec import (
     decode_lines,
     encode_frame,
     encode_item,
+    encode_json_frame,
     item_from_record,
 )
 from repro.workload.trace import item_to_dict, synthesize
@@ -191,6 +195,27 @@ def test_coalescing_writer_turn_end_covers_stragglers():
     assert (out.records, out.flushes) == (5, 2)
 
 
+def test_writers_share_one_turn_end_callback():
+    """Any number of writers written to in one turn are flushed by one
+    callback on the loop, not one each."""
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        fakes = [_FakeStreamWriter() for _ in range(3)]
+        outs = [CoalescingWriter(fake, batch_max=100) for fake in fakes]
+        queued = len(loop._ready)
+        for index, out in enumerate(outs):
+            out.write(b"%d\n" % index)
+        armed = len(loop._ready) - queued
+        held = [_handles_holding(loop, out) for out in outs]
+        await _turn()
+        return armed, held, [fake.payloads for fake in fakes]
+
+    armed, held, payloads = asyncio.run(scenario())
+    assert armed == 1
+    assert held[0] == held[1] == held[2] and len(held[0]) == 1
+    assert payloads == [[b"0\n"], [b"1\n"], [b"2\n"]]
+
+
 def test_coalescing_writer_turn_end_after_a_bound_flush_writes_nothing_twice():
     async def scenario():
         fake = _FakeStreamWriter()
@@ -261,11 +286,34 @@ def test_coalescing_writer_backpressure_only_over_high_water():
     assert above == 1
 
 
-def _handles_holding(loop, out):
-    """Handles queued on ``loop`` whose callback is a method of ``out``."""
+def _holds(owner, target) -> bool:
+    """Whether a callback's owner is ``target``, the shared turn end with
+    ``target`` parked on it, or a transport ``target`` is the protocol of."""
+    return owner is target or target in getattr(owner, "writers", ()) or (
+        hasattr(owner, "get_protocol") and owner.get_protocol() is target
+    )
+
+
+def _handles_holding(loop, target):
+    """Handles queued on ``loop`` or registered with its selector whose
+    callback holds ``target``."""
+    registered = [
+        handle for key in loop._selector.get_map().values()
+        for handle in key.data if handle is not None
+    ]
     return [
-        handle for handle in [*loop._ready, *loop._scheduled]
-        if getattr(handle._callback, "__self__", None) is out
+        handle for handle in [*loop._ready, *loop._scheduled, *registered]
+        if _holds(getattr(handle._callback, "__self__", None), target)
+    ]
+
+
+def _tasks_holding(target):
+    """Tasks other than this one whose coroutine has ``target`` in hand."""
+    return [
+        task for task in asyncio.all_tasks()
+        if task is not asyncio.current_task()
+        and (frame := task.get_coro().cr_frame) is not None
+        and any(value is target for value in frame.f_locals.values())
     ]
 
 
@@ -304,7 +352,9 @@ def test_coalescing_writer_drops_writes_after_peer_close():
 
 def test_served_session_leaves_no_handle_behind():
     """After :func:`serve_session` returns, no handle on the loop refers
-    to its reply writer — whatever the last quantum left buffered."""
+    to its reply writer — whatever the last quantum left buffered — and
+    after :meth:`RpcChannel.aclose` no handle, selector registration or
+    task refers to the channel."""
     async def scenario():
         loop = asyncio.get_running_loop()
         writers = []
@@ -316,24 +366,86 @@ def test_served_session_leaves_no_handle_behind():
 
         async def handle(reader, writer):
             await serve_session(reader, writer, dispatch)
-            done.set()
+            done.release()
 
-        done = asyncio.Event()
+        done = asyncio.Semaphore(0)
         server = await asyncio.start_server(handle, "127.0.0.1", 0)
-        reader, writer = await asyncio.open_connection(
-            *server.sockets[0].getsockname()[:2]
-        )
+        address = server.sockets[0].getsockname()[:2]
+        reader, writer = await asyncio.open_connection(*address)
         writer.write(b'{"n": 1}\n{"n": 2}\n')
         echoed = [await reader.readline(), await reader.readline()]
         writer.close()
-        await asyncio.wait_for(done.wait(), 5.0)
+        await asyncio.wait_for(done.acquire(), 5.0)
+        channel = RpcChannel(*await asyncio.open_connection(*address))
+        answer = await channel.call({"kind": "ping", "rid": 1}, 1, timeout=5.0)
+        await channel.aclose()
+        left = _handles_holding(loop, channel), _tasks_holding(channel)
+        await asyncio.wait_for(done.acquire(), 5.0)
         server.close()
         await server.wait_closed()
-        return echoed, _handles_holding(loop, writers[0])
+        return echoed, answer, _handles_holding(loop, writers[0]), left
 
-    echoed, handles = asyncio.run(scenario())
+    echoed, answer, handles, (channel_handles, channel_tasks) = asyncio.run(
+        scenario()
+    )
     assert [json.loads(line) for line in echoed] == [{"n": 1}, {"n": 2}]
+    assert answer == {"kind": "ping", "rid": 1}
     assert handles == []
+    assert channel_handles == [] and channel_tasks == []
+
+
+async def _channel_with_peer():
+    """An :class:`RpcChannel` over a socketpair, and the raw stream pair
+    of its peer, past the channel's preamble."""
+    left, right = socket.socketpair()
+    channel = RpcChannel(*await asyncio.open_connection(sock=left))
+    peer = await asyncio.open_connection(sock=right)
+    assert await peer[0].readexactly(len(WIRE_PREAMBLE)) == WIRE_PREAMBLE
+    return channel, peer
+
+
+def test_rpc_reply_split_across_reads_resolves_its_call():
+    """A reply frame that arrives in two reads — the cut inside its
+    header, then inside its body — still resolves its call."""
+    async def scenario():
+        channel, (_, peer) = await _channel_with_peer()
+        call = asyncio.ensure_future(
+            channel.call({"kind": "ping", "rid": 9}, 9, timeout=5.0)
+        )
+        reply = encode_json_frame(json.dumps({"kind": "pong", "rid": 9}).encode())
+        for piece in (reply[:3], reply[3:10], reply[10:]):
+            await asyncio.sleep(0.02)  # one read per piece
+            assert not call.done()
+            peer.write(piece)
+            await peer.drain()
+        answer = await call
+        await channel.aclose()
+        peer.close()
+        return answer
+
+    assert asyncio.run(scenario()) == {"kind": "pong", "rid": 9}
+
+
+def test_rpc_peer_eof_fails_every_pending_call_at_once():
+    async def scenario():
+        channel, (_, peer) = await _channel_with_peer()
+        calls = [channel.expect(rid) for rid in range(3)]
+        peer.close()
+        await asyncio.wait(calls, timeout=5.0)
+        states = [call.done() for call in calls], channel.closing
+        failures = []
+        for rid in range(3):
+            try:
+                await channel.result(rid, timeout=1.0)
+            except RpcClosedError as exc:
+                failures.append(exc)
+        await channel.aclose()
+        return states, failures, channel.failure
+
+    (done, closing), failures, failure = asyncio.run(scenario())
+    assert done == [True] * 3 and closing
+    assert len(failures) == 3
+    assert failure is None  # an EOF is not a channel failure
 
 
 def test_routed_round_trip_arms_no_wire_timer():
@@ -384,44 +496,3 @@ def test_routed_round_trip_arms_no_wire_timer():
     assert replies[0]["kind"] == "outcome" and replies[0]["seq"] == spec.seq
     assert replies[0]["outcome"] == "committed"
     assert "repro.live.wire" not in armed_by
-
-
-# ----------------------------------------------------------------------
-# iter_line_batches
-# ----------------------------------------------------------------------
-def _reader_from_chunks(chunks):
-    reader = asyncio.StreamReader()
-    for chunk in chunks:
-        reader.feed_data(chunk)
-    reader.feed_eof()
-    return reader
-
-
-def test_iter_line_batches_yields_complete_lines_per_wakeup():
-    async def scenario():
-        reader = _reader_from_chunks([b"a\nb\nc\nd"])
-        return [batch async for batch in iter_line_batches(reader)]
-
-    batches = asyncio.run(scenario())
-    # All complete lines in one batch; the unterminated tail at EOF.
-    assert batches == [[b"a", b"b", b"c"], [b"d"]]
-    assert [line for batch in batches for line in batch] == [b"a", b"b", b"c", b"d"]
-
-
-def test_iter_line_batches_reassembles_split_lines():
-    async def scenario():
-        reader = _reader_from_chunks([b'{"seq": 1', b', "x": 2}\n{"seq": 2}\n'])
-        return [batch async for batch in iter_line_batches(reader, chunk_size=10)]
-
-    batches = asyncio.run(scenario())
-    flat = [line for batch in batches for line in batch]
-    assert flat == [b'{"seq": 1, "x": 2}', b'{"seq": 2}']
-
-
-def test_iter_line_batches_skips_blank_lines():
-    async def scenario():
-        reader = _reader_from_chunks([b"\n\na\n\r\nb\n\n"])
-        return [batch async for batch in iter_line_batches(reader)]
-
-    batches = asyncio.run(scenario())
-    assert [line for batch in batches for line in batch] == [b"a", b"b"]

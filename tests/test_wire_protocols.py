@@ -3,8 +3,9 @@ carries control.
 
 * :func:`negotiate_protocol` — the first bytes of a session select the
   dialect; a JSONL peer's first byte is handed back untouched.
-* The session loop — every way a session ends, and the bounded quanta,
-  in both dialects.
+* The session protocol — every way a session ends, the bounded quanta
+  and their scheduling points, reads cut at any byte, reply
+  backpressure, in both dialects.
 * The doors — an update or transaction in JSON is refused like an unknown
   kind, on a session that keeps answering control records; every control
   reply echoes the request's ``rid``, so an :class:`RpcChannel` call
@@ -16,6 +17,7 @@ carries control.
 """
 
 import asyncio
+import collections
 import copy
 import json
 from dataclasses import asdict, replace
@@ -28,8 +30,10 @@ from repro.db.sharding import ShardRouter, Topology
 from repro.live import IngestServer, LiveRuntime
 from repro.live.plane import RouterPlane
 from repro.live.wire import (
+    DEFAULT_BATCH_MAX,
     PROTOCOL_BINARY,
     PROTOCOL_JSONL,
+    CoalescingWriter,
     RpcChannel,
     RpcDeadlineError,
     RpcError,
@@ -44,6 +48,7 @@ from repro.workload.codec import (
     WIRE_PREAMBLE,
     encode_frames,
     encode_item,
+    encode_json_frame,
 )
 from repro.workload.trace import synthesize
 from repro.workload.transactions import TransactionSpec
@@ -138,21 +143,85 @@ def test_an_rpc_channel_speaks_binary_frames_only():
 
 
 # ----------------------------------------------------------------------
-# The session loop (shared by IngestServer and RouterPlane)
+# The session protocol (shared by IngestServer and RouterPlane)
 # ----------------------------------------------------------------------
 class _MemoryTransport:
+    """The transport surface a session's protocol touches, in memory.
+
+    Queued reads reach the protocol the way a selector loop delivers
+    them: one per loop callback, into the protocol's own buffer, and only
+    while reading is on.  ``None`` queues an EOF, an exception a reset.
+    """
+
+    def __init__(self):
+        self.protocol = asyncio.Protocol()  # the stream protocol taken over
+        self.reading = True
+        self.closing = False
+        self.reads = collections.deque()
+        self.write_buffer = 0
+        self._armed = False
+
+    def get_protocol(self):
+        return self.protocol
+
+    def set_protocol(self, protocol):
+        self.protocol = protocol
+
     def is_closing(self):
-        return False
+        return self.closing
 
     def get_write_buffer_size(self):
-        return 0
+        return self.write_buffer
 
     def get_write_buffer_limits(self):
         return (0, 65536)
 
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+        self._arm()
+
+    def queue(self, *reads):
+        self.reads.extend(reads)
+        self._arm()
+
+    def close(self):
+        if not self.closing:
+            self.closing = True
+            asyncio.get_running_loop().call_soon(
+                self.protocol.connection_lost, None
+            )
+
+    def _arm(self):
+        if self.reading and self.reads and not (self._armed or self.closing):
+            self._armed = True
+            asyncio.get_running_loop().call_soon(self._read_ready)
+
+    def _read_ready(self):
+        self._armed = False
+        if not self.reading or self.closing:
+            return
+        read = self.reads.popleft()
+        if read is None:
+            self.reading = False
+            self.protocol.eof_received()
+        elif isinstance(read, Exception):
+            self.closing = True
+            self.protocol.connection_lost(read)
+        else:
+            buffer = self.protocol.get_buffer(-1)
+            taken = min(len(buffer), len(read))
+            buffer[:taken] = read[:taken]
+            if taken < len(read):
+                self.reads.appendleft(read[taken:])
+            self.protocol.buffer_updated(taken)
+            self._arm()
+
 
 class _MemoryWriter:
-    """The StreamWriter surface a CoalescingWriter touches, in memory."""
+    """The StreamWriter surface a session touches, in memory."""
 
     def __init__(self):
         self.transport = _MemoryTransport()
@@ -164,16 +233,22 @@ class _MemoryWriter:
 
     def close(self):
         self.closed = True
+        self.transport.close()
 
     async def wait_closed(self):
         pass
 
 
-def _reset_reader(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.set_exception(ConnectionResetError("peer reset"))
-    return reader
+async def _serve(reads, dispatch, **options):
+    """One :func:`serve_session` over the in-memory transport, fed
+    ``reads``; returns its error count and the reply writer."""
+    writer = _MemoryWriter()
+    session = asyncio.ensure_future(serve_session(
+        asyncio.StreamReader(), writer, dispatch, **options
+    ))
+    await asyncio.sleep(0)  # the session takes the transport over
+    writer.transport.queue(*reads)
+    return await asyncio.wait_for(session, 5.0), writer
 
 
 _UPDATE = Update(seq=1, klass=ObjectClass.VIEW_LOW, object_id=3, value=1.0,
@@ -181,20 +256,22 @@ _UPDATE = Update(seq=1, klass=ObjectClass.VIEW_LOW, object_id=3, value=1.0,
 _CORRUPT_HEADER = FRAME_HEADER.pack(0x7E, MAX_FRAME_BODY + 1)
 
 
-@pytest.mark.parametrize("make_reader, expected_errors, expected_batches", [
+@pytest.mark.parametrize("reads, expected_errors, expected_batches", [
     # bad preamble: right magic byte, unsupported schema version
-    (lambda: _reader_with(WIRE_PREAMBLE[:-1] + b"\x7f"), 1, 0),
+    ([WIRE_PREAMBLE[:-1] + b"\x7f", None], 1, 0),
     # corrupt frame header: no resync point
-    (lambda: _reader_with(WIRE_PREAMBLE + _CORRUPT_HEADER), 1, 0),
+    ([WIRE_PREAMBLE + _CORRUPT_HEADER, None], 1, 0),
     # peer reset mid-session
-    (lambda: _reset_reader(WIRE_PREAMBLE), 0, 0),
+    ([WIRE_PREAMBLE, ConnectionResetError("peer reset")], 0, 0),
     # clean EOF, binary and JSONL
-    (lambda: _reader_with(WIRE_PREAMBLE + encode_frames([_UPDATE])), 0, 1),
-    (lambda: _reader_with(_control_lines([{"kind": "snapshot"}])), 0, 1),
+    ([WIRE_PREAMBLE + encode_frames([_UPDATE]), None], 0, 1),
+    ([_control_lines([{"kind": "snapshot"}]), None], 0, 1),
+    # a corrupt header right behind a record, in the same read
+    ([WIRE_PREAMBLE + encode_frames([_UPDATE]) + _CORRUPT_HEADER, None], 1, 1),
 ], ids=["bad-preamble", "corrupt-header", "peer-reset", "eof-binary",
-        "eof-jsonl"])
+        "eof-jsonl", "corrupt-header-behind-a-record"])
 @pytest.mark.parametrize("async_dispatch", [False, True])
-def test_serve_session_exits(make_reader, expected_errors, expected_batches,
+def test_serve_session_exits(reads, expected_errors, expected_batches,
                              async_dispatch):
     """Every way a session ends closes the writer, runs the close hook
     once, and counts exactly the session-fatal protocol errors — whether
@@ -212,16 +289,10 @@ def test_serve_session_exits(make_reader, expected_errors, expected_batches,
     async def on_close():
         hook_calls.append(1)
 
-    async def run():
-        writer = _MemoryWriter()
-        errors = await serve_session(
-            make_reader(), writer,
-            dispatch_async if async_dispatch else dispatch,
-            on_close=on_close,
-        )
-        return errors, writer
-
-    errors, writer = asyncio.run(run())
+    errors, writer = asyncio.run(_serve(
+        reads, dispatch_async if async_dispatch else dispatch,
+        on_close=on_close,
+    ))
     assert errors == expected_errors
     assert len(batches) == expected_batches
     assert writer.closed
@@ -270,10 +341,9 @@ def test_serve_session_delivers_bounded_quanta(protocol, batch_max):
     async def run():
         counter = asyncio.ensure_future(count_turns())
         try:
-            return await serve_session(
-                _reader_with(payload), _MemoryWriter(), dispatch,
-                batch_max=batch_max,
-            )
+            errors, _ = await _serve([payload, None], dispatch,
+                                     batch_max=batch_max)
+            return errors
         finally:
             counter.cancel()
 
@@ -282,6 +352,203 @@ def test_serve_session_delivers_bounded_quanta(protocol, batch_max):
     assert [seq for _, seqs in calls for seq in seqs] == list(range(len(updates)))
     seen = [turn for turn, _ in calls]
     assert all(later > earlier for earlier, later in zip(seen, seen[1:]))
+
+
+def _update(seq, object_id=3, **fields):
+    return Update(seq, ObjectClass.VIEW_LOW, object_id, 1.0, 0.0, 0.0,
+                  **fields)
+
+
+def _describe(record):
+    """A comparable stand-in for one dispatched record."""
+    if isinstance(record, Exception):
+        return ("error", str(record))
+    if isinstance(record, Update):
+        return tuple(getattr(record, name) for name in Update.__slots__[:-1])
+    if isinstance(record, TransactionSpec):
+        return asdict(record)
+    return record
+
+
+def test_a_session_split_at_any_byte_dispatches_the_same_records():
+    """A recorded binary session — updates, specs, JSON control frames and
+    one malformed body — cut into two reads at every byte offset of its
+    first 300 bytes: every cut dispatches the same record sequence and
+    sends the same replies as the session read whole."""
+    _, spec = _session_items()
+    items = [
+        _update(0), _update(1, object_id=2), spec,
+        encode_json_frame(b'{"kind": "snapshot", "rid": 1}'),
+        replace(spec, seq=1, reads=(1, 2)),
+        encode_json_frame(b"{not json"),
+        _update(2, partial=True, attribute=1),
+        encode_json_frame(b'{"kind": "topology", "rid": 2}'),
+        *[_update(seq) for seq in range(3, 9)],
+    ]
+    payload = WIRE_PREAMBLE + b"".join(
+        item if isinstance(item, bytes) else encode_frames([item])
+        for item in items
+    )
+    assert len(payload) > 300
+
+    def serve(reads):
+        seen = []
+
+        def dispatch(records, replies):
+            for record in records:
+                seen.append(_describe(record))
+                replies.reply({"echo": repr(seen[-1])})
+
+        errors, writer = asyncio.run(_serve([*reads, None], dispatch))
+        return errors, seen, b"".join(writer.payloads)
+
+    whole = serve([payload])
+    assert whole[0] == 0 and len(whole[1]) == 14
+    assert ("error", whole[1][5][1]) == whole[1][5]  # the malformed body
+    for cut in range(1, 301):
+        assert serve([payload[:cut], payload[cut:]]) == whole, cut
+
+
+def test_one_read_of_three_quanta_takes_three_turns_each_ending_at_the_scheduling_point():
+    """An ingest server's session: one read of 3 x ``batch_max`` updates
+    is dispatched over three loop turns, one quantum each, and each ends
+    at the server's scheduling point (``WallClock.dispatch_due``)."""
+    batch_max = 64
+    updates = [_update(seq) for seq in range(3 * batch_max)]
+    turns = 0
+    points = []  # (loop turn, records received) at each scheduling point
+
+    async def count_turns():
+        nonlocal turns
+        while True:
+            turns += 1
+            await asyncio.sleep(0)
+
+    async def run():
+        runtime = LiveRuntime(_smoke_config(), "TF")
+        runtime.start()
+        server = IngestServer(runtime, batch_max=batch_max)
+        scheduling_point = server._scheduling_point
+        assert scheduling_point == runtime.clock.dispatch_due
+
+        def recorded_point():
+            points.append((turns, server.records_received))
+            scheduling_point()
+
+        server._scheduling_point = recorded_point
+        counter = asyncio.ensure_future(count_turns())
+        try:
+            errors, _ = await _serve(
+                [WIRE_PREAMBLE + encode_frames(updates), None],
+                server._dispatch_batch, batch_max=batch_max,
+            )
+        finally:
+            counter.cancel()
+            await runtime.shutdown()
+        return errors
+
+    assert asyncio.run(run()) == 0
+    assert [received for _, received in points] == [
+        batch_max, 2 * batch_max, 3 * batch_max
+    ]
+    seen = [turn for turn, _ in points]
+    assert seen[0] < seen[1] < seen[2]
+
+
+def test_no_quantum_is_dispatched_while_the_replies_are_over_high_water():
+    """Once the reply transport reports its buffer over the high-water
+    mark, the session dispatches nothing more — however many loop turns
+    pass — and carries on where it stopped once the buffer drains."""
+    batch_max = 4
+    updates = [_update(seq) for seq in range(4 * batch_max)]
+    quanta = []
+
+    async def run():
+        writer = _MemoryWriter()
+        transport = writer.transport
+
+        def dispatch(records, replies):
+            quanta.append([record.seq for record in records])
+            if len(quanta) == 1:  # this quantum's replies fill the socket
+                transport.protocol.pause_writing()
+
+        session = asyncio.ensure_future(serve_session(
+            asyncio.StreamReader(), writer, dispatch, batch_max=batch_max,
+        ))
+        await asyncio.sleep(0)
+        transport.queue(WIRE_PREAMBLE + encode_frames(updates), None)
+        for _ in range(20):
+            await asyncio.sleep(0)
+        stalled = (len(quanta), transport.reading)
+        transport.protocol.resume_writing()
+        return stalled, await asyncio.wait_for(session, 5.0)
+
+    (stalled_quanta, reading), errors = asyncio.run(run())
+    assert (stalled_quanta, reading, errors) == (1, False, 0)
+    assert [seq for quantum in quanta for seq in quantum] == list(range(16))
+    assert all(len(quantum) == batch_max for quantum in quanta)
+
+
+def test_a_quantum_s_writes_leave_when_its_dispatch_returns():
+    """What ``dispatch`` writes — its replies and other writers' records
+    (the plane's forwards) — reaches the transports when it returns,
+    ahead of any callback scheduled during it."""
+    seen = []
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        other = _MemoryWriter()
+        forwards = CoalescingWriter(other)
+
+        def dispatch(records, replies):
+            loop.call_soon(lambda: seen.append(
+                (len(replies._writer.payloads), len(other.payloads))
+            ))
+            replies.reply({"records": len(records)})
+            forwards.write(b"forwarded")
+
+        errors, _ = await _serve(
+            [WIRE_PREAMBLE + encode_frames([_UPDATE]), None], dispatch
+        )
+        return errors
+
+    assert asyncio.run(run()) == 0
+    assert seen == [(1, 1)]
+
+
+def _jsonl_session(reads, batch_max=DEFAULT_BATCH_MAX):
+    """The lines a JSONL session dispatches for ``reads``, one list per
+    quantum."""
+    quanta = []
+
+    def dispatch(records, replies):
+        assert replies.protocol == PROTOCOL_JSONL
+        quanta.append(records)
+
+    errors, _ = asyncio.run(_serve([*reads, None], dispatch,
+                                   batch_max=batch_max))
+    assert errors == 0
+    return quanta
+
+
+def test_a_jsonl_read_delivers_its_complete_lines_and_eof_the_tail():
+    quanta = _jsonl_session([b"1\n2\n3\n4"])
+    # All complete lines in one quantum; the unterminated tail at EOF.
+    assert quanta == [[1, 2, 3], [4]]
+
+
+def test_a_jsonl_line_split_across_reads_is_reassembled():
+    """The JSONL dialect runs through the same session protocol: a line
+    cut across two reads comes out whole."""
+    quanta = _jsonl_session([b'{"seq": 1', b', "x": 2}\n{"seq": 2}\n'])
+    assert [record for quantum in quanta for record in quantum] == [
+        {"seq": 1, "x": 2}, {"seq": 2},
+    ]
+
+
+def test_a_jsonl_session_skips_blank_lines():
+    quanta = _jsonl_session([b"\n\n1\n\r\n", b"2\n\n"])
+    assert [record for quantum in quanta for record in quantum] == [1, 2]
 
 
 # ----------------------------------------------------------------------
